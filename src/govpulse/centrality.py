@@ -9,13 +9,24 @@ The poll Gini is the mean-absolute-difference form
 
     G = sum_i sum_j |v_i - v_j| / (2 n^2 vbar)
 
-over final ballot weights. The daily Gini pools each voter's weights across
-the day's polls and fits a Paretian tail index by maximum likelihood,
+over final ballot weights. It is evaluated through the sorted-gap identity
+
+    G = sum_{k=1}^{n-1} k (n - k) (v_(k+1) - v_(k)) / (n sum v),
+
+which takes O(n log n) time and O(n) memory; every term is non-negative, so
+equal weights give exactly 0. The daily Gini pools each voter's weights
+across the day's polls and fits a Paretian tail index by maximum likelihood,
 
     alpha_hat = n / sum_i ln(x_i / x_min),      G = 1 / (2 alpha_hat - 1),
 
 clipped to [0, 1). Alternative daily estimators (mean of poll Ginis, pooled
 sample Gini) are available for comparison.
+
+``ballot_pass`` derives every poll's final ballots once per ballot rule,
+together with the per-poll metrics and the per-day poll counts. Daily rows
+in both calendar modes, voter profiles, poll descriptives and Lorenz totals
+are all derived from that one result; the log-taking entry points
+(``all_poll_metrics``, ``daily_metrics``) are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from govpulse.govdata import FinalBallot, VoteLog, final_ballots, winning_option
+from govpulse.govdata import FinalBallot, PollRecord, VoteLog, final_ballots, winning_option
 
 GINI_UPPER = 1.0 - 1e-9
 
@@ -114,16 +125,19 @@ def poll_participation(ballots: list[FinalBallot]) -> tuple[Decimal, int]:
 def gini_mean_difference(weights: np.ndarray) -> float:
     """Mean-absolute-difference Gini over a weight vector.
 
-    Returns 0 for fewer than two weights or an all-zero vector.
+    Uses the sorted-gap identity: each gap x_(k+1) - x_(k) between adjacent
+    sorted weights lies between k * (n - k) pairs, so
+    G = sum_k k (n - k) (x_(k+1) - x_(k)) / (n sum x). Every term is
+    non-negative, which keeps equal weights at exactly 0. Returns 0 for
+    fewer than two weights or an all-zero vector.
     """
-    weights = np.asarray(weights, dtype=float)
-    n = weights.size
-    total = float(weights.sum())
+    ordered = np.sort(np.asarray(weights, dtype=float))
+    n = ordered.size
+    total = float(ordered.sum())
     if n < 2 or total <= 0.0:
         return 0.0
-    mean = total / n
-    abs_diffs = np.abs(weights[:, None] - weights[None, :]).sum()
-    return float(abs_diffs / (2.0 * n * n * mean))
+    k = np.arange(1, n, dtype=float)
+    return float((k * (n - k) * np.diff(ordered)).sum() / (n * total))
 
 
 def poll_gini(ballots: list[FinalBallot]) -> float:
@@ -156,16 +170,21 @@ def gini_from_alpha(alpha: float) -> float:
     return float(min(max(1.0 / (2.0 * alpha - 1.0), 0.0), GINI_UPPER))
 
 
+def _pooled_voter_totals(ballots: list[FinalBallot]) -> np.ndarray:
+    """Each voter's summed weight over the ballots, positive totals only."""
+    totals: dict[str, Decimal] = {}
+    for ballot in ballots:
+        totals[ballot.voter] = totals.get(ballot.voter, Decimal(0)) + ballot.weight
+    return np.array([float(v) for v in totals.values() if v > 0], dtype=float)
+
+
 def daily_gini(ballots_of_day: list[FinalBallot]) -> float:
     """Daily Gini from the Paretian tail-index MLE on pooled voter totals.
 
     Each voter's final weights across the day's polls are summed first;
     non-positive totals are dropped; fewer than two positive totals give 0.
     """
-    totals: dict[str, Decimal] = {}
-    for ballot in ballots_of_day:
-        totals[ballot.voter] = totals.get(ballot.voter, Decimal(0)) + ballot.weight
-    positive = np.array([float(v) for v in totals.values() if v > 0], dtype=float)
+    positive = _pooled_voter_totals(ballots_of_day)
     if positive.size < 2:
         return 0.0
     return gini_from_alpha(pareto_alpha_mle(positive))
@@ -211,30 +230,23 @@ def poll_speed(ballots: list[FinalBallot], deploy_timestamp: int) -> float:
     return float(sum(gaps)) / len(gaps)
 
 
-def poll_metrics(
-    log: VoteLog,
-    poll_id: int,
-    ballot_rule: str = "last",
-    order_rule: str = "last",
+def _measure_poll(
+    poll: PollRecord, ballots: list[FinalBallot], n_records: int, order_rule: str
 ) -> PollMetrics | None:
-    """All per-poll measures; None when the poll has no events."""
-    poll = log.registry[poll_id]
-    history = log.poll_events(poll_id)
-    if not history:
-        return None
-    ballots = final_ballots(log, poll_id, rule=ballot_rule)
+    """All per-poll measures from the poll's final ballots and history length;
+    None when the ballots carry no positive weight."""
     total, voters = poll_participation(ballots)
     if total <= 0:
         return None
     winner = winning_option(ballots)
     share, ifwin, share_win, order = largest_voter_stats(
-        ballots, winner.option_id, n_records=len(history), order_rule=order_rule
+        ballots, winner.option_id, n_records=n_records, order_rule=order_rule
     )
     abstain = poll.abstain_option_ids
     breakdown = sum((b.weight for b in ballots if b.option_id not in abstain), Decimal(0))
     breakdown_voters = sum(1 for b in ballots if b.option_id not in abstain)
     return PollMetrics(
-        poll_id=poll_id,
+        poll_id=poll.poll_id,
         day=utc_day(poll.deploy_timestamp),
         total_votes=total,
         voters=voters,
@@ -254,31 +266,68 @@ def poll_metrics(
     )
 
 
+def poll_metrics(
+    log: VoteLog,
+    poll_id: int,
+    ballot_rule: str = "last",
+    order_rule: str = "last",
+) -> PollMetrics | None:
+    """All per-poll measures; None when the poll has no events."""
+    history = log.poll_events(poll_id)
+    if not history:
+        return None
+    ballots = final_ballots(log, poll_id, rule=ballot_rule)
+    return _measure_poll(log.registry[poll_id], ballots, len(history), order_rule)
+
+
+@dataclass(frozen=True)
+class BallotPass:
+    """Every poll's final ballots under one ballot rule, derived once.
+
+    ``ballots`` maps each registered poll, in ascending poll id order, to its
+    final ballots (empty for a poll without events). ``polls`` holds the
+    metrics of the polls with a positive total, ascending by poll id, and
+    ``poll_counts`` the number of registered polls per deployment day.
+    """
+
+    ballots: dict[int, list[FinalBallot]]
+    polls: list[PollMetrics]
+    poll_counts: dict[date, int]
+
+
+def ballot_pass(log: VoteLog, ballot_rule: str = "last", order_rule: str = "last") -> BallotPass:
+    """One pass over the log: final ballots, poll metrics and daily poll counts."""
+    ballots: dict[int, list[FinalBallot]] = {}
+    polls: list[PollMetrics] = []
+    poll_counts: dict[date, int] = {}
+    for poll_id in log.poll_ids():
+        poll = log.registry[poll_id]
+        day = utc_day(poll.deploy_timestamp)
+        poll_counts[day] = poll_counts.get(day, 0) + 1
+        counted = final_ballots(log, poll_id, rule=ballot_rule)
+        ballots[poll_id] = counted
+        pm = _measure_poll(poll, counted, len(log.poll_events(poll_id)), order_rule)
+        if pm is not None:
+            polls.append(pm)
+    return BallotPass(ballots=ballots, polls=polls, poll_counts=poll_counts)
+
+
 def all_poll_metrics(
     log: VoteLog, ballot_rule: str = "last", order_rule: str = "last"
 ) -> list[PollMetrics]:
     """Per-poll metrics for every poll with at least one positive ballot."""
-    out = []
-    for poll_id in log.poll_ids():
-        pm = poll_metrics(log, poll_id, ballot_rule=ballot_rule, order_rule=order_rule)
-        if pm is not None:
-            out.append(pm)
-    return out
+    return ballot_pass(log, ballot_rule=ballot_rule, order_rule=order_rule).polls
 
 
-def daily_metrics(
-    log: VoteLog,
-    calendar_mode: str = "drop-missing",
-    daily_gini_mode: str = "mle",
-    ballot_rule: str = "last",
-    order_rule: str = "last",
+def daily_from_pass(
+    passed: BallotPass, calendar_mode: str = "drop-missing", daily_gini_mode: str = "mle"
 ) -> list[DailyMetrics]:
-    """Aggregate poll metrics to calendar days (UTC) in ascending date order.
+    """Aggregate a pass's poll metrics to calendar days (UTC), ascending.
 
     Voters and total votes are summed over the day's polls; the share, order
     and speed measures are averaged; the Gini column follows
-    ``daily_gini_mode``. In ``full-calendar`` mode, days without polls inside
-    the covered range are emitted as zero rows with the missing flag set.
+    ``daily_gini_mode``. In ``full-calendar`` mode the rows go through
+    ``fill_calendar``.
     """
     if calendar_mode not in CALENDAR_MODES:
         raise ValueError(f"unknown calendar mode: {calendar_mode!r}")
@@ -286,35 +335,25 @@ def daily_metrics(
         raise ValueError(f"unknown daily gini mode: {daily_gini_mode!r}")
 
     per_day: dict[date, list[PollMetrics]] = {}
-    ballots_by_day: dict[date, list[FinalBallot]] = {}
-    poll_counts: dict[date, int] = {}
-    for poll_id in log.poll_ids():
-        day = utc_day(log.registry[poll_id].deploy_timestamp)
-        poll_counts[day] = poll_counts.get(day, 0) + 1
-        pm = poll_metrics(log, poll_id, ballot_rule=ballot_rule, order_rule=order_rule)
-        if pm is None:
-            continue
-        per_day.setdefault(day, []).append(pm)
-        ballots_by_day.setdefault(day, []).extend(final_ballots(log, poll_id, rule=ballot_rule))
+    for pm in passed.polls:
+        per_day.setdefault(pm.day, []).append(pm)
 
     rows: list[DailyMetrics] = []
     for day in sorted(per_day):
         polls = per_day[day]
         n = len(polls)
-        if daily_gini_mode == "mle":
-            gini = daily_gini(ballots_by_day[day])
-        elif daily_gini_mode == "mean_of_polls":
+        if daily_gini_mode == "mean_of_polls":
             gini = sum(p.gini for p in polls) / n
         else:
-            totals: dict[str, Decimal] = {}
-            for ballot in ballots_by_day[day]:
-                totals[ballot.voter] = totals.get(ballot.voter, Decimal(0)) + ballot.weight
-            weights = np.array([float(v) for v in totals.values() if v > 0], dtype=float)
-            gini = gini_mean_difference(weights)
+            ballots_of_day = [b for p in polls for b in passed.ballots[p.poll_id]]
+            if daily_gini_mode == "mle":
+                gini = daily_gini(ballots_of_day)
+            else:
+                gini = gini_mean_difference(_pooled_voter_totals(ballots_of_day))
         rows.append(
             DailyMetrics(
                 day=day,
-                poll_count=poll_counts[day],
+                poll_count=passed.poll_counts[day],
                 voters=sum(p.voters for p in polls),
                 total_votes=sum((p.total_votes for p in polls), Decimal(0)),
                 largest_share=sum(p.largest_share for p in polls) / n,
@@ -324,33 +363,47 @@ def daily_metrics(
                 gini=gini,
             )
         )
-
-    if calendar_mode == "full-calendar" and rows:
-        filled: list[DailyMetrics] = []
-        have = {r.day: r for r in rows}
-        day = rows[0].day
-        last = rows[-1].day
-        while day <= last:
-            if day in have:
-                filled.append(have[day])
-            else:
-                filled.append(
-                    DailyMetrics(
-                        day=day,
-                        poll_count=poll_counts.get(day, 0),
-                        voters=0,
-                        total_votes=Decimal(0),
-                        largest_share=0.0,
-                        largest_share_win=0.0,
-                        order=0.0,
-                        speed=0.0,
-                        gini=0.0,
-                        missing=True,
-                    )
-                )
-            day = day + timedelta(days=1)
-        rows = filled
+    if calendar_mode == "full-calendar":
+        return fill_calendar(rows, passed.poll_counts)
     return rows
+
+
+def fill_calendar(rows: list[DailyMetrics], poll_counts: dict[date, int]) -> list[DailyMetrics]:
+    """Full-calendar view of daily rows: every day between the first and the
+    last row, days without a row emitted as zero rows with the missing flag
+    set (their poll count still taken from ``poll_counts``)."""
+    if not rows:
+        return rows
+    have = {r.day: r for r in rows}
+    filled: list[DailyMetrics] = []
+    day = rows[0].day
+    while day <= rows[-1].day:
+        filled.append(have.get(day) or DailyMetrics(
+            day=day,
+            poll_count=poll_counts.get(day, 0),
+            voters=0,
+            total_votes=Decimal(0),
+            largest_share=0.0,
+            largest_share_win=0.0,
+            order=0.0,
+            speed=0.0,
+            gini=0.0,
+            missing=True,
+        ))
+        day = day + timedelta(days=1)
+    return filled
+
+
+def daily_metrics(
+    log: VoteLog,
+    calendar_mode: str = "drop-missing",
+    daily_gini_mode: str = "mle",
+    ballot_rule: str = "last",
+    order_rule: str = "last",
+) -> list[DailyMetrics]:
+    """Daily rows of a log: ``daily_from_pass`` over ``ballot_pass``."""
+    passed = ballot_pass(log, ballot_rule=ballot_rule, order_rule=order_rule)
+    return daily_from_pass(passed, calendar_mode=calendar_mode, daily_gini_mode=daily_gini_mode)
 
 
 def lorenz_points(ballots: list[FinalBallot] | np.ndarray) -> LorenzCurve:

@@ -165,15 +165,10 @@ def cmd_ingest(args: argparse.Namespace, run: Run) -> None:
 
 def cmd_metrics(args: argparse.Namespace, run: Run) -> None:
     log = _load_log(args, run)
-    daily = centrality.daily_metrics(
-        log,
-        calendar_mode=args.calendar,
-        daily_gini_mode=args.daily_gini,
-        ballot_rule=args.ballot,
-        order_rule=args.order,
-    )
+    passed = centrality.ballot_pass(log, ballot_rule=args.ballot, order_rule=args.order)
+    daily = centrality.daily_from_pass(passed, calendar_mode=args.calendar, daily_gini_mode=args.daily_gini)
     run.emit_csv("metrics.csv", report.metrics_csv(daily))
-    per_poll = centrality.all_poll_metrics(log, ballot_rule=args.ballot, order_rule=args.order)
+    per_poll = passed.polls
     rows = [["poll_id", "date", "total_votes", "voters", "gini", "largest_share",
              "ifwin", "largest_share_win", "order", "speed_seconds"]]
     for pm in per_poll:
@@ -188,10 +183,11 @@ def cmd_metrics(args: argparse.Namespace, run: Run) -> None:
 
 def cmd_describe(args: argparse.Namespace, run: Run) -> None:
     log = _load_log(args, run)
-    stats = profiles.poll_descriptives(log, ballot_rule=args.ballot)
+    passed = centrality.ballot_pass(log, ballot_rule=args.ballot)
+    stats = profiles.describe_polls(passed.polls)
     run.emit_csv("poll_descriptives.csv", report.descriptives_csv(stats, profiles.POLL_DESCRIPTIVE_COLUMNS))
     run.emit_markdown("poll_descriptives.md", report.poll_descriptives_table(stats))
-    profile_rows = profiles.voter_profiles(log, ballot_rule=args.ballot)
+    profile_rows = profiles.profiles_from_pass(passed, log.identities)
     run.emit_csv("profiles.csv", report.profiles_csv(profile_rows))
     voter_stats = profiles.voter_descriptives(profile_rows)
     run.emit_csv("voter_descriptives.csv", report.descriptives_csv(voter_stats, profiles.VOTER_DESCRIPTIVE_COLUMNS))
@@ -203,16 +199,19 @@ def cmd_describe(args: argparse.Namespace, run: Run) -> None:
     print(f"described {len(profile_rows)} voters")
 
 
-def _build_panel(args: argparse.Namespace, run: Run, log):
-    run.digest_input("factors", args.factors)
-    raw = load_factors(args.factors)
-    daily = centrality.daily_metrics(
+def _daily(args: argparse.Namespace, log) -> list[centrality.DailyMetrics]:
+    return centrality.daily_metrics(
         log,
         calendar_mode=args.calendar,
         daily_gini_mode=args.daily_gini,
         ballot_rule=args.ballot,
         order_rule=args.order,
     )
+
+
+def _build_panel(args: argparse.Namespace, run: Run, daily: list[centrality.DailyMetrics]):
+    run.digest_input("factors", args.factors)
+    raw = load_factors(args.factors)
     panel = factorlab.build_panel(raw, daily, vol_mode=args.vol)
     rows = [["date", "token", "category", "factor", "value"]]
     rows += [
@@ -220,7 +219,7 @@ def _build_panel(args: argparse.Namespace, run: Run, log):
         for day, token, category, factor, value in factorlab.panel_rows(panel)
     ]
     run.emit_csv("panel.csv", rows)
-    return panel, daily
+    return panel
 
 
 def _parse_tokens(args: argparse.Namespace, panel) -> list[str]:
@@ -265,7 +264,7 @@ def _emit_panel_notes(run: Run, args: argparse.Namespace) -> None:
 
 def cmd_regress(args: argparse.Namespace, run: Run) -> None:
     log = _load_log(args, run)
-    panel, _daily = _build_panel(args, run, log)
+    panel = _build_panel(args, run, _daily(args, log))
     tokens = _parse_tokens(args, panel)
     measures = _parse_measures(args, centrality.MEASURES)
     grid = econ.run_factor_matrix(
@@ -288,7 +287,7 @@ def cmd_regress(args: argparse.Namespace, run: Run) -> None:
 
 def cmd_iv(args: argparse.Namespace, run: Run) -> None:
     log = _load_log(args, run)
-    panel, _daily = _build_panel(args, run, log)
+    panel = _build_panel(args, run, _daily(args, log))
     if not panel.instrument:
         raise PipelineError("factors file has no instrument rows (category=instrument)")
     tokens = _parse_tokens(args, panel)
@@ -359,20 +358,15 @@ def _default_panel_plan(tokens: list[str]) -> synthgov.PanelPlan:
 
 def cmd_report(args: argparse.Namespace, run: Run) -> None:
     log = _load_log(args, run)
-    per_poll = centrality.all_poll_metrics(log, ballot_rule=args.ballot, order_rule=args.order)
-    daily = centrality.daily_metrics(
-        log, calendar_mode=args.calendar, daily_gini_mode=args.daily_gini,
-        ballot_rule=args.ballot, order_rule=args.order,
-    )
-    daily_full = centrality.daily_metrics(
-        log, calendar_mode="full-calendar", daily_gini_mode=args.daily_gini,
-        ballot_rule=args.ballot, order_rule=args.order,
-    )
-    profile_rows = profiles.voter_profiles(log, ballot_rule=args.ballot)
+    passed = centrality.ballot_pass(log, ballot_rule=args.ballot, order_rule=args.order)
+    per_poll = passed.polls
+    daily = centrality.daily_from_pass(passed, calendar_mode=args.calendar, daily_gini_mode=args.daily_gini)
+    daily_full = centrality.fill_calendar(daily, passed.poll_counts)
+    profile_rows = profiles.profiles_from_pass(passed, log.identities)
     _structural_checks(per_poll, profile_rows)
 
     run.emit_csv("metrics.csv", report.metrics_csv(daily))
-    stats = profiles.poll_descriptives(log, ballot_rule=args.ballot)
+    stats = profiles.describe_polls(per_poll)
     run.emit_csv("poll_descriptives.csv", report.descriptives_csv(stats, profiles.POLL_DESCRIPTIVE_COLUMNS))
     run.emit_markdown("poll_descriptives.md", report.poll_descriptives_table(stats))
     voter_stats = profiles.voter_descriptives(profile_rows)
@@ -387,8 +381,7 @@ def cmd_report(args: argparse.Namespace, run: Run) -> None:
     run.emit_csv("fig_daily_counts.csv", report.daily_counts_csv(daily_full))
     run.emit_csv("fig_poll_votes.csv", report.poll_scatter_csv(per_poll))
     run.emit_csv("fig_gini_series.csv", report.gini_series_csv(per_poll, daily_full))
-    totals = report.pooled_voter_totals(log)
-    curve = centrality.lorenz_points(np.array(totals))
+    curve = centrality.lorenz_points(np.array([float(p.total_votes) for p in profile_rows]))
     run.emit_csv("fig_lorenz.csv", report.lorenz_csv(curve))
     run.emit_svg(
         "fig_daily_counts.svg",
@@ -406,7 +399,7 @@ def cmd_report(args: argparse.Namespace, run: Run) -> None:
     )
 
     if args.factors:
-        panel, _ = _build_panel(args, run, log)
+        panel = _build_panel(args, run, daily)
         tokens = _parse_tokens(args, panel)
         stars = _parse_stars(args)
         measures = _parse_measures(args, centrality.MEASURES)

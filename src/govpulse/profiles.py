@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
 
-from govpulse.centrality import all_poll_metrics, utc_day
-from govpulse.govdata import VoteLog, final_ballots
+from govpulse.centrality import BallotPass, PollMetrics, ballot_pass, utc_day
+from govpulse.govdata import VoteLog
 
 RANK_CRITERIA = ("involved_polls", "total_votes", "highest_single_vote")
 
@@ -74,13 +74,12 @@ VOTER_DESCRIPTIVE_COLUMNS = (
 )
 
 
-def poll_descriptives(log: VoteLog, ballot_rule: str = "last") -> dict[str, SummaryStats]:
+def describe_polls(metrics: list[PollMetrics]) -> dict[str, SummaryStats]:
     """Summary statistics across polls for the seven described columns.
 
     Breakdown columns follow the configured abstain-exclusion rule and are
     labelled "definition: configured" in rendered output.
     """
-    metrics = all_poll_metrics(log, ballot_rule=ballot_rule)
     if not metrics:
         raise ValueError("no polls with ballots to describe")
     columns: dict[str, list[float]] = {
@@ -95,19 +94,24 @@ def poll_descriptives(log: VoteLog, ballot_rule: str = "last") -> dict[str, Summ
     return {name: SummaryStats.describe(values) for name, values in columns.items()}
 
 
-def voter_profiles(log: VoteLog, ballot_rule: str = "last") -> list[VoterProfile]:
-    """One profile per unique address, totals over counted (final) ballots."""
+def poll_descriptives(log: VoteLog, ballot_rule: str = "last") -> dict[str, SummaryStats]:
+    """``describe_polls`` over the poll metrics of ``ballot_pass``."""
+    return describe_polls(ballot_pass(log, ballot_rule=ballot_rule).polls)
+
+
+def profiles_from_pass(passed: BallotPass, identities: dict[str, str]) -> list[VoterProfile]:
+    """One profile per unique address, totals over the pass's final ballots."""
     involved: dict[str, int] = {}
     totals: dict[str, Decimal] = {}
     first_poll: dict[str, int] = {}
     highest: dict[str, Decimal] = {}
     first_ts: dict[str, int] = {}
-    for poll_id in log.poll_ids():
-        for ballot in final_ballots(log, poll_id, rule=ballot_rule):
+    for poll_id, ballots in passed.ballots.items():  # ascending poll id
+        for ballot in ballots:
             address = ballot.voter
             involved[address] = involved.get(address, 0) + 1
             totals[address] = totals.get(address, Decimal(0)) + ballot.weight
-            first_poll[address] = min(first_poll.get(address, poll_id), poll_id)
+            first_poll.setdefault(address, poll_id)
             if address not in highest or ballot.weight > highest[address]:
                 highest[address] = ballot.weight
             if address not in first_ts or ballot.final_timestamp < first_ts[address]:
@@ -115,7 +119,7 @@ def voter_profiles(log: VoteLog, ballot_rule: str = "last") -> list[VoterProfile
     return [
         VoterProfile(
             address=address,
-            identity=log.identities.get(address, ""),
+            identity=identities.get(address, ""),
             involved_polls=involved[address],
             total_votes=totals[address],
             first_poll=first_poll[address],
@@ -124,6 +128,11 @@ def voter_profiles(log: VoteLog, ballot_rule: str = "last") -> list[VoterProfile
         )
         for address in sorted(involved)
     ]
+
+
+def voter_profiles(log: VoteLog, ballot_rule: str = "last") -> list[VoterProfile]:
+    """``profiles_from_pass`` over ``ballot_pass``."""
+    return profiles_from_pass(ballot_pass(log, ballot_rule=ballot_rule), log.identities)
 
 
 def voter_descriptives(profiles: list[VoterProfile]) -> dict[str, SummaryStats]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from govpulse.centrality import DailyMetrics, LorenzCurve, PollMetrics
 from govpulse.econ import GridCell, InstrumentScreen, IvFit, OlsFit, RegressionGrid
 from govpulse.factorlab import catalogue_for
-from govpulse.govdata import VoteLog
 from govpulse.profiles import (
     POLL_DESCRIPTIVE_COLUMNS,
     VOTER_DESCRIPTIVE_COLUMNS,
@@ -496,9 +495,3 @@ def svg_line_chart(
     parts.append("</svg>")
     return "\n".join(parts)
 
-
-def pooled_voter_totals(log: VoteLog) -> list[float]:
-    """Each voter's total counted votes across all polls (for Lorenz plots)."""
-    from govpulse.profiles import voter_profiles
-
-    return [float(p.total_votes) for p in voter_profiles(log)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from decimal import Decimal
 
 import numpy as np
@@ -67,6 +68,16 @@ def test_gini_matches_rank_oracle_on_random_vectors():
         weights = rng.random(n) * rng.choice([0.1, 1.0, 1000.0])
         worst = max(worst, abs(gini_mean_difference(weights) - gini_oracle(weights)))
     assert worst <= 1e-10
+
+
+def test_gini_scales_to_large_polls():
+    # The pairwise |w_i - w_j| matrix would need 200_000**2 * 8 B = 320 GB.
+    weights = np.random.default_rng(99).random(200_000) * 1e3
+    start = time.perf_counter()
+    value = gini_mean_difference(weights)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5
+    assert abs(value - gini_oracle(weights)) <= 1e-12
 
 
 def test_gini_scale_invariance():

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from conftest import DAY0, write_polls_csv
+from conftest import DAY0, write_polls_csv, write_votes_csv
+from govpulse import govdata
 from govpulse.cli import exec_command
 from govpulse.govdata import load_factors, load_vote_log
 
@@ -230,6 +234,55 @@ def test_report_without_factors_still_emits_tables(synth_dir, tmp_path):
     assert code == 0
     assert (out / "metrics.csv").exists()
     assert not (out / "ols_grid.csv").exists()
+
+
+def test_report_lorenz_follows_ballot_rule(tmp_path):
+    votes, polls, out = tmp_path / "votes.csv", tmp_path / "polls.csv", tmp_path / "out"
+    write_votes_csv(votes, [
+        (1, "0xa", 1, "10", DAY0 + 10),
+        (1, "0xb", 2, "5", DAY0 + 20),
+        (1, "0xa", 2, "40", DAY0 + 30),
+    ])
+    write_polls_csv(polls, [(1, DAY0, "poll 1", "1:yes|2:no", "")])
+    code = exec_command(
+        ["report", "--votes", str(votes), "--polls", str(polls), "--ballot", "first", "--out-dir", str(out)]
+    )
+    assert code == 0
+    with open(out / "profiles.csv", newline="") as handle:
+        totals = {row["address"]: row["total_votes"] for row in csv.DictReader(handle)}
+    assert totals == {"0xa": "10", "0xb": "5"}
+    with open(out / "fig_lorenz.csv", newline="") as handle:
+        points = [float(value) for row in list(csv.reader(handle))[1:] for value in row]
+    assert points == pytest.approx([0.0, 0.0, 0.5, 1 / 3, 1.0, 1.0], rel=1e-12)
+
+
+def test_each_command_derives_final_ballots_once_per_poll(synth_dir, tmp_path, monkeypatch):
+    calls: Counter = Counter()
+    original = govdata.final_ballots
+
+    def counted(log, poll_id, rule="last"):
+        calls[poll_id] += 1
+        return original(log, poll_id, rule=rule)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("govpulse"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    data = ["--votes", str(synth_dir / "votes.csv"), "--polls", str(synth_dir / "polls.csv")]
+    factors = ["--factors", str(synth_dir / "factors.csv"), "--tokens", "MKR"]
+    runs = {
+        "report": ["report", *data, *factors],
+        "metrics": ["metrics", *data],
+        "describe": ["describe", *data],
+        "regress": ["regress", *data, *factors],
+        "iv": ["iv", *data, *factors, "--measures", "Voters"],
+        "synth": ["synth", "--seed", "5", "--config", _small_config(tmp_path)],
+    }
+    for command, argv in runs.items():
+        calls.clear()
+        assert exec_command([*argv, "--out-dir", str(tmp_path / command)]) == 0, command
+        assert calls and max(calls.values()) == 1, (command, calls.most_common(1))
 
 
 def test_runs_are_reproducible(synth_dir, tmp_path):
