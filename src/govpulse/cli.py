@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 from decimal import Decimal
 from pathlib import Path
 
@@ -32,6 +33,9 @@ from govpulse.govdata import (
     write_factors,
     write_vote_log,
 )
+
+
+REGRESSION_CATEGORIES = ("financial", "transaction", "exchange", "network", "sentiment")
 
 
 class PipelineError(Exception):
@@ -152,6 +156,7 @@ def _structural_checks(poll_metrics_rows, profile_rows) -> None:
 def cmd_ingest(args: argparse.Namespace, run: Run) -> None:
     log = _load_log(args, run)
     scan = validate_dataset(log)
+    scan.anomalies = log.report.anomalies + scan.anomalies  # rows skipped while loading come first
     run.emit_csv("validation.csv", report.validation_csv(scan))
     summary = (
         f"events: {scan.events}\npolls: {scan.polls}\nvoters: {scan.voters}\n"
@@ -248,8 +253,7 @@ def _parse_stars(args: argparse.Namespace) -> tuple[float, float, float]:
     return tuple(parts)  # type: ignore[return-value]
 
 
-def _emit_panel_notes(run: Run, args: argparse.Namespace) -> None:
-    stars = _parse_stars(args)
+def _emit_panel_notes(run: Run, args: argparse.Namespace, stars: tuple[float, float, float]) -> None:
     scaling = "raw variables" if args.raw else "z-scored over each aligned sample"
     run.emit_text(
         "panel_notes.txt",
@@ -262,26 +266,58 @@ def _emit_panel_notes(run: Run, args: argparse.Namespace) -> None:
     )
 
 
-def cmd_regress(args: argparse.Namespace, run: Run) -> None:
-    log = _load_log(args, run)
-    panel = _build_panel(args, run, _daily(args, log))
-    tokens = _parse_tokens(args, panel)
-    measures = _parse_measures(args, centrality.MEASURES)
+def _emit_ols(
+    args: argparse.Namespace,
+    run: Run,
+    panel: factorlab.BuiltPanel,
+    tokens: list[str],
+    stars: tuple[float, float, float],
+) -> econ.RegressionGrid:
     grid = econ.run_factor_matrix(
         panel,
         tokens=tokens,
-        measures=measures,
+        measures=_parse_measures(args, centrality.MEASURES),
         standardize=not args.raw,
-        star_thresholds=_parse_stars(args),
+        star_thresholds=stars,
     )
     run.emit_csv("ols_grid.csv", report.grid_csv(grid))
-    _emit_panel_notes(run, args)
     for token in tokens:
-        for category in ("financial", "transaction", "exchange", "network", "sentiment"):
-            run.emit_markdown(
-                f"ols_{token}_{category}.md", report.regression_table(grid, token, category)
-            )
-        run.emit_markdown(f"effects_{token}.md", report.effects_summary(grid, token, alpha=_parse_stars(args)[0]))
+        for category in REGRESSION_CATEGORIES:
+            run.emit_markdown(f"ols_{token}_{category}.md", report.regression_table(grid, token, category))
+        run.emit_markdown(f"effects_{token}.md", report.effects_summary(grid, token, alpha=stars[0]))
+    return grid
+
+
+def _emit_iv(
+    args: argparse.Namespace,
+    run: Run,
+    panel: factorlab.BuiltPanel,
+    tokens: list[str],
+    stars: tuple[float, float, float],
+) -> econ.RegressionGrid:
+    grid = econ.run_iv_suite(
+        panel,
+        measures=_parse_measures(args, econ.IV_DEFAULT_MEASURES),
+        tokens=tokens,
+        standardize=not args.raw,
+        star_thresholds=stars,
+    )
+    run.emit_csv("iv_grid.csv", report.grid_csv(grid))
+    screen = econ.instrument_screen(panel.instrument, panel.measures, stars)
+    run.emit_csv("instrument_screen.csv", report.instrument_csv(screen))
+    run.emit_markdown("instrument_screen.md", report.instrument_table(screen))
+    for token in tokens:
+        for category in REGRESSION_CATEGORIES:
+            run.emit_markdown(f"iv_{token}_{category}.md", report.iv_table(grid, token, category))
+    return grid
+
+
+def cmd_regress(args: argparse.Namespace, run: Run) -> None:
+    log = _load_log(args, run)
+    panel = _build_panel(args, run, _daily(args, log))
+    stars = _parse_stars(args)
+    grid = _emit_ols(args, run, panel, _parse_tokens(args, panel), stars)
+    _emit_panel_notes(run, args, stars)
     print(f"ols grid: {len(grid.cells)} cells, {len(grid.ok_cells())} fitted")
 
 
@@ -290,20 +326,9 @@ def cmd_iv(args: argparse.Namespace, run: Run) -> None:
     panel = _build_panel(args, run, _daily(args, log))
     if not panel.instrument:
         raise PipelineError("factors file has no instrument rows (category=instrument)")
-    tokens = _parse_tokens(args, panel)
-    measures = _parse_measures(args, econ.IV_DEFAULT_MEASURES)
     stars = _parse_stars(args)
-    grid = econ.run_iv_suite(
-        panel, measures=measures, tokens=tokens, standardize=not args.raw, star_thresholds=stars
-    )
-    run.emit_csv("iv_grid.csv", report.grid_csv(grid))
-    _emit_panel_notes(run, args)
-    screen = econ.instrument_screen(panel.instrument, panel.measures, stars)
-    run.emit_csv("instrument_screen.csv", report.instrument_csv(screen))
-    run.emit_markdown("instrument_screen.md", report.instrument_table(screen))
-    for token in tokens:
-        for category in ("financial", "transaction", "exchange", "network", "sentiment"):
-            run.emit_markdown(f"iv_{token}_{category}.md", report.iv_table(grid, token, category))
+    grid = _emit_iv(args, run, panel, _parse_tokens(args, panel), stars)
+    _emit_panel_notes(run, args, stars)
     print(f"iv grid: {len(grid.cells)} cells, {len(grid.ok_cells())} fitted")
 
 
@@ -402,27 +427,10 @@ def cmd_report(args: argparse.Namespace, run: Run) -> None:
         panel = _build_panel(args, run, daily)
         tokens = _parse_tokens(args, panel)
         stars = _parse_stars(args)
-        measures = _parse_measures(args, centrality.MEASURES)
-        grid = econ.run_factor_matrix(
-            panel, tokens=tokens, measures=measures, standardize=not args.raw, star_thresholds=stars
-        )
-        run.emit_csv("ols_grid.csv", report.grid_csv(grid))
-        _emit_panel_notes(run, args)
-        for token in tokens:
-            for category in ("financial", "transaction", "exchange", "network", "sentiment"):
-                run.emit_markdown(f"ols_{token}_{category}.md", report.regression_table(grid, token, category))
-            run.emit_markdown(f"effects_{token}.md", report.effects_summary(grid, token, alpha=stars[0]))
+        _emit_ols(args, run, panel, tokens, stars)
+        _emit_panel_notes(run, args, stars)
         if panel.instrument:
-            iv_grid = econ.run_iv_suite(
-                panel, tokens=tokens, standardize=not args.raw, star_thresholds=stars
-            )
-            run.emit_csv("iv_grid.csv", report.grid_csv(iv_grid))
-            screen = econ.instrument_screen(panel.instrument, panel.measures, stars)
-            run.emit_csv("instrument_screen.csv", report.instrument_csv(screen))
-            run.emit_markdown("instrument_screen.md", report.instrument_table(screen))
-            for token in tokens:
-                for category in ("financial", "transaction", "exchange", "network", "sentiment"):
-                    run.emit_markdown(f"iv_{token}_{category}.md", report.iv_table(iv_grid, token, category))
+            _emit_iv(args, run, panel, tokens, stars)
     print(f"report written to {run.out_dir}")
 
 
@@ -530,9 +538,13 @@ def exec_command(argv: list[str]) -> int:
         return 0
     except (PipelineError, SchemaError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if run is not None:
-            run.finish("failed", error=str(exc))
-        return 1
+        error = str(exc)
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        error = f"{type(exc).__name__}: {exc}"
+    if run is not None:
+        run.finish("failed", error=error)
+    return 1
 
 
 def main() -> None:

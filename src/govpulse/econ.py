@@ -22,8 +22,6 @@ statistic is the F form (n - 3) * (RSS_r - RSS_u) / RSS_u against F(1, n-3).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 
@@ -86,9 +84,7 @@ def significance_stars(p: float, thresholds: tuple[float, float, float] = STAR_T
 class OlsFit:
     beta0: float
     beta1: float
-    se0: float
     se1: float
-    t0: float
     t1: float
     p1: float
     stars: str
@@ -125,41 +121,35 @@ def zscore(values: np.ndarray) -> np.ndarray:
     return (arr - arr.mean()) / sd
 
 
-def ols(y, x, star_thresholds: tuple[float, float, float] = STAR_THRESHOLDS) -> OlsFit:
-    """Univariate least squares with intercept and classical standard errors."""
-    y = _as_array(y)
-    x = _as_array(x)
-    if y.size != x.size:
-        raise ValueError("y and x must have equal length")
-    n = int(y.size)
-    if n < 3:
-        raise ValueError("need at least 3 observations")
-    if float(x.max() - x.min()) == 0.0:
-        raise ValueError("degenerate regressor")
-    design = np.column_stack([np.ones(n), x])
+def _line(y: np.ndarray, x: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares intercept, slope and residual sum of squares of y on x."""
+    design = np.column_stack([np.ones(y.size), x])
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    beta0, beta1 = float(coef[0]), float(coef[1])
     resid = y - design @ coef
-    rss = float(resid @ resid)
-    tss = float(((y - y.mean()) ** 2).sum())
-    sxx = float(((x - x.mean()) ** 2).sum())
-    sigma2 = rss / (n - 2)
-    se1 = math.sqrt(sigma2 / sxx)
-    se0 = math.sqrt(sigma2 * (1.0 / n + x.mean() ** 2 / sxx))
+    return float(coef[0]), float(coef[1]), float(resid @ resid)
+
+
+def _summary(
+    y: np.ndarray,
+    beta0: float,
+    beta1: float,
+    rss: float,
+    sxx: float,
+    star_thresholds: tuple[float, float, float],
+    flat_r2: float,
+) -> OlsFit:
+    """Slope inference and fit quality; ``flat_r2`` is the R-squared of a constant y."""
+    n = int(y.size)
+    se1 = math.sqrt(rss / (n - 2) / sxx)
     t1 = beta1 / se1 if se1 > 0.0 else math.copysign(math.inf, beta1) if beta1 else 0.0
-    t0 = beta0 / se0 if se0 > 0.0 else math.copysign(math.inf, beta0) if beta0 else 0.0
     p1 = t_pvalue(t1, n - 2)
-    if tss > 0.0:
-        r2 = 1.0 - rss / tss
-    else:
-        r2 = 1.0 if rss == 0.0 else 0.0
+    tss = float(((y - y.mean()) ** 2).sum())
+    r2 = 1.0 - rss / tss if tss > 0.0 else flat_r2
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - 2)
     return OlsFit(
         beta0=beta0,
         beta1=beta1,
-        se0=se0,
         se1=se1,
-        t0=t0,
         t1=t1,
         p1=p1,
         stars=significance_stars(p1, star_thresholds),
@@ -167,6 +157,21 @@ def ols(y, x, star_thresholds: tuple[float, float, float] = STAR_THRESHOLDS) -> 
         adj_r2=adj_r2,
         n=n,
     )
+
+
+def ols(y, x, star_thresholds: tuple[float, float, float] = STAR_THRESHOLDS) -> OlsFit:
+    """Univariate least squares with intercept and classical standard errors."""
+    y = _as_array(y)
+    x = _as_array(x)
+    if y.size != x.size:
+        raise ValueError("y and x must have equal length")
+    if y.size < 3:
+        raise ValueError("need at least 3 observations")
+    if float(x.max() - x.min()) == 0.0:
+        raise ValueError("degenerate regressor")
+    beta0, beta1, rss = _line(y, x)
+    sxx = float(((x - x.mean()) ** 2).sum())
+    return _summary(y, beta0, beta1, rss, sxx, star_thresholds, flat_r2=1.0 if rss == 0.0 else 0.0)
 
 
 def two_sls(
@@ -199,35 +204,13 @@ def two_sls(
     fitted = first.beta0 + first.beta1 * z
     if float(fitted.max() - fitted.min()) == 0.0:
         raise ValueError("degenerate regressor: first stage is flat")
-    stage2 = ols(y, fitted, star_thresholds)
-    beta0, beta1 = stage2.beta0, stage2.beta1
+    beta0, beta1, _ = _line(y, fitted)
 
     # 2SLS correction: variance from residuals against the actual regressor.
     resid = y - beta0 - beta1 * x
     rss = float(resid @ resid)
-    sigma2 = rss / (n - 2)
     sxx_hat = float(((fitted - fitted.mean()) ** 2).sum())
-    se1 = math.sqrt(sigma2 / sxx_hat)
-    se0 = math.sqrt(sigma2 * (1.0 / n + fitted.mean() ** 2 / sxx_hat))
-    t1 = beta1 / se1 if se1 > 0.0 else math.copysign(math.inf, beta1) if beta1 else 0.0
-    t0 = beta0 / se0 if se0 > 0.0 else math.copysign(math.inf, beta0) if beta0 else 0.0
-    p1 = t_pvalue(t1, n - 2)
-    tss = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - rss / tss if tss > 0.0 else 0.0
-    adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - 2)
-    second = OlsFit(
-        beta0=beta0,
-        beta1=beta1,
-        se0=se0,
-        se1=se1,
-        t0=t0,
-        t1=t1,
-        p1=p1,
-        stars=significance_stars(p1, star_thresholds),
-        r2=r2,
-        adj_r2=adj_r2,
-        n=n,
-    )
+    second = _summary(y, beta0, beta1, rss, sxx_hat, star_thresholds, flat_r2=0.0)
     if diagnostics:
         durbin_stat, durbin_p, wh_stat, wh_p = endogeneity_tests(y, x, z)
     else:
@@ -240,7 +223,7 @@ def two_sls(
         durbin_p=durbin_p,
         wu_hausman_stat=wh_stat,
         wu_hausman_p=wh_p,
-        adj_r2=adj_r2,
+        adj_r2=second.adj_r2,
         n=n,
     )
 
@@ -310,24 +293,52 @@ class RegressionGrid:
         return [c for c in self.cells if c.status == "ok"]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GOVPULSE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _ols_sample(panel: BuiltPanel, token: str, factor: str, measure: str):
+    sample = panel.aligned(token, factor, measure)
+    return None if sample is None else (sample.dates, sample.y, sample.x)
 
 
-def _evaluate_cells(tasks, evaluate):
-    """Evaluate pure per-cell tasks, optionally on a thread pool.
+# grid kind -> (aligned sample as (dates, *columns), fit taking those columns)
+_GRID_KINDS = {
+    "ols": (_ols_sample, ols),
+    "iv": (BuiltPanel.aligned_iv, two_sls),
+}
 
-    The output order follows the task order regardless of scheduling.
+
+def _run_grid(
+    panel: BuiltPanel,
+    kind: str,
+    tokens: list[str] | None,
+    measures: tuple[str, ...],
+    standardize: bool,
+    min_n: int,
+    star_thresholds: tuple[float, float, float],
+) -> RegressionGrid:
+    """One cell per token -> catalogue factor -> measure, in that order.
+
+    Cells with fewer than ``min_n`` aligned observations are marked
+    "no data"; per-cell failures are recorded without aborting the grid.
     """
-    workers = _worker_count()
-    if workers == 1 or len(tasks) < 2:
-        return [evaluate(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluate, tasks))
+    sample_of, fit_of = _GRID_KINDS[kind]
+    cells = []
+    for token in list(tokens) if tokens is not None else panel.tokens():
+        for spec in catalogue_for(token):
+            for measure in measures:
+                key = (token, spec.category, spec.name, measure)
+                sample = sample_of(panel, token, spec.name, measure)
+                if sample is None or len(sample[0]) < min_n:
+                    cells.append(GridCell(*key, "no data", None))
+                    continue
+                dates, *columns = sample
+                if standardize:
+                    columns = [zscore(column) for column in columns]
+                try:
+                    fit = fit_of(*columns, star_thresholds)
+                except ValueError as exc:
+                    cells.append(GridCell(*key, f"error: {exc}", None))
+                    continue
+                cells.append(GridCell(*key, "ok", fit, dates))
+    return RegressionGrid(kind, cells, standardize)
 
 
 def run_factor_matrix(
@@ -338,34 +349,8 @@ def run_factor_matrix(
     min_n: int = 3,
     star_thresholds: tuple[float, float, float] = STAR_THRESHOLDS,
 ) -> RegressionGrid:
-    """OLS grid over token -> category -> factor -> measure.
-
-    Cells with fewer than ``min_n`` aligned observations are marked
-    "no data"; per-cell failures are recorded without aborting the grid.
-    """
-    tokens = list(tokens) if tokens is not None else panel.tokens()
-    tasks = [
-        (token, spec.category, spec.name, measure)
-        for token in tokens
-        for spec in catalogue_for(token)
-        for measure in measures
-    ]
-
-    def evaluate(task) -> GridCell:
-        token, category, factor, measure = task
-        sample = panel.aligned(token, factor, measure)
-        if sample is None or sample.n < min_n:
-            return GridCell(token, category, factor, measure, "no data", None)
-        y, x = sample.y, sample.x
-        if standardize:
-            y, x = zscore(y), zscore(x)
-        try:
-            fit = ols(y, x, star_thresholds)
-        except ValueError as exc:
-            return GridCell(token, category, factor, measure, f"error: {exc}", None)
-        return GridCell(token, category, factor, measure, "ok", fit, sample.dates)
-
-    return RegressionGrid("ols", _evaluate_cells(tasks, evaluate), standardize)
+    """OLS grid over token -> category -> factor -> measure."""
+    return _run_grid(panel, "ols", tokens, measures, standardize, min_n, star_thresholds)
 
 
 def run_iv_suite(
@@ -379,29 +364,7 @@ def run_iv_suite(
     """2SLS grid for the instrumented measures (one panel per measure)."""
     if not panel.instrument:
         raise ValueError("no instrument series in the panel")
-    tokens = list(tokens) if tokens is not None else panel.tokens()
-    tasks = [
-        (token, spec.category, spec.name, measure)
-        for token in tokens
-        for spec in catalogue_for(token)
-        for measure in measures
-    ]
-
-    def evaluate(task) -> GridCell:
-        token, category, factor, measure = task
-        triple = panel.aligned_iv(token, factor, measure)
-        if triple is None or len(triple[0]) < min_n:
-            return GridCell(token, category, factor, measure, "no data", None)
-        days, y, x, z = triple
-        if standardize:
-            y, x, z = zscore(y), zscore(x), zscore(z)
-        try:
-            fit = two_sls(y, x, z, star_thresholds)
-        except ValueError as exc:
-            return GridCell(token, category, factor, measure, f"error: {exc}", None)
-        return GridCell(token, category, factor, measure, "ok", fit, days)
-
-    return RegressionGrid("iv", _evaluate_cells(tasks, evaluate), standardize)
+    return _run_grid(panel, "iv", tokens, measures, standardize, min_n, star_thresholds)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,12 +84,15 @@ def catalogue_for(token: str) -> list[FactorSpec]:
     return financial + transaction + exchange + network + sentiment
 
 
+@lru_cache(maxsize=256)
+def _catalogue_keys(token: str) -> frozenset[tuple[str, str]]:
+    return frozenset((spec.category, spec.name) for spec in catalogue_for(token))
+
+
 def is_known_factor(token: str, category: str, factor: str) -> bool:
     if category == "instrument":
         return factor == INSTRUMENT_FACTOR
-    return any(
-        spec.name == factor and spec.category == category for spec in catalogue_for(token)
-    )
+    return (category, factor) in _catalogue_keys(token)
 
 
 @dataclass(frozen=True)
@@ -164,15 +168,17 @@ class BuiltPanel:
         self.instrument = instrument
         self.anomalies = anomalies
         self.vol_mode = vol_mode
+        # An unknown factor is kept under whatever category it came with, so
+        # one (token, name) can sit under two categories: the first one wins.
+        self._series: dict[tuple[str, str], dict[date, float]] = {}
+        for (token, _category, name), series in factors.items():
+            self._series.setdefault((token, name), series)
 
     def tokens(self) -> list[str]:
         return sorted({token for (token, _, _) in self.factors})
 
     def factor_series(self, token: str, factor: str) -> dict[date, float] | None:
-        for (tok, _cat, name), series in self.factors.items():
-            if tok == token and name == factor:
-                return series
-        return None
+        return self._series.get((token, factor))
 
     def aligned(self, token: str, factor: str, measure: str) -> AlignedSample | None:
         """Pairwise-complete sample of a factor against a measure."""

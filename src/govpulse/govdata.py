@@ -329,6 +329,8 @@ def load_vote_log(
             voter = row["voter"].strip().lower()
             option_id = int(row["option_id"])
             weight = Decimal(row["weight"].strip())
+            if not weight.is_finite():
+                raise ValueError(f"non-finite weight {row['weight']!r}")
             timestamp = parse_timestamp(row["timestamp"])
         except (ValueError, ArithmeticError) as exc:
             report.add("bad vote row", f"line {lineno}: {exc}")

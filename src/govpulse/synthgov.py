@@ -208,8 +208,10 @@ def gen_history(config: SynthConfig) -> VoteLog:
             participants = np.flatnonzero(rng.random(config.voter_pool) < probs)
             if participants.size == 0:
                 continue
+            # One vector draw; the same stream as one rng.choice per voter.
+            drawn = rng.integers(0, n_options, size=participants.size)
             choices = {
-                int(i): int(rng.choice(option_ids)) for i in participants
+                int(i): option_ids[d] for i, d in zip(participants, drawn.tolist())
             }
             largest = int(max(participants, key=lambda i: holdings[i]))
             target = choices[largest]

@@ -126,6 +126,43 @@ def test_ingest_reports_counts(synth_dir, tmp_path, capsys):
     assert (out / "validation.csv").exists()
 
 
+def test_ingest_skips_non_finite_weights(tmp_path):
+    votes, polls, out = tmp_path / "votes.csv", tmp_path / "polls.csv", tmp_path / "out"
+    write_votes_csv(votes, [
+        (1, "0xa", 1, "10", DAY0 + 10),
+        (1, "0xb", 1, "NaN", DAY0 + 20),
+        (1, "0xc", 2, "sNaN", DAY0 + 30),
+        (1, "0xd", 2, "Infinity", DAY0 + 40),
+        (1, "0xe", 2, "5", DAY0 + 50),
+    ])
+    write_polls_csv(polls, [(1, DAY0, "poll 1", "1:yes|2:no", "")])
+    code = exec_command(["ingest", "--votes", str(votes), "--polls", str(polls), "--out-dir", str(out)])
+    assert code == 0
+    with open(out / "validation.csv", newline="") as handle:
+        rows = [row for row in csv.DictReader(handle) if row["kind"] == "bad vote row"]
+    assert [row["detail"].split(":")[0] for row in rows] == ["line 3", "line 4", "line 5"]
+    assert "events: 2" in (out / "ingest_summary.txt").read_text()
+
+
+def test_unexpected_error_records_failed_manifest(synth_dir, tmp_path, monkeypatch, capsys):
+    from govpulse import cli
+
+    out = tmp_path / "out"
+    argv = ["report", "--votes", str(synth_dir / "votes.csv"), "--polls", str(synth_dir / "polls.csv"),
+            "--out-dir", str(out)]
+    assert exec_command(argv) == 0
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("stage exploded")
+
+    monkeypatch.setattr(cli.centrality, "ballot_pass", boom)
+    assert exec_command(argv) == 1
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["command"], manifest["status"]) == ("report", "failed")
+    assert manifest["error"] == "RuntimeError: stage exploded"
+    assert "Traceback" in capsys.readouterr().err
+
+
 def test_describe_outputs(synth_dir, tmp_path):
     out = tmp_path / "out"
     code = exec_command(
@@ -184,6 +221,25 @@ def test_regress_and_iv_outputs(synth_dir, tmp_path):
     assert code == 0
     assert (out_iv / "iv_grid.csv").exists()
     assert (out_iv / "instrument_screen.csv").exists()
+
+
+def test_report_grids_match_regress_and_iv(synth_dir, tmp_path):
+    base = [
+        "--votes", str(synth_dir / "votes.csv"),
+        "--polls", str(synth_dir / "polls.csv"),
+        "--factors", str(synth_dir / "factors.csv"),
+        "--tokens", "MKR",
+        "--measures", "Voters,Speed",
+    ]
+    for command in ("report", "regress", "iv"):
+        assert exec_command([command, *base, "--out-dir", str(tmp_path / command)]) == 0, command
+    names = ["ols_grid.csv", "effects_MKR.md"]
+    names += [path.name for path in (tmp_path / "regress").glob("ols_MKR_*.md")]
+    names += ["iv_grid.csv"] + [path.name for path in (tmp_path / "iv").glob("iv_MKR_*.md")]
+    assert len(names) == 13
+    for name in names:
+        single = tmp_path / ("iv" if name.startswith("iv") else "regress") / name
+        assert (tmp_path / "report" / name).read_bytes() == single.read_bytes(), name
 
 
 def test_bad_measures_flag_exits_1(synth_dir, tmp_path):

@@ -20,6 +20,7 @@ from govpulse.econ import (
     significance_stars,
     t_pvalue,
     two_sls,
+    zscore,
 )
 from govpulse.factorlab import BuiltPanel, catalogue_for
 from govpulse.synthgov import ols_oracle
@@ -342,19 +343,6 @@ def test_factor_matrix_full_coverage_and_counts():
     assert len(financial) == 77  # 11 financial factors x 7 measures
 
 
-def test_factor_matrix_deterministic_across_threads(monkeypatch):
-    panel = _planted_panel()
-    monkeypatch.setenv("GOVPULSE_THREADS", "1")
-    grid_a = run_factor_matrix(panel, tokens=["MKR"])
-    monkeypatch.setenv("GOVPULSE_THREADS", "8")
-    grid_b = run_factor_matrix(panel, tokens=["MKR"])
-    assert [(c.token, c.factor, c.measure, c.status) for c in grid_a.cells] == [
-        (c.token, c.factor, c.measure, c.status) for c in grid_b.cells
-    ]
-    for ca, cb in zip(grid_a.ok_cells(), grid_b.ok_cells()):
-        assert ca.fit == cb.fit
-
-
 def test_factor_matrix_iteration_order():
     grid = run_factor_matrix(_planted_panel(), tokens=["MKR"])
     expected = [
@@ -392,6 +380,55 @@ def test_iv_suite_default_three_panels_and_n():
     for cell in grid.ok_cells():
         assert cell.fit.n == 127
         assert cell.fit.first_stage.n == 127
+
+
+def _direct_cell(sample, fit, standardize: bool, min_n: int):
+    """Status and fit of one grid cell, fitted by a direct call."""
+    if sample is None or len(sample[0]) < min_n:
+        return "no data", None
+    columns = [zscore(c) for c in sample[1:]] if standardize else list(sample[1:])
+    try:
+        return "ok", fit(*columns)
+    except ValueError as exc:
+        return f"error: {exc}", None
+
+
+def _check_grid_against_direct_fits(grid, sample_of, fit, standardize, min_n):
+    statuses = set()
+    for cell in grid.cells:
+        sample = sample_of(cell.token, cell.factor, cell.measure)
+        status, expected = _direct_cell(sample, fit, standardize, min_n)
+        assert cell.status == status, (cell.factor, cell.measure)
+        assert cell.fit == expected, (cell.factor, cell.measure)
+        assert cell.dates == (sample[0] if status == "ok" else ())
+        statuses.add(status.split(":")[0])
+    assert statuses == {"ok", "no data", "error"}
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+def test_factor_matrix_cells_equal_direct_ols(standardize):
+    planted = _planted_panel()
+    factors = {**planted.factors, ("MKR", "network", "Active"): _series([1.0, 2.0])}
+    flat_order = dict.fromkeys(planted.measures["Order"], 0.5)  # degenerate regressor
+    panel = _panel(factors, {**planted.measures, "Order": flat_order})
+    grid = run_factor_matrix(panel, tokens=["MKR", "DAI"], standardize=standardize)
+
+    def sample_of(token, factor, measure):
+        sample = panel.aligned(token, factor, measure)
+        return None if sample is None else (sample.dates, sample.y, sample.x)
+
+    _check_grid_against_direct_fits(grid, sample_of, ols, standardize, min_n=3)
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+def test_iv_suite_cells_equal_direct_two_sls(standardize):
+    planted = _iv_panel()
+    factors = {**planted.factors, ("MKR", "network", "Active"): _series([1.0, 2.0, 3.0, 4.0])}
+    # a measure equal to the instrument makes the endogeneity augmentation collinear
+    measures = {**planted.measures, "Speed": dict(planted.instrument)}
+    panel = _panel(factors, measures, instrument=planted.instrument)
+    grid = run_iv_suite(panel, tokens=["MKR", "DAI"], standardize=standardize)
+    _check_grid_against_direct_fits(grid, panel.aligned_iv, two_sls, standardize, min_n=5)
 
 
 def test_iv_suite_requires_instrument():

@@ -210,6 +210,16 @@ def test_missing_factor_gives_none():
     assert panel.factor_series("MKR", "TxnCnt") is None
 
 
+def test_factor_name_under_two_categories_resolves_to_first():
+    raw = FactorPanel()
+    days = _days(3)
+    for d in days:
+        raw.put(d, "MKR", "network", "TxnCnt", 1.0)  # unknown here, kept and flagged
+        raw.put(d, "MKR", "transaction", "TxnCnt", 2.0)
+    panel = build_panel(raw, [_metric_row(d) for d in days])
+    assert panel.factor_series("MKR", "TxnCnt") == dict.fromkeys(days, 1.0)
+
+
 def test_measures_from_daily_excludes_missing_rows():
     days = _days(3)
     rows = [

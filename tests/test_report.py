@@ -32,8 +32,8 @@ from govpulse.report import (
 
 def _fit(beta1: float, t1: float, p1: float, stars: str, n: int = 127) -> OlsFit:
     return OlsFit(
-        beta0=0.0, beta1=beta1, se0=1.0, se1=abs(beta1 / t1) if t1 else 1.0,
-        t0=0.0, t1=t1, p1=p1, stars=stars, r2=0.1, adj_r2=0.09, n=n,
+        beta0=0.0, beta1=beta1, se1=abs(beta1 / t1) if t1 else 1.0,
+        t1=t1, p1=p1, stars=stars, r2=0.1, adj_r2=0.09, n=n,
     )
 
 
