@@ -32,7 +32,7 @@ are all derived from that one result; the log-taking entry points
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 from decimal import Decimal
 
 import numpy as np
@@ -41,15 +41,17 @@ from govpulse.govdata import FinalBallot, PollRecord, VoteLog, final_ballots, wi
 
 GINI_UPPER = 1.0 - 1e-9
 
-MEASURES = (
-    "Voters",
-    "TotalVotes",
-    "LargestShare",
-    "LargestShareWin",
-    "Gini",
-    "Order",
-    "Speed",
-)
+# measure name -> the DailyMetrics field holding its daily value
+MEASURE_FIELDS = {
+    "Voters": "voters",
+    "TotalVotes": "total_votes",
+    "LargestShare": "largest_share",
+    "LargestShareWin": "largest_share_win",
+    "Gini": "gini",
+    "Order": "order",
+    "Speed": "speed",
+}
+MEASURES = tuple(MEASURE_FIELDS)
 
 DAILY_GINI_MODES = ("mle", "mean_of_polls", "pooled_sample")
 CALENDAR_MODES = ("drop-missing", "full-calendar")
@@ -73,7 +75,6 @@ class PollMetrics:
     breakdown_ratio: float
     breakdown_voters: int
     winner_option: int
-    winner_tied: bool
     largest_votes: Decimal
     largest_voter: str
 
@@ -260,7 +261,6 @@ def _measure_poll(
         breakdown_ratio=float(breakdown / total),
         breakdown_voters=breakdown_voters,
         winner_option=winner.option_id,
-        winner_tied=winner.tied,
         largest_votes=ballots[0].weight,
         largest_voter=ballots[0].voter,
     )
@@ -376,8 +376,8 @@ def fill_calendar(rows: list[DailyMetrics], poll_counts: dict[date, int]) -> lis
         return rows
     have = {r.day: r for r in rows}
     filled: list[DailyMetrics] = []
-    day = rows[0].day
-    while day <= rows[-1].day:
+    for ordinal in range(rows[0].day.toordinal(), rows[-1].day.toordinal() + 1):
+        day = date.fromordinal(ordinal)
         filled.append(have.get(day) or DailyMetrics(
             day=day,
             poll_count=poll_counts.get(day, 0),
@@ -390,7 +390,6 @@ def fill_calendar(rows: list[DailyMetrics], poll_counts: dict[date, int]) -> lis
             gini=0.0,
             missing=True,
         ))
-        day = day + timedelta(days=1)
     return filled
 
 
@@ -406,12 +405,9 @@ def daily_metrics(
     return daily_from_pass(passed, calendar_mode=calendar_mode, daily_gini_mode=daily_gini_mode)
 
 
-def lorenz_points(ballots: list[FinalBallot] | np.ndarray) -> LorenzCurve:
-    """Lorenz curve of final ballot weights, ascending, prepended with (0,0)."""
-    if isinstance(ballots, np.ndarray):
-        weights = np.asarray(ballots, dtype=float)
-    else:
-        weights = _weights_array(ballots)
+def lorenz_points(weights: np.ndarray) -> LorenzCurve:
+    """Lorenz curve of a weight vector, ascending, prepended with (0,0)."""
+    weights = np.asarray(weights, dtype=float)
     total = float(weights.sum())
     if weights.size == 0 or total <= 0.0:
         raise ValueError("lorenz curve requires at least one positive weight")

@@ -138,7 +138,8 @@ def _load_log(args: argparse.Namespace, run: Run):
 
 
 def _structural_checks(poll_metrics_rows, profile_rows) -> None:
-    """Documented identities asserted on every run with a loaded dataset."""
+    """Documented identities, asserted by ``describe`` and ``report``: the
+    commands that hold both the poll metrics and the voter profiles."""
     for pm in poll_metrics_rows:
         if pm.largest_share_win > pm.largest_share + 1e-12:
             raise PipelineError(
@@ -189,10 +190,11 @@ def cmd_metrics(args: argparse.Namespace, run: Run) -> None:
 def cmd_describe(args: argparse.Namespace, run: Run) -> None:
     log = _load_log(args, run)
     passed = centrality.ballot_pass(log, ballot_rule=args.ballot)
+    profile_rows = profiles.profiles_from_pass(passed, log.identities)
+    _structural_checks(passed.polls, profile_rows)
     stats = profiles.describe_polls(passed.polls)
     run.emit_csv("poll_descriptives.csv", report.descriptives_csv(stats, profiles.POLL_DESCRIPTIVE_COLUMNS))
     run.emit_markdown("poll_descriptives.md", report.poll_descriptives_table(stats))
-    profile_rows = profiles.profiles_from_pass(passed, log.identities)
     run.emit_csv("profiles.csv", report.profiles_csv(profile_rows))
     voter_stats = profiles.voter_descriptives(profile_rows)
     run.emit_csv("voter_descriptives.csv", report.descriptives_csv(voter_stats, profiles.VOTER_DESCRIPTIVE_COLUMNS))

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import special
 
 from govpulse.centrality import MEASURES
-from govpulse.factorlab import BuiltPanel, catalogue_for
+from govpulse.factorlab import BuiltPanel, align, catalogue_for
 
 IV_DEFAULT_MEASURES = ("Voters", "TotalVotes", "Speed")
 STAR_THRESHOLDS = (0.10, 0.05, 0.01)
@@ -293,14 +293,9 @@ class RegressionGrid:
         return [c for c in self.cells if c.status == "ok"]
 
 
-def _ols_sample(panel: BuiltPanel, token: str, factor: str, measure: str):
-    sample = panel.aligned(token, factor, measure)
-    return None if sample is None else (sample.dates, sample.y, sample.x)
-
-
 # grid kind -> (aligned sample as (dates, *columns), fit taking those columns)
 _GRID_KINDS = {
-    "ols": (_ols_sample, ols),
+    "ols": (BuiltPanel.aligned, ols),
     "iv": (BuiltPanel.aligned_iv, two_sls),
 }
 
@@ -391,13 +386,10 @@ def instrument_screen(
     """
     rows = []
     for name in MEASURES:
-        series = measures.get(name, {})
-        days = sorted(set(series) & set(instrument))
+        days, m, z = align(measures.get(name, {}), instrument)
         if len(days) < 3:
             rows.append((name, float("nan"), float("nan"), "", len(days)))
             continue
-        m = np.array([series[d] for d in days], dtype=float)
-        z = np.array([instrument[d] for d in days], dtype=float)
         try:
             fit = ols(m, z, star_thresholds)
         except ValueError:

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from govpulse.centrality import DailyMetrics
+from govpulse.centrality import MEASURE_FIELDS, DailyMetrics
 from govpulse.govdata import Anomaly, FactorPanel
 
 VOL_WINDOWS = (2, 3, 4, 5, 6, 7, 14, 30, 60)
@@ -95,21 +95,9 @@ def is_known_factor(token: str, category: str, factor: str) -> bool:
     return (category, factor) in _catalogue_keys(token)
 
 
-@dataclass(frozen=True)
-class AlignedSample:
-    """Pairwise-complete (factor, measure) observations on common dates."""
-
-    dates: tuple[date, ...]
-    y: np.ndarray
-    x: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.dates)
-
-
-def daily_return(prices: dict[date, float]) -> dict[date, float]:
-    """Simple daily returns r_t = P_t / P_{t-1} - 1, first date missing.
+def daily_return(prices: dict[date, float], vol_mode: str = "simple") -> dict[date, float]:
+    """Daily returns, first date missing: simple r_t = P_t / P_{t-1} - 1, or
+    log r_t = ln(P_t / P_{t-1}) with ``vol_mode="log"``.
 
     Dates with a non-positive price (or a non-positive previous price) are
     left missing.
@@ -120,18 +108,7 @@ def daily_return(prices: dict[date, float]) -> dict[date, float]:
         p0, p1 = prices[prev], prices[cur]
         if p0 <= 0.0 or p1 <= 0.0:
             continue
-        out[cur] = p1 / p0 - 1.0
-    return out
-
-
-def log_return(prices: dict[date, float]) -> dict[date, float]:
-    days = sorted(prices)
-    out: dict[date, float] = {}
-    for prev, cur in zip(days, days[1:]):
-        p0, p1 = prices[prev], prices[cur]
-        if p0 <= 0.0 or p1 <= 0.0:
-            continue
-        out[cur] = math.log(p1 / p0)
+        out[cur] = math.log(p1 / p0) if vol_mode == "log" else p1 / p0 - 1.0
     return out
 
 
@@ -161,13 +138,11 @@ class BuiltPanel:
         measures: dict[str, dict[date, float]],
         instrument: dict[date, float],
         anomalies: list[Anomaly],
-        vol_mode: str,
     ) -> None:
         self.factors = factors
         self.measures = measures
         self.instrument = instrument
         self.anomalies = anomalies
-        self.vol_mode = vol_mode
         # An unknown factor is kept under whatever category it came with, so
         # one (token, name) can sit under two categories: the first one wins.
         self._series: dict[tuple[str, str], dict[date, float]] = {}
@@ -180,8 +155,10 @@ class BuiltPanel:
     def factor_series(self, token: str, factor: str) -> dict[date, float] | None:
         return self._series.get((token, factor))
 
-    def aligned(self, token: str, factor: str, measure: str) -> AlignedSample | None:
-        """Pairwise-complete sample of a factor against a measure."""
+    def aligned(
+        self, token: str, factor: str, measure: str
+    ) -> tuple[tuple[date, ...], np.ndarray, np.ndarray] | None:
+        """Complete-case (dates, factor, measure) sample; None when a series is absent."""
         series = self.factor_series(token, factor)
         if series is None or measure not in self.measures:
             return None
@@ -190,38 +167,27 @@ class BuiltPanel:
     def aligned_iv(
         self, token: str, factor: str, measure: str
     ) -> tuple[tuple[date, ...], np.ndarray, np.ndarray, np.ndarray] | None:
-        """Complete-case (factor, measure, instrument) triple."""
+        """Complete-case (dates, factor, measure, instrument) sample; None when a
+        series is absent."""
         series = self.factor_series(token, factor)
-        if series is None or measure not in self.measures or not self.instrument:
+        if series is None or measure not in self.measures:
             return None
-        msr = self.measures[measure]
-        days = tuple(sorted(set(series) & set(msr) & set(self.instrument)))
-        if not days:
-            return None
-        y = np.array([series[d] for d in days], dtype=float)
-        x = np.array([msr[d] for d in days], dtype=float)
-        z = np.array([self.instrument[d] for d in days], dtype=float)
-        return days, y, x, z
+        return align(series, self.measures[measure], self.instrument)
 
 
-def align(y_series: dict[date, float], x_series: dict[date, float]) -> AlignedSample:
-    days = tuple(sorted(set(y_series) & set(x_series)))
-    y = np.array([y_series[d] for d in days], dtype=float)
-    x = np.array([x_series[d] for d in days], dtype=float)
-    return AlignedSample(dates=days, y=y, x=x)
+def align(*series: dict[date, float]) -> tuple:
+    """Complete-case sample of date-keyed series: the dates every series
+    covers, ascending, then one array of values per series on those dates."""
+    days = tuple(sorted(set(series[0]).intersection(*series[1:])))
+    return (days, *(np.array([s[d] for d in days], dtype=float) for s in series))
 
 
 def measures_from_daily(metrics: list[DailyMetrics]) -> dict[str, dict[date, float]]:
     """Measure series keyed by name; rows flagged missing are excluded."""
     rows = [m for m in metrics if not m.missing]
     return {
-        "Voters": {m.day: float(m.voters) for m in rows},
-        "TotalVotes": {m.day: float(m.total_votes) for m in rows},
-        "LargestShare": {m.day: m.largest_share for m in rows},
-        "LargestShareWin": {m.day: m.largest_share_win for m in rows},
-        "Gini": {m.day: m.gini for m in rows},
-        "Order": {m.day: m.order for m in rows},
-        "Speed": {m.day: m.speed for m in rows},
+        name: {m.day: float(getattr(m, field)) for m in rows}
+        for name, field in MEASURE_FIELDS.items()
     }
 
 
@@ -255,7 +221,7 @@ def build_panel(
                     f"{token} {day.isoformat()}: return left missing",
                 )
             )
-        returns = daily_return(prices) if vol_mode == "simple" else log_return(prices)
+        returns = daily_return(prices, vol_mode)
         factors[(token, "financial", "r")] = returns
         for k in VOL_WINDOWS:
             factors[(token, "financial", f"v{k}")] = rolling_vol(returns, k)
@@ -268,7 +234,6 @@ def build_panel(
         measures=measures_from_daily(metrics),
         instrument=raw.instrument_series(),
         anomalies=anomalies,
-        vol_mode=vol_mode,
     )
 
 

@@ -16,6 +16,7 @@ converted to binary floats only inside the statistics layer.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from decimal import Decimal, InvalidOperation
@@ -61,7 +62,6 @@ class PollRecord:
     options: tuple[tuple[int, str], ...] = ()
     abstain_option_ids: frozenset[int] = frozenset()
     title: str = ""
-    category: str = ""
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,10 @@ class FinalBallot:
 
 @dataclass(frozen=True)
 class Winner:
-    """Winning option of a poll, with the tie flag and per-option totals."""
+    """Winning option of a poll, with the tie flag."""
 
     option_id: int
     tied: bool
-    totals: tuple[tuple[int, Decimal], ...]
 
 
 class VoteLog:
@@ -201,32 +200,38 @@ class FactorPanel:
                 out[day] = value
         return dict(sorted(out.items()))
 
-    def tokens(self) -> list[str]:
-        return sorted({tok for (_, tok, cat, _) in self.cells if cat != "instrument"})
-
-    def dates(self) -> list[date]:
-        return sorted({day for (day, _, _, _) in self.cells})
-
     def __len__(self) -> int:
         return len(self.cells)
 
 
+# Unix seconds of the first and the last second that have a UTC date.
+MIN_TIMESTAMP = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
+MAX_TIMESTAMP = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
+
+
 def parse_timestamp(raw: str) -> int:
-    """Parse unix seconds or ISO-8601 UTC into unix seconds."""
+    """Parse unix seconds or ISO-8601 UTC into unix seconds.
+
+    Raises ValueError for a non-finite number and for a time outside the
+    representable UTC dates (years 1 to 9999).
+    """
     text = raw.strip()
     try:
-        return int(text)
+        seconds = int(text)
     except ValueError:
-        pass
-    try:
-        return int(float(text))
-    except ValueError:
-        pass
-    iso = text.replace("Z", "+00:00")
-    dt = datetime.fromisoformat(iso)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+        try:
+            value = float(text)
+        except ValueError:
+            dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+            if dt.tzinfo is None:
+                dt = dt.replace(tzinfo=timezone.utc)
+            value = dt.timestamp()
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite timestamp {text!r}")
+        seconds = int(value)
+    if not MIN_TIMESTAMP <= seconds <= MAX_TIMESTAMP:
+        raise ValueError(f"timestamp {text!r} has no representable UTC date")
+    return seconds
 
 
 def _read_rows(path: str | Path, expected_header: list[str]) -> list[dict[str, str]]:
@@ -442,11 +447,7 @@ def winning_option(
         raise ValueError("no votes")
     best = max(totals.values())
     winners = sorted(oid for oid, total in totals.items() if total == best)
-    return Winner(
-        option_id=winners[0],
-        tied=len(winners) > 1,
-        totals=tuple(sorted(totals.items())),
-    )
+    return Winner(option_id=winners[0], tied=len(winners) > 1)
 
 
 def validate_dataset(log: VoteLog) -> ValidationReport:
@@ -455,12 +456,18 @@ def validate_dataset(log: VoteLog) -> ValidationReport:
     report.events = len(log.events)
     report.polls = len(log.registry)
     report.voters = len(log.voters())
+    listed = {poll_id: {oid for oid, _ in poll.options} for poll_id, poll in log.registry.items()}
     seen_keys: set[tuple[int, str, int]] = set()
     for event in log.events:
         poll = log.registry.get(event.poll_id)
         if poll is None:
             report.add("unknown poll", f"event poll {event.poll_id}", severity="fatal")
             continue
+        if listed[event.poll_id] and event.option_id not in listed[event.poll_id]:
+            report.add(
+                "unknown option",
+                f"poll {event.poll_id}, voter {event.voter}: option {event.option_id} not listed",
+            )
         if event.timestamp < poll.deploy_timestamp:
             report.add(
                 "pre-deploy vote",

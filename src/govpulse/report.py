@@ -8,7 +8,7 @@ decimals with t-statistics in parentheses and significance stars at the
 
 from __future__ import annotations
 
-from govpulse.centrality import DailyMetrics, LorenzCurve, PollMetrics
+from govpulse.centrality import MEASURE_FIELDS, DailyMetrics, LorenzCurve, PollMetrics
 from govpulse.econ import GridCell, InstrumentScreen, IvFit, OlsFit, RegressionGrid
 from govpulse.factorlab import catalogue_for
 from govpulse.profiles import (
@@ -163,12 +163,9 @@ def measures_summary_table(metrics: list[DailyMetrics]) -> str:
     if not rows_in:
         raise ValueError("no daily metrics to describe")
     columns = {
-        "Voters": [float(m.voters) for m in rows_in],
-        "TotalVotes": [float(m.total_votes) for m in rows_in],
-        "LargestShare": [m.largest_share for m in rows_in],
-        "LargestShareWin": [m.largest_share_win for m in rows_in],
-        "Order": [m.order for m in rows_in],
-        "Speed": [m.speed for m in rows_in],
+        name: [float(getattr(m, field)) for m in rows_in]
+        for name, field in MEASURE_FIELDS.items()
+        if name != "Gini"
     }
     stats = {name: SummaryStats.describe(values) for name, values in columns.items()}
     header = [""] + list(columns)
@@ -450,14 +447,9 @@ def validation_csv(report) -> list[list[str]]:
     return out
 
 
-def svg_line_chart(
-    series: dict[str, list[tuple[float, float]]],
-    title: str,
-    width: int = 640,
-    height: int = 320,
-) -> str:
-    """Minimal multi-series SVG line chart (no axes labels beyond extremes)."""
-    pad = 40
+def svg_line_chart(series: dict[str, list[tuple[float, float]]], title: str) -> str:
+    """Minimal 640x320 multi-series SVG line chart (no axes labels beyond extremes)."""
+    width, height, pad = 640, 320, 40
     points = [pt for pts in series.values() for pt in pts]
     if not points:
         return f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"><text x="10" y="20">{title}: no data</text></svg>'

@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from govpulse.centrality import DailyMetrics
+from govpulse.centrality import MEASURE_FIELDS, DailyMetrics
+from govpulse.econ import zscore
 from govpulse.factorlab import INSTRUMENT_FACTOR, INSTRUMENT_TOKEN
 from govpulse.govdata import (
     FactorPanel,
@@ -332,14 +333,6 @@ class SynthPanelBundle:
     panel: FactorPanel
     instrument: dict[date, float]
     proxy_measure: dict[date, float] | None
-    confound: dict[date, float] | None
-
-
-def _zscore(values: np.ndarray) -> np.ndarray:
-    sd = values.std(ddof=1) if values.size > 1 else 0.0
-    if sd == 0.0:
-        return values - values.mean()
-    return (values - values.mean()) / sd
 
 
 def gen_panel(metrics: list[DailyMetrics], plan: PanelPlan, seed: int) -> SynthPanelBundle:
@@ -355,16 +348,10 @@ def gen_panel(metrics: list[DailyMetrics], plan: PanelPlan, seed: int) -> SynthP
     rng = np.random.default_rng(seed)
     rows = [m for m in metrics if not m.missing]
     days = [m.day for m in rows]
-    series = {
-        "Voters": np.array([float(m.voters) for m in rows]),
-        "TotalVotes": np.array([float(m.total_votes) for m in rows]),
-        "LargestShare": np.array([m.largest_share for m in rows]),
-        "LargestShareWin": np.array([m.largest_share_win for m in rows]),
-        "Gini": np.array([m.gini for m in rows]),
-        "Order": np.array([m.order for m in rows]),
-        "Speed": np.array([m.speed for m in rows]),
+    standardized = {
+        name: zscore([float(getattr(m, field)) for m in rows])
+        for name, field in MEASURE_FIELDS.items()
     }
-    standardized = {name: _zscore(values) for name, values in series.items()}
     n = len(days)
 
     endo = plan.endogenous
@@ -405,7 +392,6 @@ def gen_panel(metrics: list[DailyMetrics], plan: PanelPlan, seed: int) -> SynthP
         panel=panel,
         instrument=instrument,
         proxy_measure=dict(zip(days, proxy)) if proxy is not None else None,
-        confound=dict(zip(days, confound)) if confound is not None else None,
     )
 
 

@@ -21,7 +21,7 @@ from govpulse.centrality import (
     poll_participation,
     poll_speed,
 )
-from govpulse.govdata import final_ballots, winning_option
+from govpulse.govdata import MAX_TIMESTAMP, final_ballots, winning_option
 from govpulse.synthgov import gini_oracle
 
 
@@ -301,6 +301,16 @@ def test_daily_metrics_ascending_dates_and_full_calendar():
     missing = [r for r in full if r.missing]
     assert len(missing) == 2
     assert all(r.poll_count == 0 and r.gini == 0.0 for r in missing)
+
+
+def test_full_calendar_reaches_last_representable_day():
+    deploys = (MAX_TIMESTAMP - 2 * 86400, MAX_TIMESTAMP - 100)
+    log = make_log(
+        [(i + 1, addr(1), 1, "5", deploy + 10) for i, deploy in enumerate(deploys)],
+        [make_poll(i + 1, deploy) for i, deploy in enumerate(deploys)],
+    )
+    full = daily_metrics(log, calendar_mode="full-calendar")
+    assert [r.day.isoformat() for r in full] == ["9999-12-29", "9999-12-30", "9999-12-31"]
 
 
 def test_daily_metrics_gini_modes_differ_on_heterogeneous_day():

@@ -144,6 +144,27 @@ def test_ingest_skips_non_finite_weights(tmp_path):
     assert "events: 2" in (out / "ingest_summary.txt").read_text()
 
 
+@pytest.mark.parametrize("column", ["vote", "deploy"])
+@pytest.mark.parametrize("stamp", ["inf", "-inf", "nan", "1e30", "-1e30"])
+def test_out_of_range_timestamp_row_is_skipped(tmp_path, column, stamp):
+    votes, polls = tmp_path / "votes.csv", tmp_path / "polls.csv"
+    write_votes_csv(votes, [
+        (1, "0xa", 1, "10", DAY0 + 10),
+        (1, "0xb", 2, "5", stamp if column == "vote" else DAY0 + 20),
+        (2, "0xc", 2, "1", DAY0 + 30),
+    ])
+    write_polls_csv(polls, [
+        (1, DAY0, "poll 1", "1:yes|2:no", ""),
+        (2, stamp if column == "deploy" else DAY0, "poll 2", "1:yes|2:no", ""),
+    ])
+    inputs = ["--votes", str(votes), "--polls", str(polls)]
+    for command in ("ingest", "metrics", "describe", "report"):
+        assert exec_command([command, *inputs, "--out-dir", str(tmp_path / command)]) == 0, command
+    with open(tmp_path / "ingest" / "validation.csv", newline="") as handle:
+        rows = [(row["kind"], row["detail"].split(":")[0]) for row in csv.DictReader(handle)]
+    assert (f"bad {'vote' if column == 'vote' else 'poll'} row", "line 3") in rows
+
+
 def test_unexpected_error_records_failed_manifest(synth_dir, tmp_path, monkeypatch, capsys):
     from govpulse import cli
 
@@ -275,6 +296,17 @@ def test_report_runs_structural_checks(synth_dir, tmp_path):
         "fig_lorenz.csv", "fig_daily_counts.svg", "ols_grid.csv", "iv_grid.csv",
     ):
         assert (out / name).exists(), name
+
+
+def test_describe_checks_voter_totals_against_poll_totals(synth_dir, tmp_path, monkeypatch, capsys):
+    from govpulse import cli
+
+    real = cli.profiles.profiles_from_pass
+    monkeypatch.setattr(cli.profiles, "profiles_from_pass", lambda *args: real(*args)[1:])
+    code = exec_command(["describe", "--votes", str(synth_dir / "votes.csv"),
+                         "--polls", str(synth_dir / "polls.csv"), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "identity violated" in capsys.readouterr().err
 
 
 def test_report_without_factors_still_emits_tables(synth_dir, tmp_path):

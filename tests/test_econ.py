@@ -34,7 +34,6 @@ def _panel(factors: dict, measures: dict, instrument: dict | None = None) -> Bui
         measures=measures,
         instrument=instrument or {},
         anomalies=[],
-        vol_mode="simple",
     )
 
 
@@ -412,12 +411,7 @@ def test_factor_matrix_cells_equal_direct_ols(standardize):
     flat_order = dict.fromkeys(planted.measures["Order"], 0.5)  # degenerate regressor
     panel = _panel(factors, {**planted.measures, "Order": flat_order})
     grid = run_factor_matrix(panel, tokens=["MKR", "DAI"], standardize=standardize)
-
-    def sample_of(token, factor, measure):
-        sample = panel.aligned(token, factor, measure)
-        return None if sample is None else (sample.dates, sample.y, sample.x)
-
-    _check_grid_against_direct_fits(grid, sample_of, ols, standardize, min_n=3)
+    _check_grid_against_direct_fits(grid, panel.aligned, ols, standardize, min_n=3)
 
 
 @pytest.mark.parametrize("standardize", [True, False])

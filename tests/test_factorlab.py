@@ -8,9 +8,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from govpulse.centrality import DailyMetrics
+from govpulse.centrality import MEASURES, MEASURE_FIELDS, DailyMetrics
 from govpulse.factorlab import (
-    AlignedSample,
     align,
     build_panel,
     catalogue_for,
@@ -169,9 +168,9 @@ def test_alignment_is_intersection_and_symmetric():
     y = {d: float(i) for i, d in enumerate(days[:7])}
     x = {d: float(i) ** 2 for i, d in enumerate(days[3:])}
     sample = align(y, x)
-    assert sample.dates == tuple(days[3:7])
+    assert sample[0] == tuple(days[3:7])
     reverse = align(x, y)
-    assert reverse.dates == sample.dates
+    assert reverse[0] == sample[0]
 
 
 def test_aligned_sample_from_panel_intersects_metric_dates():
@@ -183,7 +182,7 @@ def test_aligned_sample_from_panel_intersects_metric_dates():
     panel = build_panel(raw, metrics)
     sample = panel.aligned("MKR", "Active", "Voters")
     assert sample is not None
-    assert sample.n == 6
+    assert len(sample[0]) == 6
 
 
 def test_aligned_iv_alignment_n():
@@ -233,8 +232,5 @@ def test_measures_from_daily_excludes_missing_rows():
     ]
     measures = measures_from_daily(rows)
     assert set(measures["Voters"]) == {days[0], days[2]}
-
-
-def test_aligned_sample_shape():
-    sample = AlignedSample(dates=(D0,), y=np.array([1.0]), x=np.array([2.0]))
-    assert sample.n == 1
+    assert tuple(measures) == MEASURES
+    assert all(field in DailyMetrics.__dataclass_fields__ for field in MEASURE_FIELDS.values())

@@ -214,6 +214,19 @@ def test_validate_pre_deploy_warning():
     assert not report.fatal
 
 
+def test_validate_flags_unlisted_option():
+    polls = [make_poll(1, DAY0, options=2), make_poll(2, DAY0, options=0)]
+    events = [
+        (1, addr(1), 2, "5", DAY0 + 10),
+        (1, addr(2), 3, "5", DAY0 + 20),
+        (2, addr(1), 7, "5", DAY0 + 30),  # poll 2 lists no options
+    ]
+    report = validate_dataset(make_log(events, polls))
+    assert [(a.kind, a.detail) for a in report.anomalies] == [
+        ("unknown option", f"poll 1, voter {addr(2)}: option 3 not listed")
+    ]
+
+
 def test_validate_zero_weight_warning():
     log = make_log([(1, addr(1), 1, "0", DAY0 + 50)], [make_poll(1, DAY0)])
     report = validate_dataset(log)

@@ -81,7 +81,6 @@ def test_effects_summary_bijection_with_significant_cells():
         measures={"Voters": dict(zip(days, voters))},
         instrument={},
         anomalies=[],
-        vol_mode="simple",
     )
     grid = run_factor_matrix(panel, tokens=["MKR"], measures=("Voters",))
     cells = significant_cells(grid, alpha=0.10)
