@@ -25,7 +25,6 @@ from govpulse.centrality import (
     DailyMetrics,
     PollMetrics,
     daily_gini,
-    daily_metrics,
     largest_voter_stats,
     lorenz_points,
     poll_gini,
@@ -45,7 +44,6 @@ __all__ = [
     "VoteEvent",
     "VoteLog",
     "daily_gini",
-    "daily_metrics",
     "endogeneity_tests",
     "final_ballots",
     "largest_voter_stats",

@@ -22,11 +22,11 @@ across the day's polls and fits a Paretian tail index by maximum likelihood,
 clipped to [0, 1). Alternative daily estimators (mean of poll Ginis, pooled
 sample Gini) are available for comparison.
 
-``ballot_pass`` derives every poll's final ballots once per ballot rule,
-together with the per-poll metrics and the per-day poll counts. Daily rows
-in both calendar modes, voter profiles, poll descriptives and Lorenz totals
-are all derived from that one result; the log-taking entry points
-(``all_poll_metrics``, ``daily_metrics``) are thin wrappers over it.
+``ballot_pass`` is the one road from a vote log to the measures: it derives
+every poll's final ballots once per ballot rule, together with the per-poll
+metrics and the per-day poll counts. Daily rows in both calendar modes,
+voter profiles, poll descriptives and Lorenz totals are all derived from
+that one result.
 """
 
 from __future__ import annotations
@@ -241,7 +241,7 @@ def _measure_poll(
         return None
     winner = winning_option(ballots)
     share, ifwin, share_win, order = largest_voter_stats(
-        ballots, winner.option_id, n_records=n_records, order_rule=order_rule
+        ballots, winner, n_records=n_records, order_rule=order_rule
     )
     abstain = poll.abstain_option_ids
     breakdown = sum((b.weight for b in ballots if b.option_id not in abstain), Decimal(0))
@@ -260,24 +260,10 @@ def _measure_poll(
         breakdown_votes=breakdown,
         breakdown_ratio=float(breakdown / total),
         breakdown_voters=breakdown_voters,
-        winner_option=winner.option_id,
+        winner_option=winner,
         largest_votes=ballots[0].weight,
         largest_voter=ballots[0].voter,
     )
-
-
-def poll_metrics(
-    log: VoteLog,
-    poll_id: int,
-    ballot_rule: str = "last",
-    order_rule: str = "last",
-) -> PollMetrics | None:
-    """All per-poll measures; None when the poll has no events."""
-    history = log.poll_events(poll_id)
-    if not history:
-        return None
-    ballots = final_ballots(log, poll_id, rule=ballot_rule)
-    return _measure_poll(log.registry[poll_id], ballots, len(history), order_rule)
 
 
 @dataclass(frozen=True)
@@ -310,13 +296,6 @@ def ballot_pass(log: VoteLog, ballot_rule: str = "last", order_rule: str = "last
         if pm is not None:
             polls.append(pm)
     return BallotPass(ballots=ballots, polls=polls, poll_counts=poll_counts)
-
-
-def all_poll_metrics(
-    log: VoteLog, ballot_rule: str = "last", order_rule: str = "last"
-) -> list[PollMetrics]:
-    """Per-poll metrics for every poll with at least one positive ballot."""
-    return ballot_pass(log, ballot_rule=ballot_rule, order_rule=order_rule).polls
 
 
 def daily_from_pass(
@@ -391,18 +370,6 @@ def fill_calendar(rows: list[DailyMetrics], poll_counts: dict[date, int]) -> lis
             missing=True,
         ))
     return filled
-
-
-def daily_metrics(
-    log: VoteLog,
-    calendar_mode: str = "drop-missing",
-    daily_gini_mode: str = "mle",
-    ballot_rule: str = "last",
-    order_rule: str = "last",
-) -> list[DailyMetrics]:
-    """Daily rows of a log: ``daily_from_pass`` over ``ballot_pass``."""
-    passed = ballot_pass(log, ballot_rule=ballot_rule, order_rule=order_rule)
-    return daily_from_pass(passed, calendar_mode=calendar_mode, daily_gini_mode=daily_gini_mode)
 
 
 def lorenz_points(weights: np.ndarray) -> LorenzCurve:

@@ -3,8 +3,9 @@
 Subcommands: ingest, metrics, describe, regress, iv, synth, report. Every run
 writes its outputs atomically (temp file + rename) together with a
 ``run_manifest.json`` recording the resolved configuration, sha256 digests of
-the inputs and the tool version. Exit codes: 0 success, 1 validation-fatal or
-pipeline failure, 2 usage error.
+the inputs and the tool version. Exit codes: 0 success, 1 failed run (bad
+input file, bad option value, violated identity or any other error), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ REGRESSION_CATEGORIES = ("financial", "transaction", "exchange", "network", "sen
 
 
 class PipelineError(Exception):
-    """Validation-fatal condition: exit code 1."""
+    """A run that cannot go on, such as a bad option value or a violated
+    identity: exit code 1."""
 
 
 def _atomic_write(path: Path, data: str | bytes) -> None:
@@ -131,10 +133,7 @@ def _load_log(args: argparse.Namespace, run: Run):
     run.digest_input("polls", args.polls)
     identities = getattr(args, "identities", None)
     run.digest_input("identities", identities)
-    log = load_vote_log(args.votes, args.polls, identities)
-    if log.report.fatal:
-        raise PipelineError("fatal anomalies during ingestion")
-    return log
+    return load_vote_log(args.votes, args.polls, identities)
 
 
 def _structural_checks(poll_metrics_rows, profile_rows) -> None:
@@ -165,14 +164,33 @@ def cmd_ingest(args: argparse.Namespace, run: Run) -> None:
     )
     run.emit_text("ingest_summary.txt", summary)
     print(summary, end="")
-    if scan.fatal:
-        raise PipelineError("fatal anomalies in dataset")
+
+
+def _measure(args: argparse.Namespace, log) -> tuple[centrality.BallotPass, list[centrality.DailyMetrics]]:
+    """The run's one ballot pass and the daily rows derived from it."""
+    passed = centrality.ballot_pass(log, ballot_rule=args.ballot, order_rule=args.order)
+    return passed, centrality.daily_from_pass(passed, calendar_mode=args.calendar, daily_gini_mode=args.daily_gini)
+
+
+def _emit_descriptives(
+    run: Run, passed: centrality.BallotPass, log
+) -> tuple[list[profiles.VoterProfile], dict[str, profiles.SummaryStats]]:
+    """Voter profiles, checked against the poll totals, and the descriptive
+    tables shared by ``describe`` and ``report``; returns the profiles and
+    the voter summary statistics."""
+    profile_rows = profiles.profiles_from_pass(passed, log.identities)
+    _structural_checks(passed.polls, profile_rows)
+    stats = profiles.describe_polls(passed.polls)
+    run.emit_csv("poll_descriptives.csv", report.descriptives_csv(stats, profiles.POLL_DESCRIPTIVE_COLUMNS))
+    run.emit_markdown("poll_descriptives.md", report.poll_descriptives_table(stats))
+    run.emit_csv("profiles.csv", report.profiles_csv(profile_rows))
+    voter_stats = profiles.voter_descriptives(profile_rows)
+    run.emit_markdown("voter_descriptives.md", report.voter_descriptives_table(voter_stats))
+    return profile_rows, voter_stats
 
 
 def cmd_metrics(args: argparse.Namespace, run: Run) -> None:
-    log = _load_log(args, run)
-    passed = centrality.ballot_pass(log, ballot_rule=args.ballot, order_rule=args.order)
-    daily = centrality.daily_from_pass(passed, calendar_mode=args.calendar, daily_gini_mode=args.daily_gini)
+    passed, daily = _measure(args, _load_log(args, run))
     run.emit_csv("metrics.csv", report.metrics_csv(daily))
     per_poll = passed.polls
     rows = [["poll_id", "date", "total_votes", "voters", "gini", "largest_share",
@@ -190,30 +208,13 @@ def cmd_metrics(args: argparse.Namespace, run: Run) -> None:
 def cmd_describe(args: argparse.Namespace, run: Run) -> None:
     log = _load_log(args, run)
     passed = centrality.ballot_pass(log, ballot_rule=args.ballot)
-    profile_rows = profiles.profiles_from_pass(passed, log.identities)
-    _structural_checks(passed.polls, profile_rows)
-    stats = profiles.describe_polls(passed.polls)
-    run.emit_csv("poll_descriptives.csv", report.descriptives_csv(stats, profiles.POLL_DESCRIPTIVE_COLUMNS))
-    run.emit_markdown("poll_descriptives.md", report.poll_descriptives_table(stats))
-    run.emit_csv("profiles.csv", report.profiles_csv(profile_rows))
-    voter_stats = profiles.voter_descriptives(profile_rows)
+    profile_rows, voter_stats = _emit_descriptives(run, passed, log)
     run.emit_csv("voter_descriptives.csv", report.descriptives_csv(voter_stats, profiles.VOTER_DESCRIPTIVE_COLUMNS))
-    run.emit_markdown("voter_descriptives.md", report.voter_descriptives_table(voter_stats))
     for criterion in profiles.RANK_CRITERIA:
         top = profiles.rank_voters(profile_rows, criterion, args.top)
         run.emit_csv(f"top_voters_{criterion}.csv", report.profiles_csv(top))
         run.emit_markdown(f"top_voters_{criterion}.md", report.top_voters_table(top, criterion))
     print(f"described {len(profile_rows)} voters")
-
-
-def _daily(args: argparse.Namespace, log) -> list[centrality.DailyMetrics]:
-    return centrality.daily_metrics(
-        log,
-        calendar_mode=args.calendar,
-        daily_gini_mode=args.daily_gini,
-        ballot_rule=args.ballot,
-        order_rule=args.order,
-    )
 
 
 def _build_panel(args: argparse.Namespace, run: Run, daily: list[centrality.DailyMetrics]):
@@ -315,8 +316,8 @@ def _emit_iv(
 
 
 def cmd_regress(args: argparse.Namespace, run: Run) -> None:
-    log = _load_log(args, run)
-    panel = _build_panel(args, run, _daily(args, log))
+    _, daily = _measure(args, _load_log(args, run))
+    panel = _build_panel(args, run, daily)
     stars = _parse_stars(args)
     grid = _emit_ols(args, run, panel, _parse_tokens(args, panel), stars)
     _emit_panel_notes(run, args, stars)
@@ -324,8 +325,8 @@ def cmd_regress(args: argparse.Namespace, run: Run) -> None:
 
 
 def cmd_iv(args: argparse.Namespace, run: Run) -> None:
-    log = _load_log(args, run)
-    panel = _build_panel(args, run, _daily(args, log))
+    _, daily = _measure(args, _load_log(args, run))
+    panel = _build_panel(args, run, daily)
     if not panel.instrument:
         raise PipelineError("factors file has no instrument rows (category=instrument)")
     stars = _parse_stars(args)
@@ -347,7 +348,7 @@ def cmd_synth(args: argparse.Namespace, run: Run) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_vote_log(log, out / "votes.csv", out / "polls.csv")
     run.outputs.extend(["votes.csv", "polls.csv"])
-    daily = centrality.daily_metrics(log)
+    daily = centrality.daily_from_pass(centrality.ballot_pass(log))
     plan = _default_panel_plan(args.tokens.split(",") if args.tokens else ["MKR", "DAI"])
     bundle = synthgov.gen_panel(daily, plan, seed=config.seed + 1)
     write_factors(bundle.panel, out / "factors.csv")
@@ -385,20 +386,11 @@ def _default_panel_plan(tokens: list[str]) -> synthgov.PanelPlan:
 
 def cmd_report(args: argparse.Namespace, run: Run) -> None:
     log = _load_log(args, run)
-    passed = centrality.ballot_pass(log, ballot_rule=args.ballot, order_rule=args.order)
+    passed, daily = _measure(args, log)
     per_poll = passed.polls
-    daily = centrality.daily_from_pass(passed, calendar_mode=args.calendar, daily_gini_mode=args.daily_gini)
     daily_full = centrality.fill_calendar(daily, passed.poll_counts)
-    profile_rows = profiles.profiles_from_pass(passed, log.identities)
-    _structural_checks(per_poll, profile_rows)
-
+    profile_rows, _ = _emit_descriptives(run, passed, log)
     run.emit_csv("metrics.csv", report.metrics_csv(daily))
-    stats = profiles.describe_polls(per_poll)
-    run.emit_csv("poll_descriptives.csv", report.descriptives_csv(stats, profiles.POLL_DESCRIPTIVE_COLUMNS))
-    run.emit_markdown("poll_descriptives.md", report.poll_descriptives_table(stats))
-    voter_stats = profiles.voter_descriptives(profile_rows)
-    run.emit_csv("profiles.csv", report.profiles_csv(profile_rows))
-    run.emit_markdown("voter_descriptives.md", report.voter_descriptives_table(voter_stats))
     run.emit_markdown(
         "gini_summary.md",
         report.gini_summary_table([pm.gini for pm in per_poll], [m.gini for m in daily_full]),

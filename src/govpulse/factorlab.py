@@ -214,13 +214,7 @@ def build_panel(
             continue
         bad = [d for d, p in sorted(prices.items()) if p <= 0.0]
         for day in bad:
-            anomalies.append(
-                Anomaly(
-                    "non-positive price",
-                    "warning",
-                    f"{token} {day.isoformat()}: return left missing",
-                )
-            )
+            anomalies.append(Anomaly("non-positive price", f"{token} {day.isoformat()}: return left missing"))
         returns = daily_return(prices, vol_mode)
         factors[(token, "financial", "r")] = returns
         for k in VOL_WINDOWS:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 
 class SchemaError(ValueError):
-    """A file header does not match the expected schema (fatal)."""
+    """A file header does not match the expected schema."""
 
 
 VOTES_HEADER = ["poll_id", "voter", "option_id", "weight", "timestamp"]
@@ -67,7 +67,6 @@ class PollRecord:
 @dataclass(frozen=True)
 class Anomaly:
     kind: str
-    severity: str  # "warning" | "fatal"
     detail: str
 
 
@@ -80,12 +79,8 @@ class ValidationReport:
     voters: int = 0
     anomalies: list[Anomaly] = field(default_factory=list)
 
-    def add(self, kind: str, detail: str, severity: str = "warning") -> None:
-        self.anomalies.append(Anomaly(kind=kind, severity=severity, detail=detail))
-
-    @property
-    def fatal(self) -> bool:
-        return any(a.severity == "fatal" for a in self.anomalies)
+    def add(self, kind: str, detail: str) -> None:
+        self.anomalies.append(Anomaly(kind=kind, detail=detail))
 
     def counts_by_kind(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -112,19 +107,11 @@ class FinalBallot:
     first_seen_index: int
 
 
-@dataclass(frozen=True)
-class Winner:
-    """Winning option of a poll, with the tie flag."""
-
-    option_id: int
-    tied: bool
-
-
 class VoteLog:
     """Immutable container for a parsed voting history.
 
     Events are stored sorted by (timestamp, input order); every event's
-    poll_id resolves in the registry.
+    poll_id resolves in the registry (ValueError otherwise).
     """
 
     def __init__(
@@ -134,6 +121,9 @@ class VoteLog:
         identities: dict[str, str] | None = None,
         report: ValidationReport | None = None,
     ) -> None:
+        unknown = sorted({e.poll_id for e in events} - registry.keys())
+        if unknown:
+            raise ValueError(f"events reference polls not in the registry: {unknown}")
         decorated = sorted((e.timestamp, i) for i, e in enumerate(events))
         self.events: tuple[VoteEvent, ...] = tuple(events[i] for _, i in decorated)
         self.registry: dict[int, PollRecord] = dict(registry)
@@ -176,13 +166,9 @@ class FactorPanel:
     def put(self, day: date, token: str, category: str, factor: str, value: float) -> None:
         key = (day, token, category, factor)
         if key in self.cells:
-            self.anomalies.append(
-                Anomaly(
-                    kind="duplicate factor cell",
-                    severity="warning",
-                    detail=f"{day.isoformat()}/{token}/{category}/{factor}: last value wins",
-                )
-            )
+            self.anomalies.append(Anomaly(
+                "duplicate factor cell", f"{day.isoformat()}/{token}/{category}/{factor}: last value wins"
+            ))
         self.cells[key] = value
 
     def series(self, token: str, factor: str, category: str | None = None) -> dict[date, float]:
@@ -334,7 +320,7 @@ def load_vote_log(
             voter = row["voter"].strip().lower()
             option_id = int(row["option_id"])
             weight = Decimal(row["weight"].strip())
-            if not weight.is_finite():
+            if not (weight.is_finite() and math.isfinite(float(weight))):
                 raise ValueError(f"non-finite weight {row['weight']!r}")
             timestamp = parse_timestamp(row["timestamp"])
         except (ValueError, ArithmeticError) as exc:
@@ -370,33 +356,23 @@ def load_factors(path: str | Path) -> FactorPanel:
         try:
             day = date.fromisoformat(row["date"].strip())
         except ValueError:
-            panel.anomalies.append(
-                Anomaly("bad factor date", "warning", f"line {lineno}: {row['date']!r}")
-            )
+            panel.anomalies.append(Anomaly("bad factor date", f"line {lineno}: {row['date']!r}"))
             continue
         try:
             value = float(row["value"])
         except ValueError:
-            panel.anomalies.append(
-                Anomaly("bad factor value", "warning", f"line {lineno}: {row['value']!r}")
-            )
+            panel.anomalies.append(Anomaly("bad factor value", f"line {lineno}: {row['value']!r}"))
             continue
         if value != value or value in (float("inf"), float("-inf")):
-            panel.anomalies.append(
-                Anomaly("bad factor value", "warning", f"line {lineno}: non-finite, skipped")
-            )
+            panel.anomalies.append(Anomaly("bad factor value", f"line {lineno}: non-finite, skipped"))
             continue
         token = row["token"].strip()
         category = row["category"].strip()
         factor = row["factor"].strip()
         if category not in FACTOR_CATEGORIES:
-            panel.anomalies.append(
-                Anomaly("unknown category", "warning", f"line {lineno}: {category!r}")
-            )
+            panel.anomalies.append(Anomaly("unknown category", f"line {lineno}: {category!r}"))
         elif not is_known_factor(token, category, factor):
-            panel.anomalies.append(
-                Anomaly("unknown factor", "warning", f"line {lineno}: {token}/{factor} kept, flagged")
-            )
+            panel.anomalies.append(Anomaly("unknown factor", f"line {lineno}: {token}/{factor} kept, flagged"))
         panel.put(day, token, category, factor, value)
     return panel
 
@@ -434,20 +410,16 @@ def final_ballots(log: VoteLog, poll_id: int, rule: str = "last") -> list[FinalB
     return ballots
 
 
-def winning_option(
-    ballots: list[FinalBallot], exclude_options: frozenset[int] | set[int] = frozenset()
-) -> Winner:
-    """Option with the largest summed final weight; ties go to the smallest id."""
+def winning_option(ballots: list[FinalBallot]) -> int:
+    """Id of the option with the largest summed final weight; ties go to the
+    smallest id."""
     totals: dict[int, Decimal] = {}
     for ballot in ballots:
-        if ballot.option_id in exclude_options:
-            continue
         totals[ballot.option_id] = totals.get(ballot.option_id, Decimal(0)) + ballot.weight
     if not totals:
         raise ValueError("no votes")
     best = max(totals.values())
-    winners = sorted(oid for oid, total in totals.items() if total == best)
-    return Winner(option_id=winners[0], tied=len(winners) > 1)
+    return min(oid for oid, total in totals.items() if total == best)
 
 
 def validate_dataset(log: VoteLog) -> ValidationReport:
@@ -459,10 +431,7 @@ def validate_dataset(log: VoteLog) -> ValidationReport:
     listed = {poll_id: {oid for oid, _ in poll.options} for poll_id, poll in log.registry.items()}
     seen_keys: set[tuple[int, str, int]] = set()
     for event in log.events:
-        poll = log.registry.get(event.poll_id)
-        if poll is None:
-            report.add("unknown poll", f"event poll {event.poll_id}", severity="fatal")
-            continue
+        poll = log.registry[event.poll_id]
         if listed[event.poll_id] and event.option_id not in listed[event.poll_id]:
             report.add(
                 "unknown option",
@@ -481,10 +450,7 @@ def validate_dataset(log: VoteLog) -> ValidationReport:
             report.add("duplicate key", f"poll {event.poll_id}, voter {event.voter}, t={event.timestamp}")
         seen_keys.add(key)
     for poll in sorted(log.registry.values(), key=lambda p: p.poll_id):
-        option_ids = [oid for oid, _ in poll.options]
-        if len(option_ids) != len(set(option_ids)):
-            report.add("duplicate option ids", f"poll {poll.poll_id}")
-        unknown_abstain = poll.abstain_option_ids - set(option_ids)
+        unknown_abstain = poll.abstain_option_ids - listed[poll.poll_id]
         if poll.options and unknown_abstain:
             report.add("abstain id not an option", f"poll {poll.poll_id}: {sorted(unknown_abstain)}")
     return report

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
 
-from govpulse.centrality import BallotPass, PollMetrics, ballot_pass, utc_day
-from govpulse.govdata import VoteLog
+from govpulse.centrality import BallotPass, PollMetrics, utc_day
 
 RANK_CRITERIA = ("involved_polls", "total_votes", "highest_single_vote")
 
@@ -94,11 +93,6 @@ def describe_polls(metrics: list[PollMetrics]) -> dict[str, SummaryStats]:
     return {name: SummaryStats.describe(values) for name, values in columns.items()}
 
 
-def poll_descriptives(log: VoteLog, ballot_rule: str = "last") -> dict[str, SummaryStats]:
-    """``describe_polls`` over the poll metrics of ``ballot_pass``."""
-    return describe_polls(ballot_pass(log, ballot_rule=ballot_rule).polls)
-
-
 def profiles_from_pass(passed: BallotPass, identities: dict[str, str]) -> list[VoterProfile]:
     """One profile per unique address, totals over the pass's final ballots."""
     involved: dict[str, int] = {}
@@ -128,11 +122,6 @@ def profiles_from_pass(passed: BallotPass, identities: dict[str, str]) -> list[V
         )
         for address in sorted(involved)
     ]
-
-
-def voter_profiles(log: VoteLog, ballot_rule: str = "last") -> list[VoterProfile]:
-    """``profiles_from_pass`` over ``ballot_pass``."""
-    return profiles_from_pass(ballot_pass(log, ballot_rule=ballot_rule), log.identities)
 
 
 def voter_descriptives(profiles: list[VoterProfile]) -> dict[str, SummaryStats]:

@@ -441,9 +441,10 @@ def lorenz_csv(curve: LorenzCurve) -> list[list[str]]:
 
 
 def validation_csv(report) -> list[list[str]]:
+    """Anomaly rows; the severity column always reads ``warning``."""
     out = [["kind", "severity", "detail"]]
     for anomaly in report.anomalies:
-        out.append([anomaly.kind, anomaly.severity, anomaly.detail])
+        out.append([anomaly.kind, "warning", anomaly.detail])
     return out
 
 

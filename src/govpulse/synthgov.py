@@ -309,12 +309,10 @@ class FactorPlan:
 
 @dataclass(frozen=True)
 class EndogenousBlock:
-    """Shared-confound block: gamma on the confound, instrument on the measure."""
+    """Shared-confound block: gamma is the confound's loading in the proxy of
+    the plan's instrumented measure and in every planted factor."""
 
-    measure: str = "Voters"
     gamma: float = 0.8
-    instrument_strength: float = 1.0
-    instrument_noise: float = 0.5
 
 
 @dataclass
@@ -356,27 +354,16 @@ def gen_panel(metrics: list[DailyMetrics], plan: PanelPlan, seed: int) -> SynthP
 
     endo = plan.endogenous
     confound = rng.standard_normal(n) if endo is not None else None
-    proxy = None
-    if endo is not None:
-        base = standardized[endo.measure]
-        instrument_values = (
-            endo.instrument_strength * base
-            + endo.instrument_noise * rng.standard_normal(n)
-        )
-        proxy = base + endo.gamma * confound
-    else:
-        base = standardized[plan.instrument_measure]
-        instrument_values = (
-            plan.instrument_strength * base
-            + plan.instrument_noise * rng.standard_normal(n)
-        )
+    base = standardized[plan.instrument_measure]
+    instrument_values = plan.instrument_strength * base + plan.instrument_noise * rng.standard_normal(n)
+    proxy = base + endo.gamma * confound if endo is not None else None
 
     panel = FactorPanel()
     for fp in plan.factors:
         driver = {name: standardized[name] for name in fp.loadings}
         values = np.full(n, fp.intercept, dtype=float)
         for name, loading in fp.loadings.items():
-            values = values + loading * (proxy if (endo and name == endo.measure) else driver[name])
+            values = values + loading * (proxy if (endo and name == plan.instrument_measure) else driver[name])
         if endo is not None:
             values = values + endo.gamma * confound
         values = values + fp.noise_std * rng.standard_normal(n)

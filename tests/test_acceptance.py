@@ -93,7 +93,7 @@ def test_criterion_4_metric_shape_bracket():
         )
         log = synthgov.gen_history(config)
         assert len(log.registry) == 638
-        rows = centrality.all_poll_metrics(log)
+        rows = centrality.ballot_pass(log).polls
         ginis.append(np.mean([m.gini for m in rows]))
         shares.append(np.mean([m.largest_share for m in rows]))
     mean_gini = float(np.mean(ginis))
@@ -208,7 +208,7 @@ def test_criterion_7_planted_effect_pipeline():
             seed=9000 + seed,
         )
         log = synthgov.gen_history(config)
-        daily = centrality.daily_metrics(log)
+        daily = centrality.daily_from_pass(centrality.ballot_pass(log))
         plan = synthgov.PanelPlan(
             factors=[
                 synthgov.FactorPlan(
@@ -302,10 +302,11 @@ def test_criterion_9_conditional_replication_contract(tmp_path):
     )
 
     log = load_vote_log(data / "votes.csv", data / "polls.csv")
-    rows = centrality.all_poll_metrics(log)
+    passed = centrality.ballot_pass(log)
+    rows = passed.polls
     share_ok = all(m.largest_share_win <= m.largest_share + 1e-12 for m in rows)
     by_polls = sum((m.total_votes for m in rows), Decimal(0))
-    by_voters = sum((p.total_votes for p in profiles.voter_profiles(log)), Decimal(0))
+    by_voters = sum((p.total_votes for p in profiles.profiles_from_pass(passed, log.identities)), Decimal(0))
     conservation_ok = by_polls == by_voters
 
     real_export = os.environ.get("GOVPULSE_REAL_EXPORT")
@@ -347,7 +348,7 @@ def test_criterion_10_performance_envelope():
     ]
     start = time.perf_counter()
     log = synthgov.gen_history(config)
-    daily = centrality.daily_metrics(log)
+    daily = centrality.daily_from_pass(centrality.ballot_pass(log))
     bundle = synthgov.gen_panel(daily, synthgov.PanelPlan(factors=plan_factors), seed=314)
     panel = factorlab.build_panel(bundle.panel, daily)
     grid = econ.run_factor_matrix(panel, tokens=tokens)

@@ -2,7 +2,7 @@
 
 The oracles below aggregate the way every consumer did before the pass
 existed: each one calls ``final_ballots`` (directly or through
-``poll_metrics``) for every poll it needs. Decimal fields must agree
+``oracle_poll``) for every poll it needs. Decimal fields must agree
 exactly, floats to 1e-12 relative.
 """
 
@@ -21,17 +21,16 @@ from govpulse.centrality import (
     CALENDAR_MODES,
     DAILY_GINI_MODES,
     DailyMetrics,
+    _measure_poll,
     ballot_pass,
     daily_from_pass,
     daily_gini,
-    daily_metrics,
     fill_calendar,
     gini_mean_difference,
-    poll_metrics,
     utc_day,
 )
 from govpulse.govdata import final_ballots
-from govpulse.profiles import VoterProfile, profiles_from_pass, voter_profiles
+from govpulse.profiles import VoterProfile, profiles_from_pass
 
 RULES = ("last", "first")
 WEIGHTS = st.one_of(
@@ -68,10 +67,16 @@ def vote_logs(draw):
     return make_log(events, polls, identities={addr(1): "one", addr(4): "four"})
 
 
+def oracle_poll(log, poll_id, ballot_rule, order_rule):
+    """One poll's metrics from its own ``final_ballots`` call."""
+    ballots = final_ballots(log, poll_id, rule=ballot_rule)
+    return _measure_poll(log.registry[poll_id], ballots, len(log.poll_events(poll_id)), order_rule)
+
+
 def oracle_polls(log, ballot_rule, order_rule):
     out = []
     for poll_id in log.poll_ids():
-        pm = poll_metrics(log, poll_id, ballot_rule=ballot_rule, order_rule=order_rule)
+        pm = oracle_poll(log, poll_id, ballot_rule, order_rule)
         if pm is not None:
             out.append(pm)
     return out
@@ -82,7 +87,7 @@ def oracle_daily(log, calendar_mode, daily_gini_mode, ballot_rule, order_rule):
     for poll_id in log.poll_ids():
         day = utc_day(log.registry[poll_id].deploy_timestamp)
         poll_counts[day] = poll_counts.get(day, 0) + 1
-        pm = poll_metrics(log, poll_id, ballot_rule=ballot_rule, order_rule=order_rule)
+        pm = oracle_poll(log, poll_id, ballot_rule, order_rule)
         if pm is None:
             continue
         per_day.setdefault(day, []).append(pm)
@@ -166,7 +171,6 @@ def test_single_pass_matches_per_poll_oracle(log):
         want_profiles = oracle_profiles(log, ballot_rule)
         assert_same(profiles_from_pass(ballot_pass(log, ballot_rule=ballot_rule), log.identities),
                     want_profiles)
-        assert_same(voter_profiles(log, ballot_rule=ballot_rule), want_profiles)
         for order_rule in RULES:
             passed = ballot_pass(log, ballot_rule=ballot_rule, order_rule=order_rule)
             assert_same(passed.polls, oracle_polls(log, ballot_rule, order_rule))
@@ -177,7 +181,4 @@ def test_single_pass_matches_per_poll_oracle(log):
                 for calendar_mode in CALENDAR_MODES:
                     want = oracle_daily(log, calendar_mode, gini_mode, ballot_rule, order_rule)
                     assert_same(daily_from_pass(passed, calendar_mode, gini_mode), want)
-                    assert_same(
-                        daily_metrics(log, calendar_mode, gini_mode, ballot_rule, order_rule), want
-                    )
 

@@ -10,8 +10,9 @@ import pytest
 
 from conftest import DAY0, addr, make_log, make_poll
 from govpulse.centrality import (
+    ballot_pass,
+    daily_from_pass,
     daily_gini,
-    daily_metrics,
     gini_from_alpha,
     gini_mean_difference,
     largest_voter_stats,
@@ -171,8 +172,7 @@ def test_daily_gini_monotone_in_concentration():
 
 def test_largest_voter_stats_single_voter():
     ballots = _ballots(11)
-    winner = winning_option(ballots)
-    assert largest_voter_stats(ballots, winner.option_id) == (1.0, 1, 1.0, 1.0)
+    assert largest_voter_stats(ballots, winning_option(ballots)) == (1.0, 1, 1.0, 1.0)
 
 
 def test_largest_voter_stats_winner_case():
@@ -260,7 +260,7 @@ def test_daily_metrics_single_poll_equals_poll_values():
         [(1, addr(1), 1, "60", DAY0 + 100), (1, addr(2), 2, "40", DAY0 + 300)],
         [make_poll(1, DAY0)],
     )
-    (row,) = daily_metrics(log)
+    (row,) = daily_from_pass(ballot_pass(log))
     assert row.voters == 2
     assert row.total_votes == Decimal(100)
     assert row.largest_share == 0.6
@@ -277,7 +277,7 @@ def test_daily_metrics_two_identical_polls_sum_vs_average():
             (poll_id, addr(2), 2, "40", DAY0 + 300),
         ]
     log = make_log(events, [make_poll(1, DAY0), make_poll(2, DAY0)])
-    (row,) = daily_metrics(log)
+    (row,) = daily_from_pass(ballot_pass(log))
     assert row.voters == 4  # summed
     assert row.total_votes == Decimal(200)  # summed
     assert row.largest_share == 0.6  # averaged, unchanged
@@ -293,10 +293,10 @@ def test_daily_metrics_ascending_dates_and_full_calendar():
         ],
         [make_poll(1, DAY0), make_poll(2, DAY0 + 3 * 86400)],
     )
-    dropped = daily_metrics(log, calendar_mode="drop-missing")
+    dropped = daily_from_pass(ballot_pass(log), calendar_mode="drop-missing")
     assert [r.day.toordinal() for r in dropped] == sorted(r.day.toordinal() for r in dropped)
     assert len(dropped) == 2
-    full = daily_metrics(log, calendar_mode="full-calendar")
+    full = daily_from_pass(ballot_pass(log), calendar_mode="full-calendar")
     assert len(full) == 4
     missing = [r for r in full if r.missing]
     assert len(missing) == 2
@@ -309,7 +309,7 @@ def test_full_calendar_reaches_last_representable_day():
         [(i + 1, addr(1), 1, "5", deploy + 10) for i, deploy in enumerate(deploys)],
         [make_poll(i + 1, deploy) for i, deploy in enumerate(deploys)],
     )
-    full = daily_metrics(log, calendar_mode="full-calendar")
+    full = daily_from_pass(ballot_pass(log), calendar_mode="full-calendar")
     assert [r.day.isoformat() for r in full] == ["9999-12-29", "9999-12-30", "9999-12-31"]
 
 
@@ -322,7 +322,7 @@ def test_daily_metrics_gini_modes_differ_on_heterogeneous_day():
     ]
     log = make_log(events, [make_poll(1, DAY0), make_poll(2, DAY0)])
     by_mode = {
-        mode: daily_metrics(log, daily_gini_mode=mode)[0].gini
+        mode: daily_from_pass(ballot_pass(log), daily_gini_mode=mode)[0].gini
         for mode in ("mle", "mean_of_polls", "pooled_sample")
     }
     assert by_mode["mean_of_polls"] == pytest.approx(

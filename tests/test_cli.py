@@ -134,14 +134,26 @@ def test_ingest_skips_non_finite_weights(tmp_path):
         (1, "0xc", 2, "sNaN", DAY0 + 30),
         (1, "0xd", 2, "Infinity", DAY0 + 40),
         (1, "0xe", 2, "5", DAY0 + 50),
+        (1, "0xf", 2, "1e400", DAY0 + 60),  # finite decimal, infinite float
+        (1, "0x1", 2, "-1e400", DAY0 + 70),
     ])
     write_polls_csv(polls, [(1, DAY0, "poll 1", "1:yes|2:no", "")])
     code = exec_command(["ingest", "--votes", str(votes), "--polls", str(polls), "--out-dir", str(out)])
     assert code == 0
     with open(out / "validation.csv", newline="") as handle:
         rows = [row for row in csv.DictReader(handle) if row["kind"] == "bad vote row"]
-    assert [row["detail"].split(":")[0] for row in rows] == ["line 3", "line 4", "line 5"]
+    assert [row["detail"].split(":")[0] for row in rows] == ["line 3", "line 4", "line 5", "line 7", "line 8"]
     assert "events: 2" in (out / "ingest_summary.txt").read_text()
+
+
+def test_ingest_reports_duplicate_option_ids_once(tmp_path):
+    votes, polls, out = tmp_path / "votes.csv", tmp_path / "polls.csv", tmp_path / "out"
+    write_votes_csv(votes, [(1, "0xa", 1, "10", DAY0 + 10)])
+    write_polls_csv(polls, [(1, DAY0, "poll 1", "1:yes|1:no", "")])
+    assert exec_command(["ingest", "--votes", str(votes), "--polls", str(polls), "--out-dir", str(out)]) == 0
+    with open(out / "validation.csv", newline="") as handle:
+        rows = [(row["kind"], row["detail"]) for row in csv.DictReader(handle)]
+    assert rows == [("duplicate option ids", "poll 1")]
 
 
 @pytest.mark.parametrize("column", ["vote", "deploy"])
@@ -245,22 +257,19 @@ def test_regress_and_iv_outputs(synth_dir, tmp_path):
 
 
 def test_report_grids_match_regress_and_iv(synth_dir, tmp_path):
-    base = [
-        "--votes", str(synth_dir / "votes.csv"),
-        "--polls", str(synth_dir / "polls.csv"),
-        "--factors", str(synth_dir / "factors.csv"),
-        "--tokens", "MKR",
-        "--measures", "Voters,Speed",
-    ]
-    for command in ("report", "regress", "iv"):
-        assert exec_command([command, *base, "--out-dir", str(tmp_path / command)]) == 0, command
-    names = ["ols_grid.csv", "effects_MKR.md"]
-    names += [path.name for path in (tmp_path / "regress").glob("ols_MKR_*.md")]
-    names += ["iv_grid.csv"] + [path.name for path in (tmp_path / "iv").glob("iv_MKR_*.md")]
-    assert len(names) == 13
-    for name in names:
-        single = tmp_path / ("iv" if name.startswith("iv") else "regress") / name
-        assert (tmp_path / "report" / name).read_bytes() == single.read_bytes(), name
+    data = ["--votes", str(synth_dir / "votes.csv"), "--polls", str(synth_dir / "polls.csv")]
+    grid = ["--factors", str(synth_dir / "factors.csv"), "--tokens", "MKR", "--measures", "Voters,Speed"]
+    for command, flags in (("report", grid), ("regress", grid), ("iv", grid), ("metrics", []), ("describe", [])):
+        argv = [command, *data, *flags, "--out-dir", str(tmp_path / command)]
+        assert exec_command(argv) == 0, command
+    source = {"ols_grid.csv": "regress", "effects_MKR.md": "regress", "iv_grid.csv": "iv", "metrics.csv": "metrics"}
+    source.update((path.name, "regress") for path in (tmp_path / "regress").glob("ols_MKR_*.md"))
+    source.update((path.name, "iv") for path in (tmp_path / "iv").glob("iv_MKR_*.md"))
+    for name in ("poll_descriptives.csv", "poll_descriptives.md", "profiles.csv", "voter_descriptives.md"):
+        source[name] = "describe"
+    assert len(source) == 18
+    for name, command in source.items():
+        assert (tmp_path / "report" / name).read_bytes() == (tmp_path / command / name).read_bytes(), name
 
 
 def test_bad_measures_flag_exits_1(synth_dir, tmp_path):

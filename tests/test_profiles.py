@@ -9,13 +9,21 @@ import numpy as np
 import pytest
 
 from conftest import DAY0, addr, make_log, make_poll
-from govpulse.centrality import all_poll_metrics
+from govpulse.centrality import ballot_pass
 from govpulse.profiles import (
-    poll_descriptives,
+    describe_polls,
+    profiles_from_pass,
     rank_voters,
     voter_descriptives,
-    voter_profiles,
 )
+
+
+def _profiles(log):
+    return profiles_from_pass(ballot_pass(log), log.identities)
+
+
+def _poll_stats(log):
+    return describe_polls(ballot_pass(log).polls)
 
 
 def _whale_log():
@@ -29,7 +37,7 @@ def _whale_log():
 
 
 def test_voter_profile_repeat_whale():
-    profiles = {p.address: p for p in voter_profiles(_whale_log())}
+    profiles = {p.address: p for p in _profiles(_whale_log())}
     whale = profiles[addr(16)]
     assert whale.involved_polls == 3
     assert whale.total_votes == Decimal(96480)
@@ -40,7 +48,7 @@ def test_voter_profile_repeat_whale():
 
 def test_voter_profile_single_ballot():
     log = make_log([(1, addr(1), 1, "7.5", DAY0 + 10)], [make_poll(1, DAY0)])
-    (profile,) = voter_profiles(log)
+    (profile,) = _profiles(log)
     assert profile.total_votes == profile.highest_single_vote == Decimal("7.5")
     assert profile.involved_polls == 1
     assert profile.first_date.isoformat() == "2021-03-01"
@@ -51,7 +59,7 @@ def test_profiles_count_final_ballots_only():
         [(1, addr(1), 1, "5", DAY0 + 10), (1, addr(1), 2, "5", DAY0 + 20)],
         [make_poll(1, DAY0)],
     )
-    (profile,) = voter_profiles(log)
+    (profile,) = _profiles(log)
     assert profile.involved_polls == 1
     assert profile.total_votes == Decimal(5)
 
@@ -66,14 +74,14 @@ def test_total_votes_conservation_decimal_exact():
             weight = f"{rng.random() * 100:.18f}"
             events.append((pid, addr(int(v) + 1), 1, weight, DAY0 + pid * 3600 + int(v) + 1))
     log = make_log(events, polls)
-    by_voters = sum((p.total_votes for p in voter_profiles(log)), Decimal(0))
-    by_polls = sum((m.total_votes for m in all_poll_metrics(log)), Decimal(0))
+    by_voters = sum((p.total_votes for p in _profiles(log)), Decimal(0))
+    by_polls = sum((m.total_votes for m in ballot_pass(log).polls), Decimal(0))
     assert by_voters == by_polls
 
 
 def test_rank_voters_descending_and_prefix():
     log = _whale_log()
-    profiles = voter_profiles(log)
+    profiles = _profiles(log)
     top = rank_voters(profiles, "total_votes", 2)
     assert [p.address for p in top] == [addr(16), addr(2)]
     assert set(p.address for p in top) <= {p.address for p in profiles}
@@ -88,12 +96,12 @@ def test_rank_voters_tie_broken_by_address():
         (1, addr(3), 2, "10", DAY0 + 20),
     ]
     log = make_log(events, [make_poll(1, DAY0)])
-    top = rank_voters(voter_profiles(log), "total_votes", 2)
+    top = rank_voters(_profiles(log), "total_votes", 2)
     assert [p.address for p in top] == [addr(3), addr(5)]
 
 
 def test_rank_voters_bad_args():
-    profiles = voter_profiles(_whale_log())
+    profiles = _profiles(_whale_log())
     with pytest.raises(ValueError):
         rank_voters(profiles, "shoe_size", 3)
     with pytest.raises(ValueError):
@@ -107,7 +115,7 @@ def test_poll_descriptives_single_poll_no_abstain():
         (1, addr(3), 2, "2", DAY0 + 30),
     ]
     log = make_log(events, [make_poll(1, DAY0)])
-    stats = poll_descriptives(log)
+    stats = _poll_stats(log)
     assert stats["total_votes"].mean == 10.0
     assert stats["total_votes"].minimum == stats["total_votes"].maximum == 10.0
     assert stats["total_voters"].mean == 3.0
@@ -122,7 +130,7 @@ def test_poll_descriptives_largest_share_mean():
         (2, addr(2), 2, "20", DAY0 + 40),
     ]
     log = make_log(events, [make_poll(1, DAY0), make_poll(2, DAY0)])
-    stats = poll_descriptives(log)
+    stats = _poll_stats(log)
     assert stats["largest_share"].mean == pytest.approx(0.7)
 
 
@@ -133,7 +141,7 @@ def test_poll_descriptives_abstain_breakdown():
         (1, addr(2), 3, "40", DAY0 + 20),  # abstain option
     ]
     log = make_log(events, [poll])
-    stats = poll_descriptives(log)
+    stats = _poll_stats(log)
     assert stats["breakdown_votes"].mean == 60.0
     assert stats["breakdown_ratio"].mean == pytest.approx(0.6)
     assert stats["breakdown_voters"].mean == 1.0
@@ -142,7 +150,7 @@ def test_poll_descriptives_abstain_breakdown():
 def test_poll_descriptives_empty_raises():
     log = make_log([], [make_poll(1, DAY0)])
     with pytest.raises(ValueError):
-        poll_descriptives(log)
+        _poll_stats(log)
 
 
 def test_descriptives_match_sort_oracle_on_random_logs():
@@ -156,15 +164,15 @@ def test_descriptives_match_sort_oracle_on_random_logs():
                 weight = f"{float(rng.random() * 50 + 0.01):.6f}"
                 events.append((pid, addr(v + 1), 1, weight, DAY0 + pid * 1000 + v + 1))
         log = make_log(events, polls)
-        stats = poll_descriptives(log)["total_votes"]
-        totals = sorted(float(m.total_votes) for m in all_poll_metrics(log))
+        stats = _poll_stats(log)["total_votes"]
+        totals = sorted(float(m.total_votes) for m in ballot_pass(log).polls)
         assert stats.minimum == pytest.approx(totals[0])
         assert stats.maximum == pytest.approx(totals[-1])
         assert stats.median == pytest.approx(statistics.median(totals))
 
 
 def test_voter_descriptives_columns():
-    stats = voter_descriptives(voter_profiles(_whale_log()))
+    stats = voter_descriptives(_profiles(_whale_log()))
     assert stats["involved_polls"].maximum == 3.0
     assert stats["highest_single_vote"].maximum == 32160.0
     assert stats["first_poll"].minimum == 631.0

@@ -8,7 +8,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from govpulse.centrality import DailyMetrics, all_poll_metrics
+from govpulse.centrality import DailyMetrics, ballot_pass
 from govpulse.econ import endogeneity_tests, ols, run_factor_matrix
 from govpulse.factorlab import build_panel
 from govpulse.synthgov import (
@@ -83,7 +83,7 @@ def test_turnout_probabilities_mean_and_bounds():
 
 def test_largest_wins_prob_one_always_wins():
     log = gen_history(_config(largest_wins_prob=1.0))
-    metrics = all_poll_metrics(log)
+    metrics = ballot_pass(log).polls
     assert metrics and all(m.ifwin == 1 for m in metrics)
 
 
@@ -93,7 +93,7 @@ def test_largest_wins_prob_zero_mostly_loses_with_light_tail():
         largest_wins_prob=0.0, days=10,
     )
     log = gen_history(config)
-    metrics = all_poll_metrics(log)
+    metrics = ballot_pass(log).polls
     assert np.mean([m.ifwin for m in metrics]) < 0.2
 
 
@@ -113,7 +113,7 @@ def test_largest_share_monotone_in_tail_index():
                 days=5, polls_per_day=("constant", 4), voter_pool=100,
                 participation_rate=0.2, holdings_alpha=alpha, seed=seed,
             )
-            metrics = all_poll_metrics(gen_history(config))
+            metrics = ballot_pass(gen_history(config)).polls
             values.extend(m.largest_share for m in metrics)
         shares.append(np.mean(values))
     assert shares == sorted(shares)  # heavier tail -> larger dominant share
@@ -187,7 +187,7 @@ def test_gen_panel_endogenous_mode_durbin_power():
             factors=[
                 FactorPlan("MKR", "transaction", "TxnCnt", loadings={"Voters": 1.0}, noise_std=0.5)
             ],
-            endogenous=EndogenousBlock(measure="Voters", gamma=0.8, instrument_strength=1.0),
+            endogenous=EndogenousBlock(gamma=0.8),
         )
         bundle = gen_panel(metrics, plan, seed=seed)
         days = sorted(bundle.instrument)
