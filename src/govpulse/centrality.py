@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 
-from govpulse.govdata import FinalBallot, PollRecord, VoteLog, final_ballots, winning_option
+from govpulse.govdata import EXACT, FinalBallot, PollRecord, VoteLog, exact_sum, final_ballots, winning_option
 
 GINI_UPPER = 1.0 - 1e-9
 
@@ -119,8 +119,7 @@ def _weights_array(ballots: list[FinalBallot]) -> np.ndarray:
 
 def poll_participation(ballots: list[FinalBallot]) -> tuple[Decimal, int]:
     """Total final votes and number of voters in one poll."""
-    total = sum((b.weight for b in ballots), Decimal(0))
-    return total, len(ballots)
+    return exact_sum(b.weight for b in ballots), len(ballots)
 
 
 def gini_mean_difference(weights: np.ndarray) -> float:
@@ -174,8 +173,9 @@ def gini_from_alpha(alpha: float) -> float:
 def _pooled_voter_totals(ballots: list[FinalBallot]) -> np.ndarray:
     """Each voter's summed weight over the ballots, positive totals only."""
     totals: dict[str, Decimal] = {}
-    for ballot in ballots:
-        totals[ballot.voter] = totals.get(ballot.voter, Decimal(0)) + ballot.weight
+    with localcontext(EXACT):
+        for ballot in ballots:
+            totals[ballot.voter] = totals.get(ballot.voter, Decimal(0)) + ballot.weight
     return np.array([float(v) for v in totals.values() if v > 0], dtype=float)
 
 
@@ -208,7 +208,7 @@ def largest_voter_stats(
     if order_rule not in ("last", "first"):
         raise ValueError(f"unknown order rule: {order_rule!r}")
     largest = ballots[0]
-    total = sum((b.weight for b in ballots), Decimal(0))
+    total = exact_sum(b.weight for b in ballots)
     if total <= 0:
         raise ValueError("all ballots have zero weight")
     if n_records is None:
@@ -244,7 +244,7 @@ def _measure_poll(
         ballots, winner, n_records=n_records, order_rule=order_rule
     )
     abstain = poll.abstain_option_ids
-    breakdown = sum((b.weight for b in ballots if b.option_id not in abstain), Decimal(0))
+    breakdown = exact_sum(b.weight for b in ballots if b.option_id not in abstain)
     breakdown_voters = sum(1 for b in ballots if b.option_id not in abstain)
     return PollMetrics(
         poll_id=poll.poll_id,
@@ -334,7 +334,7 @@ def daily_from_pass(
                 day=day,
                 poll_count=passed.poll_counts[day],
                 voters=sum(p.voters for p in polls),
-                total_votes=sum((p.total_votes for p in polls), Decimal(0)),
+                total_votes=exact_sum(p.total_votes for p in polls),
                 largest_share=sum(p.largest_share for p in polls) / n,
                 largest_share_win=sum(p.largest_share_win for p in polls) / n,
                 order=sum(p.order for p in polls) / n,

@@ -15,11 +15,8 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
-import tempfile
 import traceback
-from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +24,12 @@ import numpy as np
 import govpulse
 from govpulse import centrality, econ, factorlab, profiles, report, synthgov
 from govpulse.govdata import (
+    FACTORS_HEADER,
+    REGRESSION_CATEGORIES,
     SchemaError,
+    atomic_open,
+    exact_sum,
+    factor_rows,
     load_factors,
     load_vote_log,
     validate_dataset,
@@ -36,24 +38,14 @@ from govpulse.govdata import (
 )
 
 
-REGRESSION_CATEGORIES = ("financial", "transaction", "exchange", "network", "sentiment")
-
-
 class PipelineError(Exception):
     """A run that cannot go on, such as a bad option value or a violated
     identity: exit code 1."""
 
 
-def _atomic_write(path: Path, data: str | bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with tempfile.NamedTemporaryFile(
-        mode, dir=path.parent, prefix=f".{path.name}.", delete=False,
-        **({} if isinstance(data, bytes) else {"encoding": "utf-8", "newline": ""}),
-    ) as handle:
+def _atomic_write(path: Path, data: str) -> None:
+    with atomic_open(path) as handle:
         handle.write(data)
-        temp_name = handle.name
-    os.replace(temp_name, path)
 
 
 def _write_csv(path: Path, rows: list[list[str]]) -> None:
@@ -144,8 +136,8 @@ def _structural_checks(poll_metrics_rows, profile_rows) -> None:
             raise PipelineError(
                 f"identity violated: largest_share_win > largest_share in poll {pm.poll_id}"
             )
-    total_by_polls = sum((pm.total_votes for pm in poll_metrics_rows), Decimal(0))
-    total_by_voters = sum((p.total_votes for p in profile_rows), Decimal(0))
+    total_by_polls = exact_sum(pm.total_votes for pm in poll_metrics_rows)
+    total_by_voters = exact_sum(p.total_votes for p in profile_rows)
     if total_by_voters != total_by_polls:
         raise PipelineError(
             "identity violated: voter totals do not add up to poll totals "
@@ -221,12 +213,7 @@ def _build_panel(args: argparse.Namespace, run: Run, daily: list[centrality.Dail
     run.digest_input("factors", args.factors)
     raw = load_factors(args.factors)
     panel = factorlab.build_panel(raw, daily, vol_mode=args.vol)
-    rows = [["date", "token", "category", "factor", "value"]]
-    rows += [
-        [day, token, category, factor, repr(value)]
-        for day, token, category, factor, value in factorlab.panel_rows(panel)
-    ]
-    run.emit_csv("panel.csv", rows)
+    run.emit_csv("panel.csv", [FACTORS_HEADER, *factor_rows(panel.factors, panel.instrument)])
     return panel
 
 
@@ -345,7 +332,6 @@ def cmd_synth(args: argparse.Namespace, run: Run) -> None:
         config.seed = args.seed
     log = synthgov.gen_history(config)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_vote_log(log, out / "votes.csv", out / "polls.csv")
     run.outputs.extend(["votes.csv", "polls.csv"])
     daily = centrality.daily_from_pass(centrality.ballot_pass(log))

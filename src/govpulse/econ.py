@@ -36,14 +36,8 @@ STAR_THRESHOLDS = (0.10, 0.05, 0.01)
 
 
 def t_pvalue(t: float, dof: int) -> float:
-    """Two-sided p-value of a t statistic via the regularized incomplete beta."""
-    if dof < 1:
-        raise ValueError("degrees of freedom must be positive")
-    if math.isinf(t):
-        return 0.0
-    if t != t:
-        return float("nan")
-    return float(special.betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
+    """Two-sided p-value of a t statistic: the F(1, dof) p-value of t squared."""
+    return f_pvalue(t * t, 1, dof)
 
 
 def f_pvalue(f: float, d1: int, d2: int) -> float:
@@ -274,7 +268,6 @@ class GridCell:
     measure: str
     status: str  # "ok" | "no data" | "error: ..."
     fit: OlsFit | IvFit | None
-    dates: tuple[date, ...] = ()
 
 
 @dataclass
@@ -282,12 +275,6 @@ class RegressionGrid:
     kind: str  # "ols" | "iv"
     cells: list[GridCell]
     standardized: bool
-
-    def cell(self, token: str, factor: str, measure: str) -> GridCell | None:
-        for c in self.cells:
-            if c.token == token and c.factor == factor and c.measure == measure:
-                return c
-        return None
 
     def ok_cells(self) -> list[GridCell]:
         return [c for c in self.cells if c.status == "ok"]
@@ -324,7 +311,7 @@ def _run_grid(
                 if sample is None or len(sample[0]) < min_n:
                     cells.append(GridCell(*key, "no data", None))
                     continue
-                dates, *columns = sample
+                _, *columns = sample
                 if standardize:
                     columns = [zscore(column) for column in columns]
                 try:
@@ -332,7 +319,7 @@ def _run_grid(
                 except ValueError as exc:
                     cells.append(GridCell(*key, f"error: {exc}", None))
                     continue
-                cells.append(GridCell(*key, "ok", fit, dates))
+                cells.append(GridCell(*key, "ok", fit))
     return RegressionGrid(kind, cells, standardize)
 
 
@@ -398,9 +385,7 @@ def instrument_screen(
         if fit.r2 >= 1.0 - 1e-12:  # instrument reproduces the measure exactly
             rows.append((name, float("inf"), 0.0, "***", fit.n))
             continue
-        f_stat = fit.t1 * fit.t1
-        p = f_pvalue(f_stat, 1, fit.n - 2) if math.isfinite(f_stat) else 0.0
-        rows.append((name, f_stat, p, significance_stars(p, star_thresholds), fit.n))
+        rows.append((name, fit.t1 * fit.t1, fit.p1, fit.stars, fit.n))
     values = np.array(sorted(instrument.values()), dtype=float)
     if values.size == 0:
         raise ValueError("empty instrument series")

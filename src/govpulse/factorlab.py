@@ -23,12 +23,10 @@ from functools import lru_cache
 import numpy as np
 
 from govpulse.centrality import MEASURE_FIELDS, DailyMetrics
-from govpulse.govdata import Anomaly, FactorPanel
+from govpulse.govdata import INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR, Anomaly, FactorPanel
 
 VOL_WINDOWS = (2, 3, 4, 5, 6, 7, 14, 30, 60)
 DERIVED_FINANCIAL = ("r",) + tuple(f"v{k}" for k in VOL_WINDOWS)
-INSTRUMENT_FACTOR = "offchain_voters"
-INSTRUMENT_TOKEN = "ALL"
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ def _catalogue_keys(token: str) -> frozenset[tuple[str, str]]:
 
 
 def is_known_factor(token: str, category: str, factor: str) -> bool:
-    if category == "instrument":
+    if category == INSTRUMENT_CATEGORY:
         return factor == INSTRUMENT_FACTOR
     return (category, factor) in _catalogue_keys(token)
 
@@ -201,18 +199,13 @@ def build_panel(
     """
     if vol_mode not in ("simple", "log"):
         raise ValueError(f"unknown volatility mode: {vol_mode!r}")
-    factors: dict[tuple[str, str, str], dict[date, float]] = {}
+    factors = {key: dict(sorted(series.items())) for key, series in raw.series.items()}
     anomalies: list[Anomaly] = list(raw.anomalies)
-    for (day, token, category, factor), value in raw.cells.items():
-        if category == "instrument":
-            continue
-        factors.setdefault((token, category, factor), {})[day] = value
-
     for token in sorted({tok for (tok, _, _) in factors}):
         prices = factors.get((token, "financial", "Price"))
         if not prices:
             continue
-        bad = [d for d, p in sorted(prices.items()) if p <= 0.0]
+        bad = [d for d, p in prices.items() if p <= 0.0]
         for day in bad:
             anomalies.append(Anomaly("non-positive price", f"{token} {day.isoformat()}: return left missing"))
         returns = daily_return(prices, vol_mode)
@@ -220,24 +213,9 @@ def build_panel(
         for k in VOL_WINDOWS:
             factors[(token, "financial", f"v{k}")] = rolling_vol(returns, k)
 
-    for key in list(factors):
-        factors[key] = dict(sorted(factors[key].items()))
-
     return BuiltPanel(
         factors=factors,
         measures=measures_from_daily(metrics),
-        instrument=raw.instrument_series(),
+        instrument=dict(sorted(raw.instrument.items())),
         anomalies=anomalies,
     )
-
-
-def panel_rows(panel: BuiltPanel) -> list[tuple[str, str, str, str, float]]:
-    """Long-format rows (date, token, category, factor, value) incl. derived."""
-    rows = []
-    for (token, category, factor), series in sorted(panel.factors.items()):
-        for day, value in series.items():
-            rows.append((day.isoformat(), token, category, factor, value))
-    for day, value in sorted(panel.instrument.items()):
-        rows.append((day.isoformat(), INSTRUMENT_TOKEN, "instrument", INSTRUMENT_FACTOR, value))
-    rows.sort()
-    return rows

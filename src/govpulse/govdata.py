@@ -9,18 +9,25 @@ identities.csv  address,name
 factors.csv     date,token,category,factor,value   (date = YYYY-MM-DD)
 
 Timestamps are unix seconds or ISO-8601 UTC. Vote weights are parsed as
-fixed-point decimals so that sums stay bit-stable across platforms; they are
-converted to binary floats only inside the statistics layer.
+fixed-point decimals and summed in ``EXACT``, so totals are exact and
+bit-stable across platforms; they are converted to binary floats only inside
+the statistics layer. The off-chain instrument is one date-keyed series, the
+rows of category ``instrument`` whatever their token.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import tempfile
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from decimal import Decimal, InvalidOperation
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, localcontext
 from pathlib import Path
+from typing import IO
 
 
 class SchemaError(ValueError):
@@ -32,14 +39,25 @@ POLLS_HEADER = ["poll_id", "deploy_timestamp", "title", "options", "abstain_opti
 IDENTITIES_HEADER = ["address", "name"]
 FACTORS_HEADER = ["date", "token", "category", "factor", "value"]
 
-FACTOR_CATEGORIES = (
-    "financial",
-    "transaction",
-    "exchange",
-    "network",
-    "sentiment",
-    "instrument",
-)
+REGRESSION_CATEGORIES = ("financial", "transaction", "exchange", "network", "sentiment")
+INSTRUMENT_CATEGORY = "instrument"
+INSTRUMENT_FACTOR = "offchain_voters"
+INSTRUMENT_TOKEN = "ALL"  # the token column written for instrument rows
+FACTOR_CATEGORIES = REGRESSION_CATEGORIES + (INSTRUMENT_CATEGORY,)
+
+# Vote weights are summed in this context: with the largest precision and
+# exponent range decimal allows, a sum of weights is never rounded.
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+# A weight's last digit may not lie further right than this, which bounds the
+# digits of every exact sum (a zero weight such as 0E-999999999 would
+# otherwise carry a billion zeros into it).
+MAX_WEIGHT_PLACES = 1000
+
+
+def exact_sum(values: Iterable[Decimal]) -> Decimal:
+    """Sum of decimal vote weights or totals, never rounded."""
+    with localcontext(EXACT):
+        return sum(values, Decimal(0))
 
 
 @dataclass(frozen=True)
@@ -157,37 +175,29 @@ class VoteLog:
 
 
 class FactorPanel:
-    """Date-indexed factor values keyed by (date, token, category, factor)."""
+    """Factor values: one date-keyed series per (token, category, factor),
+    and the one date-keyed instrument series."""
 
     def __init__(self) -> None:
-        self.cells: dict[tuple[date, str, str, str], float] = {}
+        self.series: dict[tuple[str, str, str], dict[date, float]] = {}
+        self.instrument: dict[date, float] = {}
         self.anomalies: list[Anomaly] = []
 
     def put(self, day: date, token: str, category: str, factor: str, value: float) -> None:
-        key = (day, token, category, factor)
-        if key in self.cells:
+        """Store one value; a second value for the same cell is flagged and
+        the last one wins. Every instrument row lands in ``instrument``."""
+        if category == INSTRUMENT_CATEGORY:
+            series = self.instrument
+        else:
+            series = self.series.setdefault((token, category, factor), {})
+        if day in series:
             self.anomalies.append(Anomaly(
                 "duplicate factor cell", f"{day.isoformat()}/{token}/{category}/{factor}: last value wins"
             ))
-        self.cells[key] = value
-
-    def series(self, token: str, factor: str, category: str | None = None) -> dict[date, float]:
-        out: dict[date, float] = {}
-        for (day, tok, cat, name), value in self.cells.items():
-            if tok == token and name == factor and (category is None or cat == category):
-                out[day] = value
-        return dict(sorted(out.items()))
-
-    def instrument_series(self, factor: str = "offchain_voters") -> dict[date, float]:
-        """The off-chain instrument rows (category ``instrument``), any token."""
-        out: dict[date, float] = {}
-        for (day, _tok, cat, name), value in self.cells.items():
-            if cat == "instrument" and name == factor:
-                out[day] = value
-        return dict(sorted(out.items()))
+        series[day] = value
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.instrument) + sum(len(series) for series in self.series.values())
 
 
 # Unix seconds of the first and the last second that have a UTC date.
@@ -322,6 +332,8 @@ def load_vote_log(
             weight = Decimal(row["weight"].strip())
             if not (weight.is_finite() and math.isfinite(float(weight))):
                 raise ValueError(f"non-finite weight {row['weight']!r}")
+            if weight.as_tuple().exponent < -MAX_WEIGHT_PLACES:
+                raise ValueError(f"weight {row['weight']!r} has over {MAX_WEIGHT_PLACES} decimal places")
             timestamp = parse_timestamp(row["timestamp"])
         except (ValueError, ArithmeticError) as exc:
             report.add("bad vote row", f"line {lineno}: {exc}")
@@ -353,8 +365,11 @@ def load_factors(path: str | Path) -> FactorPanel:
 
     panel = FactorPanel()
     for lineno, row in enumerate(_read_rows(path, FACTORS_HEADER), start=2):
+        text = row["date"].strip()
         try:
-            day = date.fromisoformat(row["date"].strip())
+            day = date.fromisoformat(text)
+            if day.isoformat() != text:  # YYYY-MM-DD only, though 3.11 also reads 20210301
+                raise ValueError(text)
         except ValueError:
             panel.anomalies.append(Anomaly("bad factor date", f"line {lineno}: {row['date']!r}"))
             continue
@@ -363,7 +378,7 @@ def load_factors(path: str | Path) -> FactorPanel:
         except ValueError:
             panel.anomalies.append(Anomaly("bad factor value", f"line {lineno}: {row['value']!r}"))
             continue
-        if value != value or value in (float("inf"), float("-inf")):
+        if not math.isfinite(value):
             panel.anomalies.append(Anomaly("bad factor value", f"line {lineno}: non-finite, skipped"))
             continue
         token = row["token"].strip()
@@ -372,6 +387,9 @@ def load_factors(path: str | Path) -> FactorPanel:
         if category not in FACTOR_CATEGORIES:
             panel.anomalies.append(Anomaly("unknown category", f"line {lineno}: {category!r}"))
         elif not is_known_factor(token, category, factor):
+            if category == INSTRUMENT_CATEGORY:  # there is one instrument series
+                panel.anomalies.append(Anomaly("unknown factor", f"line {lineno}: {token}/{factor} skipped"))
+                continue
             panel.anomalies.append(Anomaly("unknown factor", f"line {lineno}: {token}/{factor} kept, flagged"))
         panel.put(day, token, category, factor, value)
     return panel
@@ -414,8 +432,9 @@ def winning_option(ballots: list[FinalBallot]) -> int:
     """Id of the option with the largest summed final weight; ties go to the
     smallest id."""
     totals: dict[int, Decimal] = {}
-    for ballot in ballots:
-        totals[ballot.option_id] = totals.get(ballot.option_id, Decimal(0)) + ballot.weight
+    with localcontext(EXACT):
+        for ballot in ballots:
+            totals[ballot.option_id] = totals.get(ballot.option_id, Decimal(0)) + ballot.weight
     if not totals:
         raise ValueError("no votes")
     best = max(totals.values())
@@ -456,6 +475,25 @@ def validate_dataset(log: VoteLog) -> ValidationReport:
     return report
 
 
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[IO[str]]:
+    """A text handle on a temp file beside ``path``, renamed over ``path``
+    when the block ends; when the block raises, the temp file is removed and
+    ``path`` is left as it was."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    handle = tempfile.NamedTemporaryFile(
+        "w", encoding="utf-8", newline="", dir=path.parent, prefix=f".{path.name}.", delete=False
+    )
+    try:
+        with handle:
+            yield handle
+        os.replace(handle.name, path)
+    except BaseException:
+        Path(handle.name).unlink(missing_ok=True)
+        raise
+
+
 def write_vote_log(
     log: VoteLog,
     votes_path: str | Path,
@@ -463,14 +501,14 @@ def write_vote_log(
     identities_path: str | Path | None = None,
 ) -> None:
     """Serialize a VoteLog back to the CSV schemas (round-trip safe)."""
-    with Path(votes_path).open("w", encoding="utf-8", newline="") as handle:
+    with atomic_open(votes_path) as handle:
         writer = csv.writer(handle)
         writer.writerow(VOTES_HEADER)
         for event in log.events:
             writer.writerow(
                 [event.poll_id, event.voter, event.option_id, str(event.weight), event.timestamp]
             )
-    with Path(polls_path).open("w", encoding="utf-8", newline="") as handle:
+    with atomic_open(polls_path) as handle:
         writer = csv.writer(handle)
         writer.writerow(POLLS_HEADER)
         for poll in sorted(log.registry.values(), key=lambda p: p.poll_id):
@@ -478,17 +516,26 @@ def write_vote_log(
             abstain = "|".join(str(oid) for oid in sorted(poll.abstain_option_ids))
             writer.writerow([poll.poll_id, poll.deploy_timestamp, poll.title, options, abstain])
     if identities_path is not None:
-        with Path(identities_path).open("w", encoding="utf-8", newline="") as handle:
+        with atomic_open(identities_path) as handle:
             writer = csv.writer(handle)
             writer.writerow(IDENTITIES_HEADER)
             for address in sorted(log.identities):
                 writer.writerow([address, log.identities[address]])
 
 
+def factor_rows(
+    series: dict[tuple[str, str, str], dict[date, float]], instrument: dict[date, float]
+) -> Iterator[list[str]]:
+    """Rows of the factors.csv schema, sorted by date, token, category and
+    factor; the instrument is written under ``INSTRUMENT_TOKEN``."""
+    keyed = {**series, (INSTRUMENT_TOKEN, INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR): instrument}
+    cells = sorted((day.isoformat(), *key, value) for key, values in keyed.items() for day, value in values.items())
+    return ([day, token, category, factor, repr(value)] for day, token, category, factor, value in cells)
+
+
 def write_factors(panel: FactorPanel, path: str | Path) -> None:
     """Serialize a FactorPanel to the long-format factors schema."""
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(FACTORS_HEADER)
-        for (day, token, category, factor), value in sorted(panel.cells.items()):
-            writer.writerow([day.isoformat(), token, category, factor, repr(value)])
+        writer.writerows(factor_rows(panel.series, panel.instrument))

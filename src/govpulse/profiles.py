@@ -12,9 +12,10 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 from datetime import date
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 from govpulse.centrality import BallotPass, PollMetrics, utc_day
+from govpulse.govdata import EXACT
 
 RANK_CRITERIA = ("involved_polls", "total_votes", "highest_single_vote")
 
@@ -100,16 +101,17 @@ def profiles_from_pass(passed: BallotPass, identities: dict[str, str]) -> list[V
     first_poll: dict[str, int] = {}
     highest: dict[str, Decimal] = {}
     first_ts: dict[str, int] = {}
-    for poll_id, ballots in passed.ballots.items():  # ascending poll id
-        for ballot in ballots:
-            address = ballot.voter
-            involved[address] = involved.get(address, 0) + 1
-            totals[address] = totals.get(address, Decimal(0)) + ballot.weight
-            first_poll.setdefault(address, poll_id)
-            if address not in highest or ballot.weight > highest[address]:
-                highest[address] = ballot.weight
-            if address not in first_ts or ballot.final_timestamp < first_ts[address]:
-                first_ts[address] = ballot.final_timestamp
+    with localcontext(EXACT):
+        for poll_id, ballots in passed.ballots.items():  # ascending poll id
+            for ballot in ballots:
+                address = ballot.voter
+                involved[address] = involved.get(address, 0) + 1
+                totals[address] = totals.get(address, Decimal(0)) + ballot.weight
+                first_poll.setdefault(address, poll_id)
+                if address not in highest or ballot.weight > highest[address]:
+                    highest[address] = ballot.weight
+                if address not in first_ts or ballot.final_timestamp < first_ts[address]:
+                    first_ts[address] = ballot.final_timestamp
     return [
         VoterProfile(
             address=address,

@@ -27,8 +27,10 @@ import numpy as np
 
 from govpulse.centrality import MEASURE_FIELDS, DailyMetrics
 from govpulse.econ import zscore
-from govpulse.factorlab import INSTRUMENT_FACTOR, INSTRUMENT_TOKEN
 from govpulse.govdata import (
+    INSTRUMENT_CATEGORY,
+    INSTRUMENT_FACTOR,
+    INSTRUMENT_TOKEN,
     FactorPanel,
     PollRecord,
     ValidationReport,
@@ -326,10 +328,9 @@ class PanelPlan:
 
 @dataclass
 class SynthPanelBundle:
-    """Generated panel plus the raw series behind it."""
+    """Generated panel plus the confounded proxy measure behind it."""
 
     panel: FactorPanel
-    instrument: dict[date, float]
     proxy_measure: dict[date, float] | None
 
 
@@ -370,14 +371,11 @@ def gen_panel(metrics: list[DailyMetrics], plan: PanelPlan, seed: int) -> SynthP
         for day, value in zip(days, values):
             panel.put(day, fp.token, fp.category, fp.factor, float(value))
 
-    instrument: dict[date, float] = {}
     for day, value in zip(days, instrument_values):
-        panel.put(day, INSTRUMENT_TOKEN, "instrument", INSTRUMENT_FACTOR, float(value))
-        instrument[day] = float(value)
+        panel.put(day, INSTRUMENT_TOKEN, INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR, float(value))
 
     return SynthPanelBundle(
         panel=panel,
-        instrument=instrument,
         proxy_measure=dict(zip(days, proxy)) if proxy is not None else None,
     )
 

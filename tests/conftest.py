@@ -65,6 +65,14 @@ def write_factors_csv(path: Path, rows: list[tuple]) -> None:
         writer.writerows(rows)
 
 
+def grid_cell(grid, token: str, factor: str, measure: str):
+    """The grid's cell for (token, factor, measure), or None."""
+    for cell in grid.cells:
+        if (cell.token, cell.factor, cell.measure) == (token, factor, measure):
+            return cell
+    return None
+
+
 @pytest.fixture
 def simple_log() -> VoteLog:
     """Two polls on one day, three voters, one revision."""

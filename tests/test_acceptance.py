@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import grid_cell
 from govpulse import centrality, econ, factorlab, profiles, synthgov
 from govpulse.centrality import gini_from_alpha, gini_mean_difference, pareto_alpha_mle
 from govpulse.cli import exec_command
@@ -219,7 +220,7 @@ def test_criterion_7_planted_effect_pipeline():
         bundle = synthgov.gen_panel(daily, plan, seed=seed)
         panel = factorlab.build_panel(bundle.panel, daily)
         grid = econ.run_factor_matrix(panel, tokens=["MKR"], measures=("Voters",))
-        cell = grid.cell("MKR", "TxnCnt", "Voters")
+        cell = grid_cell(grid, "MKR", "TxnCnt", "Voters")
         if cell.status == "ok" and cell.fit.n >= 100 and cell.fit.p1 <= 0.01 and cell.fit.beta1 > 0:
             hits += 1
     elapsed = time.perf_counter() - start

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import DAY0, write_polls_csv, write_votes_csv
-from govpulse import govdata
+from govpulse import centrality, factorlab, govdata, synthgov
 from govpulse.cli import exec_command
-from govpulse.govdata import load_factors, load_vote_log
+from govpulse.govdata import load_factors, load_vote_log, write_factors
 
 
 @pytest.fixture
@@ -106,7 +109,7 @@ def test_synth_outputs_are_loadable(synth_dir):
     assert len(log.registry) == 36
     assert len(log.events) > 0
     panel = load_factors(synth_dir / "factors.csv")
-    assert len(panel.instrument_series()) > 0
+    assert len(panel.instrument) > 0
     assert not [a for a in panel.anomalies if a.kind == "unknown factor"]
 
 
@@ -136,14 +139,19 @@ def test_ingest_skips_non_finite_weights(tmp_path):
         (1, "0xe", 2, "5", DAY0 + 50),
         (1, "0xf", 2, "1e400", DAY0 + 60),  # finite decimal, infinite float
         (1, "0x1", 2, "-1e400", DAY0 + 70),
+        (1, "0x2", 2, "0E-999999999", DAY0 + 80),  # its zeros would flood an exact sum
+        (1, "0x3", 2, "1E-1001", DAY0 + 90),
+        (1, "0x4", 2, "1E-1000", DAY0 + 100),
     ])
     write_polls_csv(polls, [(1, DAY0, "poll 1", "1:yes|2:no", "")])
     code = exec_command(["ingest", "--votes", str(votes), "--polls", str(polls), "--out-dir", str(out)])
     assert code == 0
     with open(out / "validation.csv", newline="") as handle:
         rows = [row for row in csv.DictReader(handle) if row["kind"] == "bad vote row"]
-    assert [row["detail"].split(":")[0] for row in rows] == ["line 3", "line 4", "line 5", "line 7", "line 8"]
-    assert "events: 2" in (out / "ingest_summary.txt").read_text()
+    assert [row["detail"].split(":")[0] for row in rows] == [
+        "line 3", "line 4", "line 5", "line 7", "line 8", "line 9", "line 10",
+    ]
+    assert "events: 3" in (out / "ingest_summary.txt").read_text()
 
 
 def test_ingest_reports_duplicate_option_ids_once(tmp_path):
@@ -237,7 +245,7 @@ def test_regress_and_iv_outputs(synth_dir, tmp_path):
     from govpulse.govdata import load_factors as _lf
 
     derived = _lf(out / "panel.csv")  # same schema as factors.csv, plus derived rows
-    assert any(factor == "v7" for (_, _, _, factor) in derived.cells)
+    assert any(factor == "v7" for (_, _, factor) in derived.series)
 
     out_iv = tmp_path / "iv"
     code = exec_command(
@@ -316,6 +324,94 @@ def test_describe_checks_voter_totals_against_poll_totals(synth_dir, tmp_path, m
                          "--polls", str(synth_dir / "polls.csv"), "--out-dir", str(tmp_path / "out")])
     assert code == 1
     assert "identity violated" in capsys.readouterr().err
+
+
+def test_vote_totals_are_exact(tmp_path, capsys):
+    # Weights of about 1e11 with 18 decimals have 30 digits, more than the
+    # default decimal context keeps, so rounded poll-order and voter-order
+    # sums would disagree and describe would report a violated identity.
+    rng = random.Random(4)
+    votes, polls = tmp_path / "votes.csv", tmp_path / "polls.csv"
+    rows, exact = [], Fraction(0)
+    for poll in range(1, 9):
+        for voter in range(7):
+            weight = f"{rng.randint(10**11, 10**12)}.{rng.randint(0, 10**18 - 1):018d}"
+            rows.append((poll, f"0x{voter:x}", 1 + voter % 2, weight, DAY0 + 100 * poll + voter))
+            exact += Fraction(weight)
+    write_votes_csv(votes, rows)
+    write_polls_csv(polls, [(poll, DAY0 + 100 * poll, f"poll {poll}", "1:yes|2:no", "") for poll in range(1, 9)])
+    out = tmp_path / "out"
+    code = exec_command(["describe", "--votes", str(votes), "--polls", str(polls), "--out-dir", str(out)])
+    assert code == 0, capsys.readouterr().err
+    with open(out / "profiles.csv", newline="") as handle:
+        totals = [Fraction(row["total_votes"]) for row in csv.DictReader(handle)]
+    assert sum(totals) == exact
+    passed = centrality.ballot_pass(load_vote_log(votes, polls))
+    assert sum(Fraction(pm.total_votes) for pm in passed.polls) == exact
+    assert sum(Fraction(d.total_votes) for d in centrality.daily_from_pass(passed)) == exact
+
+
+def test_factors_csv_round_trips_byte_for_byte(synth_dir, tmp_path):
+    again = tmp_path / "factors.csv"
+    write_factors(load_factors(synth_dir / "factors.csv"), again)
+    assert again.read_bytes() == (synth_dir / "factors.csv").read_bytes()
+    assert b"\r\n" in again.read_bytes()
+
+
+def test_panel_csv_loads_back_as_the_built_panel(synth_dir, tmp_path):
+    votes, polls, factors = (synth_dir / name for name in ("votes.csv", "polls.csv", "factors.csv"))
+    out = tmp_path / "out"
+    code = exec_command(["regress", "--votes", str(votes), "--polls", str(polls),
+                         "--factors", str(factors), "--out-dir", str(out)])
+    assert code == 0
+    daily = centrality.daily_from_pass(centrality.ballot_pass(load_vote_log(votes, polls)))
+    built = factorlab.build_panel(load_factors(factors), daily)
+    loaded = load_factors(out / "panel.csv")
+    # a volatility window longer than the history is an empty series: no rows
+    assert loaded.series == {key: series for key, series in built.factors.items() if series}
+    assert loaded.instrument == built.instrument
+    assert not loaded.anomalies
+
+
+def test_failed_synth_write_leaves_files_intact(synth_dir, tmp_path, monkeypatch):
+    before = {path.name: path.read_bytes() for path in synth_dir.iterdir() if path.name != "run_manifest.json"}
+
+    class Unprintable(float):
+        def __repr__(self) -> str:
+            raise OSError("disk full")
+
+    real = synthgov.gen_panel
+
+    def failing_gen_panel(metrics, plan, seed):
+        bundle = real(metrics, plan, seed)
+        last = max(m.day for m in metrics if not m.missing)
+        bundle.panel.put(last, "ALL", "instrument", "offchain_voters", Unprintable(1.0))  # the last row written
+        return bundle
+
+    monkeypatch.setattr(synthgov, "gen_panel", failing_gen_panel)
+    code = exec_command(["synth", "--out-dir", str(synth_dir), "--seed", "5", "--config", _small_config(tmp_path)])
+    assert code == 1
+    after = {path.name: path.read_bytes() for path in synth_dir.iterdir() if path.name != "run_manifest.json"}
+    assert after == before
+
+
+def test_synth_bytes_are_pinned(tmp_path):
+    out = tmp_path / "synth"
+    config = json.dumps({"days": 6, "voter_pool": 60, "seed": 3})
+    assert exec_command(["synth", "--config", _write(tmp_path / "c.json", config),
+                         "--tokens", "MKR,DAI", "--out-dir", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("votes.csv", "polls.csv", "factors.csv")}
+    assert digests == {
+        "votes.csv": "2bc11250aa184ff39f59004c4f098d38f5b78188525016d250afde405a2efd67",
+        "polls.csv": "9871456fad56b887e887e4e763eea9ec25eff50f44154b62f029e93b54542a11",
+        "factors.csv": "13e2746b6a060778e14d8db0733060c3f55dcd4a681df43570025e9f892903f8",
+    }
+
+
+def _write(path: Path, text: str) -> str:
+    path.write_text(text)
+    return str(path)
 
 
 def test_report_without_factors_still_emits_tables(synth_dir, tmp_path):

@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import DAY0, addr, make_log, make_poll, write_polls_csv, write_votes_csv
+from conftest import DAY0, addr, make_log, make_poll, write_factors_csv, write_polls_csv, write_votes_csv
 from govpulse.govdata import (
     SchemaError,
     final_ballots,
@@ -278,7 +278,7 @@ def test_load_factors_duplicate_last_wins(tmp_path):
     panel = load_factors(path)
     from datetime import date
 
-    assert panel.cells[(date(2021, 3, 1), "MKR", "financial", "Price")] == 7.0
+    assert panel.series[("MKR", "financial", "Price")] == {date(2021, 3, 1): 7.0}
     assert sum(1 for a in panel.anomalies if a.kind == "duplicate factor cell") == 1
 
 
@@ -296,6 +296,31 @@ def test_load_factors_unknown_name_kept_flagged(tmp_path):
     kinds = {a.kind for a in panel.anomalies}
     assert "unknown factor" in kinds
     assert "bad factor date" in kinds
+
+
+@pytest.mark.parametrize("text", ["20210301", "2021-W09-2", "2021-3-1", "2021-03-01T00:00"])
+def test_factor_dates_take_only_the_iso_calendar_form(tmp_path, text):
+    path = tmp_path / "factors.csv"
+    write_factors_csv(path, [(text, "MKR", "financial", "Price", "5"), ("2021-03-02", "MKR", "financial", "Price", "6")])
+    panel = load_factors(path)
+    assert len(panel) == 1
+    assert [a.kind for a in panel.anomalies] == ["bad factor date"]
+
+
+@pytest.mark.parametrize("tokens", [("MKR", "DAI"), ("DAI", "MKR")])
+def test_instrument_is_one_series_whatever_the_token(tmp_path, tokens):
+    from datetime import date
+
+    path = tmp_path / "factors.csv"
+    write_factors_csv(path, [
+        ("2021-03-01", tokens[0], "instrument", "offchain_voters", "2.0"),
+        ("2021-03-01", tokens[1], "instrument", "offchain_voters", "9.0"),
+        ("2021-03-02", "ALL", "instrument", "onchain_voters", "4.0"),
+    ])
+    panel = load_factors(path)
+    assert panel.instrument == {date(2021, 3, 1): 9.0}
+    assert not panel.series
+    assert [a.kind for a in panel.anomalies] == ["duplicate factor cell", "unknown factor"]
 
 
 def test_short_vote_row_is_anomaly_not_crash(tmp_path):

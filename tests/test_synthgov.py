@@ -8,6 +8,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from conftest import grid_cell
 from govpulse.centrality import DailyMetrics, ballot_pass
 from govpulse.econ import endogeneity_tests, ols, run_factor_matrix
 from govpulse.factorlab import build_panel
@@ -145,8 +146,8 @@ def test_gen_panel_reproducible():
     plan = PanelPlan(factors=[FactorPlan("MKR", "transaction", "TxnCnt", loadings={"Voters": 0.5})])
     a = gen_panel(metrics, plan, seed=3)
     b = gen_panel(metrics, plan, seed=3)
-    assert a.panel.cells == b.panel.cells
-    assert a.instrument == b.instrument
+    assert a.panel.series == b.panel.series
+    assert a.panel.instrument == b.panel.instrument
 
 
 def test_gen_panel_zero_loading_rarely_significant():
@@ -159,7 +160,7 @@ def test_gen_panel_zero_loading_rarely_significant():
         bundle = gen_panel(metrics, plan, seed=seed)
         panel = build_panel(bundle.panel, metrics)
         grid = run_factor_matrix(panel, tokens=["MKR"], measures=("Voters",))
-        cell = grid.cell("MKR", "TxnCnt", "Voters")
+        cell = grid_cell(grid, "MKR", "TxnCnt", "Voters")
         assert cell is not None and cell.status == "ok"
         if cell.fit.stars == "":
             quiet += 1
@@ -174,7 +175,7 @@ def test_gen_panel_unit_loading_zero_noise_r2_one():
     bundle = gen_panel(metrics, plan, seed=1)
     panel = build_panel(bundle.panel, metrics)
     grid = run_factor_matrix(panel, tokens=["MKR"], measures=("Voters",))
-    cell = grid.cell("MKR", "TxnCnt", "Voters")
+    cell = grid_cell(grid, "MKR", "TxnCnt", "Voters")
     assert cell.fit.r2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -190,11 +191,12 @@ def test_gen_panel_endogenous_mode_durbin_power():
             endogenous=EndogenousBlock(gamma=0.8),
         )
         bundle = gen_panel(metrics, plan, seed=seed)
-        days = sorted(bundle.instrument)
-        factor_series = bundle.panel.series("MKR", "TxnCnt")
+        instrument = bundle.panel.instrument
+        days = sorted(instrument)
+        factor_series = bundle.panel.series[("MKR", "transaction", "TxnCnt")]
         y = np.array([factor_series[d] for d in days])
         x = np.array([bundle.proxy_measure[d] for d in days])
-        z = np.array([bundle.instrument[d] for d in days])
+        z = np.array([instrument[d] for d in days])
         _, durbin_p, _, _ = endogeneity_tests(y, x, z)
         rejects += durbin_p < 0.05
     assert rejects / trials >= 0.80
@@ -211,7 +213,7 @@ def test_planted_truth_recovery_snr_five():
         bundle = gen_panel(metrics, plan, seed=seed)
         panel = build_panel(bundle.panel, metrics)
         grid = run_factor_matrix(panel, tokens=["MKR"], measures=("Voters",))
-        cell = grid.cell("MKR", "Active", "Voters")
+        cell = grid_cell(grid, "MKR", "Active", "Voters")
         if cell.fit.p1 <= 0.01 and cell.fit.beta1 > 0:
             hits += 1
     assert hits == 25
