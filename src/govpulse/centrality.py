@@ -31,6 +31,7 @@ that one result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from decimal import Decimal, localcontext
@@ -129,13 +130,18 @@ def gini_mean_difference(weights: np.ndarray) -> float:
     sorted weights lies between k * (n - k) pairs, so
     G = sum_k k (n - k) (x_(k+1) - x_(k)) / (n sum x). Every term is
     non-negative, which keeps equal weights at exactly 0. Returns 0 for
-    fewer than two weights or an all-zero vector.
+    fewer than two weights or an all-zero vector. Weights whose float sums
+    overflow are first divided by the largest one.
     """
     ordered = np.sort(np.asarray(weights, dtype=float))
     n = ordered.size
-    total = float(ordered.sum())
+    with np.errstate(over="ignore"):  # inf when the sum overflows
+        total = float(ordered.sum())
     if n < 2 or total <= 0.0:
         return 0.0
+    if not math.isfinite(n * total):
+        ordered = ordered / ordered[-1]
+        total = float(ordered.sum())
     k = np.arange(1, n, dtype=float)
     return float((k * (n - k) * np.diff(ordered)).sum() / (n * total))
 
@@ -373,12 +379,17 @@ def fill_calendar(rows: list[DailyMetrics], poll_counts: dict[date, int]) -> lis
 
 
 def lorenz_points(weights: np.ndarray) -> LorenzCurve:
-    """Lorenz curve of a weight vector, ascending, prepended with (0,0)."""
+    """Lorenz curve of a weight vector, ascending, prepended with (0,0).
+    Weights whose float sum overflows are first divided by the largest one."""
     weights = np.asarray(weights, dtype=float)
-    total = float(weights.sum())
+    with np.errstate(over="ignore"):  # inf when the sum overflows
+        total = float(weights.sum())
     if weights.size == 0 or total <= 0.0:
         raise ValueError("lorenz curve requires at least one positive weight")
     ordered = np.sort(weights)
+    if not math.isfinite(total):
+        ordered = ordered / ordered[-1]
+        total = float(ordered.sum())
     cumulative = np.cumsum(ordered) / total
     n = ordered.size
     points = [(0.0, 0.0)]

@@ -159,9 +159,11 @@ def cmd_ingest(args: argparse.Namespace, run: Run) -> None:
 
 
 def _measure(args: argparse.Namespace, log) -> tuple[centrality.BallotPass, list[centrality.DailyMetrics]]:
-    """The run's one ballot pass and the daily rows derived from it."""
+    """The run's one ballot pass and the daily rows derived from it. Only
+    ``metrics`` and ``report`` take --calendar: filler days carry no measures."""
     passed = centrality.ballot_pass(log, ballot_rule=args.ballot, order_rule=args.order)
-    return passed, centrality.daily_from_pass(passed, calendar_mode=args.calendar, daily_gini_mode=args.daily_gini)
+    calendar = getattr(args, "calendar", "drop-missing")
+    return passed, centrality.daily_from_pass(passed, calendar_mode=calendar, daily_gini_mode=args.daily_gini)
 
 
 def _emit_descriptives(
@@ -209,10 +211,10 @@ def cmd_describe(args: argparse.Namespace, run: Run) -> None:
     print(f"described {len(profile_rows)} voters")
 
 
-def _build_panel(args: argparse.Namespace, run: Run, daily: list[centrality.DailyMetrics]):
+def _build_panel(args: argparse.Namespace, run: Run, measures: dict[str, dict]):
     run.digest_input("factors", args.factors)
     raw = load_factors(args.factors)
-    panel = factorlab.build_panel(raw, daily, vol_mode=args.vol)
+    panel = factorlab.build_panel(raw, measures, vol_mode=args.vol)
     run.emit_csv("panel.csv", [FACTORS_HEADER, *factor_rows(panel.factors, panel.instrument)])
     return panel
 
@@ -304,7 +306,7 @@ def _emit_iv(
 
 def cmd_regress(args: argparse.Namespace, run: Run) -> None:
     _, daily = _measure(args, _load_log(args, run))
-    panel = _build_panel(args, run, daily)
+    panel = _build_panel(args, run, factorlab.measures_from_daily(daily))
     stars = _parse_stars(args)
     grid = _emit_ols(args, run, panel, _parse_tokens(args, panel), stars)
     _emit_panel_notes(run, args, stars)
@@ -313,7 +315,7 @@ def cmd_regress(args: argparse.Namespace, run: Run) -> None:
 
 def cmd_iv(args: argparse.Namespace, run: Run) -> None:
     _, daily = _measure(args, _load_log(args, run))
-    panel = _build_panel(args, run, daily)
+    panel = _build_panel(args, run, factorlab.measures_from_daily(daily))
     if not panel.instrument:
         raise PipelineError("factors file has no instrument rows (category=instrument)")
     stars = _parse_stars(args)
@@ -349,7 +351,7 @@ def _default_panel_plan(tokens: list[str]) -> synthgov.PanelPlan:
     for token in tokens:
         token = token.strip()
         for i, spec in enumerate(factorlab.catalogue_for(token)):
-            if spec.derivation == "derived":
+            if spec.name in factorlab.DERIVED_FINANCIAL:
                 continue  # r and volatilities are derived from Price downstream
             loadings = {
                 "Voters": 0.3 if i % 3 == 0 else 0.0,
@@ -381,7 +383,8 @@ def cmd_report(args: argparse.Namespace, run: Run) -> None:
         "gini_summary.md",
         report.gini_summary_table([pm.gini for pm in per_poll], [m.gini for m in daily_full]),
     )
-    run.emit_markdown("measures_summary.md", report.measures_summary_table(daily))
+    measures = factorlab.measures_from_daily(daily)
+    run.emit_markdown("measures_summary.md", report.measures_summary_table(measures))
 
     run.emit_csv("fig_daily_counts.csv", report.daily_counts_csv(daily_full))
     run.emit_csv("fig_poll_votes.csv", report.poll_scatter_csv(per_poll))
@@ -404,7 +407,7 @@ def cmd_report(args: argparse.Namespace, run: Run) -> None:
     )
 
     if args.factors:
-        panel = _build_panel(args, run, daily)
+        panel = _build_panel(args, run, measures)
         tokens = _parse_tokens(args, panel)
         stars = _parse_stars(args)
         _emit_ols(args, run, panel, tokens, stars)
@@ -425,7 +428,6 @@ def _add_io_flags(parser: argparse.ArgumentParser, factors: str = "none") -> Non
 
 
 def _add_metric_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--calendar", choices=centrality.CALENDAR_MODES, default="drop-missing")
     parser.add_argument("--ballot", choices=("last", "first"), default="last")
     parser.add_argument("--order", choices=("last", "first"), default="last")
     parser.add_argument("--daily-gini", dest="daily_gini", choices=centrality.DAILY_GINI_MODES, default="mle")
@@ -456,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="compute daily centralization measures")
     _add_io_flags(p)
+    p.add_argument("--calendar", choices=centrality.CALENDAR_MODES, default="drop-missing")
     _add_metric_flags(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--formats", default="csv,markdown")
@@ -490,11 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tokens", default="MKR,DAI")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--formats", default="csv,markdown")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("report", help="full pipeline: tables and figure data")
     _add_io_flags(p, factors="optional")
+    p.add_argument("--calendar", choices=centrality.CALENDAR_MODES, default="drop-missing")
     _add_metric_flags(p)
     _add_regression_flags(p)
     p.add_argument("--out-dir", required=True)

@@ -280,38 +280,40 @@ class RegressionGrid:
         return [c for c in self.cells if c.status == "ok"]
 
 
-# grid kind -> (aligned sample as (dates, *columns), fit taking those columns)
+# grid kind -> (fit taking the aligned columns, fewest aligned dates a cell needs)
 _GRID_KINDS = {
-    "ols": (BuiltPanel.aligned, ols),
-    "iv": (BuiltPanel.aligned_iv, two_sls),
+    "ols": (ols, 3),
+    "iv": (two_sls, 5),
 }
 
 
 def _run_grid(
     panel: BuiltPanel,
     kind: str,
-    tokens: list[str] | None,
+    tokens: list[str],
     measures: tuple[str, ...],
     standardize: bool,
-    min_n: int,
     star_thresholds: tuple[float, float, float],
 ) -> RegressionGrid:
     """One cell per token -> catalogue factor -> measure, in that order.
 
-    Cells with fewer than ``min_n`` aligned observations are marked
-    "no data"; per-cell failures are recorded without aborting the grid.
+    Each cell aligns the factor series under its own (token, category,
+    factor) key with the measure (and, for IV, the instrument). Cells with
+    fewer aligned dates than the kind needs, an absent series included, are
+    marked "no data"; per-cell failures are recorded without aborting the grid.
     """
-    sample_of, fit_of = _GRID_KINDS[kind]
+    fit_of, min_n = _GRID_KINDS[kind]
+    extra = (panel.instrument,) if kind == "iv" else ()
     cells = []
-    for token in list(tokens) if tokens is not None else panel.tokens():
+    for token in tokens:
         for spec in catalogue_for(token):
+            series = panel.factors.get((token, spec.category, spec.name), {})
             for measure in measures:
                 key = (token, spec.category, spec.name, measure)
-                sample = sample_of(panel, token, spec.name, measure)
-                if sample is None or len(sample[0]) < min_n:
+                days, *columns = align(series, panel.measures.get(measure, {}), *extra)
+                if len(days) < min_n:
                     cells.append(GridCell(*key, "no data", None))
                     continue
-                _, *columns = sample
                 if standardize:
                     columns = [zscore(column) for column in columns]
                 try:
@@ -325,28 +327,26 @@ def _run_grid(
 
 def run_factor_matrix(
     panel: BuiltPanel,
-    tokens: list[str] | None = None,
+    tokens: list[str],
     measures: tuple[str, ...] = MEASURES,
     standardize: bool = True,
-    min_n: int = 3,
     star_thresholds: tuple[float, float, float] = STAR_THRESHOLDS,
 ) -> RegressionGrid:
     """OLS grid over token -> category -> factor -> measure."""
-    return _run_grid(panel, "ols", tokens, measures, standardize, min_n, star_thresholds)
+    return _run_grid(panel, "ols", tokens, measures, standardize, star_thresholds)
 
 
 def run_iv_suite(
     panel: BuiltPanel,
+    tokens: list[str],
     measures: tuple[str, ...] = IV_DEFAULT_MEASURES,
-    tokens: list[str] | None = None,
     standardize: bool = True,
-    min_n: int = 5,
     star_thresholds: tuple[float, float, float] = STAR_THRESHOLDS,
 ) -> RegressionGrid:
     """2SLS grid for the instrumented measures (one panel per measure)."""
     if not panel.instrument:
         raise ValueError("no instrument series in the panel")
-    return _run_grid(panel, "iv", tokens, measures, standardize, min_n, star_thresholds)
+    return _run_grid(panel, "iv", tokens, measures, standardize, star_thresholds)
 
 
 @dataclass(frozen=True)

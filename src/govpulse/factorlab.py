@@ -33,7 +33,6 @@ DERIVED_FINANCIAL = ("r",) + tuple(f"v{k}" for k in VOL_WINDOWS)
 class FactorSpec:
     name: str
     category: str
-    derivation: str  # "ingested" | "derived"
 
 
 def native_suffix(token: str) -> str:
@@ -43,41 +42,41 @@ def native_suffix(token: str) -> str:
 def catalogue_for(token: str) -> list[FactorSpec]:
     """The registered factor names for one token, in category order."""
     sym = native_suffix(token)
-    financial = [FactorSpec("Price", "financial", "ingested")]
-    financial += [FactorSpec(name, "financial", "derived") for name in DERIVED_FINANCIAL]
+    financial = [FactorSpec("Price", "financial")]
+    financial += [FactorSpec(name, "financial") for name in DERIVED_FINANCIAL]
     transaction = [
-        FactorSpec("AvgBlcUsd", "transaction", "ingested"),
-        FactorSpec(f"AvgSize{sym}", "transaction", "ingested"),
-        FactorSpec("AvgSizeUsd", "transaction", "ingested"),
-        FactorSpec(f"LargeVol{sym}", "transaction", "ingested"),
-        FactorSpec("LargeVolUsd", "transaction", "ingested"),
-        FactorSpec("LargeCnt", "transaction", "ingested"),
-        FactorSpec(f"Vol{sym}", "transaction", "ingested"),
-        FactorSpec("VolUsd", "transaction", "ingested"),
-        FactorSpec("TxnCnt", "transaction", "ingested"),
+        FactorSpec("AvgBlcUsd", "transaction"),
+        FactorSpec(f"AvgSize{sym}", "transaction"),
+        FactorSpec("AvgSizeUsd", "transaction"),
+        FactorSpec(f"LargeVol{sym}", "transaction"),
+        FactorSpec("LargeVolUsd", "transaction"),
+        FactorSpec("LargeCnt", "transaction"),
+        FactorSpec(f"Vol{sym}", "transaction"),
+        FactorSpec("VolUsd", "transaction"),
+        FactorSpec("TxnCnt", "transaction"),
     ]
     exchange = [
-        FactorSpec("InCnt", "exchange", "ingested"),
-        FactorSpec(f"InVol{sym}", "exchange", "ingested"),
-        FactorSpec("InVolUsd", "exchange", "ingested"),
-        FactorSpec("OutCnt", "exchange", "ingested"),
-        FactorSpec(f"OutVol{sym}", "exchange", "ingested"),
-        FactorSpec("OutVolUsd", "exchange", "ingested"),
-        FactorSpec(f"Net{sym}", "exchange", "ingested"),
-        FactorSpec("NetUsd", "exchange", "ingested"),
-        FactorSpec(f"Total{sym}", "exchange", "ingested"),
-        FactorSpec("TotalUsd", "exchange", "ingested"),
+        FactorSpec("InCnt", "exchange"),
+        FactorSpec(f"InVol{sym}", "exchange"),
+        FactorSpec("InVolUsd", "exchange"),
+        FactorSpec("OutCnt", "exchange"),
+        FactorSpec(f"OutVol{sym}", "exchange"),
+        FactorSpec("OutVolUsd", "exchange"),
+        FactorSpec(f"Net{sym}", "exchange"),
+        FactorSpec("NetUsd", "exchange"),
+        FactorSpec(f"Total{sym}", "exchange"),
+        FactorSpec("TotalUsd", "exchange"),
     ]
     network = [
-        FactorSpec("TotalWithBlc", "network", "ingested"),
-        FactorSpec("New", "network", "ingested"),
-        FactorSpec("Active", "network", "ingested"),
-        FactorSpec("ActiveRatio", "network", "ingested"),
+        FactorSpec("TotalWithBlc", "network"),
+        FactorSpec("New", "network"),
+        FactorSpec("Active", "network"),
+        FactorSpec("ActiveRatio", "network"),
     ]
     sentiment = [
-        FactorSpec("Positive", "sentiment", "ingested"),
-        FactorSpec("Neutral", "sentiment", "ingested"),
-        FactorSpec("Negative", "sentiment", "ingested"),
+        FactorSpec("Positive", "sentiment"),
+        FactorSpec("Neutral", "sentiment"),
+        FactorSpec("Negative", "sentiment"),
     ]
     return financial + transaction + exchange + network + sentiment
 
@@ -127,50 +126,20 @@ def rolling_vol(returns: dict[date, float], k: int) -> dict[date, float]:
     return out
 
 
+@dataclass(frozen=True)
 class BuiltPanel:
-    """Joined factor/measure panel exposing aligned regression samples."""
+    """What the regression grids read: factor series keyed by (token,
+    category, factor), measure series keyed by name, the instrument and the
+    anomalies found on the way. A grid cell reads only its own key, so a row
+    kept under a category that does not list its factor feeds no cell."""
 
-    def __init__(
-        self,
-        factors: dict[tuple[str, str, str], dict[date, float]],
-        measures: dict[str, dict[date, float]],
-        instrument: dict[date, float],
-        anomalies: list[Anomaly],
-    ) -> None:
-        self.factors = factors
-        self.measures = measures
-        self.instrument = instrument
-        self.anomalies = anomalies
-        # An unknown factor is kept under whatever category it came with, so
-        # one (token, name) can sit under two categories: the first one wins.
-        self._series: dict[tuple[str, str], dict[date, float]] = {}
-        for (token, _category, name), series in factors.items():
-            self._series.setdefault((token, name), series)
+    factors: dict[tuple[str, str, str], dict[date, float]]
+    measures: dict[str, dict[date, float]]
+    instrument: dict[date, float]
+    anomalies: list[Anomaly]
 
     def tokens(self) -> list[str]:
         return sorted({token for (token, _, _) in self.factors})
-
-    def factor_series(self, token: str, factor: str) -> dict[date, float] | None:
-        return self._series.get((token, factor))
-
-    def aligned(
-        self, token: str, factor: str, measure: str
-    ) -> tuple[tuple[date, ...], np.ndarray, np.ndarray] | None:
-        """Complete-case (dates, factor, measure) sample; None when a series is absent."""
-        series = self.factor_series(token, factor)
-        if series is None or measure not in self.measures:
-            return None
-        return align(series, self.measures[measure])
-
-    def aligned_iv(
-        self, token: str, factor: str, measure: str
-    ) -> tuple[tuple[date, ...], np.ndarray, np.ndarray, np.ndarray] | None:
-        """Complete-case (dates, factor, measure, instrument) sample; None when a
-        series is absent."""
-        series = self.factor_series(token, factor)
-        if series is None or measure not in self.measures:
-            return None
-        return align(series, self.measures[measure], self.instrument)
 
 
 def align(*series: dict[date, float]) -> tuple:
@@ -190,9 +159,10 @@ def measures_from_daily(metrics: list[DailyMetrics]) -> dict[str, dict[date, flo
 
 
 def build_panel(
-    raw: FactorPanel, metrics: list[DailyMetrics], vol_mode: str = "simple"
+    raw: FactorPanel, measures: dict[str, dict[date, float]], vol_mode: str = "simple"
 ) -> BuiltPanel:
-    """Derive financial series from Price, join daily measures and instrument.
+    """Derive financial series from Price, join the measure series (see
+    ``measures_from_daily``) and the instrument.
 
     Derivations are deterministic: running twice on the same inputs yields
     bit-identical series.
@@ -215,7 +185,7 @@ def build_panel(
 
     return BuiltPanel(
         factors=factors,
-        measures=measures_from_daily(metrics),
+        measures=measures,
         instrument=dict(sorted(raw.instrument.items())),
         anomalies=anomalies,
     )

@@ -8,11 +8,12 @@ polls.csv       poll_id,deploy_timestamp,title,options,abstain_options
 identities.csv  address,name
 factors.csv     date,token,category,factor,value   (date = YYYY-MM-DD)
 
-Timestamps are unix seconds or ISO-8601 UTC. Vote weights are parsed as
-fixed-point decimals and summed in ``EXACT``, so totals are exact and
-bit-stable across platforms; they are converted to binary floats only inside
-the statistics layer. The off-chain instrument is one date-keyed series, the
-rows of category ``instrument`` whatever their token.
+Timestamps are unix seconds or ISO-8601 UTC; a vote or poll row whose
+timestamp is at or before the epoch (<= 0) is skipped as malformed. Vote
+weights are parsed as fixed-point decimals and summed in ``EXACT``, so totals
+are exact and bit-stable across platforms; they are converted to binary floats
+only inside the statistics layer. The off-chain instrument is one date-keyed
+series, the rows of category ``instrument`` whatever their token.
 """
 
 from __future__ import annotations
@@ -340,6 +341,9 @@ def load_vote_log(
             continue
         if not voter:
             report.add("bad vote row", f"line {lineno}: empty voter address")
+            continue
+        if timestamp <= 0:
+            report.add("bad vote row", f"line {lineno}: non-positive timestamp")
             continue
         if weight < 0:
             report.add("negative weight", f"line {lineno}: poll {poll_id}, voter {voter}")

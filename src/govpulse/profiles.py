@@ -9,6 +9,7 @@ configured proxy (the source quantity has no published definition).
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from datetime import date
@@ -33,7 +34,9 @@ class VoterProfile:
 
 @dataclass(frozen=True)
 class SummaryStats:
-    """Mean/median/max/min and sample standard deviation of one column."""
+    """Mean/median/max/min and sample standard deviation of one column. The
+    deviation of a column holding a non-finite value is nan; finite values
+    whose sums overflow are described divided by the largest magnitude."""
 
     mean: float
     median: float
@@ -46,12 +49,22 @@ class SummaryStats:
     def describe(cls, values: list[float]) -> "SummaryStats":
         if not values:
             raise ValueError("cannot describe an empty column")
+        try:
+            mean = statistics.fmean(values)
+            std = (
+                float("nan") if not all(map(math.isfinite, values))
+                else statistics.stdev(values) if len(values) > 1 else 0.0
+            )
+        except OverflowError:  # finite values whose float sums overflow: describe them scaled
+            top = max(map(abs, values))
+            scaled = cls.describe([v / top for v in values])
+            mean, std = scaled.mean * top, scaled.std * top
         return cls(
-            mean=statistics.fmean(values),
+            mean=mean,
             median=statistics.median(values),
             maximum=max(values),
             minimum=min(values),
-            std=statistics.stdev(values) if len(values) > 1 else 0.0,
+            std=std,
             n=len(values),
         )
 

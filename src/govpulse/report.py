@@ -8,7 +8,9 @@ decimals with t-statistics in parentheses and significance stars at the
 
 from __future__ import annotations
 
-from govpulse.centrality import MEASURE_FIELDS, DailyMetrics, LorenzCurve, PollMetrics
+from datetime import date
+
+from govpulse.centrality import DailyMetrics, LorenzCurve, PollMetrics
 from govpulse.econ import GridCell, InstrumentScreen, IvFit, OlsFit, RegressionGrid
 from govpulse.factorlab import catalogue_for
 from govpulse.profiles import (
@@ -157,16 +159,10 @@ def gini_summary_table(poll_ginis: list[float], daily_ginis: list[float]) -> str
     return markdown_table(header, rows)
 
 
-def measures_summary_table(metrics: list[DailyMetrics]) -> str:
-    """Daily-measure descriptives (zero-poll days excluded)."""
-    rows_in = [m for m in metrics if not m.missing]
-    if not rows_in:
-        raise ValueError("no daily metrics to describe")
-    columns = {
-        name: [float(getattr(m, field)) for m in rows_in]
-        for name, field in MEASURE_FIELDS.items()
-        if name != "Gini"
-    }
+def measures_summary_table(measures: dict[str, dict[date, float]]) -> str:
+    """Descriptives of the daily measure series (see ``measures_from_daily``),
+    Gini aside."""
+    columns = {name: list(series.values()) for name, series in measures.items() if name != "Gini"}
     stats = {name: SummaryStats.describe(values) for name, values in columns.items()}
     header = [""] + list(columns)
     rows = []

@@ -25,8 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from govpulse.centrality import MEASURE_FIELDS, DailyMetrics
+from govpulse.centrality import DailyMetrics
 from govpulse.econ import zscore
+from govpulse.factorlab import measures_from_daily
 from govpulse.govdata import (
     INSTRUMENT_CATEGORY,
     INSTRUMENT_FACTOR,
@@ -345,12 +346,9 @@ def gen_panel(metrics: list[DailyMetrics], plan: PanelPlan, seed: int) -> SynthP
     if not metrics:
         raise ValueError("metrics must be non-empty")
     rng = np.random.default_rng(seed)
-    rows = [m for m in metrics if not m.missing]
-    days = [m.day for m in rows]
-    standardized = {
-        name: zscore([float(getattr(m, field)) for m in rows])
-        for name, field in MEASURE_FIELDS.items()
-    }
+    measures = measures_from_daily(metrics)
+    days = list(measures[plan.instrument_measure])
+    standardized = {name: zscore(list(series.values())) for name, series in measures.items()}
     n = len(days)
 
     endo = plan.endogenous

@@ -218,7 +218,7 @@ def test_criterion_7_planted_effect_pipeline():
             ]
         )
         bundle = synthgov.gen_panel(daily, plan, seed=seed)
-        panel = factorlab.build_panel(bundle.panel, daily)
+        panel = factorlab.build_panel(bundle.panel, factorlab.measures_from_daily(daily))
         grid = econ.run_factor_matrix(panel, tokens=["MKR"], measures=("Voters",))
         cell = grid_cell(grid, "MKR", "TxnCnt", "Voters")
         if cell.status == "ok" and cell.fit.n >= 100 and cell.fit.p1 <= 0.01 and cell.fit.beta1 > 0:
@@ -345,13 +345,13 @@ def test_criterion_10_performance_envelope():
         )
         for token in tokens
         for spec in factorlab.catalogue_for(token)
-        if spec.derivation == "ingested"
+        if spec.name not in factorlab.DERIVED_FINANCIAL
     ]
     start = time.perf_counter()
     log = synthgov.gen_history(config)
     daily = centrality.daily_from_pass(centrality.ballot_pass(log))
     bundle = synthgov.gen_panel(daily, synthgov.PanelPlan(factors=plan_factors), seed=314)
-    panel = factorlab.build_panel(bundle.panel, daily)
+    panel = factorlab.build_panel(bundle.panel, factorlab.measures_from_daily(daily))
     grid = econ.run_factor_matrix(panel, tokens=tokens)
     elapsed = time.perf_counter() - start
     polls = len(log.registry)

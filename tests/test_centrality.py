@@ -86,7 +86,7 @@ def test_gini_scale_invariance():
     for _ in range(50):
         weights = rng.random(20) * 5
         base = gini_mean_difference(weights)
-        for c in (1e-6, 3.7, 1e8):
+        for c in (1e-6, 3.7, 1e8, 1e306, 3e307):  # the last two overflow n * sum, then sum
             assert abs(gini_mean_difference(c * weights) - base) <= 1e-12
 
 

@@ -7,6 +7,7 @@ import hashlib
 import json
 import random
 import sys
+import warnings
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -165,7 +166,7 @@ def test_ingest_reports_duplicate_option_ids_once(tmp_path):
 
 
 @pytest.mark.parametrize("column", ["vote", "deploy"])
-@pytest.mark.parametrize("stamp", ["inf", "-inf", "nan", "1e30", "-1e30"])
+@pytest.mark.parametrize("stamp", ["inf", "-inf", "nan", "1e30", "-1e30", "0", "-5"])
 def test_out_of_range_timestamp_row_is_skipped(tmp_path, column, stamp):
     votes, polls = tmp_path / "votes.csv", tmp_path / "polls.csv"
     write_votes_csv(votes, [
@@ -183,6 +184,30 @@ def test_out_of_range_timestamp_row_is_skipped(tmp_path, column, stamp):
     with open(tmp_path / "ingest" / "validation.csv", newline="") as handle:
         rows = [(row["kind"], row["detail"].split(":")[0]) for row in csv.DictReader(handle)]
     assert (f"bad {'vote' if column == 'vote' else 'poll'} row", "line 3") in rows
+
+
+def test_overflowing_poll_sum_keeps_its_gini(tmp_path):
+    votes, polls = tmp_path / "votes.csv", tmp_path / "polls.csv"
+    write_votes_csv(votes, [
+        (1, "0xa", 1, "1e308", DAY0 + 10),  # each weight is a finite float, their sum is not
+        (1, "0xb", 2, "1.5e308", DAY0 + 20),
+        (2, "0xc", 1, "5", DAY0 + 86400 + 10),
+    ])
+    write_polls_csv(polls, [
+        (1, DAY0, "poll 1", "1:yes|2:no", ""),
+        (2, DAY0 + 86400, "poll 2", "1:yes|2:no", ""),
+    ])
+    inputs = ["--votes", str(votes), "--polls", str(polls)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exec_command(["metrics", *inputs, "--daily-gini", "pooled_sample",
+                             "--out-dir", str(tmp_path / "metrics")]) == 0
+        for command in ("describe", "report"):
+            assert exec_command([command, *inputs, "--out-dir", str(tmp_path / command)]) == 0, command
+    with open(tmp_path / "metrics" / "poll_metrics.csv", newline="") as handle:
+        assert abs(float(next(csv.DictReader(handle))["gini"]) - 0.1) <= 1e-12
+    with open(tmp_path / "metrics" / "metrics.csv", newline="") as handle:
+        assert abs(float(next(csv.DictReader(handle))["gini"]) - 0.1) <= 1e-12
 
 
 def test_unexpected_error_records_failed_manifest(synth_dir, tmp_path, monkeypatch, capsys):
@@ -365,12 +390,35 @@ def test_panel_csv_loads_back_as_the_built_panel(synth_dir, tmp_path):
                          "--factors", str(factors), "--out-dir", str(out)])
     assert code == 0
     daily = centrality.daily_from_pass(centrality.ballot_pass(load_vote_log(votes, polls)))
-    built = factorlab.build_panel(load_factors(factors), daily)
+    built = factorlab.build_panel(load_factors(factors), factorlab.measures_from_daily(daily))
     loaded = load_factors(out / "panel.csv")
     # a volatility window longer than the history is an empty series: no rows
     assert loaded.series == {key: series for key, series in built.factors.items() if series}
     assert loaded.instrument == built.instrument
     assert not loaded.anomalies
+
+
+def test_stray_category_rows_never_feed_a_grid_cell(synth_dir, tmp_path):
+    with open(synth_dir / "factors.csv", newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    txn = [row for row in rows if row[1:4] == ["MKR", "transaction", "TxnCnt"]]
+    values = [row[4] for row in reversed(txn)]
+    stray = [[row[0], "MKR", "network", "TxnCnt", value] for row, value in zip(txn, values)]
+    grids = {}
+    for name, body in (("clean", rows), ("stray-first", stray + rows), ("stray-last", rows + stray)):
+        factors = tmp_path / f"{name}.csv"
+        with factors.open("w", newline="") as handle:
+            csv.writer(handle).writerows([header, *body])
+        inputs = ["--votes", str(synth_dir / "votes.csv"), "--polls", str(synth_dir / "polls.csv"),
+                  "--factors", str(factors)]
+        out = tmp_path / name
+        assert exec_command(["regress", *inputs, "--out-dir", str(out / "regress")]) == 0
+        assert exec_command(["iv", *inputs, "--out-dir", str(out / "iv")]) == 0
+        grids[name] = ((out / "regress" / "ols_grid.csv").read_bytes(), (out / "iv" / "iv_grid.csv").read_bytes())
+        panel_rows = (out / "regress" / "panel.csv").read_text()
+        assert ("MKR,network,TxnCnt" in panel_rows) == (name != "clean")  # kept in panel.csv
+    assert grids["stray-first"] == grids["clean"]
+    assert grids["stray-last"] == grids["clean"]
 
 
 def test_failed_synth_write_leaves_files_intact(synth_dir, tmp_path, monkeypatch):

@@ -23,7 +23,7 @@ from govpulse.econ import (
     two_sls,
     zscore,
 )
-from govpulse.factorlab import BuiltPanel, catalogue_for
+from govpulse.factorlab import BuiltPanel, align, catalogue_for
 from govpulse.synthgov import ols_oracle
 
 D0 = date(2021, 3, 1)
@@ -393,10 +393,19 @@ def _direct_cell(sample, fit, standardize: bool, min_n: int):
         return f"error: {exc}", None
 
 
-def _check_grid_against_direct_fits(grid, sample_of, fit, standardize, min_n):
+def _cell_sample(panel, cell, iv: bool):
+    """The cell's complete-case sample, aligned under its full
+    (token, category, factor) key; None when a series is absent."""
+    series = panel.factors.get((cell.token, cell.category, cell.factor))
+    if series is None or cell.measure not in panel.measures:
+        return None
+    return align(series, panel.measures[cell.measure], *([panel.instrument] if iv else []))
+
+
+def _check_grid_against_direct_fits(grid, panel, fit, standardize, min_n):
     statuses = set()
     for cell in grid.cells:
-        sample = sample_of(cell.token, cell.factor, cell.measure)
+        sample = _cell_sample(panel, cell, iv=fit is two_sls)
         status, expected = _direct_cell(sample, fit, standardize, min_n)
         assert cell.status == status, (cell.factor, cell.measure)
         assert cell.fit == expected, (cell.factor, cell.measure)
@@ -407,11 +416,16 @@ def _check_grid_against_direct_fits(grid, sample_of, fit, standardize, min_n):
 @pytest.mark.parametrize("standardize", [True, False])
 def test_factor_matrix_cells_equal_direct_ols(standardize):
     planted = _planted_panel()
-    factors = {**planted.factors, ("MKR", "network", "Active"): _series([1.0, 2.0])}
+    stray = _series(np.arange(150.0) % 7)  # TxnCnt under a category that does not list it
+    factors = {
+        ("MKR", "network", "TxnCnt"): stray,
+        **planted.factors,
+        ("MKR", "network", "Active"): _series([1.0, 2.0]),
+    }
     flat_order = dict.fromkeys(planted.measures["Order"], 0.5)  # degenerate regressor
     panel = _panel(factors, {**planted.measures, "Order": flat_order})
     grid = run_factor_matrix(panel, tokens=["MKR", "DAI"], standardize=standardize)
-    _check_grid_against_direct_fits(grid, panel.aligned, ols, standardize, min_n=3)
+    _check_grid_against_direct_fits(grid, panel, ols, standardize, min_n=3)
 
 
 @pytest.mark.parametrize("standardize", [True, False])
@@ -422,7 +436,7 @@ def test_iv_suite_cells_equal_direct_two_sls(standardize):
     measures = {**planted.measures, "Speed": dict(planted.instrument)}
     panel = _panel(factors, measures, instrument=planted.instrument)
     grid = run_iv_suite(panel, tokens=["MKR", "DAI"], standardize=standardize)
-    _check_grid_against_direct_fits(grid, panel.aligned_iv, two_sls, standardize, min_n=5)
+    _check_grid_against_direct_fits(grid, panel, two_sls, standardize, min_n=5)
 
 
 def test_iv_suite_requires_instrument():

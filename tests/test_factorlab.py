@@ -8,7 +8,9 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from conftest import grid_cell
 from govpulse.centrality import MEASURES, MEASURE_FIELDS, DailyMetrics
+from govpulse.econ import run_factor_matrix, run_iv_suite
 from govpulse.factorlab import (
     align,
     build_panel,
@@ -132,6 +134,10 @@ def test_catalogue_native_unit_names():
     assert is_known_factor("ALL", "instrument", "offchain_voters")
 
 
+def _built(raw: FactorPanel, metrics: list[DailyMetrics]):
+    return build_panel(raw, measures_from_daily(metrics))
+
+
 def test_build_panel_derives_returns_and_vols():
     raw = FactorPanel()
     days = _days(70)
@@ -141,13 +147,10 @@ def test_build_panel_derives_returns_and_vols():
         raw.put(d, "MKR", "financial", "Price", price)
         price *= 1 + float(rng.normal(0, 0.01))
     metrics = [_metric_row(d) for d in days]
-    panel = build_panel(raw, metrics)
-    assert panel.factor_series("MKR", "r") is not None
-    assert len(panel.factor_series("MKR", "r")) == 69
+    panel = _built(raw, metrics)
+    assert len(panel.factors[("MKR", "financial", "r")]) == 69
     for k in (2, 3, 4, 5, 6, 7, 14, 30, 60):
-        series = panel.factor_series("MKR", f"v{k}")
-        assert series is not None
-        assert len(series) == 69 - (k - 1)
+        assert len(panel.factors[("MKR", "financial", f"v{k}")]) == 69 - (k - 1)
 
 
 def test_build_panel_determinism_bit_identical():
@@ -157,8 +160,8 @@ def test_build_panel_determinism_bit_identical():
     for d in days:
         raw.put(d, "MKR", "financial", "Price", float(100 + rng.normal()))
     metrics = [_metric_row(d) for d in days]
-    a = build_panel(raw, metrics)
-    b = build_panel(raw, metrics)
+    a = _built(raw, metrics)
+    b = _built(raw, metrics)
     for key in a.factors:
         assert a.factors[key] == b.factors[key]
 
@@ -173,16 +176,18 @@ def test_alignment_is_intersection_and_symmetric():
     assert reverse[0] == sample[0]
 
 
+def _varying_voters(d: date) -> DailyMetrics:
+    return _metric_row(d, voters=(d.toordinal() % 7) + 1)
+
+
 def test_aligned_sample_from_panel_intersects_metric_dates():
     raw = FactorPanel()
     days = _days(10)
     for d in days:
-        raw.put(d, "MKR", "network", "Active", float(d.day))
-    metrics = [_metric_row(d) for d in days[:6]]  # metrics cover fewer days
-    panel = build_panel(raw, metrics)
-    sample = panel.aligned("MKR", "Active", "Voters")
-    assert sample is not None
-    assert len(sample[0]) == 6
+        raw.put(d, "MKR", "network", "Active", float(d.toordinal() % 3))
+    panel = _built(raw, [_varying_voters(d) for d in days[:6]])  # metrics cover fewer days
+    grid = run_factor_matrix(panel, tokens=["MKR"], measures=("Voters",))
+    assert grid_cell(grid, "MKR", "Active", "Voters").fit.n == 6
 
 
 def test_aligned_iv_alignment_n():
@@ -192,31 +197,24 @@ def test_aligned_iv_alignment_n():
         raw.put(d, "MKR", "network", "Active", float(d.toordinal() % 17))
     for d in days[:127]:
         raw.put(d, "ALL", "instrument", "offchain_voters", float(d.toordinal() % 5))
-    metrics = [_metric_row(d, voters=(d.toordinal() % 7) + 1) for d in days]
-    panel = build_panel(raw, metrics)
-    triple = panel.aligned_iv("MKR", "Active", "Voters")
-    assert triple is not None
-    assert len(triple[0]) == 127
+    panel = _built(raw, [_varying_voters(d) for d in days])
+    grid = run_iv_suite(panel, tokens=["MKR"], measures=("Voters",))
+    cell = grid_cell(grid, "MKR", "Active", "Voters")
+    assert cell.status == "ok"
+    assert cell.fit.n == 127
 
 
 def test_missing_factor_gives_none():
     raw = FactorPanel()
     days = _days(5)
     for d in days:
-        raw.put(d, "MKR", "network", "Active", 1.0)
-    panel = build_panel(raw, [_metric_row(d) for d in days])
-    assert panel.aligned("DAI", "Active", "Voters") is None
-    assert panel.factor_series("MKR", "TxnCnt") is None
-
-
-def test_factor_name_under_two_categories_resolves_to_first():
-    raw = FactorPanel()
-    days = _days(3)
-    for d in days:
-        raw.put(d, "MKR", "network", "TxnCnt", 1.0)  # unknown here, kept and flagged
-        raw.put(d, "MKR", "transaction", "TxnCnt", 2.0)
-    panel = build_panel(raw, [_metric_row(d) for d in days])
-    assert panel.factor_series("MKR", "TxnCnt") == dict.fromkeys(days, 1.0)
+        raw.put(d, "MKR", "network", "Active", float(d.day))
+    panel = _built(raw, [_varying_voters(d) for d in days])
+    assert ("MKR", "transaction", "TxnCnt") not in panel.factors
+    grid = run_factor_matrix(panel, tokens=["MKR", "DAI"], measures=("Voters",))
+    assert grid_cell(grid, "MKR", "Active", "Voters").status == "ok"
+    assert grid_cell(grid, "MKR", "TxnCnt", "Voters").status == "no data"
+    assert all(c.status == "no data" for c in grid.cells if c.token == "DAI")
 
 
 def test_measures_from_daily_excludes_missing_rows():

@@ -11,7 +11,7 @@ import pytest
 from conftest import grid_cell
 from govpulse.centrality import DailyMetrics, ballot_pass
 from govpulse.econ import endogeneity_tests, ols, run_factor_matrix
-from govpulse.factorlab import build_panel
+from govpulse.factorlab import build_panel, measures_from_daily
 from govpulse.synthgov import (
     DistSpec,
     EndogenousBlock,
@@ -158,7 +158,7 @@ def test_gen_panel_zero_loading_rarely_significant():
             factors=[FactorPlan("MKR", "transaction", "TxnCnt", loadings={}, noise_std=1.0)]
         )
         bundle = gen_panel(metrics, plan, seed=seed)
-        panel = build_panel(bundle.panel, metrics)
+        panel = build_panel(bundle.panel, measures_from_daily(metrics))
         grid = run_factor_matrix(panel, tokens=["MKR"], measures=("Voters",))
         cell = grid_cell(grid, "MKR", "TxnCnt", "Voters")
         assert cell is not None and cell.status == "ok"
@@ -173,7 +173,7 @@ def test_gen_panel_unit_loading_zero_noise_r2_one():
         factors=[FactorPlan("MKR", "transaction", "TxnCnt", loadings={"Voters": 1.0}, noise_std=0.0)]
     )
     bundle = gen_panel(metrics, plan, seed=1)
-    panel = build_panel(bundle.panel, metrics)
+    panel = build_panel(bundle.panel, measures_from_daily(metrics))
     grid = run_factor_matrix(panel, tokens=["MKR"], measures=("Voters",))
     cell = grid_cell(grid, "MKR", "TxnCnt", "Voters")
     assert cell.fit.r2 == pytest.approx(1.0, abs=1e-12)
@@ -211,7 +211,7 @@ def test_planted_truth_recovery_snr_five():
             factors=[FactorPlan("MKR", "network", "Active", loadings={"Voters": 1.0}, noise_std=0.2)]
         )
         bundle = gen_panel(metrics, plan, seed=seed)
-        panel = build_panel(bundle.panel, metrics)
+        panel = build_panel(bundle.panel, measures_from_daily(metrics))
         grid = run_factor_matrix(panel, tokens=["MKR"], measures=("Voters",))
         cell = grid_cell(grid, "MKR", "Active", "Voters")
         if cell.fit.p1 <= 0.01 and cell.fit.beta1 > 0:
