@@ -25,11 +25,8 @@ from govpulse.centrality import (
     DailyMetrics,
     PollMetrics,
     daily_gini,
-    largest_voter_stats,
     lorenz_points,
     poll_gini,
-    poll_participation,
-    poll_speed,
 )
 from govpulse.econ import IvFit, OlsFit, endogeneity_tests, ols, two_sls
 
@@ -46,14 +43,11 @@ __all__ = [
     "daily_gini",
     "endogeneity_tests",
     "final_ballots",
-    "largest_voter_stats",
     "load_factors",
     "load_vote_log",
     "lorenz_points",
     "ols",
     "poll_gini",
-    "poll_participation",
-    "poll_speed",
     "two_sls",
     "validate_dataset",
     "winning_option",

@@ -24,9 +24,9 @@ sample Gini) are available for comparison.
 
 ``ballot_pass`` is the one road from a vote log to the measures: it derives
 every poll's final ballots once per ballot rule, together with the per-poll
-metrics and the per-day poll counts. Daily rows in both calendar modes,
-voter profiles, poll descriptives and Lorenz totals are all derived from
-that one result.
+metrics and the per-day poll counts. Daily rows, voter profiles, poll
+descriptives and Lorenz totals are all derived from that one result, and
+``fill_calendar`` is the one way to add the days without polls.
 """
 
 from __future__ import annotations
@@ -75,9 +75,7 @@ class PollMetrics:
     breakdown_votes: Decimal
     breakdown_ratio: float
     breakdown_voters: int
-    winner_option: int
     largest_votes: Decimal
-    largest_voter: str
 
 
 @dataclass(frozen=True)
@@ -96,31 +94,8 @@ class DailyMetrics:
     missing: bool = False
 
 
-@dataclass(frozen=True)
-class LorenzCurve:
-    """Cumulative vote share against population share, (0,0) to (1,1)."""
-
-    points: tuple[tuple[float, float], ...]
-
-    def area_gini(self) -> float:
-        """Gini from trapezoid integration of the curve."""
-        area = 0.0
-        for (p0, l0), (p1, l1) in zip(self.points, self.points[1:]):
-            area += (p1 - p0) * (l0 + l1) / 2.0
-        return 1.0 - 2.0 * area
-
-
 def utc_day(timestamp: int) -> date:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).date()
-
-
-def _weights_array(ballots: list[FinalBallot]) -> np.ndarray:
-    return np.array([float(b.weight) for b in ballots], dtype=float)
-
-
-def poll_participation(ballots: list[FinalBallot]) -> tuple[Decimal, int]:
-    """Total final votes and number of voters in one poll."""
-    return exact_sum(b.weight for b in ballots), len(ballots)
 
 
 def gini_mean_difference(weights: np.ndarray) -> float:
@@ -148,7 +123,7 @@ def gini_mean_difference(weights: np.ndarray) -> float:
 
 def poll_gini(ballots: list[FinalBallot]) -> float:
     """Gini coefficient of one poll's final ballot weights."""
-    return gini_mean_difference(_weights_array(ballots))
+    return gini_mean_difference(np.array([float(b.weight) for b in ballots], dtype=float))
 
 
 def pareto_alpha_mle(values: np.ndarray) -> float:
@@ -197,78 +172,39 @@ def daily_gini(ballots_of_day: list[FinalBallot]) -> float:
     return gini_from_alpha(pareto_alpha_mle(positive))
 
 
-def largest_voter_stats(
-    ballots: list[FinalBallot],
-    winner: int,
-    n_records: int | None = None,
-    order_rule: str = "last",
-) -> tuple[float, int, float, float]:
-    """Share, win indicator, share-win and voting order of the largest voter.
-
-    Ballots must come from ``final_ballots`` (sorted largest first, ties by
-    earliest final timestamp). ``n_records`` is the poll's full history
-    length; when omitted it is recovered as the maximum counted index.
-    """
-    if not ballots:
-        raise ValueError("no ballots")
-    if order_rule not in ("last", "first"):
-        raise ValueError(f"unknown order rule: {order_rule!r}")
-    largest = ballots[0]
-    total = exact_sum(b.weight for b in ballots)
-    if total <= 0:
-        raise ValueError("all ballots have zero weight")
-    if n_records is None:
-        n_records = max(b.history_order_index for b in ballots)
-    largest_share = float(largest.weight / total)
-    ifwin = 1 if largest.option_id == winner else 0
-    index = largest.history_order_index if order_rule == "last" else largest.first_seen_index
-    order = index / n_records
-    return largest_share, ifwin, largest_share * ifwin, order
-
-
-def poll_speed(ballots: list[FinalBallot], deploy_timestamp: int) -> float:
-    """Mean seconds from deployment to each voter's counted choice.
-
-    Negative gaps (clock skew) are clamped to zero.
-    """
-    if not ballots:
-        raise ValueError("no ballots")
-    gaps = [max(0, b.final_timestamp - deploy_timestamp) for b in ballots]
-    return float(sum(gaps)) / len(gaps)
-
-
 def _measure_poll(
     poll: PollRecord, ballots: list[FinalBallot], n_records: int, order_rule: str
 ) -> PollMetrics | None:
-    """All per-poll measures from the poll's final ballots and history length;
-    None when the ballots carry no positive weight."""
-    total, voters = poll_participation(ballots)
+    """All per-poll measures from the poll's final ballots, sorted largest
+    first as ``final_ballots`` returns them, and its history length; None
+    when the ballots carry no positive weight. Order places the largest
+    voter's counted (``order_rule="last"``) or first record in the history;
+    speed clamps negative gaps (clock skew) to zero."""
+    total = exact_sum(b.weight for b in ballots)
     if total <= 0:
         return None
-    winner = winning_option(ballots)
-    share, ifwin, share_win, order = largest_voter_stats(
-        ballots, winner, n_records=n_records, order_rule=order_rule
-    )
-    abstain = poll.abstain_option_ids
-    breakdown = exact_sum(b.weight for b in ballots if b.option_id not in abstain)
-    breakdown_voters = sum(1 for b in ballots if b.option_id not in abstain)
+    largest = ballots[0]
+    share = float(largest.weight / total)
+    ifwin = 1 if largest.option_id == winning_option(ballots) else 0
+    index = largest.history_order_index if order_rule == "last" else largest.first_seen_index
+    counted = [b for b in ballots if b.option_id not in poll.abstain_option_ids]
+    breakdown = exact_sum(b.weight for b in counted)
+    gaps = sum(max(0, b.final_timestamp - poll.deploy_timestamp) for b in ballots)
     return PollMetrics(
         poll_id=poll.poll_id,
         day=utc_day(poll.deploy_timestamp),
         total_votes=total,
-        voters=voters,
+        voters=len(ballots),
         gini=poll_gini(ballots),
         largest_share=share,
         ifwin=ifwin,
-        largest_share_win=share_win,
-        order=order,
-        speed_seconds=poll_speed(ballots, poll.deploy_timestamp),
+        largest_share_win=share * ifwin,
+        order=index / n_records,
+        speed_seconds=float(gaps) / len(ballots),
         breakdown_votes=breakdown,
         breakdown_ratio=float(breakdown / total),
-        breakdown_voters=breakdown_voters,
-        winner_option=winner,
-        largest_votes=ballots[0].weight,
-        largest_voter=ballots[0].voter,
+        breakdown_voters=len(counted),
+        largest_votes=largest.weight,
     )
 
 
@@ -289,6 +225,8 @@ class BallotPass:
 
 def ballot_pass(log: VoteLog, ballot_rule: str = "last", order_rule: str = "last") -> BallotPass:
     """One pass over the log: final ballots, poll metrics and daily poll counts."""
+    if order_rule not in ("last", "first"):
+        raise ValueError(f"unknown order rule: {order_rule!r}")
     ballots: dict[int, list[FinalBallot]] = {}
     polls: list[PollMetrics] = []
     poll_counts: dict[date, int] = {}
@@ -304,18 +242,14 @@ def ballot_pass(log: VoteLog, ballot_rule: str = "last", order_rule: str = "last
     return BallotPass(ballots=ballots, polls=polls, poll_counts=poll_counts)
 
 
-def daily_from_pass(
-    passed: BallotPass, calendar_mode: str = "drop-missing", daily_gini_mode: str = "mle"
-) -> list[DailyMetrics]:
-    """Aggregate a pass's poll metrics to calendar days (UTC), ascending.
+def daily_from_pass(passed: BallotPass, daily_gini_mode: str = "mle") -> list[DailyMetrics]:
+    """Aggregate a pass's poll metrics to the calendar days (UTC) that have
+    measured polls, ascending.
 
     Voters and total votes are summed over the day's polls; the share, order
     and speed measures are averaged; the Gini column follows
-    ``daily_gini_mode``. In ``full-calendar`` mode the rows go through
-    ``fill_calendar``.
+    ``daily_gini_mode``. ``fill_calendar`` adds the days between.
     """
-    if calendar_mode not in CALENDAR_MODES:
-        raise ValueError(f"unknown calendar mode: {calendar_mode!r}")
     if daily_gini_mode not in DAILY_GINI_MODES:
         raise ValueError(f"unknown daily gini mode: {daily_gini_mode!r}")
 
@@ -348,8 +282,6 @@ def daily_from_pass(
                 gini=gini,
             )
         )
-    if calendar_mode == "full-calendar":
-        return fill_calendar(rows, passed.poll_counts)
     return rows
 
 
@@ -378,9 +310,10 @@ def fill_calendar(rows: list[DailyMetrics], poll_counts: dict[date, int]) -> lis
     return filled
 
 
-def lorenz_points(weights: np.ndarray) -> LorenzCurve:
-    """Lorenz curve of a weight vector, ascending, prepended with (0,0).
-    Weights whose float sum overflows are first divided by the largest one."""
+def lorenz_points(weights: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """Lorenz curve of a weight vector: (population share, vote share)
+    points, ascending, from (0,0) to (1,1). Weights whose float sum
+    overflows are first divided by the largest one."""
     weights = np.asarray(weights, dtype=float)
     with np.errstate(over="ignore"):  # inf when the sum overflows
         total = float(weights.sum())
@@ -394,4 +327,4 @@ def lorenz_points(weights: np.ndarray) -> LorenzCurve:
     n = ordered.size
     points = [(0.0, 0.0)]
     points.extend(((k + 1) / n, float(cumulative[k])) for k in range(n))
-    return LorenzCurve(points=tuple(points))
+    return tuple(points)

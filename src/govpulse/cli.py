@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -159,11 +160,11 @@ def cmd_ingest(args: argparse.Namespace, run: Run) -> None:
 
 
 def _measure(args: argparse.Namespace, log) -> tuple[centrality.BallotPass, list[centrality.DailyMetrics]]:
-    """The run's one ballot pass and the daily rows derived from it. Only
-    ``metrics`` and ``report`` take --calendar: filler days carry no measures."""
+    """The run's one ballot pass and the rows of the days with polls derived
+    from it. Only ``metrics`` and ``report`` take --calendar and fill the
+    calendar: filler days carry no measures."""
     passed = centrality.ballot_pass(log, ballot_rule=args.ballot, order_rule=args.order)
-    calendar = getattr(args, "calendar", "drop-missing")
-    return passed, centrality.daily_from_pass(passed, calendar_mode=calendar, daily_gini_mode=args.daily_gini)
+    return passed, centrality.daily_from_pass(passed, daily_gini_mode=args.daily_gini)
 
 
 def _emit_descriptives(
@@ -185,6 +186,8 @@ def _emit_descriptives(
 
 def cmd_metrics(args: argparse.Namespace, run: Run) -> None:
     passed, daily = _measure(args, _load_log(args, run))
+    if args.calendar == "full-calendar":
+        daily = centrality.fill_calendar(daily, passed.poll_counts)
     run.emit_csv("metrics.csv", report.metrics_csv(daily))
     per_poll = passed.polls
     rows = [["poll_id", "date", "total_votes", "voters", "gini", "largest_share",
@@ -378,7 +381,7 @@ def cmd_report(args: argparse.Namespace, run: Run) -> None:
     per_poll = passed.polls
     daily_full = centrality.fill_calendar(daily, passed.poll_counts)
     profile_rows, _ = _emit_descriptives(run, passed, log)
-    run.emit_csv("metrics.csv", report.metrics_csv(daily))
+    run.emit_csv("metrics.csv", report.metrics_csv(daily_full if args.calendar == "full-calendar" else daily))
     run.emit_markdown(
         "gini_summary.md",
         report.gini_summary_table([pm.gini for pm in per_poll], [m.gini for m in daily_full]),
@@ -389,7 +392,11 @@ def cmd_report(args: argparse.Namespace, run: Run) -> None:
     run.emit_csv("fig_daily_counts.csv", report.daily_counts_csv(daily_full))
     run.emit_csv("fig_poll_votes.csv", report.poll_scatter_csv(per_poll))
     run.emit_csv("fig_gini_series.csv", report.gini_series_csv(per_poll, daily_full))
-    curve = centrality.lorenz_points(np.array([float(p.total_votes) for p in profile_rows]))
+    totals = [p.total_votes for p in profile_rows]
+    top = max(totals, default=0)
+    if not math.isfinite(float(top)):  # a total beyond float range; the curve is scale-free
+        totals = [total / top for total in totals]
+    curve = centrality.lorenz_points(np.array([float(total) for total in totals]))
     run.emit_csv("fig_lorenz.csv", report.lorenz_csv(curve))
     run.emit_svg(
         "fig_daily_counts.svg",
@@ -403,7 +410,7 @@ def cmd_report(args: argparse.Namespace, run: Run) -> None:
     )
     run.emit_svg(
         "fig_lorenz.svg",
-        report.svg_line_chart({"lorenz": list(curve.points), "equality": [(0.0, 0.0), (1.0, 1.0)]}, "lorenz curve"),
+        report.svg_line_chart({"lorenz": list(curve), "equality": [(0.0, 0.0), (1.0, 1.0)]}, "lorenz curve"),
     )
 
     if args.factors:

@@ -104,6 +104,8 @@ def _as_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError("series must be one-dimensional")
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite value")
     return arr
 
 
@@ -300,7 +302,8 @@ def _run_grid(
     Each cell aligns the factor series under its own (token, category,
     factor) key with the measure (and, for IV, the instrument). Cells with
     fewer aligned dates than the kind needs, an absent series included, are
-    marked "no data"; per-cell failures are recorded without aborting the grid.
+    marked "no data"; per-cell failures, a non-finite value among them, are
+    recorded without aborting the grid.
     """
     fit_of, min_n = _GRID_KINDS[kind]
     extra = (panel.instrument,) if kind == "iv" else ()
@@ -314,9 +317,9 @@ def _run_grid(
                 if len(days) < min_n:
                     cells.append(GridCell(*key, "no data", None))
                     continue
-                if standardize:
-                    columns = [zscore(column) for column in columns]
                 try:
+                    if standardize:
+                        columns = [zscore(column) for column in columns]
                     fit = fit_of(*columns, star_thresholds)
                 except ValueError as exc:
                     cells.append(GridCell(*key, f"error: {exc}", None))

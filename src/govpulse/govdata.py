@@ -91,7 +91,8 @@ class Anomaly:
 
 @dataclass
 class ValidationReport:
-    """Counts plus the anomaly list produced by ingestion or a full scan."""
+    """The anomaly list produced by ingestion or a full scan, and the counts
+    of a full scan (``validate_dataset``)."""
 
     events: int = 0
     polls: int = 0
@@ -151,9 +152,6 @@ class VoteLog:
         self._by_poll: dict[int, list[VoteEvent]] = {}
         for ev in self.events:
             self._by_poll.setdefault(ev.poll_id, []).append(ev)
-        self.report.events = len(self.events)
-        self.report.polls = len(self.registry)
-        self.report.voters = len({e.voter for e in self.events})
 
     def poll_events(self, poll_id: int) -> list[VoteEvent]:
         """Chronological event history of one poll (empty when no votes)."""
@@ -231,27 +229,49 @@ def parse_timestamp(raw: str) -> int:
     return seconds
 
 
-def _read_rows(path: str | Path, expected_header: list[str]) -> list[dict[str, str]]:
+def _read_rows(
+    path: str | Path, expected_header: list[str], bad_kind: str, anomalies: list[Anomaly]
+) -> Iterator[tuple[int, dict[str, str]]]:
+    """The non-blank data rows of a CSV file, each with the physical line it
+    starts on. A row the CSV reader cannot read (such as a field over its
+    size limit) or that holds a byte that is not UTF-8 is appended to
+    ``anomalies`` as ``bad_kind`` and skipped. A missing file or a header
+    other than ``expected_header`` raises."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file, expected header {expected_header}")
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: unreadable header: {exc}") from None
         header = [h.strip() for h in header]
         if header != expected_header:
             raise SchemaError(f"{path}: header {header} does not match {expected_header}")
-        rows = []
-        for raw in reader:
-            if not raw or all(not cell.strip() for cell in raw):
+        while True:
+            lineno = reader.line_num + 1
+            try:
+                raw = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                anomalies.append(Anomaly(bad_kind, f"line {lineno}: {exc}"))
                 continue
+            text = "".join(raw)
+            if not text.strip():  # a blank row
+                continue
+            if not text.isascii():
+                try:
+                    text.encode("utf-8")  # an undecodable byte was read as a lone surrogate
+                except UnicodeEncodeError:
+                    anomalies.append(Anomaly(bad_kind, f"line {lineno}: a byte that is not UTF-8"))
+                    continue
             if len(raw) < len(expected_header):  # short row: parse fails downstream
                 raw = raw + [""] * (len(expected_header) - len(raw))
-            rows.append(dict(zip(expected_header, raw)))
-        return rows
+            yield lineno, dict(zip(expected_header, raw))
 
 
 def _parse_options(text: str) -> tuple[tuple[int, str], ...]:
@@ -268,7 +288,7 @@ def _parse_options(text: str) -> tuple[tuple[int, str], ...]:
 def load_polls(path: str | Path, report: ValidationReport | None = None) -> dict[int, PollRecord]:
     report = report if report is not None else ValidationReport()
     registry: dict[int, PollRecord] = {}
-    for lineno, row in enumerate(_read_rows(path, POLLS_HEADER), start=2):
+    for lineno, row in _read_rows(path, POLLS_HEADER, "bad poll row", report.anomalies):
         try:
             poll_id = int(row["poll_id"])
             deploy = parse_timestamp(row["deploy_timestamp"])
@@ -299,7 +319,7 @@ def load_polls(path: str | Path, report: ValidationReport | None = None) -> dict
 def load_identities(path: str | Path, report: ValidationReport | None = None) -> dict[str, str]:
     report = report if report is not None else ValidationReport()
     identities: dict[str, str] = {}
-    for lineno, row in enumerate(_read_rows(path, IDENTITIES_HEADER), start=2):
+    for lineno, row in _read_rows(path, IDENTITIES_HEADER, "bad identity row", report.anomalies):
         address = row["address"].strip().lower()
         if not address:
             report.add("bad identity row", f"line {lineno}: empty address")
@@ -325,12 +345,15 @@ def load_vote_log(
     identities = load_identities(identities_path, report) if identities_path else {}
 
     events: list[VoteEvent] = []
-    for lineno, row in enumerate(_read_rows(votes_path, VOTES_HEADER), start=2):
+    for lineno, row in _read_rows(votes_path, VOTES_HEADER, "bad vote row", report.anomalies):
         try:
             poll_id = int(row["poll_id"])
             voter = row["voter"].strip().lower()
             option_id = int(row["option_id"])
-            weight = Decimal(row["weight"].strip())
+            try:
+                weight = Decimal(row["weight"].strip())
+            except InvalidOperation:
+                raise ValueError(f"weight {row['weight']!r} is not a decimal number") from None
             if not (weight.is_finite() and math.isfinite(float(weight))):
                 raise ValueError(f"non-finite weight {row['weight']!r}")
             if weight.as_tuple().exponent < -MAX_WEIGHT_PLACES:
@@ -368,7 +391,7 @@ def load_factors(path: str | Path) -> FactorPanel:
     from govpulse.factorlab import is_known_factor
 
     panel = FactorPanel()
-    for lineno, row in enumerate(_read_rows(path, FACTORS_HEADER), start=2):
+    for lineno, row in _read_rows(path, FACTORS_HEADER, "bad factor row", panel.anomalies):
         text = row["date"].strip()
         try:
             day = date.fromisoformat(text)

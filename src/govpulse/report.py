@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from datetime import date
 
-from govpulse.centrality import DailyMetrics, LorenzCurve, PollMetrics
+from govpulse.centrality import DailyMetrics, PollMetrics
 from govpulse.econ import GridCell, InstrumentScreen, IvFit, OlsFit, RegressionGrid
 from govpulse.factorlab import catalogue_for
 from govpulse.profiles import (
@@ -429,9 +429,9 @@ def gini_series_csv(poll_metrics: list[PollMetrics], metrics: list[DailyMetrics]
     return out
 
 
-def lorenz_csv(curve: LorenzCurve) -> list[list[str]]:
+def lorenz_csv(curve: tuple[tuple[float, float], ...]) -> list[list[str]]:
     out = [["population_share", "vote_share"]]
-    for p, l in curve.points:
+    for p, l in curve:
         out.append([repr(p), repr(l)])
     return out
 

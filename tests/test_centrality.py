@@ -13,36 +13,42 @@ from govpulse.centrality import (
     ballot_pass,
     daily_from_pass,
     daily_gini,
+    fill_calendar,
     gini_from_alpha,
     gini_mean_difference,
-    largest_voter_stats,
     lorenz_points,
     pareto_alpha_mle,
     poll_gini,
-    poll_participation,
-    poll_speed,
 )
-from govpulse.govdata import MAX_TIMESTAMP, final_ballots, winning_option
+from govpulse.govdata import MAX_TIMESTAMP, final_ballots
 from govpulse.synthgov import gini_oracle
 
 
-def _ballots(*weights, poll_deploy=DAY0, base_option=1):
-    events = [
-        (1, addr(i + 1), base_option, str(w), poll_deploy + 10 * (i + 1))
-        for i, w in enumerate(weights)
-    ]
-    log = make_log(events, [make_poll(1, poll_deploy)])
-    return final_ballots(log, 1)
+def _one_poll_log(*weights):
+    events = [(1, addr(i + 1), 1, str(w), DAY0 + 10 * (i + 1)) for i, w in enumerate(weights)]
+    return make_log(events, [make_poll(1, DAY0)])
+
+
+def _ballots(*weights):
+    return final_ballots(_one_poll_log(*weights), 1)
+
+
+def _poll_metrics(log, order_rule="last"):
+    """The metrics of the log's only measured poll."""
+    (pm,) = ballot_pass(log, order_rule=order_rule).polls
+    return pm
 
 
 def test_participation_sum_and_count():
-    total, voters = poll_participation(_ballots(5, 3, 2))
-    assert total == Decimal(10)
-    assert voters == 3
+    pm = _poll_metrics(_one_poll_log(5, 3, 2))
+    assert pm.total_votes == Decimal(10)
+    assert pm.voters == 3
 
 
-def test_participation_empty():
-    assert poll_participation([]) == (Decimal(0), 0)
+def test_zero_weight_poll_has_no_metrics_row():
+    passed = ballot_pass(_one_poll_log(0, 0))
+    assert len(passed.ballots[1]) == 2
+    assert passed.polls == []
 
 
 def test_poll_gini_equal_weights_is_zero():
@@ -171,8 +177,8 @@ def test_daily_gini_monotone_in_concentration():
 
 
 def test_largest_voter_stats_single_voter():
-    ballots = _ballots(11)
-    assert largest_voter_stats(ballots, winning_option(ballots)) == (1.0, 1, 1.0, 1.0)
+    pm = _poll_metrics(_one_poll_log(11))
+    assert (pm.largest_share, pm.ifwin, pm.largest_share_win, pm.order) == (1.0, 1, 1.0, 1.0)
 
 
 def test_largest_voter_stats_winner_case():
@@ -183,20 +189,22 @@ def test_largest_voter_stats_winner_case():
         ],
         [make_poll(1, DAY0)],
     )
-    ballots = final_ballots(log, 1)
-    share, ifwin, share_win, order = largest_voter_stats(ballots, 1)
-    assert (share, ifwin, share_win) == (0.6, 1, 0.6)
-    assert order == 1.0  # largest voter's record is 2nd of 2
+    pm = _poll_metrics(log)
+    assert (pm.largest_share, pm.ifwin, pm.largest_share_win) == (0.6, 1, 0.6)
+    assert pm.order == 1.0  # largest voter's record is 2nd of 2
 
 
 def test_largest_voter_stats_loss_zeroes_share_win():
     log = make_log(
-        [(1, addr(1), 1, "60", DAY0 + 10), (1, addr(2), 2, "40", DAY0 + 20)],
+        [
+            (1, addr(1), 1, "60", DAY0 + 10),
+            (1, addr(2), 2, "50", DAY0 + 20),
+            (1, addr(3), 2, "50", DAY0 + 30),  # option 2 wins 100 to 60
+        ],
         [make_poll(1, DAY0)],
     )
-    ballots = final_ballots(log, 1)
-    share, ifwin, share_win, _ = largest_voter_stats(ballots, 2)
-    assert (share, ifwin, share_win) == (0.6, 0, 0.0)
+    pm = _poll_metrics(log)
+    assert (pm.largest_share, pm.ifwin, pm.largest_share_win) == (0.375, 0, 0.0)
 
 
 def test_largest_voter_stats_order_first_rule():
@@ -208,11 +216,8 @@ def test_largest_voter_stats_order_first_rule():
         ],
         [make_poll(1, DAY0)],
     )
-    ballots = final_ballots(log, 1)
-    _, _, _, order_last = largest_voter_stats(ballots, 2, n_records=3, order_rule="last")
-    _, _, _, order_first = largest_voter_stats(ballots, 2, n_records=3, order_rule="first")
-    assert order_last == 1.0
-    assert order_first == pytest.approx(1.0 / 3.0)
+    assert _poll_metrics(log, order_rule="last").order == 1.0
+    assert _poll_metrics(log, order_rule="first").order == pytest.approx(1.0 / 3.0)
 
 
 def test_largest_voter_tie_earliest_final_timestamp():
@@ -224,17 +229,12 @@ def test_largest_voter_tie_earliest_final_timestamp():
     assert ballots[0].voter == addr(2)
 
 
-def test_largest_voter_stats_empty_raises():
-    with pytest.raises(ValueError):
-        largest_voter_stats([], 1)
-
-
 def test_poll_speed_mean_of_gaps():
     log = make_log(
         [(1, addr(1), 1, "5", DAY0 + 100), (1, addr(2), 1, "5", DAY0 + 300)],
         [make_poll(1, DAY0)],
     )
-    assert poll_speed(final_ballots(log, 1), DAY0) == 200.0
+    assert _poll_metrics(log).speed_seconds == 200.0
 
 
 def test_poll_speed_revision_counts_last_event():
@@ -242,17 +242,12 @@ def test_poll_speed_revision_counts_last_event():
         [(1, addr(1), 1, "5", DAY0 + 100), (1, addr(1), 2, "5", DAY0 + 500)],
         [make_poll(1, DAY0)],
     )
-    assert poll_speed(final_ballots(log, 1), DAY0) == 500.0
+    assert _poll_metrics(log).speed_seconds == 500.0
 
 
 def test_poll_speed_clamps_negative_gaps():
     log = make_log([(1, addr(1), 1, "5", DAY0 - 100)], [make_poll(1, DAY0)])
-    assert poll_speed(final_ballots(log, 1), DAY0) == 0.0
-
-
-def test_poll_speed_empty_raises():
-    with pytest.raises(ValueError):
-        poll_speed([], DAY0)
+    assert _poll_metrics(log).speed_seconds == 0.0
 
 
 def test_daily_metrics_single_poll_equals_poll_values():
@@ -293,10 +288,11 @@ def test_daily_metrics_ascending_dates_and_full_calendar():
         ],
         [make_poll(1, DAY0), make_poll(2, DAY0 + 3 * 86400)],
     )
-    dropped = daily_from_pass(ballot_pass(log), calendar_mode="drop-missing")
+    passed = ballot_pass(log)
+    dropped = daily_from_pass(passed)
     assert [r.day.toordinal() for r in dropped] == sorted(r.day.toordinal() for r in dropped)
     assert len(dropped) == 2
-    full = daily_from_pass(ballot_pass(log), calendar_mode="full-calendar")
+    full = fill_calendar(dropped, passed.poll_counts)
     assert len(full) == 4
     missing = [r for r in full if r.missing]
     assert len(missing) == 2
@@ -309,7 +305,8 @@ def test_full_calendar_reaches_last_representable_day():
         [(i + 1, addr(1), 1, "5", deploy + 10) for i, deploy in enumerate(deploys)],
         [make_poll(i + 1, deploy) for i, deploy in enumerate(deploys)],
     )
-    full = daily_from_pass(ballot_pass(log), calendar_mode="full-calendar")
+    passed = ballot_pass(log)
+    full = fill_calendar(daily_from_pass(passed), passed.poll_counts)
     assert [r.day.isoformat() for r in full] == ["9999-12-29", "9999-12-30", "9999-12-31"]
 
 
@@ -335,13 +332,11 @@ def test_daily_metrics_gini_modes_differ_on_heterogeneous_day():
 
 
 def test_lorenz_points_equal_weights_on_diagonal():
-    curve = lorenz_points(np.array([1.0, 1.0]))
-    assert curve.points == ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0))
+    assert lorenz_points(np.array([1.0, 1.0])) == ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0))
 
 
 def test_lorenz_points_hand_case():
-    curve = lorenz_points(np.array([1.0, 3.0]))
-    assert curve.points == ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))
+    assert lorenz_points(np.array([1.0, 3.0])) == ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))
 
 
 def test_lorenz_all_zero_raises():
@@ -349,17 +344,22 @@ def test_lorenz_all_zero_raises():
         lorenz_points(np.array([0.0, 0.0]))
 
 
+def _trapezoid_gini(curve):
+    """Gini from trapezoid integration of a Lorenz curve."""
+    area = sum((p1 - p0) * (l0 + l1) / 2.0 for (p0, l0), (p1, l1) in zip(curve, curve[1:]))
+    return 1.0 - 2.0 * area
+
+
 def test_lorenz_curve_invariants_and_area_identity():
     rng = np.random.default_rng(5)
     for _ in range(200):
         weights = rng.random(int(rng.integers(1, 50))) + 1e-12
         curve = lorenz_points(weights)
-        ps = [p for p, _ in curve.points]
-        ls = [l for _, l in curve.points]
-        assert curve.points[0] == (0.0, 0.0)
-        assert curve.points[-1][0] == 1.0
-        assert abs(curve.points[-1][1] - 1.0) < 1e-12
+        ls = [l for _, l in curve]
+        assert curve[0] == (0.0, 0.0)
+        assert curve[-1][0] == 1.0
+        assert abs(curve[-1][1] - 1.0) < 1e-12
         assert all(b >= a - 1e-15 for a, b in zip(ls, ls[1:]))  # non-decreasing
-        assert all(l <= p + 1e-12 for p, l in curve.points)  # below diagonal
+        assert all(l <= p + 1e-12 for p, l in curve)  # below diagonal
         if weights.size >= 2:
-            assert abs(curve.area_gini() - gini_mean_difference(weights)) <= 1e-9
+            assert abs(_trapezoid_gini(curve) - gini_mean_difference(weights)) <= 1e-9

@@ -13,8 +13,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import DAY0, write_polls_csv, write_votes_csv
+from conftest import DAY0, write_factors_csv, write_polls_csv, write_votes_csv
 from govpulse import centrality, factorlab, govdata, synthgov
 from govpulse.cli import exec_command
 from govpulse.govdata import load_factors, load_vote_log, write_factors
@@ -155,6 +157,37 @@ def test_ingest_skips_non_finite_weights(tmp_path):
     assert "events: 3" in (out / "ingest_summary.txt").read_text()
 
 
+CLEAN_VOTE_LINES = [b"1,0xa,1,10,1614556810", b"2,0xb,2,0.5,2021-03-02T00:00:10Z"]
+
+
+def _data_line(line: bytes) -> bool:
+    """A line the loader reads as a row: one with a field that is not blank."""
+    return any(cell.strip() for cell in line.decode("utf-8", "surrogateescape").split(","))
+
+
+@settings(max_examples=50, deadline=None)
+@example(lines=[b"1,0x" + b"9" * 131073 + b",1,5,1614556900", b"\xff,\xfe", b"  ,\t,"])
+@given(lines=st.lists(
+    st.one_of(
+        st.binary(max_size=30),
+        st.sampled_from(CLEAN_VOTE_LINES),
+        st.tuples(st.sampled_from(CLEAN_VOTE_LINES), st.binary(max_size=8)).map(b"".join),
+    ).map(lambda line: line.translate(None, b'"\r\n')),
+    max_size=6,
+))
+def test_ingest_reads_any_vote_line_bytes(tmp_path_factory, lines):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    votes, polls, out = tmp / "votes.csv", tmp / "polls.csv", tmp / "out"
+    body = [b"poll_id,voter,option_id,weight,timestamp", *CLEAN_VOTE_LINES, *lines]
+    votes.write_bytes(b"\n".join(body) + b"\n")
+    write_polls_csv(polls, [(1, DAY0, "poll 1", "1:yes|2:no", ""), (2, DAY0 + 86400, "poll 2", "1:yes|2:no", "")])
+    assert exec_command(["ingest", "--votes", str(votes), "--polls", str(polls), "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["status"], manifest["command"]) == ("ok", "ingest")
+    log = load_vote_log(votes, polls)
+    assert len(log.events) + len(log.report.anomalies) == sum(map(_data_line, body[1:]))
+
+
 def test_ingest_reports_duplicate_option_ids_once(tmp_path):
     votes, polls, out = tmp_path / "votes.csv", tmp_path / "polls.csv", tmp_path / "out"
     write_votes_csv(votes, [(1, "0xa", 1, "10", DAY0 + 10)])
@@ -208,6 +241,59 @@ def test_overflowing_poll_sum_keeps_its_gini(tmp_path):
         assert abs(float(next(csv.DictReader(handle))["gini"]) - 0.1) <= 1e-12
     with open(tmp_path / "metrics" / "metrics.csv", newline="") as handle:
         assert abs(float(next(csv.DictReader(handle))["gini"]) - 0.1) <= 1e-12
+
+
+def test_total_beyond_float_range_keeps_the_lorenz_curve(tmp_path):
+    votes, polls, out = tmp_path / "votes.csv", tmp_path / "polls.csv", tmp_path / "out"
+    write_votes_csv(votes, [
+        (1, "0xa", 1, "1e308", DAY0 + 10),  # 0xa's total, 2.5e308, is beyond float range
+        (1, "0xb", 2, "5", DAY0 + 20),
+        (2, "0xa", 1, "1.5e308", DAY0 + 86400 + 10),
+        (2, "0xb", 2, "7", DAY0 + 86400 + 20),
+    ])
+    write_polls_csv(polls, [
+        (1, DAY0, "poll 1", "1:yes|2:no", ""),
+        (2, DAY0 + 86400, "poll 2", "1:yes|2:no", ""),
+    ])
+    assert exec_command(["report", "--votes", str(votes), "--polls", str(polls), "--out-dir", str(out)]) == 0
+    with open(out / "fig_lorenz.csv", newline="") as handle:
+        assert list(csv.reader(handle))[1:] == [["0.0", "0.0"], ["0.5", "4.8e-308"], ["1.0", "1.0"]]
+
+
+def _grid_rows(path: Path, measure: str) -> list[dict]:
+    with open(path, newline="") as handle:
+        return [row for row in csv.DictReader(handle) if row["measure"] == measure]
+
+
+def test_non_finite_measure_is_a_cell_error(tmp_path):
+    votes, polls, factors = tmp_path / "votes.csv", tmp_path / "polls.csv", tmp_path / "factors.csv"
+    rows = [(1, "0xa", 1, "1e308", DAY0 + 10), (1, "0xb", 2, "1.5e308", DAY0 + 20)]  # TotalVotes inf
+    for day in range(1, 6):
+        rows += [(day + 1, f"0x{voter}", 1, str(voter), DAY0 + day * 86400 + voter) for voter in range(1, day + 2)]
+    write_votes_csv(votes, rows)
+    write_polls_csv(polls, [(day + 1, DAY0 + day * 86400, "p", "1:yes|2:no", "") for day in range(6)])
+    factor_rows = []
+    for day in range(6):
+        stamp = f"2021-03-0{day + 1}"
+        factor_rows += [
+            (stamp, "MKR", "network", "New", str(3.0 + (day * 7) % 5)),
+            (stamp, "MKR", "network", "Active", str(10.0 + (day * 3) % 4)),
+            (stamp, "ALL", "instrument", "offchain_voters", str(1.0 + (day * 5) % 6)),
+        ]
+    write_factors_csv(factors, factor_rows)
+    inputs = ["--votes", str(votes), "--polls", str(polls), "--factors", str(factors), "--tokens", "MKR"]
+    for command, grid in (("regress", "ols_grid.csv"), ("iv", "iv_grid.csv")):
+        both, alone = tmp_path / f"{command}_both", tmp_path / f"{command}_alone"
+        assert exec_command([command, *inputs, "--measures", "TotalVotes,Voters", "--out-dir", str(both)]) == 0
+        assert exec_command([command, *inputs, "--measures", "Voters", "--out-dir", str(alone)]) == 0
+        voters = _grid_rows(both / grid, "Voters")
+        assert voters == _grid_rows(alone / grid, "Voters")
+        assert any(row["status"] == "ok" for row in voters), command
+        statuses = {row["status"] for row in _grid_rows(both / grid, "TotalVotes")}
+        assert statuses == {"no data", "error: non-finite value"}, command
+    with open(tmp_path / "iv_both" / "instrument_screen.csv", newline="") as handle:
+        screen = {row[0]: row[1:] for row in csv.reader(handle) if row}
+    assert screen["TotalVotes"] == ["nan", "nan", "", "6"]
 
 
 def test_unexpected_error_records_failed_manifest(synth_dir, tmp_path, monkeypatch, capsys):
@@ -455,6 +541,33 @@ def test_synth_bytes_are_pinned(tmp_path):
         "polls.csv": "9871456fad56b887e887e4e763eea9ec25eff50f44154b62f029e93b54542a11",
         "factors.csv": "13e2746b6a060778e14d8db0733060c3f55dcd4a681df43570025e9f892903f8",
     }
+
+
+def test_report_bytes_are_pinned(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    config = json.dumps({"days": 20, "voter_pool": 80, "polls_per_day": ["poisson", 1.0], "seed": 3})
+    assert exec_command(["synth", "--config", _write(tmp_path / "c.json", config),
+                         "--tokens", "MKR,DAI", "--out-dir", str(data)]) == 0
+    digests = {name: hashlib.sha256((data / name).read_bytes()).hexdigest()
+               for name in ("votes.csv", "polls.csv", "factors.csv")}
+    assert digests == {
+        "votes.csv": "7586736667720ab4144898e154227ea38713d1dcb53ed3673e60770246d05d0d",
+        "polls.csv": "745ade31df9f867e93892792187b3064312f84605de13430e9e2633ce0f7fe90",
+        "factors.csv": "491a9d6d97e6e0a4ee091ead223c505e316e7b12110867af971929590be9fde8",
+    }
+    inputs = [f"--{name}={data / name}.csv" for name in ("votes", "polls", "factors")]
+    assert exec_command(["report", *inputs, "--calendar", "full-calendar", "--formats", "csv,markdown,svg",
+                         "--out-dir", str(out)]) == 0
+    with open(out / "metrics.csv", newline="") as handle:
+        assert sum(row["missing_flag"] == "1" for row in csv.DictReader(handle)) == 8
+    figures = ("metrics.csv", "fig_daily_counts.csv", "fig_gini_series.csv", "fig_poll_votes.csv",
+               "profiles.csv", "fig_lorenz.csv")
+    names = sorted([path.name for path in out.glob("*.md")] + list(figures))
+    assert len(names) == 27 + len(figures)
+    listing = "".join(f"{name} {hashlib.sha256((out / name).read_bytes()).hexdigest()}\n" for name in names)
+    assert hashlib.sha256(listing.encode()).hexdigest() == (
+        "9b485e190c7c0b0bcd8a211596634ec77ab5fe3d5ee3f99f60aa9ddb451f618d"
+    )
 
 
 def _write(path: Path, text: str) -> str:

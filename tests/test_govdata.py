@@ -8,6 +8,10 @@ import pytest
 
 from conftest import DAY0, addr, make_log, make_poll, write_factors_csv, write_polls_csv, write_votes_csv
 from govpulse.govdata import (
+    FACTORS_HEADER,
+    IDENTITIES_HEADER,
+    POLLS_HEADER,
+    VOTES_HEADER,
     SchemaError,
     final_ballots,
     load_factors,
@@ -67,10 +71,11 @@ def test_missing_file_raises(tmp_path):
 
 
 def test_malformed_header_raises(tmp_path):
-    (tmp_path / "votes.csv").write_text("a,b,c\n1,2,3\n")
     write_polls_csv(tmp_path / "polls.csv", [(1, DAY0, "p", "1:yes", "")])
-    with pytest.raises(SchemaError):
-        load_vote_log(tmp_path / "votes.csv", tmp_path / "polls.csv")
+    for header in ("a,b,c", "poll_id,voter," + "x" * 131073):  # the second is over the reader's field limit
+        (tmp_path / "votes.csv").write_text(f"{header}\n1,2,3\n")
+        with pytest.raises(SchemaError):
+            load_vote_log(tmp_path / "votes.csv", tmp_path / "polls.csv")
 
 
 def test_identities_are_normalized_and_joined(tmp_path):
@@ -344,3 +349,65 @@ def test_non_finite_factor_value_skipped(tmp_path):
     panel = load_factors(path)
     assert len(panel) == 1
     assert sum(1 for a in panel.anomalies if a.kind == "bad factor value") == 2
+
+
+def test_anomaly_line_numbers_are_physical_lines(tmp_path):
+    (tmp_path / "polls.csv").write_text(
+        "poll_id,deploy_timestamp,title,options,abstain_options\n"
+        '1,1614556800,"a title over\ntwo lines",1:yes|2:no,\n'
+        "\n"
+        "x,1614556800,bad poll,1:yes,\n"
+    )
+    (tmp_path / "votes.csv").write_text(
+        "poll_id,voter,option_id,weight,timestamp\n"
+        "1,0xa,1,5,1614556900\n"
+        "\n"
+        "\n"
+        "1,0xb,1,5,not a time\n"
+    )
+    log = load_vote_log(tmp_path / "votes.csv", tmp_path / "polls.csv")
+    details = [(a.kind, a.detail.split(":")[0]) for a in log.report.anomalies]
+    assert details == [("bad poll row", "line 5"), ("bad vote row", "line 5")]
+
+
+def test_bad_weight_detail_quotes_the_weight(tmp_path):
+    write_votes_csv(tmp_path / "votes.csv", [(1, "0xa", 1, "12abc", DAY0 + 10)])
+    write_polls_csv(tmp_path / "polls.csv", [(1, DAY0, "p", "1:yes", "")])
+    log = load_vote_log(tmp_path / "votes.csv", tmp_path / "polls.csv")
+    assert [a.detail for a in log.report.anomalies] == ["line 2: weight '12abc' is not a decimal number"]
+
+
+# input -> (header, a clean line, a line template whose {} takes the unreadable text,
+#           another clean line, the kind of a bad row)
+UNREADABLE_IN = {
+    "votes": (VOTES_HEADER, "1,0xa,1,5,1614556900", "1,0x{},1,5,1614556900", "1,0xb,1,7,1614556900", "bad vote row"),
+    "polls": (POLLS_HEADER, "1,1614556800,one,1:yes,", "2,1614556800,{},1:yes,", "3,1614556800,three,1:yes,",
+              "bad poll row"),
+    "identities": (IDENTITIES_HEADER, "0xa,alice", "0xc,{}", "0xd,dora", "bad identity row"),
+    "factors": (FACTORS_HEADER, "2021-03-01,MKR,network,New,1", "2021-03-02,MKR,network,New,{}",
+                "2021-03-03,MKR,network,New,3", "bad factor row"),
+}
+
+
+@pytest.mark.parametrize("junk, reason", [
+    (b"x" * 131073, "field larger than field limit (131072)"),
+    (b"caf\xff", "a byte that is not UTF-8"),
+], ids=["oversized_field", "undecodable_byte"])
+@pytest.mark.parametrize("source", list(UNREADABLE_IN))
+def test_unreadable_line_is_a_bad_row(tmp_path, source, junk, reason):
+    header, first, bad, last, kind = UNREADABLE_IN[source]
+    paths = {name: tmp_path / f"{name}.csv" for name in UNREADABLE_IN}
+    for name, (head, clean, _, _, _) in UNREADABLE_IN.items():
+        lines = [",".join(head).encode(), clean.encode()]
+        if name == source:
+            lines += [bad.encode().replace(b"{}", junk), last.encode()]
+        paths[name].write_bytes(b"\n".join(lines) + b"\n")
+    if source == "factors":
+        panel = load_factors(paths["factors"])
+        anomalies, kept = panel.anomalies, len(panel)
+    else:
+        log = load_vote_log(paths["votes"], paths["polls"], paths["identities"])
+        anomalies = log.report.anomalies
+        kept = {"votes": len(log.events), "polls": len(log.registry), "identities": len(log.identities)}[source]
+    assert [(a.kind, a.detail) for a in anomalies] == [(kind, f"line 3: {reason}")]
+    assert kept == 2
