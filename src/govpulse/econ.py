@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
-from scipy import special
 
 from govpulse.centrality import MEASURES
-from govpulse.factorlab import BuiltPanel, align, catalogue_for
+from govpulse.factorlab import BuiltPanel, align, catalogue_for, values_on
 
 IV_DEFAULT_MEASURES = ("Voters", "TotalVotes", "Speed")
 STAR_THRESHOLDS = (0.10, 0.05, 0.01)
@@ -50,6 +49,8 @@ def f_pvalue(f: float, d1: int, d2: int) -> float:
         return float("nan")
     if f <= 0.0:
         return 1.0
+    from scipy import special  # imported on first use: commands without a fit never load scipy
+
     return float(special.betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f)))
 
 
@@ -59,6 +60,8 @@ def chi2_pvalue(stat: float, dof: int) -> float:
         raise ValueError("degrees of freedom must be positive")
     if stat <= 0.0:
         return 1.0
+    from scipy import special
+
     return float(special.gammaincc(dof / 2.0, stat / 2.0))
 
 
@@ -117,16 +120,40 @@ def zscore(values: np.ndarray) -> np.ndarray:
     return (arr - arr.mean()) / sd
 
 
-def _line(y: np.ndarray, x: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares intercept, slope and residual sum of squares of y on x."""
-    design = np.column_stack([np.ones(y.size), x])
+@dataclass(frozen=True)
+class _Column:
+    """A finite series on one sample, with what every fit reading it shares:
+    the design (1, values) of a line on it, and its centred sum of squares
+    (sxx as a regressor, tss as the dependent variable)."""
+
+    values: np.ndarray
+    design: np.ndarray
+    css: float
+
+
+def _column(arr: np.ndarray) -> _Column:
+    return _Column(arr, np.column_stack([np.ones(arr.size), arr]), float(((arr - arr.mean()) ** 2).sum()))
+
+
+def _regressor(x: _Column) -> _Column:
+    """x, checked to carry a slope: at least 3 values, not all equal."""
+    if x.values.size < 3:
+        raise ValueError("need at least 3 observations")
+    if float(x.values.max() - x.values.min()) == 0.0:
+        raise ValueError("degenerate regressor")
+    return x
+
+
+def _line(y: np.ndarray, design: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares intercept, slope and residual sum of squares of y on a
+    design (1, x)."""
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     return float(coef[0]), float(coef[1]), float(resid @ resid)
 
 
 def _summary(
-    y: np.ndarray,
+    y: _Column,
     beta0: float,
     beta1: float,
     rss: float,
@@ -135,11 +162,11 @@ def _summary(
     flat_r2: float,
 ) -> OlsFit:
     """Slope inference and fit quality; ``flat_r2`` is the R-squared of a constant y."""
-    n = int(y.size)
+    n = int(y.values.size)
     se1 = math.sqrt(rss / (n - 2) / sxx)
     t1 = beta1 / se1 if se1 > 0.0 else math.copysign(math.inf, beta1) if beta1 else 0.0
     p1 = t_pvalue(t1, n - 2)
-    tss = float(((y - y.mean()) ** 2).sum())
+    tss = y.css
     r2 = 1.0 - rss / tss if tss > 0.0 else flat_r2
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - 2)
     return OlsFit(
@@ -155,19 +182,113 @@ def _summary(
     )
 
 
+def _ols_on(y: _Column, x: _Column, star_thresholds: tuple[float, float, float]) -> OlsFit:
+    """OLS of y on a regressor of the same length."""
+    beta0, beta1, rss = _line(y.values, x.design)
+    return _summary(y, beta0, beta1, rss, x.css, star_thresholds, flat_r2=1.0 if rss == 0.0 else 0.0)
+
+
 def ols(y, x, star_thresholds: tuple[float, float, float] = STAR_THRESHOLDS) -> OlsFit:
     """Univariate least squares with intercept and classical standard errors."""
     y = _as_array(y)
     x = _as_array(x)
     if y.size != x.size:
         raise ValueError("y and x must have equal length")
-    if y.size < 3:
-        raise ValueError("need at least 3 observations")
-    if float(x.max() - x.min()) == 0.0:
-        raise ValueError("degenerate regressor")
-    beta0, beta1, rss = _line(y, x)
-    sxx = float(((x - x.mean()) ** 2).sum())
-    return _summary(y, beta0, beta1, rss, sxx, star_thresholds, flat_r2=1.0 if rss == 0.0 else 0.0)
+    return _ols_on(_column(y), _regressor(_column(x)), star_thresholds)
+
+
+@dataclass(frozen=True)
+class _FirstStage:
+    """The part of 2SLS that depends on the regressor x and the instrument z
+    alone, computed once and shared by every y fitted on the same sample."""
+
+    x: _Column
+    fit: OlsFit  # x on z
+    fitted: _Column
+    # Restricted (1, x) and residual-augmented (1, x, vhat) designs of the
+    # exogeneity tests, or why the augmentation is degenerate.
+    designs: tuple[np.ndarray, np.ndarray] | str
+
+
+def _first_stage(
+    x: _Column, z: _Column, star_thresholds: tuple[float, float, float] = STAR_THRESHOLDS
+) -> _FirstStage:
+    n = int(x.values.size)
+    if n < 4:
+        raise ValueError("need at least 4 observations")
+    if float(z.values.max() - z.values.min()) == 0.0:
+        raise ValueError("degenerate instrument")
+    fit = _ols_on(x, z, star_thresholds)
+    fitted = fit.beta0 + fit.beta1 * z.values
+    # vhat: the first-stage residuals, x less the first-stage line on (1, z).
+    vhat = x.values - z.design @ np.array([fit.beta0, fit.beta1])
+    scale = float((x.values * x.values).sum())
+    if float(vhat @ vhat) <= 1e-14 * max(scale, 1.0):
+        designs: tuple[np.ndarray, np.ndarray] | str = "collinear augmentation: x is perfectly explained by z"
+    else:
+        augmented = np.column_stack([np.ones(n), x.values, vhat])
+        if np.linalg.matrix_rank(augmented) < 3:
+            designs = "collinear augmentation"
+        else:
+            designs = (x.design, augmented)
+    return _FirstStage(x, fit, _column(fitted), designs)
+
+
+def _second_stage(
+    y: _Column,
+    stage: _FirstStage,
+    star_thresholds: tuple[float, float, float],
+    diagnostics: bool = True,
+) -> IvFit:
+    """2SLS of y, of the stage's length, on the stage's x."""
+    first, fitted = stage.fit, stage.fitted
+    if float(fitted.values.max() - fitted.values.min()) == 0.0:
+        raise ValueError("degenerate regressor: first stage is flat")
+    beta0, beta1, _ = _line(y.values, fitted.design)
+
+    # 2SLS correction: variance from residuals against the actual regressor.
+    resid = y.values - beta0 - beta1 * stage.x.values
+    rss = float(resid @ resid)
+    second = _summary(y, beta0, beta1, rss, fitted.css, star_thresholds, flat_r2=0.0)
+    if diagnostics:
+        durbin_stat, durbin_p, wh_stat, wh_p = _exogeneity(y.values, stage)
+    else:
+        durbin_stat = durbin_p = wh_stat = wh_p = float("nan")
+    return IvFit(
+        first_stage=first,
+        partial_f=first.t1 * first.t1,
+        second_stage=second,
+        durbin_stat=durbin_stat,
+        durbin_p=durbin_p,
+        wu_hausman_stat=wh_stat,
+        wu_hausman_p=wh_p,
+        adj_r2=second.adj_r2,
+        n=int(y.values.size),
+    )
+
+
+def _exogeneity(y: np.ndarray, stage: _FirstStage) -> tuple[float, float, float, float]:
+    """Durbin and Wu-Hausman statistics and p-values of y on the stage's designs."""
+    if isinstance(stage.designs, str):
+        raise ValueError(stage.designs)
+    restricted, augmented = stage.designs
+    n = int(y.size)
+    coef_r, _, _, _ = np.linalg.lstsq(restricted, y, rcond=None)
+    coef_u, _, _, _ = np.linalg.lstsq(augmented, y, rcond=None)
+    resid_r = y - restricted @ coef_r
+    resid_u = y - augmented @ coef_u
+    rss_r = float(resid_r @ resid_r)
+    rss_u = float(resid_u @ resid_u)
+    if rss_r <= 0.0 or rss_u <= 0.0:
+        raise ValueError("degenerate augmentation: perfect fit")
+    durbin_stat = n * (rss_r - rss_u) / rss_r
+    wh_stat = (n - 3) * (rss_r - rss_u) / rss_u
+    return (
+        durbin_stat,
+        chi2_pvalue(durbin_stat, 1),
+        wh_stat,
+        f_pvalue(wh_stat, 1, n - 3),
+    )
 
 
 def two_sls(
@@ -190,38 +311,8 @@ def two_sls(
     z = _as_array(z)
     if not (y.size == x.size == z.size):
         raise ValueError("y, x and z must have equal length")
-    n = int(y.size)
-    if n < 4:
-        raise ValueError("need at least 4 observations")
-    if float(z.max() - z.min()) == 0.0:
-        raise ValueError("degenerate instrument")
-    first = ols(x, z, star_thresholds)
-    partial_f = first.t1 * first.t1
-    fitted = first.beta0 + first.beta1 * z
-    if float(fitted.max() - fitted.min()) == 0.0:
-        raise ValueError("degenerate regressor: first stage is flat")
-    beta0, beta1, _ = _line(y, fitted)
-
-    # 2SLS correction: variance from residuals against the actual regressor.
-    resid = y - beta0 - beta1 * x
-    rss = float(resid @ resid)
-    sxx_hat = float(((fitted - fitted.mean()) ** 2).sum())
-    second = _summary(y, beta0, beta1, rss, sxx_hat, star_thresholds, flat_r2=0.0)
-    if diagnostics:
-        durbin_stat, durbin_p, wh_stat, wh_p = endogeneity_tests(y, x, z)
-    else:
-        durbin_stat = durbin_p = wh_stat = wh_p = float("nan")
-    return IvFit(
-        first_stage=first,
-        partial_f=partial_f,
-        second_stage=second,
-        durbin_stat=durbin_stat,
-        durbin_p=durbin_p,
-        wu_hausman_stat=wh_stat,
-        wu_hausman_p=wh_p,
-        adj_r2=second.adj_r2,
-        n=n,
-    )
+    stage = _first_stage(_column(x), _column(z), star_thresholds)
+    return _second_stage(_column(y), stage, star_thresholds, diagnostics)
 
 
 def endogeneity_tests(y, x, z) -> tuple[float, float, float, float]:
@@ -229,37 +320,9 @@ def endogeneity_tests(y, x, z) -> tuple[float, float, float, float]:
     y = _as_array(y)
     x = _as_array(x)
     z = _as_array(z)
-    n = int(y.size)
-    if n < 4:
+    if y.size < 4:
         raise ValueError("need at least 4 observations for the augmented regression")
-    if float(z.max() - z.min()) == 0.0:
-        raise ValueError("degenerate instrument")
-    design_z = np.column_stack([np.ones(n), z])
-    coef_z, _, _, _ = np.linalg.lstsq(design_z, x, rcond=None)
-    vhat = x - design_z @ coef_z
-    scale = float((x * x).sum())
-    if float(vhat @ vhat) <= 1e-14 * max(scale, 1.0):
-        raise ValueError("collinear augmentation: x is perfectly explained by z")
-    restricted = np.column_stack([np.ones(n), x])
-    augmented = np.column_stack([np.ones(n), x, vhat])
-    if np.linalg.matrix_rank(augmented) < 3:
-        raise ValueError("collinear augmentation")
-    coef_r, _, _, _ = np.linalg.lstsq(restricted, y, rcond=None)
-    coef_u, _, _, _ = np.linalg.lstsq(augmented, y, rcond=None)
-    resid_r = y - restricted @ coef_r
-    resid_u = y - augmented @ coef_u
-    rss_r = float(resid_r @ resid_r)
-    rss_u = float(resid_u @ resid_u)
-    if rss_r <= 0.0 or rss_u <= 0.0:
-        raise ValueError("degenerate augmentation: perfect fit")
-    durbin_stat = n * (rss_r - rss_u) / rss_r
-    wh_stat = (n - 3) * (rss_r - rss_u) / rss_u
-    return (
-        durbin_stat,
-        chi2_pvalue(durbin_stat, 1),
-        wh_stat,
-        f_pvalue(wh_stat, 1, n - 3),
-    )
+    return _exogeneity(y, _first_stage(_column(x), _column(z)))
 
 
 @dataclass(frozen=True)
@@ -282,10 +345,20 @@ class RegressionGrid:
         return [c for c in self.cells if c.status == "ok"]
 
 
-# grid kind -> (fit taking the aligned columns, fewest aligned dates a cell needs)
+def _ready(value):
+    """A value the grid built once, or the message of the ValueError that
+    building it raised, raised again for each cell that reads it."""
+    if isinstance(value, str):
+        raise ValueError(value)
+    return value
+
+
+# grid kind -> (regressor side built from the prepared measure column, and
+# for IV the instrument column; fit of one cell from the prepared factor
+# column and that side; fewest aligned dates a cell needs)
 _GRID_KINDS = {
-    "ols": (ols, 3),
-    "iv": (two_sls, 5),
+    "ols": (lambda x, star_thresholds: _regressor(x), _ols_on, 3),
+    "iv": (_first_stage, _second_stage, 5),
 }
 
 
@@ -299,32 +372,59 @@ def _run_grid(
 ) -> RegressionGrid:
     """One cell per token -> catalogue factor -> measure, in that order.
 
-    Each cell aligns the factor series under its own (token, category,
-    factor) key with the measure (and, for IV, the instrument). Cells with
-    fewer aligned dates than the kind needs, an absent series included, are
-    marked "no data"; per-cell failures, a non-finite value among them, are
-    recorded without aborting the grid.
+    Each cell fits the factor series under its own (token, category,
+    factor) key on its complete-case sample with the measure (and, for IV,
+    the instrument). Cells with fewer aligned dates than the kind needs, an
+    absent series included, are marked "no data"; per-cell failures, a
+    non-finite value among them, are recorded without aborting the grid.
+
+    Every fit equals the direct ``ols``/``two_sls`` on ``align(...)``, but
+    no work is repeated: measures with one date set share each factor's
+    sample, the factor column is built and z-scored once per sample, and
+    the measure side (its column, the instrument column and the IV first
+    stage) once per measure and sample.
     """
-    fit_of, min_n = _GRID_KINDS[kind]
+    side_of, fit_of, min_n = _GRID_KINDS[kind]
+    scale = zscore if standardize else _as_array
     extra = (panel.instrument,) if kind == "iv" else ()
+    date_sets: dict[tuple[date, ...], list[str]] = {}  # ascending dates -> measures
+    for measure in measures:
+        dates = set(panel.measures.get(measure, {})).intersection(*extra)
+        date_sets.setdefault(tuple(sorted(dates)), []).append(measure)
+    samples: dict[tuple[date, ...], dict[str, object]] = {}  # sample -> measure -> side
+
+    def side(measure: str, days: tuple[date, ...], built: dict[str, object]):
+        if measure not in built:
+            try:
+                columns = [_column(scale(values_on(s, days))) for s in (panel.measures[measure], *extra)]
+                built[measure] = side_of(*columns, star_thresholds)
+            except ValueError as exc:
+                built[measure] = str(exc)
+        return _ready(built[measure])
+
     cells = []
     for token in tokens:
         for spec in catalogue_for(token):
             series = panel.factors.get((token, spec.category, spec.name), {})
-            for measure in measures:
-                key = (token, spec.category, spec.name, measure)
-                days, *columns = align(series, panel.measures.get(measure, {}), *extra)
+            outcome: dict[str, tuple[str, OlsFit | IvFit | None]] = {}
+            for dates, names in date_sets.items():
+                days = tuple(filter(series.__contains__, dates))
                 if len(days) < min_n:
-                    cells.append(GridCell(*key, "no data", None))
+                    outcome.update(dict.fromkeys(names, ("no data", None)))
                     continue
                 try:
-                    if standardize:
-                        columns = [zscore(column) for column in columns]
-                    fit = fit_of(*columns, star_thresholds)
+                    y = _column(scale(values_on(series, days)))
                 except ValueError as exc:
-                    cells.append(GridCell(*key, f"error: {exc}", None))
-                    continue
-                cells.append(GridCell(*key, "ok", fit))
+                    y = str(exc)
+                built = samples.setdefault(days, {})
+                for name in names:
+                    try:
+                        fit = fit_of(_ready(y), side(name, days, built), star_thresholds)
+                    except ValueError as exc:
+                        outcome[name] = (f"error: {exc}", None)
+                    else:
+                        outcome[name] = ("ok", fit)
+            cells += [GridCell(token, spec.category, spec.name, m, *outcome[m]) for m in measures]
     return RegressionGrid(kind, cells, standardize)
 
 

@@ -21,6 +21,7 @@ from datetime import date
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from govpulse.centrality import MEASURE_FIELDS, DailyMetrics
 from govpulse.govdata import INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR, Anomaly, FactorPanel
@@ -105,7 +106,13 @@ def daily_return(prices: dict[date, float], vol_mode: str = "simple") -> dict[da
         p0, p1 = prices[prev], prices[cur]
         if p0 <= 0.0 or p1 <= 0.0:
             continue
-        out[cur] = math.log(p1 / p0) if vol_mode == "log" else p1 / p0 - 1.0
+        ratio = p1 / p0
+        if vol_mode != "log":
+            out[cur] = ratio - 1.0
+        elif 0.0 < ratio < math.inf:
+            out[cur] = math.log(ratio)
+        else:  # the ratio under- or overflows; the difference of logs does not
+            out[cur] = math.log(p1) - math.log(p0)
     return out
 
 
@@ -118,12 +125,13 @@ def rolling_vol(returns: dict[date, float], k: int) -> dict[date, float]:
     if k < 2:
         raise ValueError("volatility window must be at least 2")
     days = sorted(returns)
+    if len(days) < k:
+        return {}
     values = np.array([returns[d] for d in days], dtype=float)
-    out: dict[date, float] = {}
-    for i in range(k - 1, len(days)):
-        window = values[i - k + 1 : i + 1]
-        out[days[i]] = float(np.std(window, ddof=1))
-    return out
+    # Each row is one contiguous window, so every std reduces its k values as
+    # np.std of that window alone would.
+    windows = np.ascontiguousarray(sliding_window_view(values, k))
+    return dict(zip(days[k - 1 :], windows.std(axis=1, ddof=1).tolist()))
 
 
 @dataclass(frozen=True)
@@ -142,11 +150,16 @@ class BuiltPanel:
         return sorted({token for (token, _, _) in self.factors})
 
 
+def values_on(series: dict[date, float], days: tuple[date, ...]) -> np.ndarray:
+    """The series' values on ``days``, each of which it covers."""
+    return np.array([series[d] for d in days], dtype=float)
+
+
 def align(*series: dict[date, float]) -> tuple:
     """Complete-case sample of date-keyed series: the dates every series
     covers, ascending, then one array of values per series on those dates."""
     days = tuple(sorted(set(series[0]).intersection(*series[1:])))
-    return (days, *(np.array([s[d] for d in days], dtype=float) for s in series))
+    return (days, *(values_on(s, days) for s in series))
 
 
 def measures_from_daily(metrics: list[DailyMetrics]) -> dict[str, dict[date, float]]:

@@ -386,18 +386,32 @@ def load_vote_log(
     return VoteLog(events, registry, identities, report)
 
 
+def _factor_date(text: str) -> date | None:
+    """The date of a YYYY-MM-DD string; None for any other text (3.11's
+    ``fromisoformat`` also reads 20210301)."""
+    try:
+        day = date.fromisoformat(text)
+    except ValueError:
+        return None
+    return day if day.isoformat() == text else None
+
+
 def load_factors(path: str | Path) -> FactorPanel:
-    """Load the long-format factor export; duplicates last-win with anomaly."""
+    """Load the long-format factor export; duplicates last-win with anomaly.
+
+    Each distinct date string is parsed, and each distinct (token, category,
+    factor) looked up in the catalogue, once per file."""
     from govpulse.factorlab import is_known_factor
 
     panel = FactorPanel()
+    days: dict[str, date | None] = {}
+    known: dict[tuple[str, str, str], bool] = {}
     for lineno, row in _read_rows(path, FACTORS_HEADER, "bad factor row", panel.anomalies):
         text = row["date"].strip()
-        try:
-            day = date.fromisoformat(text)
-            if day.isoformat() != text:  # YYYY-MM-DD only, though 3.11 also reads 20210301
-                raise ValueError(text)
-        except ValueError:
+        if text not in days:
+            days[text] = _factor_date(text)
+        day = days[text]
+        if day is None:
             panel.anomalies.append(Anomaly("bad factor date", f"line {lineno}: {row['date']!r}"))
             continue
         try:
@@ -408,16 +422,18 @@ def load_factors(path: str | Path) -> FactorPanel:
         if not math.isfinite(value):
             panel.anomalies.append(Anomaly("bad factor value", f"line {lineno}: non-finite, skipped"))
             continue
-        token = row["token"].strip()
-        category = row["category"].strip()
-        factor = row["factor"].strip()
+        key = (row["token"].strip(), row["category"].strip(), row["factor"].strip())
+        token, category, factor = key
         if category not in FACTOR_CATEGORIES:
             panel.anomalies.append(Anomaly("unknown category", f"line {lineno}: {category!r}"))
-        elif not is_known_factor(token, category, factor):
-            if category == INSTRUMENT_CATEGORY:  # there is one instrument series
-                panel.anomalies.append(Anomaly("unknown factor", f"line {lineno}: {token}/{factor} skipped"))
-                continue
-            panel.anomalies.append(Anomaly("unknown factor", f"line {lineno}: {token}/{factor} kept, flagged"))
+        else:
+            if key not in known:
+                known[key] = is_known_factor(*key)
+            if not known[key]:
+                if category == INSTRUMENT_CATEGORY:  # there is one instrument series
+                    panel.anomalies.append(Anomaly("unknown factor", f"line {lineno}: {token}/{factor} skipped"))
+                    continue
+                panel.anomalies.append(Anomaly("unknown factor", f"line {lineno}: {token}/{factor} kept, flagged"))
         panel.put(day, token, category, factor, value)
     return panel
 
@@ -556,8 +572,9 @@ def factor_rows(
     """Rows of the factors.csv schema, sorted by date, token, category and
     factor; the instrument is written under ``INSTRUMENT_TOKEN``."""
     keyed = {**series, (INSTRUMENT_TOKEN, INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR): instrument}
-    cells = sorted((day.isoformat(), *key, value) for key, values in keyed.items() for day, value in values.items())
-    return ([day, token, category, factor, repr(value)] for day, token, category, factor, value in cells)
+    cells = sorted((day, *key, value) for key, values in keyed.items() for day, value in values.items())
+    texts = {day: day.isoformat() for day in {cell[0] for cell in cells}}
+    return ([texts[day], token, category, factor, repr(value)] for day, token, category, factor, value in cells)
 
 
 def write_factors(panel: FactorPanel, path: str | Path) -> None:

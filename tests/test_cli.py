@@ -5,7 +5,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import os
 import random
+import subprocess
 import sys
 import warnings
 from collections import Counter
@@ -17,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DAY0, write_factors_csv, write_polls_csv, write_votes_csv
+import govpulse
 from govpulse import centrality, factorlab, govdata, synthgov
 from govpulse.cli import exec_command
 from govpulse.govdata import load_factors, load_vote_log, write_factors
@@ -294,6 +298,41 @@ def test_non_finite_measure_is_a_cell_error(tmp_path):
     with open(tmp_path / "iv_both" / "instrument_screen.csv", newline="") as handle:
         screen = {row[0]: row[1:] for row in csv.reader(handle) if row}
     assert screen["TotalVotes"] == ["nan", "nan", "", "6"]
+
+
+def test_log_returns_of_prices_whose_ratio_underflows(tmp_path):
+    votes, polls, factors = tmp_path / "votes.csv", tmp_path / "polls.csv", tmp_path / "factors.csv"
+    write_votes_csv(votes, [(day + 1, f"0x{voter}", 1, str(voter), DAY0 + day * 86400 + voter)
+                            for day in range(6) for voter in range(1, day + 3)])
+    write_polls_csv(polls, [(day + 1, DAY0 + day * 86400, "p", "1:yes|2:no", "") for day in range(6)])
+    prices = [1e150, 1e-180, 2e-180, 3e-180, 1e-180, 5e-180]  # 1e-180 / 1e150 underflows to 0
+    write_factors_csv(factors, [(f"2021-03-0{day + 1}", "MKR", "financial", "Price", repr(price))
+                                for day, price in enumerate(prices)])
+    out = tmp_path / "out"
+    code = exec_command(["report", "--votes", str(votes), "--polls", str(polls), "--factors", str(factors),
+                         "--vol", "log", "--out-dir", str(out)])
+    assert code == 0
+    returns = load_factors(out / "panel.csv").series[("MKR", "financial", "r")]
+    assert len(returns) == 5
+    assert all(math.isfinite(r) for r in returns.values())
+    assert returns[min(returns)] == math.log(1e-180) - math.log(1e150)
+
+
+def test_commands_without_a_fit_never_import_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "import govpulse.cli\n"
+        "assert 'scipy' not in sys.modules, 'import govpulse.cli'\n"
+        "code = govpulse.cli.exec_command(sys.argv[1:])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'synth'\n"
+    )
+    src = str(Path(govpulse.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["synth", "--seed", "5", "--config", _small_config(tmp_path), "--out-dir", str(tmp_path / "data")]
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_unexpected_error_records_failed_manifest(synth_dir, tmp_path, monkeypatch, capsys):

@@ -7,6 +7,8 @@ from datetime import date, timedelta
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import grid_cell
 from govpulse.econ import (
@@ -386,8 +388,8 @@ def _direct_cell(sample, fit, standardize: bool, min_n: int):
     """Status and fit of one grid cell, fitted by a direct call."""
     if sample is None or len(sample[0]) < min_n:
         return "no data", None
-    columns = [zscore(c) for c in sample[1:]] if standardize else list(sample[1:])
     try:
+        columns = [zscore(c) for c in sample[1:]] if standardize else list(sample[1:])
         return "ok", fit(*columns)
     except ValueError as exc:
         return f"error: {exc}", None
@@ -402,7 +404,9 @@ def _cell_sample(panel, cell, iv: bool):
     return align(series, panel.measures[cell.measure], *([panel.instrument] if iv else []))
 
 
-def _check_grid_against_direct_fits(grid, panel, fit, standardize, min_n):
+def _direct_statuses(grid, panel, fit, standardize, min_n) -> set[str]:
+    """Assert each cell's status and fit equal a direct fit on its aligned
+    sample; return the kinds of status seen."""
     statuses = set()
     for cell in grid.cells:
         sample = _cell_sample(panel, cell, iv=fit is two_sls)
@@ -410,7 +414,11 @@ def _check_grid_against_direct_fits(grid, panel, fit, standardize, min_n):
         assert cell.status == status, (cell.factor, cell.measure)
         assert cell.fit == expected, (cell.factor, cell.measure)
         statuses.add(status.split(":")[0])
-    assert statuses == {"ok", "no data", "error"}
+    return statuses
+
+
+def _check_grid_against_direct_fits(grid, panel, fit, standardize, min_n):
+    assert _direct_statuses(grid, panel, fit, standardize, min_n) == {"ok", "no data", "error"}
 
 
 @pytest.mark.parametrize("standardize", [True, False])
@@ -437,6 +445,50 @@ def test_iv_suite_cells_equal_direct_two_sls(standardize):
     panel = _panel(factors, measures, instrument=planted.instrument)
     grid = run_iv_suite(panel, tokens=["MKR", "DAI"], standardize=standardize)
     _check_grid_against_direct_fits(grid, panel, two_sls, standardize, min_n=5)
+
+
+GAPPY_DAYS = 16
+
+
+@st.composite
+def _gappy_panels(draw):
+    """A small panel whose series each cover their own dates: factor series
+    with gaps, measures with different date sets (two sharing one), a flat
+    measure, a measure with one non-finite value and an instrument with its
+    own dates. Values are multiples of 1/4, so ties, flat samples and exact
+    fits occur."""
+
+    def dates():
+        return [D0 + timedelta(days=i) for i in range(GAPPY_DAYS) if draw(st.sampled_from([1, 1, 1, 0]))]
+
+    def series(days):
+        return {day: draw(st.integers(-12, 12)) / 4 for day in days}
+
+    factors = {("MKR", spec.category, spec.name): series(dates()) for spec in catalogue_for("MKR")[::9]}
+    shared = dates()
+    order = series(dates())
+    if order:
+        order[min(order)] = float("inf")
+    measures = {
+        "Voters": series(shared),
+        "TotalVotes": series(shared),
+        "Gini": dict.fromkeys(dates(), 0.5),
+        "Order": order,
+        "Speed": series(dates()),
+    }
+    instrument = series(dates()) or {D0: 1.0}
+    return _panel(factors, measures, instrument)
+
+
+@settings(max_examples=30, deadline=None)
+@given(panel=_gappy_panels())
+def test_grid_cells_equal_direct_fits_on_gappy_panels(panel):
+    measures = tuple(panel.measures)
+    for standardize in (True, False):
+        grid = run_factor_matrix(panel, ["MKR", "DAI"], measures, standardize)
+        _direct_statuses(grid, panel, ols, standardize, min_n=3)
+        grid = run_iv_suite(panel, ["MKR", "DAI"], measures, standardize)
+        _direct_statuses(grid, panel, two_sls, standardize, min_n=5)
 
 
 def test_iv_suite_requires_instrument():

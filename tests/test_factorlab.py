@@ -76,6 +76,16 @@ def test_daily_return_nonpositive_price_missing():
     assert days[2] not in series  # previous price non-positive too
 
 
+def test_log_return_of_a_ratio_beyond_float_range():
+    days = _days(4)
+    prices = dict(zip(days, [1e200, 1e-200, 1e-200 * 3.0, 1e200]))
+    returns = daily_return(prices, "log")
+    assert returns[days[1]] == math.log(1e-200) - math.log(1e200)  # 1e-400 underflows to 0
+    assert returns[days[2]] == math.log(prices[days[2]] / prices[days[1]])  # ratio in range: unchanged
+    assert returns[days[3]] == math.log(1e200) - math.log(1e-200 * 3.0)  # ratio overflows
+    assert all(math.isfinite(r) for r in returns.values())
+
+
 def test_rolling_vol_constant_returns_zero():
     days = _days(6)
     vol = rolling_vol({d: 0.01 for d in days}, 3)
@@ -94,6 +104,22 @@ def test_rolling_vol_two_point_oracle():
 def test_rolling_vol_short_series_all_missing():
     days = _days(3)
     assert rolling_vol({d: 0.01 for d in days}, 5) == {}
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 30])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 61])
+def test_rolling_vol_equals_per_window_std(n, k):
+    rng = np.random.default_rng(n * 100 + k)
+    days = _days(n)
+    for magnitude in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+        returns = {d: float(v) for d, v in zip(days, rng.normal(0.0, magnitude, n))}
+        values = np.array(list(returns.values()))
+        expected = {
+            days[i]: float(np.std(values[i - k + 1 : i + 1], ddof=1)) for i in range(k - 1, n)
+        }
+        vol = rolling_vol(returns, k)
+        assert vol == expected  # bit for bit, in date order
+        assert list(vol) == sorted(vol)
 
 
 def test_rolling_vol_shift_equivariance():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from datetime import date
 from decimal import Decimal
 
 import pytest
@@ -310,6 +311,40 @@ def test_factor_dates_take_only_the_iso_calendar_form(tmp_path, text):
     panel = load_factors(path)
     assert len(panel) == 1
     assert [a.kind for a in panel.anomalies] == ["bad factor date"]
+
+
+def test_repeated_factor_faults_give_one_anomaly_per_line(tmp_path):
+    path = tmp_path / "factors.csv"
+    write_factors_csv(path, [
+        ("2021-03-01", "MKR", "financial", "Price", "5"),
+        ("2021-3-2", "MKR", "financial", "Price", "6"),
+        ("2021-03-01", "MKR", "financial", "Bogus", "1"),
+        ("2021-03-01", "MKR", "financial", "Price", "7"),
+        ("2021-3-2", "DAI", "network", "New", "2"),
+        ("2021-03-02", "MKR", "financial", "Bogus", "2"),
+        ("2021-03-01", "MKR", "financial", "Price", "8"),
+        ("2021-3-2", "MKR", "financial", "Bogus", "3"),
+        ("2021-03-01", "MKR", "financial", "Bogus", "4"),
+    ])
+    panel = load_factors(path)
+    # a date string and a factor key are each checked once per file, but
+    # every line that repeats a fault still gets its own anomaly
+    price = "2021-03-01/MKR/financial/Price: last value wins"
+    assert [(a.kind, a.detail) for a in panel.anomalies] == [
+        ("bad factor date", "line 3: '2021-3-2'"),
+        ("unknown factor", "line 4: MKR/Bogus kept, flagged"),
+        ("duplicate factor cell", price),
+        ("bad factor date", "line 6: '2021-3-2'"),
+        ("unknown factor", "line 7: MKR/Bogus kept, flagged"),
+        ("duplicate factor cell", price),
+        ("bad factor date", "line 9: '2021-3-2'"),
+        ("unknown factor", "line 10: MKR/Bogus kept, flagged"),
+        ("duplicate factor cell", "2021-03-01/MKR/financial/Bogus: last value wins"),
+    ]
+    assert panel.series == {
+        ("MKR", "financial", "Price"): {date(2021, 3, 1): 8.0},
+        ("MKR", "financial", "Bogus"): {date(2021, 3, 1): 4.0, date(2021, 3, 2): 2.0},
+    }
 
 
 @pytest.mark.parametrize("tokens", [("MKR", "DAI"), ("DAI", "MKR")])
