@@ -241,7 +241,7 @@ def _parse_measures(args: argparse.Namespace, default: tuple[str, ...]) -> tuple
 def _parse_stars(args: argparse.Namespace) -> tuple[float, float, float]:
     raw = getattr(args, "alpha_stars", None)
     if not raw:
-        return econ.STAR_THRESHOLDS
+        return report.STAR_THRESHOLDS
     parts = [float(x) for x in raw.split(",")]
     if len(parts) != 3 or not parts[0] > parts[1] > parts[2] > 0:
         raise PipelineError("--alpha-stars needs three descending thresholds, e.g. 0.10,0.05,0.01")
@@ -273,12 +273,11 @@ def _emit_ols(
         tokens=tokens,
         measures=_parse_measures(args, centrality.MEASURES),
         standardize=not args.raw,
-        star_thresholds=stars,
     )
-    run.emit_csv("ols_grid.csv", report.grid_csv(grid))
+    run.emit_csv("ols_grid.csv", report.grid_csv(grid, stars))
     for token in tokens:
         for category in REGRESSION_CATEGORIES:
-            run.emit_markdown(f"ols_{token}_{category}.md", report.regression_table(grid, token, category))
+            run.emit_markdown(f"ols_{token}_{category}.md", report.regression_table(grid, token, category, stars))
         run.emit_markdown(f"effects_{token}.md", report.effects_summary(grid, token, alpha=stars[0]))
     return grid
 
@@ -295,15 +294,14 @@ def _emit_iv(
         measures=_parse_measures(args, econ.IV_DEFAULT_MEASURES),
         tokens=tokens,
         standardize=not args.raw,
-        star_thresholds=stars,
     )
-    run.emit_csv("iv_grid.csv", report.grid_csv(grid))
-    screen = econ.instrument_screen(panel.instrument, panel.measures, stars)
-    run.emit_csv("instrument_screen.csv", report.instrument_csv(screen))
-    run.emit_markdown("instrument_screen.md", report.instrument_table(screen))
+    run.emit_csv("iv_grid.csv", report.grid_csv(grid, stars))
+    screen = econ.instrument_screen(panel.instrument, panel.measures)
+    run.emit_csv("instrument_screen.csv", report.instrument_csv(screen, stars))
+    run.emit_markdown("instrument_screen.md", report.instrument_table(screen, stars))
     for token in tokens:
         for category in REGRESSION_CATEGORIES:
-            run.emit_markdown(f"iv_{token}_{category}.md", report.iv_table(grid, token, category))
+            run.emit_markdown(f"iv_{token}_{category}.md", report.iv_table(grid, token, category, stars))
     return grid
 
 

@@ -13,6 +13,9 @@ standard errors and the adjusted R-squared use residuals against the actual
 regressor (y - b0 - b1*x), the standard 2SLS correction; the adjusted
 R-squared can therefore be negative.
 
+Fits carry numbers only: ``OlsFit`` and ``IvFit`` hold p-values, and the
+report draws the significance marks from them when it writes tables and CSVs.
+
 Exogeneity is tested on the residual-augmented regression y ~ (x, vhat)
 where vhat are first-stage residuals: the Durbin statistic is the score form
 n * (RSS_r - RSS_u) / RSS_r against chi-squared(1), and the Wu-Hausman
@@ -31,7 +34,6 @@ from govpulse.centrality import MEASURES
 from govpulse.factorlab import BuiltPanel, align, catalogue_for, values_on
 
 IV_DEFAULT_MEASURES = ("Voters", "TotalVotes", "Speed")
-STAR_THRESHOLDS = (0.10, 0.05, 0.01)
 
 
 def t_pvalue(t: float, dof: int) -> float:
@@ -65,18 +67,6 @@ def chi2_pvalue(stat: float, dof: int) -> float:
     return float(special.gammaincc(dof / 2.0, stat / 2.0))
 
 
-def significance_stars(p: float, thresholds: tuple[float, float, float] = STAR_THRESHOLDS) -> str:
-    """Stars at the 10/5/1 percent levels (inclusive thresholds)."""
-    loose, mid, tight = thresholds
-    if p <= tight:
-        return "***"
-    if p <= mid:
-        return "**"
-    if p <= loose:
-        return "*"
-    return ""
-
-
 @dataclass(frozen=True)
 class OlsFit:
     beta0: float
@@ -84,7 +74,6 @@ class OlsFit:
     se1: float
     t1: float
     p1: float
-    stars: str
     r2: float
     adj_r2: float
     n: int
@@ -113,8 +102,14 @@ def _as_array(values) -> np.ndarray:
 
 
 def zscore(values: np.ndarray) -> np.ndarray:
+    """Values less their mean over their sample standard deviation. Finite
+    values whose squares overflow are z-scored divided by their largest
+    magnitude first: the z-score does not depend on the scale."""
     arr = _as_array(values)
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    if not math.isfinite(sd):
+        return zscore(arr / np.abs(arr).max())
     if sd == 0.0:
         return arr - arr.mean()
     return (arr - arr.mean()) / sd
@@ -132,7 +127,13 @@ class _Column:
 
 
 def _column(arr: np.ndarray) -> _Column:
-    return _Column(arr, np.column_stack([np.ones(arr.size), arr]), float(((arr - arr.mean()) ** 2).sum()))
+    """Raises ValueError("overflow") for finite values whose centred sum of
+    squares is not finite: no fit on them would be."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        css = float(((arr - arr.mean()) ** 2).sum())
+    if not math.isfinite(css):
+        raise ValueError("overflow")
+    return _Column(arr, np.column_stack([np.ones(arr.size), arr]), css)
 
 
 def _regressor(x: _Column) -> _Column:
@@ -158,7 +159,6 @@ def _summary(
     beta1: float,
     rss: float,
     sxx: float,
-    star_thresholds: tuple[float, float, float],
     flat_r2: float,
 ) -> OlsFit:
     """Slope inference and fit quality; ``flat_r2`` is the R-squared of a constant y."""
@@ -175,26 +175,25 @@ def _summary(
         se1=se1,
         t1=t1,
         p1=p1,
-        stars=significance_stars(p1, star_thresholds),
         r2=r2,
         adj_r2=adj_r2,
         n=n,
     )
 
 
-def _ols_on(y: _Column, x: _Column, star_thresholds: tuple[float, float, float]) -> OlsFit:
+def _ols_on(y: _Column, x: _Column) -> OlsFit:
     """OLS of y on a regressor of the same length."""
     beta0, beta1, rss = _line(y.values, x.design)
-    return _summary(y, beta0, beta1, rss, x.css, star_thresholds, flat_r2=1.0 if rss == 0.0 else 0.0)
+    return _summary(y, beta0, beta1, rss, x.css, flat_r2=1.0 if rss == 0.0 else 0.0)
 
 
-def ols(y, x, star_thresholds: tuple[float, float, float] = STAR_THRESHOLDS) -> OlsFit:
+def ols(y, x) -> OlsFit:
     """Univariate least squares with intercept and classical standard errors."""
     y = _as_array(y)
     x = _as_array(x)
     if y.size != x.size:
         raise ValueError("y and x must have equal length")
-    return _ols_on(_column(y), _regressor(_column(x)), star_thresholds)
+    return _ols_on(_column(y), _regressor(_column(x)))
 
 
 @dataclass(frozen=True)
@@ -210,15 +209,13 @@ class _FirstStage:
     designs: tuple[np.ndarray, np.ndarray] | str
 
 
-def _first_stage(
-    x: _Column, z: _Column, star_thresholds: tuple[float, float, float] = STAR_THRESHOLDS
-) -> _FirstStage:
+def _first_stage(x: _Column, z: _Column) -> _FirstStage:
     n = int(x.values.size)
     if n < 4:
         raise ValueError("need at least 4 observations")
     if float(z.values.max() - z.values.min()) == 0.0:
         raise ValueError("degenerate instrument")
-    fit = _ols_on(x, z, star_thresholds)
+    fit = _ols_on(x, z)
     fitted = fit.beta0 + fit.beta1 * z.values
     # vhat: the first-stage residuals, x less the first-stage line on (1, z).
     vhat = x.values - z.design @ np.array([fit.beta0, fit.beta1])
@@ -234,12 +231,7 @@ def _first_stage(
     return _FirstStage(x, fit, _column(fitted), designs)
 
 
-def _second_stage(
-    y: _Column,
-    stage: _FirstStage,
-    star_thresholds: tuple[float, float, float],
-    diagnostics: bool = True,
-) -> IvFit:
+def _second_stage(y: _Column, stage: _FirstStage, diagnostics: bool = True) -> IvFit:
     """2SLS of y, of the stage's length, on the stage's x."""
     first, fitted = stage.fit, stage.fitted
     if float(fitted.values.max() - fitted.values.min()) == 0.0:
@@ -249,7 +241,7 @@ def _second_stage(
     # 2SLS correction: variance from residuals against the actual regressor.
     resid = y.values - beta0 - beta1 * stage.x.values
     rss = float(resid @ resid)
-    second = _summary(y, beta0, beta1, rss, fitted.css, star_thresholds, flat_r2=0.0)
+    second = _summary(y, beta0, beta1, rss, fitted.css, flat_r2=0.0)
     if diagnostics:
         durbin_stat, durbin_p, wh_stat, wh_p = _exogeneity(y.values, stage)
     else:
@@ -291,13 +283,7 @@ def _exogeneity(y: np.ndarray, stage: _FirstStage) -> tuple[float, float, float,
     )
 
 
-def two_sls(
-    y,
-    x,
-    z,
-    star_thresholds: tuple[float, float, float] = STAR_THRESHOLDS,
-    diagnostics: bool = True,
-) -> IvFit:
+def two_sls(y, x, z, diagnostics: bool = True) -> IvFit:
     """Two-stage least squares of y on x instrumented by z.
 
     A weak instrument does not raise; the partial F is reported and the
@@ -311,8 +297,7 @@ def two_sls(
     z = _as_array(z)
     if not (y.size == x.size == z.size):
         raise ValueError("y, x and z must have equal length")
-    stage = _first_stage(_column(x), _column(z), star_thresholds)
-    return _second_stage(_column(y), stage, star_thresholds, diagnostics)
+    return _second_stage(_column(y), _first_stage(_column(x), _column(z)), diagnostics)
 
 
 def endogeneity_tests(y, x, z) -> tuple[float, float, float, float]:
@@ -357,7 +342,7 @@ def _ready(value):
 # for IV the instrument column; fit of one cell from the prepared factor
 # column and that side; fewest aligned dates a cell needs)
 _GRID_KINDS = {
-    "ols": (lambda x, star_thresholds: _regressor(x), _ols_on, 3),
+    "ols": (_regressor, _ols_on, 3),
     "iv": (_first_stage, _second_stage, 5),
 }
 
@@ -368,7 +353,6 @@ def _run_grid(
     tokens: list[str],
     measures: tuple[str, ...],
     standardize: bool,
-    star_thresholds: tuple[float, float, float],
 ) -> RegressionGrid:
     """One cell per token -> catalogue factor -> measure, in that order.
 
@@ -397,7 +381,7 @@ def _run_grid(
         if measure not in built:
             try:
                 columns = [_column(scale(values_on(s, days))) for s in (panel.measures[measure], *extra)]
-                built[measure] = side_of(*columns, star_thresholds)
+                built[measure] = side_of(*columns)
             except ValueError as exc:
                 built[measure] = str(exc)
         return _ready(built[measure])
@@ -419,7 +403,7 @@ def _run_grid(
                 built = samples.setdefault(days, {})
                 for name in names:
                     try:
-                        fit = fit_of(_ready(y), side(name, days, built), star_thresholds)
+                        fit = fit_of(_ready(y), side(name, days, built))
                     except ValueError as exc:
                         outcome[name] = (f"error: {exc}", None)
                     else:
@@ -433,10 +417,9 @@ def run_factor_matrix(
     tokens: list[str],
     measures: tuple[str, ...] = MEASURES,
     standardize: bool = True,
-    star_thresholds: tuple[float, float, float] = STAR_THRESHOLDS,
 ) -> RegressionGrid:
     """OLS grid over token -> category -> factor -> measure."""
-    return _run_grid(panel, "ols", tokens, measures, standardize, star_thresholds)
+    return _run_grid(panel, "ols", tokens, measures, standardize)
 
 
 def run_iv_suite(
@@ -444,19 +427,18 @@ def run_iv_suite(
     tokens: list[str],
     measures: tuple[str, ...] = IV_DEFAULT_MEASURES,
     standardize: bool = True,
-    star_thresholds: tuple[float, float, float] = STAR_THRESHOLDS,
 ) -> RegressionGrid:
     """2SLS grid for the instrumented measures (one panel per measure)."""
     if not panel.instrument:
         raise ValueError("no instrument series in the panel")
-    return _run_grid(panel, "iv", tokens, measures, standardize, star_thresholds)
+    return _run_grid(panel, "iv", tokens, measures, standardize)
 
 
 @dataclass(frozen=True)
 class InstrumentScreen:
     """Per-measure instrument relevance plus instrument descriptives."""
 
-    rows: tuple[tuple[str, float, float, str, int], ...]  # measure, F, p, stars, n
+    rows: tuple[tuple[str, float, float, int], ...]  # measure, F, p, n
     mean: float
     median: float
     maximum: float
@@ -464,11 +446,7 @@ class InstrumentScreen:
     std: float
 
 
-def instrument_screen(
-    instrument: dict[date, float],
-    measures: dict[str, dict[date, float]],
-    star_thresholds: tuple[float, float, float] = STAR_THRESHOLDS,
-) -> InstrumentScreen:
+def instrument_screen(instrument: dict[date, float], measures: dict[str, dict[date, float]]) -> InstrumentScreen:
     """Univariate F of each measure on the instrument, with descriptives.
 
     A perfect fit (instrument identical to the measure) reports an infinite
@@ -478,17 +456,17 @@ def instrument_screen(
     for name in MEASURES:
         days, m, z = align(measures.get(name, {}), instrument)
         if len(days) < 3:
-            rows.append((name, float("nan"), float("nan"), "", len(days)))
+            rows.append((name, float("nan"), float("nan"), len(days)))
             continue
         try:
-            fit = ols(m, z, star_thresholds)
+            fit = ols(m, z)
         except ValueError:
-            rows.append((name, float("nan"), float("nan"), "", len(days)))
+            rows.append((name, float("nan"), float("nan"), len(days)))
             continue
         if fit.r2 >= 1.0 - 1e-12:  # instrument reproduces the measure exactly
-            rows.append((name, float("inf"), 0.0, "***", fit.n))
+            rows.append((name, float("inf"), 0.0, fit.n))
             continue
-        rows.append((name, fit.t1 * fit.t1, fit.p1, fit.stars, fit.n))
+        rows.append((name, fit.t1 * fit.t1, fit.p1, fit.n))
     values = np.array(sorted(instrument.values()), dtype=float)
     if values.size == 0:
         raise ValueError("empty instrument series")

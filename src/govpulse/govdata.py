@@ -231,12 +231,14 @@ def parse_timestamp(raw: str) -> int:
 
 def _read_rows(
     path: str | Path, expected_header: list[str], bad_kind: str, anomalies: list[Anomaly]
-) -> Iterator[tuple[int, dict[str, str]]]:
+) -> Iterator[tuple[int, list[str]]]:
     """The non-blank data rows of a CSV file, each with the physical line it
-    starts on. A row the CSV reader cannot read (such as a field over its
-    size limit) or that holds a byte that is not UTF-8 is appended to
-    ``anomalies`` as ``bad_kind`` and skipped. A missing file or a header
-    other than ``expected_header`` raises."""
+    starts on and its fields in header order, padded or cut to the header's
+    width (a short row's parse then fails downstream). A row the CSV reader
+    cannot read (such as a field over its size limit) or that holds a byte
+    that is not UTF-8 is appended to ``anomalies`` as ``bad_kind`` and
+    skipped. A missing file or a header other than ``expected_header``
+    raises."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
@@ -251,6 +253,7 @@ def _read_rows(
         header = [h.strip() for h in header]
         if header != expected_header:
             raise SchemaError(f"{path}: header {header} does not match {expected_header}")
+        width = len(expected_header)
         while True:
             lineno = reader.line_num + 1
             try:
@@ -269,9 +272,9 @@ def _read_rows(
                 except UnicodeEncodeError:
                     anomalies.append(Anomaly(bad_kind, f"line {lineno}: a byte that is not UTF-8"))
                     continue
-            if len(raw) < len(expected_header):  # short row: parse fails downstream
-                raw = raw + [""] * (len(expected_header) - len(raw))
-            yield lineno, dict(zip(expected_header, raw))
+            if len(raw) != width:
+                raw = (raw + [""] * width)[:width]
+            yield lineno, raw
 
 
 def _parse_options(text: str) -> tuple[tuple[int, str], ...]:
@@ -285,16 +288,15 @@ def _parse_options(text: str) -> tuple[tuple[int, str], ...]:
     return tuple(out)
 
 
-def load_polls(path: str | Path, report: ValidationReport | None = None) -> dict[int, PollRecord]:
-    report = report if report is not None else ValidationReport()
+def load_polls(path: str | Path, report: ValidationReport) -> dict[int, PollRecord]:
     registry: dict[int, PollRecord] = {}
-    for lineno, row in _read_rows(path, POLLS_HEADER, "bad poll row", report.anomalies):
+    rows = _read_rows(path, POLLS_HEADER, "bad poll row", report.anomalies)
+    for lineno, (poll_text, deploy_text, title, options_text, abstain_text) in rows:
         try:
-            poll_id = int(row["poll_id"])
-            deploy = parse_timestamp(row["deploy_timestamp"])
-            options = _parse_options(row["options"])
-            abstain_text = row["abstain_options"].strip()
-            abstain = frozenset(int(x) for x in abstain_text.split("|") if x.strip())
+            poll_id = int(poll_text)
+            deploy = parse_timestamp(deploy_text)
+            options = _parse_options(options_text)
+            abstain = frozenset(int(x) for x in abstain_text.strip().split("|") if x.strip())
         except (ValueError, InvalidOperation) as exc:
             report.add("bad poll row", f"line {lineno}: {exc}")
             continue
@@ -311,22 +313,21 @@ def load_polls(path: str | Path, report: ValidationReport | None = None) -> dict
             deploy_timestamp=deploy,
             options=options,
             abstain_option_ids=abstain,
-            title=row["title"],
+            title=title,
         )
     return registry
 
 
-def load_identities(path: str | Path, report: ValidationReport | None = None) -> dict[str, str]:
-    report = report if report is not None else ValidationReport()
+def load_identities(path: str | Path, report: ValidationReport) -> dict[str, str]:
     identities: dict[str, str] = {}
-    for lineno, row in _read_rows(path, IDENTITIES_HEADER, "bad identity row", report.anomalies):
-        address = row["address"].strip().lower()
+    for lineno, (address, name) in _read_rows(path, IDENTITIES_HEADER, "bad identity row", report.anomalies):
+        address = address.strip().lower()
         if not address:
             report.add("bad identity row", f"line {lineno}: empty address")
             continue
         if address in identities:
             report.add("duplicate identity", f"{address}: last row wins")
-        identities[address] = row["name"].strip()
+        identities[address] = name.strip()
     return identities
 
 
@@ -345,20 +346,21 @@ def load_vote_log(
     identities = load_identities(identities_path, report) if identities_path else {}
 
     events: list[VoteEvent] = []
-    for lineno, row in _read_rows(votes_path, VOTES_HEADER, "bad vote row", report.anomalies):
+    rows = _read_rows(votes_path, VOTES_HEADER, "bad vote row", report.anomalies)
+    for lineno, (poll_text, voter, option_text, weight_text, stamp) in rows:
         try:
-            poll_id = int(row["poll_id"])
-            voter = row["voter"].strip().lower()
-            option_id = int(row["option_id"])
+            poll_id = int(poll_text)
+            voter = voter.strip().lower()
+            option_id = int(option_text)
             try:
-                weight = Decimal(row["weight"].strip())
+                weight = Decimal(weight_text.strip())
             except InvalidOperation:
-                raise ValueError(f"weight {row['weight']!r} is not a decimal number") from None
+                raise ValueError(f"weight {weight_text!r} is not a decimal number") from None
             if not (weight.is_finite() and math.isfinite(float(weight))):
-                raise ValueError(f"non-finite weight {row['weight']!r}")
+                raise ValueError(f"non-finite weight {weight_text!r}")
             if weight.as_tuple().exponent < -MAX_WEIGHT_PLACES:
-                raise ValueError(f"weight {row['weight']!r} has over {MAX_WEIGHT_PLACES} decimal places")
-            timestamp = parse_timestamp(row["timestamp"])
+                raise ValueError(f"weight {weight_text!r} has over {MAX_WEIGHT_PLACES} decimal places")
+            timestamp = parse_timestamp(stamp)
         except (ValueError, ArithmeticError) as exc:
             report.add("bad vote row", f"line {lineno}: {exc}")
             continue
@@ -406,24 +408,25 @@ def load_factors(path: str | Path) -> FactorPanel:
     panel = FactorPanel()
     days: dict[str, date | None] = {}
     known: dict[tuple[str, str, str], bool] = {}
-    for lineno, row in _read_rows(path, FACTORS_HEADER, "bad factor row", panel.anomalies):
-        text = row["date"].strip()
+    rows = _read_rows(path, FACTORS_HEADER, "bad factor row", panel.anomalies)
+    for lineno, (date_text, token, category, factor, value_text) in rows:
+        text = date_text.strip()
         if text not in days:
             days[text] = _factor_date(text)
         day = days[text]
         if day is None:
-            panel.anomalies.append(Anomaly("bad factor date", f"line {lineno}: {row['date']!r}"))
+            panel.anomalies.append(Anomaly("bad factor date", f"line {lineno}: {date_text!r}"))
             continue
         try:
-            value = float(row["value"])
+            value = float(value_text)
         except ValueError:
-            panel.anomalies.append(Anomaly("bad factor value", f"line {lineno}: {row['value']!r}"))
+            panel.anomalies.append(Anomaly("bad factor value", f"line {lineno}: {value_text!r}"))
             continue
         if not math.isfinite(value):
             panel.anomalies.append(Anomaly("bad factor value", f"line {lineno}: non-finite, skipped"))
             continue
-        key = (row["token"].strip(), row["category"].strip(), row["factor"].strip())
-        token, category, factor = key
+        token, category, factor = token.strip(), category.strip(), factor.strip()
+        key = (token, category, factor)
         if category not in FACTOR_CATEGORIES:
             panel.anomalies.append(Anomaly("unknown category", f"line {lineno}: {category!r}"))
         else:

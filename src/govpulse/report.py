@@ -4,6 +4,8 @@ Rendering is a pure function of the computed inputs: identical grids and
 metrics produce byte-identical output. Coefficients are shown to two
 decimals with t-statistics in parentheses and significance stars at the
 10/5/1 percent levels; full precision is always available in the CSV grids.
+The stars are drawn here, from each fit's p-value, under the thresholds the
+caller passes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from govpulse.profiles import (
     VoterProfile,
 )
 
-STAT_ROWS = ("Mean", "Median", "Maximum", "Minimum", "Std")
+STAT_ROWS = ("Mean", "Median", "Maximum", "Minimum", "Std")  # lower-cased, SummaryStats fields
+STAR_THRESHOLDS = (0.10, 0.05, 0.01)
 
 POLL_COLUMN_TITLES = {
     "total_votes": "Total votes",
@@ -41,6 +44,19 @@ VOTER_COLUMN_TITLES = {
 
 ARROW_UP = "↑"
 ARROW_DOWN = "↓"
+
+
+def significance_stars(p: float, thresholds: tuple[float, float, float] = STAR_THRESHOLDS) -> str:
+    """Stars at the 10/5/1 percent levels (inclusive thresholds); none for a
+    NaN p-value."""
+    loose, mid, tight = thresholds
+    if p <= tight:
+        return "***"
+    if p <= mid:
+        return "**"
+    if p <= loose:
+        return "*"
+    return ""
 
 
 def fmt_value(value: float, decimals: int = 2) -> str:
@@ -64,30 +80,27 @@ def markdown_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stat_value(stats: SummaryStats, row: str) -> float:
-    return {
-        "Mean": stats.mean,
-        "Median": stats.median,
-        "Maximum": stats.maximum,
-        "Minimum": stats.minimum,
-        "Std": stats.std,
-    }[row]
+def _percent(value: float) -> str:
+    return f"{100.0 * value:.2f}%"
+
+
+def _stats_table(columns: dict[str, SummaryStats], fmt=lambda title, stat, value: fmt_value(value)) -> str:
+    """The five ``STAT_ROWS`` of each column, titled by its key; each cell is
+    ``fmt(title, stat_row, value)``."""
+    rows = [
+        [stat] + [fmt(title, stat, getattr(stats, stat.lower())) for title, stats in columns.items()]
+        for stat in STAT_ROWS
+    ]
+    return markdown_table([""] + list(columns), rows)
 
 
 def poll_descriptives_table(stats: dict[str, SummaryStats]) -> str:
     """Descriptive statistics of polls (seven columns, five stat rows)."""
-    header = [""] + [POLL_COLUMN_TITLES[c] for c in POLL_DESCRIPTIVE_COLUMNS]
-    rows = []
-    for stat_row in STAT_ROWS:
-        row = [stat_row]
-        for column in POLL_DESCRIPTIVE_COLUMNS:
-            value = _stat_value(stats[column], stat_row)
-            if column in ("breakdown_ratio", "largest_share"):
-                row.append(f"{100.0 * value:.2f}%")
-            else:
-                row.append(fmt_value(value))
-        rows.append(row)
-    table = markdown_table(header, rows)
+    percent = {POLL_COLUMN_TITLES["breakdown_ratio"], POLL_COLUMN_TITLES["largest_share"]}
+    table = _stats_table(
+        {POLL_COLUMN_TITLES[c]: stats[c] for c in POLL_DESCRIPTIVE_COLUMNS},
+        lambda title, stat, value: _percent(value) if title in percent else fmt_value(value),
+    )
     note = "Breakdown columns exclude abstain options (definition: configured).\n"
     return table + "\n" + note
 
@@ -95,19 +108,12 @@ def poll_descriptives_table(stats: dict[str, SummaryStats]) -> str:
 def descriptives_csv(stats: dict[str, SummaryStats], columns: tuple[str, ...]) -> list[list[str]]:
     out = [["stat"] + list(columns)]
     for stat_row in STAT_ROWS:
-        out.append([stat_row] + [repr(_stat_value(stats[c], stat_row)) for c in columns])
+        out.append([stat_row] + [repr(getattr(stats[c], stat_row.lower())) for c in columns])
     return out
 
 
 def voter_descriptives_table(stats: dict[str, SummaryStats]) -> str:
-    header = [""] + [VOTER_COLUMN_TITLES[c] for c in VOTER_DESCRIPTIVE_COLUMNS]
-    rows = []
-    for stat_row in STAT_ROWS:
-        row = [stat_row]
-        for column in VOTER_DESCRIPTIVE_COLUMNS:
-            row.append(fmt_value(_stat_value(stats[column], stat_row)))
-        rows.append(row)
-    return markdown_table(header, rows)
+    return _stats_table({VOTER_COLUMN_TITLES[c]: stats[c] for c in VOTER_DESCRIPTIVE_COLUMNS})
 
 
 def top_voters_table(profiles: list[VoterProfile], criterion: str) -> str:
@@ -146,29 +152,18 @@ def profiles_csv(profiles: list[VoterProfile]) -> list[list[str]]:
 
 def gini_summary_table(poll_ginis: list[float], daily_ginis: list[float]) -> str:
     """Poll-level vs daily Gini descriptives (daily over the full calendar)."""
-    header = ["", "Poll-level", "Daily"]
-    poll_stats = SummaryStats.describe(poll_ginis)
-    daily_stats = SummaryStats.describe(daily_ginis)
-    rows = []
-    for stat_row in STAT_ROWS:
-        pv, dv = _stat_value(poll_stats, stat_row), _stat_value(daily_stats, stat_row)
-        if stat_row == "Std":
-            rows.append([stat_row, fmt_value(pv), fmt_value(dv)])
-        else:
-            rows.append([stat_row, f"{100.0 * pv:.2f}%", f"{100.0 * dv:.2f}%"])
-    return markdown_table(header, rows)
+    return _stats_table(
+        {"Poll-level": SummaryStats.describe(poll_ginis), "Daily": SummaryStats.describe(daily_ginis)},
+        lambda title, stat, value: fmt_value(value) if stat == "Std" else _percent(value),
+    )
 
 
 def measures_summary_table(measures: dict[str, dict[date, float]]) -> str:
     """Descriptives of the daily measure series (see ``measures_from_daily``),
     Gini aside."""
-    columns = {name: list(series.values()) for name, series in measures.items() if name != "Gini"}
-    stats = {name: SummaryStats.describe(values) for name, values in columns.items()}
-    header = [""] + list(columns)
-    rows = []
-    for stat_row in STAT_ROWS:
-        rows.append([stat_row] + [fmt_value(_stat_value(stats[c], stat_row)) for c in columns])
-    return markdown_table(header, rows)
+    return _stats_table(
+        {name: SummaryStats.describe(list(series.values())) for name, series in measures.items() if name != "Gini"}
+    )
 
 
 def metrics_csv(metrics: list[DailyMetrics]) -> list[list[str]]:
@@ -212,14 +207,14 @@ def _measure_columns(grid: RegressionGrid) -> list[str]:
     return seen
 
 
-def _grid_cell_text(cell: GridCell) -> str:
+def _grid_cell_text(cell: GridCell, stars: tuple[float, float, float]) -> str:
     if cell.status != "ok" or cell.fit is None:
         return ""
     fit = cell.fit.second_stage if isinstance(cell.fit, IvFit) else cell.fit
-    return fmt_cell(fit.beta1, fit.t1, fit.stars)
+    return fmt_cell(fit.beta1, fit.t1, significance_stars(fit.p1, stars))
 
 
-def regression_table(grid: RegressionGrid, token: str, category: str) -> str:
+def regression_table(grid: RegressionGrid, token: str, category: str, stars: tuple[float, float, float]) -> str:
     """One factor-by-measure coefficient table for a token and category."""
     measures = _measure_columns(grid)
     factors = [s.name for s in catalogue_for(token) if s.category == category]
@@ -229,14 +224,14 @@ def regression_table(grid: RegressionGrid, token: str, category: str) -> str:
         row = [factor]
         for measure in measures:
             cell = index.get((factor, measure))
-            row.append(_grid_cell_text(cell) if cell else "")
+            row.append(_grid_cell_text(cell, stars) if cell else "")
         rows.append(row)
     scaling = "z-scored variables" if grid.standardized else "raw variables"
     title = f"{category.capitalize()} factors ({token}), univariate coefficients with t-statistics; {scaling}.\n\n"
     return title + markdown_table([""] + measures, rows)
 
 
-def iv_table(grid: RegressionGrid, token: str, category: str) -> str:
+def iv_table(grid: RegressionGrid, token: str, category: str, stars: tuple[float, float, float]) -> str:
     """IV panels (one per instrumented measure) for a token and category."""
     measures = _measure_columns(grid)
     factors = [s.name for s in catalogue_for(token) if s.category == category]
@@ -263,10 +258,11 @@ def iv_table(grid: RegressionGrid, token: str, category: str) -> str:
                 for row in (first_row, beta_row, durbin_row, durbin_p_row, wh_row, wh_p_row, adj_row, n_row):
                     row.append("")
                 continue
+            first, second = fit.first_stage, fit.second_stage
             first_row.append(
-                f"{fmt_value(fit.first_stage.beta1)}{fit.first_stage.stars} ({fmt_value(fit.partial_f)})"
+                f"{fmt_value(first.beta1)}{significance_stars(first.p1, stars)} ({fmt_value(fit.partial_f)})"
             )
-            beta_row.append(fmt_cell(fit.second_stage.beta1, fit.second_stage.t1, fit.second_stage.stars))
+            beta_row.append(fmt_cell(second.beta1, second.t1, significance_stars(second.p1, stars)))
             durbin_row.append(fmt_value(fit.durbin_stat))
             durbin_p_row.append(fmt_value(fit.durbin_p))
             wh_row.append(fmt_value(fit.wu_hausman_stat))
@@ -285,7 +281,7 @@ def iv_table(grid: RegressionGrid, token: str, category: str) -> str:
     return title + "\n".join(blocks)
 
 
-def grid_csv(grid: RegressionGrid) -> list[list[str]]:
+def grid_csv(grid: RegressionGrid, stars: tuple[float, float, float]) -> list[list[str]]:
     """Full-precision grid dump, one row per cell."""
     if grid.kind == "ols":
         out = [
@@ -301,7 +297,7 @@ def grid_csv(grid: RegressionGrid) -> list[list[str]]:
                 + (
                     [
                         repr(fit.beta0), repr(fit.beta1), repr(fit.se1), repr(fit.t1),
-                        repr(fit.p1), fit.stars, repr(fit.r2), repr(fit.adj_r2), str(fit.n),
+                        repr(fit.p1), significance_stars(fit.p1, stars), repr(fit.r2), repr(fit.adj_r2), str(fit.n),
                     ]
                     if fit
                     else [""] * 9
@@ -323,10 +319,10 @@ def grid_csv(grid: RegressionGrid) -> list[list[str]]:
             [c.token, c.category, c.factor, c.measure, c.status]
             + (
                 [
-                    repr(fit.first_stage.beta1), repr(fit.first_stage.t1), fit.first_stage.stars,
-                    repr(fit.partial_f),
-                    repr(fit.second_stage.beta1), repr(fit.second_stage.se1),
-                    repr(fit.second_stage.t1), repr(fit.second_stage.p1), fit.second_stage.stars,
+                    repr(fit.first_stage.beta1), repr(fit.first_stage.t1),
+                    significance_stars(fit.first_stage.p1, stars), repr(fit.partial_f),
+                    repr(fit.second_stage.beta1), repr(fit.second_stage.se1), repr(fit.second_stage.t1),
+                    repr(fit.second_stage.p1), significance_stars(fit.second_stage.p1, stars),
                     repr(fit.durbin_stat), repr(fit.durbin_p),
                     repr(fit.wu_hausman_stat), repr(fit.wu_hausman_p),
                     repr(fit.adj_r2), str(fit.n),
@@ -374,15 +370,15 @@ def effects_summary(grid: RegressionGrid, token: str, alpha: float = 0.10) -> st
     return title + markdown_table(header, rows)
 
 
-def instrument_table(screen: InstrumentScreen) -> str:
+def instrument_table(screen: InstrumentScreen, stars: tuple[float, float, float]) -> str:
     """Instrument relevance per measure plus instrument descriptives."""
     header = ["Correlations"] + [row[0] for row in screen.rows]
     value_row = ["Off-chain voters"]
-    for _, f_stat, p, stars, _n in screen.rows:
+    for _, f_stat, p, _n in screen.rows:
         if f_stat != f_stat:
             value_row.append("")
         else:
-            value_row.append(f"{fmt_value(f_stat)}{stars} ({fmt_value(p)})")
+            value_row.append(f"{fmt_value(f_stat)}{significance_stars(p, stars)} ({fmt_value(p)})")
     part1 = markdown_table(header, [value_row])
     header2 = ["Descriptive Statistics", "Mean", "Median", "Maximum", "Minimum", "Std"]
     row2 = [
@@ -396,10 +392,10 @@ def instrument_table(screen: InstrumentScreen) -> str:
     return part1 + "\n" + markdown_table(header2, [row2])
 
 
-def instrument_csv(screen: InstrumentScreen) -> list[list[str]]:
+def instrument_csv(screen: InstrumentScreen, stars: tuple[float, float, float]) -> list[list[str]]:
     out = [["measure", "f_stat", "p_value", "stars", "n"]]
-    for name, f_stat, p, stars, n in screen.rows:
-        out.append([name, repr(f_stat), repr(p), stars, str(n)])
+    for name, f_stat, p, n in screen.rows:
+        out.append([name, repr(f_stat), repr(p), significance_stars(p, stars), str(n)])
     out.append([])
     out.append(["mean", "median", "maximum", "minimum", "std"])
     out.append([repr(screen.mean), repr(screen.median), repr(screen.maximum), repr(screen.minimum), repr(screen.std)])

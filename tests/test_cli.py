@@ -23,7 +23,9 @@ from conftest import DAY0, write_factors_csv, write_polls_csv, write_votes_csv
 import govpulse
 from govpulse import centrality, factorlab, govdata, synthgov
 from govpulse.cli import exec_command
+from govpulse.econ import t_pvalue
 from govpulse.govdata import load_factors, load_vote_log, write_factors
+from govpulse.report import significance_stars
 
 
 @pytest.fixture
@@ -316,6 +318,32 @@ def test_log_returns_of_prices_whose_ratio_underflows(tmp_path):
     assert len(returns) == 5
     assert all(math.isfinite(r) for r in returns.values())
     assert returns[min(returns)] == math.log(1e-180) - math.log(1e150)
+
+
+def test_prices_whose_squares_overflow(tmp_path):
+    votes, polls = tmp_path / "votes.csv", tmp_path / "polls.csv"
+    write_votes_csv(votes, [(day + 1, f"0x{voter}", 1, str(voter), DAY0 + day * 86400 + (voter + day) % (day + 2))
+                            for day in range(8) for voter in range(1, day + 3)])  # the largest voter's turn varies
+    write_polls_csv(polls, [(day + 1, DAY0 + day * 86400, "p", "1:yes|2:no", "") for day in range(8)])
+    prices = [1e200, 2.5e200, 1.7e200, 4e200, 3.1e200, 2.2e200, 3.6e200, 1.2e200]
+    inputs = ["--votes", str(votes), "--polls", str(polls), "--tokens", "MKR"]
+
+    def price_cells(scale: float, *flags: str) -> list[dict]:
+        factors = tmp_path / f"factors_{scale}.csv"
+        write_factors_csv(factors, [(f"2021-03-0{day + 1}", "MKR", "financial", "Price", repr(price / scale))
+                                    for day, price in enumerate(prices)])
+        out = tmp_path / f"out_{scale}_{len(flags)}"
+        assert exec_command(["regress", *inputs, "--factors", str(factors), *flags, "--out-dir", str(out)]) == 0
+        with open(out / "ols_grid.csv", newline="") as handle:
+            return [row for row in csv.DictReader(handle) if row["factor"] == "Price"]
+
+    huge, unit = price_cells(1.0), price_cells(1e200)
+    assert len(huge) == len(centrality.MEASURES)
+    for big, small in zip(huge, unit):
+        assert big["status"] == small["status"] == "ok", big
+        for column in ("beta1", "t1", "p1", "r2"):
+            assert math.isclose(float(big[column]), float(small[column]), rel_tol=1e-12), (big, column)
+    assert {row["status"] for row in price_cells(1.0, "--raw")} == {"error: overflow"}
 
 
 def test_commands_without_a_fit_never_import_scipy(tmp_path):
@@ -722,6 +750,22 @@ def test_alpha_stars_flag(synth_dir, tmp_path):
     ]
     assert exec_command(base + ["--alpha-stars", "0.2,0.1,0.05", "--out-dir", str(tmp_path / "ok")]) == 0
     assert exec_command(base + ["--alpha-stars", "0.01,0.05,0.10", "--out-dir", str(tmp_path / "bad")]) == 1
+
+    loose = (0.2, 0.1, 0.05)
+    out = tmp_path / "report"
+    argv = ["report", *base[1:], "--alpha-stars", "0.2,0.1,0.05", "--out-dir", str(out)]
+    assert exec_command(argv) == 0
+    drawn = []  # (stars written, p-value) of every starred column
+    for name, p_column in (("ols_grid.csv", "p1"), ("iv_grid.csv", "p1"), ("instrument_screen.csv", "p_value")):
+        with open(out / name, newline="") as handle:
+            lines = handle.read().split("\n\n")[0].splitlines()  # the screen's descriptives follow a blank line
+        rows = [row for row in csv.DictReader(lines) if row["stars"] or row[p_column]]
+        assert rows, name
+        drawn += [(row["stars"], float(row[p_column])) for row in rows]
+        drawn += [(row["fs_stars"], t_pvalue(float(row["fs_t1"]), int(row["n"]) - 2)) for row in rows if "fs_stars" in row]
+    for stars, p in drawn:
+        assert stars == significance_stars(p, loose), (stars, p)
+    assert any(stars != significance_stars(p) for stars, p in drawn)
 
 
 def test_iv_without_instrument_rows_fails_politely(synth_dir, tmp_path):

@@ -20,12 +20,12 @@ from govpulse.econ import (
     ols,
     run_factor_matrix,
     run_iv_suite,
-    significance_stars,
     t_pvalue,
     two_sls,
     zscore,
 )
 from govpulse.factorlab import BuiltPanel, align, catalogue_for
+from govpulse.report import significance_stars
 from govpulse.synthgov import ols_oracle
 
 D0 = date(2021, 3, 1)
@@ -537,7 +537,7 @@ def test_instrument_screen_perfect_and_independent():
     assert by_measure["Voters"][1] == float("inf")
     assert by_measure["Voters"][2] == 0.0
     independents = [by_measure[m] for m in ("TotalVotes", "Gini", "Order", "Speed")]
-    assert sum(1 for row in independents if row[3] == "") >= 3
+    assert sum(1 for row in independents if significance_stars(row[2]) == "") >= 3
     assert screen.mean == pytest.approx(np.mean(list(voters.values())))
 
 
@@ -560,10 +560,8 @@ def test_raw_vs_standardized_grid_t_stats_agree():
 
 
 def test_custom_star_thresholds():
-    fit = ols(*_noisy_pair(seed=2, n=60), star_thresholds=(0.5, 0.25, 0.1))
-    default = ols(*_noisy_pair(seed=2, n=60))
-    assert fit.p1 == default.p1
-    assert len(fit.stars) >= len(default.stars)
+    fit = ols(*_noisy_pair(seed=2, n=60))
+    assert len(significance_stars(fit.p1, (0.5, 0.25, 0.1))) >= len(significance_stars(fit.p1))
 
 
 def _noisy_pair(seed: int, n: int):

@@ -16,6 +16,7 @@ from govpulse.econ import (
     t_pvalue,
 )
 from govpulse.report import (
+    STAR_THRESHOLDS,
     daily_counts_csv,
     effects_summary,
     fmt_cell,
@@ -30,10 +31,10 @@ from govpulse.report import (
 )
 
 
-def _fit(beta1: float, t1: float, p1: float, stars: str, n: int = 127) -> OlsFit:
+def _fit(beta1: float, t1: float, p1: float, n: int = 127) -> OlsFit:
     return OlsFit(
         beta0=0.0, beta1=beta1, se1=abs(beta1 / t1) if t1 else 1.0,
-        t1=t1, p1=p1, stars=stars, r2=0.1, adj_r2=0.09, n=n,
+        t1=t1, p1=p1, r2=0.1, adj_r2=0.09, n=n,
     )
 
 
@@ -50,14 +51,14 @@ def test_fmt_cell_paper_style():
 def test_marginally_significant_cell_renders_one_star():
     p = t_pvalue(1.86, 125)
     assert 0.05 < p <= 0.10
-    fit = _fit(2.13, 1.86, p, "*")
+    fit = _fit(2.13, 1.86, p)
     cell = GridCell("MKR", "network", "TotalWithBlc", "TotalVotes", "ok", fit)
-    table = regression_table(_grid([cell]), "MKR", "network")
+    table = regression_table(_grid([cell]), "MKR", "network", STAR_THRESHOLDS)
     assert "2.13* (1.86)" in table
 
 
 def test_insignificant_cell_excluded_from_effects():
-    fit = _fit(0.5, 1.2, 0.23, "")
+    fit = _fit(0.5, 1.2, 0.23)
     cell = GridCell("MKR", "network", "Active", "Voters", "ok", fit)
     grid = _grid([cell])
     assert significant_cells(grid) == []
@@ -93,18 +94,18 @@ def test_effects_summary_bijection_with_significant_cells():
 
 
 def test_empty_grid_renders_headers():
-    table = regression_table(_grid([]), "MKR", "transaction")
+    table = regression_table(_grid([]), "MKR", "transaction", STAR_THRESHOLDS)
     assert "AvgSizeMkr" in table  # factor rows always present
     assert table.count("|") > 10
-    rows = grid_csv(_grid([]))
+    rows = grid_csv(_grid([]), STAR_THRESHOLDS)
     assert rows[0][0] == "token"
 
 
 def test_rendering_is_deterministic():
-    fit = _fit(1.0, 2.5, 0.013, "**")
+    fit = _fit(1.0, 2.5, 0.013)
     cells = [GridCell("MKR", "network", "New", "Voters", "ok", fit)]
-    a = regression_table(_grid(cells), "MKR", "network")
-    b = regression_table(_grid(cells), "MKR", "network")
+    a = regression_table(_grid(cells), "MKR", "network", STAR_THRESHOLDS)
+    b = regression_table(_grid(cells), "MKR", "network", STAR_THRESHOLDS)
     assert a == b
 
 
@@ -133,10 +134,10 @@ def test_instrument_table_renders_inf_flag():
     from govpulse.econ import InstrumentScreen
 
     screen = InstrumentScreen(
-        rows=(("Voters", float("inf"), 0.0, "***", 127), ("Speed", 3.87, 0.05, "**", 127)),
+        rows=(("Voters", float("inf"), 0.0, 127), ("Speed", 3.87, 0.05, 127)),
         mean=55.80, median=36.0, maximum=393.0, minimum=0.0, std=72.17,
     )
-    text = instrument_table(screen)
+    text = instrument_table(screen, STAR_THRESHOLDS)
     assert "inf*** (0.00)" in text
     assert "3.87** (0.05)" in text
     assert "55.80" in text
@@ -166,7 +167,7 @@ def test_grid_csv_full_precision_round_trip():
     y, x = rng.normal(size=50), rng.normal(size=50)
     fit = ols(y, x)
     cell = GridCell("MKR", "network", "New", "Voters", "ok", fit)
-    rows = grid_csv(_grid([cell]))
+    rows = grid_csv(_grid([cell]), STAR_THRESHOLDS)
     header, data = rows[0], rows[1]
     beta1 = float(data[header.index("beta1")])
     assert beta1 == fit.beta1  # repr() round-trips exactly

@@ -12,6 +12,7 @@ from conftest import grid_cell
 from govpulse.centrality import DailyMetrics, ballot_pass
 from govpulse.econ import endogeneity_tests, ols, run_factor_matrix
 from govpulse.factorlab import build_panel, measures_from_daily
+from govpulse.report import significance_stars
 from govpulse.synthgov import (
     DistSpec,
     EndogenousBlock,
@@ -162,7 +163,7 @@ def test_gen_panel_zero_loading_rarely_significant():
         grid = run_factor_matrix(panel, tokens=["MKR"], measures=("Voters",))
         cell = grid_cell(grid, "MKR", "TxnCnt", "Voters")
         assert cell is not None and cell.status == "ok"
-        if cell.fit.stars == "":
+        if significance_stars(cell.fit.p1) == "":
             quiet += 1
     assert quiet / 30 >= 0.80
 
