@@ -78,6 +78,8 @@ class Run:
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
         self.formats = [f.strip() for f in getattr(args, "formats", "csv,markdown").split(",") if f.strip()]
+
+    def check_formats(self) -> None:
         for fmt in self.formats:
             if fmt not in ("csv", "markdown", "svg"):
                 raise PipelineError(f"unknown output format: {fmt}")
@@ -189,17 +191,8 @@ def cmd_metrics(args: argparse.Namespace, run: Run) -> None:
     if args.calendar == "full-calendar":
         daily = centrality.fill_calendar(daily, passed.poll_counts)
     run.emit_csv("metrics.csv", report.metrics_csv(daily))
-    per_poll = passed.polls
-    rows = [["poll_id", "date", "total_votes", "voters", "gini", "largest_share",
-             "ifwin", "largest_share_win", "order", "speed_seconds"]]
-    for pm in per_poll:
-        rows.append([
-            str(pm.poll_id), pm.day.isoformat(), str(pm.total_votes), str(pm.voters),
-            repr(pm.gini), repr(pm.largest_share), str(pm.ifwin),
-            repr(pm.largest_share_win), repr(pm.order), repr(pm.speed_seconds),
-        ])
-    run.emit_csv("poll_metrics.csv", rows)
-    print(f"wrote metrics for {len(daily)} days, {len(per_poll)} polls")
+    run.emit_csv("poll_metrics.csv", report.poll_metrics_csv(passed.polls))
+    print(f"wrote metrics for {len(daily)} days, {len(passed.polls)} polls")
 
 
 def cmd_describe(args: argparse.Namespace, run: Run) -> None:
@@ -521,6 +514,7 @@ def exec_command(argv: list[str]) -> int:
     run = None
     try:
         run = Run(args.command, args)
+        run.check_formats()
         args.func(args, run)
         run.finish("ok")
         return 0

@@ -3,7 +3,7 @@
 Every regression is the univariate form ``y_t = b0 + b1 x_t + e_t`` with an
 intercept and classical (homoskedastic) standard errors. Two-sided t and F
 p-values come from the regularized incomplete beta function and chi-squared
-p-values from the regularized lower incomplete gamma, both evaluated to well
+p-values from the regularized upper incomplete gamma, both evaluated to well
 below 1e-12 relative error.
 
 The 2SLS estimator regresses the measure on the instrument (first stage,
@@ -32,6 +32,7 @@ import numpy as np
 
 from govpulse.centrality import MEASURES
 from govpulse.factorlab import BuiltPanel, align, catalogue_for, values_on
+from govpulse.profiles import SummaryStats
 
 IV_DEFAULT_MEASURES = ("Voters", "TotalVotes", "Speed")
 
@@ -219,8 +220,7 @@ def _first_stage(x: _Column, z: _Column) -> _FirstStage:
     fitted = fit.beta0 + fit.beta1 * z.values
     # vhat: the first-stage residuals, x less the first-stage line on (1, z).
     vhat = x.values - z.design @ np.array([fit.beta0, fit.beta1])
-    scale = float((x.values * x.values).sum())
-    if float(vhat @ vhat) <= 1e-14 * max(scale, 1.0):
+    if _vanishes(vhat, x.values):
         designs: tuple[np.ndarray, np.ndarray] | str = "collinear augmentation: x is perfectly explained by z"
     else:
         augmented = np.column_stack([np.ones(n), x.values, vhat])
@@ -229,6 +229,17 @@ def _first_stage(x: _Column, z: _Column) -> _FirstStage:
         else:
             designs = (x.design, augmented)
     return _FirstStage(x, fit, _column(fitted), designs)
+
+
+def _vanishes(vhat: np.ndarray, x: np.ndarray) -> bool:
+    """Whether the residuals are negligible against x's sum of squares; when
+    that sum overflows, both are compared divided by max|x|."""
+    with np.errstate(over="ignore"):
+        scale = float((x * x).sum())
+    if not math.isfinite(scale):
+        top = float(np.abs(x).max())
+        return _vanishes(vhat / top, x / top)
+    return float(vhat @ vhat) <= 1e-14 * max(scale, 1.0)
 
 
 def _second_stage(y: _Column, stage: _FirstStage, diagnostics: bool = True) -> IvFit:
@@ -439,18 +450,14 @@ class InstrumentScreen:
     """Per-measure instrument relevance plus instrument descriptives."""
 
     rows: tuple[tuple[str, float, float, int], ...]  # measure, F, p, n
-    mean: float
-    median: float
-    maximum: float
-    minimum: float
-    std: float
+    stats: SummaryStats  # of the instrument's values
 
 
 def instrument_screen(instrument: dict[date, float], measures: dict[str, dict[date, float]]) -> InstrumentScreen:
     """Univariate F of each measure on the instrument, with descriptives.
 
     A perfect fit (instrument identical to the measure) reports an infinite
-    F with p = 0.
+    F with p = 0. An empty instrument raises ValueError.
     """
     rows = []
     for name in MEASURES:
@@ -467,14 +474,4 @@ def instrument_screen(instrument: dict[date, float], measures: dict[str, dict[da
             rows.append((name, float("inf"), 0.0, fit.n))
             continue
         rows.append((name, fit.t1 * fit.t1, fit.p1, fit.n))
-    values = np.array(sorted(instrument.values()), dtype=float)
-    if values.size == 0:
-        raise ValueError("empty instrument series")
-    return InstrumentScreen(
-        rows=tuple(rows),
-        mean=float(values.mean()),
-        median=float(np.median(values)),
-        maximum=float(values.max()),
-        minimum=float(values.min()),
-        std=float(values.std(ddof=1)) if values.size > 1 else 0.0,
-    )
+    return InstrumentScreen(tuple(rows), SummaryStats.describe(list(instrument.values())))

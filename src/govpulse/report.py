@@ -6,11 +6,15 @@ decimals with t-statistics in parentheses and significance stars at the
 10/5/1 percent levels; full precision is always available in the CSV grids.
 The stars are drawn here, from each fit's p-value, under the thresholds the
 caller passes.
+
+Every CSV cell is ``str`` of a record field: the shortest round-trip float,
+the ISO date, the exact Decimal; a flag is written 1/0.
 """
 
 from __future__ import annotations
 
 from datetime import date
+from operator import attrgetter
 
 from govpulse.centrality import DailyMetrics, PollMetrics
 from govpulse.econ import GridCell, InstrumentScreen, IvFit, OlsFit, RegressionGrid
@@ -80,6 +84,17 @@ def markdown_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cell(value) -> str:
+    return ("1" if value else "0") if isinstance(value, bool) else str(value)
+
+
+def _rows(header: list[str], records, fields: tuple[str, ...] | None = None) -> list[list[str]]:
+    """``header``, then one row per record: the cell of each of its
+    ``fields`` (the header's names when not given)."""
+    fields = fields or tuple(header)
+    return [header] + [[_cell(getattr(r, f)) for f in fields] for r in records]
+
+
 def _percent(value: float) -> str:
     return f"{100.0 * value:.2f}%"
 
@@ -106,10 +121,9 @@ def poll_descriptives_table(stats: dict[str, SummaryStats]) -> str:
 
 
 def descriptives_csv(stats: dict[str, SummaryStats], columns: tuple[str, ...]) -> list[list[str]]:
-    out = [["stat"] + list(columns)]
-    for stat_row in STAT_ROWS:
-        out.append([stat_row] + [repr(getattr(stats[c], stat_row.lower())) for c in columns])
-    return out
+    return [["stat", *columns]] + [
+        [stat, *(str(getattr(stats[c], stat.lower())) for c in columns)] for stat in STAT_ROWS
+    ]
 
 
 def voter_descriptives_table(stats: dict[str, SummaryStats]) -> str:
@@ -134,20 +148,8 @@ def top_voters_table(profiles: list[VoterProfile], criterion: str) -> str:
 
 
 def profiles_csv(profiles: list[VoterProfile]) -> list[list[str]]:
-    out = [["address", "identity", "involved_polls", "total_votes", "first_poll", "highest_single_vote", "first_date"]]
-    for p in profiles:
-        out.append(
-            [
-                p.address,
-                p.identity,
-                str(p.involved_polls),
-                str(p.total_votes),
-                str(p.first_poll),
-                str(p.highest_single_vote),
-                p.first_date.isoformat(),
-            ]
-        )
-    return out
+    header = ["address", "identity", "involved_polls", "total_votes", "first_poll", "highest_single_vote", "first_date"]
+    return _rows(header, profiles)
 
 
 def gini_summary_table(poll_ginis: list[float], daily_ginis: list[float]) -> str:
@@ -167,36 +169,13 @@ def measures_summary_table(measures: dict[str, dict[date, float]]) -> str:
 
 
 def metrics_csv(metrics: list[DailyMetrics]) -> list[list[str]]:
-    out = [
-        [
-            "date",
-            "poll_count",
-            "voters",
-            "total_votes",
-            "largest_share",
-            "largest_share_win",
-            "order",
-            "speed",
-            "gini",
-            "missing_flag",
-        ]
-    ]
-    for m in metrics:
-        out.append(
-            [
-                m.day.isoformat(),
-                str(m.poll_count),
-                str(m.voters),
-                str(m.total_votes),
-                repr(m.largest_share),
-                repr(m.largest_share_win),
-                repr(m.order),
-                repr(m.speed),
-                repr(m.gini),
-                "1" if m.missing else "0",
-            ]
-        )
-    return out
+    fields = ("poll_count", "voters", "total_votes", "largest_share", "largest_share_win", "order", "speed", "gini")
+    return _rows(["date", *fields, "missing_flag"], metrics, ("day", *fields, "missing"))
+
+
+def poll_metrics_csv(poll_metrics: list[PollMetrics]) -> list[list[str]]:
+    fields = ("total_votes", "voters", "gini", "largest_share", "ifwin", "largest_share_win", "order", "speed_seconds")
+    return _rows(["poll_id", "date", *fields], poll_metrics, ("poll_id", "day", *fields))
 
 
 def _measure_columns(grid: RegressionGrid) -> list[str]:
@@ -207,141 +186,120 @@ def _measure_columns(grid: RegressionGrid) -> list[str]:
     return seen
 
 
-def _grid_cell_text(cell: GridCell, stars: tuple[float, float, float]) -> str:
-    if cell.status != "ok" or cell.fit is None:
-        return ""
-    fit = cell.fit.second_stage if isinstance(cell.fit, IvFit) else cell.fit
+def _layout(grid: RegressionGrid, token: str, category: str) -> tuple[list[str], list[str], dict]:
+    """The grid's measures, the token's factors of the category and their
+    cells by (factor, measure)."""
+    factors = [s.name for s in catalogue_for(token) if s.category == category]
+    index = {(c.factor, c.measure): c for c in grid.cells if c.token == token and c.category == category}
+    return _measure_columns(grid), factors, index
+
+
+def _ok_fit(cell: GridCell | None) -> OlsFit | IvFit | None:
+    return cell.fit if cell is not None and cell.status == "ok" else None
+
+
+def _slope(cell: GridCell) -> OlsFit:
+    """The fit of the factor on the measure: an IV cell's second stage."""
+    return cell.fit.second_stage if isinstance(cell.fit, IvFit) else cell.fit
+
+
+def _coefficient(fit: OlsFit, stars: tuple[float, float, float]) -> str:
     return fmt_cell(fit.beta1, fit.t1, significance_stars(fit.p1, stars))
+
+
+def _grid_cell_text(cell: GridCell | None, stars: tuple[float, float, float]) -> str:
+    return _coefficient(_slope(cell), stars) if _ok_fit(cell) else ""
 
 
 def regression_table(grid: RegressionGrid, token: str, category: str, stars: tuple[float, float, float]) -> str:
     """One factor-by-measure coefficient table for a token and category."""
-    measures = _measure_columns(grid)
-    factors = [s.name for s in catalogue_for(token) if s.category == category]
-    index = {(c.factor, c.measure): c for c in grid.cells if c.token == token and c.category == category}
-    rows = []
-    for factor in factors:
-        row = [factor]
-        for measure in measures:
-            cell = index.get((factor, measure))
-            row.append(_grid_cell_text(cell, stars) if cell else "")
-        rows.append(row)
+    measures, factors, index = _layout(grid, token, category)
+    rows = [[factor, *(_grid_cell_text(index.get((factor, m)), stars) for m in measures)] for factor in factors]
     scaling = "z-scored variables" if grid.standardized else "raw variables"
     title = f"{category.capitalize()} factors ({token}), univariate coefficients with t-statistics; {scaling}.\n\n"
     return title + markdown_table([""] + measures, rows)
 
 
+def _rounded(attr: str):
+    return lambda fit, stars: fmt_value(getattr(fit, attr))
+
+
+# IV panel rows: label (None: the panel's measure) and the text of an ok
+# fit under the star thresholds
+_IV_ROWS = (
+    ("Off-chain (first stage)", lambda fit, stars: f"{fmt_value(fit.first_stage.beta1)}"
+     f"{significance_stars(fit.first_stage.p1, stars)} ({fmt_value(fit.partial_f)})"),
+    (None, lambda fit, stars: _coefficient(fit.second_stage, stars)),
+    ("Durbin's test", _rounded("durbin_stat")),
+    ("p-value", _rounded("durbin_p")),
+    ("Wu-Hausman test", _rounded("wu_hausman_stat")),
+    ("p-value", _rounded("wu_hausman_p")),
+    ("Adj. R-sq", _rounded("adj_r2")),
+    ("N", lambda fit, stars: str(fit.n)),
+)
+
+
 def iv_table(grid: RegressionGrid, token: str, category: str, stars: tuple[float, float, float]) -> str:
     """IV panels (one per instrumented measure) for a token and category."""
-    measures = _measure_columns(grid)
-    factors = [s.name for s in catalogue_for(token) if s.category == category]
-    index = {
-        (c.factor, c.measure): c
-        for c in grid.cells
-        if c.token == token and c.category == category
-    }
+    measures, factors, index = _layout(grid, token, category)
     blocks = []
     for measure in measures:
-        header = [""] + factors
-        first_row = ["Off-chain (first stage)"]
-        beta_row = [measure]
-        durbin_row = ["Durbin's test"]
-        durbin_p_row = ["p-value"]
-        wh_row = ["Wu-Hausman test"]
-        wh_p_row = ["p-value"]
-        adj_row = ["Adj. R-sq"]
-        n_row = ["N"]
-        for factor in factors:
-            cell = index.get((factor, measure))
-            fit = cell.fit if cell and cell.status == "ok" else None
-            if not isinstance(fit, IvFit):
-                for row in (first_row, beta_row, durbin_row, durbin_p_row, wh_row, wh_p_row, adj_row, n_row):
-                    row.append("")
-                continue
-            first, second = fit.first_stage, fit.second_stage
-            first_row.append(
-                f"{fmt_value(first.beta1)}{significance_stars(first.p1, stars)} ({fmt_value(fit.partial_f)})"
-            )
-            beta_row.append(fmt_cell(second.beta1, second.t1, significance_stars(second.p1, stars)))
-            durbin_row.append(fmt_value(fit.durbin_stat))
-            durbin_p_row.append(fmt_value(fit.durbin_p))
-            wh_row.append(fmt_value(fit.wu_hausman_stat))
-            wh_p_row.append(fmt_value(fit.wu_hausman_p))
-            adj_row.append(fmt_value(fit.adj_r2))
-            n_row.append(str(fit.n))
+        fits = [_ok_fit(index.get((factor, measure))) for factor in factors]
+        rows = [
+            [label or measure, *(text(fit, stars) if isinstance(fit, IvFit) else "" for fit in fits)]
+            for label, text in _IV_ROWS
+        ]
         blocks.append(
-            f"Panel: estimate {measure} using the off-chain instrument\n\n"
-            + markdown_table(
-                header,
-                [first_row, beta_row, durbin_row, durbin_p_row, wh_row, wh_p_row, adj_row, n_row],
-            )
+            f"Panel: estimate {measure} using the off-chain instrument\n\n" + markdown_table(["", *factors], rows)
         )
     scaling = "z-scored variables" if grid.standardized else "raw variables"
     title = f"2SLS IV regressions, {category} factors ({token}); {scaling}.\n\n"
     return title + "\n".join(blocks)
 
 
+def _full(path: str):
+    get = attrgetter(path)
+    return lambda fit, stars: str(get(fit))
+
+
+def _marks(path: str):
+    get = attrgetter(path)
+    return lambda fit, stars: significance_stars(get(fit), stars)
+
+
+# grid kind -> (CSV column, its text for an ok fit under the star thresholds)
+_GRID_COLUMNS = {
+    "ols": (
+        *((name, _full(name)) for name in ("beta0", "beta1", "se1", "t1", "p1")),
+        ("stars", _marks("p1")),
+        *((name, _full(name)) for name in ("r2", "adj_r2", "n")),
+    ),
+    "iv": (
+        ("fs_beta1", _full("first_stage.beta1")),
+        ("fs_t1", _full("first_stage.t1")),
+        ("fs_stars", _marks("first_stage.p1")),
+        ("partial_f", _full("partial_f")),
+        *((name, _full(f"second_stage.{name}")) for name in ("beta1", "se1", "t1", "p1")),
+        ("stars", _marks("second_stage.p1")),
+        *((name, _full(name))
+          for name in ("durbin_stat", "durbin_p", "wu_hausman_stat", "wu_hausman_p", "adj_r2", "n")),
+    ),
+}
+
+
 def grid_csv(grid: RegressionGrid, stars: tuple[float, float, float]) -> list[list[str]]:
-    """Full-precision grid dump, one row per cell."""
-    if grid.kind == "ols":
-        out = [
-            [
-                "token", "category", "factor", "measure", "status",
-                "beta0", "beta1", "se1", "t1", "p1", "stars", "r2", "adj_r2", "n",
-            ]
-        ]
-        for c in grid.cells:
-            fit = c.fit if isinstance(c.fit, OlsFit) else None
-            out.append(
-                [c.token, c.category, c.factor, c.measure, c.status]
-                + (
-                    [
-                        repr(fit.beta0), repr(fit.beta1), repr(fit.se1), repr(fit.t1),
-                        repr(fit.p1), significance_stars(fit.p1, stars), repr(fit.r2), repr(fit.adj_r2), str(fit.n),
-                    ]
-                    if fit
-                    else [""] * 9
-                )
-            )
-        return out
-    out = [
-        [
-            "token", "category", "factor", "measure", "status",
-            "fs_beta1", "fs_t1", "fs_stars", "partial_f",
-            "beta1", "se1", "t1", "p1", "stars",
-            "durbin_stat", "durbin_p", "wu_hausman_stat", "wu_hausman_p",
-            "adj_r2", "n",
-        ]
+    """Full-precision grid dump, one row per cell; a cell without an ok fit
+    leaves the fit columns empty."""
+    keys, columns = ["token", "category", "factor", "measure", "status"], _GRID_COLUMNS[grid.kind]
+    return [keys + [name for name, _ in columns]] + [
+        [getattr(c, key) for key in keys] + [value(c.fit, stars) if _ok_fit(c) else "" for _, value in columns]
+        for c in grid.cells
     ]
-    for c in grid.cells:
-        fit = c.fit if isinstance(c.fit, IvFit) else None
-        out.append(
-            [c.token, c.category, c.factor, c.measure, c.status]
-            + (
-                [
-                    repr(fit.first_stage.beta1), repr(fit.first_stage.t1),
-                    significance_stars(fit.first_stage.p1, stars), repr(fit.partial_f),
-                    repr(fit.second_stage.beta1), repr(fit.second_stage.se1), repr(fit.second_stage.t1),
-                    repr(fit.second_stage.p1), significance_stars(fit.second_stage.p1, stars),
-                    repr(fit.durbin_stat), repr(fit.durbin_p),
-                    repr(fit.wu_hausman_stat), repr(fit.wu_hausman_p),
-                    repr(fit.adj_r2), str(fit.n),
-                ]
-                if fit
-                else [""] * 15
-            )
-        )
-    return out
 
 
 def significant_cells(grid: RegressionGrid, alpha: float = 0.10) -> list[GridCell]:
     """Cells significant at the loose threshold, in grid order."""
-    out = []
-    for cell in grid.ok_cells():
-        fit = cell.fit.second_stage if isinstance(cell.fit, IvFit) else cell.fit
-        if fit.p1 <= alpha:
-            out.append(cell)
-    return out
+    return [cell for cell in grid.ok_cells() if _slope(cell).p1 <= alpha]
 
 
 def effects_summary(grid: RegressionGrid, token: str, alpha: float = 0.10) -> str:
@@ -353,91 +311,63 @@ def effects_summary(grid: RegressionGrid, token: str, alpha: float = 0.10) -> st
             categories.append(spec.category)
     cells = [c for c in significant_cells(grid, alpha) if c.token == token]
     header = ["Measurements"] + [f"{c.capitalize()} factors" for c in categories]
-    rows = []
-    for measure in measures:
-        row = [measure]
-        for category in categories:
-            entries = []
-            for cell in cells:
-                if cell.measure != measure or cell.category != category:
-                    continue
-                fit = cell.fit.second_stage if isinstance(cell.fit, IvFit) else cell.fit
-                arrow = ARROW_UP if fit.beta1 > 0 else ARROW_DOWN
-                entries.append(f"{cell.factor} {arrow}")
-            row.append(", ".join(entries))
-        rows.append(row)
+    rows = [
+        [measure] + [
+            ", ".join(
+                f"{c.factor} {ARROW_UP if _slope(c).beta1 > 0 else ARROW_DOWN}"
+                for c in cells if (c.measure, c.category) == (measure, category)
+            )
+            for category in categories
+        ]
+        for measure in measures
+    ]
     title = f"Effects summary ({token}); factors significant at {int(round(alpha * 100))}%.\n\n"
     return title + markdown_table(header, rows)
 
 
 def instrument_table(screen: InstrumentScreen, stars: tuple[float, float, float]) -> str:
     """Instrument relevance per measure plus instrument descriptives."""
-    header = ["Correlations"] + [row[0] for row in screen.rows]
-    value_row = ["Off-chain voters"]
-    for _, f_stat, p, _n in screen.rows:
-        if f_stat != f_stat:
-            value_row.append("")
-        else:
-            value_row.append(f"{fmt_value(f_stat)}{significance_stars(p, stars)} ({fmt_value(p)})")
-    part1 = markdown_table(header, [value_row])
-    header2 = ["Descriptive Statistics", "Mean", "Median", "Maximum", "Minimum", "Std"]
-    row2 = [
-        "Off-chain voters",
-        fmt_value(screen.mean),
-        fmt_value(screen.median),
-        fmt_value(screen.maximum),
-        fmt_value(screen.minimum),
-        fmt_value(screen.std),
+    relevance = [
+        "" if f_stat != f_stat else f"{fmt_value(f_stat)}{significance_stars(p, stars)} ({fmt_value(p)})"
+        for _, f_stat, p, _n in screen.rows
     ]
-    return part1 + "\n" + markdown_table(header2, [row2])
+    described = [fmt_value(getattr(screen.stats, stat.lower())) for stat in STAT_ROWS]
+    return (
+        markdown_table(["Correlations", *(row[0] for row in screen.rows)], [["Off-chain voters", *relevance]])
+        + "\n"
+        + markdown_table(["Descriptive Statistics", *STAT_ROWS], [["Off-chain voters", *described]])
+    )
 
 
 def instrument_csv(screen: InstrumentScreen, stars: tuple[float, float, float]) -> list[list[str]]:
-    out = [["measure", "f_stat", "p_value", "stars", "n"]]
-    for name, f_stat, p, n in screen.rows:
-        out.append([name, repr(f_stat), repr(p), significance_stars(p, stars), str(n)])
-    out.append([])
-    out.append(["mean", "median", "maximum", "minimum", "std"])
-    out.append([repr(screen.mean), repr(screen.median), repr(screen.maximum), repr(screen.minimum), repr(screen.std)])
-    return out
+    rows = [["measure", "f_stat", "p_value", "stars", "n"]]
+    rows += [[name, str(f_stat), str(p), significance_stars(p, stars), str(n)] for name, f_stat, p, n in screen.rows]
+    return rows + [[]] + _rows([stat.lower() for stat in STAT_ROWS], [screen.stats])
 
 
 def daily_counts_csv(metrics: list[DailyMetrics]) -> list[list[str]]:
-    out = [["date", "polls", "voters"]]
-    for m in metrics:
-        out.append([m.day.isoformat(), str(m.poll_count), str(m.voters)])
-    return out
+    return _rows(["date", "polls", "voters"], metrics, ("day", "poll_count", "voters"))
 
 
 def poll_scatter_csv(poll_metrics: list[PollMetrics]) -> list[list[str]]:
-    out = [["poll_id", "total_votes", "largest_votes"]]
-    for pm in poll_metrics:
-        out.append([str(pm.poll_id), str(pm.total_votes), str(pm.largest_votes)])
-    return out
+    return _rows(["poll_id", "total_votes", "largest_votes"], poll_metrics)
 
 
 def gini_series_csv(poll_metrics: list[PollMetrics], metrics: list[DailyMetrics]) -> list[list[str]]:
-    out = [["kind", "key", "gini"]]
-    for pm in poll_metrics:
-        out.append(["poll", str(pm.poll_id), repr(pm.gini)])
-    for m in metrics:
-        out.append(["daily", m.day.isoformat(), repr(m.gini)])
-    return out
+    return (
+        [["kind", "key", "gini"]]
+        + [["poll", str(pm.poll_id), str(pm.gini)] for pm in poll_metrics]
+        + [["daily", str(m.day), str(m.gini)] for m in metrics]
+    )
 
 
 def lorenz_csv(curve: tuple[tuple[float, float], ...]) -> list[list[str]]:
-    out = [["population_share", "vote_share"]]
-    for p, l in curve:
-        out.append([repr(p), repr(l)])
-    return out
+    return [["population_share", "vote_share"]] + [[str(p), str(l)] for p, l in curve]
 
 
 def validation_csv(report) -> list[list[str]]:
     """Anomaly rows; the severity column always reads ``warning``."""
-    out = [["kind", "severity", "detail"]]
-    for anomaly in report.anomalies:
-        out.append([anomaly.kind, "warning", anomaly.detail])
-    return out
+    return [["kind", "severity", "detail"]] + [[a.kind, "warning", a.detail] for a in report.anomalies]
 
 
 def svg_line_chart(series: dict[str, list[tuple[float, float]]], title: str) -> str:

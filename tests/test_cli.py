@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import random
+import statistics
 import subprocess
 import sys
 import warnings
@@ -167,8 +170,12 @@ CLEAN_VOTE_LINES = [b"1,0xa,1,10,1614556810", b"2,0xb,2,0.5,2021-03-02T00:00:10Z
 
 
 def _data_line(line: bytes) -> bool:
-    """A line the loader reads as a row: one with a field that is not blank."""
-    return any(cell.strip() for cell in line.decode("utf-8", "surrogateescape").split(","))
+    """A line the loader reads as a row, one with a field that is not blank,
+    or records as unreadable."""
+    try:
+        return any(cell.strip() for cell in next(csv.reader([line.decode("utf-8", "surrogateescape")]), []))
+    except csv.Error:  # a field over the reader's size limit
+        return True
 
 
 @settings(max_examples=50, deadline=None)
@@ -192,6 +199,87 @@ def test_ingest_reads_any_vote_line_bytes(tmp_path_factory, lines):
     assert (manifest["status"], manifest["command"]) == ("ok", "ingest")
     log = load_vote_log(votes, polls)
     assert len(log.events) + len(log.report.anomalies) == sum(map(_data_line, body[1:]))
+
+
+CLEAN_LINES = {
+    "polls": [b"1,1614556800,poll 1,1:yes|2:no,", b'2,2021-03-02T00:00:00Z,"poll, ""two""",1:yes|2:no,2'],
+    "identities": [b"0xa,Alice", b'"0xB","Bob, Inc."'],
+    "factors": [b"2021-03-01,MKR,financial,Price,10", b'"2021-03-02",MKR,"financial",Price,"11.5"'],
+}
+# an unquoted field without a quote or comma, or a quoted one holding any byte but a line break
+FUZZ_FIELD = st.one_of(
+    st.binary(max_size=10).map(lambda field: field.translate(None, b'",\r\n')),
+    st.binary(max_size=10).map(lambda field: b'"' + field.translate(None, b"\r\n").replace(b'"', b'""') + b'"'),
+)
+
+
+def _fuzz_lines(clean: list[bytes]):
+    return st.lists(st.one_of(
+        st.lists(FUZZ_FIELD, min_size=1, max_size=6).map(b",".join),
+        st.sampled_from(clean),
+        st.tuples(st.sampled_from(clean), FUZZ_FIELD).map(b"".join),
+        st.tuples(st.sampled_from(clean), FUZZ_FIELD).map(b",".join),
+    ), max_size=6)
+
+
+def _fuzz_run(tmp, argv: list[str]) -> None:
+    """exec_command(argv) with the checks every fuzzed run passes: no
+    traceback, an exit code in {0, 1, 2} and a manifest of this run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = exec_command([*argv, "--out-dir", str(tmp / "out")])
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 1, 2)
+    if code != 2:
+        manifest = json.loads((tmp / "out" / "run_manifest.json").read_text())
+        assert (manifest["status"], manifest["command"]) == ("ok" if code == 0 else "failed", argv[0])
+
+
+def _ingest_fuzzed(tmp, name: str, lines: list[bytes]) -> None:
+    """``ingest`` with ``lines`` as the data of the polls or identities file:
+    each non-blank line is kept (in place of an earlier row, for a duplicate
+    key) or skipped with an anomaly."""
+    votes, polls, identities = tmp / "votes.csv", tmp / "polls.csv", tmp / "identities.csv"
+    votes.write_bytes(b"\n".join([b"poll_id,voter,option_id,weight,timestamp", *CLEAN_VOTE_LINES]) + b"\n")
+    polls.write_bytes(b"\n".join([b"poll_id,deploy_timestamp,title,options,abstain_options",
+                                  *(lines if name == "polls" else CLEAN_LINES["polls"])]) + b"\n")
+    identities.write_bytes(b"\n".join([b"address,name", *(lines if name == "identities" else [])]) + b"\n")
+    _fuzz_run(tmp, ["ingest", "--votes", str(votes), "--polls", str(polls), "--identities", str(identities)])
+    load, path, replaced, skipped = {
+        "polls": (govdata.load_polls, polls, "duplicate poll id", "bad poll row"),
+        "identities": (govdata.load_identities, identities, "duplicate identity", "bad identity row"),
+    }[name]
+    report = govdata.ValidationReport()
+    kept = len(load(path, report))
+    kinds = Counter(anomaly.kind for anomaly in report.anomalies)
+    assert kept + kinds[replaced] + kinds[skipped] == sum(map(_data_line, lines))
+
+
+@settings(max_examples=40, deadline=None)
+@example(lines=[b'"1","1614556800","a ""quoted"", title","1:yes|2:no",""', b'"\xff",1', b'""', b'" ",","'])
+@given(lines=_fuzz_lines(CLEAN_LINES["polls"]))
+def test_ingest_reads_any_poll_line_bytes(tmp_path_factory, lines):
+    _ingest_fuzzed(tmp_path_factory.mktemp("fuzz"), "polls", lines)
+
+
+@settings(max_examples=40, deadline=None)
+@example(lines=[b'"0xc",",,,"', b'"\xff",x', b'""', b'" ",","', b"0xA,again"])
+@given(lines=_fuzz_lines(CLEAN_LINES["identities"]))
+def test_ingest_reads_any_identity_line_bytes(tmp_path_factory, lines):
+    _ingest_fuzzed(tmp_path_factory.mktemp("fuzz"), "identities", lines)
+
+
+@settings(max_examples=30, deadline=None)
+@example(lines=[b'"2021-03-01","MKR","financial","Price","1e400"', b'2021-03-02,"MKR ","fin,ancial",Price,3'])
+@given(lines=_fuzz_lines(CLEAN_LINES["factors"]))
+def test_regress_reads_any_factor_line_bytes(tmp_path_factory, lines):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    votes, polls, factors = tmp / "votes.csv", tmp / "polls.csv", tmp / "factors.csv"
+    votes.write_bytes(b"\n".join([b"poll_id,voter,option_id,weight,timestamp", *CLEAN_VOTE_LINES]) + b"\n")
+    write_polls_csv(polls, [(1, DAY0, "poll 1", "1:yes|2:no", ""), (2, DAY0 + 86400, "poll 2", "1:yes|2:no", "")])
+    factors.write_bytes(b"\n".join([b"date,token,category,factor,value", *lines]) + b"\n")
+    _fuzz_run(tmp, ["regress", "--votes", str(votes), "--polls", str(polls), "--factors", str(factors),
+                    "--tokens", "MKR"])
 
 
 def test_ingest_reports_duplicate_option_ids_once(tmp_path):
@@ -346,6 +434,64 @@ def test_prices_whose_squares_overflow(tmp_path):
     assert {row["status"] for row in price_cells(1.0, "--raw")} == {"error: overflow"}
 
 
+def _eight_days(tmp_path, weights_of_day) -> list[str]:
+    """votes.csv and polls.csv of an 8-day history, one poll a day whose
+    ballots weigh ``weights_of_day(day)``; returns their flags."""
+    tmp_path.mkdir(exist_ok=True)
+    votes, polls = tmp_path / "votes.csv", tmp_path / "polls.csv"
+    write_votes_csv(votes, [(day + 1, f"0x{voter}", voter % 2 + 1, weight, DAY0 + day * 86400 + voter)
+                            for day in range(8) for voter, weight in enumerate(weights_of_day(day))])
+    write_polls_csv(polls, [(day + 1, DAY0 + day * 86400, "p", "1:yes|2:no", "") for day in range(8)])
+    return ["--votes", str(votes), "--polls", str(polls)]
+
+
+def _write_daily_factors(path, series: dict[tuple[str, str, str], list[float]]) -> str:
+    write_factors_csv(path, [(f"2021-03-0{day + 1}", *key, repr(value))
+                             for key, values in series.items() for day, value in enumerate(values)])
+    return str(path)
+
+
+def test_first_stage_of_a_measure_whose_squares_overflow(tmp_path):
+    ks = [3, 1, 4, 1, 5, 9, 2, 6]
+    factors = _write_daily_factors(tmp_path / "factors.csv", {
+        ("MKR", "financial", "Price"): [10.0, 12.5, 9.0, 14.0, 11.0, 13.5, 10.5, 15.0],
+        ("ALL", "instrument", "offchain_voters"): [2.0, 7.0, 1.0, 8.0, 2.5, 8.5, 1.5, 8.0],
+    })
+
+    def statuses(name: str, big: str, unit: str) -> list[tuple[str, str]]:
+        # one vote of `big` and one of k `unit` a day; at 1e160 and k 1e150 the
+        # squares of the daily TotalVotes overflow, its centred squares do not
+        inputs = _eight_days(tmp_path / name, lambda day: [big, f"{ks[day]}{unit}"])
+        out = tmp_path / name / "out"
+        assert exec_command(["iv", *inputs, "--factors", factors, "--tokens", "MKR", "--raw",
+                             "--measures", "TotalVotes", "--out-dir", str(out)]) == 0
+        with open(out / "iv_grid.csv", newline="") as handle:
+            return [(row["factor"], row["status"]) for row in csv.DictReader(handle)]
+
+    huge = statuses("huge", "1e160", "e150")
+    assert huge == statuses("unit", "1e10", "")
+    assert dict(huge)["Price"] != "no data"
+
+
+def test_instrument_whose_squares_overflow(tmp_path):
+    voters = [1e200, 2.5e200, 1.7e200, 4e200, 3.1e200, 2.2e200, 3.6e200, 1.2e200]
+    inputs = _eight_days(tmp_path, lambda day: [str(voter) for voter in range(1, day + 3)])
+    factors = _write_daily_factors(tmp_path / "factors.csv", {
+        ("MKR", "financial", "Price"): [10.0, 12.5, 9.0, 14.0, 11.0, 13.5, 10.5, 15.0],
+        ("ALL", "instrument", "offchain_voters"): voters,
+    })
+    out = tmp_path / "out"
+    assert exec_command(["iv", *inputs, "--factors", factors, "--tokens", "MKR", "--out-dir", str(out)]) == 0
+    with open(out / "instrument_screen.csv", newline="") as handle:
+        described = list(csv.reader(handle))[-2:]
+    stats = dict(zip(described[0], map(float, described[1])))
+    scaled = [voter / 1e200 for voter in voters]
+    assert math.isfinite(stats["std"])
+    assert math.isclose(stats["std"], 1e200 * statistics.stdev(scaled), rel_tol=1e-12)
+    assert math.isclose(stats["mean"], 1e200 * statistics.fmean(scaled), rel_tol=1e-12)
+    assert (stats["maximum"], stats["minimum"]) == (4e200, 1e200)
+
+
 def test_commands_without_a_fit_never_import_scipy(tmp_path):
     script = (
         "import sys\n"
@@ -380,6 +526,19 @@ def test_unexpected_error_records_failed_manifest(synth_dir, tmp_path, monkeypat
     assert (manifest["command"], manifest["status"]) == ("report", "failed")
     assert manifest["error"] == "RuntimeError: stage exploded"
     assert "Traceback" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("formats", ["pdf", ","])
+def test_rejected_formats_record_a_failed_manifest(synth_dir, tmp_path, formats):
+    out = tmp_path / "out"
+    argv = ["report", "--votes", str(synth_dir / "votes.csv"), "--polls", str(synth_dir / "polls.csv"),
+            "--out-dir", str(out)]
+    assert exec_command(argv) == 0
+    assert exec_command([*argv, "--formats", formats]) == 1
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["command"], manifest["status"]) == ("report", "failed")
+    assert manifest["config"]["formats"] == formats
+    assert manifest["outputs"] == []
 
 
 def test_describe_outputs(synth_dir, tmp_path):

@@ -538,15 +538,15 @@ def test_instrument_screen_perfect_and_independent():
     assert by_measure["Voters"][2] == 0.0
     independents = [by_measure[m] for m in ("TotalVotes", "Gini", "Order", "Speed")]
     assert sum(1 for row in independents if significance_stars(row[2]) == "") >= 3
-    assert screen.mean == pytest.approx(np.mean(list(voters.values())))
+    assert screen.stats.mean == pytest.approx(np.mean(list(voters.values())))
 
 
 def test_instrument_screen_descriptives():
     series = _series([1.0, 2.0, 3.0, 4.0, 396.0])
     screen = instrument_screen(series, {})
-    assert screen.median == 3.0
-    assert screen.maximum == 396.0
-    assert screen.minimum == 1.0
+    assert screen.stats.median == 3.0
+    assert screen.stats.maximum == 396.0
+    assert screen.stats.minimum == 1.0
 
 
 def test_raw_vs_standardized_grid_t_stats_agree():

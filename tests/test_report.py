@@ -132,10 +132,11 @@ def test_metrics_csv_header_contract():
 
 def test_instrument_table_renders_inf_flag():
     from govpulse.econ import InstrumentScreen
+    from govpulse.profiles import SummaryStats
 
     screen = InstrumentScreen(
         rows=(("Voters", float("inf"), 0.0, 127), ("Speed", 3.87, 0.05, 127)),
-        mean=55.80, median=36.0, maximum=393.0, minimum=0.0, std=72.17,
+        stats=SummaryStats(mean=55.80, median=36.0, maximum=393.0, minimum=0.0, std=72.17, n=127),
     )
     text = instrument_table(screen, STAR_THRESHOLDS)
     assert "inf*** (0.00)" in text
