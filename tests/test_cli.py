@@ -15,6 +15,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -458,7 +459,7 @@ def test_first_stage_of_a_measure_whose_squares_overflow(tmp_path):
         ("ALL", "instrument", "offchain_voters"): [2.0, 7.0, 1.0, 8.0, 2.5, 8.5, 1.5, 8.0],
     })
 
-    def statuses(name: str, big: str, unit: str) -> list[tuple[str, str]]:
+    def grid(name: str, big: str, unit: str) -> list[dict]:
         # one vote of `big` and one of k `unit` a day; at 1e160 and k 1e150 the
         # squares of the daily TotalVotes overflow, its centred squares do not
         inputs = _eight_days(tmp_path / name, lambda day: [big, f"{ks[day]}{unit}"])
@@ -466,11 +467,45 @@ def test_first_stage_of_a_measure_whose_squares_overflow(tmp_path):
         assert exec_command(["iv", *inputs, "--factors", factors, "--tokens", "MKR", "--raw",
                              "--measures", "TotalVotes", "--out-dir", str(out)]) == 0
         with open(out / "iv_grid.csv", newline="") as handle:
-            return [(row["factor"], row["status"]) for row in csv.DictReader(handle)]
+            return list(csv.DictReader(handle))
 
-    huge = statuses("huge", "1e160", "e150")
-    assert huge == statuses("unit", "1e10", "")
-    assert dict(huge)["Price"] != "no data"
+    def statuses(rows: list[dict]) -> list[tuple[str, str]]:
+        return [(row["factor"], row["status"]) for row in rows]
+
+    huge = grid("huge", "1e160", "e150")
+    assert statuses(huge) == statuses(grid("unit", "1e10", ""))
+    assert dict(statuses(huge))["Price"] == "ok"  # TotalVotes varies with k, which z does not explain
+    # a level 100 times its variation puts the intercept below lstsq's rank
+    # cutoff, which is relative to the largest singular value
+    far, near = grid("far", "1e155", "e153"), grid("near", "1e5", "e3")
+    assert statuses(far) == statuses(near)
+    assert dict(statuses(far))["Price"] == "ok"
+    for big, small in zip(far, near):
+        for column in ("fs_t1", "t1", "p1") if small["status"] == "ok" else ():
+            assert math.isclose(float(big[column]), float(small[column]), rel_tol=1e-8), (big, column)
+
+
+def test_raw_fits_do_not_depend_on_the_weight_unit(synth_dir, tmp_path):
+    # weights in wei (x1e18), as on-chain exports write them, fit as the token units do
+    with open(synth_dir / "votes.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    wei = tmp_path / "wei_votes.csv"
+    write_votes_csv(wei, [[*row[:3], str(Decimal(row[3]).scaleb(18)), row[4]] for row in rows[1:]])
+    flags = ["--polls", str(synth_dir / "polls.csv"), "--factors", str(synth_dir / "factors.csv"),
+             "--tokens", "MKR", "--raw", "--measures", "TotalVotes"]
+    for command, grid, columns in (("regress", "ols_grid.csv", ("t1", "p1", "r2")),
+                                   ("iv", "iv_grid.csv", ("fs_t1", "t1", "p1", "durbin_p", "wu_hausman_p"))):
+        cells = []
+        for votes in (synth_dir / "votes.csv", wei):
+            out = tmp_path / f"{command}_{votes.stem}"
+            assert exec_command([command, "--votes", str(votes), *flags, "--out-dir", str(out)]) == 0
+            cells.append(_grid_rows(out / grid, "TotalVotes"))
+        unit, scaled = cells
+        assert [row["status"] for row in scaled] == [row["status"] for row in unit], command
+        assert sum(row["status"] == "ok" for row in unit) >= 20, command
+        for small, big in zip(unit, scaled):
+            for column in columns if small["status"] == "ok" else ():
+                assert math.isclose(float(big[column]), float(small[column]), rel_tol=1e-8), (command, big, column)
 
 
 def test_instrument_whose_squares_overflow(tmp_path):
@@ -492,21 +527,37 @@ def test_instrument_whose_squares_overflow(tmp_path):
     assert (stats["maximum"], stats["minimum"]) == (4e200, 1e200)
 
 
-def test_commands_without_a_fit_never_import_scipy(tmp_path):
+def test_no_command_needs_scipy(tmp_path):
+    # the child refuses any scipy import, so a command that needed it would exit 1
     script = (
-        "import sys\n"
+        "import json, sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
         "import govpulse.cli\n"
-        "assert 'scipy' not in sys.modules, 'import govpulse.cli'\n"
-        "code = govpulse.cli.exec_command(sys.argv[1:])\n"
-        "assert code == 0, code\n"
-        "assert 'scipy' not in sys.modules, 'synth'\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = govpulse.cli.exec_command(argv)\n"
+        "    assert code == 0, (argv[0], code)\n"
+        "assert 'scipy' not in sys.modules\n"
     )
+    data, out = tmp_path / "data", tmp_path / "out"
+    inputs = [f"--{name}={data / name}.csv" for name in ("votes", "polls", "factors")]
+    commands = [
+        ["synth", "--seed", "5", "--config", _small_config(tmp_path), "--out-dir", str(data)],
+        ["report", *inputs, "--out-dir", str(out / "report")],
+        ["regress", *inputs, "--tokens", "MKR", "--out-dir", str(out / "regress")],
+        ["iv", *inputs, "--tokens", "MKR", "--out-dir", str(out / "iv")],
+    ]
     src = str(Path(govpulse.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    argv = ["synth", "--seed", "5", "--config", _small_config(tmp_path), "--out-dir", str(tmp_path / "data")]
-    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
-                          timeout=120)
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env, capture_output=True,
+                          text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    for grid in ("report/ols_grid.csv", "report/iv_grid.csv", "regress/ols_grid.csv", "iv/iv_grid.csv"):
+        with open(out / grid, newline="") as handle:
+            assert any(row["status"] == "ok" and float(row["p1"]) < 1.0 for row in csv.DictReader(handle)), grid
 
 
 def test_unexpected_error_records_failed_manifest(synth_dir, tmp_path, monkeypatch, capsys):

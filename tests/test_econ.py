@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from datetime import date, timedelta
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_cell
@@ -95,6 +96,18 @@ def test_ols_affine_equivariance():
     assert abs(standardized.t1 - base.t1) <= 1e-9
 
 
+def test_ols_of_a_regressor_far_from_one():
+    # lstsq's rank cutoff is relative to the largest singular value: at 1e20
+    # the intercept column falls below it unless the design is rescaled
+    rng = np.random.default_rng(9)
+    k = np.arange(12.0)
+    y = 2.0 + 0.3 * k + rng.normal(0, 1, 12)
+    big, unit = ols(y, 1e20 + k * 1e18), ols(y, 1.0 + k / 100)
+    for name in ("beta0", "t1", "p1", "r2"):
+        assert getattr(big, name) == pytest.approx(getattr(unit, name), rel=1e-9), name
+    assert big.beta1 * 1e20 == pytest.approx(unit.beta1, rel=1e-9)
+
+
 def test_ols_errors():
     with pytest.raises(ValueError, match="degenerate regressor"):
         ols([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
@@ -137,6 +150,56 @@ def test_t_pvalue_matches_mpmath_oracle():
         x = mp.mpf(dof) / (dof + mp.mpf(t) ** 2)
         oracle = float(mp.betainc(mp.mpf(dof) / 2, mp.mpf("0.5"), 0, x, regularized=True))
         assert abs(ours - oracle) <= 1e-10
+
+
+SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+def _meets_oracle(ours: float, oracle) -> None:
+    """Within 1e-12 relative of the oracle where it is a normal float, and
+    below the smallest normal where it is not; never NaN, never above 1."""
+    assert 0.0 <= ours <= 1.0
+    if oracle >= SMALLEST_NORMAL:
+        assert abs(ours - oracle) <= 1e-12 * oracle, (ours, oracle)
+    else:
+        assert ours < SMALLEST_NORMAL, (ours, oracle)
+
+
+@settings(max_examples=200, deadline=None)
+@example(dof=235, log_f=math.log10(93717.91814752131), negative=False)  # p 1.0e-307
+@example(dof=235, log_f=math.log10(99799.46395543872), negative=False)  # p 6.3e-311
+@example(dof=1952, log_f=math.log10(2090.6731770024307), negative=True)  # p 6.3e-311
+@example(dof=1, log_f=-12.0, negative=False)
+@example(dof=2000, log_f=7.0, negative=False)
+@given(dof=st.integers(1, 2000), log_f=st.floats(-12.0, 7.0), negative=st.booleans())
+def test_f_and_t_pvalues_match_mpmath(dof, log_f, negative):
+    """The F(1, dof) tail, and the two-sided t tail of its square root, at
+    the x = dof / (dof + F) the function computes: the rounding of x is the
+    input's, not the tail's."""
+    f = 10.0**log_f
+    t = -math.sqrt(f) if negative else math.sqrt(f)
+    for ours, stat in ((f_pvalue(f, 1, dof), f), (t_pvalue(t, dof), t * t)):
+        x = dof / (dof + stat)
+        with mp.workdps(40):
+            _meets_oracle(ours, mp.betainc(mp.mpf(dof) / 2, mp.mpf(1) / 2, 0, mp.mpf(x), regularized=True))
+
+
+@settings(max_examples=200, deadline=None)
+@example(stat=1500.0)
+@example(stat=1e-12)
+@given(stat=st.floats(0.0, 1500.0))
+def test_chi2_pvalue_matches_mpmath(stat):
+    with mp.workdps(40):
+        _meets_oracle(chi2_pvalue(stat, 1), mp.gammainc(mp.mpf(1) / 2, mp.mpf(stat) / 2, mp.inf, regularized=True))
+
+
+def test_pvalues_refuse_untabulated_degrees_of_freedom():
+    with pytest.raises(ValueError):
+        f_pvalue(2.0, 2, 10)
+    with pytest.raises(ValueError):
+        chi2_pvalue(2.0, 2)
+    with pytest.raises(ValueError):
+        t_pvalue(2.0, 0)
 
 
 def test_f_pvalue_matches_squared_t():
