@@ -10,7 +10,6 @@ diagnostics.
 __version__ = "0.1.0"
 
 from govpulse.govdata import (
-    FinalBallot,
     PollRecord,
     ValidationReport,
     VoteEvent,
@@ -19,7 +18,6 @@ from govpulse.govdata import (
     load_factors,
     load_vote_log,
     validate_dataset,
-    winning_option,
 )
 from govpulse.centrality import (
     DailyMetrics,
@@ -32,7 +30,6 @@ from govpulse.econ import IvFit, OlsFit, endogeneity_tests, ols, two_sls
 
 __all__ = [
     "DailyMetrics",
-    "FinalBallot",
     "IvFit",
     "OlsFit",
     "PollMetrics",
@@ -50,5 +47,4 @@ __all__ = [
     "poll_gini",
     "two_sls",
     "validate_dataset",
-    "winning_option",
 ]

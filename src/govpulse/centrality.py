@@ -23,10 +23,11 @@ clipped to [0, 1). Alternative daily estimators (mean of poll Ginis, pooled
 sample Gini) are available for comparison.
 
 ``ballot_pass`` is the one road from a vote log to the measures: it derives
-every poll's final ballots once per ballot rule, together with the per-poll
-metrics and the per-day poll counts. Daily rows, voter profiles, poll
-descriptives and Lorenz totals are all derived from that one result, and
-``fill_calendar`` is the one way to add the days without polls.
+every poll's final ballots (each voter's counted ``VoteEvent``) once per
+ballot rule, together with the per-poll metrics and the per-day poll counts;
+voting order is read from each poll's history. Daily rows, voter profiles,
+poll descriptives and Lorenz totals are all derived from that one result,
+and ``fill_calendar`` is the one way to add the days without polls.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from govpulse.govdata import EXACT, FinalBallot, PollRecord, VoteLog, exact_sum, final_ballots, winning_option
+from govpulse.govdata import EXACT, PollRecord, VoteEvent, VoteLog, exact_sum, final_ballots
 
 GINI_UPPER = 1.0 - 1e-9
 
@@ -121,7 +122,7 @@ def gini_mean_difference(weights: np.ndarray) -> float:
     return float((k * (n - k) * np.diff(ordered)).sum() / (n * total))
 
 
-def poll_gini(ballots: list[FinalBallot]) -> float:
+def poll_gini(ballots: list[VoteEvent]) -> float:
     """Gini coefficient of one poll's final ballot weights."""
     return gini_mean_difference(np.array([float(b.weight) for b in ballots], dtype=float))
 
@@ -151,7 +152,7 @@ def gini_from_alpha(alpha: float) -> float:
     return float(min(max(1.0 / (2.0 * alpha - 1.0), 0.0), GINI_UPPER))
 
 
-def _pooled_voter_totals(ballots: list[FinalBallot]) -> np.ndarray:
+def _pooled_voter_totals(ballots: list[VoteEvent]) -> np.ndarray:
     """Each voter's summed weight over the ballots, positive totals only."""
     totals: dict[str, Decimal] = {}
     with localcontext(EXACT):
@@ -160,7 +161,7 @@ def _pooled_voter_totals(ballots: list[FinalBallot]) -> np.ndarray:
     return np.array([float(v) for v in totals.values() if v > 0], dtype=float)
 
 
-def daily_gini(ballots_of_day: list[FinalBallot]) -> float:
+def daily_gini(ballots_of_day: list[VoteEvent]) -> float:
     """Daily Gini from the Paretian tail-index MLE on pooled voter totals.
 
     Each voter's final weights across the day's polls are summed first;
@@ -173,23 +174,31 @@ def daily_gini(ballots_of_day: list[FinalBallot]) -> float:
 
 
 def _measure_poll(
-    poll: PollRecord, ballots: list[FinalBallot], n_records: int, order_rule: str
+    poll: PollRecord, ballots: list[VoteEvent], history: tuple[VoteEvent, ...], order_rule: str
 ) -> PollMetrics | None:
-    """All per-poll measures from the poll's final ballots, sorted largest
-    first as ``final_ballots`` returns them, and its history length; None
-    when the ballots carry no positive weight. Order places the largest
-    voter's counted (``order_rule="last"``) or first record in the history;
+    """All per-poll measures from the poll's final ballots (its counted
+    ``VoteEvent``s, largest first as ``final_ballots`` returns them) and its
+    chronological history; None when the ballots carry no positive weight.
+    One exact per-option tally gives the total, the winner (ties go to the
+    smallest id) and the non-abstain breakdown. Order places the largest
+    voter's counted (``order_rule="last"``) or first record in the history,
+    the counted one found by identity, since identical rows compare equal;
     speed clamps negative gaps (clock skew) to zero."""
-    total = exact_sum(b.weight for b in ballots)
+    tally: dict[int, Decimal] = {}
+    with localcontext(EXACT):
+        for ballot in ballots:
+            tally[ballot.option_id] = tally.get(ballot.option_id, Decimal(0)) + ballot.weight
+    total = exact_sum(tally.values())
     if total <= 0:
         return None
     largest = ballots[0]
     share = float(largest.weight / total)
-    ifwin = 1 if largest.option_id == winning_option(ballots) else 0
-    index = largest.history_order_index if order_rule == "last" else largest.first_seen_index
-    counted = [b for b in ballots if b.option_id not in poll.abstain_option_ids]
-    breakdown = exact_sum(b.weight for b in counted)
-    gaps = sum(max(0, b.final_timestamp - poll.deploy_timestamp) for b in ballots)
+    best = max(tally.values())
+    ifwin = 1 if largest.option_id == min(o for o, w in tally.items() if w == best) else 0
+    records = [(i, e) for i, e in enumerate(history, start=1) if e.voter == largest.voter]
+    index = max(i for i, e in records if e is largest) if order_rule == "last" else records[0][0]
+    breakdown = exact_sum(w for o, w in tally.items() if o not in poll.abstain_option_ids)
+    gaps = sum(max(0, b.timestamp - poll.deploy_timestamp) for b in ballots)
     return PollMetrics(
         poll_id=poll.poll_id,
         day=utc_day(poll.deploy_timestamp),
@@ -199,11 +208,11 @@ def _measure_poll(
         largest_share=share,
         ifwin=ifwin,
         largest_share_win=share * ifwin,
-        order=index / n_records,
+        order=index / len(history),
         speed_seconds=float(gaps) / len(ballots),
         breakdown_votes=breakdown,
         breakdown_ratio=float(breakdown / total),
-        breakdown_voters=len(counted),
+        breakdown_voters=sum(1 for b in ballots if b.option_id not in poll.abstain_option_ids),
         largest_votes=largest.weight,
     )
 
@@ -213,12 +222,13 @@ class BallotPass:
     """Every poll's final ballots under one ballot rule, derived once.
 
     ``ballots`` maps each registered poll, in ascending poll id order, to its
-    final ballots (empty for a poll without events). ``polls`` holds the
+    final ballots, the counted ``VoteEvent``s as ``final_ballots`` returns
+    them (empty for a poll without events). ``polls`` holds the
     metrics of the polls with a positive total, ascending by poll id, and
     ``poll_counts`` the number of registered polls per deployment day.
     """
 
-    ballots: dict[int, list[FinalBallot]]
+    ballots: dict[int, list[VoteEvent]]
     polls: list[PollMetrics]
     poll_counts: dict[date, int]
 
@@ -227,7 +237,7 @@ def ballot_pass(log: VoteLog, ballot_rule: str = "last", order_rule: str = "last
     """One pass over the log: final ballots, poll metrics and daily poll counts."""
     if order_rule not in ("last", "first"):
         raise ValueError(f"unknown order rule: {order_rule!r}")
-    ballots: dict[int, list[FinalBallot]] = {}
+    ballots: dict[int, list[VoteEvent]] = {}
     polls: list[PollMetrics] = []
     poll_counts: dict[date, int] = {}
     for poll_id in log.poll_ids():
@@ -236,7 +246,7 @@ def ballot_pass(log: VoteLog, ballot_rule: str = "last", order_rule: str = "last
         poll_counts[day] = poll_counts.get(day, 0) + 1
         counted = final_ballots(log, poll_id, rule=ballot_rule)
         ballots[poll_id] = counted
-        pm = _measure_poll(poll, counted, len(log.poll_events(poll_id)), order_rule)
+        pm = _measure_poll(poll, counted, log.poll_events(poll_id), order_rule)
         if pm is not None:
             polls.append(pm)
     return BallotPass(ballots=ballots, polls=polls, poll_counts=poll_counts)

@@ -109,24 +109,6 @@ class ValidationReport:
         return out
 
 
-@dataclass(frozen=True)
-class FinalBallot:
-    """A voter's counted record in one poll.
-
-    ``history_order_index`` is the 1-based position of the counted record in
-    the poll's full chronological event history (n records in total);
-    ``first_seen_index`` is the position of the voter's first record, kept for
-    the first-appearance voting-order convention.
-    """
-
-    voter: str
-    option_id: int
-    weight: Decimal
-    final_timestamp: int
-    history_order_index: int
-    first_seen_index: int
-
-
 class VoteLog:
     """Immutable container for a parsed voting history.
 
@@ -149,13 +131,14 @@ class VoteLog:
         self.registry: dict[int, PollRecord] = dict(registry)
         self.identities: dict[str, str] = dict(identities or {})
         self.report: ValidationReport = report or ValidationReport()
-        self._by_poll: dict[int, list[VoteEvent]] = {}
+        by_poll: dict[int, list[VoteEvent]] = {}
         for ev in self.events:
-            self._by_poll.setdefault(ev.poll_id, []).append(ev)
+            by_poll.setdefault(ev.poll_id, []).append(ev)
+        self._by_poll: dict[int, tuple[VoteEvent, ...]] = {k: tuple(v) for k, v in by_poll.items()}
 
-    def poll_events(self, poll_id: int) -> list[VoteEvent]:
+    def poll_events(self, poll_id: int) -> tuple[VoteEvent, ...]:
         """Chronological event history of one poll (empty when no votes)."""
-        return list(self._by_poll.get(poll_id, ()))
+        return self._by_poll.get(poll_id, ())
 
     def poll_ids(self) -> list[int]:
         return sorted(self.registry)
@@ -441,50 +424,23 @@ def load_factors(path: str | Path) -> FactorPanel:
     return panel
 
 
-def final_ballots(log: VoteLog, poll_id: int, rule: str = "last") -> list[FinalBallot]:
-    """One counted ballot per voter for a poll.
+def final_ballots(log: VoteLog, poll_id: int, rule: str = "last") -> list[VoteEvent]:
+    """One counted ballot per voter for a poll: the voter's own ``VoteEvent``.
 
     ``rule="last"`` counts a voter's final record (portal semantics);
     ``rule="first"`` counts the first. Output is sorted by weight descending
-    with ties broken by final timestamp ascending, then address.
+    (negated exactly: ``-weight`` would round to the context's 28 digits)
+    with ties broken by timestamp ascending, then address.
     """
     if rule not in ("last", "first"):
         raise ValueError(f"unknown ballot rule: {rule!r}")
     if poll_id not in log.registry:
         raise KeyError(f"poll {poll_id} not in registry")
-    history = log.poll_events(poll_id)
-    counted: dict[str, tuple[VoteEvent, int]] = {}
-    first_seen: dict[str, int] = {}
-    for index, event in enumerate(history, start=1):
-        first_seen.setdefault(event.voter, index)
+    counted: dict[str, VoteEvent] = {}
+    for event in log.poll_events(poll_id):
         if rule == "last" or event.voter not in counted:
-            counted[event.voter] = (event, index)
-    ballots = [
-        FinalBallot(
-            voter=voter,
-            option_id=event.option_id,
-            weight=event.weight,
-            final_timestamp=event.timestamp,
-            history_order_index=index,
-            first_seen_index=first_seen[voter],
-        )
-        for voter, (event, index) in counted.items()
-    ]
-    ballots.sort(key=lambda b: (-b.weight, b.final_timestamp, b.voter))
-    return ballots
-
-
-def winning_option(ballots: list[FinalBallot]) -> int:
-    """Id of the option with the largest summed final weight; ties go to the
-    smallest id."""
-    totals: dict[int, Decimal] = {}
-    with localcontext(EXACT):
-        for ballot in ballots:
-            totals[ballot.option_id] = totals.get(ballot.option_id, Decimal(0)) + ballot.weight
-    if not totals:
-        raise ValueError("no votes")
-    best = max(totals.values())
-    return min(oid for oid, total in totals.items() if total == best)
+            counted[event.voter] = event
+    return sorted(counted.values(), key=lambda e: (e.weight.copy_negate(), e.timestamp, e.voter))
 
 
 def validate_dataset(log: VoteLog) -> ValidationReport:

@@ -123,8 +123,8 @@ def profiles_from_pass(passed: BallotPass, identities: dict[str, str]) -> list[V
                 first_poll.setdefault(address, poll_id)
                 if address not in highest or ballot.weight > highest[address]:
                     highest[address] = ballot.weight
-                if address not in first_ts or ballot.final_timestamp < first_ts[address]:
-                    first_ts[address] = ballot.final_timestamp
+                if address not in first_ts or ballot.timestamp < first_ts[address]:
+                    first_ts[address] = ballot.timestamp
     return [
         VoterProfile(
             address=address,

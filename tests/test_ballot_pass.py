@@ -2,21 +2,24 @@
 
 The oracles below aggregate the way every consumer did before the pass
 existed: each one calls ``final_ballots`` (directly or through
-``oracle_poll``) for every poll it needs. Decimal fields must agree
-exactly, floats to 1e-12 relative.
+``oracle_poll``) for every poll it needs. The order and win measures come
+from this file's own record positions and per-option tally, not from
+``_measure_poll``. Decimal fields must agree exactly, floats to 1e-12
+relative.
 """
 
 from __future__ import annotations
 
+import csv
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import timedelta
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DAY0, addr, make_log, make_poll
+from conftest import DAY0, addr, make_log, make_poll, write_polls_csv, write_votes_csv
 from govpulse.centrality import (
     DAILY_GINI_MODES,
     DailyMetrics,
@@ -28,12 +31,15 @@ from govpulse.centrality import (
     gini_mean_difference,
     utc_day,
 )
-from govpulse.govdata import final_ballots
+from govpulse.cli import exec_command
+from govpulse.govdata import EXACT, final_ballots
 from govpulse.profiles import VoterProfile, profiles_from_pass
 
 RULES = ("last", "first")
+# "1", "1.0" and "1.00000000000000000001" are one float; the first two are
+# also one decimal value, with different exponents
 WEIGHTS = st.one_of(
-    st.sampled_from(["0", "0.000000000000000001", "1", "97"]),
+    st.sampled_from(["0", "0.000000000000000001", "1", "1.0", "1.00000000000000000001", "97"]),
     st.integers(0, 10**9).map(lambda i: str(Decimal(i).scaleb(-6))),
 )
 
@@ -41,7 +47,9 @@ WEIGHTS = st.one_of(
 @st.composite
 def vote_logs(draw):
     """Up to five polls over a few days (some without votes), five voters
-    (so revotes are common), zero weights and abstain options."""
+    (so revotes are common), zero weights and abstain options. Offsets
+    come from a small pool, so revisions often share a second, and some
+    rows are repeated byte for byte."""
     polls = [
         make_poll(
             poll_id,
@@ -58,18 +66,50 @@ def vote_logs(draw):
                 st.integers(1, 5),
                 st.integers(1, 3),
                 WEIGHTS,
-                st.integers(-5, 200),
+                st.sampled_from(draw(st.lists(st.integers(-5, 200), min_size=1, max_size=4))),
             ),
             max_size=40,
         ))
     ]
+    if events:
+        events += [events[i] for i in draw(st.lists(st.integers(0, len(events) - 1), max_size=4))]
     return make_log(events, polls, identities={addr(1): "one", addr(4): "four"})
 
 
+def oracle_positions(history, ballot_rule):
+    """Each voter's counted and first 1-based record positions in a poll's
+    history."""
+    counted, first_seen = {}, {}
+    for index, event in enumerate(history, start=1):
+        first_seen.setdefault(event.voter, index)
+        if ballot_rule == "last" or event.voter not in counted:
+            counted[event.voter] = index
+    return counted, first_seen
+
+
+def oracle_winner(ballots):
+    """The option with the largest summed weight; ties go to the smallest id."""
+    totals = {}
+    with localcontext(EXACT):
+        for ballot in ballots:
+            totals[ballot.option_id] = totals.get(ballot.option_id, Decimal(0)) + ballot.weight
+    best = max(totals.values())
+    return min(oid for oid, total in totals.items() if total == best)
+
+
 def oracle_poll(log, poll_id, ballot_rule, order_rule):
-    """One poll's metrics from its own ``final_ballots`` call."""
+    """One poll's metrics from its own ``final_ballots`` call, with order and
+    win taken from ``oracle_positions`` and ``oracle_winner``."""
+    history = log.poll_events(poll_id)
     ballots = final_ballots(log, poll_id, rule=ballot_rule)
-    return _measure_poll(log.registry[poll_id], ballots, len(log.poll_events(poll_id)), order_rule)
+    pm = _measure_poll(log.registry[poll_id], ballots, history, order_rule)
+    if pm is None:
+        return None
+    counted, first_seen = oracle_positions(history, ballot_rule)
+    largest = ballots[0]
+    index = (counted if order_rule == "last" else first_seen)[largest.voter]
+    ifwin = 1 if largest.option_id == oracle_winner(ballots) else 0
+    return replace(pm, ifwin=ifwin, largest_share_win=pm.largest_share * ifwin, order=index / len(history))
 
 
 def oracle_polls(log, ballot_rule, order_rule):
@@ -138,7 +178,7 @@ def oracle_profiles(log, ballot_rule):
             totals[a] = totals.get(a, Decimal(0)) + ballot.weight
             first_poll[a] = min(first_poll.get(a, poll_id), poll_id)
             highest[a] = max(highest.get(a, ballot.weight), ballot.weight)
-            first_ts[a] = min(first_ts.get(a, ballot.final_timestamp), ballot.final_timestamp)
+            first_ts[a] = min(first_ts.get(a, ballot.timestamp), ballot.timestamp)
     return [
         VoterProfile(
             address=a, identity=log.identities.get(a, ""), involved_polls=involved[a],
@@ -179,3 +219,14 @@ def test_single_pass_matches_per_poll_oracle(log):
                 full = oracle_daily(log, "full-calendar", gini_mode, ballot_rule, order_rule)
                 assert_same(fill_calendar(drop, passed.poll_counts), full)
 
+
+def test_duplicated_row_of_the_largest_voter_orders_by_its_second_record(tmp_path):
+    row = (1, addr(1), 1, "9", DAY0 + 100)
+    votes, polls, out = tmp_path / "votes.csv", tmp_path / "polls.csv", tmp_path / "out"
+    write_votes_csv(votes, [row, row, (1, addr(2), 2, "3", DAY0 + 200)])
+    write_polls_csv(polls, [(1, DAY0, "poll 1", "1:yes|2:no", "")])
+    argv = ["metrics", "--votes", str(votes), "--polls", str(polls), "--ballot", "last", "--order", "last"]
+    assert exec_command([*argv, "--out-dir", str(out)]) == 0
+    with open(out / "poll_metrics.csv", newline="") as handle:
+        (poll,) = csv.DictReader(handle)
+    assert float(poll["order"]) == 2 / 3

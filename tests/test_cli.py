@@ -170,13 +170,22 @@ def test_ingest_skips_non_finite_weights(tmp_path):
 CLEAN_VOTE_LINES = [b"1,0xa,1,10,1614556810", b"2,0xb,2,0.5,2021-03-02T00:00:10Z"]
 
 
-def _data_line(line: bytes) -> bool:
-    """A line the loader reads as a row, one with a field that is not blank,
-    or records as unreadable."""
-    try:
-        return any(cell.strip() for cell in next(csv.reader([line.decode("utf-8", "surrogateescape")]), []))
-    except csv.Error:  # a field over the reader's size limit
-        return True
+def _data_rows(lines: list[bytes]) -> int:
+    """The rows the CSV reader reads from the data lines as one block (a
+    quoted field may run onto the next line), as the loader reads them: a
+    row the reader rejects counts as one, a blank row as none."""
+    text = b"\n".join([*lines, b""]).decode("utf-8", "surrogateescape")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = 0
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return rows
+        except csv.Error:  # a field over the reader's size limit
+            rows += 1
+            continue
+        rows += bool("".join(row).strip())
 
 
 @settings(max_examples=50, deadline=None)
@@ -199,7 +208,7 @@ def test_ingest_reads_any_vote_line_bytes(tmp_path_factory, lines):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert (manifest["status"], manifest["command"]) == ("ok", "ingest")
     log = load_vote_log(votes, polls)
-    assert len(log.events) + len(log.report.anomalies) == sum(map(_data_line, body[1:]))
+    assert len(log.events) + len(log.report.anomalies) == _data_rows(body[1:])
 
 
 CLEAN_LINES = {
@@ -238,7 +247,7 @@ def _fuzz_run(tmp, argv: list[str]) -> None:
 
 def _ingest_fuzzed(tmp, name: str, lines: list[bytes]) -> None:
     """``ingest`` with ``lines`` as the data of the polls or identities file:
-    each non-blank line is kept (in place of an earlier row, for a duplicate
+    each non-blank row is kept (in place of an earlier row, for a duplicate
     key) or skipped with an anomaly."""
     votes, polls, identities = tmp / "votes.csv", tmp / "polls.csv", tmp / "identities.csv"
     votes.write_bytes(b"\n".join([b"poll_id,voter,option_id,weight,timestamp", *CLEAN_VOTE_LINES]) + b"\n")
@@ -253,7 +262,7 @@ def _ingest_fuzzed(tmp, name: str, lines: list[bytes]) -> None:
     report = govdata.ValidationReport()
     kept = len(load(path, report))
     kinds = Counter(anomaly.kind for anomaly in report.anomalies)
-    assert kept + kinds[replaced] + kinds[skipped] == sum(map(_data_line, lines))
+    assert kept + kinds[replaced] + kinds[skipped] == _data_rows(lines)
 
 
 @settings(max_examples=40, deadline=None)
@@ -265,6 +274,7 @@ def test_ingest_reads_any_poll_line_bytes(tmp_path_factory, lines):
 
 @settings(max_examples=40, deadline=None)
 @example(lines=[b'"0xc",",,,"', b'"\xff",x', b'""', b'" ",","', b"0xA,again"])
+@example(lines=[b"", b'0xa,Alice","', b"\x00"])  # a quoted field that runs onto the next line
 @given(lines=_fuzz_lines(CLEAN_LINES["identities"]))
 def test_ingest_reads_any_identity_line_bytes(tmp_path_factory, lines):
     _ingest_fuzzed(tmp_path_factory.mktemp("fuzz"), "identities", lines)

@@ -8,6 +8,7 @@ from decimal import Decimal
 import pytest
 
 from conftest import DAY0, addr, make_log, make_poll, write_factors_csv, write_polls_csv, write_votes_csv
+from govpulse.centrality import ballot_pass
 from govpulse.govdata import (
     FACTORS_HEADER,
     IDENTITIES_HEADER,
@@ -19,7 +20,6 @@ from govpulse.govdata import (
     load_vote_log,
     parse_timestamp,
     validate_dataset,
-    winning_option,
     write_vote_log,
 )
 
@@ -102,6 +102,12 @@ def test_parse_timestamp_forms():
     assert parse_timestamp("1970-01-01T00:02:00+00:00") == 120
 
 
+def _order(log, ballot_rule="last", order_rule="last"):
+    """The order measure of the log's only measured poll."""
+    (pm,) = ballot_pass(log, ballot_rule=ballot_rule, order_rule=order_rule).polls
+    return pm.order
+
+
 def test_final_ballot_last_event_counts():
     log = make_log(
         [(1, addr(1), 1, "5", DAY0 + 100), (1, addr(1), 2, "5", DAY0 + 500)],
@@ -110,9 +116,9 @@ def test_final_ballot_last_event_counts():
     ballots = final_ballots(log, 1)
     assert len(ballots) == 1
     b = ballots[0]
-    assert (b.option_id, b.weight, b.final_timestamp) == (2, Decimal("5"), DAY0 + 500)
-    assert b.history_order_index == 2
-    assert b.first_seen_index == 1
+    assert (b.option_id, b.weight, b.timestamp) == (2, Decimal("5"), DAY0 + 500)
+    assert _order(log, order_rule="last") == 2 / 2  # the counted record
+    assert _order(log, order_rule="first") == 1 / 2  # the voter's first record
 
 
 def test_final_ballot_first_rule():
@@ -121,7 +127,8 @@ def test_final_ballot_first_rule():
         [make_poll(1, DAY0)],
     )
     b = final_ballots(log, 1, rule="first")[0]
-    assert (b.option_id, b.final_timestamp, b.history_order_index) == (1, DAY0 + 100, 1)
+    assert (b.option_id, b.timestamp) == (1, DAY0 + 100)
+    assert _order(log, ballot_rule="first") == 1 / 2
 
 
 def test_final_ballots_two_voters_indices():
@@ -130,7 +137,8 @@ def test_final_ballots_two_voters_indices():
         [make_poll(1, DAY0)],
     )
     ballots = final_ballots(log, 1)
-    assert [b.history_order_index for b in ballots] == [1, 2]
+    assert [b.timestamp for b in ballots] == [DAY0 + 100, DAY0 + 200]
+    assert _order(log) == 1 / 2
 
 
 def test_final_ballots_empty_poll():
@@ -149,6 +157,17 @@ def test_final_ballots_sorted_by_weight_then_time():
     )
     ballots = final_ballots(log, 1)
     assert [b.voter for b in ballots] == [addr(2), addr(3), addr(1)]
+
+
+def test_final_ballots_sort_weights_that_differ_past_28_digits():
+    heavy, light = "123456789012.123456789012345679", "123456789012.123456789012345678"
+    log = make_log(
+        [(1, addr(1), 1, light, DAY0 + 10), (1, addr(2), 2, heavy, DAY0 + 20)],
+        [make_poll(1, DAY0)],
+    )
+    assert [str(b.weight) for b in final_ballots(log, 1)] == [heavy, light]
+    (pm,) = ballot_pass(log).polls
+    assert (str(pm.largest_votes), pm.ifwin, pm.order) == (heavy, 1, 2 / 2)
 
 
 def test_equal_timestamp_permutation_keeps_weights(simple_log):
@@ -171,17 +190,23 @@ def test_revisions_never_add_weight(simple_log):
         assert final <= raw
 
 
+def _ifwin(log):
+    """Whether the largest voter of the log's only measured poll backs the winner."""
+    (pm,) = ballot_pass(log).polls
+    return pm.ifwin
+
+
 def test_winning_option_majority():
     log = make_log(
         [(1, addr(1), 1, "60", DAY0 + 10), (1, addr(2), 2, "40", DAY0 + 20)],
         [make_poll(1, DAY0)],
     )
-    assert winning_option(final_ballots(log, 1)) == 1
+    assert _ifwin(log) == 1
 
 
 def test_winning_option_single_voter():
     log = make_log([(1, addr(1), 3, "1", DAY0 + 10)], [make_poll(1, DAY0)])
-    assert winning_option(final_ballots(log, 1)) == 3
+    assert _ifwin(log) == 1
 
 
 def test_winning_option_tie_flag():
@@ -189,12 +214,12 @@ def test_winning_option_tie_flag():
         [(1, addr(1), 2, "50", DAY0 + 10), (1, addr(2), 1, "50", DAY0 + 20)],
         [make_poll(1, DAY0)],
     )
-    assert winning_option(final_ballots(log, 1)) == 1  # tie goes to the smallest id
+    # the largest voter (earliest of the tied) backs option 2; the tie goes to the smallest id
+    assert _ifwin(log) == 0
 
 
-def test_winning_option_empty_raises():
-    with pytest.raises(ValueError, match="no votes"):
-        winning_option([])
+def test_poll_without_votes_has_no_winner_row():
+    assert ballot_pass(make_log([], [make_poll(1, DAY0)])).polls == []
 
 
 def test_validate_clean_log(simple_log):
