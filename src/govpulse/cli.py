@@ -215,10 +215,15 @@ def _build_panel(args: argparse.Namespace, run: Run, measures: dict[str, dict]):
     return panel
 
 
+def _token_list(raw: str) -> list[str]:
+    tokens = [t.strip() for t in raw.split(",") if t.strip()]
+    if not tokens:
+        raise PipelineError(f"--tokens names no token: {raw!r}")
+    return tokens
+
+
 def _parse_tokens(args: argparse.Namespace, panel) -> list[str]:
-    if args.tokens:
-        return [t.strip() for t in args.tokens.split(",") if t.strip()]
-    return panel.tokens()
+    return panel.tokens() if args.tokens is None else _token_list(args.tokens)
 
 
 def _parse_measures(args: argparse.Namespace, default: tuple[str, ...]) -> tuple[str, ...]:
@@ -319,6 +324,7 @@ def cmd_iv(args: argparse.Namespace, run: Run) -> None:
 
 
 def cmd_synth(args: argparse.Namespace, run: Run) -> None:
+    tokens = _token_list(args.tokens)
     if args.config:
         run.digest_input("config", args.config)
         config = synthgov.SynthConfig.from_json(args.config)
@@ -331,7 +337,7 @@ def cmd_synth(args: argparse.Namespace, run: Run) -> None:
     write_vote_log(log, out / "votes.csv", out / "polls.csv")
     run.outputs.extend(["votes.csv", "polls.csv"])
     daily = centrality.daily_from_pass(centrality.ballot_pass(log))
-    plan = _default_panel_plan(args.tokens.split(",") if args.tokens else ["MKR", "DAI"])
+    plan = _default_panel_plan(tokens)
     bundle = synthgov.gen_panel(daily, plan, seed=config.seed + 1)
     write_factors(bundle.panel, out / "factors.csv")
     run.outputs.append("factors.csv")
@@ -343,7 +349,6 @@ def _default_panel_plan(tokens: list[str]) -> synthgov.PanelPlan:
     """A plausible planted panel: every catalogue factor gets mild loadings."""
     factor_plans = []
     for token in tokens:
-        token = token.strip()
         for i, spec in enumerate(factorlab.catalogue_for(token)):
             if spec.name in factorlab.DERIVED_FINANCIAL:
                 continue  # r and volatilities are derived from Price downstream

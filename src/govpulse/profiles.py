@@ -160,5 +160,8 @@ def rank_voters(
         raise ValueError(f"unknown ranking criterion: {criterion!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    ordered = sorted(profiles, key=lambda p: (-getattr(p, criterion), p.address))
+    # Two stable sorts order on the exact values; negating a Decimal would
+    # round it to the context's 28 digits.
+    ordered = sorted(profiles, key=lambda p: p.address)
+    ordered.sort(key=lambda p: getattr(p, criterion), reverse=True)
     return ordered[:n]

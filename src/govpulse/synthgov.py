@@ -18,7 +18,7 @@ tested against.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date, datetime, timezone
 from decimal import Decimal
 from pathlib import Path
@@ -106,6 +106,9 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SynthConfig":
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown synth config fields: {', '.join(unknown)}")
         kwargs = dict(raw)
         if "start_day" in kwargs:
             kwargs["start_day"] = date.fromisoformat(kwargs["start_day"])
@@ -113,19 +116,10 @@ class SynthConfig:
 
     def to_dict(self) -> dict:
         return {
-            "days": self.days,
+            **asdict(self),
             "polls_per_day": [self.polls_per_day.kind, *self.polls_per_day.params],
-            "voter_pool": self.voter_pool,
-            "holdings_alpha": self.holdings_alpha,
-            "holdings_scale": self.holdings_scale,
-            "participation_rate": self.participation_rate,
-            "turnout_tilt": self.turnout_tilt,
-            "revision_rate": self.revision_rate,
-            "largest_wins_prob": self.largest_wins_prob,
             "vote_delay": [self.vote_delay.kind, *self.vote_delay.params],
-            "options_per_poll": self.options_per_poll,
             "start_day": self.start_day.isoformat(),
-            "seed": self.seed,
         }
 
 
@@ -174,7 +168,7 @@ def gen_history(config: SynthConfig) -> VoteLog:
 
     Each voter votes their full holding; revisions insert an earlier record
     with a different option. The largest participant's option is forced to
-    win with probability ``largest_wins_prob`` (by nudging small voters onto
+    win with probability ``largest_wins_prob`` (by moving other voters onto
     or off the target option), otherwise forced to lose; an infeasible loss
     (the largest voter outweighs everyone else combined) is kept as a win and
     flagged in the log's validation report.
@@ -213,21 +207,15 @@ def gen_history(config: SynthConfig) -> VoteLog:
             if participants.size == 0:
                 continue
             # One vector draw; the same stream as one rng.choice per voter.
-            drawn = rng.integers(0, n_options, size=participants.size)
-            choices = {
-                int(i): option_ids[d] for i, d in zip(participants, drawn.tolist())
-            }
-            largest = int(max(participants, key=lambda i: holdings[i]))
-            target = choices[largest]
+            choices = rng.integers(0, n_options, size=participants.size) + 1
+            held = holdings[participants]
             force_win = bool(rng.random() < config.largest_wins_prob)
-            _force_outcome(
-                choices, holdings, largest, target, force_win, option_ids, report, poll_id
-            )
-            for i in sorted(choices):
+            _force_outcome(choices, held, int(np.argmax(held)), force_win, report, poll_id)
+            for i, option in zip(participants.tolist(), choices.tolist()):
                 final_offset = max(1, int(config.vote_delay.sample(rng)))
                 final_ts = deploy + final_offset
                 if rng.random() < config.revision_rate:
-                    other = [o for o in option_ids if o != choices[i]]
+                    other = [o for o in option_ids if o != option]
                     early_option = int(rng.choice(other))
                     early_ts = deploy + max(1, int(final_offset * rng.random()))
                     if early_ts >= final_ts:
@@ -236,58 +224,45 @@ def gen_history(config: SynthConfig) -> VoteLog:
                         events.append(
                             VoteEvent(poll_id, addresses[i], early_option, weights[i], early_ts)
                         )
-                events.append(
-                    VoteEvent(poll_id, addresses[i], choices[i], weights[i], final_ts)
-                )
+                events.append(VoteEvent(poll_id, addresses[i], option, weights[i], final_ts))
     return VoteLog(events, registry, {}, report)
 
 
 def _force_outcome(
-    choices: dict[int, int],
+    choices: np.ndarray,
     holdings: np.ndarray,
     largest: int,
-    target: int,
     force_win: bool,
-    option_ids: list[int],
     report: ValidationReport,
     poll_id: int,
 ) -> None:
-    """Reassign small voters' options until the target wins or loses."""
+    """Reassign other voters' options in place until the largest voter's
+    option wins (``force_win``) or loses.
 
-    def totals() -> dict[int, float]:
-        out = {oid: 0.0 for oid in option_ids}
-        for voter, option in choices.items():
-            out[option] += holdings[voter]
-        return out
-
-    def current_winner() -> int:
-        tot = totals()
-        best = max(tot.values())
-        return min(oid for oid, value in tot.items() if value == best)
-
-    others = sorted(
-        (v for v in choices if v != largest), key=lambda v: holdings[v]
-    )
+    ``choices`` holds each participant's option id and ``holdings`` its
+    weight, both in voter order; ``largest`` is the largest voter's position.
+    Each option total sums its voters in voter order from 0.0, and a tie
+    goes to the smallest option id.
+    """
+    target = choices[largest]
+    order = np.argsort(holdings, kind="stable")
+    order = order[order != largest]
     if force_win:
-        # Move the smallest rival voters onto the target until it wins.
-        for voter in others:
-            if current_winner() == target:
-                return
-            if choices[voter] != target:
-                choices[voter] = target
-        return
-    if len(choices) == 1:
+        # Move the smallest other voters onto the target until it wins.
+        moves, option = order, target
+    elif choices.size == 1:
         report.add("forced win (infeasible loss)", f"poll {poll_id}: single voter")
         return
-    rival = min(oid for oid in option_ids if oid != target)
-    # Move the heaviest rival-side voters onto one rival option until the
-    # target loses.
-    for voter in reversed(others):
-        if current_winner() != target:
+    else:
+        # Move the heaviest other voters (of equal holdings, the later voter
+        # first) onto the rival, the smallest other option id, until the
+        # target loses.
+        moves, option = order[::-1], (2 if target == 1 else 1)
+    for voter in moves:
+        if (np.bincount(choices, weights=holdings)[1:].argmax() + 1 == target) == force_win:
             return
-        if choices[voter] != rival:
-            choices[voter] = rival
-    if current_winner() == target:
+        choices[voter] = option
+    if not force_win and np.bincount(choices, weights=holdings)[1:].argmax() + 1 == target:
         report.add(
             "forced win (infeasible loss)",
             f"poll {poll_id}: largest voter outweighs all others",

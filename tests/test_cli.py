@@ -816,18 +816,28 @@ def test_failed_synth_write_leaves_files_intact(synth_dir, tmp_path, monkeypatch
     assert after == before
 
 
-def test_synth_bytes_are_pinned(tmp_path):
-    out = tmp_path / "synth"
-    config = json.dumps({"days": 6, "voter_pool": 60, "seed": 3})
-    assert exec_command(["synth", "--config", _write(tmp_path / "c.json", config),
-                         "--tokens", "MKR,DAI", "--out-dir", str(out)]) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in ("votes.csv", "polls.csv", "factors.csv")}
-    assert digests == {
+@pytest.mark.parametrize("config, pinned", [
+    pytest.param({"days": 6, "voter_pool": 60, "seed": 3}, {
         "votes.csv": "2bc11250aa184ff39f59004c4f098d38f5b78188525016d250afde405a2efd67",
         "polls.csv": "9871456fad56b887e887e4e763eea9ec25eff50f44154b62f029e93b54542a11",
         "factors.csv": "13e2746b6a060778e14d8db0733060c3f55dcd4a681df43570025e9f892903f8",
-    }
+    }, id="base"),
+    # Mostly forced losses over four options and a heavy tail, so that
+    # rivals, reassignment order and infeasible losses all shape the bytes.
+    pytest.param({"days": 6, "voter_pool": 60, "seed": 3, "largest_wins_prob": 0.2,
+                  "options_per_poll": 4, "holdings_alpha": 1.05}, {
+        "votes.csv": "0bac1fdb72dd0c80b0150add77527957aa92da122f3f3009cdb719370632c654",
+        "polls.csv": "c5a11aea1c2c5045cd6004e83a957edf950d176f23c3df5191c7ee96783e074e",
+        "factors.csv": "974e239624ac650823d460947344bba6b99a0d6c2de95f5708523ae3e07b7569",
+    }, id="forced-losses"),
+])
+def test_synth_bytes_are_pinned(tmp_path, config, pinned):
+    out = tmp_path / "synth"
+    assert exec_command(["synth", "--config", _write(tmp_path / "c.json", json.dumps(config)),
+                         "--tokens", "MKR,DAI", "--out-dir", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("votes.csv", "polls.csv", "factors.csv")}
+    assert digests == pinned
 
 
 def test_report_bytes_are_pinned(tmp_path):
@@ -954,6 +964,54 @@ def test_synth_deterministic_under_same_seed(tmp_path):
         dirs.append(out)
     for name in ("votes.csv", "polls.csv", "factors.csv"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+def test_synth_tokens_drop_blank_names(tmp_path):
+    config = _small_config(tmp_path)
+    for name, tokens in (("plain", "MKR"), ("blank", " MKR ,")):
+        assert exec_command(["synth", "--out-dir", str(tmp_path / name), "--config", config,
+                             "--tokens", tokens]) == 0
+    assert (tmp_path / "blank" / "factors.csv").read_bytes() == (tmp_path / "plain" / "factors.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["synth", "regress"])
+@pytest.mark.parametrize("tokens", [",", " , ", ""], ids=["comma", "blanks", "empty"])
+def test_tokens_naming_no_token_fail(synth_dir, tmp_path, capsys, command, tokens):
+    out = tmp_path / "out"
+    argv = [command, "--tokens", tokens, "--out-dir", str(out)]
+    if command == "regress":
+        argv += [f"--{name}={synth_dir / name}.csv" for name in ("votes", "polls", "factors")]
+    assert exec_command(argv) == 1
+    assert "--tokens names no token" in capsys.readouterr().err
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["command"], manifest["status"]) == (command, "failed")
+    assert not (out / "ols_grid.csv").exists() and not (out / "votes.csv").exists()
+
+
+def test_synth_rejects_unknown_config_fields(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = _write(tmp_path / "c.json", json.dumps({"days": 3, "bogus": 1, "extra": 2}))
+    assert exec_command(["synth", "--config", config, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unknown synth config fields: bogus, extra\n"
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "unknown synth config fields: bogus, extra"
+
+
+def test_describe_ranks_on_exact_totals(tmp_path):
+    # The two totals differ only in the 30th significant digit, beyond the
+    # default decimal context, so a ranking on rounded values ties them.
+    votes, polls, out = tmp_path / "votes.csv", tmp_path / "polls.csv", tmp_path / "out"
+    write_votes_csv(votes, [
+        (1, "0x01", 1, "123456789012.123456789012345678", DAY0 + 10),
+        (1, "0x02", 2, "123456789012.123456789012345679", DAY0 + 20),
+    ])
+    write_polls_csv(polls, [(1, DAY0, "poll 1", "1:yes|2:no", "")])
+    assert exec_command(["describe", "--votes", str(votes), "--polls", str(polls), "--out-dir", str(out)]) == 0
+    for criterion in ("total_votes", "highest_single_vote"):
+        with open(out / f"top_voters_{criterion}.csv", newline="") as handle:
+            assert [row["address"] for row in csv.DictReader(handle)] == ["0x02", "0x01"]
 
 
 def test_version_flag():

@@ -7,11 +7,14 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import grid_cell
 from govpulse.centrality import DailyMetrics, ballot_pass
 from govpulse.econ import endogeneity_tests, ols, run_factor_matrix
 from govpulse.factorlab import build_panel, measures_from_daily
+from govpulse.govdata import ValidationReport
 from govpulse.report import significance_stars
 from govpulse.synthgov import (
     DistSpec,
@@ -19,9 +22,11 @@ from govpulse.synthgov import (
     FactorPlan,
     PanelPlan,
     SynthConfig,
+    _force_outcome,
     gen_history,
     gen_panel,
     gini_oracle,
+    lomax_pool,
     ols_oracle,
     turnout_probabilities,
 )
@@ -261,3 +266,83 @@ def test_gen_history_revisions_precede_finals():
             by_voter.setdefault(event.voter, []).append(event.timestamp)
         for stamps in by_voter.values():
             assert stamps == sorted(stamps)
+
+
+def _force_outcome_oracle(
+    choices: dict[int, int],
+    holdings: np.ndarray,
+    largest: int,
+    target: int,
+    force_win: bool,
+    option_ids: list[int],
+    report: ValidationReport,
+    poll_id: int,
+) -> None:
+    """Reference forcing step: choices keyed by voter, and every option
+    total summed again in a Python loop before each reassignment."""
+
+    def totals() -> dict[int, float]:
+        out = {oid: 0.0 for oid in option_ids}
+        for voter, option in choices.items():
+            out[option] += holdings[voter]
+        return out
+
+    def current_winner() -> int:
+        tot = totals()
+        best = max(tot.values())
+        return min(oid for oid, value in tot.items() if value == best)
+
+    others = sorted(
+        (v for v in choices if v != largest), key=lambda v: holdings[v]
+    )
+    if force_win:
+        for voter in others:
+            if current_winner() == target:
+                return
+            if choices[voter] != target:
+                choices[voter] = target
+        return
+    if len(choices) == 1:
+        report.add("forced win (infeasible loss)", f"poll {poll_id}: single voter")
+        return
+    rival = min(oid for oid in option_ids if oid != target)
+    for voter in reversed(others):
+        if current_winner() != target:
+            return
+        if choices[voter] != rival:
+            choices[voter] = rival
+    if current_winner() == target:
+        report.add(
+            "forced win (infeasible loss)",
+            f"poll {poll_id}: largest voter outweighs all others",
+        )
+
+
+@st.composite
+def _polls(draw):
+    """(holdings, option ids, option count) of one poll's participants."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        # Few distinct holdings, so options tie exactly or nearly.
+        holdings = np.array(draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 1.0]), min_size=n, max_size=n)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        holdings = lomax_pool(rng, n, draw(st.sampled_from([1.05, 1.2, 2.0])), 300.0)
+    n_options = draw(st.integers(2, 5))
+    return holdings, draw(st.lists(st.integers(1, n_options), min_size=n, max_size=n)), n_options
+
+
+@settings(max_examples=300, deadline=None)
+@given(poll=_polls(), force_win=st.booleans())
+@example(poll=(np.array([1.0, 1.0]), [2, 1], 2), force_win=True)  # options 1 and 2 tie
+def test_force_outcome_matches_recount_oracle(poll, force_win):
+    holdings, drawn, n_options = poll
+    largest = int(np.argmax(holdings))
+    expected = dict(enumerate(drawn))
+    expected_report = ValidationReport()
+    _force_outcome_oracle(expected, holdings, largest, drawn[largest], force_win,
+                          list(range(1, n_options + 1)), expected_report, 9)
+    choices, report = np.array(drawn), ValidationReport()
+    _force_outcome(choices, holdings, largest, force_win, report, 9)
+    assert choices.tolist() == list(expected.values())
+    assert report.anomalies == expected_report.anomalies
