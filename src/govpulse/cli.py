@@ -2,10 +2,10 @@
 
 Subcommands: ingest, metrics, describe, regress, iv, synth, report. Every run
 writes its outputs atomically (temp file + rename) together with a
-``run_manifest.json`` recording the resolved configuration, sha256 digests of
-the inputs and the tool version. Exit codes: 0 success, 1 failed run (bad
-input file, bad option value, violated identity or any other error), 2 usage
-error.
+``run_manifest.json`` recording the configuration as given, sha256 digests of
+the inputs and the tool version. Option values are checked before any input
+is read. Exit codes: 0 success, 1 failed run (bad input file, bad option
+value, violated identity or any other error), 2 usage error.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from govpulse import centrality, econ, factorlab, profiles, report, synthgov
 from govpulse.govdata import (
     FACTORS_HEADER,
     REGRESSION_CATEGORIES,
+    FactorPanel,
     SchemaError,
     atomic_open,
     exact_sum,
@@ -37,6 +38,12 @@ from govpulse.govdata import (
     write_factors,
     write_vote_log,
 )
+
+
+FORMATS = ("csv", "markdown", "svg")
+# The --formats value that gates a text artifact, by file suffix; a file with
+# any other suffix is always written.
+TEXT_FORMATS = {".md": "markdown", ".svg": "svg"}
 
 
 class PipelineError(Exception):
@@ -67,8 +74,8 @@ def _sha256(path: str | Path) -> str:
 class Run:
     """Collects outputs and writes the manifest at the end of a command."""
 
-    def __init__(self, command: str, args: argparse.Namespace) -> None:
-        self.command = command
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.command = args.command
         self.out_dir = Path(args.out_dir)
         self.config = {
             key: (str(value) if isinstance(value, Path) else value)
@@ -77,14 +84,7 @@ class Run:
         }
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
-        self.formats = [f.strip() for f in getattr(args, "formats", "csv,markdown").split(",") if f.strip()]
-
-    def check_formats(self) -> None:
-        for fmt in self.formats:
-            if fmt not in ("csv", "markdown", "svg"):
-                raise PipelineError(f"unknown output format: {fmt}")
-        if not self.formats:
-            raise PipelineError("at least one output format is required")
+        self.formats: list[str] = []
 
     def digest_input(self, label: str, path: str | Path | None) -> None:
         if path is not None and Path(path).exists():
@@ -97,17 +97,11 @@ class Run:
             self.outputs.append(name)
 
     def emit_text(self, name: str, text: str) -> None:
-        path = self.out_dir / name
-        _atomic_write(path, text)
-        self.outputs.append(name)
-
-    def emit_markdown(self, name: str, text: str) -> None:
-        if "markdown" in self.formats:
-            self.emit_text(name, text)
-
-    def emit_svg(self, name: str, text: str) -> None:
-        if "svg" in self.formats:
-            self.emit_text(name, text)
+        """Write a text artifact if --formats asks for its kind (see ``TEXT_FORMATS``)."""
+        kind = TEXT_FORMATS.get(Path(name).suffix)
+        if kind is None or kind in self.formats:
+            _atomic_write(self.out_dir / name, text)
+            self.outputs.append(name)
 
     def finish(self, status: str, error: str = "") -> None:
         manifest = {
@@ -179,10 +173,10 @@ def _emit_descriptives(
     _structural_checks(passed.polls, profile_rows)
     stats = profiles.describe_polls(passed.polls)
     run.emit_csv("poll_descriptives.csv", report.descriptives_csv(stats, profiles.POLL_DESCRIPTIVE_COLUMNS))
-    run.emit_markdown("poll_descriptives.md", report.poll_descriptives_table(stats))
+    run.emit_text("poll_descriptives.md", report.poll_descriptives_table(stats))
     run.emit_csv("profiles.csv", report.profiles_csv(profile_rows))
     voter_stats = profiles.voter_descriptives(profile_rows)
-    run.emit_markdown("voter_descriptives.md", report.voter_descriptives_table(voter_stats))
+    run.emit_text("voter_descriptives.md", report.voter_descriptives_table(voter_stats))
     return profile_rows, voter_stats
 
 
@@ -203,50 +197,29 @@ def cmd_describe(args: argparse.Namespace, run: Run) -> None:
     for criterion in profiles.RANK_CRITERIA:
         top = profiles.rank_voters(profile_rows, criterion, args.top)
         run.emit_csv(f"top_voters_{criterion}.csv", report.profiles_csv(top))
-        run.emit_markdown(f"top_voters_{criterion}.md", report.top_voters_table(top, criterion))
+        run.emit_text(f"top_voters_{criterion}.md", report.top_voters_table(top, criterion))
     print(f"described {len(profile_rows)} voters")
 
 
-def _build_panel(args: argparse.Namespace, run: Run, measures: dict[str, dict]):
+def _load_factors(args: argparse.Namespace, run: Run) -> tuple[FactorPanel, list[str]]:
+    """The factors file and the grid's tokens: the --tokens names, each of
+    which the file must hold, or else every token it holds."""
     run.digest_input("factors", args.factors)
     raw = load_factors(args.factors)
+    held = sorted({token for token, _, _ in raw.series})
+    missing = [token for token in args.tokens or () if token not in held]
+    if missing:
+        raise PipelineError(f"--tokens names tokens the factors file does not hold: {', '.join(missing)}")
+    return raw, args.tokens or held
+
+
+def _emit_panel(
+    args: argparse.Namespace, run: Run, raw: FactorPanel, measures: dict[str, dict]
+) -> factorlab.BuiltPanel:
+    """The regression panel, written as panel.csv, and notes on how its grids are fitted."""
     panel = factorlab.build_panel(raw, measures, vol_mode=args.vol)
     run.emit_csv("panel.csv", [FACTORS_HEADER, *factor_rows(panel.factors, panel.instrument)])
-    return panel
-
-
-def _token_list(raw: str) -> list[str]:
-    tokens = [t.strip() for t in raw.split(",") if t.strip()]
-    if not tokens:
-        raise PipelineError(f"--tokens names no token: {raw!r}")
-    return tokens
-
-
-def _parse_tokens(args: argparse.Namespace, panel) -> list[str]:
-    return panel.tokens() if args.tokens is None else _token_list(args.tokens)
-
-
-def _parse_measures(args: argparse.Namespace, default: tuple[str, ...]) -> tuple[str, ...]:
-    if not getattr(args, "measures", None):
-        return default
-    requested = tuple(m.strip() for m in args.measures.split(",") if m.strip())
-    unknown = [m for m in requested if m not in centrality.MEASURES]
-    if unknown:
-        raise PipelineError(f"unknown measures: {', '.join(unknown)}")
-    return requested
-
-
-def _parse_stars(args: argparse.Namespace) -> tuple[float, float, float]:
-    raw = getattr(args, "alpha_stars", None)
-    if not raw:
-        return report.STAR_THRESHOLDS
-    parts = [float(x) for x in raw.split(",")]
-    if len(parts) != 3 or not parts[0] > parts[1] > parts[2] > 0:
-        raise PipelineError("--alpha-stars needs three descending thresholds, e.g. 0.10,0.05,0.01")
-    return tuple(parts)  # type: ignore[return-value]
-
-
-def _emit_panel_notes(run: Run, args: argparse.Namespace, stars: tuple[float, float, float]) -> None:
+    stars = args.alpha_stars
     scaling = "raw variables" if args.raw else "z-scored over each aligned sample"
     run.emit_text(
         "panel_notes.txt",
@@ -257,74 +230,66 @@ def _emit_panel_notes(run: Run, args: argparse.Namespace, stars: tuple[float, fl
         "standard errors: classical (homoskedastic); 2SLS second stage uses "
         "residuals against the actual regressor\n",
     )
+    return panel
 
 
 def _emit_ols(
-    args: argparse.Namespace,
-    run: Run,
-    panel: factorlab.BuiltPanel,
-    tokens: list[str],
-    stars: tuple[float, float, float],
+    args: argparse.Namespace, run: Run, panel: factorlab.BuiltPanel, tokens: list[str]
 ) -> econ.RegressionGrid:
+    stars = args.alpha_stars
     grid = econ.run_factor_matrix(
         panel,
         tokens=tokens,
-        measures=_parse_measures(args, centrality.MEASURES),
+        measures=centrality.MEASURES if args.measures is None else args.measures,
         standardize=not args.raw,
     )
     run.emit_csv("ols_grid.csv", report.grid_csv(grid, stars))
     for token in tokens:
         for category in REGRESSION_CATEGORIES:
-            run.emit_markdown(f"ols_{token}_{category}.md", report.regression_table(grid, token, category, stars))
-        run.emit_markdown(f"effects_{token}.md", report.effects_summary(grid, token, alpha=stars[0]))
+            run.emit_text(f"ols_{token}_{category}.md", report.regression_table(grid, token, category, stars))
+        run.emit_text(f"effects_{token}.md", report.effects_summary(grid, token, alpha=stars[0]))
     return grid
 
 
 def _emit_iv(
-    args: argparse.Namespace,
-    run: Run,
-    panel: factorlab.BuiltPanel,
-    tokens: list[str],
-    stars: tuple[float, float, float],
+    args: argparse.Namespace, run: Run, panel: factorlab.BuiltPanel, tokens: list[str]
 ) -> econ.RegressionGrid:
+    stars = args.alpha_stars
     grid = econ.run_iv_suite(
         panel,
-        measures=_parse_measures(args, econ.IV_DEFAULT_MEASURES),
+        measures=econ.IV_DEFAULT_MEASURES if args.measures is None else args.measures,
         tokens=tokens,
         standardize=not args.raw,
     )
     run.emit_csv("iv_grid.csv", report.grid_csv(grid, stars))
     screen = econ.instrument_screen(panel.instrument, panel.measures)
     run.emit_csv("instrument_screen.csv", report.instrument_csv(screen, stars))
-    run.emit_markdown("instrument_screen.md", report.instrument_table(screen, stars))
+    run.emit_text("instrument_screen.md", report.instrument_table(screen, stars))
     for token in tokens:
         for category in REGRESSION_CATEGORIES:
-            run.emit_markdown(f"iv_{token}_{category}.md", report.iv_table(grid, token, category, stars))
+            run.emit_text(f"iv_{token}_{category}.md", report.iv_table(grid, token, category, stars))
     return grid
 
 
 def cmd_regress(args: argparse.Namespace, run: Run) -> None:
+    raw, tokens = _load_factors(args, run)
     _, daily = _measure(args, _load_log(args, run))
-    panel = _build_panel(args, run, factorlab.measures_from_daily(daily))
-    stars = _parse_stars(args)
-    grid = _emit_ols(args, run, panel, _parse_tokens(args, panel), stars)
-    _emit_panel_notes(run, args, stars)
+    panel = _emit_panel(args, run, raw, factorlab.measures_from_daily(daily))
+    grid = _emit_ols(args, run, panel, tokens)
     print(f"ols grid: {len(grid.cells)} cells, {len(grid.ok_cells())} fitted")
 
 
 def cmd_iv(args: argparse.Namespace, run: Run) -> None:
-    _, daily = _measure(args, _load_log(args, run))
-    panel = _build_panel(args, run, factorlab.measures_from_daily(daily))
-    if not panel.instrument:
+    raw, tokens = _load_factors(args, run)
+    if not raw.instrument:
         raise PipelineError("factors file has no instrument rows (category=instrument)")
-    stars = _parse_stars(args)
-    grid = _emit_iv(args, run, panel, _parse_tokens(args, panel), stars)
-    _emit_panel_notes(run, args, stars)
+    _, daily = _measure(args, _load_log(args, run))
+    panel = _emit_panel(args, run, raw, factorlab.measures_from_daily(daily))
+    grid = _emit_iv(args, run, panel, tokens)
     print(f"iv grid: {len(grid.cells)} cells, {len(grid.ok_cells())} fitted")
 
 
 def cmd_synth(args: argparse.Namespace, run: Run) -> None:
-    tokens = _token_list(args.tokens)
     if args.config:
         run.digest_input("config", args.config)
         config = synthgov.SynthConfig.from_json(args.config)
@@ -337,7 +302,7 @@ def cmd_synth(args: argparse.Namespace, run: Run) -> None:
     write_vote_log(log, out / "votes.csv", out / "polls.csv")
     run.outputs.extend(["votes.csv", "polls.csv"])
     daily = centrality.daily_from_pass(centrality.ballot_pass(log))
-    plan = _default_panel_plan(tokens)
+    plan = _default_panel_plan(args.tokens)
     bundle = synthgov.gen_panel(daily, plan, seed=config.seed + 1)
     write_factors(bundle.panel, out / "factors.csv")
     run.outputs.append("factors.csv")
@@ -372,18 +337,19 @@ def _default_panel_plan(tokens: list[str]) -> synthgov.PanelPlan:
 
 
 def cmd_report(args: argparse.Namespace, run: Run) -> None:
+    factors = _load_factors(args, run) if args.factors else None
     log = _load_log(args, run)
     passed, daily = _measure(args, log)
     per_poll = passed.polls
     daily_full = centrality.fill_calendar(daily, passed.poll_counts)
     profile_rows, _ = _emit_descriptives(run, passed, log)
     run.emit_csv("metrics.csv", report.metrics_csv(daily_full if args.calendar == "full-calendar" else daily))
-    run.emit_markdown(
+    run.emit_text(
         "gini_summary.md",
         report.gini_summary_table([pm.gini for pm in per_poll], [m.gini for m in daily_full]),
     )
     measures = factorlab.measures_from_daily(daily)
-    run.emit_markdown("measures_summary.md", report.measures_summary_table(measures))
+    run.emit_text("measures_summary.md", report.measures_summary_table(measures))
 
     run.emit_csv("fig_daily_counts.csv", report.daily_counts_csv(daily_full))
     run.emit_csv("fig_poll_votes.csv", report.poll_scatter_csv(per_poll))
@@ -394,7 +360,7 @@ def cmd_report(args: argparse.Namespace, run: Run) -> None:
         totals = [total / top for total in totals]
     curve = centrality.lorenz_points(np.array([float(total) for total in totals]))
     run.emit_csv("fig_lorenz.csv", report.lorenz_csv(curve))
-    run.emit_svg(
+    run.emit_text(
         "fig_daily_counts.svg",
         report.svg_line_chart(
             {
@@ -404,45 +370,54 @@ def cmd_report(args: argparse.Namespace, run: Run) -> None:
             "daily polls and voters",
         ),
     )
-    run.emit_svg(
+    run.emit_text(
         "fig_lorenz.svg",
         report.svg_line_chart({"lorenz": list(curve), "equality": [(0.0, 0.0), (1.0, 1.0)]}, "lorenz curve"),
     )
 
-    if args.factors:
-        panel = _build_panel(args, run, measures)
-        tokens = _parse_tokens(args, panel)
-        stars = _parse_stars(args)
-        _emit_ols(args, run, panel, tokens, stars)
-        _emit_panel_notes(run, args, stars)
+    if factors:
+        raw, tokens = factors
+        panel = _emit_panel(args, run, raw, measures)
+        _emit_ols(args, run, panel, tokens)
         if panel.instrument:
-            _emit_iv(args, run, panel, tokens, stars)
+            _emit_iv(args, run, panel, tokens)
     print(f"report written to {run.out_dir}")
 
 
-def _add_io_flags(parser: argparse.ArgumentParser, factors: str = "none") -> None:
-    parser.add_argument("--votes", required=True, help="votes.csv path")
-    parser.add_argument("--polls", required=True, help="polls.csv path")
-    parser.add_argument("--identities", default=None, help="identities.csv path")
-    if factors == "required":
-        parser.add_argument("--factors", required=True, help="factors.csv path")
-    elif factors == "optional":
-        parser.add_argument("--factors", default=None, help="factors.csv path")
+def _names(raw: str) -> list[str]:
+    """The names of a comma list: stripped, blanks and repeats dropped."""
+    return list(dict.fromkeys(name.strip() for name in raw.split(",") if name.strip()))
 
 
-def _add_metric_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ballot", choices=("last", "first"), default="last")
-    parser.add_argument("--order", choices=("last", "first"), default="last")
-    parser.add_argument("--daily-gini", dest="daily_gini", choices=centrality.DAILY_GINI_MODES, default="mle")
-
-
-def _add_regression_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tokens", default=None, help="comma-separated token list")
-    parser.add_argument("--measures", default=None, help="comma-separated measure subset")
-    parser.add_argument("--raw", action="store_true", help="disable z-scoring of regression variables")
-    parser.add_argument("--vol", choices=("simple", "log"), default="simple")
-    parser.add_argument("--alpha-stars", dest="alpha_stars", default=None,
-                        help="three descending star thresholds, e.g. 0.10,0.05,0.01")
+def _resolve_options(args: argparse.Namespace) -> None:
+    """Check the option values of a run and replace each, in place, by its
+    typed value; runs before any input is read. --formats and --tokens become
+    lists of names, --measures a tuple of names (None: the grid's default)
+    and --alpha-stars three descending thresholds."""
+    given = vars(args)
+    if "formats" in given:
+        args.formats = _names(args.formats)
+        for fmt in args.formats:
+            if fmt not in FORMATS:
+                raise PipelineError(f"unknown output format: {fmt}")
+        if not args.formats:
+            raise PipelineError("at least one output format is required")
+    if given.get("tokens") is not None:
+        raw, args.tokens = args.tokens, _names(args.tokens)
+        if not args.tokens:
+            raise PipelineError(f"--tokens names no token: {raw!r}")
+    if "measures" in given:
+        args.measures = tuple(_names(args.measures)) if args.measures else None
+        unknown = [m for m in args.measures or () if m not in centrality.MEASURES]
+        if unknown:
+            raise PipelineError(f"unknown measures: {', '.join(unknown)}")
+    if "alpha_stars" in given:
+        stars = tuple(float(x) for x in args.alpha_stars.split(",")) if args.alpha_stars else report.STAR_THRESHOLDS
+        if len(stars) != 3 or not stars[0] > stars[1] > stars[2] > 0:
+            raise PipelineError("--alpha-stars needs three descending thresholds, e.g. 0.10,0.05,0.01")
+        args.alpha_stars = stars
+    if given.get("top", 1) < 1:
+        raise PipelineError("n must be at least 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,60 +427,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"govpulse {govpulse.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, func, help_text in (
+        ("ingest", cmd_ingest, "load and validate a voting history"),
+        ("metrics", cmd_metrics, "compute daily centralization measures"),
+        ("describe", cmd_describe, "poll and voter descriptive statistics"),
+        ("regress", cmd_regress, "univariate OLS factor grid"),
+        ("iv", cmd_iv, "2SLS IV suite with endogeneity diagnostics"),
+        ("synth", cmd_synth, "generate a synthetic dataset"),
+        ("report", cmd_report, "full pipeline: tables and figure data"),
+    ):
+        commands[name] = sub.add_parser(name, help=help_text)
+        commands[name].set_defaults(func=func)
 
-    p = sub.add_parser("ingest", help="load and validate a voting history")
-    _add_io_flags(p)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--formats", default="csv,markdown")
-    p.set_defaults(func=cmd_ingest)
+    def add(flag: str, names, **kwargs) -> None:
+        for name in names:
+            commands[name].add_argument(flag, **kwargs)
 
-    p = sub.add_parser("metrics", help="compute daily centralization measures")
-    _add_io_flags(p)
-    p.add_argument("--calendar", choices=centrality.CALENDAR_MODES, default="drop-missing")
-    _add_metric_flags(p)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--formats", default="csv,markdown")
-    p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser("describe", help="poll and voter descriptive statistics")
-    _add_io_flags(p)
-    p.add_argument("--ballot", choices=("last", "first"), default="last")
-    p.add_argument("--top", type=int, default=10)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--formats", default="csv,markdown")
-    p.set_defaults(func=cmd_describe)
-
-    p = sub.add_parser("regress", help="univariate OLS factor grid")
-    _add_io_flags(p, factors="required")
-    _add_metric_flags(p)
-    _add_regression_flags(p)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--formats", default="csv,markdown")
-    p.set_defaults(func=cmd_regress)
-
-    p = sub.add_parser("iv", help="2SLS IV suite with endogeneity diagnostics")
-    _add_io_flags(p, factors="required")
-    _add_metric_flags(p)
-    _add_regression_flags(p)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--formats", default="csv,markdown")
-    p.set_defaults(func=cmd_iv)
-
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--config", default=None, help="SynthConfig JSON path")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tokens", default="MKR,DAI")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("report", help="full pipeline: tables and figure data")
-    _add_io_flags(p, factors="optional")
-    p.add_argument("--calendar", choices=centrality.CALENDAR_MODES, default="drop-missing")
-    _add_metric_flags(p)
-    _add_regression_flags(p)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--formats", default="csv,markdown")
-    p.set_defaults(func=cmd_report)
+    readers = ("ingest", "metrics", "describe", "regress", "iv", "report")
+    measured = ("metrics", "regress", "iv", "report")
+    grids = ("regress", "iv", "report")
+    add("--votes", readers, required=True, help="votes.csv path")
+    add("--polls", readers, required=True, help="polls.csv path")
+    add("--identities", readers, default=None, help="identities.csv path")
+    add("--factors", ("regress", "iv"), required=True, help="factors.csv path")
+    add("--factors", ("report",), default=None, help="factors.csv path")
+    add("--calendar", ("metrics", "report"), choices=centrality.CALENDAR_MODES, default="drop-missing")
+    add("--ballot", ("describe", *measured), choices=("last", "first"), default="last")
+    add("--order", measured, choices=("last", "first"), default="last")
+    add("--daily-gini", measured, dest="daily_gini", choices=centrality.DAILY_GINI_MODES, default="mle")
+    add("--top", ("describe",), type=int, default=10)
+    add("--config", ("synth",), default=None, help="SynthConfig JSON path")
+    add("--seed", ("synth",), type=int, default=None)
+    add("--tokens", ("synth",), default="MKR,DAI", help="comma-separated token list")
+    add("--tokens", grids, default=None, help="comma-separated token list")
+    add("--measures", grids, default=None, help="comma-separated measure subset")
+    add("--raw", grids, action="store_true", help="disable z-scoring of regression variables")
+    add("--vol", grids, choices=("simple", "log"), default="simple")
+    add("--alpha-stars", grids, dest="alpha_stars", default=None,
+        help="three descending star thresholds, e.g. 0.10,0.05,0.01")
+    add("--out-dir", commands, required=True)
+    add("--formats", readers, default="csv,markdown", help="comma list of csv, markdown and svg")
     return parser
 
 
@@ -518,8 +480,9 @@ def exec_command(argv: list[str]) -> int:
         return int(exc.code or 0)
     run = None
     try:
-        run = Run(args.command, args)
-        run.check_formats()
+        run = Run(args)
+        _resolve_options(args)
+        run.formats = getattr(args, "formats", [])
         args.func(args, run)
         run.finish("ok")
         return 0

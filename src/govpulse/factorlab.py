@@ -146,9 +146,6 @@ class BuiltPanel:
     instrument: dict[date, float]
     anomalies: list[Anomaly]
 
-    def tokens(self) -> list[str]:
-        return sorted({token for (token, _, _) in self.factors})
-
 
 def values_on(series: dict[date, float], days: tuple[date, ...]) -> np.ndarray:
     """The series' values on ``days``, each of which it covers."""

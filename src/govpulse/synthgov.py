@@ -1,4 +1,4 @@
-"""Seeded synthetic governance histories, factor panels and test oracles.
+"""Seeded synthetic governance histories and factor panels.
 
 The generator substitutes for the unavailable production export. Holdings
 are drawn from a Pareto II (Lomax) distribution with configurable tail index
@@ -38,6 +38,12 @@ from govpulse.govdata import (
     VoteEvent,
     VoteLog,
 )
+
+# The planted instrument is INSTRUMENT_STRENGTH times the z-scored
+# INSTRUMENT_MEASURE plus Gaussian noise of standard deviation INSTRUMENT_NOISE.
+INSTRUMENT_MEASURE = "Voters"
+INSTRUMENT_STRENGTH = 1.0
+INSTRUMENT_NOISE = 0.5
 
 
 @dataclass(frozen=True)
@@ -297,9 +303,6 @@ class EndogenousBlock:
 class PanelPlan:
     factors: list[FactorPlan]
     endogenous: EndogenousBlock | None = None
-    instrument_measure: str = "Voters"
-    instrument_strength: float = 1.0
-    instrument_noise: float = 0.5
 
 
 @dataclass
@@ -322,14 +325,14 @@ def gen_panel(metrics: list[DailyMetrics], plan: PanelPlan, seed: int) -> SynthP
         raise ValueError("metrics must be non-empty")
     rng = np.random.default_rng(seed)
     measures = measures_from_daily(metrics)
-    days = list(measures[plan.instrument_measure])
+    days = list(measures[INSTRUMENT_MEASURE])
     standardized = {name: zscore(list(series.values())) for name, series in measures.items()}
     n = len(days)
 
     endo = plan.endogenous
     confound = rng.standard_normal(n) if endo is not None else None
-    base = standardized[plan.instrument_measure]
-    instrument_values = plan.instrument_strength * base + plan.instrument_noise * rng.standard_normal(n)
+    base = standardized[INSTRUMENT_MEASURE]
+    instrument_values = INSTRUMENT_STRENGTH * base + INSTRUMENT_NOISE * rng.standard_normal(n)
     proxy = base + endo.gamma * confound if endo is not None else None
 
     panel = FactorPanel()
@@ -337,7 +340,7 @@ def gen_panel(metrics: list[DailyMetrics], plan: PanelPlan, seed: int) -> SynthP
         driver = {name: standardized[name] for name in fp.loadings}
         values = np.full(n, fp.intercept, dtype=float)
         for name, loading in fp.loadings.items():
-            values = values + loading * (proxy if (endo and name == plan.instrument_measure) else driver[name])
+            values = values + loading * (proxy if (endo and name == INSTRUMENT_MEASURE) else driver[name])
         if endo is not None:
             values = values + endo.gamma * confound
         values = values + fp.noise_std * rng.standard_normal(n)
@@ -351,29 +354,3 @@ def gen_panel(metrics: list[DailyMetrics], plan: PanelPlan, seed: int) -> SynthP
         panel=panel,
         proxy_measure=dict(zip(days, proxy)) if proxy is not None else None,
     )
-
-
-def gini_oracle(weights) -> float:
-    """Sorted-rank Gini, G = (2 * sum i*x_(i)) / (n * sum x) - (n+1)/n.
-
-    Test oracle; returns 0 for fewer than two weights.
-    """
-    values = np.sort(np.asarray(weights, dtype=float))
-    n = values.size
-    total = float(values.sum())
-    if n < 2 or total <= 0.0:
-        return 0.0
-    ranks = np.arange(1, n + 1)
-    return float((2.0 * (ranks * values).sum()) / (n * total) - (n + 1) / n)
-
-
-def ols_oracle(y, x) -> tuple[float, float]:
-    """Covariance-formula least squares, beta1 = S_xy / S_xx. Test oracle."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    sxx = float(((x - x.mean()) ** 2).sum())
-    if sxx == 0.0:
-        raise ValueError("zero variance regressor")
-    beta1 = float(((x - x.mean()) * (y - y.mean())).sum()) / sxx
-    beta0 = float(y.mean()) - beta1 * float(x.mean())
-    return beta0, beta1

@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from conftest import grid_cell
+from oracles import gini_oracle, ols_oracle
 from govpulse import centrality, econ, factorlab, profiles, synthgov
 from govpulse.centrality import gini_from_alpha, gini_mean_difference, pareto_alpha_mle
 from govpulse.cli import exec_command
 from govpulse.govdata import load_vote_log
-from govpulse.synthgov import gini_oracle, ols_oracle
 
 
 def _check(criterion: int, description: str, passed: bool, elapsed: float | None = None) -> None:

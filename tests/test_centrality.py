@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import DAY0, addr, make_log, make_poll
+from oracles import gini_oracle
 from govpulse.centrality import (
     ballot_pass,
     daily_from_pass,
@@ -21,7 +22,6 @@ from govpulse.centrality import (
     poll_gini,
 )
 from govpulse.govdata import MAX_TIMESTAMP, final_ballots
-from govpulse.synthgov import gini_oracle
 
 
 def _one_poll_log(*weights):

@@ -1065,3 +1065,82 @@ def test_iv_without_instrument_rows_fails_politely(synth_dir, tmp_path):
         ]
     )
     assert code == 1
+
+
+_IO = {"votes": "v.csv", "polls": "p.csv", "identities": None, "out_dir": "o", "formats": "csv,markdown"}
+_METRIC = {"ballot": "last", "order": "last", "daily_gini": "mle"}
+_GRID = {"tokens": None, "measures": None, "raw": False, "vol": "simple", "alpha_stars": None}
+
+
+@pytest.mark.parametrize("command, extra, parsed", [
+    ("ingest", [], _IO),
+    ("metrics", [], {**_IO, **_METRIC, "calendar": "drop-missing"}),
+    ("describe", [], {**_IO, "ballot": "last", "top": 10}),
+    ("regress", ["--factors", "f.csv"], {**_IO, **_METRIC, **_GRID, "factors": "f.csv"}),
+    ("iv", ["--factors", "f.csv"], {**_IO, **_METRIC, **_GRID, "factors": "f.csv"}),
+    ("report", [], {**_IO, **_METRIC, **_GRID, "factors": None, "calendar": "drop-missing"}),
+    ("synth", None, {"out_dir": "o", "config": None, "seed": None, "tokens": "MKR,DAI"}),
+])
+def test_parser_keys_and_defaults_are_pinned(command, extra, parsed):
+    from govpulse.cli import build_parser
+
+    argv = ["--out-dir", "o"] if extra is None else ["--votes", "v.csv", "--polls", "p.csv", "--out-dir", "o", *extra]
+    values = vars(build_parser().parse_args([command, *argv]))
+    del values["func"]
+    assert values == {"command": command, **parsed}
+
+
+def test_synth_drops_repeated_tokens(tmp_path):
+    config = _small_config(tmp_path)
+    for name, tokens in (("once", "MKR"), ("twice", "MKR,MKR")):
+        assert exec_command(["synth", "--out-dir", str(tmp_path / name), "--config", config,
+                             "--tokens", tokens]) == 0
+    assert (tmp_path / "twice" / "factors.csv").read_bytes() == (tmp_path / "once" / "factors.csv").read_bytes()
+
+
+def test_regress_drops_repeated_tokens(synth_dir, tmp_path):
+    inputs = [f"--{name}={synth_dir / name}.csv" for name in ("votes", "polls", "factors")]
+    for name, tokens in (("once", "MKR"), ("twice", "MKR,MKR")):
+        assert exec_command(["regress", *inputs, "--tokens", tokens, "--out-dir", str(tmp_path / name)]) == 0
+    grid = (tmp_path / "twice" / "ols_grid.csv").read_bytes()
+    assert grid == (tmp_path / "once" / "ols_grid.csv").read_bytes()
+    assert len(grid.decode().splitlines()) == 1 + 259
+
+
+def test_iv_drops_repeated_measures(synth_dir, tmp_path):
+    inputs = [f"--{name}={synth_dir / name}.csv" for name in ("votes", "polls", "factors")]
+    for name, measures in (("once", "Voters"), ("twice", "Voters,Voters")):
+        argv = ["iv", *inputs, "--tokens", "MKR", "--measures", measures, "--out-dir", str(tmp_path / name)]
+        assert exec_command(argv) == 0
+    assert (tmp_path / "twice" / "iv_grid.csv").read_bytes() == (tmp_path / "once" / "iv_grid.csv").read_bytes()
+
+
+_OPTION_TAKERS = {
+    "--formats": ("ingest", "metrics", "describe", "regress", "iv", "report"),
+    "--alpha-stars": ("regress", "iv", "report"),
+    "--measures": ("regress", "iv", "report"),
+    "--top": ("describe",),
+    "--tokens": ("synth", "regress", "iv", "report"),
+}
+
+
+@pytest.mark.parametrize("command, option, value", [
+    pytest.param(command, option, value, id=f"{command}{option}={value}")
+    for option, value in (("--formats", "pdf"), ("--alpha-stars", "0.01,0.05,0.10"), ("--measures", "NotAMeasure"),
+                          ("--top", "0"), ("--tokens", ","), ("--tokens", "FOO"), ("--tokens", "mkr"))
+    for command in _OPTION_TAKERS[option]
+    if not (command == "synth" and value != ",")  # synth plants factors for any token name
+])
+def test_rejected_option_leaves_only_the_manifest(synth_dir, tmp_path, command, option, value):
+    out = tmp_path / "out"
+    argv = [command, option, value, "--out-dir", str(out)]
+    if command != "synth":
+        argv += [f"--{name}={synth_dir / name}.csv" for name in ("votes", "polls")]
+    if command in ("regress", "iv", "report"):
+        argv.append(f"--factors={synth_dir / 'factors.csv'}")
+    assert exec_command(argv) == 1
+    assert [path.name for path in out.iterdir()] == ["run_manifest.json"]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["command"], manifest["status"], manifest["outputs"]) == (command, "failed", [])
+    if value in ("FOO", "mkr"):
+        assert manifest["error"] == f"--tokens names tokens the factors file does not hold: {value}"

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_cell
+from oracles import ols_oracle
 from govpulse.econ import (
     IV_DEFAULT_MEASURES,
     chi2_pvalue,
@@ -27,7 +28,6 @@ from govpulse.econ import (
 )
 from govpulse.factorlab import BuiltPanel, align, catalogue_for
 from govpulse.report import significance_stars
-from govpulse.synthgov import ols_oracle
 
 D0 = date(2021, 3, 1)
 

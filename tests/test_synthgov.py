@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_cell
+from oracles import gini_oracle, ols_oracle
 from govpulse.centrality import DailyMetrics, ballot_pass
 from govpulse.econ import endogeneity_tests, ols, run_factor_matrix
 from govpulse.factorlab import build_panel, measures_from_daily
@@ -25,9 +26,7 @@ from govpulse.synthgov import (
     _force_outcome,
     gen_history,
     gen_panel,
-    gini_oracle,
     lomax_pool,
-    ols_oracle,
     turnout_probabilities,
 )
 
