@@ -393,8 +393,16 @@ def _resolve_options(args: argparse.Namespace) -> None:
     """Check the option values of a run and replace each, in place, by its
     typed value; runs before any input is read. --formats and --tokens become
     lists of names, --measures a tuple of names (None: the grid's default)
-    and --alpha-stars three descending thresholds."""
+    and --alpha-stars three descending thresholds. ``report`` takes the grid
+    options only with --factors."""
     given = vars(args)
+    if args.command == "report" and args.factors is None:
+        grid_only = [flag for flag, set_ in (("--tokens", args.tokens is not None),
+                                             ("--measures", args.measures is not None),
+                                             ("--alpha-stars", args.alpha_stars is not None),
+                                             ("--raw", args.raw)) if set_]
+        if grid_only:
+            raise PipelineError(f"report takes {', '.join(grid_only)} only with --factors")
     if "formats" in given:
         args.formats = _names(args.formats)
         for fmt in args.formats:
@@ -406,9 +414,11 @@ def _resolve_options(args: argparse.Namespace) -> None:
         raw, args.tokens = args.tokens, _names(args.tokens)
         if not args.tokens:
             raise PipelineError(f"--tokens names no token: {raw!r}")
-    if "measures" in given:
-        args.measures = tuple(_names(args.measures)) if args.measures else None
-        unknown = [m for m in args.measures or () if m not in centrality.MEASURES]
+    if given.get("measures") is not None:
+        raw, args.measures = args.measures, tuple(_names(args.measures))
+        if not args.measures:
+            raise PipelineError(f"--measures names no measure: {raw!r}")
+        unknown = [m for m in args.measures if m not in centrality.MEASURES]
         if unknown:
             raise PipelineError(f"unknown measures: {', '.join(unknown)}")
     if "alpha_stars" in given:

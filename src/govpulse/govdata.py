@@ -12,7 +12,8 @@ Timestamps are unix seconds or ISO-8601 UTC; a vote or poll row whose
 timestamp is at or before the epoch (<= 0) is skipped as malformed. Vote
 weights are parsed as fixed-point decimals and summed in ``EXACT``, so totals
 are exact and bit-stable across platforms; they are converted to binary floats
-only inside the statistics layer. The off-chain instrument is one date-keyed
+only inside the statistics layer. Each distinct weight text is parsed and
+checked once per load, and equal texts share one exact ``Decimal``. The off-chain instrument is one date-keyed
 series, the rows of category ``instrument`` whatever their token.
 """
 
@@ -27,6 +28,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, localcontext
+from operator import attrgetter
 from pathlib import Path
 from typing import IO
 
@@ -126,8 +128,7 @@ class VoteLog:
         unknown = sorted({e.poll_id for e in events} - registry.keys())
         if unknown:
             raise ValueError(f"events reference polls not in the registry: {unknown}")
-        decorated = sorted((e.timestamp, i) for i, e in enumerate(events))
-        self.events: tuple[VoteEvent, ...] = tuple(events[i] for _, i in decorated)
+        self.events: tuple[VoteEvent, ...] = tuple(sorted(events, key=attrgetter("timestamp")))
         self.registry: dict[int, PollRecord] = dict(registry)
         self.identities: dict[str, str] = dict(identities or {})
         self.report: ValidationReport = report or ValidationReport()
@@ -314,6 +315,25 @@ def load_identities(path: str | Path, report: ValidationReport) -> dict[str, str
     return identities
 
 
+def _parse_weight(text: str) -> Decimal | str:
+    """The exact ``Decimal`` of a raw weight field, or the text of the error
+    that rejects it: not a decimal, not finite (as a decimal or as a float),
+    or a last digit more than ``MAX_WEIGHT_PLACES`` places right of the
+    point."""
+    try:
+        try:
+            weight = Decimal(text.strip())
+        except InvalidOperation:
+            raise ValueError(f"weight {text!r} is not a decimal number") from None
+        if not (weight.is_finite() and math.isfinite(float(weight))):
+            raise ValueError(f"non-finite weight {text!r}")
+        if weight.as_tuple().exponent < -MAX_WEIGHT_PLACES:
+            raise ValueError(f"weight {text!r} has over {MAX_WEIGHT_PLACES} decimal places")
+    except (ValueError, ArithmeticError) as exc:
+        return str(exc)
+    return weight
+
+
 def load_vote_log(
     votes_path: str | Path,
     polls_path: str | Path,
@@ -322,27 +342,31 @@ def load_vote_log(
     """Load the votes/polls/identities exports into a VoteLog.
 
     Malformed rows are skipped and recorded as anomalies attached to the
-    result; missing files and malformed headers raise.
+    result; missing files and malformed headers raise. Each distinct weight
+    text is parsed and checked once, and the events that carry it share its
+    one ``Decimal``; each distinct voter field is normalized once. Every row
+    still gets every check, so a repeated fault gives one anomaly per line.
     """
     report = ValidationReport()
     registry = load_polls(polls_path, report)
     identities = load_identities(identities_path, report) if identities_path else {}
 
     events: list[VoteEvent] = []
+    weights: dict[str, Decimal | str] = {}  # raw weight text -> _parse_weight of it
+    voters: dict[str, str] = {}  # raw voter field -> its address
     rows = _read_rows(votes_path, VOTES_HEADER, "bad vote row", report.anomalies)
-    for lineno, (poll_text, voter, option_text, weight_text, stamp) in rows:
+    for lineno, (poll_text, voter_text, option_text, weight_text, stamp) in rows:
         try:
             poll_id = int(poll_text)
-            voter = voter.strip().lower()
+            voter = voters.get(voter_text)
+            if voter is None:
+                voter = voters[voter_text] = voter_text.strip().lower()
             option_id = int(option_text)
-            try:
-                weight = Decimal(weight_text.strip())
-            except InvalidOperation:
-                raise ValueError(f"weight {weight_text!r} is not a decimal number") from None
-            if not (weight.is_finite() and math.isfinite(float(weight))):
-                raise ValueError(f"non-finite weight {weight_text!r}")
-            if weight.as_tuple().exponent < -MAX_WEIGHT_PLACES:
-                raise ValueError(f"weight {weight_text!r} has over {MAX_WEIGHT_PLACES} decimal places")
+            weight = weights.get(weight_text)
+            if weight is None:
+                weight = weights[weight_text] = _parse_weight(weight_text)
+            if isinstance(weight, str):
+                raise ValueError(weight)
             timestamp = parse_timestamp(stamp)
         except (ValueError, ArithmeticError) as exc:
             report.add("bad vote row", f"line {lineno}: {exc}")
@@ -359,15 +383,7 @@ def load_vote_log(
         if poll_id not in registry:
             report.add("unknown poll", f"line {lineno}: poll {poll_id} not in registry")
             continue
-        events.append(
-            VoteEvent(
-                poll_id=poll_id,
-                voter=voter,
-                option_id=option_id,
-                weight=weight,
-                timestamp=timestamp,
-            )
-        )
+        events.append(VoteEvent(poll_id, voter, option_id, weight, timestamp))
     return VoteLog(events, registry, identities, report)
 
 
@@ -429,8 +445,8 @@ def final_ballots(log: VoteLog, poll_id: int, rule: str = "last") -> list[VoteEv
 
     ``rule="last"`` counts a voter's final record (portal semantics);
     ``rule="first"`` counts the first. Output is sorted by weight descending
-    (negated exactly: ``-weight`` would round to the context's 28 digits)
-    with ties broken by timestamp ascending, then address.
+    (compared exactly, never rounded) with ties broken by timestamp
+    ascending, then address: two stable sorts, the tie-breakers first.
     """
     if rule not in ("last", "first"):
         raise ValueError(f"unknown ballot rule: {rule!r}")
@@ -440,7 +456,9 @@ def final_ballots(log: VoteLog, poll_id: int, rule: str = "last") -> list[VoteEv
     for event in log.poll_events(poll_id):
         if rule == "last" or event.voter not in counted:
             counted[event.voter] = event
-    return sorted(counted.values(), key=lambda e: (e.weight.copy_negate(), e.timestamp, e.voter))
+    ballots = sorted(counted.values(), key=attrgetter("timestamp", "voter"))
+    ballots.sort(key=attrgetter("weight"), reverse=True)
+    return ballots
 
 
 def validate_dataset(log: VoteLog) -> ValidationReport:

@@ -2,7 +2,23 @@
 
 from __future__ import annotations
 
+import math
+from decimal import Decimal, InvalidOperation
+
 import numpy as np
+
+from govpulse.govdata import (
+    MAX_WEIGHT_PLACES,
+    VOTES_HEADER,
+    Anomaly,
+    ValidationReport,
+    VoteEvent,
+    VoteLog,
+    _read_rows,
+    load_identities,
+    load_polls,
+    parse_timestamp,
+)
 
 
 def gini_oracle(weights) -> float:
@@ -29,3 +45,57 @@ def ols_oracle(y, x) -> tuple[float, float]:
     beta1 = float(((x - x.mean()) * (y - y.mean())).sum()) / sxx
     beta0 = float(y.mean()) - beta1 * float(x.mean())
     return beta0, beta1
+
+
+def load_vote_events_oracle(votes_path, polls_path, identities_path=None) -> tuple[list[VoteEvent], list[Anomaly]]:
+    """The per-row vote loader: every row parses and checks its own weight
+    and address. Returns the events in ``VoteLog`` order, sorted by
+    (timestamp, input index), and the anomaly list. Test oracle."""
+    report = ValidationReport()
+    registry = load_polls(polls_path, report)
+    if identities_path:
+        load_identities(identities_path, report)
+    events: list[VoteEvent] = []
+    rows = _read_rows(votes_path, VOTES_HEADER, "bad vote row", report.anomalies)
+    for lineno, (poll_text, voter, option_text, weight_text, stamp) in rows:
+        try:
+            poll_id = int(poll_text)
+            voter = voter.strip().lower()
+            option_id = int(option_text)
+            try:
+                weight = Decimal(weight_text.strip())
+            except InvalidOperation:
+                raise ValueError(f"weight {weight_text!r} is not a decimal number") from None
+            if not (weight.is_finite() and math.isfinite(float(weight))):
+                raise ValueError(f"non-finite weight {weight_text!r}")
+            if weight.as_tuple().exponent < -MAX_WEIGHT_PLACES:
+                raise ValueError(f"weight {weight_text!r} has over {MAX_WEIGHT_PLACES} decimal places")
+            timestamp = parse_timestamp(stamp)
+        except (ValueError, ArithmeticError) as exc:
+            report.add("bad vote row", f"line {lineno}: {exc}")
+            continue
+        if not voter:
+            report.add("bad vote row", f"line {lineno}: empty voter address")
+            continue
+        if timestamp <= 0:
+            report.add("bad vote row", f"line {lineno}: non-positive timestamp")
+            continue
+        if weight < 0:
+            report.add("negative weight", f"line {lineno}: poll {poll_id}, voter {voter}")
+            continue
+        if poll_id not in registry:
+            report.add("unknown poll", f"line {lineno}: poll {poll_id} not in registry")
+            continue
+        events.append(VoteEvent(poll_id=poll_id, voter=voter, option_id=option_id, weight=weight, timestamp=timestamp))
+    decorated = sorted((e.timestamp, i) for i, e in enumerate(events))
+    return [events[i] for _, i in decorated], report.anomalies
+
+
+def final_ballots_oracle(log: VoteLog, poll_id: int, rule: str) -> list[VoteEvent]:
+    """Each voter's counted record, sorted on one key per event: the weight
+    negated exactly, then the timestamp, then the address. Test oracle."""
+    counted: dict[str, VoteEvent] = {}
+    for event in log.poll_events(poll_id):
+        if rule == "last" or event.voter not in counted:
+            counted[event.voter] = event
+    return sorted(counted.values(), key=lambda e: (e.weight.copy_negate(), e.timestamp, e.voter))

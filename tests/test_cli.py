@@ -1144,3 +1144,37 @@ def test_rejected_option_leaves_only_the_manifest(synth_dir, tmp_path, command, 
     assert (manifest["command"], manifest["status"], manifest["outputs"]) == (command, "failed", [])
     if value in ("FOO", "mkr"):
         assert manifest["error"] == f"--tokens names tokens the factors file does not hold: {value}"
+
+
+def _only_the_failed_manifest(out: Path, command: str) -> str:
+    """The error of a run that wrote nothing but its ``failed`` manifest."""
+    assert [path.name for path in out.iterdir()] == ["run_manifest.json"]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["command"], manifest["status"], manifest["outputs"]) == (command, "failed", [])
+    return manifest["error"]
+
+
+@pytest.mark.parametrize("value", [",", " , ", ""])
+@pytest.mark.parametrize("command", ["regress", "iv", "report"])
+def test_measures_naming_no_measure_leaves_only_the_manifest(synth_dir, tmp_path, command, value):
+    out = tmp_path / "out"
+    argv = [command, "--measures", value, "--out-dir", str(out)]
+    argv += [f"--{name}={synth_dir / name}.csv" for name in ("votes", "polls", "factors")]
+    assert exec_command(argv) == 1
+    assert _only_the_failed_manifest(out, command) == f"--measures names no measure: {value!r}"
+
+
+@pytest.mark.parametrize("options, named", [
+    (["--tokens", "MKR"], "--tokens"),
+    (["--tokens", "FOO"], "--tokens"),
+    (["--measures", "Voters"], "--measures"),
+    (["--alpha-stars", "0.10,0.05,0.01"], "--alpha-stars"),
+    (["--raw"], "--raw"),
+    (["--tokens", "FOO", "--raw"], "--tokens, --raw"),
+], ids=["tokens", "unknown-token", "measures", "alpha-stars", "raw", "tokens-and-raw"])
+def test_report_takes_grid_options_only_with_factors(synth_dir, tmp_path, options, named):
+    out = tmp_path / "out"
+    argv = ["report", *options, "--out-dir", str(out)]
+    argv += [f"--{name}={synth_dir / name}.csv" for name in ("votes", "polls")]
+    assert exec_command(argv) == 1
+    assert _only_the_failed_manifest(out, "report") == f"report takes {named} only with --factors"

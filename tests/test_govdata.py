@@ -6,6 +6,8 @@ from datetime import date
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DAY0, addr, make_log, make_poll, write_factors_csv, write_polls_csv, write_votes_csv
 from govpulse.centrality import ballot_pass
@@ -22,6 +24,7 @@ from govpulse.govdata import (
     validate_dataset,
     write_vote_log,
 )
+from oracles import final_ballots_oracle, load_vote_events_oracle
 
 
 def test_empty_votes_file_with_valid_header(tmp_path):
@@ -168,6 +171,41 @@ def test_final_ballots_sort_weights_that_differ_past_28_digits():
     assert [str(b.weight) for b in final_ballots(log, 1)] == [heavy, light]
     (pm,) = ballot_pass(log).polls
     assert (str(pm.largest_votes), pm.ifwin, pm.order) == (heavy, 1, 2 / 2)
+
+
+# equal values with different exponents, and values one float apart or that
+# differ only past the 28th digit
+BALLOT_WEIGHTS = st.one_of(
+    st.sampled_from([
+        "0", "0.0", "0E-5", "1", "1.0", "1.00", "1E+1", "10", "10.0",
+        "123456789012.123456789012345679", "123456789012.123456789012345678", "123456789012.12345678901234568",
+    ]),
+    st.integers(0, 10**6).map(lambda i: str(Decimal(i).scaleb(-3))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(1, 6), st.integers(1, 3), BALLOT_WEIGHTS, st.integers(0, 3)),
+        max_size=30,
+    ),
+    rule=st.sampled_from(["last", "first"]),
+)
+@example(rows=[
+    (1, 1, "123456789012.123456789012345678", 0), (2, 1, "123456789012.123456789012345679", 1),
+    (3, 2, "1.0", 2), (4, 2, "1", 1), (6, 1, "5", 3), (5, 1, "5.00", 3),
+], rule="last")
+def test_final_ballots_keep_the_one_key_order(rows, rule):
+    """Two stable sorts give the order of the single exact key they replace:
+    weight descending, then timestamp, then address."""
+    log = make_log(
+        [(1, addr(voter), option, weight, DAY0 + offset) for voter, option, weight, offset in rows],
+        [make_poll(1, DAY0)],
+    )
+    got, want = final_ballots(log, 1, rule), final_ballots_oracle(log, 1, rule)
+    assert got == want
+    assert [str(b.weight) for b in got] == [str(b.weight) for b in want]
 
 
 def test_equal_timestamp_permutation_keeps_weights(simple_log):
@@ -435,6 +473,85 @@ def test_bad_weight_detail_quotes_the_weight(tmp_path):
     write_polls_csv(tmp_path / "polls.csv", [(1, DAY0, "p", "1:yes", "")])
     log = load_vote_log(tmp_path / "votes.csv", tmp_path / "polls.csv")
     assert [a.detail for a in log.report.anomalies] == ["line 2: weight '12abc' is not a decimal number"]
+
+
+def test_repeated_bad_weight_gives_one_anomaly_per_line(tmp_path):
+    write_votes_csv(tmp_path / "votes.csv", [
+        (1, "0xa", 1, "12abc", DAY0 + 10),
+        (1, "0xb", 1, "5", DAY0 + 20),
+        (1, "0xc", 1, "12abc", DAY0 + 30),
+        (1, "0xd", 1, "12abc", DAY0 + 40),
+    ])
+    write_polls_csv(tmp_path / "polls.csv", [(1, DAY0, "p", "1:yes", "")])
+    log = load_vote_log(tmp_path / "votes.csv", tmp_path / "polls.csv")
+    # the weight text is parsed once, but every line that carries it is skipped
+    bad = "weight '12abc' is not a decimal number"
+    assert [(a.kind, a.detail) for a in log.report.anomalies] == [
+        ("bad vote row", f"line 2: {bad}"),
+        ("bad vote row", f"line 4: {bad}"),
+        ("bad vote row", f"line 5: {bad}"),
+    ]
+    assert [e.voter for e in log.events] == ["0xb"]
+
+
+def test_equal_weight_texts_share_one_decimal(tmp_path):
+    write_votes_csv(tmp_path / "votes.csv", [
+        (1, "0xA", 1, "1.0", DAY0 + 10),
+        (1, " 0xa ", 1, "1", DAY0 + 20),
+        (1, "0xb", 1, "1.0", DAY0 + 30),
+        (1, "0xA", 1, "1", DAY0 + 40),
+    ])
+    write_polls_csv(tmp_path / "polls.csv", [(1, DAY0, "p", "1:yes", "")])
+    log = load_vote_log(tmp_path / "votes.csv", tmp_path / "polls.csv")
+    first, second, third, fourth = log.events
+    assert first.weight is third.weight and second.weight is fourth.weight
+    assert first.weight == second.weight and first.weight is not second.weight
+    assert [str(e.weight) for e in log.events] == ["1.0", "1", "1.0", "1"]
+    assert first.voter is fourth.voter and first.voter == second.voter == "0xa"
+    write_vote_log(log, tmp_path / "again.csv", tmp_path / "polls_again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "votes.csv").read_bytes().replace(
+        b"0xA", b"0xa").replace(b" 0xa ", b"0xa")
+
+
+# the texts of each field; each example draws a small pool of them, so texts
+# repeat across rows: weights that are one value with different exponents or
+# differ past the 28th digit, weights each check rejects, padded and
+# mixed-case addresses
+FIELD_TEXTS = (
+    ["1", "2", "99", "x"],
+    ["0xAb", "0xab", " 0xab ", "0xCD", "0xcd\t", "", "  "],
+    ["1", "2", "z"],
+    [
+        "1", "1.0", "1E+2", "100", "7", " 7 ", "0", "-0", "0.5",
+        "123456789012.123456789012345679", "123456789012.123456789012345678",
+        "12abc", "NaN", "sNaN", "Infinity", "-Infinity", "1E+400", "1E-1001", "-3", "", " ",
+    ],
+    [str(DAY0 + 10), str(DAY0 + 20), "2021-03-01T00:00:20Z", "0", "-5", "not a time"],
+)
+
+
+@st.composite
+def vote_rows(draw):
+    pools = [draw(st.lists(st.sampled_from(texts), min_size=1, max_size=4, unique=True)) for texts in FIELD_TEXTS]
+    return draw(st.lists(st.tuples(*(st.sampled_from(pool) for pool in pools)), max_size=40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=vote_rows())
+@example(rows=[("1", "0xab", "1", "12abc", str(DAY0 + 10))] * 3)
+@example(rows=[
+    ("1", voter, "1", weight, str(DAY0 + 10))
+    for voter, weight in (("0xCD", " 7 "), ("0xab", "7"), (" 0xAB", " "), ("0xcd", ""), ("0xab", " 7 "))
+])
+def test_interned_load_matches_the_per_row_loader(tmp_path_factory, rows):
+    tmp = tmp_path_factory.mktemp("load")
+    write_votes_csv(tmp / "votes.csv", rows)
+    write_polls_csv(tmp / "polls.csv", [(1, DAY0, "p", "1:yes|2:no", ""), (2, DAY0, "q", "1:yes", "")])
+    log = load_vote_log(tmp / "votes.csv", tmp / "polls.csv")
+    events, anomalies = load_vote_events_oracle(tmp / "votes.csv", tmp / "polls.csv")
+    assert list(log.events) == events
+    assert [str(e.weight) for e in log.events] == [str(e.weight) for e in events]
+    assert log.report.anomalies == anomalies
 
 
 # input -> (header, a clean line, a line template whose {} takes the unreadable text,
