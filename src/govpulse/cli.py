@@ -1,7 +1,8 @@
 """Command-line surface: runs the pipeline end-to-end and writes artifacts.
 
 Subcommands: ingest, metrics, describe, regress, iv, synth, report. Every run
-writes its outputs atomically (temp file + rename) together with a
+writes its outputs atomically (temp file + rename; CSV rows are streamed into
+the temp file, never rendered whole in memory) together with a
 ``run_manifest.json`` recording the configuration as given, sha256 digests of
 the inputs and the tool version. Option values are checked before any input
 is read. Exit codes: 0 success, 1 failed run (bad input file, bad option
@@ -13,12 +14,14 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import sys
 import traceback
+from collections.abc import Callable, Iterable
+from itertools import chain
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -51,16 +54,16 @@ class PipelineError(Exception):
     identity: exit code 1."""
 
 
-def _atomic_write(path: Path, data: str) -> None:
+def _atomic_write(path: Path, write: Callable[[IO[str]], object]) -> None:
+    """Create ``path`` by calling ``write`` on a handle of a temp file beside
+    it; see ``atomic_open``."""
     with atomic_open(path) as handle:
-        handle.write(data)
+        write(handle)
 
 
-def _write_csv(path: Path, rows: list[list[str]]) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    _atomic_write(path, buffer.getvalue())
+def _write_csv(path: Path, rows: Iterable[Iterable]) -> None:
+    """Stream ``rows`` into ``path`` through csv.writer, lines ending in "\\n"."""
+    _atomic_write(path, lambda handle: csv.writer(handle, lineterminator="\n").writerows(rows))
 
 
 def _sha256(path: str | Path) -> str:
@@ -90,17 +93,23 @@ class Run:
         if path is not None and Path(path).exists():
             self.inputs[f"{label}:{path}"] = _sha256(path)
 
-    def emit_csv(self, name: str, rows: list[list[str]]) -> None:
+    def emit_csv(self, name: str, rows: Iterable[Iterable]) -> None:
+        """Stream the rows of a CSV artifact into its file if --formats asks for csv."""
         if "csv" in self.formats:
-            path = self.out_dir / name
-            _write_csv(path, rows)
+            _write_csv(self.out_dir / name, rows)
+            self.outputs.append(name)
+
+    def emit_csv_lines(self, name: str, lines: Iterable[str]) -> None:
+        """Like ``emit_csv``, for rows already rendered as CSV lines ending in "\\n"."""
+        if "csv" in self.formats:
+            _atomic_write(self.out_dir / name, lambda handle: handle.writelines(lines))
             self.outputs.append(name)
 
     def emit_text(self, name: str, text: str) -> None:
         """Write a text artifact if --formats asks for its kind (see ``TEXT_FORMATS``)."""
         kind = TEXT_FORMATS.get(Path(name).suffix)
         if kind is None or kind in self.formats:
-            _atomic_write(self.out_dir / name, text)
+            _atomic_write(self.out_dir / name, lambda handle: handle.write(text))
             self.outputs.append(name)
 
     def finish(self, status: str, error: str = "") -> None:
@@ -114,7 +123,8 @@ class Run:
             "inputs": self.inputs,
             "outputs": sorted(self.outputs),
         }
-        _atomic_write(self.out_dir / "run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        _atomic_write(self.out_dir / "run_manifest.json", lambda handle: handle.write(text))
 
 
 def _load_log(args: argparse.Namespace, run: Run):
@@ -218,7 +228,8 @@ def _emit_panel(
 ) -> factorlab.BuiltPanel:
     """The regression panel, written as panel.csv, and notes on how its grids are fitted."""
     panel = factorlab.build_panel(raw, measures, vol_mode=args.vol)
-    run.emit_csv("panel.csv", [FACTORS_HEADER, *factor_rows(panel.factors, panel.instrument)])
+    header = ",".join(FACTORS_HEADER) + "\n"
+    run.emit_csv_lines("panel.csv", chain([header], factor_rows(panel.factors, panel.instrument, "\n")))
     stars = args.alpha_stars
     scaling = "raw variables" if args.raw else "z-scored over each aligned sample"
     run.emit_text(

@@ -20,9 +20,11 @@ series, the rows of category ``instrument`` whatever their token.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import tempfile
+from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -166,13 +168,17 @@ class FactorPanel:
         self.instrument: dict[date, float] = {}
         self.anomalies: list[Anomaly] = []
 
+    def series_for(self, token: str, category: str, factor: str) -> dict[date, float]:
+        """The series a (token, category, factor) cell lands in, made empty
+        if it is new: ``instrument`` for every instrument row."""
+        if category == INSTRUMENT_CATEGORY:
+            return self.instrument
+        return self.series.setdefault((token, category, factor), {})
+
     def put(self, day: date, token: str, category: str, factor: str, value: float) -> None:
         """Store one value; a second value for the same cell is flagged and
         the last one wins. Every instrument row lands in ``instrument``."""
-        if category == INSTRUMENT_CATEGORY:
-            series = self.instrument
-        else:
-            series = self.series.setdefault((token, category, factor), {})
+        series = self.series_for(token, category, factor)
         if day in series:
             self.anomalies.append(Anomaly(
                 "duplicate factor cell", f"{day.isoformat()}/{token}/{category}/{factor}: last value wins"
@@ -397,22 +403,44 @@ def _factor_date(text: str) -> date | None:
     return day if day.isoformat() == text else None
 
 
+# Where the rows of one factor key go: its "token/category/factor" label,
+# the (kind, text) of the anomaly each of them gets or None, and the series
+# they land in, or None when they are skipped.
+FactorTarget = tuple[str, tuple[str, str] | None, dict[date, float] | None]
+
+
+def _factor_target(panel: FactorPanel, token: str, category: str, factor: str) -> FactorTarget:
+    """The target of a stripped (token, category, factor) in ``panel``. A
+    category outside ``FACTOR_CATEGORIES`` or a factor the catalogue does not
+    list is flagged and kept, except an unknown instrument factor, which is
+    skipped: there is one instrument series."""
+    from govpulse.factorlab import is_known_factor
+
+    flag, kept = None, True
+    if category not in FACTOR_CATEGORIES:
+        flag = ("unknown category", repr(category))
+    elif not is_known_factor(token, category, factor):
+        kept = category != INSTRUMENT_CATEGORY
+        flag = ("unknown factor", f"{token}/{factor} {'kept, flagged' if kept else 'skipped'}")
+    series = panel.series_for(token, category, factor) if kept else None
+    return f"{token}/{category}/{factor}", flag, series
+
+
 def load_factors(path: str | Path) -> FactorPanel:
     """Load the long-format factor export; duplicates last-win with anomaly.
 
-    Each distinct date string is parsed, and each distinct (token, category,
-    factor) looked up in the catalogue, once per file."""
-    from govpulse.factorlab import is_known_factor
-
+    Each distinct date text is parsed once per file. Each distinct raw
+    (token, category, factor) triple is stripped, checked against the
+    categories and the catalogue, and resolved to the series it lands in
+    once per file; every row still gets every check, in the same order."""
     panel = FactorPanel()
     days: dict[str, date | None] = {}
-    known: dict[tuple[str, str, str], bool] = {}
+    targets: dict[tuple[str, str, str], FactorTarget] = {}  # raw key fields -> _factor_target of them
     rows = _read_rows(path, FACTORS_HEADER, "bad factor row", panel.anomalies)
     for lineno, (date_text, token, category, factor, value_text) in rows:
-        text = date_text.strip()
-        if text not in days:
-            days[text] = _factor_date(text)
-        day = days[text]
+        if date_text not in days:
+            days[date_text] = _factor_date(date_text.strip())
+        day = days[date_text]
         if day is None:
             panel.anomalies.append(Anomaly("bad factor date", f"line {lineno}: {date_text!r}"))
             continue
@@ -424,19 +452,20 @@ def load_factors(path: str | Path) -> FactorPanel:
         if not math.isfinite(value):
             panel.anomalies.append(Anomaly("bad factor value", f"line {lineno}: non-finite, skipped"))
             continue
-        token, category, factor = token.strip(), category.strip(), factor.strip()
-        key = (token, category, factor)
-        if category not in FACTOR_CATEGORIES:
-            panel.anomalies.append(Anomaly("unknown category", f"line {lineno}: {category!r}"))
-        else:
-            if key not in known:
-                known[key] = is_known_factor(*key)
-            if not known[key]:
-                if category == INSTRUMENT_CATEGORY:  # there is one instrument series
-                    panel.anomalies.append(Anomaly("unknown factor", f"line {lineno}: {token}/{factor} skipped"))
-                    continue
-                panel.anomalies.append(Anomaly("unknown factor", f"line {lineno}: {token}/{factor} kept, flagged"))
-        panel.put(day, token, category, factor, value)
+        target = targets.get((token, category, factor))
+        if target is None:
+            target = _factor_target(panel, token.strip(), category.strip(), factor.strip())
+            targets[token, category, factor] = target
+        label, flag, series = target
+        if flag is not None:
+            panel.anomalies.append(Anomaly(flag[0], f"line {lineno}: {flag[1]}"))
+        if series is None:
+            continue
+        if day in series:
+            panel.anomalies.append(Anomaly(
+                "duplicate factor cell", f"{day.isoformat()}/{label}: last value wins"
+            ))
+        series[day] = value
     return panel
 
 
@@ -544,19 +573,40 @@ def write_vote_log(
 
 
 def factor_rows(
-    series: dict[tuple[str, str, str], dict[date, float]], instrument: dict[date, float]
-) -> Iterator[list[str]]:
-    """Rows of the factors.csv schema, sorted by date, token, category and
-    factor; the instrument is written under ``INSTRUMENT_TOKEN``."""
+    series: dict[tuple[str, str, str], dict[date, float]], instrument: dict[date, float], lineterminator: str
+) -> Iterator[str]:
+    """The data lines of the factors.csv schema, sorted by date, token,
+    category and factor; the instrument is written under ``INSTRUMENT_TOKEN``.
+
+    Each line is what ``csv.writer(handle, lineterminator=lineterminator)``
+    writes for the row ``[date, token, category, factor, repr(value)]``. The
+    terminator decides which fields csv quotes, so each key's
+    ``token,category,factor`` is rendered through csv once, with it, and
+    each date's text once. No row is built and no cell is sorted: the only
+    state held is one reference per cell, grouped by date."""
     keyed = {**series, (INSTRUMENT_TOKEN, INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR): instrument}
-    cells = sorted((day, *key, value) for key, values in keyed.items() for day, value in values.items())
-    texts = {day: day.isoformat() for day in {cell[0] for cell in cells}}
-    return ([texts[day], token, category, factor, repr(value)] for day, token, category, factor, value in cells)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=lineterminator)
+    # date -> (prefix, series) of each key with a cell that day, in key order;
+    # grouping keeps a sparse panel's cost at its cells, not days x keys
+    by_day: defaultdict[date, list[tuple[str, dict[date, float]]]] = defaultdict(list)
+    for key in sorted(keyed):
+        writer.writerow(key)
+        entry = (buffer.getvalue().removesuffix(lineterminator), keyed[key])
+        buffer.seek(0)
+        buffer.truncate()
+        for day in entry[1]:
+            by_day[day].append(entry)
+    for day in sorted(by_day):
+        text = day.isoformat()
+        for prefix, values in by_day[day]:
+            yield f"{text},{prefix},{values[day]!r}{lineterminator}"
 
 
 def write_factors(panel: FactorPanel, path: str | Path) -> None:
-    """Serialize a FactorPanel to the long-format factors schema."""
+    """Serialize a FactorPanel to the long-format factors schema, streamed
+    row by row, each line ending in csv's default ``\\r\\n``."""
     with atomic_open(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(FACTORS_HEADER)
-        writer.writerows(factor_rows(panel.series, panel.instrument))
+        handle.writelines(factor_rows(panel.series, panel.instrument, writer.dialect.lineterminator))

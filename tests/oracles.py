@@ -3,17 +3,27 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from datetime import date
 from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
+from govpulse.factorlab import is_known_factor
 from govpulse.govdata import (
+    FACTOR_CATEGORIES,
+    FACTORS_HEADER,
+    INSTRUMENT_CATEGORY,
+    INSTRUMENT_FACTOR,
+    INSTRUMENT_TOKEN,
     MAX_WEIGHT_PLACES,
     VOTES_HEADER,
     Anomaly,
+    FactorPanel,
     ValidationReport,
     VoteEvent,
     VoteLog,
+    _factor_date,
     _read_rows,
     load_identities,
     load_polls,
@@ -99,3 +109,45 @@ def final_ballots_oracle(log: VoteLog, poll_id: int, rule: str) -> list[VoteEven
         if rule == "last" or event.voter not in counted:
             counted[event.voter] = event
     return sorted(counted.values(), key=lambda e: (e.weight.copy_negate(), e.timestamp, e.voter))
+
+
+def load_factors_oracle(path) -> FactorPanel:
+    """The per-row factor loader: every row strips its own key, checks its
+    category and catalogue entry and stores its value through
+    ``FactorPanel.put``. Test oracle."""
+    panel = FactorPanel()
+    rows = _read_rows(path, FACTORS_HEADER, "bad factor row", panel.anomalies)
+    for lineno, (date_text, token, category, factor, value_text) in rows:
+        day = _factor_date(date_text.strip())
+        if day is None:
+            panel.anomalies.append(Anomaly("bad factor date", f"line {lineno}: {date_text!r}"))
+            continue
+        try:
+            value = float(value_text)
+        except ValueError:
+            panel.anomalies.append(Anomaly("bad factor value", f"line {lineno}: {value_text!r}"))
+            continue
+        if not math.isfinite(value):
+            panel.anomalies.append(Anomaly("bad factor value", f"line {lineno}: non-finite, skipped"))
+            continue
+        token, category, factor = token.strip(), category.strip(), factor.strip()
+        if category not in FACTOR_CATEGORIES:
+            panel.anomalies.append(Anomaly("unknown category", f"line {lineno}: {category!r}"))
+        elif not is_known_factor(token, category, factor):
+            if category == INSTRUMENT_CATEGORY:
+                panel.anomalies.append(Anomaly("unknown factor", f"line {lineno}: {token}/{factor} skipped"))
+                continue
+            panel.anomalies.append(Anomaly("unknown factor", f"line {lineno}: {token}/{factor} kept, flagged"))
+        panel.put(day, token, category, factor, value)
+    return panel
+
+
+def factor_rows_oracle(
+    series: dict[tuple[str, str, str], dict[date, float]], instrument: dict[date, float]
+) -> Iterator[list[str]]:
+    """Rows of the factors.csv schema, every cell sorted at once by date,
+    token, category and factor; the instrument under ``INSTRUMENT_TOKEN``.
+    Test oracle."""
+    keyed = {**series, (INSTRUMENT_TOKEN, INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR): instrument}
+    cells = sorted((day, *key, value) for key, values in keyed.items() for day, value in values.items())
+    return ([day.isoformat(), token, category, factor, repr(value)] for day, token, category, factor, value in cells)

@@ -13,8 +13,11 @@ import random
 import statistics
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from argparse import Namespace
 from collections import Counter
+from datetime import date, timedelta
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -25,11 +28,12 @@ from hypothesis import strategies as st
 
 from conftest import DAY0, write_factors_csv, write_polls_csv, write_votes_csv
 import govpulse
-from govpulse import centrality, factorlab, govdata, synthgov
+from govpulse import centrality, cli, factorlab, govdata, synthgov
 from govpulse.cli import exec_command
 from govpulse.econ import t_pvalue
-from govpulse.govdata import load_factors, load_vote_log, write_factors
+from govpulse.govdata import FACTORS_HEADER, FactorPanel, load_factors, load_vote_log, write_factors
 from govpulse.report import significance_stars
+from oracles import factor_rows_oracle
 
 
 @pytest.fixture
@@ -769,6 +773,175 @@ def test_panel_csv_loads_back_as_the_built_panel(synth_dir, tmp_path):
     assert loaded.series == {key: series for key, series in built.factors.items() if series}
     assert loaded.instrument == built.instrument
     assert not loaded.anomalies
+
+
+def _csv_bytes(rows, lineterminator: str) -> bytes:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator=lineterminator).writerows(rows)
+    return buffer.getvalue().encode()
+
+
+def _panel_run(out_dir: Path) -> cli.Run:
+    run = cli.Run(Namespace(command="report", out_dir=out_dir))
+    run.formats = ["csv"]
+    return run
+
+
+PANEL_ARGS = {"raw": False, "alpha_stars": (0.1, 0.05, 0.01)}
+# key texts csv has to quote (a comma, a quote, a line break of either kind)
+# or that are not ASCII; "Price" series get returns and volatilities derived
+KEY_TOKENS = ["MKR", " MKR", "a,b", 'q"t', "new\nline", "cr\rret", "é"]
+KEY_CATEGORIES = ["financial", "network", "x,y"]
+KEY_FACTORS = ["Price", "TxnCnt", 'F"q', "two\nlines"]
+# overlapping and disjoint dates, the first and the last ISO date included
+PANEL_DAYS = [date(2021, 3, 1) + timedelta(days=k) for k in range(6)] + [date(1, 1, 1), date(9999, 12, 31)]
+# 5e-324 then 1e308 makes an infinite return, so a nan volatility
+PANEL_VALUES = [1.0, 2.5, -1.0, 0.0, 0.1, 5e-324, 1e308, 1.7976931348623157e308]
+
+
+def _factor_panel(series: dict, instrument: dict) -> FactorPanel:
+    panel = FactorPanel()
+    panel.series, panel.instrument = series, instrument
+    return panel
+
+
+@st.composite
+def raw_panels(draw):
+    keys = draw(st.lists(st.tuples(*(st.sampled_from(pool) for pool in (KEY_TOKENS, KEY_CATEGORIES, KEY_FACTORS))),
+                         max_size=6, unique=True))
+    series = {}
+    for key in keys:  # a key may have an empty series
+        days = draw(st.lists(st.sampled_from(PANEL_DAYS), max_size=len(PANEL_DAYS), unique=True))
+        series[key] = {day: draw(st.sampled_from(PANEL_VALUES)) for day in days}
+    days = draw(st.lists(st.sampled_from(PANEL_DAYS), max_size=4, unique=True))
+    return _factor_panel(series, {day: draw(st.sampled_from(PANEL_VALUES)) for day in days})
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=raw_panels(), vol=st.sampled_from(["simple", "log"]))
+@example(raw=_factor_panel({}, {}), vol="simple")
+@example(raw=_factor_panel({}, {PANEL_DAYS[1]: 2.0, PANEL_DAYS[0]: 1.0}), vol="simple")  # only the instrument
+@example(raw=_factor_panel({("cr\rret", "financial", "Price"): dict(zip(PANEL_DAYS, [1.0, 5e-324, 1e308, 2.5])),
+                            ("a,b", "network", "two\nlines"): {}}, {}), vol="simple")  # inf and nan derived
+def test_factor_files_render_as_the_sorted_rows(tmp_path_factory, raw, vol):
+    tmp = tmp_path_factory.mktemp("render")
+    header = [FACTORS_HEADER]
+    write_factors(raw, tmp / "factors.csv")
+    assert (tmp / "factors.csv").read_bytes() == _csv_bytes(
+        header + list(factor_rows_oracle(raw.series, raw.instrument)), "\r\n")
+    with warnings.catch_warnings():  # numpy warns as it derives a volatility from a huge or infinite return
+        warnings.simplefilter("ignore", RuntimeWarning)
+        built = factorlab.build_panel(raw, {}, vol_mode=vol)
+        cli._emit_panel(Namespace(vol=vol, **PANEL_ARGS), _panel_run(tmp), raw, {})
+    assert (tmp / "panel.csv").read_bytes() == _csv_bytes(
+        header + list(factor_rows_oracle(built.factors, built.instrument)), "\n")
+
+
+def test_report_panel_csv_is_the_sorted_rendering_of_the_built_panel(synth_dir, tmp_path):
+    votes, polls, factors = (synth_dir / name for name in ("votes.csv", "polls.csv", "factors.csv"))
+    out = tmp_path / "out"
+    assert exec_command(["report", "--votes", str(votes), "--polls", str(polls), "--factors", str(factors),
+                         "--vol", "log", "--out-dir", str(out)]) == 0
+    daily = centrality.daily_from_pass(centrality.ballot_pass(load_vote_log(votes, polls)))
+    built = factorlab.build_panel(load_factors(factors), factorlab.measures_from_daily(daily), vol_mode="log")
+    rows = [FACTORS_HEADER, *factor_rows_oracle(built.factors, built.instrument)]
+    assert (out / "panel.csv").read_bytes() == _csv_bytes(rows, "\n")
+
+
+def test_panel_csv_is_streamed_not_held(tmp_path, monkeypatch):
+    days = [date(2021, 1, 1) + timedelta(days=k) for k in range(365)]
+    raw = FactorPanel()
+    for token in ("MKR", "DAI", "UNI"):
+        for k in range(100):
+            raw.series[(token, "network", f"F{k}")] = {day: 1.0 + k / 7 + i / 3 for i, day in enumerate(days)}
+    raw.instrument = {day: float(i) for i, day in enumerate(days)}
+    built = factorlab.build_panel(raw, {})
+    monkeypatch.setattr(cli.factorlab, "build_panel", lambda *args, **kwargs: built)
+    tracemalloc.start()
+    try:
+        cli._emit_panel(Namespace(vol="simple", **PANEL_ARGS), _panel_run(tmp_path), raw, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = (tmp_path / "panel.csv").stat().st_size
+    assert sum(map(len, built.factors.values())) + len(built.instrument) >= 100_000
+    assert peak < written, f"writing a {written}-byte panel.csv peaked at {peak} traced bytes"
+
+
+def test_emit_csv_streams_its_rows(tmp_path):
+    run = _panel_run(tmp_path)
+    tracemalloc.start()
+    try:
+        run.emit_csv("rows.csv", ([str(i), "some text"] for i in range(100_000)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = (tmp_path / "rows.csv").stat().st_size
+    assert peak < written, f"writing a {written}-byte rows.csv peaked at {peak} traced bytes"
+
+
+def test_report_without_csv_renders_no_panel_row(synth_dir, tmp_path, monkeypatch):
+    rendered = []
+    real = cli.factor_rows
+
+    def counted(*args):
+        for line in real(*args):
+            rendered.append(line)
+            yield line
+
+    monkeypatch.setattr(cli, "factor_rows", counted)
+    out = tmp_path / "out"
+    assert exec_command(["report", *(f"--{name}={synth_dir / name}.csv" for name in ("votes", "polls", "factors")),
+                         "--formats", "markdown", "--out-dir", str(out)]) == 0
+    assert not (out / "panel.csv").exists()
+    assert rendered == []
+
+
+@pytest.mark.parametrize("emit", ["emit_csv", "emit_csv_lines"])
+def test_a_row_source_that_fails_midway_leaves_the_old_file(tmp_path, emit):
+    run = _panel_run(tmp_path)
+    good = [["a", "b"], ["1", "2"]]
+    (tmp_path / "panel.csv").write_text("the old file\n")
+
+    def failing():
+        for row in good:
+            yield row if emit == "emit_csv" else ",".join(row) + "\n"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        getattr(run, emit)("panel.csv", failing())
+    assert (tmp_path / "panel.csv").read_text() == "the old file\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["panel.csv"]
+    assert run.outputs == []
+
+
+@pytest.fixture(scope="module")
+def row_order_inputs(tmp_path_factory):
+    """A small synth history and the report of it, every artifact's bytes."""
+    tmp = tmp_path_factory.mktemp("row-order")
+    assert exec_command(["synth", "--out-dir", str(tmp / "data"), "--config", _small_config(tmp)]) == 0
+    with open(tmp / "data" / "factors.csv", newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    return tmp, header, rows, _report_bytes(tmp / "data", tmp / "data" / "factors.csv", tmp / "base")
+
+
+def _report_bytes(data: Path, factors: Path, out: Path) -> dict[str, bytes]:
+    argv = ["report", "--votes", str(data / "votes.csv"), "--polls", str(data / "polls.csv"),
+            "--factors", str(factors), "--formats", "csv,markdown,svg", "--out-dir", str(out)]
+    assert exec_command(argv) == 0
+    return {path.name: path.read_bytes() for path in out.iterdir() if path.name != "run_manifest.json"}
+
+
+@settings(max_examples=4, deadline=None)
+@given(order=st.randoms(use_true_random=False))
+def test_factor_row_order_leaves_every_artifact_unchanged(row_order_inputs, order):
+    tmp, header, rows, base = row_order_inputs
+    shuffled = list(rows)
+    order.shuffle(shuffled)
+    factors = tmp / "shuffled.csv"
+    with factors.open("w", newline="") as handle:
+        csv.writer(handle).writerows([header, *shuffled])
+    assert _report_bytes(tmp / "data", factors, tmp / "shuffled") == base
 
 
 def test_stray_category_rows_never_feed_a_grid_cell(synth_dir, tmp_path):

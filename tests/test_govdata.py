@@ -24,7 +24,7 @@ from govpulse.govdata import (
     validate_dataset,
     write_vote_log,
 )
-from oracles import final_ballots_oracle, load_vote_events_oracle
+from oracles import final_ballots_oracle, load_factors_oracle, load_vote_events_oracle
 
 
 def test_empty_votes_file_with_valid_header(tmp_path):
@@ -552,6 +552,44 @@ def test_interned_load_matches_the_per_row_loader(tmp_path_factory, rows):
     assert list(log.events) == events
     assert [str(e.weight) for e in log.events] == [str(e.weight) for e in events]
     assert log.report.anomalies == anomalies
+
+
+# the texts of each factors.csv field; each example draws a small pool of
+# them, so raw texts repeat: padded and unpadded keys that strip to one,
+# unknown categories, unknown factors under instrument (skipped) and
+# elsewhere (kept and flagged), bad dates and bad or non-finite values
+FACTOR_FIELD_TEXTS = (
+    ["2021-03-01", "2021-03-02", " 2021-03-01 ", "2021-3-1", "20210301", "bad", ""],
+    ["MKR", " MKR", "MKR ", "DAI", "ALL", "FOO", ""],
+    ["financial", " financial", "transaction", "network", "instrument", " instrument", "bogus", ""],
+    ["Price", " Price", "TxnCnt", "VolMkr", "VolDai", "offchain_voters", "onchain_voters", "Nope"],
+    ["1.5", " 2 ", "-3", "0", "1e308", "nan", "inf", "-inf", "1e400", "abc", ""],
+)
+
+
+@st.composite
+def factor_rows_drawn(draw):
+    pools = [draw(st.lists(st.sampled_from(texts), min_size=1, max_size=4, unique=True))
+             for texts in FACTOR_FIELD_TEXTS]
+    return draw(st.lists(st.tuples(*(st.sampled_from(pool) for pool in pools)), max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=factor_rows_drawn())
+@example(rows=[("2021-03-01", " MKR", "financial", "Price", "1"), ("2021-03-01", "MKR", "financial", "Price", "2"),
+               ("2021-03-01", "MKR ", " financial", " Price", "3")])
+@example(rows=[("2021-03-01", "FOO", "instrument", "onchain_voters", "1")] * 2
+         + [("2021-03-01", token, " instrument", "offchain_voters", "2") for token in ("MKR", "ALL", "MKR")])
+@example(rows=[("2021-03-01", "MKR", category, "Nope", "1") for category in ("bogus", "network", "bogus", "network")])
+def test_keyed_factor_load_matches_the_per_row_loader(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("factors") / "factors.csv"
+    write_factors_csv(path, rows)
+    panel, oracle = load_factors(path), load_factors_oracle(path)
+    assert panel.series == oracle.series
+    assert list(panel.series) == list(oracle.series)
+    assert panel.instrument == oracle.instrument
+    assert panel.anomalies == oracle.anomalies
+    assert len(panel) == len(oracle)
 
 
 # input -> (header, a clean line, a line template whose {} takes the unreadable text,
