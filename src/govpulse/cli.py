@@ -21,6 +21,7 @@ import traceback
 from collections.abc import Callable, Iterable
 from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO
 
 import numpy as np
@@ -62,8 +63,16 @@ def _atomic_write(path: Path, write: Callable[[IO[str]], object]) -> None:
 
 
 def _write_csv(path: Path, rows: Iterable[Iterable]) -> None:
-    """Stream ``rows`` into ``path`` through csv.writer, lines ending in "\\n"."""
-    _atomic_write(path, lambda handle: csv.writer(handle, lineterminator="\n").writerows(rows))
+    """Stream ``rows`` into ``path`` through csv.writer, lines ending in "\\n".
+    csv quotes only a field that holds a character of its terminator, so the
+    writer ends its lines in "\\r\\n" (a field holding a lone "\\r" is quoted
+    too) and each line's "\\r\\n" is written as "\\n"."""
+
+    def write(handle: IO[str]) -> None:
+        lines = SimpleNamespace(write=lambda line: handle.write(line[:-2] + "\n"))
+        csv.writer(lines, lineterminator="\r\n").writerows(rows)
+
+    _atomic_write(path, write)
 
 
 def _sha256(path: str | Path) -> str:
@@ -158,7 +167,7 @@ def cmd_ingest(args: argparse.Namespace, run: Run) -> None:
     scan.anomalies = log.report.anomalies + scan.anomalies  # rows skipped while loading come first
     run.emit_csv("validation.csv", report.validation_csv(scan))
     summary = (
-        f"events: {scan.events}\npolls: {scan.polls}\nvoters: {scan.voters}\n"
+        f"events: {len(log.events)}\npolls: {len(log.registry)}\nvoters: {len(log.voters())}\n"
         f"anomalies: {len(scan.anomalies)}\n"
     )
     run.emit_text("ingest_summary.txt", summary)
@@ -182,7 +191,7 @@ def _emit_descriptives(
     profile_rows = profiles.profiles_from_pass(passed, log.identities)
     _structural_checks(passed.polls, profile_rows)
     stats = profiles.describe_polls(passed.polls)
-    run.emit_csv("poll_descriptives.csv", report.descriptives_csv(stats, profiles.POLL_DESCRIPTIVE_COLUMNS))
+    run.emit_csv("poll_descriptives.csv", report.descriptives_csv(stats))
     run.emit_text("poll_descriptives.md", report.poll_descriptives_table(stats))
     run.emit_csv("profiles.csv", report.profiles_csv(profile_rows))
     voter_stats = profiles.voter_descriptives(profile_rows)
@@ -203,7 +212,7 @@ def cmd_describe(args: argparse.Namespace, run: Run) -> None:
     log = _load_log(args, run)
     passed = centrality.ballot_pass(log, ballot_rule=args.ballot)
     profile_rows, voter_stats = _emit_descriptives(run, passed, log)
-    run.emit_csv("voter_descriptives.csv", report.descriptives_csv(voter_stats, profiles.VOTER_DESCRIPTIVE_COLUMNS))
+    run.emit_csv("voter_descriptives.csv", report.descriptives_csv(voter_stats))
     for criterion in profiles.RANK_CRITERIA:
         top = profiles.rank_voters(profile_rows, criterion, args.top)
         run.emit_csv(f"top_voters_{criterion}.csv", report.profiles_csv(top))
@@ -433,7 +442,9 @@ def _resolve_options(args: argparse.Namespace) -> None:
         if unknown:
             raise PipelineError(f"unknown measures: {', '.join(unknown)}")
     if "alpha_stars" in given:
-        stars = tuple(float(x) for x in args.alpha_stars.split(",")) if args.alpha_stars else report.STAR_THRESHOLDS
+        if args.alpha_stars is not None and not _names(args.alpha_stars):
+            raise PipelineError(f"--alpha-stars names no threshold: {args.alpha_stars!r}")
+        stars = report.STAR_THRESHOLDS if args.alpha_stars is None else tuple(map(float, args.alpha_stars.split(",")))
         if len(stars) != 3 or not stars[0] > stars[1] > stars[2] > 0:
             raise PipelineError("--alpha-stars needs three descending thresholds, e.g. 0.10,0.05,0.01")
         args.alpha_stars = stars

@@ -140,8 +140,6 @@ class IvFit:
     durbin_p: float
     wu_hausman_stat: float
     wu_hausman_p: float
-    adj_r2: float
-    n: int
 
 
 def _as_array(values) -> np.ndarray:
@@ -318,8 +316,6 @@ def _second_stage(y: _Column, stage: _FirstStage, diagnostics: bool = True) -> I
         durbin_p=durbin_p,
         wu_hausman_stat=wh_stat,
         wu_hausman_p=wh_p,
-        adj_r2=second.adj_r2,
-        n=int(y.values.size),
     )
 
 
@@ -387,6 +383,7 @@ class RegressionGrid:
     kind: str  # "ols" | "iv"
     cells: list[GridCell]
     standardized: bool
+    measures: tuple[str, ...]  # the measures fitted, in cell order
 
     def ok_cells(self) -> list[GridCell]:
         return [c for c in self.cells if c.status == "ok"]
@@ -471,7 +468,7 @@ def _run_grid(
                     else:
                         outcome[name] = ("ok", fit)
             cells += [GridCell(token, spec.category, spec.name, m, *outcome[m]) for m in measures]
-    return RegressionGrid(kind, cells, standardize)
+    return RegressionGrid(kind, cells, standardize, tuple(measures))
 
 
 def run_factor_matrix(

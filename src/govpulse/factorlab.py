@@ -120,7 +120,8 @@ def rolling_vol(returns: dict[date, float], k: int) -> dict[date, float]:
     """Sample standard deviation of the k most recent returns ending at t.
 
     Missing until k returns have accumulated; shorter series give an empty
-    result.
+    result. A window holding an infinite return is nan, and one whose squares
+    overflow is inf, without a warning.
     """
     if k < 2:
         raise ValueError("volatility window must be at least 2")
@@ -131,7 +132,8 @@ def rolling_vol(returns: dict[date, float], k: int) -> dict[date, float]:
     # Each row is one contiguous window, so every std reduces its k values as
     # np.std of that window alone would.
     windows = np.ascontiguousarray(sliding_window_view(values, k))
-    return dict(zip(days[k - 1 :], windows.std(axis=1, ddof=1).tolist()))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return dict(zip(days[k - 1 :], windows.std(axis=1, ddof=1).tolist()))
 
 
 @dataclass(frozen=True)
@@ -179,13 +181,13 @@ def build_panel(
     """
     if vol_mode not in ("simple", "log"):
         raise ValueError(f"unknown volatility mode: {vol_mode!r}")
-    factors = {key: dict(sorted(series.items())) for key, series in raw.series.items()}
+    factors = dict(raw.series)  # the derived keys land here, not in raw.series
     anomalies: list[Anomaly] = list(raw.anomalies)
     for token in sorted({tok for (tok, _, _) in factors}):
         prices = factors.get((token, "financial", "Price"))
         if not prices:
             continue
-        bad = [d for d, p in prices.items() if p <= 0.0]
+        bad = sorted(d for d, p in prices.items() if p <= 0.0)
         for day in bad:
             anomalies.append(Anomaly("non-positive price", f"{token} {day.isoformat()}: return left missing"))
         returns = daily_return(prices, vol_mode)
@@ -196,6 +198,6 @@ def build_panel(
     return BuiltPanel(
         factors=factors,
         measures=measures,
-        instrument=dict(sorted(raw.instrument.items())),
+        instrument=raw.instrument,
         anomalies=anomalies,
     )

@@ -95,12 +95,8 @@ class Anomaly:
 
 @dataclass
 class ValidationReport:
-    """The anomaly list produced by ingestion or a full scan, and the counts
-    of a full scan (``validate_dataset``)."""
+    """The anomaly list produced by ingestion or a full scan (``validate_dataset``)."""
 
-    events: int = 0
-    polls: int = 0
-    voters: int = 0
     anomalies: list[Anomaly] = field(default_factory=list)
 
     def add(self, kind: str, detail: str) -> None:
@@ -493,9 +489,6 @@ def final_ballots(log: VoteLog, poll_id: int, rule: str = "last") -> list[VoteEv
 def validate_dataset(log: VoteLog) -> ValidationReport:
     """Full anomaly scan of a loaded log (report-only, deterministic order)."""
     report = ValidationReport()
-    report.events = len(log.events)
-    report.polls = len(log.registry)
-    report.voters = len(log.voters())
     listed = {poll_id: {oid for oid, _ in poll.options} for poll_id, poll in log.registry.items()}
     seen_keys: set[tuple[int, str, int]] = set()
     for event in log.events:
@@ -578,21 +571,21 @@ def factor_rows(
     """The data lines of the factors.csv schema, sorted by date, token,
     category and factor; the instrument is written under ``INSTRUMENT_TOKEN``.
 
-    Each line is what ``csv.writer(handle, lineterminator=lineterminator)``
-    writes for the row ``[date, token, category, factor, repr(value)]``. The
-    terminator decides which fields csv quotes, so each key's
-    ``token,category,factor`` is rendered through csv once, with it, and
-    each date's text once. No row is built and no cell is sorted: the only
-    state held is one reference per cell, grouped by date."""
+    Each line is the row ``[date, token, category, factor, repr(value)]`` as
+    ``csv.writer(handle, lineterminator="\\r\\n")`` quotes it (a field holding
+    "\\r" or "\\n" is quoted), ending in ``lineterminator``. Each key's
+    ``token,category,factor`` is rendered through csv once, and each date's
+    text once. No row is built and no cell is sorted: the only state held is
+    one reference per cell, grouped by date."""
     keyed = {**series, (INSTRUMENT_TOKEN, INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR): instrument}
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator=lineterminator)
+    writer = csv.writer(buffer, lineterminator="\r\n")
     # date -> (prefix, series) of each key with a cell that day, in key order;
     # grouping keeps a sparse panel's cost at its cells, not days x keys
     by_day: defaultdict[date, list[tuple[str, dict[date, float]]]] = defaultdict(list)
     for key in sorted(keyed):
         writer.writerow(key)
-        entry = (buffer.getvalue().removesuffix(lineterminator), keyed[key])
+        entry = (buffer.getvalue().removesuffix("\r\n"), keyed[key])
         buffer.seek(0)
         buffer.truncate()
         for day in entry[1]:

@@ -69,24 +69,6 @@ class SummaryStats:
         )
 
 
-POLL_DESCRIPTIVE_COLUMNS = (
-    "total_votes",
-    "total_voters",
-    "breakdown_votes",
-    "breakdown_ratio",
-    "breakdown_voters",
-    "largest_votes",
-    "largest_share",
-)
-
-VOTER_DESCRIPTIVE_COLUMNS = (
-    "involved_polls",
-    "total_votes",
-    "first_poll",
-    "highest_single_vote",
-)
-
-
 def describe_polls(metrics: list[PollMetrics]) -> dict[str, SummaryStats]:
     """Summary statistics across polls for the seven described columns.
 

@@ -19,12 +19,8 @@ from operator import attrgetter
 from govpulse.centrality import DailyMetrics, PollMetrics
 from govpulse.econ import GridCell, InstrumentScreen, IvFit, OlsFit, RegressionGrid
 from govpulse.factorlab import catalogue_for
-from govpulse.profiles import (
-    POLL_DESCRIPTIVE_COLUMNS,
-    VOTER_DESCRIPTIVE_COLUMNS,
-    SummaryStats,
-    VoterProfile,
-)
+from govpulse.govdata import REGRESSION_CATEGORIES
+from govpulse.profiles import SummaryStats, VoterProfile
 
 STAT_ROWS = ("Mean", "Median", "Maximum", "Minimum", "Std")  # lower-cased, SummaryStats fields
 STAR_THRESHOLDS = (0.10, 0.05, 0.01)
@@ -63,12 +59,12 @@ def significance_stars(p: float, thresholds: tuple[float, float, float] = STAR_T
     return ""
 
 
-def fmt_value(value: float, decimals: int = 2) -> str:
+def fmt_value(value: float) -> str:
     if value != value:
         return "nan"
     if value in (float("inf"), float("-inf")):
         return "inf" if value > 0 else "-inf"
-    return f"{value:.{decimals}f}"
+    return f"{value:.2f}"
 
 
 def fmt_cell(beta: float, t: float, stars: str) -> str:
@@ -113,21 +109,22 @@ def poll_descriptives_table(stats: dict[str, SummaryStats]) -> str:
     """Descriptive statistics of polls (seven columns, five stat rows)."""
     percent = {POLL_COLUMN_TITLES["breakdown_ratio"], POLL_COLUMN_TITLES["largest_share"]}
     table = _stats_table(
-        {POLL_COLUMN_TITLES[c]: stats[c] for c in POLL_DESCRIPTIVE_COLUMNS},
+        {POLL_COLUMN_TITLES[c]: column for c, column in stats.items()},
         lambda title, stat, value: _percent(value) if title in percent else fmt_value(value),
     )
     note = "Breakdown columns exclude abstain options (definition: configured).\n"
     return table + "\n" + note
 
 
-def descriptives_csv(stats: dict[str, SummaryStats], columns: tuple[str, ...]) -> list[list[str]]:
-    return [["stat", *columns]] + [
-        [stat, *(str(getattr(stats[c], stat.lower())) for c in columns)] for stat in STAT_ROWS
+def descriptives_csv(stats: dict[str, SummaryStats]) -> list[list[str]]:
+    """The five ``STAT_ROWS`` of each column, in the order of ``stats``."""
+    return [["stat", *stats]] + [
+        [stat, *(str(getattr(column, stat.lower())) for column in stats.values())] for stat in STAT_ROWS
     ]
 
 
 def voter_descriptives_table(stats: dict[str, SummaryStats]) -> str:
-    return _stats_table({VOTER_COLUMN_TITLES[c]: stats[c] for c in VOTER_DESCRIPTIVE_COLUMNS})
+    return _stats_table({VOTER_COLUMN_TITLES[c]: column for c, column in stats.items()})
 
 
 def top_voters_table(profiles: list[VoterProfile], criterion: str) -> str:
@@ -178,20 +175,12 @@ def poll_metrics_csv(poll_metrics: list[PollMetrics]) -> list[list[str]]:
     return _rows(["poll_id", "date", *fields], poll_metrics, ("poll_id", "day", *fields))
 
 
-def _measure_columns(grid: RegressionGrid) -> list[str]:
-    seen: list[str] = []
-    for cell in grid.cells:
-        if cell.measure not in seen:
-            seen.append(cell.measure)
-    return seen
-
-
-def _layout(grid: RegressionGrid, token: str, category: str) -> tuple[list[str], list[str], dict]:
+def _layout(grid: RegressionGrid, token: str, category: str) -> tuple[tuple[str, ...], list[str], dict]:
     """The grid's measures, the token's factors of the category and their
     cells by (factor, measure)."""
     factors = [s.name for s in catalogue_for(token) if s.category == category]
     index = {(c.factor, c.measure): c for c in grid.cells if c.token == token and c.category == category}
-    return _measure_columns(grid), factors, index
+    return grid.measures, factors, index
 
 
 def _ok_fit(cell: GridCell | None) -> OlsFit | IvFit | None:
@@ -217,11 +206,22 @@ def regression_table(grid: RegressionGrid, token: str, category: str, stars: tup
     rows = [[factor, *(_grid_cell_text(index.get((factor, m)), stars) for m in measures)] for factor in factors]
     scaling = "z-scored variables" if grid.standardized else "raw variables"
     title = f"{category.capitalize()} factors ({token}), univariate coefficients with t-statistics; {scaling}.\n\n"
-    return title + markdown_table([""] + measures, rows)
+    return title + markdown_table(["", *measures], rows)
 
 
-def _rounded(attr: str):
-    return lambda fit, stars: fmt_value(getattr(fit, attr))
+def _rounded(path: str):
+    get = attrgetter(path)
+    return lambda fit, stars: fmt_value(get(fit))
+
+
+def _full(path: str):
+    get = attrgetter(path)
+    return lambda fit, stars: str(get(fit))
+
+
+def _marks(path: str):
+    get = attrgetter(path)
+    return lambda fit, stars: significance_stars(get(fit), stars)
 
 
 # IV panel rows: label (None: the panel's measure) and the text of an ok
@@ -234,8 +234,8 @@ _IV_ROWS = (
     ("p-value", _rounded("durbin_p")),
     ("Wu-Hausman test", _rounded("wu_hausman_stat")),
     ("p-value", _rounded("wu_hausman_p")),
-    ("Adj. R-sq", _rounded("adj_r2")),
-    ("N", lambda fit, stars: str(fit.n)),
+    ("Adj. R-sq", _rounded("second_stage.adj_r2")),
+    ("N", _full("second_stage.n")),
 )
 
 
@@ -257,16 +257,6 @@ def iv_table(grid: RegressionGrid, token: str, category: str, stars: tuple[float
     return title + "\n".join(blocks)
 
 
-def _full(path: str):
-    get = attrgetter(path)
-    return lambda fit, stars: str(get(fit))
-
-
-def _marks(path: str):
-    get = attrgetter(path)
-    return lambda fit, stars: significance_stars(get(fit), stars)
-
-
 # grid kind -> (CSV column, its text for an ok fit under the star thresholds)
 _GRID_COLUMNS = {
     "ols": (
@@ -281,8 +271,8 @@ _GRID_COLUMNS = {
         ("partial_f", _full("partial_f")),
         *((name, _full(f"second_stage.{name}")) for name in ("beta1", "se1", "t1", "p1")),
         ("stars", _marks("second_stage.p1")),
-        *((name, _full(name))
-          for name in ("durbin_stat", "durbin_p", "wu_hausman_stat", "wu_hausman_p", "adj_r2", "n")),
+        *((name, _full(name)) for name in ("durbin_stat", "durbin_p", "wu_hausman_stat", "wu_hausman_p")),
+        *((name, _full(f"second_stage.{name}")) for name in ("adj_r2", "n")),
     ),
 }
 
@@ -304,22 +294,17 @@ def significant_cells(grid: RegressionGrid, alpha: float = 0.10) -> list[GridCel
 
 def effects_summary(grid: RegressionGrid, token: str, alpha: float = 0.10) -> str:
     """Per measure x category: significant factors with direction arrows."""
-    measures = _measure_columns(grid)
-    categories = []
-    for spec in catalogue_for(token):
-        if spec.category not in categories:
-            categories.append(spec.category)
     cells = [c for c in significant_cells(grid, alpha) if c.token == token]
-    header = ["Measurements"] + [f"{c.capitalize()} factors" for c in categories]
+    header = ["Measurements"] + [f"{c.capitalize()} factors" for c in REGRESSION_CATEGORIES]
     rows = [
         [measure] + [
             ", ".join(
                 f"{c.factor} {ARROW_UP if _slope(c).beta1 > 0 else ARROW_DOWN}"
                 for c in cells if (c.measure, c.category) == (measure, category)
             )
-            for category in categories
+            for category in REGRESSION_CATEGORIES
         ]
-        for measure in measures
+        for measure in grid.measures
     ]
     title = f"Effects summary ({token}); factors significant at {int(round(alpha * 100))}%.\n\n"
     return title + markdown_table(header, rows)

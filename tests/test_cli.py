@@ -168,7 +168,8 @@ def test_ingest_skips_non_finite_weights(tmp_path):
     assert [row["detail"].split(":")[0] for row in rows] == [
         "line 3", "line 4", "line 5", "line 7", "line 8", "line 9", "line 10",
     ]
-    assert "events: 3" in (out / "ingest_summary.txt").read_text()
+    # the counts are the loaded log's: a skipped row (and its voter) counts in no total
+    assert (out / "ingest_summary.txt").read_text() == "events: 3\npolls: 1\nvoters: 3\nanomalies: 7\n"
 
 
 CLEAN_VOTE_LINES = [b"1,0xa,1,10,1614556810", b"2,0xb,2,0.5,2021-03-02T00:00:10Z"]
@@ -625,6 +626,13 @@ def test_describe_outputs(synth_dir, tmp_path):
         "top_voters_highest_single_vote.csv",
     ):
         assert (out / name).exists(), name
+    headers = {name: (out / name).read_text().splitlines()[0]
+               for name in ("poll_descriptives.csv", "voter_descriptives.csv")}
+    assert headers == {
+        "poll_descriptives.csv": "stat,total_votes,total_voters,breakdown_votes,breakdown_ratio,"
+                                 "breakdown_voters,largest_votes,largest_share",
+        "voter_descriptives.csv": "stat,involved_polls,total_votes,first_poll,highest_single_vote",
+    }
 
 
 def test_regress_and_iv_outputs(synth_dir, tmp_path):
@@ -662,7 +670,10 @@ def test_regress_and_iv_outputs(synth_dir, tmp_path):
         ]
     )
     assert code == 0
-    assert (out_iv / "iv_grid.csv").exists()
+    assert (out_iv / "iv_grid.csv").read_text().splitlines()[0] == (
+        "token,category,factor,measure,status,fs_beta1,fs_t1,fs_stars,partial_f,beta1,se1,t1,p1,stars,"
+        "durbin_stat,durbin_p,wu_hausman_stat,wu_hausman_p,adj_r2,n"
+    )
     assert (out_iv / "instrument_screen.csv").exists()
 
 
@@ -776,9 +787,14 @@ def test_panel_csv_loads_back_as_the_built_panel(synth_dir, tmp_path):
 
 
 def _csv_bytes(rows, lineterminator: str) -> bytes:
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator=lineterminator).writerows(rows)
-    return buffer.getvalue().encode()
+    """The rows as csv.writer quotes them with the "\\r\\n" terminator (a field
+    holding "\\r" or "\\n" is quoted), each line ending in ``lineterminator``."""
+    lines = []
+    for row in rows:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(row)
+        lines.append(buffer.getvalue().removesuffix("\r\n") + lineterminator)
+    return "".join(lines).encode()
 
 
 def _panel_run(out_dir: Path) -> cli.Run:
@@ -829,12 +845,54 @@ def test_factor_files_render_as_the_sorted_rows(tmp_path_factory, raw, vol):
     write_factors(raw, tmp / "factors.csv")
     assert (tmp / "factors.csv").read_bytes() == _csv_bytes(
         header + list(factor_rows_oracle(raw.series, raw.instrument)), "\r\n")
-    with warnings.catch_warnings():  # numpy warns as it derives a volatility from a huge or infinite return
-        warnings.simplefilter("ignore", RuntimeWarning)
-        built = factorlab.build_panel(raw, {}, vol_mode=vol)
-        cli._emit_panel(Namespace(vol=vol, **PANEL_ARGS), _panel_run(tmp), raw, {})
+    built = factorlab.build_panel(raw, {}, vol_mode=vol)
+    cli._emit_panel(Namespace(vol=vol, **PANEL_ARGS), _panel_run(tmp), raw, {})
     assert (tmp / "panel.csv").read_bytes() == _csv_bytes(
         header + list(factor_rows_oracle(built.factors, built.instrument)), "\n")
+
+
+# texts csv has to quote: a comma, a quote, a line break of either kind
+CSV_TEXT = st.text(alphabet='ab ,"\r\né', min_size=1, max_size=5)
+
+
+@settings(max_examples=10, deadline=None)
+@given(names=st.lists(CSV_TEXT, min_size=3, max_size=3))
+@example(names=["cr\rret", "a\rb", "new\nline"])
+def test_csv_artifacts_read_back_as_the_rows_written(tmp_path_factory, names):
+    tmp = tmp_path_factory.mktemp("read-back")
+    voters = [f"0x{name}" for name in names]
+    write_votes_csv(tmp / "votes.csv", [(1, voter, 1 + i % 2, str(i), DAY0 + 10 + i) for i, voter in enumerate(voters)])
+    write_polls_csv(tmp / "polls.csv", [(1, DAY0, "poll", "1:yes|2:no", "")])
+    with (tmp / "identities.csv").open("w", newline="") as handle:
+        csv.writer(handle).writerows([["address", "name"], *zip(voters, names)])
+    write_factors_csv(tmp / "factors.csv", [
+        (f"2021-03-0{day}", f"T{names[0]}", category, factor, str(day % 3 + 1.5))
+        for day in range(1, 6) for category, factor in (("financial", "Price"), ("network", f"F{names[1]}"))
+    ])
+    written, built = {}, []
+    real_write, real_build = cli._write_csv, factorlab.build_panel
+
+    def recording(path, rows):
+        written[path] = rows = [list(map(str, row)) for row in rows]
+        real_write(path, rows)
+
+    def building(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_write_csv", recording)
+        patch.setattr(factorlab, "build_panel", building)
+        for command in ("ingest", "describe", "regress"):
+            argv = [command, *(f"--{name}={tmp / name}.csv" for name in ("votes", "polls", "identities"))]
+            argv += [f"--factors={tmp / 'factors.csv'}"] if command == "regress" else []
+            assert exec_command([*argv, "--out-dir", str(tmp / command)]) == 0, command
+    (panel,) = built
+    written[tmp / "regress" / "panel.csv"] = [FACTORS_HEADER, *factor_rows_oracle(panel.factors, panel.instrument)]
+    assert {"validation.csv", "profiles.csv", "top_voters_total_votes.csv", "panel.csv"} <= {p.name for p in written}
+    for path, rows in written.items():
+        with open(path, newline="") as handle:
+            assert list(csv.reader(handle)) == rows, path.name
 
 
 def test_report_panel_csv_is_the_sorted_rendering_of_the_built_panel(synth_dir, tmp_path):
@@ -1043,6 +1101,49 @@ def test_report_bytes_are_pinned(tmp_path):
 def _write(path: Path, text: str) -> str:
     path.write_text(text)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def pinned_data(tmp_path_factory) -> Path:
+    """The 20-day history of ``test_report_bytes_are_pinned``."""
+    tmp = tmp_path_factory.mktemp("pinned")
+    config = json.dumps({"days": 20, "voter_pool": 80, "polls_per_day": ["poisson", 1.0], "seed": 3})
+    assert exec_command(["synth", "--config", _write(tmp / "c.json", config),
+                         "--tokens", "MKR,DAI", "--out-dir", str(tmp / "data")]) == 0
+    return tmp / "data"
+
+
+@pytest.mark.parametrize("command, flags, pinned", [
+    ("describe", ["--formats", "csv,markdown"], "ff39555f86b9b4f62462dbdc564bd1de9a014200dfe3fe0998a22448c9713ad2"),
+    ("ingest", [], "0364557e8efce8e93ad96c1acc9b7dbd4f7b326beb6896c6fcdd93350dc0ad71"),
+], ids=["describe", "ingest"])
+def test_describe_and_ingest_bytes_are_pinned(pinned_data, tmp_path, command, flags, pinned):
+    out = tmp_path / "out"
+    inputs = [f"--{name}={pinned_data / name}.csv" for name in ("votes", "polls")]
+    assert exec_command([command, *inputs, *flags, "--out-dir", str(out)]) == 0
+    names = sorted(path.name for path in out.iterdir() if path.name != "run_manifest.json")
+    listing = "".join(f"{name} {hashlib.sha256((out / name).read_bytes()).hexdigest()}\n" for name in names)
+    assert hashlib.sha256(listing.encode()).hexdigest() == pinned, listing
+
+
+def test_an_infinite_return_is_fitted_without_a_warning(pinned_data, tmp_path):
+    with open(pinned_data / "factors.csv", newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    prices = sorted((row for row in rows if row[1:4] == ["MKR", "financial", "Price"]), key=lambda row: row[0])
+    prices[3][4], prices[4][4] = "5e-324", "1e308"  # a simple return of inf on the fifth price's day
+    factors = tmp_path / "factors.csv"
+    with factors.open("w", newline="") as handle:
+        csv.writer(handle).writerows([header, *rows])
+    out = tmp_path / "out"
+    inputs = [f"--{name}={pinned_data / name}.csv" for name in ("votes", "polls")]
+    assert exec_command(["regress", *inputs, f"--factors={factors}", "--tokens", "MKR", "--out-dir", str(out)]) == 0
+    with open(out / "panel.csv", newline="") as handle:
+        derived = {(row[3], row[0]): row[4] for row in csv.reader(handle) if row[1:3] == ["MKR", "financial"]}
+    day, next_day = prices[4][0], prices[5][0]
+    assert (derived["r", day], derived["v2", day], derived["v2", next_day]) == ("inf", "nan", "nan")
+    with open(out / "ols_grid.csv", newline="") as handle:
+        statuses = {row["status"] for row in csv.DictReader(handle) if row["factor"] in factorlab.DERIVED_FINANCIAL}
+    assert "error: non-finite value" in statuses
 
 
 def test_report_without_factors_still_emits_tables(synth_dir, tmp_path):
@@ -1327,14 +1428,18 @@ def _only_the_failed_manifest(out: Path, command: str) -> str:
     return manifest["error"]
 
 
-@pytest.mark.parametrize("value", [",", " , ", ""])
+@pytest.mark.parametrize("flag, value, error", [
+    *(pytest.param("--measures", value, "--measures names no measure", id=value) for value in (",", " , ", "")),
+    *(pytest.param("--alpha-stars", value, "--alpha-stars names no threshold", id=f"alpha-stars{value}")
+      for value in (",", " , ", "")),
+])
 @pytest.mark.parametrize("command", ["regress", "iv", "report"])
-def test_measures_naming_no_measure_leaves_only_the_manifest(synth_dir, tmp_path, command, value):
+def test_measures_naming_no_measure_leaves_only_the_manifest(synth_dir, tmp_path, command, flag, value, error):
     out = tmp_path / "out"
-    argv = [command, "--measures", value, "--out-dir", str(out)]
+    argv = [command, flag, value, "--out-dir", str(out)]
     argv += [f"--{name}={synth_dir / name}.csv" for name in ("votes", "polls", "factors")]
     assert exec_command(argv) == 1
-    assert _only_the_failed_manifest(out, command) == f"--measures names no measure: {value!r}"
+    assert _only_the_failed_manifest(out, command) == f"{error}: {value!r}"
 
 
 @pytest.mark.parametrize("options, named", [

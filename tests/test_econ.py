@@ -306,7 +306,7 @@ def test_two_sls_negative_adjusted_r2_possible():
     x = 0.4 * z + u + 0.3 * rng.normal(size=n)
     y = u + rng.normal(size=n)  # y loads on the confound, not on z's part of x
     fit = two_sls(y, x, z)
-    assert fit.adj_r2 < fit.second_stage.r2 + 1e-12
+    assert fit.second_stage.adj_r2 < fit.second_stage.r2 + 1e-12
 
 
 # ------------------------------------------------------ endogeneity tests
@@ -443,7 +443,7 @@ def test_iv_suite_default_three_panels_and_n():
     grid = run_iv_suite(_iv_panel(), tokens=["MKR"])
     assert set(c.measure for c in grid.cells) == set(IV_DEFAULT_MEASURES)
     for cell in grid.ok_cells():
-        assert cell.fit.n == 127
+        assert cell.fit.second_stage.n == 127
         assert cell.fit.first_stage.n == 127
 
 

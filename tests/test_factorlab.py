@@ -20,7 +20,7 @@ from govpulse.factorlab import (
     measures_from_daily,
     rolling_vol,
 )
-from govpulse.govdata import FactorPanel
+from govpulse.govdata import REGRESSION_CATEGORIES, FactorPanel
 
 
 D0 = date(2021, 3, 1)
@@ -148,6 +148,7 @@ def test_catalogue_has_37_factors_per_token():
         assert len(by_category["exchange"]) == 10
         assert len(by_category["network"]) == 4
         assert len(by_category["sentiment"]) == 3
+        assert tuple(by_category) == REGRESSION_CATEGORIES  # the effects summary's column order
 
 
 def test_catalogue_native_unit_names():
@@ -227,7 +228,7 @@ def test_aligned_iv_alignment_n():
     grid = run_iv_suite(panel, tokens=["MKR"], measures=("Voters",))
     cell = grid_cell(grid, "MKR", "Active", "Voters")
     assert cell.status == "ok"
-    assert cell.fit.n == 127
+    assert cell.fit.second_stage.n == 127
 
 
 def test_missing_factor_gives_none():

