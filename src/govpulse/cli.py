@@ -4,24 +4,22 @@ Subcommands: ingest, metrics, describe, regress, iv, synth, report. Every run
 writes its outputs atomically (temp file + rename; CSV rows are streamed into
 the temp file, never rendered whole in memory) together with a
 ``run_manifest.json`` recording the configuration as given, sha256 digests of
-the inputs and the tool version. Option values are checked before any input
-is read. Exit codes: 0 success, 1 failed run (bad input file, bad option
-value, violated identity or any other error), 2 usage error.
+the inputs, the count of each kind of anomaly found in them and the tool
+version. Option values are checked before any input is read. Exit codes: 0
+success, 1 failed run (bad input file, bad option value, violated identity
+or any other error), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
 import sys
 import traceback
 from collections.abc import Callable, Iterable
-from itertools import chain
 from pathlib import Path
-from types import SimpleNamespace
 from typing import IO
 
 import numpy as np
@@ -29,10 +27,10 @@ import numpy as np
 import govpulse
 from govpulse import centrality, econ, factorlab, profiles, report, synthgov
 from govpulse.govdata import (
-    FACTORS_HEADER,
     REGRESSION_CATEGORIES,
     FactorPanel,
     SchemaError,
+    ValidationReport,
     atomic_open,
     exact_sum,
     factor_rows,
@@ -40,6 +38,7 @@ from govpulse.govdata import (
     load_vote_log,
     validate_dataset,
     write_factors,
+    write_rows,
     write_vote_log,
 )
 
@@ -63,16 +62,8 @@ def _atomic_write(path: Path, write: Callable[[IO[str]], object]) -> None:
 
 
 def _write_csv(path: Path, rows: Iterable[Iterable]) -> None:
-    """Stream ``rows`` into ``path`` through csv.writer, lines ending in "\\n".
-    csv quotes only a field that holds a character of its terminator, so the
-    writer ends its lines in "\\r\\n" (a field holding a lone "\\r" is quoted
-    too) and each line's "\\r\\n" is written as "\\n"."""
-
-    def write(handle: IO[str]) -> None:
-        lines = SimpleNamespace(write=lambda line: handle.write(line[:-2] + "\n"))
-        csv.writer(lines, lineterminator="\r\n").writerows(rows)
-
-    _atomic_write(path, write)
+    """Stream ``rows`` into ``path`` as CSV lines ending in "\\n"; see ``write_rows``."""
+    _atomic_write(path, lambda handle: write_rows(handle.write, rows, "\n"))
 
 
 def _sha256(path: str | Path) -> str:
@@ -97,6 +88,7 @@ class Run:
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
         self.formats: list[str] = []
+        self.found = ValidationReport()  # every anomaly found in the run's inputs
 
     def digest_input(self, label: str, path: str | Path | None) -> None:
         if path is not None and Path(path).exists():
@@ -131,6 +123,7 @@ class Run:
             "config": self.config,
             "inputs": self.inputs,
             "outputs": sorted(self.outputs),
+            "anomalies": self.found.counts_by_kind(),
         }
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         _atomic_write(self.out_dir / "run_manifest.json", lambda handle: handle.write(text))
@@ -141,7 +134,9 @@ def _load_log(args: argparse.Namespace, run: Run):
     run.digest_input("polls", args.polls)
     identities = getattr(args, "identities", None)
     run.digest_input("identities", identities)
-    return load_vote_log(args.votes, args.polls, identities)
+    log = load_vote_log(args.votes, args.polls, identities)
+    run.found.anomalies += log.report.anomalies
+    return log
 
 
 def _structural_checks(poll_metrics_rows, profile_rows) -> None:
@@ -163,12 +158,11 @@ def _structural_checks(poll_metrics_rows, profile_rows) -> None:
 
 def cmd_ingest(args: argparse.Namespace, run: Run) -> None:
     log = _load_log(args, run)
-    scan = validate_dataset(log)
-    scan.anomalies = log.report.anomalies + scan.anomalies  # rows skipped while loading come first
-    run.emit_csv("validation.csv", report.validation_csv(scan))
+    run.found.anomalies += validate_dataset(log).anomalies  # after the rows skipped while loading
+    run.emit_csv("validation.csv", report.validation_csv(run.found))
     summary = (
         f"events: {len(log.events)}\npolls: {len(log.registry)}\nvoters: {len(log.voters())}\n"
-        f"anomalies: {len(scan.anomalies)}\n"
+        f"anomalies: {len(run.found.anomalies)}\n"
     )
     run.emit_text("ingest_summary.txt", summary)
     print(summary, end="")
@@ -237,8 +231,8 @@ def _emit_panel(
 ) -> factorlab.BuiltPanel:
     """The regression panel, written as panel.csv, and notes on how its grids are fitted."""
     panel = factorlab.build_panel(raw, measures, vol_mode=args.vol)
-    header = ",".join(FACTORS_HEADER) + "\n"
-    run.emit_csv_lines("panel.csv", chain([header], factor_rows(panel.factors, panel.instrument, "\n")))
+    run.found.anomalies += panel.anomalies
+    run.emit_csv_lines("panel.csv", factor_rows(panel.factors, panel.instrument, "\n"))
     stars = args.alpha_stars
     scaling = "raw variables" if args.raw else "z-scored over each aligned sample"
     run.emit_text(
@@ -318,19 +312,19 @@ def cmd_synth(args: argparse.Namespace, run: Run) -> None:
     if args.seed is not None:
         config.seed = args.seed
     log = synthgov.gen_history(config)
+    run.found.anomalies += log.report.anomalies
+    daily = centrality.daily_from_pass(centrality.ballot_pass(log))
+    panel, _ = synthgov.gen_panel(daily, _default_panel_plan(args.tokens), seed=config.seed + 1)
     out = Path(args.out_dir)
     write_vote_log(log, out / "votes.csv", out / "polls.csv")
     run.outputs.extend(["votes.csv", "polls.csv"])
-    daily = centrality.daily_from_pass(centrality.ballot_pass(log))
-    plan = _default_panel_plan(args.tokens)
-    bundle = synthgov.gen_panel(daily, plan, seed=config.seed + 1)
-    write_factors(bundle.panel, out / "factors.csv")
+    write_factors(panel, out / "factors.csv")
     run.outputs.append("factors.csv")
     run.emit_text("synth_config.json", json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
     print(f"synthesized {len(log.registry)} polls, {len(log.events)} events over {config.days} days")
 
 
-def _default_panel_plan(tokens: list[str]) -> synthgov.PanelPlan:
+def _default_panel_plan(tokens: list[str]) -> list[synthgov.FactorPlan]:
     """A plausible planted panel: every catalogue factor gets mild loadings."""
     factor_plans = []
     for token in tokens:
@@ -353,7 +347,7 @@ def _default_panel_plan(tokens: list[str]) -> synthgov.PanelPlan:
                     noise_std=1.0,
                 )
             )
-    return synthgov.PanelPlan(factors=factor_plans)
+    return factor_plans
 
 
 def cmd_report(args: argparse.Namespace, run: Run) -> None:
@@ -481,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     grids = ("regress", "iv", "report")
     add("--votes", readers, required=True, help="votes.csv path")
     add("--polls", readers, required=True, help="polls.csv path")
-    add("--identities", readers, default=None, help="identities.csv path")
+    add("--identities", ("ingest", "describe", "report"), default=None, help="identities.csv path")
     add("--factors", ("regress", "iv"), required=True, help="factors.csv path")
     add("--factors", ("report",), default=None, help="factors.csv path")
     add("--calendar", ("metrics", "report"), choices=centrality.CALENDAR_MODES, default="drop-missing")

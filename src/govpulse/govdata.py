@@ -20,18 +20,18 @@ series, the rows of category ``instrument`` whatever their token.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 import tempfile
 from collections import defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, localcontext
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO
 
 
@@ -144,15 +144,6 @@ class VoteLog:
 
     def voters(self) -> set[str]:
         return {e.voter for e in self.events}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VoteLog):
-            return NotImplemented
-        return (
-            self.events == other.events
-            and self.registry == other.registry
-            and self.identities == other.identities
-        )
 
 
 class FactorPanel:
@@ -565,29 +556,39 @@ def write_vote_log(
                 writer.writerow([address, log.identities[address]])
 
 
+def write_rows(write: Callable[[str], object], rows: Iterable[Iterable], end: str) -> None:
+    """Render each row as a CSV line ending in ``end`` and pass it to
+    ``write``. csv quotes only a field that holds a character of its
+    terminator, so the lines are rendered ending in "\\r\\n" (a field holding
+    a lone "\\r" or "\\n" is quoted) and each line's "\\r\\n" is replaced by
+    ``end``."""
+    lines = SimpleNamespace(write=lambda line: write(line[:-2] + end))
+    csv.writer(lines, lineterminator="\r\n").writerows(rows)
+
+
 def factor_rows(
     series: dict[tuple[str, str, str], dict[date, float]], instrument: dict[date, float], lineterminator: str
 ) -> Iterator[str]:
-    """The data lines of the factors.csv schema, sorted by date, token,
-    category and factor; the instrument is written under ``INSTRUMENT_TOKEN``.
+    """The lines of the factors.csv schema, the header first, then the data
+    sorted by date, token, category and factor; the instrument is written
+    under ``INSTRUMENT_TOKEN``.
 
     Each line is the row ``[date, token, category, factor, repr(value)]`` as
-    ``csv.writer(handle, lineterminator="\\r\\n")`` quotes it (a field holding
-    "\\r" or "\\n" is quoted), ending in ``lineterminator``. Each key's
-    ``token,category,factor`` is rendered through csv once, and each date's
-    text once. No row is built and no cell is sorted: the only state held is
-    one reference per cell, grouped by date."""
+    ``write_rows`` renders it, ending in ``lineterminator``. Each key's
+    ``token,category,factor`` is rendered once, and each date's text once.
+    No row is built and no cell is sorted: the only state held is one
+    reference per cell, grouped by date."""
     keyed = {**series, (INSTRUMENT_TOKEN, INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR): instrument}
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
+    keys = sorted(keyed)
+    rendered: list[str] = []
+    write_rows(rendered.append, [FACTORS_HEADER, *keys], "")
+    header, *prefixes = rendered
+    yield header + lineterminator
     # date -> (prefix, series) of each key with a cell that day, in key order;
     # grouping keeps a sparse panel's cost at its cells, not days x keys
     by_day: defaultdict[date, list[tuple[str, dict[date, float]]]] = defaultdict(list)
-    for key in sorted(keyed):
-        writer.writerow(key)
-        entry = (buffer.getvalue().removesuffix("\r\n"), keyed[key])
-        buffer.seek(0)
-        buffer.truncate()
+    for prefix, key in zip(prefixes, keys):
+        entry = (prefix, keyed[key])
         for day in entry[1]:
             by_day[day].append(entry)
     for day in sorted(by_day):
@@ -600,6 +601,4 @@ def write_factors(panel: FactorPanel, path: str | Path) -> None:
     """Serialize a FactorPanel to the long-format factors schema, streamed
     row by row, each line ending in csv's default ``\\r\\n``."""
     with atomic_open(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(FACTORS_HEADER)
-        handle.writelines(factor_rows(panel.series, panel.instrument, writer.dialect.lineterminator))
+        handle.writelines(factor_rows(panel.series, panel.instrument, "\r\n"))

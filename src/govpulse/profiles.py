@@ -43,7 +43,6 @@ class SummaryStats:
     maximum: float
     minimum: float
     std: float
-    n: int
 
     @classmethod
     def describe(cls, values: list[float]) -> "SummaryStats":
@@ -65,7 +64,6 @@ class SummaryStats:
             maximum=max(values),
             minimum=min(values),
             std=std,
-            n=len(values),
         )
 
 

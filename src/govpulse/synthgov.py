@@ -9,7 +9,7 @@ empirically observed range; the mean participation probability across the
 pool always equals ``participation_rate``.
 
 Factor panels are planted linear models over the computed daily measures.
-The endogenous mode shares a confound between the emitted factor and a proxy
+With a confound, ``gen_panel`` shares it between the emitted factor and a proxy
 measure and provides an instrument correlated with the measure but not the
 confound, which is the data-generating process the 2SLS diagnostics are
 tested against.
@@ -32,6 +32,7 @@ from govpulse.govdata import (
     INSTRUMENT_CATEGORY,
     INSTRUMENT_FACTOR,
     INSTRUMENT_TOKEN,
+    MAX_TIMESTAMP,
     FactorPanel,
     PollRecord,
     ValidationReport,
@@ -102,6 +103,12 @@ class SynthConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.holdings_alpha <= 1.0:
             raise ValueError("holdings_alpha must be greater than 1")
+        if not self.holdings_scale > 0.0:
+            raise ValueError(f"holdings_scale must be positive, got {self.holdings_scale}")
+        if self.days < 1:
+            raise ValueError(f"days must be at least 1, got {self.days}")
+        if self.options_per_poll < 2:
+            raise ValueError(f"options_per_poll must be at least 2, got {self.options_per_poll}")
         if self.voter_pool < 1:
             raise ValueError("voter_pool must be at least 1")
 
@@ -177,15 +184,16 @@ def gen_history(config: SynthConfig) -> VoteLog:
     win with probability ``largest_wins_prob`` (by moving other voters onto
     or off the target option), otherwise forced to lose; an infeasible loss
     (the largest voter outweighs everyone else combined) is kept as a win and
-    flagged in the log's validation report.
+    flagged in the log's validation report. Raises ValueError when a poll
+    would deploy, or a vote fall, outside ``1..MAX_TIMESTAMP``: the loader
+    skips such a row.
     """
     rng = np.random.default_rng(config.seed)
     holdings = lomax_pool(rng, config.voter_pool, config.holdings_alpha, config.holdings_scale)
     probs = turnout_probabilities(holdings, config.participation_rate, config.turnout_tilt)
     weights = [_weight_decimal(h) for h in holdings]
     addresses = [_address(i + 1) for i in range(config.voter_pool)]
-    n_options = max(2, config.options_per_poll)
-    option_ids = list(range(1, n_options + 1))
+    option_ids = list(range(1, config.options_per_poll + 1))
 
     start = int(
         datetime(
@@ -202,6 +210,8 @@ def gen_history(config: SynthConfig) -> VoteLog:
         for _ in range(max(0, polls_today)):
             poll_id += 1
             deploy = start + day_index * 86400 + int(rng.integers(0, 43200))
+            if not 1 <= deploy <= MAX_TIMESTAMP:
+                raise ValueError(f"poll {poll_id} would deploy at {deploy}, outside 1..{MAX_TIMESTAMP}")
             registry[poll_id] = PollRecord(
                 poll_id=poll_id,
                 deploy_timestamp=deploy,
@@ -213,13 +223,15 @@ def gen_history(config: SynthConfig) -> VoteLog:
             if participants.size == 0:
                 continue
             # One vector draw; the same stream as one rng.choice per voter.
-            choices = rng.integers(0, n_options, size=participants.size) + 1
+            choices = rng.integers(0, config.options_per_poll, size=participants.size) + 1
             held = holdings[participants]
             force_win = bool(rng.random() < config.largest_wins_prob)
             _force_outcome(choices, held, int(np.argmax(held)), force_win, report, poll_id)
             for i, option in zip(participants.tolist(), choices.tolist()):
                 final_offset = max(1, int(config.vote_delay.sample(rng)))
                 final_ts = deploy + final_offset
+                if final_ts > MAX_TIMESTAMP:  # an earlier record lies between deploy and final_ts
+                    raise ValueError(f"poll {poll_id} would get a vote at {final_ts}, after {MAX_TIMESTAMP}")
                 if rng.random() < config.revision_rate:
                     other = [o for o in option_ids if o != option]
                     early_option = int(rng.choice(other))
@@ -291,35 +303,16 @@ class FactorPlan:
             raise ValueError("noise_std must be non-negative")
 
 
-@dataclass(frozen=True)
-class EndogenousBlock:
-    """Shared-confound block: gamma is the confound's loading in the proxy of
-    the plan's instrumented measure and in every planted factor."""
+def gen_panel(
+    metrics: list[DailyMetrics], factors: list[FactorPlan], seed: int, confound: float | None = None
+) -> tuple[FactorPanel, dict[date, float] | None]:
+    """Plant ``factors`` over the daily measures and emit the instrument
+    series; returns the panel and the proxy measure (None without a confound).
 
-    gamma: float = 0.8
-
-
-@dataclass
-class PanelPlan:
-    factors: list[FactorPlan]
-    endogenous: EndogenousBlock | None = None
-
-
-@dataclass
-class SynthPanelBundle:
-    """Generated panel plus the confounded proxy measure behind it."""
-
-    panel: FactorPanel
-    proxy_measure: dict[date, float] | None
-
-
-def gen_panel(metrics: list[DailyMetrics], plan: PanelPlan, seed: int) -> SynthPanelBundle:
-    """Plant factors over the daily measures and emit the instrument series.
-
-    In the endogenous mode, the bundle also carries the confounded proxy
-    measure the 2SLS tests regress against: the confound enters both the
-    proxy and every planted factor, while the instrument tracks only the
-    clean measure.
+    With ``confound``, a shared standard normal confound enters the proxy of
+    ``INSTRUMENT_MEASURE`` and every planted factor with that loading, while
+    the instrument tracks only the clean measure: the proxy is what the 2SLS
+    tests regress against.
     """
     if not metrics:
         raise ValueError("metrics must be non-empty")
@@ -329,20 +322,19 @@ def gen_panel(metrics: list[DailyMetrics], plan: PanelPlan, seed: int) -> SynthP
     standardized = {name: zscore(list(series.values())) for name, series in measures.items()}
     n = len(days)
 
-    endo = plan.endogenous
-    confound = rng.standard_normal(n) if endo is not None else None
+    shared = rng.standard_normal(n) if confound is not None else None
     base = standardized[INSTRUMENT_MEASURE]
     instrument_values = INSTRUMENT_STRENGTH * base + INSTRUMENT_NOISE * rng.standard_normal(n)
-    proxy = base + endo.gamma * confound if endo is not None else None
+    proxy = base + confound * shared if confound is not None else None
 
     panel = FactorPanel()
-    for fp in plan.factors:
-        driver = {name: standardized[name] for name in fp.loadings}
+    for fp in factors:
         values = np.full(n, fp.intercept, dtype=float)
         for name, loading in fp.loadings.items():
-            values = values + loading * (proxy if (endo and name == INSTRUMENT_MEASURE) else driver[name])
-        if endo is not None:
-            values = values + endo.gamma * confound
+            regressor = proxy if proxy is not None and name == INSTRUMENT_MEASURE else standardized[name]
+            values = values + loading * regressor
+        if confound is not None:
+            values = values + confound * shared
         values = values + fp.noise_std * rng.standard_normal(n)
         for day, value in zip(days, values):
             panel.put(day, fp.token, fp.category, fp.factor, float(value))
@@ -350,7 +342,4 @@ def gen_panel(metrics: list[DailyMetrics], plan: PanelPlan, seed: int) -> SynthP
     for day, value in zip(days, instrument_values):
         panel.put(day, INSTRUMENT_TOKEN, INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR, float(value))
 
-    return SynthPanelBundle(
-        panel=panel,
-        proxy_measure=dict(zip(days, proxy)) if proxy is not None else None,
-    )
+    return panel, (dict(zip(days, proxy)) if proxy is not None else None)

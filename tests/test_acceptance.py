@@ -210,15 +210,9 @@ def test_criterion_7_planted_effect_pipeline():
         )
         log = synthgov.gen_history(config)
         daily = centrality.daily_from_pass(centrality.ballot_pass(log))
-        plan = synthgov.PanelPlan(
-            factors=[
-                synthgov.FactorPlan(
-                    "MKR", "transaction", "TxnCnt", loadings={"Voters": 1.0}, noise_std=0.2
-                )
-            ]
-        )
-        bundle = synthgov.gen_panel(daily, plan, seed=seed)
-        panel = factorlab.build_panel(bundle.panel, factorlab.measures_from_daily(daily))
+        factors = [synthgov.FactorPlan("MKR", "transaction", "TxnCnt", loadings={"Voters": 1.0}, noise_std=0.2)]
+        raw, _ = synthgov.gen_panel(daily, factors, seed=seed)
+        panel = factorlab.build_panel(raw, factorlab.measures_from_daily(daily))
         grid = econ.run_factor_matrix(panel, tokens=["MKR"], measures=("Voters",))
         cell = grid_cell(grid, "MKR", "TxnCnt", "Voters")
         if cell.status == "ok" and cell.fit.n >= 100 and cell.fit.p1 <= 0.01 and cell.fit.beta1 > 0:
@@ -350,8 +344,8 @@ def test_criterion_10_performance_envelope():
     start = time.perf_counter()
     log = synthgov.gen_history(config)
     daily = centrality.daily_from_pass(centrality.ballot_pass(log))
-    bundle = synthgov.gen_panel(daily, synthgov.PanelPlan(factors=plan_factors), seed=314)
-    panel = factorlab.build_panel(bundle.panel, factorlab.measures_from_daily(daily))
+    raw, _ = synthgov.gen_panel(daily, plan_factors, seed=314)
+    panel = factorlab.build_panel(raw, factorlab.measures_from_daily(daily))
     grid = econ.run_factor_matrix(panel, tokens=tokens)
     elapsed = time.perf_counter() - start
     polls = len(log.registry)

@@ -884,8 +884,8 @@ def test_csv_artifacts_read_back_as_the_rows_written(tmp_path_factory, names):
         patch.setattr(cli, "_write_csv", recording)
         patch.setattr(factorlab, "build_panel", building)
         for command in ("ingest", "describe", "regress"):
-            argv = [command, *(f"--{name}={tmp / name}.csv" for name in ("votes", "polls", "identities"))]
-            argv += [f"--factors={tmp / 'factors.csv'}"] if command == "regress" else []
+            inputs = ("votes", "polls", "factors") if command == "regress" else ("votes", "polls", "identities")
+            argv = [command, *(f"--{name}={tmp / name}.csv" for name in inputs)]
             assert exec_command([*argv, "--out-dir", str(tmp / command)]) == 0, command
     (panel,) = built
     written[tmp / "regress" / "panel.csv"] = [FACTORS_HEADER, *factor_rows_oracle(panel.factors, panel.instrument)]
@@ -973,33 +973,47 @@ def test_a_row_source_that_fails_midway_leaves_the_old_file(tmp_path, emit):
     assert run.outputs == []
 
 
+ROW_ORDER_FILES = ("factors.csv", "votes.csv", "polls.csv")
+
+
 @pytest.fixture(scope="module")
 def row_order_inputs(tmp_path_factory):
-    """A small synth history and the report of it, every artifact's bytes."""
+    """A small synth history, the rows of each of its files, and the report
+    of it, every artifact's bytes."""
     tmp = tmp_path_factory.mktemp("row-order")
     assert exec_command(["synth", "--out-dir", str(tmp / "data"), "--config", _small_config(tmp)]) == 0
-    with open(tmp / "data" / "factors.csv", newline="") as handle:
-        header, *rows = list(csv.reader(handle))
-    return tmp, header, rows, _report_bytes(tmp / "data", tmp / "data" / "factors.csv", tmp / "base")
+    rows = {}
+    for name in ROW_ORDER_FILES:
+        with open(tmp / "data" / name, newline="") as handle:
+            rows[name] = list(csv.reader(handle))
+    # Two records of one poll in the same second would keep their file order,
+    # which decides the poll's `order` measure; the history holds no such pair.
+    stamps = [(poll_id, stamp) for poll_id, _, _, _, stamp in rows["votes.csv"][1:]]
+    assert len(set(stamps)) == len(stamps)
+    return tmp, rows, _report_bytes(tmp / "data", tmp / "base")
 
 
-def _report_bytes(data: Path, factors: Path, out: Path) -> dict[str, bytes]:
-    argv = ["report", "--votes", str(data / "votes.csv"), "--polls", str(data / "polls.csv"),
-            "--factors", str(factors), "--formats", "csv,markdown,svg", "--out-dir", str(out)]
+def _report_bytes(data: Path, out: Path) -> dict[str, bytes]:
+    argv = ["report", *(f"--{name}={data / name}.csv" for name in ("votes", "polls", "factors")),
+            "--formats", "csv,markdown,svg", "--out-dir", str(out)]
     assert exec_command(argv) == 0
     return {path.name: path.read_bytes() for path in out.iterdir() if path.name != "run_manifest.json"}
 
 
 @settings(max_examples=4, deadline=None)
 @given(order=st.randoms(use_true_random=False))
-def test_factor_row_order_leaves_every_artifact_unchanged(row_order_inputs, order):
-    tmp, header, rows, base = row_order_inputs
-    shuffled = list(rows)
-    order.shuffle(shuffled)
-    factors = tmp / "shuffled.csv"
-    with factors.open("w", newline="") as handle:
-        csv.writer(handle).writerows([header, *shuffled])
-    assert _report_bytes(tmp / "data", factors, tmp / "shuffled") == base
+@pytest.mark.parametrize("shuffled", ROW_ORDER_FILES)
+def test_input_row_order_leaves_every_artifact_unchanged(row_order_inputs, shuffled, order):
+    tmp, rows, base = row_order_inputs
+    data = tmp / f"shuffled-{shuffled}"
+    data.mkdir(exist_ok=True)
+    for name, (header, *body) in rows.items():
+        if name == shuffled:
+            body = list(body)
+            order.shuffle(body)
+        with (data / name).open("w", newline="") as handle:
+            csv.writer(handle).writerows([header, *body])
+    assert _report_bytes(data, tmp / "out") == base
 
 
 def test_stray_category_rows_never_feed_a_grid_cell(synth_dir, tmp_path):
@@ -1034,11 +1048,11 @@ def test_failed_synth_write_leaves_files_intact(synth_dir, tmp_path, monkeypatch
 
     real = synthgov.gen_panel
 
-    def failing_gen_panel(metrics, plan, seed):
-        bundle = real(metrics, plan, seed)
+    def failing_gen_panel(metrics, factors, seed):
+        panel, proxy = real(metrics, factors, seed)
         last = max(m.day for m in metrics if not m.missing)
-        bundle.panel.put(last, "ALL", "instrument", "offchain_voters", Unprintable(1.0))  # the last row written
-        return bundle
+        panel.put(last, "ALL", "instrument", "offchain_voters", Unprintable(1.0))  # the last row written
+        return panel, proxy
 
     monkeypatch.setattr(synthgov, "gen_panel", failing_gen_panel)
     code = exec_command(["synth", "--out-dir", str(synth_dir), "--seed", "5", "--config", _small_config(tmp_path)])
@@ -1124,6 +1138,28 @@ def test_describe_and_ingest_bytes_are_pinned(pinned_data, tmp_path, command, fl
     names = sorted(path.name for path in out.iterdir() if path.name != "run_manifest.json")
     listing = "".join(f"{name} {hashlib.sha256((out / name).read_bytes()).hexdigest()}\n" for name in names)
     assert hashlib.sha256(listing.encode()).hexdigest() == pinned, listing
+
+
+def test_manifest_counts_the_anomalies_of_each_input(pinned_data, tmp_path):
+    synthesized = json.loads((pinned_data / "run_manifest.json").read_text())
+    assert synthesized["anomalies"] == {"forced win (infeasible loss)": 4}
+    votes, factors = tmp_path / "votes.csv", tmp_path / "factors.csv"
+    votes.write_bytes((pinned_data / "votes.csv").read_bytes() + b"1,0xa,1,heavy,1614556810\r\n")
+    with open(pinned_data / "factors.csv", newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    prices = [row for row in rows if row[1:4] == ["MKR", "financial", "Price"]]
+    prices[0][0], prices[1][4] = "2021-02-30", "-1"
+    with factors.open("w", newline="") as handle:
+        csv.writer(handle).writerows([header, *rows])
+    inputs = [f"--votes={votes}", f"--polls={pinned_data / 'polls.csv'}"]
+    assert exec_command(["report", *inputs, f"--factors={factors}", "--out-dir", str(tmp_path / "report")]) == 0
+    manifest = json.loads((tmp_path / "report" / "run_manifest.json").read_text())
+    assert manifest["anomalies"] == {"bad vote row": 1, "bad factor date": 1, "non-positive price": 1}
+    assert exec_command(["ingest", *inputs, "--out-dir", str(tmp_path / "ingest")]) == 0
+    manifest = json.loads((tmp_path / "ingest" / "run_manifest.json").read_text())
+    with open(tmp_path / "ingest" / "validation.csv", newline="") as handle:
+        kinds = Counter(row["kind"] for row in csv.DictReader(handle))
+    assert manifest["anomalies"] == kinds and kinds["bad vote row"] == 1
 
 
 def test_an_infinite_return_is_fitted_without_a_warning(pinned_data, tmp_path):
@@ -1271,6 +1307,32 @@ def test_synth_rejects_unknown_config_fields(tmp_path, capsys):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["error"] == "unknown synth config fields: bogus, extra"
+    # values the generator cannot honour are refused by name, not adjusted
+    for field, value, error in (
+        ("options_per_poll", 1, "options_per_poll must be at least 2, got 1"),
+        ("holdings_scale", 0, "holdings_scale must be positive, got 0"),
+        ("holdings_scale", -5, "holdings_scale must be positive, got -5"),
+        ("days", 0, "days must be at least 1, got 0"),
+        ("days", -3, "days must be at least 1, got -3"),
+    ):
+        out = tmp_path / f"{field}{value}"
+        config = _write(tmp_path / "c.json", json.dumps({field: value}))
+        assert exec_command(["synth", "--config", config, "--out-dir", str(out)]) == 1
+        assert _only_the_failed_manifest(out, "synth") == error
+
+
+@pytest.mark.parametrize("config, error", [
+    pytest.param({"start_day": "9999-12-30", "days": 2}, "would get a vote at", id="votes-after-9999"),
+    pytest.param({"vote_delay": ["constant", 1e30]}, "would get a vote at", id="far-vote-delay"),
+    pytest.param({"start_day": "1969-12-31"}, "would deploy at -", id="deploys-before-1970"),
+    pytest.param({"start_day": "9999-12-31"}, "would get a vote at", id="last-day"),
+    pytest.param({"participation_rate": 0}, "metrics must be non-empty", id="no-votes"),
+])
+def test_synth_that_cannot_be_loaded_writes_only_the_manifest(tmp_path, config, error):
+    out = tmp_path / "out"
+    config = _write(tmp_path / "c.json", json.dumps({"days": 3, "voter_pool": 20, "seed": 1, **config}))
+    assert exec_command(["synth", "--config", config, "--out-dir", str(out)]) == 1
+    assert error in _only_the_failed_manifest(out, "synth")
 
 
 def test_describe_ranks_on_exact_totals(tmp_path):
@@ -1290,6 +1352,22 @@ def test_describe_ranks_on_exact_totals(tmp_path):
 
 def test_version_flag():
     assert exec_command(["--version"]) == 0
+
+
+# Functions the benchmark's tracer wraps that the program no longer has; their
+# per-layer metrics read 0. A program change may shrink this set, never grow it.
+STALE_TRACED_NAMES = {
+    "centrality.all_poll_metrics", "centrality.daily_metrics", "factorlab.panel_rows",
+    "profiles.poll_descriptives", "profiles.voter_profiles", "report.pooled_voter_totals",
+}
+
+
+def test_tracer_finds_every_traced_function(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    trace = tmp_path / "trace.json"
+    subprocess.run([sys.executable, str(root / "perfbench" / "tracer.py"), "--src", str(root / "src"),
+                    "--out", str(trace), "--", "--version"], check=True, capture_output=True, timeout=120)
+    assert set(json.loads(trace.read_text())["absent"]) <= STALE_TRACED_NAMES
 
 
 def test_alpha_stars_flag(synth_dir, tmp_path):
@@ -1341,18 +1419,19 @@ def test_iv_without_instrument_rows_fails_politely(synth_dir, tmp_path):
     assert code == 1
 
 
-_IO = {"votes": "v.csv", "polls": "p.csv", "identities": None, "out_dir": "o", "formats": "csv,markdown"}
+_IO = {"votes": "v.csv", "polls": "p.csv", "out_dir": "o", "formats": "csv,markdown"}
+_ID = {**_IO, "identities": None}
 _METRIC = {"ballot": "last", "order": "last", "daily_gini": "mle"}
 _GRID = {"tokens": None, "measures": None, "raw": False, "vol": "simple", "alpha_stars": None}
 
 
 @pytest.mark.parametrize("command, extra, parsed", [
-    ("ingest", [], _IO),
+    ("ingest", [], _ID),
     ("metrics", [], {**_IO, **_METRIC, "calendar": "drop-missing"}),
-    ("describe", [], {**_IO, "ballot": "last", "top": 10}),
+    ("describe", [], {**_ID, "ballot": "last", "top": 10}),
     ("regress", ["--factors", "f.csv"], {**_IO, **_METRIC, **_GRID, "factors": "f.csv"}),
     ("iv", ["--factors", "f.csv"], {**_IO, **_METRIC, **_GRID, "factors": "f.csv"}),
-    ("report", [], {**_IO, **_METRIC, **_GRID, "factors": None, "calendar": "drop-missing"}),
+    ("report", [], {**_ID, **_METRIC, **_GRID, "factors": None, "calendar": "drop-missing"}),
     ("synth", None, {"out_dir": "o", "config": None, "seed": None, "tokens": "MKR,DAI"}),
 ])
 def test_parser_keys_and_defaults_are_pinned(command, extra, parsed):

@@ -294,7 +294,9 @@ def test_validate_zero_weight_warning():
 def test_round_trip_identity(tmp_path, simple_log):
     write_vote_log(simple_log, tmp_path / "v.csv", tmp_path / "p.csv", tmp_path / "i.csv")
     again = load_vote_log(tmp_path / "v.csv", tmp_path / "p.csv", tmp_path / "i.csv")
-    assert again == simple_log
+    assert again.events == simple_log.events
+    assert again.registry == simple_log.registry
+    assert again.identities == simple_log.identities
 
 
 def test_load_factors_basic(tmp_path):

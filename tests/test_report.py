@@ -136,7 +136,7 @@ def test_instrument_table_renders_inf_flag():
 
     screen = InstrumentScreen(
         rows=(("Voters", float("inf"), 0.0, 127), ("Speed", 3.87, 0.05, 127)),
-        stats=SummaryStats(mean=55.80, median=36.0, maximum=393.0, minimum=0.0, std=72.17, n=127),
+        stats=SummaryStats(mean=55.80, median=36.0, maximum=393.0, minimum=0.0, std=72.17),
     )
     text = instrument_table(screen, STAR_THRESHOLDS)
     assert "inf*** (0.00)" in text

@@ -19,9 +19,7 @@ from govpulse.govdata import ValidationReport
 from govpulse.report import significance_stars
 from govpulse.synthgov import (
     DistSpec,
-    EndogenousBlock,
     FactorPlan,
-    PanelPlan,
     SynthConfig,
     _force_outcome,
     gen_history,
@@ -148,22 +146,20 @@ def test_config_validation():
 
 def test_gen_panel_reproducible():
     metrics = _metrics(60)
-    plan = PanelPlan(factors=[FactorPlan("MKR", "transaction", "TxnCnt", loadings={"Voters": 0.5})])
-    a = gen_panel(metrics, plan, seed=3)
-    b = gen_panel(metrics, plan, seed=3)
-    assert a.panel.series == b.panel.series
-    assert a.panel.instrument == b.panel.instrument
+    factors = [FactorPlan("MKR", "transaction", "TxnCnt", loadings={"Voters": 0.5})]
+    a, _ = gen_panel(metrics, factors, seed=3)
+    b, _ = gen_panel(metrics, factors, seed=3)
+    assert a.series == b.series
+    assert a.instrument == b.instrument
 
 
 def test_gen_panel_zero_loading_rarely_significant():
     quiet = 0
     for seed in range(30):
         metrics = _metrics(127, seed=seed)
-        plan = PanelPlan(
-            factors=[FactorPlan("MKR", "transaction", "TxnCnt", loadings={}, noise_std=1.0)]
-        )
-        bundle = gen_panel(metrics, plan, seed=seed)
-        panel = build_panel(bundle.panel, measures_from_daily(metrics))
+        factors = [FactorPlan("MKR", "transaction", "TxnCnt", loadings={}, noise_std=1.0)]
+        raw, _ = gen_panel(metrics, factors, seed=seed)
+        panel = build_panel(raw, measures_from_daily(metrics))
         grid = run_factor_matrix(panel, tokens=["MKR"], measures=("Voters",))
         cell = grid_cell(grid, "MKR", "TxnCnt", "Voters")
         assert cell is not None and cell.status == "ok"
@@ -174,11 +170,9 @@ def test_gen_panel_zero_loading_rarely_significant():
 
 def test_gen_panel_unit_loading_zero_noise_r2_one():
     metrics = _metrics(80)
-    plan = PanelPlan(
-        factors=[FactorPlan("MKR", "transaction", "TxnCnt", loadings={"Voters": 1.0}, noise_std=0.0)]
-    )
-    bundle = gen_panel(metrics, plan, seed=1)
-    panel = build_panel(bundle.panel, measures_from_daily(metrics))
+    factors = [FactorPlan("MKR", "transaction", "TxnCnt", loadings={"Voters": 1.0}, noise_std=0.0)]
+    raw, _ = gen_panel(metrics, factors, seed=1)
+    panel = build_panel(raw, measures_from_daily(metrics))
     grid = run_factor_matrix(panel, tokens=["MKR"], measures=("Voters",))
     cell = grid_cell(grid, "MKR", "TxnCnt", "Voters")
     assert cell.fit.r2 == pytest.approx(1.0, abs=1e-12)
@@ -189,18 +183,13 @@ def test_gen_panel_endogenous_mode_durbin_power():
     trials = 50
     for seed in range(trials):
         metrics = _metrics(127, seed=seed)
-        plan = PanelPlan(
-            factors=[
-                FactorPlan("MKR", "transaction", "TxnCnt", loadings={"Voters": 1.0}, noise_std=0.5)
-            ],
-            endogenous=EndogenousBlock(gamma=0.8),
-        )
-        bundle = gen_panel(metrics, plan, seed=seed)
-        instrument = bundle.panel.instrument
+        factors = [FactorPlan("MKR", "transaction", "TxnCnt", loadings={"Voters": 1.0}, noise_std=0.5)]
+        raw, proxy = gen_panel(metrics, factors, seed=seed, confound=0.8)
+        instrument = raw.instrument
         days = sorted(instrument)
-        factor_series = bundle.panel.series[("MKR", "transaction", "TxnCnt")]
+        factor_series = raw.series[("MKR", "transaction", "TxnCnt")]
         y = np.array([factor_series[d] for d in days])
-        x = np.array([bundle.proxy_measure[d] for d in days])
+        x = np.array([proxy[d] for d in days])
         z = np.array([instrument[d] for d in days])
         _, durbin_p, _, _ = endogeneity_tests(y, x, z)
         rejects += durbin_p < 0.05
@@ -212,11 +201,9 @@ def test_planted_truth_recovery_snr_five():
     hits = 0
     for seed in range(25):
         metrics = _metrics(110, seed=seed + 100)
-        plan = PanelPlan(
-            factors=[FactorPlan("MKR", "network", "Active", loadings={"Voters": 1.0}, noise_std=0.2)]
-        )
-        bundle = gen_panel(metrics, plan, seed=seed)
-        panel = build_panel(bundle.panel, measures_from_daily(metrics))
+        factors = [FactorPlan("MKR", "network", "Active", loadings={"Voters": 1.0}, noise_std=0.2)]
+        raw, _ = gen_panel(metrics, factors, seed=seed)
+        panel = build_panel(raw, measures_from_daily(metrics))
         grid = run_factor_matrix(panel, tokens=["MKR"], measures=("Voters",))
         cell = grid_cell(grid, "MKR", "Active", "Voters")
         if cell.fit.p1 <= 0.01 and cell.fit.beta1 > 0:
