@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from datetime import date
-from decimal import Decimal, InvalidOperation
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, localcontext
 
 import numpy as np
 
@@ -29,6 +29,18 @@ from govpulse.govdata import (
     load_polls,
     parse_timestamp,
 )
+
+
+# The largest precision and exponent range decimal allows: a sum of vote
+# weights in this context is never rounded.
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def exact_sum_oracle(values) -> Decimal:
+    """Sum of decimal weights or totals started at ``Decimal(0)`` in
+    ``EXACT``, so never rounded. Test oracle."""
+    with localcontext(EXACT):
+        return sum(values, Decimal(0))
 
 
 def gini_oracle(weights) -> float:
