@@ -35,11 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 import numpy as np
 
-from govpulse.govdata import EXACT, PollRecord, VoteEvent, VoteLog, exact_sum, final_ballots
+from govpulse.govdata import VoteLog, final_ballots
 
 GINI_UPPER = 1.0 - 1e-9
 
@@ -122,9 +122,9 @@ def gini_mean_difference(weights: np.ndarray) -> float:
     return float((k * (n - k) * np.diff(ordered)).sum() / (n * total))
 
 
-def poll_gini(ballots: list[VoteEvent]) -> float:
-    """Gini coefficient of one poll's final ballot weights."""
-    return gini_mean_difference(np.array([float(b.weight) for b in ballots], dtype=float))
+def poll_gini(weights: np.ndarray) -> float:
+    """Gini coefficient of one poll's final ballot weights (as floats)."""
+    return gini_mean_difference(weights)
 
 
 def pareto_alpha_mle(values: np.ndarray) -> float:
@@ -152,83 +152,105 @@ def gini_from_alpha(alpha: float) -> float:
     return float(min(max(1.0 / (2.0 * alpha - 1.0), 0.0), GINI_UPPER))
 
 
-def _pooled_voter_totals(ballots: list[VoteEvent]) -> np.ndarray:
-    """Each voter's summed weight over the ballots, positive totals only."""
-    totals: dict[str, Decimal] = {}
-    with localcontext(EXACT):
-        for ballot in ballots:
-            totals[ballot.voter] = totals.get(ballot.voter, Decimal(0)) + ballot.weight
-    return np.array([float(v) for v in totals.values() if v > 0], dtype=float)
-
-
-def daily_gini(ballots_of_day: list[VoteEvent]) -> float:
-    """Daily Gini from the Paretian tail-index MLE on pooled voter totals.
-
-    Each voter's final weights across the day's polls are summed first;
-    non-positive totals are dropped; fewer than two positive totals give 0.
+def daily_gini(totals: np.ndarray) -> float:
+    """Daily Gini from the Paretian tail-index MLE on the day's positive
+    pooled voter totals (each voter's final weights summed across the day's
+    polls); fewer than two totals give 0.
     """
-    positive = _pooled_voter_totals(ballots_of_day)
-    if positive.size < 2:
+    if len(totals) < 2:
         return 0.0
-    return gini_from_alpha(pareto_alpha_mle(positive))
+    return gini_from_alpha(pareto_alpha_mle(totals))
 
 
-def _measure_poll(
-    poll: PollRecord, ballots: list[VoteEvent], history: tuple[VoteEvent, ...], order_rule: str
-) -> PollMetrics | None:
-    """All per-poll measures from the poll's final ballots (its counted
-    ``VoteEvent``s, largest first as ``final_ballots`` returns them) and its
-    chronological history; None when the ballots carry no positive weight.
-    One exact per-option tally gives the total, the winner (ties go to the
+def _starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal keys (rows of a 2-D array) begins."""
+    if keys.ndim == 1:
+        keys = keys[:, None]
+    change = (keys[1:] != keys[:-1]).any(axis=1) if len(keys) else np.zeros(0, dtype=bool)
+    return np.flatnonzero(np.concatenate([[len(keys) > 0], change]))
+
+
+def _measure_polls(log: VoteLog, ballots: dict[int, np.ndarray], order_rule: str) -> list[PollMetrics]:
+    """All per-poll measures from each poll's final ballots (row indices,
+    largest first as ``final_ballots`` returns them): the metrics of the
+    polls whose ballots carry a positive weight, by ascending poll id.
+
+    One exact per-option tally (int units, segment sums over the ballots
+    grouped by poll and option) gives the total, the winner (ties go to the
     smallest id) and the non-abstain breakdown. Order places the largest
-    voter's counted (``order_rule="last"``) or first record in the history,
-    the counted one found by identity, since identical rows compare equal;
-    speed clamps negative gaps (clock skew) to zero."""
-    tally: dict[int, Decimal] = {}
-    with localcontext(EXACT):
-        for ballot in ballots:
-            tally[ballot.option_id] = tally.get(ballot.option_id, Decimal(0)) + ballot.weight
-    total = exact_sum(tally.values())
-    if total <= 0:
-        return None
-    largest = ballots[0]
-    share = float(largest.weight / total)
-    best = max(tally.values())
-    ifwin = 1 if largest.option_id == min(o for o, w in tally.items() if w == best) else 0
-    records = [(i, e) for i, e in enumerate(history, start=1) if e.voter == largest.voter]
-    index = max(i for i, e in records if e is largest) if order_rule == "last" else records[0][0]
-    breakdown = exact_sum(w for o, w in tally.items() if o not in poll.abstain_option_ids)
-    gaps = sum(max(0, b.timestamp - poll.deploy_timestamp) for b in ballots)
-    return PollMetrics(
-        poll_id=poll.poll_id,
-        day=utc_day(poll.deploy_timestamp),
-        total_votes=total,
-        voters=len(ballots),
-        gini=poll_gini(ballots),
-        largest_share=share,
-        ifwin=ifwin,
-        largest_share_win=share * ifwin,
-        order=index / len(history),
-        speed_seconds=float(gaps) / len(ballots),
-        breakdown_votes=breakdown,
-        breakdown_ratio=float(breakdown / total),
-        breakdown_voters=sum(1 for b in ballots if b.option_id not in poll.abstain_option_ids),
-        largest_votes=largest.weight,
-    )
+    voter's counted (``order_rule="last"``) or first record in the poll's
+    history; speed clamps negative gaps (clock skew) to zero."""
+    weights, index = log.weights, log.poll_rows
+    sizes = [len(rows) for rows in ballots.values()]
+    rows = np.concatenate([np.empty(0, np.intp), *ballots.values()])
+    segment = np.repeat(np.arange(len(sizes)), sizes)
+    option, weight = log.option_id[rows], log.weight[rows]
+    tallied = np.lexsort((option, segment))
+    starts = _starts(np.column_stack([segment[tallied], option[tallied]]))
+    tally_polls = segment[tallied][starts].tolist()
+    tally_options = option[tallied][starts].tolist()
+    tally_units = np.add.reduceat(weights.units[weight[tallied]], starts).tolist() if len(starts) else []
+    tally_exponents = np.minimum.reduceat(weights.exponents[weight[tallied]], starts).tolist() if len(starts) else []
+    tally_sizes = np.diff(np.append(starts, len(rows))).tolist()
+    tallies = np.searchsorted(tally_polls, np.arange(len(sizes) + 1)).tolist()
+    deploys = np.array([log.registry[poll_id].deploy_timestamp for poll_id in ballots], dtype=np.int64)
+    gaps = np.concatenate([[0], np.cumsum(np.maximum(log.timestamp[rows] - np.repeat(deploys, sizes), 0))])
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+
+    out: list[PollMetrics] = []
+    for i, (poll_id, counted) in enumerate(ballots.items()):
+        lo, hi = tallies[i], tallies[i + 1]
+        tally = dict(zip(tally_options[lo:hi], tally_units[lo:hi]))
+        total = sum(tally.values())
+        if total <= 0:
+            continue
+        poll = log.registry[poll_id]
+        largest = int(counted[0])
+        largest_units = weights.units[log.weight[largest]]
+        share = float(Decimal(largest_units) / Decimal(total))
+        best = max(tally.values())
+        ifwin = 1 if int(log.option_id[largest]) == min(o for o, w in tally.items() if w == best) else 0
+        start, stop = index.span[poll_id]
+        history = index.rows[start:stop]
+        if order_rule == "last":
+            position = int(np.searchsorted(history, largest)) + 1
+        else:
+            position = int(np.argmax(log.voter[history] == log.voter[largest])) + 1
+        counts = [o not in poll.abstain_option_ids for o in tally_options[lo:hi]]
+        breakdown = [(u, e) for u, e, c in zip(tally_units[lo:hi], tally_exponents[lo:hi], counts) if c]
+        voters = len(counted)
+        out.append(PollMetrics(
+            poll_id=poll_id,
+            day=utc_day(poll.deploy_timestamp),
+            total_votes=weights.total(total, min(tally_exponents[lo:hi])),
+            voters=voters,
+            gini=poll_gini(weights.floats[log.weight[counted]]),
+            largest_share=share,
+            ifwin=ifwin,
+            largest_share_win=share * ifwin,
+            order=position / (stop - start),
+            speed_seconds=float(int(gaps[bounds[i + 1]] - gaps[bounds[i]])) / voters,
+            breakdown_votes=weights.total(sum(u for u, _ in breakdown), min((e for _, e in breakdown), default=0)),
+            breakdown_ratio=float(Decimal(sum(u for u, _ in breakdown)) / Decimal(total)),
+            breakdown_voters=sum(n for n, c in zip(tally_sizes[lo:hi], counts) if c),
+            largest_votes=weights.decimals[log.weight[largest]],
+        ))
+    return out
 
 
 @dataclass(frozen=True)
 class BallotPass:
     """Every poll's final ballots under one ballot rule, derived once.
 
-    ``ballots`` maps each registered poll, in ascending poll id order, to its
-    final ballots, the counted ``VoteEvent``s as ``final_ballots`` returns
-    them (empty for a poll without events). ``polls`` holds the
-    metrics of the polls with a positive total, ascending by poll id, and
-    ``poll_counts`` the number of registered polls per deployment day.
+    ``ballots`` maps each registered poll of ``log``, in ascending poll id
+    order, to its final ballots, the row indices ``final_ballots`` returns
+    (empty for a poll without events). ``polls`` holds the metrics of the
+    polls with a positive total, ascending by poll id, and ``poll_counts``
+    the number of registered polls per deployment day.
     """
 
-    ballots: dict[int, list[VoteEvent]]
+    log: VoteLog
+    ballots: dict[int, np.ndarray]
     polls: list[PollMetrics]
     poll_counts: dict[date, int]
 
@@ -237,28 +259,24 @@ def ballot_pass(log: VoteLog, ballot_rule: str = "last", order_rule: str = "last
     """One pass over the log: final ballots, poll metrics and daily poll counts."""
     if order_rule not in ("last", "first"):
         raise ValueError(f"unknown order rule: {order_rule!r}")
-    ballots: dict[int, list[VoteEvent]] = {}
-    polls: list[PollMetrics] = []
+    ballots: dict[int, np.ndarray] = {}
     poll_counts: dict[date, int] = {}
     for poll_id in log.poll_ids():
-        poll = log.registry[poll_id]
-        day = utc_day(poll.deploy_timestamp)
+        day = utc_day(log.registry[poll_id].deploy_timestamp)
         poll_counts[day] = poll_counts.get(day, 0) + 1
-        counted = final_ballots(log, poll_id, rule=ballot_rule)
-        ballots[poll_id] = counted
-        pm = _measure_poll(poll, counted, log.poll_events(poll_id), order_rule)
-        if pm is not None:
-            polls.append(pm)
-    return BallotPass(ballots=ballots, polls=polls, poll_counts=poll_counts)
+        ballots[poll_id] = final_ballots(log, poll_id, rule=ballot_rule)
+    return BallotPass(log=log, ballots=ballots, polls=_measure_polls(log, ballots, order_rule), poll_counts=poll_counts)
 
 
 def daily_from_pass(passed: BallotPass, daily_gini_mode: str = "mle") -> list[DailyMetrics]:
     """Aggregate a pass's poll metrics to the calendar days (UTC) that have
     measured polls, ascending.
 
-    Voters and total votes are summed over the day's polls; the share, order
-    and speed measures are averaged; the Gini column follows
-    ``daily_gini_mode``. ``fill_calendar`` adds the days between.
+    Voters and total votes are summed over the day's polls (the total
+    exactly, over the day's ballots); the share, order and speed measures
+    are averaged; the Gini column follows ``daily_gini_mode``. The pooled
+    modes sum each voter's ballots of the day, in first-seen voter order.
+    ``fill_calendar`` adds the days between.
     """
     if daily_gini_mode not in DAILY_GINI_MODES:
         raise ValueError(f"unknown daily gini mode: {daily_gini_mode!r}")
@@ -266,25 +284,43 @@ def daily_from_pass(passed: BallotPass, daily_gini_mode: str = "mle") -> list[Da
     per_day: dict[date, list[PollMetrics]] = {}
     for pm in passed.polls:
         per_day.setdefault(pm.day, []).append(pm)
+    days = sorted(per_day)
+    log, weights = passed.log, passed.log.weights
+    # the day's ballots: those of its measured polls, in poll and ballot order
+    day_rows = [np.concatenate([passed.ballots[p.poll_id] for p in per_day[day]]) for day in days]
+    sizes = [len(rows) for rows in day_rows]
+    rows = np.concatenate([np.empty(0, np.intp), *day_rows])
+    weight = log.weight[rows]
+    starts = np.cumsum([0, *sizes[:-1]], dtype=np.intp)
+    totals = np.add.reduceat(weights.units[weight], starts).tolist() if days else []
+    exponents = np.minimum.reduceat(weights.exponents[weight], starts).tolist() if days else []
+    if daily_gini_mode != "mean_of_polls" and days:
+        # each (day, voter) run of ballots, ordered by its first ballot
+        day = np.repeat(np.arange(len(days)), sizes)
+        grouped = np.lexsort((log.voter[rows], day))
+        runs = _starts(np.column_stack([day[grouped], log.voter[rows][grouped]]))
+        pooled = np.add.reduceat(weights.units[weight[grouped]], runs)
+        seen = np.argsort(grouped[runs])
+        pooled, pooled_day = pooled[seen], day[grouped[runs]][seen]
+        positive = pooled > 0
+        pooled_floats = weights.to_floats(pooled[positive])
+        bounds = np.searchsorted(pooled_day[positive], np.arange(len(days) + 1)).tolist()
 
-    rows: list[DailyMetrics] = []
-    for day in sorted(per_day):
+    rows_out: list[DailyMetrics] = []
+    for i, day in enumerate(days):
         polls = per_day[day]
         n = len(polls)
         if daily_gini_mode == "mean_of_polls":
             gini = sum(p.gini for p in polls) / n
         else:
-            ballots_of_day = [b for p in polls for b in passed.ballots[p.poll_id]]
-            if daily_gini_mode == "mle":
-                gini = daily_gini(ballots_of_day)
-            else:
-                gini = gini_mean_difference(_pooled_voter_totals(ballots_of_day))
-        rows.append(
+            totals_of_day = pooled_floats[bounds[i]:bounds[i + 1]]
+            gini = daily_gini(totals_of_day) if daily_gini_mode == "mle" else gini_mean_difference(totals_of_day)
+        rows_out.append(
             DailyMetrics(
                 day=day,
                 poll_count=passed.poll_counts[day],
                 voters=sum(p.voters for p in polls),
-                total_votes=exact_sum(p.total_votes for p in polls),
+                total_votes=weights.total(totals[i], exponents[i]),
                 largest_share=sum(p.largest_share for p in polls) / n,
                 largest_share_win=sum(p.largest_share_win for p in polls) / n,
                 order=sum(p.order for p in polls) / n,
@@ -292,7 +328,7 @@ def daily_from_pass(passed: BallotPass, daily_gini_mode: str = "mle") -> list[Da
                 gini=gini,
             )
         )
-    return rows
+    return rows_out
 
 
 def fill_calendar(rows: list[DailyMetrics], poll_counts: dict[date, int]) -> list[DailyMetrics]:

@@ -31,8 +31,8 @@ from govpulse.govdata import (
     FactorPanel,
     SchemaError,
     ValidationReport,
+    Weights,
     atomic_open,
-    exact_sum,
     factor_rows,
     load_factors,
     load_vote_log,
@@ -139,20 +139,21 @@ def _load_log(args: argparse.Namespace, run: Run):
     return log
 
 
-def _structural_checks(poll_metrics_rows, profile_rows) -> None:
+def _structural_checks(poll_metrics_rows, profile_rows, weights: Weights) -> None:
     """Documented identities, asserted by ``describe`` and ``report``: the
-    commands that hold both the poll metrics and the voter profiles."""
+    commands that hold both the poll metrics and the voter profiles. The
+    totals are compared as exact ints in the log's weight unit."""
     for pm in poll_metrics_rows:
         if pm.largest_share_win > pm.largest_share + 1e-12:
             raise PipelineError(
                 f"identity violated: largest_share_win > largest_share in poll {pm.poll_id}"
             )
-    total_by_polls = exact_sum(pm.total_votes for pm in poll_metrics_rows)
-    total_by_voters = exact_sum(p.total_votes for p in profile_rows)
+    total_by_polls = sum(weights.units_of(pm.total_votes) for pm in poll_metrics_rows)
+    total_by_voters = sum(weights.units_of(p.total_votes) for p in profile_rows)
     if total_by_voters != total_by_polls:
         raise PipelineError(
             "identity violated: voter totals do not add up to poll totals "
-            f"({total_by_voters} != {total_by_polls})"
+            f"({weights.total(total_by_voters, weights.exponent)} != {weights.total(total_by_polls, weights.exponent)})"
         )
 
 
@@ -183,7 +184,7 @@ def _emit_descriptives(
     tables shared by ``describe`` and ``report``; returns the profiles and
     the voter summary statistics."""
     profile_rows = profiles.profiles_from_pass(passed, log.identities)
-    _structural_checks(passed.polls, profile_rows)
+    _structural_checks(passed.polls, profile_rows, log.weights)
     stats = profiles.describe_polls(passed.polls)
     run.emit_csv("poll_descriptives.csv", report.descriptives_csv(stats))
     run.emit_text("poll_descriptives.md", report.poll_descriptives_table(stats))

@@ -9,12 +9,28 @@ identities.csv  address,name
 factors.csv     date,token,category,factor,value   (date = YYYY-MM-DD)
 
 Timestamps are unix seconds or ISO-8601 UTC; a vote or poll row whose
-timestamp is at or before the epoch (<= 0) is skipped as malformed. Vote
-weights are parsed as fixed-point decimals and summed in ``EXACT``, so totals
-are exact and bit-stable across platforms; they are converted to binary floats
-only inside the statistics layer. Each distinct weight text is parsed and
-checked once per load, and equal texts share one exact ``Decimal``. The off-chain instrument is one date-keyed
-series, the rows of category ``instrument`` whatever their token.
+timestamp is at or before the epoch (<= 0) is skipped as malformed. A vote
+log is held as columns (``VoteColumns``): int64 poll, option and timestamp
+columns, and indices into a table of distinct addresses and a table of
+distinct weights (``Weights``). Each distinct weight text is parsed and
+checked once per load, and equal texts share one exact ``Decimal``. Weights
+are summed as Python ints in units of 10**e, where e is the smaller of 0 and
+the smallest exponent among the log's weights, so every total is exact and
+bit-stable across platforms; it is written as the ``Decimal`` an exact sum
+started at ``Decimal(0)`` gives, and converted to a binary float only inside
+the statistics layer. A vote row whose poll id or option id does not fit in
+64 bits is skipped as malformed.
+
+``votes.csv`` is read in blocks of whole lines on a fast path when the whole
+file is ASCII and holds no ``"``, no NUL, no carriage return outside a CRLF
+line end and no line longer than ``csv.field_size_limit()``: each line is
+then a row, and a row the fast path cannot judge (a wrong field count, a
+blank line, an int field that is not plain digits, a timestamp that is not
+plain digits, or any field that fails a check) goes through the same
+per-row parse as every row of any other file, which the CSV reader reads.
+Both paths give the same rows and anomalies. The off-chain instrument is
+one date-keyed series, the rows of category ``instrument`` whatever their
+token.
 """
 
 from __future__ import annotations
@@ -24,15 +40,19 @@ import math
 import os
 import tempfile
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, localcontext
+from decimal import Decimal, InvalidOperation
+from functools import cached_property
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import IO
+from typing import IO, NamedTuple
+
+import numpy as np
 
 
 class SchemaError(ValueError):
@@ -50,19 +70,12 @@ INSTRUMENT_FACTOR = "offchain_voters"
 INSTRUMENT_TOKEN = "ALL"  # the token column written for instrument rows
 FACTOR_CATEGORIES = REGRESSION_CATEGORIES + (INSTRUMENT_CATEGORY,)
 
-# Vote weights are summed in this context: with the largest precision and
-# exponent range decimal allows, a sum of weights is never rounded.
-EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 # A weight's last digit may not lie further right than this, which bounds the
 # digits of every exact sum (a zero weight such as 0E-999999999 would
 # otherwise carry a billion zeros into it).
 MAX_WEIGHT_PLACES = 1000
-
-
-def exact_sum(values: Iterable[Decimal]) -> Decimal:
-    """Sum of decimal vote weights or totals, never rounded."""
-    with localcontext(EXACT):
-        return sum(values, Decimal(0))
+# The ids and option ids of a vote row are held in int64 columns.
+INT64_RANGE = range(-(2**63), 2**63)
 
 
 @dataclass(frozen=True)
@@ -109,41 +122,199 @@ class ValidationReport:
         return out
 
 
-class VoteLog:
-    """Immutable container for a parsed voting history.
+class Weights:
+    """The distinct vote weights of a log, one entry per weight text (or per
+    weight object, for a log built from events).
 
-    Events are stored sorted by (timestamp, input order); every event's
-    poll_id resolves in the registry (ValueError otherwise).
+    ``exponent`` is the smaller of 0 and the smallest exponent among them.
+    Each entry has its ``Decimal`` (for output), its exact int in units of
+    10**exponent, its own exponent, its float and its rank: equal values,
+    such as 1 and 1.0, share one rank, and a larger value has a larger rank.
+    Every sum of weights is an int sum of units; ``total`` writes it as the
+    ``Decimal`` an exact sum started at ``Decimal(0)`` would give.
+    """
+
+    def __init__(self, decimals: Sequence[Decimal]) -> None:
+        self.decimals: tuple[Decimal, ...] = tuple(decimals)
+        exponents = [d.as_tuple().exponent for d in self.decimals]
+        self.exponent: int = min([0, *exponents])
+        self._scale = 10**-self.exponent
+        units = [n * self._scale // d for n, d in map(Decimal.as_integer_ratio, self.decimals)]
+        self.units = np.array(units, dtype=object)
+        self.exponents = np.array(exponents, dtype=np.int64)
+        self.floats = np.array([float(d) for d in self.decimals], dtype=float)
+        self.ranks = np.zeros(len(units), dtype=np.int64)
+        ordered = sorted(range(len(units)), key=units.__getitem__)
+        for before, index in zip(ordered, ordered[1:]):
+            self.ranks[index] = self.ranks[before] + (units[index] != units[before])
+
+    def total(self, units: int, exponent: int) -> Decimal:
+        """The exact ``Decimal`` of a sum of ``units`` whose summands' smallest
+        exponent is ``exponent``: its exponent is the smaller of 0 and that,
+        as in ``Decimal(0) + ...``. Built from its digits, never rounded."""
+        exponent = min(0, int(exponent))
+        return Decimal(f"{units // 10 ** (exponent - self.exponent)}E{exponent}")
+
+    def units_of(self, value: Decimal) -> int:
+        """The exact int of a weight or total of this log in units of 10**exponent."""
+        numerator, denominator = value.as_integer_ratio()
+        return numerator * self._scale // denominator
+
+    def to_floats(self, units: Iterable[int]) -> np.ndarray:
+        """Each sum of units as the float nearest its exact value (int true
+        division rounds correctly); inf beyond the float range."""
+        def nearest(value: int) -> float:
+            try:
+                return value / self._scale
+            except OverflowError:
+                return math.inf
+        return np.array([nearest(value) for value in units], dtype=float)
+
+
+class VoteColumns(NamedTuple):
+    """Vote rows as columns, sorted by (timestamp, input order): int64
+    ``poll_id``, ``option_id`` and ``timestamp``; ``voter`` indexes
+    ``addresses`` (sorted, so the index is the address's rank) and
+    ``weight`` indexes ``weights``."""
+
+    poll_id: np.ndarray
+    voter: np.ndarray
+    option_id: np.ndarray
+    weight: np.ndarray
+    timestamp: np.ndarray
+    addresses: tuple[str, ...]
+    weights: Weights
+
+    @classmethod
+    def of_events(cls, events: Sequence[VoteEvent]) -> "VoteColumns":
+        addresses = tuple(sorted({e.voter for e in events}))
+        rank = {address: i for i, address in enumerate(addresses)}
+        # one entry per weight object: equal texts share one Decimal when loaded
+        objects = {id(e.weight): e.weight for e in events}
+        slot = {key: i for i, key in enumerate(objects)}
+        n = len(events)
+        return cls(
+            np.fromiter((e.poll_id for e in events), np.int64, n),
+            np.fromiter((rank[e.voter] for e in events), np.intp, n),
+            np.fromiter((e.option_id for e in events), np.int64, n),
+            np.fromiter((slot[id(e.weight)] for e in events), np.intp, n),
+            np.fromiter((e.timestamp for e in events), np.int64, n),
+            addresses,
+            Weights(list(objects.values())),
+        )
+
+
+class _EventView(Sequence):
+    """``VoteLog.events``: the rows as ``VoteEvent``s, built on the first
+    use of an element. Its length is the row count, which builds nothing."""
+
+    def __init__(self, log: "VoteLog") -> None:
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log.timestamp)
+
+    def __getitem__(self, index):
+        return self._log._event_tuple()[index]
+
+    def __iter__(self) -> Iterator[VoteEvent]:
+        return iter(self._log._event_tuple())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class _PollRows(NamedTuple):
+    """The rows of each poll. ``rows`` holds the row indices grouped by
+    poll, ascending (chronological) within one; ``span`` maps a poll id to
+    its slice of ``rows``; ``first`` and ``last`` mark each row that is its
+    voter's first or last record in its poll."""
+
+    rows: np.ndarray
+    span: dict[int, tuple[int, int]]
+    first: np.ndarray
+    last: np.ndarray
+
+
+class VoteLog:
+    """Immutable container for a parsed voting history, held as columns.
+
+    Rows are sorted by (timestamp, input order); every row's poll_id
+    resolves in the registry (ValueError otherwise). A log is built from
+    ``VoteEvent``s, which it keeps, or from the loader's ``VoteColumns``.
+    ``events`` is the public ``VoteEvent`` view of the rows; a loaded log
+    builds it only when an element is read.
     """
 
     def __init__(
         self,
-        events: list[VoteEvent],
+        events: Sequence[VoteEvent] | VoteColumns,
         registry: dict[int, PollRecord],
         identities: dict[str, str] | None = None,
         report: ValidationReport | None = None,
     ) -> None:
-        unknown = sorted({e.poll_id for e in events} - registry.keys())
+        if isinstance(events, VoteColumns):
+            columns, self._events = events, None
+        else:
+            self._events = tuple(sorted(events, key=attrgetter("timestamp")))
+            columns = VoteColumns.of_events(self._events)
+        unknown = sorted(set(np.unique(columns.poll_id).tolist()) - registry.keys())
         if unknown:
             raise ValueError(f"events reference polls not in the registry: {unknown}")
-        self.events: tuple[VoteEvent, ...] = tuple(sorted(events, key=attrgetter("timestamp")))
+        self.poll_id, self.voter, self.option_id, self.weight, self.timestamp, self.addresses, self.weights = columns
         self.registry: dict[int, PollRecord] = dict(registry)
         self.identities: dict[str, str] = dict(identities or {})
         self.report: ValidationReport = report or ValidationReport()
-        by_poll: dict[int, list[VoteEvent]] = {}
-        for ev in self.events:
-            by_poll.setdefault(ev.poll_id, []).append(ev)
-        self._by_poll: dict[int, tuple[VoteEvent, ...]] = {k: tuple(v) for k, v in by_poll.items()}
+
+    @property
+    def events(self) -> Sequence[VoteEvent]:
+        return _EventView(self)
+
+    def _event_tuple(self) -> tuple[VoteEvent, ...]:
+        if self._events is None:
+            self._events = tuple(map(
+                VoteEvent,
+                self.poll_id.tolist(),
+                map(self.addresses.__getitem__, self.voter.tolist()),
+                self.option_id.tolist(),
+                map(self.weights.decimals.__getitem__, self.weight.tolist()),
+                self.timestamp.tolist(),
+            ))
+        return self._events
+
+    @cached_property
+    def poll_rows(self) -> _PollRows:
+        rows = np.argsort(self.poll_id, kind="stable")
+        polls = self.poll_id[rows]
+        cuts = (np.flatnonzero(polls[1:] != polls[:-1]) + 1).tolist()
+        starts, stops = [0, *cuts], [*cuts, len(rows)]
+        span = dict(zip(polls[starts].tolist(), zip(starts, stops))) if len(rows) else {}
+        # (poll, voter) runs, each chronological: lexsort is stable
+        grouped = np.lexsort((self.voter, self.poll_id))
+        new = np.ones(len(rows) + 1, dtype=bool)
+        new[1:-1] = (self.poll_id[grouped][1:] != self.poll_id[grouped][:-1]) | (
+            self.voter[grouped][1:] != self.voter[grouped][:-1])
+        first, last = np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
+        first[grouped[new[:-1]]] = True
+        last[grouped[new[1:]]] = True
+        return _PollRows(rows, span, first, last)
 
     def poll_events(self, poll_id: int) -> tuple[VoteEvent, ...]:
         """Chronological event history of one poll (empty when no votes)."""
-        return self._by_poll.get(poll_id, ())
+        index = self.poll_rows
+        start, stop = index.span.get(poll_id, (0, 0))
+        events = self._event_tuple()
+        return tuple(events[row] for row in index.rows[start:stop].tolist())
 
     def poll_ids(self) -> list[int]:
         return sorted(self.registry)
 
     def voters(self) -> set[str]:
-        return {e.voter for e in self.events}
+        return set(self.addresses)
 
 
 class FactorPanel:
@@ -327,6 +498,245 @@ def _parse_weight(text: str) -> Decimal | str:
     return weight
 
 
+class _VoteRows:
+    """The vote rows read so far: the columns of the kept rows, each with its
+    line number, and the anomalies of the skipped ones. Each distinct voter
+    field is normalized once and each distinct weight text parsed and
+    checked once; every row still gets every check."""
+
+    def __init__(self, registry: dict[int, PollRecord]) -> None:
+        self.registry = registry
+        self.anomalies: list[Anomaly] = []
+        self.addresses: dict[str, int] = {}  # address -> its index, in first-seen order
+        self.voter_fields: dict[str, int] = {}  # raw voter field -> address index, -1 when empty
+        self.decimals: list[Decimal] = []
+        self.weight_texts: dict[str, int | str] = {}  # raw weight text -> index into decimals, or its error
+        # raw field -> its value on the fast path, -1 when the row must be parsed on its own
+        self.poll_fields: dict[str, int] = {}
+        self.option_fields: dict[str, int] = {}
+        self.kept_weights: dict[str, int] = {}
+        # kept rows in file order, as 5 x n int64 arrays of poll_id, voter,
+        # option_id, weight and timestamp columns
+        self.blocks: list[np.ndarray] = []
+        # (line, poll_id, voter, option_id, weight, timestamp) of each row kept one by one
+        self.rows: list[tuple[int, ...]] = []
+
+    def voter_index(self, text: str) -> int:
+        index = self.voter_fields.get(text)
+        if index is None:
+            address = text.strip().lower()
+            index = self.addresses.setdefault(address, len(self.addresses)) if address else -1
+            self.voter_fields[text] = index
+        return index
+
+    def weight_index(self, text: str) -> int | str:
+        index = self.weight_texts.get(text)
+        if index is None:
+            weight = _parse_weight(text)
+            if isinstance(weight, str):
+                index = weight
+            else:
+                index = len(self.decimals)
+                self.decimals.append(weight)
+            self.weight_texts[text] = index
+        return index
+
+    def registered_poll(self, text: str) -> int:
+        value = _plain_int(text)
+        return value if value in self.registry else -1
+
+    def kept_weight(self, text: str) -> int:
+        index = self.weight_index(text)
+        return -1 if isinstance(index, str) or self.decimals[index] < 0 else index
+
+    def add(self, lineno: int, fields: list[str]) -> None:
+        """The one per-row parse: keep the row of ``fields`` (poll, voter,
+        option, weight and timestamp texts) or record why it is skipped."""
+        poll_text, voter_text, option_text, weight_text, stamp = fields
+        try:
+            poll_id = int(poll_text)
+            voter = self.voter_index(voter_text)
+            option_id = int(option_text)
+            weight = self.weight_index(weight_text)
+            if isinstance(weight, str):
+                raise ValueError(weight)
+            timestamp = parse_timestamp(stamp)
+        except (ValueError, ArithmeticError) as exc:
+            self.anomalies.append(Anomaly("bad vote row", f"line {lineno}: {exc}"))
+            return
+        if voter < 0:
+            self.anomalies.append(Anomaly("bad vote row", f"line {lineno}: empty voter address"))
+        elif timestamp <= 0:
+            self.anomalies.append(Anomaly("bad vote row", f"line {lineno}: non-positive timestamp"))
+        elif self.decimals[weight] < 0:
+            address = voter_text.strip().lower()
+            self.anomalies.append(Anomaly("negative weight", f"line {lineno}: poll {poll_id}, voter {address}"))
+        elif poll_id not in self.registry:
+            self.anomalies.append(Anomaly("unknown poll", f"line {lineno}: poll {poll_id} not in registry"))
+        elif poll_id not in INT64_RANGE or option_id not in INT64_RANGE:
+            name, value = ("poll_id", poll_id) if poll_id not in INT64_RANGE else ("option_id", option_id)
+            self.anomalies.append(Anomaly("bad vote row", f"line {lineno}: {name} {value} does not fit in 64 bits"))
+        else:
+            self.rows.append((lineno, poll_id, voter, option_id, weight, timestamp))
+
+    def columns(self) -> VoteColumns:
+        """The kept rows sorted by (timestamp, file order), their addresses
+        sorted and their weights tabled; addresses and weights of skipped
+        rows are dropped. The blocks are released as they are joined."""
+        parts = [np.empty((5, 0), np.int64), *self.blocks]
+        if self.rows:
+            parts.append(np.array(self.rows, dtype=np.int64).T[1:])
+        self.blocks, self.rows = [], []
+        table = np.concatenate(parts, axis=1)
+        del parts
+        table = table[:, np.argsort(table[4], kind="stable")]
+        poll_id, voter, option_id, weight, timestamp = table
+        names = list(self.addresses)
+        used = np.flatnonzero(np.bincount(voter, minlength=len(names)))
+        kept = sorted((names[i], i) for i in used.tolist())
+        rank = np.zeros(len(names), dtype=np.intp)
+        rank[[i for _, i in kept]] = np.arange(len(kept))
+        used_weights = np.flatnonzero(np.bincount(weight, minlength=len(self.decimals)))
+        slot = np.zeros(len(self.decimals), dtype=np.intp)
+        slot[used_weights] = np.arange(len(used_weights))
+        return VoteColumns(
+            poll_id, rank[voter], option_id, slot[weight], timestamp,
+            tuple(name for name, _ in kept),
+            Weights([self.decimals[i] for i in used_weights.tolist()]),
+        )
+
+
+def _plain_int(text: str) -> int:
+    """The value of a field of 1 to 18 digits, -1 for any other text."""
+    return int(text) if len(text) <= 18 and text.isdigit() else -1
+
+
+def _lookup(texts: list[str], known: dict[str, int], value: Callable[[str], int]) -> np.ndarray:
+    """The int64 column of ``known[text]`` for each text, adding
+    ``value(text)`` for each text not yet known, in first-seen order."""
+    column = np.fromiter(map(known.get, texts, repeat(-2)), np.int64, len(texts))
+    for i in np.flatnonzero(column == -2).tolist():
+        if texts[i] not in known:
+            known[texts[i]] = value(texts[i])
+        column[i] = known[texts[i]]
+    return column
+
+
+def _plain_ints(texts: list[str]) -> np.ndarray:
+    """The int64 column of ``_plain_int`` of each text, less the 18-digit
+    bound when every text is digits and fits in int64."""
+    if "".join(texts).isdigit():
+        try:
+            return np.fromiter(map(int, texts), np.int64, len(texts))
+        except (ValueError, OverflowError):  # an empty text, or one beyond int64
+            pass
+    return np.fromiter(map(_plain_int, texts), np.int64, len(texts))
+
+
+def _plain_text(data: bytes) -> bool:
+    """Whether ``data`` is ASCII and holds no quote and no NUL."""
+    return data.isascii() and b'"' not in data and b"\0" not in data
+
+
+def _fast_block(data: bytes, lineno: int, rows: _VoteRows) -> int | None:
+    """Read the lines of ``data`` (a block of whole lines, starting at line
+    ``lineno``) into ``rows``; the next line number, or None when the block
+    does not qualify for the fast path: it is not ``_plain_text``, or holds
+    a carriage return outside a CRLF or a line longer than
+    ``csv.field_size_limit()``.
+
+    Each line is a row. A row of five fields whose poll, option and
+    timestamp are plain digits, with a registered poll, a timestamp with a
+    UTC date, an address and a non-negative weight is kept as a column
+    entry; any other line goes through ``_VoteRows.add``, in line order."""
+    if not _plain_text(data):
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    codes = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(codes == 10)
+    crlf = np.count_nonzero(codes[ends[ends > 0] - 1] == 13)
+    if np.count_nonzero(codes == 13) != crlf:
+        return None
+    if 0 < crlf < len(ends):  # mixed line ends
+        data = data.replace(b"\r\n", b"\n")
+        codes = np.frombuffer(data, np.uint8)
+        ends, crlf = np.flatnonzero(codes == 10), 0
+    if np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():
+        return None
+    end = "\r\n" if crlf else "\n"
+    whole = np.diff(np.searchsorted(np.flatnonzero(codes == 44), ends), prepend=0) == 4
+    text = data.decode("ascii")
+    lines = None if whole.all() else text.split(end)
+    body = text if lines is None else "".join(line + end for line, ok in zip(lines, whole.tolist()) if ok)
+    fields = body.replace(end, ",").split(",")[:-1]
+    poll_id = _lookup(fields[0::5], rows.poll_fields, rows.registered_poll)
+    voter = _lookup(fields[1::5], rows.voter_fields, rows.voter_index)
+    option_id = _lookup(fields[2::5], rows.option_fields, _plain_int)
+    weight = _lookup(fields[3::5], rows.kept_weights, rows.kept_weight)
+    timestamp = _plain_ints(fields[4::5])
+    kept = (poll_id >= 0) & (voter >= 0) & (option_id >= 0) & (weight >= 0)
+    kept &= (timestamp > 0) & (timestamp <= MAX_TIMESTAMP)
+    numbers = np.flatnonzero(whole)
+    block = np.stack([numbers + lineno, poll_id, voter, option_id, weight, timestamp])[:, kept]
+    # every other line, as the csv path reads it: a blank one is skipped, the
+    # others are padded or cut to five fields
+    slow = sorted([*numbers[~kept].tolist(), *np.flatnonzero(~whole).tolist()])
+    field_of = np.cumsum(whole) - 1
+    for line in slow:
+        raw = fields[5 * field_of[line]:5 * field_of[line] + 5] if whole[line] else lines[line].split(",")
+        if "".join(raw).strip():
+            rows.add(lineno + line, (raw + [""] * 5)[:5])
+    if rows.rows:  # into the block, in line order
+        block = np.concatenate([block, np.array(rows.rows, dtype=np.int64).T], axis=1)
+        block = block[:, np.argsort(block[0], kind="stable")]
+        rows.rows.clear()
+    rows.blocks.append(block[1:])
+    return lineno + len(ends)
+
+
+VOTE_BLOCK_BYTES = 1 << 18
+
+
+def _fast_vote_rows(path: Path, registry: dict[int, PollRecord]) -> _VoteRows | None:
+    """The rows of a votes file read in blocks of whole lines on the fast
+    path (see ``_fast_block``), or None when the file does not qualify for
+    it or its header is not the schema's; the CSV reader then reads it."""
+    try:
+        handle = path.open("rb")
+    except OSError:
+        return None
+    rows = _VoteRows(registry)
+    with handle:
+        header = handle.readline()
+        header = header[:-2] if header.endswith(b"\r\n") else header.removesuffix(b"\n")
+        if not _plain_text(header) or b"\r" in header or [
+                h.strip() for h in header.decode("ascii").split(",")] != VOTES_HEADER:
+            return None
+        lineno, tail = 2, b""
+        while True:
+            block = handle.read(VOTE_BLOCK_BYTES)
+            data = tail + block
+            cut = data.rfind(b"\n") + 1 if block else len(data)
+            data, tail = data[:cut], data[cut:]
+            if len(tail) > csv.field_size_limit() + 2:
+                return None
+            if data:
+                lineno = _fast_block(data, lineno, rows)
+                if lineno is None:
+                    return None
+            if not block:
+                return rows
+
+
+def _csv_vote_rows(path: str | Path, registry: dict[int, PollRecord]) -> _VoteRows:
+    """The rows of a votes file as the CSV reader reads them."""
+    rows = _VoteRows(registry)
+    for lineno, fields in _read_rows(path, VOTES_HEADER, "bad vote row", rows.anomalies):
+        rows.add(lineno, fields)
+    return rows
+
+
 def load_vote_log(
     votes_path: str | Path,
     polls_path: str | Path,
@@ -335,49 +745,16 @@ def load_vote_log(
     """Load the votes/polls/identities exports into a VoteLog.
 
     Malformed rows are skipped and recorded as anomalies attached to the
-    result; missing files and malformed headers raise. Each distinct weight
-    text is parsed and checked once, and the events that carry it share its
-    one ``Decimal``; each distinct voter field is normalized once. Every row
-    still gets every check, so a repeated fault gives one anomaly per line.
+    result; missing files and malformed headers raise. A quote-free ASCII
+    votes file is read on the fast path (see ``_fast_block``), any other
+    through the CSV reader; both give the same log and anomalies.
     """
     report = ValidationReport()
     registry = load_polls(polls_path, report)
     identities = load_identities(identities_path, report) if identities_path else {}
-
-    events: list[VoteEvent] = []
-    weights: dict[str, Decimal | str] = {}  # raw weight text -> _parse_weight of it
-    voters: dict[str, str] = {}  # raw voter field -> its address
-    rows = _read_rows(votes_path, VOTES_HEADER, "bad vote row", report.anomalies)
-    for lineno, (poll_text, voter_text, option_text, weight_text, stamp) in rows:
-        try:
-            poll_id = int(poll_text)
-            voter = voters.get(voter_text)
-            if voter is None:
-                voter = voters[voter_text] = voter_text.strip().lower()
-            option_id = int(option_text)
-            weight = weights.get(weight_text)
-            if weight is None:
-                weight = weights[weight_text] = _parse_weight(weight_text)
-            if isinstance(weight, str):
-                raise ValueError(weight)
-            timestamp = parse_timestamp(stamp)
-        except (ValueError, ArithmeticError) as exc:
-            report.add("bad vote row", f"line {lineno}: {exc}")
-            continue
-        if not voter:
-            report.add("bad vote row", f"line {lineno}: empty voter address")
-            continue
-        if timestamp <= 0:
-            report.add("bad vote row", f"line {lineno}: non-positive timestamp")
-            continue
-        if weight < 0:
-            report.add("negative weight", f"line {lineno}: poll {poll_id}, voter {voter}")
-            continue
-        if poll_id not in registry:
-            report.add("unknown poll", f"line {lineno}: poll {poll_id} not in registry")
-            continue
-        events.append(VoteEvent(poll_id, voter, option_id, weight, timestamp))
-    return VoteLog(events, registry, identities, report)
+    rows = _fast_vote_rows(Path(votes_path), registry) or _csv_vote_rows(votes_path, registry)
+    report.anomalies += rows.anomalies
+    return VoteLog(rows.columns(), registry, identities, report)
 
 
 def _factor_date(text: str) -> date | None:
@@ -456,25 +833,24 @@ def load_factors(path: str | Path) -> FactorPanel:
     return panel
 
 
-def final_ballots(log: VoteLog, poll_id: int, rule: str = "last") -> list[VoteEvent]:
-    """One counted ballot per voter for a poll: the voter's own ``VoteEvent``.
+def final_ballots(log: VoteLog, poll_id: int, rule: str = "last") -> np.ndarray:
+    """One counted ballot per voter for a poll: the row indices of the
+    voters' counted records.
 
     ``rule="last"`` counts a voter's final record (portal semantics);
     ``rule="first"`` counts the first. Output is sorted by weight descending
-    (compared exactly, never rounded) with ties broken by timestamp
-    ascending, then address: two stable sorts, the tie-breakers first.
+    (by exact rank, never rounded) with ties broken by timestamp ascending,
+    then address.
     """
     if rule not in ("last", "first"):
         raise ValueError(f"unknown ballot rule: {rule!r}")
     if poll_id not in log.registry:
         raise KeyError(f"poll {poll_id} not in registry")
-    counted: dict[str, VoteEvent] = {}
-    for event in log.poll_events(poll_id):
-        if rule == "last" or event.voter not in counted:
-            counted[event.voter] = event
-    ballots = sorted(counted.values(), key=attrgetter("timestamp", "voter"))
-    ballots.sort(key=attrgetter("weight"), reverse=True)
-    return ballots
+    index = log.poll_rows
+    start, stop = index.span.get(poll_id, (0, 0))
+    rows = index.rows[start:stop]
+    rows = rows[(index.last if rule == "last" else index.first)[rows]]
+    return rows[np.lexsort((log.voter[rows], log.timestamp[rows], -log.weights.ranks[log.weight[rows]]))]
 
 
 def validate_dataset(log: VoteLog) -> ValidationReport:

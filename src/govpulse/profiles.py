@@ -13,10 +13,11 @@ import math
 import statistics
 from dataclasses import dataclass
 from datetime import date
-from decimal import Decimal, localcontext
+from decimal import Decimal
+
+import numpy as np
 
 from govpulse.centrality import BallotPass, PollMetrics, utc_day
-from govpulse.govdata import EXACT
 
 RANK_CRITERIA = ("involved_polls", "total_votes", "highest_single_vote")
 
@@ -88,34 +89,37 @@ def describe_polls(metrics: list[PollMetrics]) -> dict[str, SummaryStats]:
 
 
 def profiles_from_pass(passed: BallotPass, identities: dict[str, str]) -> list[VoterProfile]:
-    """One profile per unique address, totals over the pass's final ballots."""
-    involved: dict[str, int] = {}
-    totals: dict[str, Decimal] = {}
-    first_poll: dict[str, int] = {}
-    highest: dict[str, Decimal] = {}
-    first_ts: dict[str, int] = {}
-    with localcontext(EXACT):
-        for poll_id, ballots in passed.ballots.items():  # ascending poll id
-            for ballot in ballots:
-                address = ballot.voter
-                involved[address] = involved.get(address, 0) + 1
-                totals[address] = totals.get(address, Decimal(0)) + ballot.weight
-                first_poll.setdefault(address, poll_id)
-                if address not in highest or ballot.weight > highest[address]:
-                    highest[address] = ballot.weight
-                if address not in first_ts or ballot.timestamp < first_ts[address]:
-                    first_ts[address] = ballot.timestamp
+    """One profile per unique address, by address, totals over the pass's
+    final ballots: each voter's ballots are one segment, its total an exact
+    int sum and its highest single vote the first of its largest ballots in
+    poll-id and final-ballot order."""
+    log, weights = passed.log, passed.log.weights
+    rows = np.concatenate([np.empty(0, np.intp), *passed.ballots.values()])  # ascending poll id
+    if not len(rows):
+        return []
+    voter, weight = log.voter[rows], log.weight[rows]
+    # by voter, then weight descending; lexsort is stable, so ties keep the pass order
+    order = np.lexsort((-weights.ranks[weight], voter))
+    starts = np.flatnonzero(np.concatenate([[True], voter[order][1:] != voter[order][:-1]]))
+    totals = np.add.reduceat(weights.units[weight[order]], starts).tolist()
+    exponents = np.minimum.reduceat(weights.exponents[weight[order]], starts).tolist()
+    first_poll = np.minimum.reduceat(log.poll_id[rows][order], starts).tolist()
+    first_ts = np.minimum.reduceat(log.timestamp[rows][order], starts).tolist()
+    involved = np.diff(np.append(starts, len(rows))).tolist()
     return [
         VoterProfile(
-            address=address,
-            identity=identities.get(address, ""),
-            involved_polls=involved[address],
-            total_votes=totals[address],
-            first_poll=first_poll[address],
-            highest_single_vote=highest[address],
-            first_date=utc_day(first_ts[address]),
+            address=log.addresses[v],
+            identity=identities.get(log.addresses[v], ""),
+            involved_polls=n,
+            total_votes=weights.total(total, exponent),
+            first_poll=poll_id,
+            highest_single_vote=weights.decimals[w],
+            first_date=utc_day(ts),
         )
-        for address in sorted(involved)
+        for v, w, n, total, exponent, poll_id, ts in zip(
+            voter[order][starts].tolist(), weight[order][starts].tolist(), involved, totals, exponents,
+            first_poll, first_ts,
+        )
     ]
 
 

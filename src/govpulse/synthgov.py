@@ -18,6 +18,7 @@ tested against.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date, datetime, timezone
 from decimal import Decimal
@@ -45,6 +46,8 @@ from govpulse.govdata import (
 INSTRUMENT_MEASURE = "Voters"
 INSTRUMENT_STRENGTH = 1.0
 INSTRUMENT_NOISE = 0.5
+# The most polls one day may draw: every poll a day draws is held in memory.
+MAX_POLLS_PER_DAY = 10_000
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,12 @@ class SynthConfig:
     def __post_init__(self) -> None:
         self.polls_per_day = DistSpec.parse(self.polls_per_day)
         self.vote_delay = DistSpec.parse(self.vote_delay)
+        for name in (f.name for f in fields(self)):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if isinstance(value, DistSpec) and not all(map(math.isfinite, value.params)):
+                raise ValueError(f"{name} parameters must be finite, got {list(value.params)}")
         for name in ("participation_rate", "revision_rate", "largest_wins_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -207,6 +216,8 @@ def gen_history(config: SynthConfig) -> VoteLog:
     poll_id = 0
     for day_index in range(config.days):
         polls_today = int(round(config.polls_per_day.sample(rng)))
+        if polls_today > MAX_POLLS_PER_DAY:
+            raise ValueError(f"polls_per_day drew {polls_today} polls for day {day_index}, over {MAX_POLLS_PER_DAY}")
         for _ in range(max(0, polls_today)):
             poll_id += 1
             deploy = start + day_index * 86400 + int(rng.integers(0, 43200))

@@ -9,6 +9,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOpera
 
 import numpy as np
 
+from govpulse.centrality import PollMetrics, gini_mean_difference, utc_day
 from govpulse.factorlab import is_known_factor
 from govpulse.govdata import (
     FACTOR_CATEGORIES,
@@ -20,6 +21,7 @@ from govpulse.govdata import (
     VOTES_HEADER,
     Anomaly,
     FactorPanel,
+    PollRecord,
     ValidationReport,
     VoteEvent,
     VoteLog,
@@ -108,9 +110,63 @@ def load_vote_events_oracle(votes_path, polls_path, identities_path=None) -> tup
         if poll_id not in registry:
             report.add("unknown poll", f"line {lineno}: poll {poll_id} not in registry")
             continue
+        out_of_range = [(name, value) for name, value in (("poll_id", poll_id), ("option_id", option_id))
+                        if not -(2**63) <= value < 2**63]
+        if out_of_range:
+            report.add("bad vote row", "line {}: {} {} does not fit in 64 bits".format(lineno, *out_of_range[0]))
+            continue
         events.append(VoteEvent(poll_id=poll_id, voter=voter, option_id=option_id, weight=weight, timestamp=timestamp))
     decorated = sorted((e.timestamp, i) for i, e in enumerate(events))
     return [events[i] for _, i in decorated], report.anomalies
+
+
+def pooled_voter_totals_oracle(ballots: list[VoteEvent]) -> np.ndarray:
+    """Each voter's exact summed weight over the ballots, as floats in
+    first-seen voter order, positive totals only. Test oracle."""
+    totals: dict[str, Decimal] = {}
+    with localcontext(EXACT):
+        for ballot in ballots:
+            totals[ballot.voter] = totals.get(ballot.voter, Decimal(0)) + ballot.weight
+    return np.array([float(v) for v in totals.values() if v > 0], dtype=float)
+
+
+def measure_poll_oracle(
+    poll: PollRecord, ballots: list[VoteEvent], history: tuple[VoteEvent, ...], order_rule: str
+) -> PollMetrics | None:
+    """One poll's measures from its final ballots (``VoteEvent``s, largest
+    first) and its chronological history, each sum an exact ``Decimal``
+    sum; None when the ballots carry no positive weight. Test oracle."""
+    tally: dict[int, Decimal] = {}
+    with localcontext(EXACT):
+        for ballot in ballots:
+            tally[ballot.option_id] = tally.get(ballot.option_id, Decimal(0)) + ballot.weight
+    total = exact_sum_oracle(tally.values())
+    if total <= 0:
+        return None
+    largest = ballots[0]
+    share = float(largest.weight / total)
+    best = max(tally.values())
+    ifwin = 1 if largest.option_id == min(o for o, w in tally.items() if w == best) else 0
+    records = [(i, e) for i, e in enumerate(history, start=1) if e.voter == largest.voter]
+    index = max(i for i, e in records if e is largest) if order_rule == "last" else records[0][0]
+    breakdown = exact_sum_oracle(w for o, w in tally.items() if o not in poll.abstain_option_ids)
+    gaps = sum(max(0, b.timestamp - poll.deploy_timestamp) for b in ballots)
+    return PollMetrics(
+        poll_id=poll.poll_id,
+        day=utc_day(poll.deploy_timestamp),
+        total_votes=total,
+        voters=len(ballots),
+        gini=gini_mean_difference(np.array([float(b.weight) for b in ballots], dtype=float)),
+        largest_share=share,
+        ifwin=ifwin,
+        largest_share_win=share * ifwin,
+        order=index / len(history),
+        speed_seconds=float(gaps) / len(ballots),
+        breakdown_votes=breakdown,
+        breakdown_ratio=float(breakdown / total),
+        breakdown_voters=sum(1 for b in ballots if b.option_id not in poll.abstain_option_ids),
+        largest_votes=largest.weight,
+    )
 
 
 def final_ballots_oracle(log: VoteLog, poll_id: int, rule: str) -> list[VoteEvent]:

@@ -1,11 +1,11 @@
-"""The single ballot pass against the per-poll ``final_ballots`` loop.
+"""The columnar ballot pass against per-poll ``VoteEvent`` oracles.
 
 The oracles below aggregate the way every consumer did before the pass
-existed: each one calls ``final_ballots`` (directly or through
-``oracle_poll``) for every poll it needs. The order and win measures come
-from this file's own record positions and per-option tally, not from
-``_measure_poll``. Decimal fields must agree exactly, floats to 1e-12
-relative.
+existed: each one takes the final ballots (``final_ballots_oracle``, as
+``VoteEvent``s) of every poll it needs and sums exact ``Decimal``s. The
+order and win measures come from this file's own record positions and
+per-option tally, not from ``measure_poll_oracle``. Decimal fields must
+agree exactly, floats to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from conftest import DAY0, addr, make_log, make_poll, write_polls_csv, write_vot
 from govpulse.centrality import (
     DAILY_GINI_MODES,
     DailyMetrics,
-    _measure_poll,
     ballot_pass,
     daily_from_pass,
     daily_gini,
@@ -32,8 +31,8 @@ from govpulse.centrality import (
     utc_day,
 )
 from govpulse.cli import exec_command
-from govpulse.govdata import EXACT, final_ballots
 from govpulse.profiles import VoterProfile, profiles_from_pass
+from oracles import EXACT, final_ballots_oracle, measure_poll_oracle, pooled_voter_totals_oracle
 
 RULES = ("last", "first")
 # "1", "1.0" and "1.00000000000000000001" are one float; the first two are
@@ -98,11 +97,11 @@ def oracle_winner(ballots):
 
 
 def oracle_poll(log, poll_id, ballot_rule, order_rule):
-    """One poll's metrics from its own ``final_ballots`` call, with order and
-    win taken from ``oracle_positions`` and ``oracle_winner``."""
+    """One poll's metrics from its own final ballots, with order and win
+    taken from ``oracle_positions`` and ``oracle_winner``."""
     history = log.poll_events(poll_id)
-    ballots = final_ballots(log, poll_id, rule=ballot_rule)
-    pm = _measure_poll(log.registry[poll_id], ballots, history, order_rule)
+    ballots = final_ballots_oracle(log, poll_id, ballot_rule)
+    pm = measure_poll_oracle(log.registry[poll_id], ballots, history, order_rule)
     if pm is None:
         return None
     counted, first_seen = oracle_positions(history, ballot_rule)
@@ -130,13 +129,13 @@ def oracle_daily(log, calendar_mode, daily_gini_mode, ballot_rule, order_rule):
         if pm is None:
             continue
         per_day.setdefault(day, []).append(pm)
-        ballots_by_day.setdefault(day, []).extend(final_ballots(log, poll_id, rule=ballot_rule))
+        ballots_by_day.setdefault(day, []).extend(final_ballots_oracle(log, poll_id, ballot_rule))
     rows = []
     for day in sorted(per_day):
         polls = per_day[day]
         n = len(polls)
         if daily_gini_mode == "mle":
-            gini = daily_gini(ballots_by_day[day])
+            gini = daily_gini(pooled_voter_totals_oracle(ballots_by_day[day]))
         elif daily_gini_mode == "mean_of_polls":
             gini = sum(p.gini for p in polls) / n
         else:
@@ -172,7 +171,7 @@ def oracle_daily(log, calendar_mode, daily_gini_mode, ballot_rule, order_rule):
 def oracle_profiles(log, ballot_rule):
     involved, totals, first_poll, highest, first_ts = {}, {}, {}, {}, {}
     for poll_id in log.poll_ids():
-        for ballot in final_ballots(log, poll_id, rule=ballot_rule):
+        for ballot in final_ballots_oracle(log, poll_id, ballot_rule):
             a = ballot.voter
             involved[a] = involved.get(a, 0) + 1
             totals[a] = totals.get(a, Decimal(0)) + ballot.weight

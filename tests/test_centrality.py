@@ -29,8 +29,19 @@ def _one_poll_log(*weights):
     return make_log(events, [make_poll(1, DAY0)])
 
 
+def _ballot_weights(log, poll_id=1):
+    """The float weights of a poll's final ballots, largest first."""
+    return log.weights.floats[log.weight[final_ballots(log, poll_id)]]
+
+
 def _ballots(*weights):
-    return final_ballots(_one_poll_log(*weights), 1)
+    return _ballot_weights(_one_poll_log(*weights))
+
+
+def _daily_gini(log):
+    """The daily Gini of the log's only day."""
+    (row,) = daily_from_pass(ballot_pass(log))
+    return row.gini
 
 
 def _poll_metrics(log, order_rule="last"):
@@ -116,7 +127,7 @@ def test_gini_permutation_invariance():
     events_b = list(reversed(events_a))
     log_a = make_log(events_a, [make_poll(1, DAY0)])
     log_b = make_log(events_b, [make_poll(1, DAY0)])
-    assert poll_gini(final_ballots(log_a, 1)) == poll_gini(final_ballots(log_b, 1))
+    assert poll_gini(_ballot_weights(log_a)) == poll_gini(_ballot_weights(log_b))
 
 
 def test_gini_bounds():
@@ -128,11 +139,11 @@ def test_gini_bounds():
 
 
 def test_daily_gini_all_equal_totals():
-    assert daily_gini(_ballots(4, 4, 4, 4)) == 0.0
+    assert _daily_gini(_one_poll_log(4, 4, 4, 4)) == 0.0
 
 
 def test_daily_gini_single_voter():
-    assert daily_gini(_ballots(17)) == 0.0
+    assert _daily_gini(_one_poll_log(17)) == 0.0
 
 
 def test_daily_gini_pools_within_day():
@@ -146,12 +157,12 @@ def test_daily_gini_pools_within_day():
         ],
         [p1, p2],
     )
-    ballots = final_ballots(log, 1) + final_ballots(log, 2)
-    assert daily_gini(ballots) == 0.0
+    assert _daily_gini(log) == 0.0
+    assert daily_gini(np.concatenate([_ballot_weights(log, 1), _ballot_weights(log, 2)])) > 0.0  # unpooled
 
 
 def test_daily_gini_drops_zero_totals():
-    assert daily_gini(_ballots(0, 5)) == 0.0  # only one positive total -> 0
+    assert _daily_gini(_one_poll_log(0, 5)) == 0.0  # only one positive total -> 0
 
 
 def test_daily_gini_pareto_calibration_1_5():
@@ -170,8 +181,7 @@ def test_gini_from_alpha_clipping():
 def test_daily_gini_monotone_in_concentration():
     previous = -1.0
     for ratio in (1.0, 2.0, 5.0, 20.0, 100.0, 1e4):
-        ballots = _ballots(*([ratio] + [1.0] * 6))
-        value = daily_gini(ballots)
+        value = daily_gini(_ballots(*([ratio] + [1.0] * 6)))
         assert value >= previous - 1e-15
         previous = value
 
@@ -226,7 +236,7 @@ def test_largest_voter_tie_earliest_final_timestamp():
         [make_poll(1, DAY0)],
     )
     ballots = final_ballots(log, 1)
-    assert ballots[0].voter == addr(2)
+    assert log.events[ballots[0]].voter == addr(2)
 
 
 def test_poll_speed_mean_of_gaps():

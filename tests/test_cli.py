@@ -1322,6 +1322,24 @@ def test_synth_rejects_unknown_config_fields(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config, error", [
+    pytest.param({"holdings_alpha": math.nan}, "holdings_alpha must be finite, got nan", id="nan-alpha"),
+    pytest.param({"turnout_tilt": math.nan}, "turnout_tilt must be finite, got nan", id="nan-tilt"),
+    pytest.param({"holdings_scale": math.inf}, "holdings_scale must be finite, got inf", id="infinite-scale"),
+    pytest.param({"vote_delay": ["constant", math.inf]}, "vote_delay parameters must be finite, got [inf]",
+                 id="infinite-vote-delay"),
+    pytest.param({"polls_per_day": ["uniform", 1, math.nan]}, "polls_per_day parameters must be finite, got [1.0, nan]",
+                 id="nan-polls-per-day"),
+    pytest.param({"polls_per_day": ["constant", 1e12]}, "polls_per_day drew 1000000000000 polls for day 0, over 10000",
+                 id="too-many-polls"),
+])
+def test_synth_refuses_what_it_cannot_generate(tmp_path, config, error):
+    out = tmp_path / "out"
+    config = _write(tmp_path / "c.json", json.dumps({"days": 3, "voter_pool": 20, **config}))
+    assert exec_command(["synth", "--config", config, "--out-dir", str(out)]) == 1
+    assert _only_the_failed_manifest(out, "synth") == error
+
+
+@pytest.mark.parametrize("config, error", [
     pytest.param({"start_day": "9999-12-30", "days": 2}, "would get a vote at", id="votes-after-9999"),
     pytest.param({"vote_delay": ["constant", 1e30]}, "would get a vote at", id="far-vote-delay"),
     pytest.param({"start_day": "1969-12-31"}, "would deploy at -", id="deploys-before-1970"),

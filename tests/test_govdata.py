@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import tracemalloc
 from datetime import date
 from decimal import Decimal
 
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DAY0, addr, make_log, make_poll, write_factors_csv, write_polls_csv, write_votes_csv
+from govpulse import govdata
 from govpulse.centrality import ballot_pass
 from govpulse.govdata import (
     FACTORS_HEADER,
@@ -17,6 +20,7 @@ from govpulse.govdata import (
     POLLS_HEADER,
     VOTES_HEADER,
     SchemaError,
+    VoteEvent,
     final_ballots,
     load_factors,
     load_vote_log,
@@ -24,7 +28,7 @@ from govpulse.govdata import (
     validate_dataset,
     write_vote_log,
 )
-from oracles import final_ballots_oracle, load_factors_oracle, load_vote_events_oracle
+from oracles import exact_sum_oracle, final_ballots_oracle, load_factors_oracle, load_vote_events_oracle
 
 
 def test_empty_votes_file_with_valid_header(tmp_path):
@@ -105,6 +109,11 @@ def test_parse_timestamp_forms():
     assert parse_timestamp("1970-01-01T00:02:00+00:00") == 120
 
 
+def _ballots(log, poll_id, rule="last"):
+    """The poll's final ballots as ``VoteEvent``s."""
+    return [log.events[row] for row in final_ballots(log, poll_id, rule)]
+
+
 def _order(log, ballot_rule="last", order_rule="last"):
     """The order measure of the log's only measured poll."""
     (pm,) = ballot_pass(log, ballot_rule=ballot_rule, order_rule=order_rule).polls
@@ -116,7 +125,7 @@ def test_final_ballot_last_event_counts():
         [(1, addr(1), 1, "5", DAY0 + 100), (1, addr(1), 2, "5", DAY0 + 500)],
         [make_poll(1, DAY0)],
     )
-    ballots = final_ballots(log, 1)
+    ballots = _ballots(log, 1)
     assert len(ballots) == 1
     b = ballots[0]
     assert (b.option_id, b.weight, b.timestamp) == (2, Decimal("5"), DAY0 + 500)
@@ -129,7 +138,7 @@ def test_final_ballot_first_rule():
         [(1, addr(1), 1, "5", DAY0 + 100), (1, addr(1), 2, "5", DAY0 + 500)],
         [make_poll(1, DAY0)],
     )
-    b = final_ballots(log, 1, rule="first")[0]
+    b = _ballots(log, 1, rule="first")[0]
     assert (b.option_id, b.timestamp) == (1, DAY0 + 100)
     assert _order(log, ballot_rule="first") == 1 / 2
 
@@ -139,14 +148,14 @@ def test_final_ballots_two_voters_indices():
         [(1, addr(1), 1, "5", DAY0 + 100), (1, addr(2), 2, "3", DAY0 + 200)],
         [make_poll(1, DAY0)],
     )
-    ballots = final_ballots(log, 1)
+    ballots = _ballots(log, 1)
     assert [b.timestamp for b in ballots] == [DAY0 + 100, DAY0 + 200]
     assert _order(log) == 1 / 2
 
 
 def test_final_ballots_empty_poll():
     log = make_log([], [make_poll(1, DAY0)])
-    assert final_ballots(log, 1) == []
+    assert final_ballots(log, 1).tolist() == []
 
 
 def test_final_ballots_sorted_by_weight_then_time():
@@ -158,7 +167,7 @@ def test_final_ballots_sorted_by_weight_then_time():
         ],
         [make_poll(1, DAY0)],
     )
-    ballots = final_ballots(log, 1)
+    ballots = _ballots(log, 1)
     assert [b.voter for b in ballots] == [addr(2), addr(3), addr(1)]
 
 
@@ -168,7 +177,7 @@ def test_final_ballots_sort_weights_that_differ_past_28_digits():
         [(1, addr(1), 1, light, DAY0 + 10), (1, addr(2), 2, heavy, DAY0 + 20)],
         [make_poll(1, DAY0)],
     )
-    assert [str(b.weight) for b in final_ballots(log, 1)] == [heavy, light]
+    assert [str(b.weight) for b in _ballots(log, 1)] == [heavy, light]
     (pm,) = ballot_pass(log).polls
     assert (str(pm.largest_votes), pm.ifwin, pm.order) == (heavy, 1, 2 / 2)
 
@@ -203,7 +212,7 @@ def test_final_ballots_keep_the_one_key_order(rows, rule):
         [(1, addr(voter), option, weight, DAY0 + offset) for voter, option, weight, offset in rows],
         [make_poll(1, DAY0)],
     )
-    got, want = final_ballots(log, 1, rule), final_ballots_oracle(log, 1, rule)
+    got, want = _ballots(log, 1, rule), final_ballots_oracle(log, 1, rule)
     assert got == want
     assert [str(b.weight) for b in got] == [str(b.weight) for b in want]
 
@@ -216,15 +225,15 @@ def test_equal_timestamp_permutation_keeps_weights(simple_log):
     ]
     log_a = make_log(events, [make_poll(1, DAY0)])
     log_b = make_log(list(reversed(events)), [make_poll(1, DAY0)])
-    weights_a = sorted((b.voter, b.weight) for b in final_ballots(log_a, 1))
-    weights_b = sorted((b.voter, b.weight) for b in final_ballots(log_b, 1))
+    weights_a = sorted((b.voter, b.weight) for b in _ballots(log_a, 1))
+    weights_b = sorted((b.voter, b.weight) for b in _ballots(log_b, 1))
     assert weights_a == weights_b
 
 
 def test_revisions_never_add_weight(simple_log):
     for poll_id in simple_log.poll_ids():
         raw = sum((e.weight for e in simple_log.poll_events(poll_id)), Decimal(0))
-        final = sum((b.weight for b in final_ballots(simple_log, poll_id)), Decimal(0))
+        final = sum((b.weight for b in _ballots(simple_log, poll_id)), Decimal(0))
         assert final <= raw
 
 
@@ -626,3 +635,177 @@ def test_unreadable_line_is_a_bad_row(tmp_path, source, junk, reason):
         kept = {"votes": len(log.events), "polls": len(log.registry), "identities": len(log.identities)}[source]
     assert [(a.kind, a.detail) for a in anomalies] == [(kind, f"line 3: {reason}")]
     assert kept == 2
+
+
+def _vote_rows_equal(got, want) -> None:
+    """Two readers' rows: the same kept rows (each weight's text too), in the
+    same order, and the same anomalies in the same order."""
+    def rows(columns):
+        return list(zip(
+            columns.poll_id.tolist(), [columns.addresses[i] for i in columns.voter.tolist()],
+            columns.option_id.tolist(), [str(columns.weights.decimals[i]) for i in columns.weight.tolist()],
+            columns.timestamp.tolist(),
+        ))
+    assert rows(got.columns()) == rows(want.columns())
+    assert got.anomalies == want.anomalies
+
+
+# texts of each votes.csv field, valid and not, including those Python's int
+# reads and the fast path leaves to the per-row parse (" 7", "+7", "7_0")
+READER_FIELDS = (
+    ["1", "2", "3", "01", " 1", "+1", "1_0", "-1", "x", "", "99999999999999999999"],
+    ["0xA", " 0xa ", "0xb", "0xC\t", "", "  "],
+    ["1", "2", " 2", "+2", "-3", "", "1e2", "9223372036854775808", "99999999999999999999"],
+    ["1", "1.0", "7", "0.7E+1", " 7", "7_0", "-1", "-0", "NaN", "x", "", "1E-1001", "1e400"],
+    [str(DAY0 + 10), str(DAY0 + 20), "0", "1614556800.5", "2021-03-01T00:00:20Z", " 1614556810", "",
+     "+1614556810", "99999999999999999999", "9999999999999999"],
+)
+READER_LINE = st.one_of(
+    st.lists(st.integers(0, 12), min_size=5, max_size=5).map(
+        lambda picks: ",".join(texts[i % len(texts)] for texts, i in zip(READER_FIELDS, picks))),
+    st.lists(st.sampled_from([t for texts in READER_FIELDS for t in texts]), max_size=7).map(",".join),
+    st.sampled_from(["", " ", ",,,,", " , ,", "\t", ",,,,,,"]),
+)
+
+
+def _reader_text(lines: list[str], ends: list[bool], final_newline: bool) -> bytes:
+    body = "".join(line + ("\r\n" if crlf else "\n") for line, crlf in zip(lines, ends))
+    if not final_newline and body.endswith("\n"):
+        body = body[:-2] if body.endswith("\r\n") else body[:-1]
+    return ("poll_id,voter,option_id,weight,timestamp\n" + body).encode("ascii")
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(READER_LINE, max_size=40), ends=st.lists(st.booleans(), min_size=40, max_size=40),
+       final_newline=st.booleans())
+def test_fast_reader_matches_the_csv_reader(tmp_path_factory, lines, ends, final_newline):
+    path = tmp_path_factory.mktemp("reader") / "votes.csv"
+    path.write_bytes(_reader_text(lines, ends, final_newline))
+    registry = {1: make_poll(1, DAY0), 2: make_poll(2, DAY0)}
+    fast = govdata._fast_vote_rows(path, registry)
+    assert fast is not None
+    _vote_rows_equal(fast, govdata._csv_vote_rows(path, registry))
+
+
+def test_fast_reader_matches_the_csv_reader_across_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(govdata, "VOTE_BLOCK_BYTES", 64)
+    lines = [f"{1 + i % 2},0x{i % 7:x},{1 + i % 3},{i % 5}.{i % 3},{DAY0 + i}" for i in range(200)]
+    lines[17], lines[90], lines[151] = "1,0xa,1, 7,2021-03-01T00:00:20Z", "", "2,0xb,+2,7_0,1614556810,extra"
+    path = tmp_path / "votes.csv"
+    path.write_bytes(_reader_text(lines, [i % 3 == 0 for i in range(200)], False))
+    registry = {1: make_poll(1, DAY0), 2: make_poll(2, DAY0)}
+    fast = govdata._fast_vote_rows(path, registry)
+    assert fast is not None
+    _vote_rows_equal(fast, govdata._csv_vote_rows(path, registry))
+
+
+# name -> (the lines after the header, whether the fast path reads the file)
+NAMED_READER_CASES = {
+    "lf-and-crlf": ([f"1,0xa,1,5,{DAY0 + 10}\r", f"2,0xb,1,3,{DAY0 + 20}", f"1,0xc,2,1,{DAY0 + 30}\r"], True),
+    "no-final-newline": ([f"1,0xa,1,5,{DAY0 + 10}", f"1,0xb,1,3,{DAY0 + 20}"], True),
+    "blank-lines": (["", f"1,0xa,1,5,{DAY0 + 10}", ",,,,", "   ", " , , , , ", f"1,0xb,1,3,{DAY0 + 20}"], True),
+    "short-and-long-rows": (["1,0xa", f"1,0xb,1,3,{DAY0 + 20},extra,more", "1,0xc,1,3"], True),
+    "int-forms": ([f" 1,0xa, 2,5,{DAY0 + 10}", f"+1,0xb,+2,3,{DAY0 + 20}", f"1_0,0xc,1,3,{DAY0 + 30}",
+                   f"1,0xd,7_0, 7,{DAY0 + 40}", f"1,0xe,1,1,+{DAY0 + 50}"], True),
+    "iso-timestamp": (["1,0xa,1,5,2021-03-01T00:00:20Z", "1,0xb,1,5,2021-03-01T00:00:20", "1,0xc,1,5,1614556810.9"],
+                      True),
+    "field-over-limit": ([f"1,0x{'9' * 131073},1,5,{DAY0 + 10}", f"1,0xb,1,3,{DAY0 + 20}"], False),
+    "quote": ([f'1,"0xa",1,5,{DAY0 + 10}', f"1,0xb,1,3,{DAY0 + 20}"], False),
+    "quote-at-the-end": ([f"1,0xb,1,3,{DAY0 + 20}"] * 3000 + [f'1,0xa,1,5,{DAY0 + 10}"'], False),
+    "not-utf-8": ([f"1,0xa\udcff,1,5,{DAY0 + 10}", f"1,0xb,1,3,{DAY0 + 20}"], False),
+    "lone-carriage-return": ([f"1,0xa,1,5,{DAY0 + 10}\r1,0xc,1,2,{DAY0 + 15}", f"1,0xb,1,3,{DAY0 + 20}"], False),
+    "nul": ([f"1,0xa\0,1,5,{DAY0 + 10}", f"1,0xb,1,3,{DAY0 + 20}"], False),
+}
+
+
+@pytest.mark.parametrize("name", list(NAMED_READER_CASES))
+def test_named_vote_files_load_as_the_per_row_loader(tmp_path, name):
+    lines, fast = NAMED_READER_CASES[name]
+    votes, polls = tmp_path / "votes.csv", tmp_path / "polls.csv"
+    votes.write_bytes("\n".join(["poll_id,voter,option_id,weight,timestamp", *lines]).encode(
+        "utf-8", "surrogateescape") + (b"" if name == "no-final-newline" else b"\n"))
+    write_polls_csv(polls, [(1, DAY0, "p", "1:yes|2:no", ""), (2, DAY0, "q", "1:yes", "")])
+    registry = load_vote_log(votes, polls).registry
+    assert (govdata._fast_vote_rows(votes, registry) is not None) == fast
+    log = load_vote_log(votes, polls)
+    events, anomalies = load_vote_events_oracle(votes, polls)
+    assert list(log.events) == events
+    assert [str(e.weight) for e in log.events] == [str(e.weight) for e in events]
+    assert log.report.anomalies == anomalies
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=vote_rows())
+def test_quoted_load_matches_the_per_row_loader(tmp_path_factory, rows):
+    tmp = tmp_path_factory.mktemp("quoted")
+    with (tmp / "votes.csv").open("w", newline="") as handle:
+        csv.writer(handle, quoting=csv.QUOTE_ALL).writerows([VOTES_HEADER, *rows])
+    write_polls_csv(tmp / "polls.csv", [(1, DAY0, "p", "1:yes|2:no", ""), (2, DAY0, "q", "1:yes", "")])
+    log = load_vote_log(tmp / "votes.csv", tmp / "polls.csv")
+    events, anomalies = load_vote_events_oracle(tmp / "votes.csv", tmp / "polls.csv")
+    assert list(log.events) == events
+    assert [str(e.weight) for e in log.events] == [str(e.weight) for e in events]
+    assert log.report.anomalies == anomalies
+
+
+def test_vote_log_is_read_in_blocks_not_held(tmp_path):
+    # 3000 voters, each with its own weight, over 40 polls
+    rows = [(1 + i % 40, addr(i % 3000), 1 + i % 3, f"{i % 3000 * 7.31:.3f}{i % 3000:015d}", DAY0 + i)
+            for i in range(50_000)]
+    write_votes_csv(tmp_path / "votes.csv", rows)
+    write_polls_csv(tmp_path / "polls.csv", [(poll, DAY0, f"p{poll}", "1:yes|2:no|3:maybe", "") for poll in range(1, 41)])
+    tracemalloc.start()
+    try:
+        log = load_vote_log(tmp_path / "votes.csv", tmp_path / "polls.csv")
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with open(tmp_path / "votes.csv", newline="") as handle:
+            fields = [line.split(",") for line in handle]
+        _, held = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(log.events) == len(fields) - 1 == 50_000
+    assert peak < held / 3, f"loading peaked at {peak} traced bytes; the per-field lists take {held}"
+
+
+def test_loading_builds_no_vote_event(tmp_path, monkeypatch):
+    write_votes_csv(tmp_path / "votes.csv", [(1, addr(i), 1, "5", DAY0 + i) for i in range(1, 9)])
+    write_polls_csv(tmp_path / "polls.csv", [(1, DAY0, "p", "1:yes|2:no", "")])
+    built = []
+    monkeypatch.setattr(govdata, "VoteEvent", lambda *fields: built.append(VoteEvent(*fields)) or built[-1])
+    log = load_vote_log(tmp_path / "votes.csv", tmp_path / "polls.csv")
+    assert (len(log.events), len(log.voters())) == (8, 8)
+    passed = ballot_pass(log)
+    assert len(passed.polls) == 1
+    assert built == []
+    assert log.events[0].voter == addr(1)
+    assert len(built) == 8
+
+
+# weights each written in one of several forms: mixed exponents, 1000-place
+# weights, weights near the float maximum and weights that differ past the
+# 28th digit
+EXACT_WEIGHTS = st.one_of(
+    st.integers(0, 10**30).flatmap(lambda n: st.integers(-40, 5).map(lambda e: Decimal(n).scaleb(e))),
+    st.sampled_from(["0", "0.000", "-0", "0E-5", "1E+2", "7", "7.0", "0.7E+1", "1E-1000", "3" + "1" * 999 + "E-1000",
+                     "1.7976931348623157E+308", "1.79769313486231570E+308", "8.98846567431158E+307",
+                     "123456789012.123456789012345679", "123456789012.123456789012345678"]).map(Decimal),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(EXACT_WEIGHTS, min_size=1, max_size=12), picks=st.lists(st.lists(st.integers(0, 11))))
+def test_weight_sums_match_the_decimal_oracle(weights, picks):
+    table = govdata.Weights(weights)
+    assert [table.floats[i] for i in range(len(weights))] == [float(w) for w in weights]
+    for i, a in enumerate(weights):
+        for j, b in enumerate(weights):
+            assert (table.ranks[i] < table.ranks[j]) == (a < b) and (table.ranks[i] == table.ranks[j]) == (a == b)
+    for pick in [list(range(len(weights))), *picks]:
+        segment = [i % len(weights) for i in pick]
+        units = sum(table.units[i] for i in segment)
+        want = exact_sum_oracle(weights[i] for i in segment)
+        got = table.total(units, min((table.exponents[i] for i in segment), default=0))
+        assert str(got) == str(want)
+        assert table.units_of(want) == units
+        assert table.to_floats([units])[0] == float(want)
