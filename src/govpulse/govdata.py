@@ -187,18 +187,21 @@ class VoteColumns(NamedTuple):
 
     @classmethod
     def of_events(cls, events: Sequence[VoteEvent]) -> "VoteColumns":
-        addresses = tuple(sorted({e.voter for e in events}))
+        """The columns of events sorted by (timestamp, input order)."""
+        n = len(events)
+        voters = list(map(attrgetter("voter"), events))
+        addresses = tuple(sorted(set(voters)))
         rank = {address: i for i, address in enumerate(addresses)}
         # one entry per weight object: equal texts share one Decimal when loaded
-        objects = {id(e.weight): e.weight for e in events}
+        weights = list(map(attrgetter("weight"), events))
+        objects = dict(zip(map(id, weights), weights))
         slot = {key: i for i, key in enumerate(objects)}
-        n = len(events)
         return cls(
-            np.fromiter((e.poll_id for e in events), np.int64, n),
-            np.fromiter((rank[e.voter] for e in events), np.intp, n),
-            np.fromiter((e.option_id for e in events), np.int64, n),
-            np.fromiter((slot[id(e.weight)] for e in events), np.intp, n),
-            np.fromiter((e.timestamp for e in events), np.int64, n),
+            np.fromiter(map(attrgetter("poll_id"), events), np.int64, n),
+            np.fromiter(map(rank.__getitem__, voters), np.int64, n),
+            np.fromiter(map(attrgetter("option_id"), events), np.int64, n),
+            np.fromiter(map(slot.__getitem__, map(id, weights)), np.int64, n),
+            np.fromiter(map(attrgetter("timestamp"), events), np.int64, n),
             addresses,
             Weights(list(objects.values())),
         )
@@ -594,10 +597,10 @@ class _VoteRows:
         names = list(self.addresses)
         used = np.flatnonzero(np.bincount(voter, minlength=len(names)))
         kept = sorted((names[i], i) for i in used.tolist())
-        rank = np.zeros(len(names), dtype=np.intp)
+        rank = np.zeros(len(names), dtype=np.int64)
         rank[[i for _, i in kept]] = np.arange(len(kept))
         used_weights = np.flatnonzero(np.bincount(weight, minlength=len(self.decimals)))
-        slot = np.zeros(len(self.decimals), dtype=np.intp)
+        slot = np.zeros(len(self.decimals), dtype=np.int64)
         slot[used_weights] = np.arange(len(used_weights))
         return VoteColumns(
             poll_id, rank[voter], option_id, slot[weight], timestamp,
