@@ -39,7 +39,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from govpulse.govdata import VoteLog, final_ballots
+from govpulse.govdata import VoteLog, final_ballots, run_starts
 
 GINI_UPPER = 1.0 - 1e-9
 
@@ -162,77 +162,69 @@ def daily_gini(totals: np.ndarray) -> float:
     return gini_from_alpha(pareto_alpha_mle(totals))
 
 
-def _starts(keys: np.ndarray) -> np.ndarray:
-    """Where each run of equal keys (rows of a 2-D array) begins."""
-    if keys.ndim == 1:
-        keys = keys[:, None]
-    change = (keys[1:] != keys[:-1]).any(axis=1) if len(keys) else np.zeros(0, dtype=bool)
-    return np.flatnonzero(np.concatenate([[len(keys) > 0], change]))
-
-
 def _measure_polls(log: VoteLog, ballots: dict[int, np.ndarray], order_rule: str) -> list[PollMetrics]:
     """All per-poll measures from each poll's final ballots (row indices,
     largest first as ``final_ballots`` returns them): the metrics of the
     polls whose ballots carry a positive weight, by ascending poll id.
 
-    One exact per-option tally (int units, segment sums over the ballots
-    grouped by poll and option) gives the total, the winner (ties go to the
-    smallest id) and the non-abstain breakdown. Order places the largest
-    voter's counted (``order_rule="last"``) or first record in the poll's
-    history; speed clamps negative gaps (clock skew) to zero."""
+    One exact per-option tally (a run of the ballots grouped by poll and
+    option, its weights summed as ints) gives the total, the winner (ties go
+    to the smallest id) and the non-abstain breakdown. Order places the
+    largest voter's counted (``order_rule="last"``) or first record in the
+    poll's history; speed clamps negative gaps (clock skew) to zero."""
     weights, index = log.weights, log.poll_rows
     sizes = [len(rows) for rows in ballots.values()]
-    rows = np.concatenate([np.empty(0, np.intp), *ballots.values()])
+    bounds = np.cumsum([0, *sizes]).tolist()
+    rows = np.concatenate([np.empty(0, np.int64), *ballots.values()])
     segment = np.repeat(np.arange(len(sizes)), sizes)
-    option, weight = log.option_id[rows], log.weight[rows]
-    tallied = np.lexsort((option, segment))
-    starts = _starts(np.column_stack([segment[tallied], option[tallied]]))
-    tally_polls = segment[tallied][starts].tolist()
-    tally_options = option[tallied][starts].tolist()
-    tally_units = np.add.reduceat(weights.units[weight[tallied]], starts).tolist() if len(starts) else []
-    tally_exponents = np.minimum.reduceat(weights.exponents[weight[tallied]], starts).tolist() if len(starts) else []
-    tally_sizes = np.diff(np.append(starts, len(rows))).tolist()
-    tallies = np.searchsorted(tally_polls, np.arange(len(sizes) + 1)).tolist()
+    tallied = np.lexsort((log.option_id[rows], segment))
+    runs = run_starts(segment[tallied], log.option_id[rows][tallied])
+    weight = log.weight[rows][tallied]
+    # one (option, units, exponent, ballots) entry per tally, polls in pass order
+    tallies = list(zip(
+        log.option_id[rows][tallied][runs].tolist(),
+        np.add.reduceat(weights.units[weight], runs).tolist() if len(runs) else [],
+        np.minimum.reduceat(weights.exponents[weight], runs).tolist() if len(runs) else [],
+        np.diff(np.append(runs, len(rows))).tolist(),
+    ))
+    first_tally = np.searchsorted(segment[tallied][runs], np.arange(len(sizes) + 1)).tolist()
     deploys = np.array([log.registry[poll_id].deploy_timestamp for poll_id in ballots], dtype=np.int64)
     gaps = np.concatenate([[0], np.cumsum(np.maximum(log.timestamp[rows] - np.repeat(deploys, sizes), 0))])
-    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
 
     out: list[PollMetrics] = []
     for i, (poll_id, counted) in enumerate(ballots.items()):
-        lo, hi = tallies[i], tallies[i + 1]
-        tally = dict(zip(tally_options[lo:hi], tally_units[lo:hi]))
-        total = sum(tally.values())
+        tally = tallies[first_tally[i]:first_tally[i + 1]]
+        total = sum(units for _, units, _, _ in tally)
         if total <= 0:
             continue
         poll = log.registry[poll_id]
         largest = int(counted[0])
-        largest_units = weights.units[log.weight[largest]]
-        share = float(Decimal(largest_units) / Decimal(total))
-        best = max(tally.values())
-        ifwin = 1 if int(log.option_id[largest]) == min(o for o, w in tally.items() if w == best) else 0
+        share = float(Decimal(weights.units[log.weight[largest]]) / Decimal(total))
+        best = max(units for _, units, _, _ in tally)
+        winner = min(option for option, units, _, _ in tally if units == best)
+        ifwin = 1 if log.option_id[largest] == winner else 0
         start, stop = index.span[poll_id]
         history = index.rows[start:stop]
         if order_rule == "last":
             position = int(np.searchsorted(history, largest)) + 1
         else:
             position = int(np.argmax(log.voter[history] == log.voter[largest])) + 1
-        counts = [o not in poll.abstain_option_ids for o in tally_options[lo:hi]]
-        breakdown = [(u, e) for u, e, c in zip(tally_units[lo:hi], tally_exponents[lo:hi], counts) if c]
-        voters = len(counted)
+        kept = [entry for entry in tally if entry[0] not in poll.abstain_option_ids]
+        breakdown = sum(units for _, units, _, _ in kept)
         out.append(PollMetrics(
             poll_id=poll_id,
             day=utc_day(poll.deploy_timestamp),
-            total_votes=weights.total(total, min(tally_exponents[lo:hi])),
-            voters=voters,
+            total_votes=weights.total(total, min(exponent for _, _, exponent, _ in tally)),
+            voters=len(counted),
             gini=poll_gini(weights.floats[log.weight[counted]]),
             largest_share=share,
             ifwin=ifwin,
             largest_share_win=share * ifwin,
             order=position / (stop - start),
-            speed_seconds=float(int(gaps[bounds[i + 1]] - gaps[bounds[i]])) / voters,
-            breakdown_votes=weights.total(sum(u for u, _ in breakdown), min((e for _, e in breakdown), default=0)),
-            breakdown_ratio=float(Decimal(sum(u for u, _ in breakdown)) / Decimal(total)),
-            breakdown_voters=sum(n for n, c in zip(tally_sizes[lo:hi], counts) if c),
+            speed_seconds=float(gaps[bounds[i + 1]] - gaps[bounds[i]]) / len(counted),
+            breakdown_votes=weights.total(breakdown, min((exponent for _, _, exponent, _ in kept), default=0)),
+            breakdown_ratio=float(Decimal(breakdown) / Decimal(total)),
+            breakdown_voters=sum(n for _, _, _, n in kept),
             largest_votes=weights.decimals[log.weight[largest]],
         ))
     return out
@@ -284,27 +276,26 @@ def daily_from_pass(passed: BallotPass, daily_gini_mode: str = "mle") -> list[Da
     per_day: dict[date, list[PollMetrics]] = {}
     for pm in passed.polls:
         per_day.setdefault(pm.day, []).append(pm)
+    if not per_day:
+        return []
     days = sorted(per_day)
     log, weights = passed.log, passed.log.weights
     # the day's ballots: those of its measured polls, in poll and ballot order
     day_rows = [np.concatenate([passed.ballots[p.poll_id] for p in per_day[day]]) for day in days]
-    sizes = [len(rows) for rows in day_rows]
-    rows = np.concatenate([np.empty(0, np.intp), *day_rows])
-    weight = log.weight[rows]
-    starts = np.cumsum([0, *sizes[:-1]], dtype=np.intp)
-    totals = np.add.reduceat(weights.units[weight], starts).tolist() if days else []
-    exponents = np.minimum.reduceat(weights.exponents[weight], starts).tolist() if days else []
-    if daily_gini_mode != "mean_of_polls" and days:
-        # each (day, voter) run of ballots, ordered by its first ballot
-        day = np.repeat(np.arange(len(days)), sizes)
+    rows = np.concatenate(day_rows)
+    day = np.repeat(np.arange(len(days)), [len(r) for r in day_rows])
+    weight, starts = log.weight[rows], run_starts(day)
+    totals = np.add.reduceat(weights.units[weight], starts).tolist()
+    exponents = np.minimum.reduceat(weights.exponents[weight], starts).tolist()
+    if daily_gini_mode != "mean_of_polls":
+        # each voter's total of the day, the day's voters in first-seen order
         grouped = np.lexsort((log.voter[rows], day))
-        runs = _starts(np.column_stack([day[grouped], log.voter[rows][grouped]]))
-        pooled = np.add.reduceat(weights.units[weight[grouped]], runs)
+        runs = run_starts(day[grouped], log.voter[rows][grouped])
         seen = np.argsort(grouped[runs])
-        pooled, pooled_day = pooled[seen], day[grouped[runs]][seen]
+        pooled = np.add.reduceat(weights.units[weight[grouped]], runs)[seen]
         positive = pooled > 0
         pooled_floats = weights.to_floats(pooled[positive])
-        bounds = np.searchsorted(pooled_day[positive], np.arange(len(days) + 1)).tolist()
+        bounds = np.searchsorted(day[grouped[runs]][seen][positive], np.arange(len(days) + 1)).tolist()
 
     rows_out: list[DailyMetrics] = []
     for i, day in enumerate(days):

@@ -153,7 +153,7 @@ def _structural_checks(poll_metrics_rows, profile_rows, weights: Weights) -> Non
     if total_by_voters != total_by_polls:
         raise PipelineError(
             "identity violated: voter totals do not add up to poll totals "
-            f"({weights.total(total_by_voters, weights.exponent)} != {weights.total(total_by_polls, weights.exponent)})"
+            f"({total_by_voters} != {total_by_polls} in units of 1E{weights.exponent})"
         )
 
 

@@ -231,6 +231,17 @@ class _EventView(Sequence):
     __hash__ = None  # type: ignore[assignment]
 
 
+def run_starts(*columns: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries begins, the columns read together:
+    an entry starts a run when it differs from the one before it in any
+    column."""
+    new = np.zeros(len(columns[0]), dtype=bool)
+    new[:1] = True
+    for column in columns:
+        new[1:] |= column[1:] != column[:-1]
+    return np.flatnonzero(new)
+
+
 class _PollRows(NamedTuple):
     """The rows of each poll. ``rows`` holds the row indices grouped by
     poll, ascending (chronological) within one; ``span`` maps a poll id to
@@ -293,17 +304,15 @@ class VoteLog:
     def poll_rows(self) -> _PollRows:
         rows = np.argsort(self.poll_id, kind="stable")
         polls = self.poll_id[rows]
-        cuts = (np.flatnonzero(polls[1:] != polls[:-1]) + 1).tolist()
-        starts, stops = [0, *cuts], [*cuts, len(rows)]
-        span = dict(zip(polls[starts].tolist(), zip(starts, stops))) if len(rows) else {}
+        starts = run_starts(polls).tolist()
+        span = dict(zip(polls[starts].tolist(), zip(starts, [*starts[1:], len(rows)])))
         # (poll, voter) runs, each chronological: lexsort is stable
         grouped = np.lexsort((self.voter, self.poll_id))
-        new = np.ones(len(rows) + 1, dtype=bool)
-        new[1:-1] = (self.poll_id[grouped][1:] != self.poll_id[grouped][:-1]) | (
-            self.voter[grouped][1:] != self.voter[grouped][:-1])
+        runs = run_starts(self.poll_id[grouped], self.voter[grouped])
         first, last = np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
-        first[grouped[new[:-1]]] = True
-        last[grouped[new[1:]]] = True
+        first[grouped[runs]] = True
+        last[grouped[runs[1:] - 1]] = True
+        last[grouped[-1:]] = True
         return _PollRows(rows, span, first, last)
 
     def poll_events(self, poll_id: int) -> tuple[VoteEvent, ...]:

@@ -18,6 +18,7 @@ from decimal import Decimal
 import numpy as np
 
 from govpulse.centrality import BallotPass, PollMetrics, utc_day
+from govpulse.govdata import run_starts
 
 RANK_CRITERIA = ("involved_polls", "total_votes", "highest_single_vote")
 
@@ -100,7 +101,7 @@ def profiles_from_pass(passed: BallotPass, identities: dict[str, str]) -> list[V
     voter, weight = log.voter[rows], log.weight[rows]
     # by voter, then weight descending; lexsort is stable, so ties keep the pass order
     order = np.lexsort((-weights.ranks[weight], voter))
-    starts = np.flatnonzero(np.concatenate([[True], voter[order][1:] != voter[order][:-1]]))
+    starts = run_starts(voter[order])
     totals = np.add.reduceat(weights.units[weight[order]], starts).tolist()
     exponents = np.minimum.reduceat(weights.exponents[weight[order]], starts).tolist()
     first_poll = np.minimum.reduceat(log.poll_id[rows][order], starts).tolist()

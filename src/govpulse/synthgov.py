@@ -194,8 +194,9 @@ def gen_history(config: SynthConfig) -> VoteLog:
     or off the target option), otherwise forced to lose; an infeasible loss
     (the largest voter outweighs everyone else combined) is kept as a win and
     flagged in the log's validation report. Raises ValueError when a poll
-    would deploy, or a vote fall, outside ``1..MAX_TIMESTAMP``: the loader
-    skips such a row.
+    would deploy, or a vote fall, outside ``1..MAX_TIMESTAMP`` (the loader
+    skips such a row), or when a day draws more than ``MAX_POLLS_PER_DAY``
+    polls.
     """
     rng = np.random.default_rng(config.seed)
     holdings = lomax_pool(rng, config.voter_pool, config.holdings_alpha, config.holdings_scale)

@@ -768,6 +768,21 @@ def test_vote_log_is_read_in_blocks_not_held(tmp_path):
     assert peak < held / 3, f"loading peaked at {peak} traced bytes; the per-field lists take {held}"
 
 
+def test_vote_ids_beyond_64_bits_are_bad_rows(tmp_path):
+    big = 2**63
+    write_votes_csv(tmp_path / "votes.csv", [
+        (big, "0xa", 1, "5", DAY0 + 10), (1, "0xb", big, "5", DAY0 + 20), (1, "0xc", -big, "5", DAY0 + 30),
+    ])
+    write_polls_csv(tmp_path / "polls.csv", [(1, DAY0, "p", "1:yes", ""), (big, DAY0, "q", "1:yes", "")])
+    log = load_vote_log(tmp_path / "votes.csv", tmp_path / "polls.csv")
+    assert [(a.kind, a.detail) for a in log.report.anomalies] == [
+        ("bad vote row", f"line 2: poll_id {big} does not fit in 64 bits"),
+        ("bad vote row", f"line 3: option_id {big} does not fit in 64 bits"),
+    ]
+    assert [(e.voter, e.option_id) for e in log.events] == [("0xc", -big)]
+    assert [len(ballot_pass(log).ballots[poll]) for poll in (1, big)] == [1, 0]
+
+
 def test_loading_builds_no_vote_event(tmp_path, monkeypatch):
     write_votes_csv(tmp_path / "votes.csv", [(1, addr(i), 1, "5", DAY0 + i) for i in range(1, 9)])
     write_polls_csv(tmp_path / "polls.csv", [(1, DAY0, "p", "1:yes|2:no", "")])
