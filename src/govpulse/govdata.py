@@ -511,10 +511,10 @@ def _parse_weight(text: str) -> Decimal | str:
 
 
 class _VoteRows:
-    """The vote rows read so far: the columns of the kept rows, each with its
-    line number, and the anomalies of the skipped ones. Each distinct voter
-    field is normalized once and each distinct weight text parsed and
-    checked once; every row still gets every check."""
+    """The vote rows read so far: the kept rows, as blocks of columns in file
+    order, and the anomalies of the skipped ones. Each distinct voter field
+    is normalized once and each distinct weight text parsed and checked
+    once; every row still gets every check."""
 
     def __init__(self, registry: dict[int, PollRecord]) -> None:
         self.registry = registry
