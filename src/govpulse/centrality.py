@@ -57,6 +57,9 @@ MEASURES = tuple(MEASURE_FIELDS)
 
 DAILY_GINI_MODES = ("mle", "mean_of_polls", "pooled_sample")
 CALENDAR_MODES = ("drop-missing", "full-calendar")
+# ballot_pass measures polls in groups of at least this many final ballots
+# (or the polls left)
+MEASURE_BALLOTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -162,6 +165,23 @@ def daily_gini(totals: np.ndarray) -> float:
     return gini_from_alpha(pareto_alpha_mle(totals))
 
 
+def _tallies(log: VoteLog, tallied: np.ndarray, segment: np.ndarray, polls: int) -> tuple[list, list[int]]:
+    """The per-option tallies of ``polls`` polls' ballots: ``tallied`` holds
+    their row indices sorted by poll, then option, and ``segment`` the poll
+    index of each (non-decreasing). One (option, units, exponent, ballots)
+    entry per tally, and the index of each poll's first entry (one more for
+    the end)."""
+    option, weight = log.option_id[tallied], log.weight[tallied]
+    runs = run_starts(segment, option)
+    entries = zip(
+        option[runs].tolist(),
+        np.add.reduceat(log.weights.units[weight], runs).tolist() if len(runs) else [],
+        np.minimum.reduceat(log.weights.exponents[weight], runs).tolist() if len(runs) else [],
+        np.diff(np.append(runs, len(tallied))).tolist(),
+    )
+    return list(entries), np.searchsorted(segment[runs], np.arange(polls + 1)).tolist()
+
+
 def _measure_polls(log: VoteLog, ballots: dict[int, np.ndarray], order_rule: str) -> list[PollMetrics]:
     """All per-poll measures from each poll's final ballots (row indices,
     largest first as ``final_ballots`` returns them): the metrics of the
@@ -176,20 +196,11 @@ def _measure_polls(log: VoteLog, ballots: dict[int, np.ndarray], order_rule: str
     sizes = [len(rows) for rows in ballots.values()]
     bounds = np.cumsum([0, *sizes]).tolist()
     rows = np.concatenate([np.empty(0, np.int64), *ballots.values()])
-    segment = np.repeat(np.arange(len(sizes)), sizes)
-    tallied = np.lexsort((log.option_id[rows], segment))
-    runs = run_starts(segment[tallied], log.option_id[rows][tallied])
-    weight = log.weight[rows][tallied]
-    # one (option, units, exponent, ballots) entry per tally, polls in pass order
-    tallies = list(zip(
-        log.option_id[rows][tallied][runs].tolist(),
-        np.add.reduceat(weights.units[weight], runs).tolist() if len(runs) else [],
-        np.minimum.reduceat(weights.exponents[weight], runs).tolist() if len(runs) else [],
-        np.diff(np.append(runs, len(rows))).tolist(),
-    ))
-    first_tally = np.searchsorted(segment[tallied][runs], np.arange(len(sizes) + 1)).tolist()
+    segment = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    tallies, first_tally = _tallies(log, rows[np.lexsort((log.option_id[rows], segment))], segment, len(sizes))
     deploys = np.array([log.registry[poll_id].deploy_timestamp for poll_id in ballots], dtype=np.int64)
-    gaps = np.concatenate([[0], np.cumsum(np.maximum(log.timestamp[rows] - np.repeat(deploys, sizes), 0))])
+    gaps = log.timestamp[rows] - deploys[segment]
+    gaps = np.concatenate([[0], np.cumsum(np.maximum(gaps, 0, out=gaps))])
 
     out: list[PollMetrics] = []
     for i, (poll_id, counted) in enumerate(ballots.items()):
@@ -248,16 +259,26 @@ class BallotPass:
 
 
 def ballot_pass(log: VoteLog, ballot_rule: str = "last", order_rule: str = "last") -> BallotPass:
-    """One pass over the log: final ballots, poll metrics and daily poll counts."""
+    """One pass over the log: final ballots, poll metrics and daily poll
+    counts. Polls are measured in groups of about ``MEASURE_BALLOTS`` final
+    ballots, which bounds the memory of the columns a group gathers."""
     if order_rule not in ("last", "first"):
         raise ValueError(f"unknown order rule: {order_rule!r}")
     ballots: dict[int, np.ndarray] = {}
+    polls: list[PollMetrics] = []
     poll_counts: dict[date, int] = {}
+    group: dict[int, np.ndarray] = {}
+    grouped = 0  # the final ballots in group
     for poll_id in log.poll_ids():
         day = utc_day(log.registry[poll_id].deploy_timestamp)
         poll_counts[day] = poll_counts.get(day, 0) + 1
-        ballots[poll_id] = final_ballots(log, poll_id, rule=ballot_rule)
-    return BallotPass(log=log, ballots=ballots, polls=_measure_polls(log, ballots, order_rule), poll_counts=poll_counts)
+        group[poll_id] = ballots[poll_id] = final_ballots(log, poll_id, rule=ballot_rule)
+        grouped += len(group[poll_id])
+        if grouped >= MEASURE_BALLOTS:
+            polls += _measure_polls(log, group, order_rule)
+            group, grouped = {}, 0
+    polls += _measure_polls(log, group, order_rule)
+    return BallotPass(log=log, ballots=ballots, polls=polls, poll_counts=poll_counts)
 
 
 def daily_from_pass(passed: BallotPass, daily_gini_mode: str = "mle") -> list[DailyMetrics]:
@@ -276,42 +297,30 @@ def daily_from_pass(passed: BallotPass, daily_gini_mode: str = "mle") -> list[Da
     per_day: dict[date, list[PollMetrics]] = {}
     for pm in passed.polls:
         per_day.setdefault(pm.day, []).append(pm)
-    if not per_day:
-        return []
-    days = sorted(per_day)
     log, weights = passed.log, passed.log.weights
-    # the day's ballots: those of its measured polls, in poll and ballot order
-    day_rows = [np.concatenate([passed.ballots[p.poll_id] for p in per_day[day]]) for day in days]
-    rows = np.concatenate(day_rows)
-    day = np.repeat(np.arange(len(days)), [len(r) for r in day_rows])
-    weight, starts = log.weight[rows], run_starts(day)
-    totals = np.add.reduceat(weights.units[weight], starts).tolist()
-    exponents = np.minimum.reduceat(weights.exponents[weight], starts).tolist()
-    if daily_gini_mode != "mean_of_polls":
-        # each voter's total of the day, the day's voters in first-seen order
-        grouped = np.lexsort((log.voter[rows], day))
-        runs = run_starts(day[grouped], log.voter[rows][grouped])
-        seen = np.argsort(grouped[runs])
-        pooled = np.add.reduceat(weights.units[weight[grouped]], runs)[seen]
-        positive = pooled > 0
-        pooled_floats = weights.to_floats(pooled[positive])
-        bounds = np.searchsorted(day[grouped[runs]][seen][positive], np.arange(len(days) + 1)).tolist()
-
     rows_out: list[DailyMetrics] = []
-    for i, day in enumerate(days):
+    for day in sorted(per_day):
         polls = per_day[day]
         n = len(polls)
+        # the day's ballots: those of its measured polls, in poll and ballot order
+        rows = np.concatenate([passed.ballots[p.poll_id] for p in polls])
+        weight = log.weight[rows]
         if daily_gini_mode == "mean_of_polls":
             gini = sum(p.gini for p in polls) / n
         else:
-            totals_of_day = pooled_floats[bounds[i]:bounds[i + 1]]
-            gini = daily_gini(totals_of_day) if daily_gini_mode == "mle" else gini_mean_difference(totals_of_day)
+            # each voter's total of the day, the voters in first-seen order
+            voter = log.voter[rows]
+            grouped = np.argsort(voter, kind="stable")
+            runs = run_starts(voter[grouped])
+            pooled = np.add.reduceat(weights.units[weight[grouped]], runs)[np.argsort(grouped[runs])]
+            totals = weights.to_floats(pooled[pooled > 0])
+            gini = daily_gini(totals) if daily_gini_mode == "mle" else gini_mean_difference(totals)
         rows_out.append(
             DailyMetrics(
                 day=day,
                 poll_count=passed.poll_counts[day],
                 voters=sum(p.voters for p in polls),
-                total_votes=weights.total(totals[i], exponents[i]),
+                total_votes=weights.total(weights.units[weight].sum(), weights.exponents[weight].min()),
                 largest_share=sum(p.largest_share for p in polls) / n,
                 largest_share_win=sum(p.largest_share_win for p in polls) / n,
                 order=sum(p.order for p in polls) / n,

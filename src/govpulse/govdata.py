@@ -78,7 +78,7 @@ MAX_WEIGHT_PLACES = 1000
 INT64_RANGE = range(-(2**63), 2**63)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoteEvent:
     """One weighted ballot action recorded in a poll's history."""
 
@@ -189,18 +189,17 @@ class VoteColumns(NamedTuple):
     def of_events(cls, events: Sequence[VoteEvent]) -> "VoteColumns":
         """The columns of events sorted by (timestamp, input order)."""
         n = len(events)
-        voters = list(map(attrgetter("voter"), events))
-        addresses = tuple(sorted(set(voters)))
+        voter, weight = attrgetter("voter"), attrgetter("weight")
+        addresses = tuple(sorted(set(map(voter, events))))
         rank = {address: i for i, address in enumerate(addresses)}
         # one entry per weight object: equal texts share one Decimal when loaded
-        weights = list(map(attrgetter("weight"), events))
-        objects = dict(zip(map(id, weights), weights))
+        objects = {id(w): w for w in map(weight, events)}
         slot = {key: i for i, key in enumerate(objects)}
         return cls(
             np.fromiter(map(attrgetter("poll_id"), events), np.int64, n),
-            np.fromiter(map(rank.__getitem__, voters), np.int64, n),
+            np.fromiter(map(rank.__getitem__, map(voter, events)), np.int64, n),
             np.fromiter(map(attrgetter("option_id"), events), np.int64, n),
-            np.fromiter(map(slot.__getitem__, map(id, weights)), np.int64, n),
+            np.fromiter(map(slot.__getitem__, map(id, map(weight, events))), np.int64, n),
             np.fromiter(map(attrgetter("timestamp"), events), np.int64, n),
             addresses,
             Weights(list(objects.values())),
@@ -243,15 +242,12 @@ def run_starts(*columns: np.ndarray) -> np.ndarray:
 
 
 class _PollRows(NamedTuple):
-    """The rows of each poll. ``rows`` holds the row indices grouped by
-    poll, ascending (chronological) within one; ``span`` maps a poll id to
-    its slice of ``rows``; ``first`` and ``last`` mark each row that is its
-    voter's first or last record in its poll."""
+    """The rows of each poll: ``rows`` holds the row indices grouped by
+    poll, ascending (chronological) within one, and ``span`` maps a poll id
+    to its slice of ``rows``."""
 
     rows: np.ndarray
     span: dict[int, tuple[int, int]]
-    first: np.ndarray
-    last: np.ndarray
 
 
 class VoteLog:
@@ -276,7 +272,7 @@ class VoteLog:
         else:
             self._events = tuple(sorted(events, key=attrgetter("timestamp")))
             columns = VoteColumns.of_events(self._events)
-        unknown = sorted(set(np.unique(columns.poll_id).tolist()) - registry.keys())
+        unknown = sorted(set(columns.poll_id.tolist()) - registry.keys())
         if unknown:
             raise ValueError(f"events reference polls not in the registry: {unknown}")
         self.poll_id, self.voter, self.option_id, self.weight, self.timestamp, self.addresses, self.weights = columns
@@ -303,17 +299,9 @@ class VoteLog:
     @cached_property
     def poll_rows(self) -> _PollRows:
         rows = np.argsort(self.poll_id, kind="stable")
-        polls = self.poll_id[rows]
-        starts = run_starts(polls).tolist()
-        span = dict(zip(polls[starts].tolist(), zip(starts, [*starts[1:], len(rows)])))
-        # (poll, voter) runs, each chronological: lexsort is stable
-        grouped = np.lexsort((self.voter, self.poll_id))
-        runs = run_starts(self.poll_id[grouped], self.voter[grouped])
-        first, last = np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
-        first[grouped[runs]] = True
-        last[grouped[runs[1:] - 1]] = True
-        last[grouped[-1:]] = True
-        return _PollRows(rows, span, first, last)
+        starts = run_starts(self.poll_id[rows]).tolist()
+        span = dict(zip(self.poll_id[rows[starts]].tolist(), zip(starts, [*starts[1:], len(rows)])))
+        return _PollRows(rows, span)
 
     def poll_events(self, poll_id: int) -> tuple[VoteEvent, ...]:
         """Chronological event history of one poll (empty when no votes)."""
@@ -860,8 +848,13 @@ def final_ballots(log: VoteLog, poll_id: int, rule: str = "last") -> np.ndarray:
         raise KeyError(f"poll {poll_id} not in registry")
     index = log.poll_rows
     start, stop = index.span.get(poll_id, (0, 0))
-    rows = index.rows[start:stop]
-    rows = rows[(index.last if rule == "last" else index.first)[rows]]
+    rows = index.rows[start:stop]  # chronological
+    if not len(rows):
+        return rows
+    # each voter's records in a run, chronological within it (a stable sort)
+    rows = rows[np.argsort(log.voter[rows], kind="stable")]
+    runs = run_starts(log.voter[rows])
+    rows = rows[runs if rule == "first" else np.append(runs[1:], len(rows)) - 1]
     return rows[np.lexsort((log.voter[rows], log.timestamp[rows], -log.weights.ranks[log.weight[rows]]))]
 
 
