@@ -44,7 +44,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, DecimalTuple, InvalidOperation
 from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
@@ -136,17 +136,23 @@ class Weights:
 
     def __init__(self, decimals: Sequence[Decimal]) -> None:
         self.decimals: tuple[Decimal, ...] = tuple(decimals)
-        exponents = [d.as_tuple().exponent for d in self.decimals]
-        self.exponent: int = min([0, *exponents])
+        forms = [d.as_tuple() for d in self.decimals]
+        self.exponent: int = min([0, *(form.exponent for form in forms)])
         self._scale = 10**-self.exponent
-        units = [n * self._scale // d for n, d in map(Decimal.as_integer_ratio, self.decimals)]
+        units = [self._units_of_form(form) for form in forms]
         self.units = np.array(units, dtype=object)
-        self.exponents = np.array(exponents, dtype=np.int64)
+        self.exponents = np.array([form.exponent for form in forms], dtype=np.int64)
         self.floats = np.array([float(d) for d in self.decimals], dtype=float)
         self.ranks = np.zeros(len(units), dtype=np.int64)
         ordered = sorted(range(len(units)), key=units.__getitem__)
         for before, index in zip(ordered, ordered[1:]):
             self.ranks[index] = self.ranks[before] + (units[index] != units[before])
+
+    def _units_of_form(self, form: DecimalTuple) -> int:
+        """The exact int of a decimal's (sign, digits, exponent) in units of
+        10**exponent, its coefficient read without a rounding context."""
+        coefficient = int(Decimal((0, form.digits, 0)))
+        return (-coefficient if form.sign else coefficient) * 10 ** (form.exponent - self.exponent)
 
     def total(self, units: int, exponent: int) -> Decimal:
         """The exact ``Decimal`` of a sum of ``units`` whose summands' smallest
@@ -157,8 +163,7 @@ class Weights:
 
     def units_of(self, value: Decimal) -> int:
         """The exact int of a weight or total of this log in units of 10**exponent."""
-        numerator, denominator = value.as_integer_ratio()
-        return numerator * self._scale // denominator
+        return self._units_of_form(value.as_tuple())
 
     def to_floats(self, units: Iterable[int]) -> np.ndarray:
         """Each sum of units as the float nearest its exact value (int true
