@@ -44,7 +44,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from decimal import Decimal, DecimalTuple, InvalidOperation
+from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
@@ -136,23 +136,16 @@ class Weights:
 
     def __init__(self, decimals: Sequence[Decimal]) -> None:
         self.decimals: tuple[Decimal, ...] = tuple(decimals)
-        forms = [d.as_tuple() for d in self.decimals]
-        self.exponent: int = min([0, *(form.exponent for form in forms)])
+        self.exponents = np.array([d.as_tuple().exponent for d in self.decimals], dtype=np.int64)
+        self.exponent: int = min(0, int(self.exponents.min(initial=0)))
         self._scale = 10**-self.exponent
-        units = [self._units_of_form(form) for form in forms]
+        units = [self.units_of(d) for d in self.decimals]
         self.units = np.array(units, dtype=object)
-        self.exponents = np.array([form.exponent for form in forms], dtype=np.int64)
         self.floats = np.array([float(d) for d in self.decimals], dtype=float)
         self.ranks = np.zeros(len(units), dtype=np.int64)
         ordered = sorted(range(len(units)), key=units.__getitem__)
         for before, index in zip(ordered, ordered[1:]):
             self.ranks[index] = self.ranks[before] + (units[index] != units[before])
-
-    def _units_of_form(self, form: DecimalTuple) -> int:
-        """The exact int of a decimal's (sign, digits, exponent) in units of
-        10**exponent, its coefficient read without a rounding context."""
-        coefficient = int(Decimal((0, form.digits, 0)))
-        return (-coefficient if form.sign else coefficient) * 10 ** (form.exponent - self.exponent)
 
     def total(self, units: int, exponent: int) -> Decimal:
         """The exact ``Decimal`` of a sum of ``units`` whose summands' smallest
@@ -162,8 +155,11 @@ class Weights:
         return Decimal(f"{units // 10 ** (exponent - self.exponent)}E{exponent}")
 
     def units_of(self, value: Decimal) -> int:
-        """The exact int of a weight or total of this log in units of 10**exponent."""
-        return self._units_of_form(value.as_tuple())
+        """The exact int of a weight or total of this log in units of
+        10**exponent, its coefficient read without a rounding context."""
+        sign, digits, exponent = value.as_tuple()
+        coefficient = int(Decimal((0, digits, 0)))
+        return (-coefficient if sign else coefficient) * 10 ** (exponent - self.exponent)
 
     def to_floats(self, units: Iterable[int]) -> np.ndarray:
         """Each sum of units as the float nearest its exact value (int true
