@@ -19,7 +19,9 @@ the smallest exponent among the log's weights, so every total is exact and
 bit-stable across platforms; it is written as the ``Decimal`` an exact sum
 started at ``Decimal(0)`` gives, and converted to a binary float only inside
 the statistics layer. A vote row whose poll id or option id does not fit in
-64 bits is skipped as malformed.
+64 bits is skipped as malformed. A log is written back from its columns
+(``write_vote_log``), and ``ingest``'s scan (``validate_dataset``) reads
+them: neither builds a ``VoteEvent``.
 
 ``votes.csv`` is read in blocks of whole lines on a fast path when the whole
 file is ASCII and holds no ``"``, no NUL, no carriage return outside a CRLF
@@ -122,6 +124,17 @@ class ValidationReport:
         return out
 
 
+def _digits(text: str) -> tuple[int, int]:
+    """The signed coefficient and the exponent of a finite ``Decimal`` read
+    from its ``str``: ``1.5E-7`` gives (15, -8) and ``-0.70`` gives (-70,
+    -2). A weight the loader accepts has at most ``MAX_WEIGHT_PLACES``
+    places and is below the float maximum, so its coefficient has about 1309
+    digits, within the 4300 that ``int`` converts."""
+    mantissa, _, exponent = text.partition("E")
+    whole, _, fraction = mantissa.partition(".")
+    return int(whole + fraction), int(exponent or 0) - len(fraction)
+
+
 class Weights:
     """The distinct vote weights of a log, one entry per weight text (or per
     weight object, for a log built from events).
@@ -136,12 +149,14 @@ class Weights:
 
     def __init__(self, decimals: Sequence[Decimal]) -> None:
         self.decimals: tuple[Decimal, ...] = tuple(decimals)
-        self.exponents = np.array([d.as_tuple().exponent for d in self.decimals], dtype=np.int64)
+        texts = list(map(str, self.decimals))
+        digits = list(map(_digits, texts))
+        self.exponents = np.array([exponent for _, exponent in digits], dtype=np.int64)
         self.exponent: int = min(0, int(self.exponents.min(initial=0)))
         self._scale = 10**-self.exponent
-        units = [self.units_of(d) for d in self.decimals]
+        units = [coefficient * 10 ** (exponent - self.exponent) for coefficient, exponent in digits]
         self.units = np.array(units, dtype=object)
-        self.floats = np.array([float(d) for d in self.decimals], dtype=float)
+        self.floats = np.array(list(map(float, texts)), dtype=float)  # float(d) is float(str(d))
         self.ranks = np.zeros(len(units), dtype=np.int64)
         ordered = sorted(range(len(units)), key=units.__getitem__)
         for before, index in zip(ordered, ordered[1:]):
@@ -157,9 +172,8 @@ class Weights:
     def units_of(self, value: Decimal) -> int:
         """The exact int of a weight or total of this log in units of
         10**exponent, its coefficient read without a rounding context."""
-        sign, digits, exponent = value.as_tuple()
-        coefficient = int(Decimal((0, digits, 0)))
-        return (-coefficient if sign else coefficient) * 10 ** (exponent - self.exponent)
+        coefficient, exponent = _digits(str(value))
+        return coefficient * 10 ** (exponent - self.exponent)
 
     def to_floats(self, units: Iterable[int]) -> np.ndarray:
         """Each sum of units as the float nearest its exact value (int true
@@ -256,9 +270,10 @@ class VoteLog:
 
     Rows are sorted by (timestamp, input order); every row's poll_id
     resolves in the registry (ValueError otherwise). A log is built from
-    ``VoteEvent``s, which it keeps, or from the loader's ``VoteColumns``.
-    ``events`` is the public ``VoteEvent`` view of the rows; a loaded log
-    builds it only when an element is read.
+    ``VoteEvent``s, which it keeps, or from the ``VoteColumns`` of the
+    loader or the generator. ``events`` is the public ``VoteEvent`` view of
+    the rows; a log built from columns builds it only when an element is
+    read.
     """
 
     def __init__(
@@ -592,19 +607,24 @@ class _VoteRows:
         del parts
         table = table[:, np.argsort(table[4], kind="stable")]
         poll_id, voter, option_id, weight, timestamp = table
-        names = list(self.addresses)
-        used = np.flatnonzero(np.bincount(voter, minlength=len(names)))
-        kept = sorted((names[i], i) for i in used.tolist())
-        rank = np.zeros(len(names), dtype=np.int64)
-        rank[[i for _, i in kept]] = np.arange(len(kept))
+        rank, addresses = address_ranks(list(self.addresses), voter)
         used_weights = np.flatnonzero(np.bincount(weight, minlength=len(self.decimals)))
         slot = np.zeros(len(self.decimals), dtype=np.int64)
         slot[used_weights] = np.arange(len(used_weights))
         return VoteColumns(
-            poll_id, rank[voter], option_id, slot[weight], timestamp,
-            tuple(name for name, _ in kept),
+            poll_id, rank[voter], option_id, slot[weight], timestamp, addresses,
             Weights([self.decimals[i] for i in used_weights.tolist()]),
         )
+
+
+def address_ranks(names: Sequence[str], voter: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The names that ``voter`` indexes, sorted, and the rank among them of
+    each index into ``names`` (0 for a name no row holds)."""
+    used = np.flatnonzero(np.bincount(voter, minlength=len(names)))
+    kept = sorted((names[i], i) for i in used.tolist())
+    rank = np.zeros(len(names), dtype=np.int64)
+    rank[[i for _, i in kept]] = np.arange(len(kept))
+    return rank, tuple(name for name, _ in kept)
 
 
 def _plain_int(text: str) -> int:
@@ -860,29 +880,44 @@ def final_ballots(log: VoteLog, poll_id: int, rule: str = "last") -> np.ndarray:
 
 
 def validate_dataset(log: VoteLog) -> ValidationReport:
-    """Full anomaly scan of a loaded log (report-only, deterministic order)."""
+    """Full anomaly scan of a loaded log (report-only, deterministic order).
+
+    Four checks run over the columns: an option its poll does not list (of
+    a poll that lists options), a vote before its poll's deploy time, a zero
+    weight, and a (poll, voter, timestamp) key that an earlier row holds.
+    Their anomalies come in row order, and a row's in that check order; the
+    abstain ids that are not options of their poll follow, poll by poll."""
     report = ValidationReport()
     listed = {poll_id: {oid for oid, _ in poll.options} for poll_id, poll in log.registry.items()}
-    seen_keys: set[tuple[int, str, int]] = set()
-    for event in log.events:
-        poll = log.registry[event.poll_id]
-        if listed[event.poll_id] and event.option_id not in listed[event.poll_id]:
-            report.add(
-                "unknown option",
-                f"poll {event.poll_id}, voter {event.voter}: option {event.option_id} not listed",
-            )
-        if event.timestamp < poll.deploy_timestamp:
-            report.add(
-                "pre-deploy vote",
-                f"poll {event.poll_id}, voter {event.voter}: "
-                f"{event.timestamp} < deploy {poll.deploy_timestamp}",
-            )
-        if event.weight == 0:
-            report.add("zero weight", f"poll {event.poll_id}, voter {event.voter}")
-        key = (event.poll_id, event.voter, event.timestamp)
-        if key in seen_keys:
-            report.add("duplicate key", f"poll {event.poll_id}, voter {event.voter}, t={event.timestamp}")
-        seen_keys.add(key)
+    n = len(log.timestamp)
+    # each distinct (poll, option) pair is judged once, and its verdict and
+    # deploy time spread back to its rows
+    order = np.lexsort((log.option_id, log.poll_id))
+    starts = run_starts(log.poll_id[order], log.option_id[order])
+    pairs = list(zip(log.poll_id[order[starts]].tolist(), log.option_id[order[starts]].tolist()))
+    pair = np.empty(n, dtype=np.int64)
+    pair[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
+    unlisted = np.array([bool(listed[p]) and o not in listed[p] for p, o in pairs], dtype=bool)[pair]
+    deploy = np.array([log.registry[p].deploy_timestamp for p, _ in pairs], dtype=np.int64)[pair]
+    zero = np.array([d == 0 for d in log.weights.decimals], dtype=bool)[log.weight]
+    # a stable sort keeps each key's rows in row order, the first unflagged
+    order = np.lexsort((log.timestamp, log.voter, log.poll_id))
+    repeated = np.ones(n, dtype=bool)
+    repeated[order[run_starts(log.poll_id[order], log.voter[order], log.timestamp[order])]] = False
+    checks = np.stack([unlisted, log.timestamp < deploy, zero, repeated])
+    rows = np.flatnonzero(checks.any(axis=0))
+    flagged = zip(checks[:, rows].T.tolist(), log.poll_id[rows].tolist(), log.voter[rows].tolist(),
+                  log.option_id[rows].tolist(), log.timestamp[rows].tolist(), deploy[rows].tolist())
+    for (is_unlisted, is_early, is_zero, is_repeated), poll_id, voter, option_id, timestamp, deployed in flagged:
+        voter = log.addresses[voter]
+        if is_unlisted:
+            report.add("unknown option", f"poll {poll_id}, voter {voter}: option {option_id} not listed")
+        if is_early:
+            report.add("pre-deploy vote", f"poll {poll_id}, voter {voter}: {timestamp} < deploy {deployed}")
+        if is_zero:
+            report.add("zero weight", f"poll {poll_id}, voter {voter}")
+        if is_repeated:
+            report.add("duplicate key", f"poll {poll_id}, voter {voter}, t={timestamp}")
     for poll in sorted(log.registry.values(), key=lambda p: p.poll_id):
         unknown_abstain = poll.abstain_option_ids - listed[poll.poll_id]
         if poll.options and unknown_abstain:
@@ -909,20 +944,37 @@ def atomic_open(path: str | Path) -> Iterator[IO[str]]:
         raise
 
 
+# The rows of votes.csv rendered and written at a time: one block's text and
+# int lists are all that writing holds beside the log.
+VOTE_WRITE_ROWS = 2048
+
+
 def write_vote_log(
     log: VoteLog,
     votes_path: str | Path,
     polls_path: str | Path,
     identities_path: str | Path | None = None,
 ) -> None:
-    """Serialize a VoteLog back to the CSV schemas (round-trip safe)."""
+    """Serialize a VoteLog back to the CSV schemas (round-trip safe), each
+    line ending in csv's default ``\\r\\n``.
+
+    ``votes.csv`` is written from the columns, ``VOTE_WRITE_ROWS`` rows at a
+    time: each distinct address and weight text is rendered once, quoted as
+    ``write_rows`` quotes a field, and the int columns are written as they
+    are."""
+    addresses, weights = _csv_fields(log.addresses), _csv_fields(map(str, log.weights.decimals))
     with atomic_open(votes_path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(VOTES_HEADER)
-        for event in log.events:
-            writer.writerow(
-                [event.poll_id, event.voter, event.option_id, str(event.weight), event.timestamp]
-            )
+        write_rows(handle.write, [VOTES_HEADER], "\r\n")
+        for start in range(0, len(log.timestamp), VOTE_WRITE_ROWS):
+            block = slice(start, start + VOTE_WRITE_ROWS)
+            handle.write("".join(map(
+                "{},{},{},{},{}\r\n".format,
+                log.poll_id[block].tolist(),
+                map(addresses.__getitem__, log.voter[block].tolist()),
+                log.option_id[block].tolist(),
+                map(weights.__getitem__, log.weight[block].tolist()),
+                log.timestamp[block].tolist(),
+            )))
     with atomic_open(polls_path) as handle:
         writer = csv.writer(handle)
         writer.writerow(POLLS_HEADER)
@@ -936,6 +988,14 @@ def write_vote_log(
             writer.writerow(IDENTITIES_HEADER)
             for address in sorted(log.identities):
                 writer.writerow([address, log.identities[address]])
+
+
+def _csv_fields(texts: Iterable[str]) -> list[str]:
+    """Each text as ``write_rows`` renders it as one field of a row of
+    several (alone on a row, an empty field would be quoted)."""
+    rendered: list[str] = []
+    write_rows(rendered.append, ([text, ""] for text in texts), "")
+    return [line[:-1] for line in rendered]
 
 
 def write_rows(write: Callable[[str], object], rows: Iterable[Iterable], end: str) -> None:

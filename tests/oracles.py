@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 from collections.abc import Iterator
 from datetime import date
@@ -27,6 +28,7 @@ from govpulse.govdata import (
     VoteLog,
     _factor_date,
     _read_rows,
+    atomic_open,
     load_identities,
     load_polls,
     parse_timestamp,
@@ -219,3 +221,45 @@ def factor_rows_oracle(
     keyed = {**series, (INSTRUMENT_TOKEN, INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR): instrument}
     cells = sorted((day, *key, value) for key, values in keyed.items() for day, value in values.items())
     return ([day.isoformat(), token, category, factor, repr(value)] for day, token, category, factor, value in cells)
+
+
+def validate_dataset_oracle(log: VoteLog) -> ValidationReport:
+    """The event-by-event anomaly scan: each ``VoteEvent`` gets the four
+    checks in turn, then each poll's abstain ids are checked. Test oracle."""
+    report = ValidationReport()
+    listed = {poll_id: {oid for oid, _ in poll.options} for poll_id, poll in log.registry.items()}
+    seen_keys: set[tuple[int, str, int]] = set()
+    for event in log.events:
+        poll = log.registry[event.poll_id]
+        if listed[event.poll_id] and event.option_id not in listed[event.poll_id]:
+            report.add(
+                "unknown option",
+                f"poll {event.poll_id}, voter {event.voter}: option {event.option_id} not listed",
+            )
+        if event.timestamp < poll.deploy_timestamp:
+            report.add(
+                "pre-deploy vote",
+                f"poll {event.poll_id}, voter {event.voter}: "
+                f"{event.timestamp} < deploy {poll.deploy_timestamp}",
+            )
+        if event.weight == 0:
+            report.add("zero weight", f"poll {event.poll_id}, voter {event.voter}")
+        key = (event.poll_id, event.voter, event.timestamp)
+        if key in seen_keys:
+            report.add("duplicate key", f"poll {event.poll_id}, voter {event.voter}, t={event.timestamp}")
+        seen_keys.add(key)
+    for poll in sorted(log.registry.values(), key=lambda p: p.poll_id):
+        unknown_abstain = poll.abstain_option_ids - listed[poll.poll_id]
+        if poll.options and unknown_abstain:
+            report.add("abstain id not an option", f"poll {poll.poll_id}: {sorted(unknown_abstain)}")
+    return report
+
+
+def write_votes_oracle(log: VoteLog, path) -> None:
+    """The event-by-event ``votes.csv`` writer: one ``csv.writer`` row per
+    ``VoteEvent``. Test oracle."""
+    with atomic_open(path) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(VOTES_HEADER)
+        for event in log.events:
+            writer.writerow([event.poll_id, event.voter, event.option_id, str(event.weight), event.timestamp])

@@ -1085,6 +1085,21 @@ def test_synth_bytes_are_pinned(tmp_path, config, pinned):
     assert digests == pinned
 
 
+def test_commands_build_no_vote_event(tmp_path, monkeypatch):
+    built = []
+    init = govdata.VoteEvent.__init__
+    monkeypatch.setattr(govdata.VoteEvent, "__init__",
+                        lambda self, *args, **kwargs: built.append(args) or init(self, *args, **kwargs))
+    data = tmp_path / "data"
+    assert exec_command(["synth", "--config", _small_config(tmp_path), "--out-dir", str(data)]) == 0
+    inputs = [f"--{name}={data / name}.csv" for name in ("votes", "polls")]
+    for command, flags in [("ingest", []), ("metrics", []), ("describe", []),
+                           ("report", [f"--factors={data / 'factors.csv'}"])]:
+        assert exec_command([command, *inputs, *flags, "--out-dir", str(tmp_path / command)]) == 0
+    assert built == []
+    assert load_vote_log(data / "votes.csv", data / "polls.csv").events[0] and len(built) > 0  # the count counts
+
+
 def test_report_bytes_are_pinned(tmp_path):
     data, out = tmp_path / "data", tmp_path / "out"
     config = json.dumps({"days": 20, "voter_pool": 80, "polls_per_day": ["poisson", 1.0], "seed": 3})

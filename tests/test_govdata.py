@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import sys
 import tracemalloc
 from datetime import date
 from decimal import Decimal
@@ -28,7 +29,14 @@ from govpulse.govdata import (
     validate_dataset,
     write_vote_log,
 )
-from oracles import exact_sum_oracle, final_ballots_oracle, load_factors_oracle, load_vote_events_oracle
+from oracles import (
+    exact_sum_oracle,
+    final_ballots_oracle,
+    load_factors_oracle,
+    load_vote_events_oracle,
+    validate_dataset_oracle,
+    write_votes_oracle,
+)
 
 
 def test_empty_votes_file_with_valid_header(tmp_path):
@@ -298,6 +306,58 @@ def test_validate_zero_weight_warning():
     log = make_log([(1, addr(1), 1, "0", DAY0 + 50)], [make_poll(1, DAY0)])
     report = validate_dataset(log)
     assert report.counts_by_kind().get("zero weight") == 1
+
+
+# Logs on which every check of the scan fires: polls that list no options
+# and options outside a poll's list, votes before a deploy time, zero
+# weights written in several forms, and (poll, voter, timestamp) keys that
+# repeat, since few timestamps are drawn.
+@st.composite
+def scanned_logs(draw):
+    polls = [make_poll(poll_id, DAY0 + 100 * draw(st.integers(0, 2)), options=draw(st.sampled_from([0, 2, 3])),
+                       abstain=tuple(draw(st.lists(st.integers(1, 4), max_size=2))))
+             for poll_id in (1, 2, 3)]
+    rows = draw(st.lists(st.tuples(
+        st.integers(1, 3), st.sampled_from([addr(1), addr(2), addr(3)]), st.integers(1, 4),
+        st.sampled_from(["0", "0.00", "0E-7", "1", "1.0", "2.5"]),
+        st.sampled_from([DAY0 + 50, DAY0 + 100, DAY0 + 150, DAY0 + 250]),
+    ), max_size=30))
+    return make_log(rows, polls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log=scanned_logs())
+def test_validate_dataset_matches_the_event_scan(log):
+    assert validate_dataset(log).anomalies == validate_dataset_oracle(log).anomalies
+
+
+# addresses that votes.csv must quote, or carry as they are, and weights
+# whose text is not the text they were written in
+WRITTEN_ADDRESSES = ["0xa", "0x,b", '0x"c"', "0x\rd", "0x\ne", "0x\r\nf", "0xé", " 0x g ", ""]
+WRITTEN_WEIGHTS = ["1", "1.0", "0.7E+1", "1E+2", "0E-7", "1.5E-7", "0.000", "123456789012.123456789012345678"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.integers(1, 2), st.sampled_from(WRITTEN_ADDRESSES), st.integers(1, 3), st.sampled_from(WRITTEN_WEIGHTS),
+    st.integers(DAY0, DAY0 + 5),
+), max_size=20))
+@example(rows=[])
+def test_votes_are_written_as_the_event_writer_writes_them(tmp_path_factory, rows):
+    tmp = tmp_path_factory.mktemp("written")
+    log = make_log(rows, [make_poll(1, DAY0), make_poll(2, DAY0)])
+    write_vote_log(log, tmp / "votes.csv", tmp / "polls.csv")
+    write_votes_oracle(log, tmp / "oracle.csv")
+    assert (tmp / "votes.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
+
+
+def test_votes_are_written_across_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(govdata, "VOTE_WRITE_ROWS", 7)
+    rows = [(1 + i % 2, WRITTEN_ADDRESSES[i % 9], 1 + i % 3, WRITTEN_WEIGHTS[i % 8], DAY0 + i % 13) for i in range(50)]
+    log = make_log(rows, [make_poll(1, DAY0), make_poll(2, DAY0)])
+    write_vote_log(log, tmp_path / "votes.csv", tmp_path / "polls.csv")
+    write_votes_oracle(log, tmp_path / "oracle.csv")
+    assert (tmp_path / "votes.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_round_trip_identity(tmp_path, simple_log):
@@ -748,12 +808,17 @@ def test_quoted_load_matches_the_per_row_loader(tmp_path_factory, rows):
     assert log.report.anomalies == anomalies
 
 
-def test_vote_log_is_read_in_blocks_not_held(tmp_path):
-    # 3000 voters, each with its own weight, over 40 polls
+def _write_wide_history(tmp_path) -> None:
+    """votes.csv and polls.csv of 50,000 rows: 3000 voters, each with its
+    own weight, over 40 polls."""
     rows = [(1 + i % 40, addr(i % 3000), 1 + i % 3, f"{i % 3000 * 7.31:.3f}{i % 3000:015d}", DAY0 + i)
             for i in range(50_000)]
     write_votes_csv(tmp_path / "votes.csv", rows)
     write_polls_csv(tmp_path / "polls.csv", [(poll, DAY0, f"p{poll}", "1:yes|2:no|3:maybe", "") for poll in range(1, 41)])
+
+
+def test_vote_log_is_read_in_blocks_not_held(tmp_path):
+    _write_wide_history(tmp_path)
     tracemalloc.start()
     try:
         log = load_vote_log(tmp_path / "votes.csv", tmp_path / "polls.csv")
@@ -766,6 +831,20 @@ def test_vote_log_is_read_in_blocks_not_held(tmp_path):
         tracemalloc.stop()
     assert len(log.events) == len(fields) - 1 == 50_000
     assert peak < held / 3, f"loading peaked at {peak} traced bytes; the per-field lists take {held}"
+
+
+def test_vote_log_is_written_in_blocks_not_held(tmp_path):
+    _write_wide_history(tmp_path)
+    log = load_vote_log(tmp_path / "votes.csv", tmp_path / "polls.csv")
+    tracemalloc.start()
+    try:
+        write_vote_log(log, tmp_path / "again.csv", tmp_path / "polls_again.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = (tmp_path / "again.csv").stat().st_size
+    assert load_vote_log(tmp_path / "again.csv", tmp_path / "polls.csv").events == log.events
+    assert peak < written / 2, f"writing a {written}-byte votes.csv peaked at {peak} traced bytes"
 
 
 def test_vote_ids_beyond_64_bits_are_bad_rows(tmp_path):
@@ -797,12 +876,13 @@ def test_loading_builds_no_vote_event(tmp_path, monkeypatch):
     assert len(built) == 8
 
 
-# weights each written in one of several forms: mixed exponents, 1000-place
-# weights, weights near the float maximum and weights that differ past the
-# 28th digit
+# weights each written in one of several forms: mixed exponents, E-notation,
+# 1000-place weights, weights near the float maximum and weights that differ
+# past the 28th digit
 EXACT_WEIGHTS = st.one_of(
     st.integers(0, 10**30).flatmap(lambda n: st.integers(-40, 5).map(lambda e: Decimal(n).scaleb(e))),
-    st.sampled_from(["0", "0.000", "-0", "0E-5", "1E+2", "7", "7.0", "0.7E+1", "1E-1000", "3" + "1" * 999 + "E-1000",
+    st.sampled_from(["0", "0.000", "-0", "0E-5", "0E-7", "1E+2", "1.5E-7", "7", "7.0", "0.7E+1", "1E-1000",
+                     "3" + "1" * 999 + "E-1000",
                      "1.7976931348623157E+308", "1.79769313486231570E+308", "8.98846567431158E+307",
                      "123456789012.123456789012345679", "123456789012.123456789012345678"]).map(Decimal),
 )
@@ -824,3 +904,22 @@ def test_weight_sums_match_the_decimal_oracle(weights, picks):
         assert str(got) == str(want)
         assert table.units_of(want) == units
         assert table.to_floats([units])[0] == float(want)
+
+
+def test_the_longest_weight_converts_to_units(tmp_path):
+    # the float maximum's 309 integer digits and MAX_WEIGHT_PLACES places:
+    # its 1309-digit coefficient is within the 4300 digits that CPython's int
+    # converts from a str by default
+    longest = f"{int(sys.float_info.max)}.{'9' * govdata.MAX_WEIGHT_PLACES}"
+    write_votes_csv(tmp_path / "votes.csv", [(1, addr(1), 1, longest, DAY0 + 10), (1, addr(2), 1, "1E+2", DAY0 + 20)])
+    write_polls_csv(tmp_path / "polls.csv", [(1, DAY0, "p", "1:yes", "")])
+    log = load_vote_log(tmp_path / "votes.csv", tmp_path / "polls.csv")
+    assert log.report.anomalies == []
+    table = log.weights
+    assert len(longest) - 1 == 1309 < 4300
+    assert table.exponent == -govdata.MAX_WEIGHT_PLACES
+    assert table.units.tolist() == [int(longest.replace(".", "")), 10 ** (2 + govdata.MAX_WEIGHT_PLACES)]
+    assert table.floats.tolist() == [sys.float_info.max, 100.0]
+    total = table.total(sum(table.units), table.exponents.min())
+    assert str(total) == str(exact_sum_oracle(log.weights.decimals))
+    assert table.units_of(total) == sum(table.units)

@@ -15,7 +15,7 @@ from oracles import gini_oracle, ols_oracle
 from govpulse.centrality import DailyMetrics, ballot_pass
 from govpulse.econ import endogeneity_tests, ols, run_factor_matrix
 from govpulse.factorlab import build_panel, measures_from_daily
-from govpulse.govdata import ValidationReport
+from govpulse.govdata import ValidationReport, VoteColumns
 from govpulse.report import significance_stars
 from govpulse.synthgov import (
     DistSpec,
@@ -241,6 +241,31 @@ def test_gen_history_weights_positive_and_decimal():
     log = gen_history(_config())
     assert all(e.weight > 0 for e in log.events)
     assert all(isinstance(e.weight, Decimal) for e in log.events)
+
+
+@pytest.mark.parametrize("voter_pool, seed", [(8, 8), (10, 7)])
+def test_gen_history_columns_equal_those_of_its_events(voter_pool, seed):
+    # a small pool with a light tail, half the votes revised and most
+    # outcomes forced to lose: revisions, single-voter polls, polls without
+    # votes and feasible forced losses
+    log = gen_history(_config(voter_pool=voter_pool, holdings_alpha=3.0, revision_rate=0.5, largest_wins_prob=0.3,
+                              seed=seed))
+    voters = {}
+    for event in log.events:
+        voters.setdefault(event.poll_id, []).append(event.voter)
+    assert any(len(set(v)) < len(v) for v in voters.values())
+    assert any(len(set(v)) == 1 for v in voters.values())
+    assert set(log.registry) - set(voters)
+    assert any(pm.ifwin == 0 for pm in ballot_pass(log).polls)
+    want = VoteColumns.of_events(tuple(log.events))
+    got = VoteColumns(log.poll_id, log.voter, log.option_id, log.weight, log.timestamp, log.addresses, log.weights)
+    for name in ("poll_id", "voter", "option_id", "weight", "timestamp"):
+        assert getattr(got, name).dtype == np.int64
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+    assert got.addresses == want.addresses
+    assert [str(d) for d in got.weights.decimals] == [str(d) for d in want.weights.decimals]
+    for name in ("units", "exponents", "floats", "ranks"):
+        assert getattr(got.weights, name).tolist() == getattr(want.weights, name).tolist(), name
 
 
 def test_gen_history_revisions_precede_finals():
