@@ -4,10 +4,11 @@ Subcommands: ingest, metrics, describe, regress, iv, synth, report. Every run
 writes its outputs atomically (temp file + rename; CSV rows are streamed into
 the temp file, never rendered whole in memory) together with a
 ``run_manifest.json`` recording the configuration as given, sha256 digests of
-the inputs, the count of each kind of anomaly found in them and the tool
-version. Option values are checked before any input is read. Exit codes: 0
-success, 1 failed run (bad input file, bad option value, violated identity
-or any other error), 2 usage error.
+the inputs, the count of each kind of anomaly found in them, the count of
+each status among the cells of each regression grid fitted (``grids``) and
+the tool version. Option values are checked before any input is read. Exit
+codes: 0 success, 1 failed run (bad input file, bad option value, violated
+identity or any other error), 2 usage error.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from govpulse.govdata import (
     REGRESSION_CATEGORIES,
     FactorPanel,
     SchemaError,
+    Series,
     ValidationReport,
     Weights,
     atomic_open,
@@ -89,6 +91,7 @@ class Run:
         self.outputs: list[str] = []
         self.formats: list[str] = []
         self.found = ValidationReport()  # every anomaly found in the run's inputs
+        self.grids: dict[str, dict[str, int]] = {}  # grid kind -> cells of each status
 
     def digest_input(self, label: str, path: str | Path | None) -> None:
         if path is not None and Path(path).exists():
@@ -124,6 +127,7 @@ class Run:
             "inputs": self.inputs,
             "outputs": sorted(self.outputs),
             "anomalies": self.found.counts_by_kind(),
+            "grids": self.grids,
         }
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         _atomic_write(self.out_dir / "run_manifest.json", lambda handle: handle.write(text))
@@ -228,7 +232,7 @@ def _load_factors(args: argparse.Namespace, run: Run) -> tuple[FactorPanel, list
 
 
 def _emit_panel(
-    args: argparse.Namespace, run: Run, raw: FactorPanel, measures: dict[str, dict]
+    args: argparse.Namespace, run: Run, raw: FactorPanel, measures: dict[str, Series]
 ) -> factorlab.BuiltPanel:
     """The regression panel, written as panel.csv, and notes on how its grids are fitted."""
     panel = factorlab.build_panel(raw, measures, vol_mode=args.vol)
@@ -258,6 +262,7 @@ def _emit_ols(
         measures=centrality.MEASURES if args.measures is None else args.measures,
         standardize=not args.raw,
     )
+    run.grids[grid.kind] = grid.status_counts()
     run.emit_csv("ols_grid.csv", report.grid_csv(grid, stars))
     for token in tokens:
         for category in REGRESSION_CATEGORIES:
@@ -276,6 +281,7 @@ def _emit_iv(
         tokens=tokens,
         standardize=not args.raw,
     )
+    run.grids[grid.kind] = grid.status_counts()
     run.emit_csv("iv_grid.csv", report.grid_csv(grid, stars))
     screen = econ.instrument_screen(panel.instrument, panel.measures)
     run.emit_csv("instrument_screen.csv", report.instrument_csv(screen, stars))

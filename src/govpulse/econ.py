@@ -26,14 +26,17 @@ statistic is the F form (n - 3) * (RSS_r - RSS_u) / RSS_u against F(1, n-3).
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import date
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from govpulse.centrality import MEASURES
-from govpulse.factorlab import BuiltPanel, align, catalogue_for, values_on
+from govpulse.factorlab import BuiltPanel, align, catalogue_for
+from govpulse.govdata import Series
 from govpulse.profiles import SummaryStats
 
 IV_DEFAULT_MEASURES = ("Voters", "TotalVotes", "Speed")
@@ -388,6 +391,18 @@ class RegressionGrid:
     def ok_cells(self) -> list[GridCell]:
         return [c for c in self.cells if c.status == "ok"]
 
+    def status_counts(self) -> dict[str, int]:
+        """The number of cells of each status."""
+        return dict(Counter(c.status for c in self.cells))
+
+    @cached_property
+    def tables(self) -> dict[tuple[str, str], dict[tuple[str, str], GridCell]]:
+        """The cells by (token, category), then by (factor, measure)."""
+        tables: dict[tuple[str, str], dict[tuple[str, str], GridCell]] = {}
+        for c in self.cells:
+            tables.setdefault((c.token, c.category), {})[c.factor, c.measure] = c
+        return tables
+
 
 def _ready(value):
     """A value the grid built once, or the message of the ValueError that
@@ -395,6 +410,24 @@ def _ready(value):
     if isinstance(value, str):
         raise ValueError(value)
     return value
+
+
+def _scaled_rows(rows: np.ndarray, standardize: bool) -> list[np.ndarray | str]:
+    """Each row of a C-contiguous 2-D array as ``zscore`` (``_as_array``
+    when not ``standardize``) returns it, or the message of the ValueError it
+    raises. A row reduction of a C-contiguous array sums each row as the 1-D
+    reduction of that row alone does, so every row has the bits of its 1-D
+    z-score; a row whose standard deviation overflows is z-scored alone."""
+    finite = np.isfinite(rows).all(axis=1).tolist()
+    if not standardize:
+        return [row if ok else "non-finite value" for row, ok in zip(rows, finite)]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sd = rows.std(axis=1, ddof=1)
+        scaled = (rows - rows.mean(axis=1)[:, None]) / np.where(sd == 0.0, 1.0, sd)[:, None]
+    return [
+        "non-finite value" if not ok else z if math.isfinite(deviation) else zscore(row)
+        for row, z, ok, deviation in zip(rows, scaled, finite, sd.tolist())
+    ]
 
 
 # grid kind -> (regressor side built from the prepared measure column, and
@@ -423,51 +456,61 @@ def _run_grid(
 
     Every fit equals the direct ``ols``/``two_sls`` on ``align(...)``, but
     no work is repeated: measures with one date set share each factor's
-    sample, the factor column is built and z-scored once per sample, and
-    the measure side (its column, the instrument column and the IV first
-    stage) once per measure and sample.
+    sample, the factor columns of one sample are z-scored together as one
+    2-D array, and the measure side (its column, the instrument column and
+    the IV first stage) is built once per measure and sample. Samples are
+    the sorted day ordinals of the series, taken by ``searchsorted``.
     """
     side_of, fit_of, min_n = _GRID_KINDS[kind]
     scale = zscore if standardize else _as_array
     extra = (panel.instrument,) if kind == "iv" else ()
-    date_sets: dict[tuple[date, ...], list[str]] = {}  # ascending dates -> measures
+    date_sets: dict[bytes, tuple[np.ndarray, list[str]]] = {}  # ascending day ordinals -> measures
     for measure in measures:
-        dates = set(panel.measures.get(measure, {})).intersection(*extra)
-        date_sets.setdefault(tuple(sorted(dates)), []).append(measure)
-    samples: dict[tuple[date, ...], dict[str, object]] = {}  # sample -> measure -> side
+        days = panel.measures.get(measure, Series()).days
+        for series in extra:
+            days = series.held(days)
+        date_sets.setdefault(days.tobytes(), (days, []))[1].append(measure)
 
-    def side(measure: str, days: tuple[date, ...], built: dict[str, object]):
+
+    def side(measure: str, days: np.ndarray, built: dict[str, object]):
         if measure not in built:
             try:
-                columns = [_column(scale(values_on(s, days))) for s in (panel.measures[measure], *extra)]
+                columns = [_column(scale(s.on(days))) for s in (panel.measures[measure], *extra)]
                 built[measure] = side_of(*columns)
             except ValueError as exc:
                 built[measure] = str(exc)
         return _ready(built[measure])
 
-    cells = []
-    for token in tokens:
-        for spec in catalogue_for(token):
-            series = panel.factors.get((token, spec.category, spec.name), {})
-            outcome: dict[str, tuple[str, OlsFit | IvFit | None]] = {}
-            for dates, names in date_sets.items():
-                days = tuple(filter(series.__contains__, dates))
-                if len(days) < min_n:
-                    outcome.update(dict.fromkeys(names, ("no data", None)))
-                    continue
+    specs = [(token, spec) for token in tokens for spec in catalogue_for(token)]
+    outcomes: list[dict[str, tuple[str, OlsFit | IvFit | None]]] = [{} for _ in specs]
+    # sample -> its day ordinals and the (spec slot, factor series, measures) fitted on it
+    samples: dict[bytes, tuple[np.ndarray, list[tuple[int, Series, list[str]]]]] = {}
+    for slot, (token, spec) in enumerate(specs):
+        series = panel.factors.get((token, spec.category, spec.name), Series())
+        for dates, names in date_sets.values():
+            days = series.held(dates)
+            if len(days) < min_n:
+                outcomes[slot].update(dict.fromkeys(names, ("no data", None)))
+            else:
+                samples.setdefault(days.tobytes(), (days, []))[1].append((slot, series, names))
+
+    for days, fitted in samples.values():
+        built: dict[str, object] = {}  # measure -> its side on this sample
+        rows = np.stack([series.on(days) for _, series, _ in fitted])
+        for (slot, _, names), values in zip(fitted, _scaled_rows(rows, standardize)):
+            try:
+                y = _column(_ready(values))
+            except ValueError as exc:
+                y = str(exc)
+            for name in names:
                 try:
-                    y = _column(scale(values_on(series, days)))
+                    fit = fit_of(_ready(y), side(name, days, built))
                 except ValueError as exc:
-                    y = str(exc)
-                built = samples.setdefault(days, {})
-                for name in names:
-                    try:
-                        fit = fit_of(_ready(y), side(name, days, built))
-                    except ValueError as exc:
-                        outcome[name] = (f"error: {exc}", None)
-                    else:
-                        outcome[name] = ("ok", fit)
-            cells += [GridCell(token, spec.category, spec.name, m, *outcome[m]) for m in measures]
+                    outcomes[slot][name] = (f"error: {exc}", None)
+                else:
+                    outcomes[slot][name] = ("ok", fit)
+    cells = [GridCell(token, spec.category, spec.name, m, *outcomes[slot][m])
+             for slot, (token, spec) in enumerate(specs) for m in measures]
     return RegressionGrid(kind, cells, standardize, tuple(measures))
 
 
@@ -501,15 +544,16 @@ class InstrumentScreen:
     stats: SummaryStats  # of the instrument's values
 
 
-def instrument_screen(instrument: dict[date, float], measures: dict[str, dict[date, float]]) -> InstrumentScreen:
+def instrument_screen(instrument: Mapping[date, float], measures: Mapping[str, Mapping[date, float]]) -> InstrumentScreen:
     """Univariate F of each measure on the instrument, with descriptives.
 
     A perfect fit (instrument identical to the measure) reports an infinite
     F with p = 0. An empty instrument raises ValueError.
     """
     rows = []
+    instrument = Series.of(instrument)
     for name in MEASURES:
-        days, m, z = align(measures.get(name, {}), instrument)
+        days, m, z = align(measures.get(name, Series()), instrument)
         if len(days) < 3:
             rows.append((name, float("nan"), float("nan"), len(days)))
             continue
@@ -522,4 +566,4 @@ def instrument_screen(instrument: dict[date, float], measures: dict[str, dict[da
             rows.append((name, float("inf"), 0.0, fit.n))
             continue
         rows.append((name, fit.t1 * fit.t1, fit.p1, fit.n))
-    return InstrumentScreen(tuple(rows), SummaryStats.describe(list(instrument.values())))
+    return InstrumentScreen(tuple(rows), SummaryStats.describe(instrument.data.tolist()))

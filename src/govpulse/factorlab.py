@@ -16,6 +16,7 @@ returns); no annualization is applied.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache
@@ -24,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from govpulse.centrality import MEASURE_FIELDS, DailyMetrics
-from govpulse.govdata import INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR, Anomaly, FactorPanel
+from govpulse.govdata import INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR, Anomaly, FactorPanel, Series
 
 VOL_WINDOWS = (2, 3, 4, 5, 6, 7, 14, 30, 60)
 DERIVED_FINANCIAL = ("r",) + tuple(f"v{k}" for k in VOL_WINDOWS)
@@ -93,30 +94,31 @@ def is_known_factor(token: str, category: str, factor: str) -> bool:
     return (category, factor) in _catalogue_keys(token)
 
 
-def daily_return(prices: dict[date, float], vol_mode: str = "simple") -> dict[date, float]:
+def daily_return(prices: Mapping[date, float], vol_mode: str = "simple") -> Series:
     """Daily returns, first date missing: simple r_t = P_t / P_{t-1} - 1, or
-    log r_t = ln(P_t / P_{t-1}) with ``vol_mode="log"``.
+    log r_t = ln(P_t / P_{t-1}) with ``vol_mode="log"``, P_{t-1} being the
+    price of the date before t in the series.
 
     Dates with a non-positive price (or a non-positive previous price) are
     left missing.
     """
-    days = sorted(prices)
-    out: dict[date, float] = {}
-    for prev, cur in zip(days, days[1:]):
-        p0, p1 = prices[prev], prices[cur]
-        if p0 <= 0.0 or p1 <= 0.0:
-            continue
-        ratio = p1 / p0
-        if vol_mode != "log":
-            out[cur] = ratio - 1.0
-        elif 0.0 < ratio < math.inf:
-            out[cur] = math.log(ratio)
-        else:  # the ratio under- or overflows; the difference of logs does not
-            out[cur] = math.log(p1) - math.log(p0)
-    return out
+    prices = Series.of(prices)
+    before, after = prices.data[:-1], prices.data[1:]
+    both = ~((before <= 0.0) | (after <= 0.0))
+    before, after = before[both], after[both]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = after / before
+    if vol_mode != "log":
+        returns = ratio - 1.0
+    else:  # math.log of each; where the ratio under- or overflows, the difference of logs
+        returns = np.array([
+            math.log(r) if 0.0 < r < math.inf else math.log(p1) - math.log(p0)
+            for r, p0, p1 in zip(ratio.tolist(), before.tolist(), after.tolist())
+        ], dtype=float)
+    return Series(prices.days[1:][both], returns)
 
 
-def rolling_vol(returns: dict[date, float], k: int) -> dict[date, float]:
+def rolling_vol(returns: Mapping[date, float], k: int) -> Series:
     """Sample standard deviation of the k most recent returns ending at t.
 
     Missing until k returns have accumulated; shorter series give an empty
@@ -125,15 +127,14 @@ def rolling_vol(returns: dict[date, float], k: int) -> dict[date, float]:
     """
     if k < 2:
         raise ValueError("volatility window must be at least 2")
-    days = sorted(returns)
-    if len(days) < k:
-        return {}
-    values = np.array([returns[d] for d in days], dtype=float)
+    returns = Series.of(returns)
+    if len(returns) < k:
+        return Series()
     # Each row is one contiguous window, so every std reduces its k values as
     # np.std of that window alone would.
-    windows = np.ascontiguousarray(sliding_window_view(values, k))
+    windows = np.ascontiguousarray(sliding_window_view(returns.data, k))
     with np.errstate(invalid="ignore", over="ignore"):
-        return dict(zip(days[k - 1 :], windows.std(axis=1, ddof=1).tolist()))
+        return Series(returns.days[k - 1:], windows.std(axis=1, ddof=1))
 
 
 @dataclass(frozen=True)
@@ -143,36 +144,32 @@ class BuiltPanel:
     anomalies found on the way. A grid cell reads only its own key, so a row
     kept under a category that does not list its factor feeds no cell."""
 
-    factors: dict[tuple[str, str, str], dict[date, float]]
-    measures: dict[str, dict[date, float]]
-    instrument: dict[date, float]
+    factors: dict[tuple[str, str, str], Series]
+    measures: dict[str, Series]
+    instrument: Series
     anomalies: list[Anomaly]
 
 
-def values_on(series: dict[date, float], days: tuple[date, ...]) -> np.ndarray:
-    """The series' values on ``days``, each of which it covers."""
-    return np.array([series[d] for d in days], dtype=float)
-
-
-def align(*series: dict[date, float]) -> tuple:
+def align(*series: Mapping[date, float]) -> tuple:
     """Complete-case sample of date-keyed series: the dates every series
     covers, ascending, then one array of values per series on those dates."""
-    days = tuple(sorted(set(series[0]).intersection(*series[1:])))
-    return (days, *(values_on(s, days) for s in series))
+    columns = [Series.of(s) for s in series]
+    days = columns[0].days
+    for column in columns[1:]:
+        days = column.held(days)
+    return (tuple(map(date.fromordinal, days.tolist())), *(column.on(days) for column in columns))
 
 
-def measures_from_daily(metrics: list[DailyMetrics]) -> dict[str, dict[date, float]]:
+def measures_from_daily(metrics: list[DailyMetrics]) -> dict[str, Series]:
     """Measure series keyed by name; rows flagged missing are excluded."""
     rows = [m for m in metrics if not m.missing]
     return {
-        name: {m.day: float(getattr(m, field)) for m in rows}
+        name: Series.of({m.day: float(getattr(m, field)) for m in rows})
         for name, field in MEASURE_FIELDS.items()
     }
 
 
-def build_panel(
-    raw: FactorPanel, measures: dict[str, dict[date, float]], vol_mode: str = "simple"
-) -> BuiltPanel:
+def build_panel(raw: FactorPanel, measures: dict[str, Series], vol_mode: str = "simple") -> BuiltPanel:
     """Derive financial series from Price, join the measure series (see
     ``measures_from_daily``) and the instrument.
 
@@ -187,9 +184,9 @@ def build_panel(
         prices = factors.get((token, "financial", "Price"))
         if not prices:
             continue
-        bad = sorted(d for d, p in prices.items() if p <= 0.0)
-        for day in bad:
-            anomalies.append(Anomaly("non-positive price", f"{token} {day.isoformat()}: return left missing"))
+        for day in prices.days[prices.data <= 0.0].tolist():
+            anomalies.append(Anomaly("non-positive price", f"{token} {date.fromordinal(day).isoformat()}: "
+                                     "return left missing"))
         returns = daily_return(prices, vol_mode)
         factors[(token, "financial", "r")] = returns
         for k in VOL_WINDOWS:

@@ -23,16 +23,23 @@ the statistics layer. A vote row whose poll id or option id does not fit in
 (``write_vote_log``), and ``ingest``'s scan (``validate_dataset``) reads
 them: neither builds a ``VoteEvent``.
 
-``votes.csv`` is read in blocks of whole lines on a fast path when the whole
-file is ASCII and holds no ``"``, no NUL, no carriage return outside a CRLF
-line end and no line longer than ``csv.field_size_limit()``: each line is
-then a row, and a row the fast path cannot judge (a wrong field count, a
-blank line, an int field that is not plain digits, a timestamp that is not
-plain digits, or any field that fails a check) goes through the same
-per-row parse as every row of any other file, which the CSV reader reads.
-Both paths give the same rows and anomalies. The off-chain instrument is
-one date-keyed series, the rows of category ``instrument`` whatever their
-token.
+``votes.csv`` and ``factors.csv`` are read in blocks of 256 KiB of whole
+lines on a fast path when the whole file is ASCII and holds no ``"``, no
+NUL, no carriage return outside a CRLF line end and no line longer than
+``csv.field_size_limit()`` (``_plain_blocks``, shared by both readers):
+each line is then a row, and a row the fast path cannot judge (a wrong
+field count, a blank line, a votes int field or timestamp that is not plain
+digits, a factor date or value that fails its check, a flagged or skipped
+factor key, or any field that fails a check) goes through the same per-row
+parse as every row of any other file, which the CSV reader reads. Both
+paths give the same rows and anomalies, in the same order.
+
+A factor panel (``FactorPanel``) holds each (token, category, factor)
+series, and the instrument, as a ``Series``: a sorted int64 day-ordinal
+column and a float64 value column, about 16 bytes a cell, in the order of
+the series' first kept rows. A repeated cell is flagged where its row
+comes and the last value wins. The off-chain instrument is one date-keyed
+series, the rows of category ``instrument`` whatever their token.
 """
 
 from __future__ import annotations
@@ -41,15 +48,14 @@ import csv
 import math
 import os
 import tempfile
-from collections import defaultdict
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import IO, NamedTuple
@@ -333,34 +339,72 @@ class VoteLog:
         return set(self.addresses)
 
 
-class FactorPanel:
-    """Factor values: one date-keyed series per (token, category, factor),
-    and the one date-keyed instrument series."""
+class Series(Mapping):
+    """A date-keyed float series held as two columns: ``days``, the
+    ascending distinct day ordinals (``date.toordinal()``) as int64, and
+    ``data``, the float64 value on each day. It reads as a mapping of
+    ``date`` to float, in date order."""
 
-    def __init__(self) -> None:
-        self.series: dict[tuple[str, str, str], dict[date, float]] = {}
-        self.instrument: dict[date, float] = {}
-        self.anomalies: list[Anomaly] = []
+    __slots__ = ("days", "data")
 
-    def series_for(self, token: str, category: str, factor: str) -> dict[date, float]:
-        """The series a (token, category, factor) cell lands in, made empty
-        if it is new: ``instrument`` for every instrument row."""
-        if category == INSTRUMENT_CATEGORY:
-            return self.instrument
-        return self.series.setdefault((token, category, factor), {})
+    def __init__(self, days: np.ndarray | None = None, data: np.ndarray | None = None) -> None:
+        self.days = np.empty(0, np.int64) if days is None else days
+        self.data = np.empty(0, float) if data is None else data
 
-    def put(self, day: date, token: str, category: str, factor: str, value: float) -> None:
-        """Store one value; a second value for the same cell is flagged and
-        the last one wins. Every instrument row lands in ``instrument``."""
-        series = self.series_for(token, category, factor)
-        if day in series:
-            self.anomalies.append(Anomaly(
-                "duplicate factor cell", f"{day.isoformat()}/{token}/{category}/{factor}: last value wins"
-            ))
-        series[day] = value
+    @classmethod
+    def of(cls, cells: Mapping[date, float]) -> "Series":
+        """A mapping of dates to floats as a Series; a Series is returned as it is."""
+        if isinstance(cells, Series):
+            return cells
+        days = np.fromiter(map(date.toordinal, cells), np.int64, len(cells))
+        order = np.argsort(days, kind="stable")
+        return cls(days[order], np.fromiter(cells.values(), float, len(cells))[order])
 
     def __len__(self) -> int:
-        return len(self.instrument) + sum(len(series) for series in self.series.values())
+        return len(self.days)
+
+    def __iter__(self) -> Iterator[date]:
+        return map(date.fromordinal, self.days.tolist())
+
+    def __getitem__(self, day: date) -> float:
+        if isinstance(day, date) and not isinstance(day, datetime):
+            at = int(np.searchsorted(self.days, day.toordinal()))
+            if at < len(self.days) and self.days[at] == day.toordinal():
+                return float(self.data[at])
+        raise KeyError(day)
+
+    def __repr__(self) -> str:
+        return f"Series({dict(self.items())!r})"
+
+    def held(self, days: np.ndarray) -> np.ndarray:
+        """The entries of ``days`` (ascending ordinals) that the series holds."""
+        at = np.searchsorted(self.days, days)
+        hit = at < len(self.days)
+        hit[hit] = self.days[at[hit]] == days[hit]
+        return days[hit]
+
+    def on(self, days: np.ndarray) -> np.ndarray:
+        """The values on ``days`` (ascending ordinals, each held)."""
+        return self.data[np.searchsorted(self.days, days)]
+
+
+class FactorPanel:
+    """Factor values: one ``Series`` per (token, category, factor), in the
+    order of their first kept rows, the one instrument ``Series`` and the
+    anomalies found on the way."""
+
+    def __init__(
+        self,
+        series: dict[tuple[str, str, str], Series] | None = None,
+        instrument: Series | None = None,
+        anomalies: list[Anomaly] | None = None,
+    ) -> None:
+        self.series: dict[tuple[str, str, str], Series] = series or {}
+        self.instrument: Series = Series() if instrument is None else instrument
+        self.anomalies: list[Anomaly] = anomalies or []
+
+    def __len__(self) -> int:
+        return len(self.instrument) + sum(map(len, self.series.values()))
 
 
 # Unix seconds of the first and the last second that have a UTC date.
@@ -632,9 +676,10 @@ def _plain_int(text: str) -> int:
     return int(text) if len(text) <= 18 and text.isdigit() else -1
 
 
-def _lookup(texts: list[str], known: dict[str, int], value: Callable[[str], int]) -> np.ndarray:
-    """The int64 column of ``known[text]`` for each text, adding
-    ``value(text)`` for each text not yet known, in first-seen order."""
+def _lookup(texts: list, known: dict, value: Callable[[object], int]) -> np.ndarray:
+    """The int64 column of ``known[text]`` for each text (or other key),
+    adding ``value(text)`` for each text not yet known, in first-seen
+    order."""
     column = np.fromiter(map(known.get, texts, repeat(-2)), np.int64, len(texts))
     for i in np.flatnonzero(column == -2).tolist():
         if texts[i] not in known:
@@ -659,17 +704,35 @@ def _plain_text(data: bytes) -> bool:
     return data.isascii() and b'"' not in data and b"\0" not in data
 
 
-def _fast_block(data: bytes, lineno: int, rows: _VoteRows) -> int | None:
-    """Read the lines of ``data`` (a block of whole lines, starting at line
-    ``lineno``) into ``rows``; the next line number, or None when the block
-    does not qualify for the fast path: it is not ``_plain_text``, or holds
-    a carriage return outside a CRLF or a line longer than
-    ``csv.field_size_limit()``.
+class _PlainBlock(NamedTuple):
+    """A block of whole lines read on the fast path: the fields of its
+    lines of exactly ``width`` fields (``whole``), in line order, and every
+    line when some are not whole."""
 
-    Each line is a row. A row of five fields whose poll, option and
-    timestamp are plain digits, with a registered poll, a timestamp with a
-    UTC date, an address and a non-negative weight is kept as a column
-    entry; any other line goes through ``_VoteRows.add``, in line order."""
+    fields: list[str]
+    whole: np.ndarray  # per line
+    lines: list[str] | None
+    width: int
+
+    def others(self, kept: np.ndarray) -> Iterator[tuple[int, list[str]]]:
+        """The offset and fields of each line but the whole ones ``kept``
+        marks, in line order, as the CSV path reads them: a blank line is
+        skipped, the others are padded or cut to ``width`` fields."""
+        width, whole = self.width, self.whole
+        slow = sorted([*np.flatnonzero(whole)[~kept].tolist(), *np.flatnonzero(~whole).tolist()])
+        field_of = np.cumsum(whole) - 1
+        for line in slow:
+            raw = self.fields[width * field_of[line]:width * (field_of[line] + 1)] if whole[line] \
+                else self.lines[line].split(",")
+            if "".join(raw).strip():
+                yield line, (raw + [""] * width)[:width]
+
+
+def _plain_block(data: bytes, width: int) -> _PlainBlock | None:
+    """The lines of ``data``, a block of whole lines; None when the block
+    does not qualify for the fast path: it is not ``_plain_text``, or holds
+    a carriage return outside a CRLF line end or a line longer than
+    ``csv.field_size_limit()``. Each line is then a row."""
     if not _plain_text(data):
         return None
     if not data.endswith(b"\n"):
@@ -686,11 +749,57 @@ def _fast_block(data: bytes, lineno: int, rows: _VoteRows) -> int | None:
     if np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():
         return None
     end = "\r\n" if crlf else "\n"
-    whole = np.diff(np.searchsorted(np.flatnonzero(codes == 44), ends), prepend=0) == 4
+    whole = np.diff(np.searchsorted(np.flatnonzero(codes == 44), ends), prepend=0) == width - 1
     text = data.decode("ascii")
     lines = None if whole.all() else text.split(end)
     body = text if lines is None else "".join(line + end for line, ok in zip(lines, whole.tolist()) if ok)
-    fields = body.replace(end, ",").split(",")[:-1]
+    return _PlainBlock(body.replace(end, ",").split(",")[:-1], whole, lines, width)
+
+
+def _plain_blocks(path: Path, header: list[str], block_bytes: int) -> Iterator[tuple[int, _PlainBlock | None]]:
+    """Each block of about ``block_bytes`` of whole lines after the header of
+    a file, with the number of its first line; None in place of a block
+    ends the reading when the file does not qualify for the fast path (see
+    ``_plain_block``), or cannot be opened, or its header is not
+    ``header``: the CSV reader then reads it."""
+    try:
+        handle = path.open("rb")
+    except OSError:
+        yield 0, None
+        return
+    with handle:
+        first = handle.readline()
+        first = first[:-2] if first.endswith(b"\r\n") else first.removesuffix(b"\n")
+        if not _plain_text(first) or b"\r" in first or [
+                h.strip() for h in first.decode("ascii").split(",")] != header:
+            yield 0, None
+            return
+        lineno, tail = 2, b""
+        while True:
+            block = handle.read(block_bytes)
+            data = tail + block
+            cut = data.rfind(b"\n") + 1 if block else len(data)
+            data, tail = data[:cut], data[cut:]
+            if len(tail) > csv.field_size_limit() + 2:
+                yield lineno, None
+                return
+            if data:
+                plain = _plain_block(data, len(header))
+                yield lineno, plain
+                if plain is None:
+                    return
+                lineno += len(plain.whole)
+            if not block:
+                return
+
+
+def _vote_block(block: _PlainBlock, lineno: int, rows: _VoteRows) -> None:
+    """Read a block of votes.csv, starting at line ``lineno``, into ``rows``.
+    A row of five fields whose poll, option and timestamp are plain digits,
+    with a registered poll, a timestamp with a UTC date, an address and a
+    non-negative weight is kept as a column entry; any other line goes
+    through ``_VoteRows.add``, in line order."""
+    fields = block.fields
     poll_id = _lookup(fields[0::5], rows.poll_fields, rows.registered_poll)
     voter = _lookup(fields[1::5], rows.voter_fields, rows.voter_index)
     option_id = _lookup(fields[2::5], rows.option_fields, _plain_int)
@@ -698,22 +807,15 @@ def _fast_block(data: bytes, lineno: int, rows: _VoteRows) -> int | None:
     timestamp = _plain_ints(fields[4::5])
     kept = (poll_id >= 0) & (voter >= 0) & (option_id >= 0) & (weight >= 0)
     kept &= (timestamp > 0) & (timestamp <= MAX_TIMESTAMP)
-    numbers = np.flatnonzero(whole)
-    block = np.stack([numbers + lineno, poll_id, voter, option_id, weight, timestamp])[:, kept]
-    # every other line, as the csv path reads it: a blank one is skipped, the
-    # others are padded or cut to five fields
-    slow = sorted([*numbers[~kept].tolist(), *np.flatnonzero(~whole).tolist()])
-    field_of = np.cumsum(whole) - 1
-    for line in slow:
-        raw = fields[5 * field_of[line]:5 * field_of[line] + 5] if whole[line] else lines[line].split(",")
-        if "".join(raw).strip():
-            rows.add(lineno + line, (raw + [""] * 5)[:5])
+    numbers = np.flatnonzero(block.whole)
+    fast = np.stack([numbers + lineno, poll_id, voter, option_id, weight, timestamp])[:, kept]
+    for line, raw in block.others(kept):
+        rows.add(lineno + line, raw)
     if rows.rows:  # into the block, in line order
-        block = np.concatenate([block, np.array(rows.rows, dtype=np.int64).T], axis=1)
-        block = block[:, np.argsort(block[0], kind="stable")]
+        fast = np.concatenate([fast, np.array(rows.rows, dtype=np.int64).T], axis=1)
+        fast = fast[:, np.argsort(fast[0], kind="stable")]
         rows.rows.clear()
-    rows.blocks.append(block[1:])
-    return lineno + len(ends)
+    rows.blocks.append(fast[1:])
 
 
 VOTE_BLOCK_BYTES = 1 << 18
@@ -721,33 +823,14 @@ VOTE_BLOCK_BYTES = 1 << 18
 
 def _fast_vote_rows(path: Path, registry: dict[int, PollRecord]) -> _VoteRows | None:
     """The rows of a votes file read in blocks of whole lines on the fast
-    path (see ``_fast_block``), or None when the file does not qualify for
-    it or its header is not the schema's; the CSV reader then reads it."""
-    try:
-        handle = path.open("rb")
-    except OSError:
-        return None
+    path (see ``_plain_blocks`` and ``_vote_block``), or None when the file
+    does not qualify for it; the CSV reader then reads it."""
     rows = _VoteRows(registry)
-    with handle:
-        header = handle.readline()
-        header = header[:-2] if header.endswith(b"\r\n") else header.removesuffix(b"\n")
-        if not _plain_text(header) or b"\r" in header or [
-                h.strip() for h in header.decode("ascii").split(",")] != VOTES_HEADER:
+    for lineno, block in _plain_blocks(path, VOTES_HEADER, VOTE_BLOCK_BYTES):
+        if block is None:
             return None
-        lineno, tail = 2, b""
-        while True:
-            block = handle.read(VOTE_BLOCK_BYTES)
-            data = tail + block
-            cut = data.rfind(b"\n") + 1 if block else len(data)
-            data, tail = data[:cut], data[cut:]
-            if len(tail) > csv.field_size_limit() + 2:
-                return None
-            if data:
-                lineno = _fast_block(data, lineno, rows)
-                if lineno is None:
-                    return None
-            if not block:
-                return rows
+        _vote_block(block, lineno, rows)
+    return rows
 
 
 def _csv_vote_rows(path: str | Path, registry: dict[int, PollRecord]) -> _VoteRows:
@@ -767,7 +850,7 @@ def load_vote_log(
 
     Malformed rows are skipped and recorded as anomalies attached to the
     result; missing files and malformed headers raise. A quote-free ASCII
-    votes file is read on the fast path (see ``_fast_block``), any other
+    votes file is read on the fast path (see ``_plain_blocks``), any other
     through the CSV reader; both give the same log and anomalies.
     """
     report = ValidationReport()
@@ -778,80 +861,243 @@ def load_vote_log(
     return VoteLog(rows.columns(), registry, identities, report)
 
 
-def _factor_date(text: str) -> date | None:
-    """The date of a YYYY-MM-DD string; None for any other text (3.11's
-    ``fromisoformat`` also reads 20210301)."""
+def _day_ordinal(text: str) -> int:
+    """The day ordinal of a YYYY-MM-DD string, spaces around it stripped;
+    -1 for any other text (3.11's ``fromisoformat`` also reads 20210301)."""
+    text = text.strip()
     try:
         day = date.fromisoformat(text)
     except ValueError:
-        return None
-    return day if day.isoformat() == text else None
+        return -1
+    return day.toordinal() if day.isoformat() == text else -1
 
 
-# Where the rows of one factor key go: its "token/category/factor" label,
-# the (kind, text) of the anomaly each of them gets or None, and the series
-# they land in, or None when they are skipped.
-FactorTarget = tuple[str, tuple[str, str] | None, dict[date, float] | None]
+def _number(text: str) -> float:
+    """``float(text)``, nan for a text that is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
-def _factor_target(panel: FactorPanel, token: str, category: str, factor: str) -> FactorTarget:
-    """The target of a stripped (token, category, factor) in ``panel``. A
-    category outside ``FACTOR_CATEGORIES`` or a factor the catalogue does not
-    list is flagged and kept, except an unknown instrument factor, which is
-    skipped: there is one instrument series."""
-    from govpulse.factorlab import is_known_factor
+def _floats(texts: list[str]) -> np.ndarray:
+    """The float64 column of ``float`` of each text, nan where it raises."""
+    try:
+        return np.fromiter(map(float, texts), float, len(texts))
+    except ValueError:
+        return np.fromiter(map(_number, texts), float, len(texts))
 
-    flag, kept = None, True
-    if category not in FACTOR_CATEGORIES:
-        flag = ("unknown category", repr(category))
-    elif not is_known_factor(token, category, factor):
-        kept = category != INSTRUMENT_CATEGORY
-        flag = ("unknown factor", f"{token}/{factor} {'kept, flagged' if kept else 'skipped'}")
-    series = panel.series_for(token, category, factor) if kept else None
-    return f"{token}/{category}/{factor}", flag, series
+
+INSTRUMENT_KEY = (INSTRUMENT_TOKEN, INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR)
+# The rows the CSV path reads before it checks them as columns.
+FACTOR_ROWS_HELD = 4096
+# The dtypes of the kept rows' line, target, day ordinal and value columns.
+_FACTOR_DTYPES = (np.int64, np.int32, np.int32, float)
+
+
+class _FactorRows:
+    """The factors.csv rows read so far: the kept rows as blocks of columns
+    (line, target, day ordinal, value), and the anomalies of the others,
+    each with its sort key, its line. Each distinct date text is parsed
+    once, and each distinct raw (token, category, factor) triple is
+    stripped, checked against the categories and the catalogue and resolved
+    to a target once; every row still gets every check, in the same order.
+
+    A target is one raw triple: its "token/category/factor" label, the
+    (kind, text) of the anomaly each of its rows gets or None, and the
+    series its rows land in, or -1 when they are skipped. Every instrument
+    row lands in the one instrument series."""
+
+    def __init__(self) -> None:
+        self.days: dict[str, int] = {}  # raw date text -> day ordinal, -1 when not a date
+        self.targets: dict[tuple[str, str, str], int] = {}  # raw triple -> target
+        self.labels: list[str] = []
+        self.flags: list[tuple[str, str] | None] = []
+        self.series: list[int] = []
+        self.keys: dict[tuple[str, str, str], int] = {}  # series key -> series
+        self.anomalies: list[tuple[float, Anomaly]] = []
+        self.rows: list[tuple[int, int, int, float]] = []  # kept one by one, not yet in the columns
+        self.columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
+
+    def target(self, raw: tuple[str, str, str]) -> int:
+        """The target of a raw triple. A category outside
+        ``FACTOR_CATEGORIES`` or a factor the catalogue does not list is
+        flagged and kept, except an unknown instrument factor, which is
+        skipped: there is one instrument series."""
+        from govpulse.factorlab import is_known_factor
+
+        token, category, factor = map(str.strip, raw)
+        flag, kept = None, True
+        if category not in FACTOR_CATEGORIES:
+            flag = ("unknown category", repr(category))
+        elif not is_known_factor(token, category, factor):
+            kept = category != INSTRUMENT_CATEGORY
+            flag = ("unknown factor", f"{token}/{factor} {'kept, flagged' if kept else 'skipped'}")
+        key = INSTRUMENT_KEY if category == INSTRUMENT_CATEGORY else (token, category, factor)
+        self.labels.append(f"{token}/{category}/{factor}")
+        self.flags.append(flag)
+        self.series.append(self.keys.setdefault(key, len(self.keys)) if kept else -1)
+        return len(self.flags) - 1
+
+    def add(self, lineno: int, fields: list[str]) -> None:
+        """The one per-row parse: keep the row of ``fields`` (date, token,
+        category, factor and value texts) or record why it is skipped."""
+        date_text, token, category, factor, value_text = fields
+        day = self.days.get(date_text)
+        if day is None:
+            day = self.days[date_text] = _day_ordinal(date_text)
+        if day < 0:
+            self.anomalies.append((lineno, Anomaly("bad factor date", f"line {lineno}: {date_text!r}")))
+            return
+        try:
+            value = float(value_text)
+        except ValueError:
+            self.anomalies.append((lineno, Anomaly("bad factor value", f"line {lineno}: {value_text!r}")))
+            return
+        if not math.isfinite(value):
+            self.anomalies.append((lineno, Anomaly("bad factor value", f"line {lineno}: non-finite, skipped")))
+            return
+        target = self.targets.get((token, category, factor))
+        if target is None:
+            target = self.targets[token, category, factor] = self.target((token, category, factor))
+        flag = self.flags[target]
+        if flag is not None:
+            self.anomalies.append((lineno, Anomaly(flag[0], f"line {lineno}: {flag[1]}")))
+        if self.series[target] >= 0:
+            self.rows.append((lineno, target, day, value))
+
+    def read(self, fields: list[str], lines: np.ndarray) -> np.ndarray:
+        """Keep each row of ``fields`` (five a row) with a date, a finite
+        value and a key that is neither flagged nor skipped as a column
+        entry at its line; returns which rows were kept. The others are left
+        to ``add``."""
+        day = _lookup(fields[0::5], self.days, _day_ordinal)
+        target = _lookup(list(zip(fields[1::5], fields[2::5], fields[3::5])), self.targets, self.target)
+        value = _floats(fields[4::5])
+        clean = np.array([flag is None for flag in self.flags], dtype=bool)
+        kept = (day >= 0) & np.isfinite(value) & clean[target]
+        self.keep(lines[kept], target[kept], day[kept], value[kept])
+        return kept
+
+    def keep(self, *columns: np.ndarray) -> None:
+        """Add kept rows given as line, target, day and value columns."""
+        for held, column, dtype in zip(self.columns, columns, _FACTOR_DTYPES):
+            held.append(column.astype(dtype, copy=False))
+
+    def keep_rows(self) -> None:
+        """Move the rows kept one by one into the columns."""
+        if self.rows:
+            self.keep(*map(np.array, zip(*self.rows)))
+            self.rows.clear()
+
+    def unreadable(self, found: list[Anomaly], lineno: float) -> None:
+        """Take the anomalies of lines the CSV reader could not read, all
+        before line ``lineno`` and after the row read before them."""
+        self.anomalies += [(lineno - 0.5, anomaly) for anomaly in found]
+        found.clear()
+
+    def panel(self) -> FactorPanel:
+        """The kept rows as series, each sorted by date; a repeated cell of a
+        series is flagged where its row comes, and its last value wins. Each
+        series comes in the order of its first kept row. The columns are
+        joined and sorted one at a time, so that few copies are held."""
+        self.keep_rows()
+        line, target, day, value = map(_joined, self.columns, _FACTOR_DTYPES)
+        series = np.array(self.series, np.int32)[target]
+        order = np.lexsort((line, day, series))  # by series, date and line
+        line = line[order]
+        target = target[order]
+        day = day[order]
+        value = value[order]
+        series = series[order]
+        del order
+        cells = run_starts(series, day)
+        repeated = np.ones(len(line), dtype=bool)
+        repeated[cells] = False
+        found = self.anomalies + [
+            (at, Anomaly("duplicate factor cell", f"{date.fromordinal(on).isoformat()}/{self.labels[of]}: "
+                         "last value wins"))
+            for at, of, on in zip(line[repeated].tolist(), target[repeated].tolist(), day[repeated].tolist())
+        ]
+        last = np.append(cells[1:], len(line))[:len(cells)] - 1  # each cell's last row
+        days, data = day[last].astype(np.int64), value[last]
+        groups = run_starts(series)  # each series' rows
+        first = np.minimum.reduceat(line, groups) if len(groups) else groups  # its first kept line
+        bounds = np.searchsorted(cells, groups).tolist()
+        spans = [slice(start, stop) for start, stop in zip(bounds, [*bounds[1:], len(cells)])]
+        keys, ids = list(self.keys), series[groups].tolist()
+        columns = {keys[ids[i]]: Series(days[spans[i]], data[spans[i]]) for i in np.argsort(first).tolist()}
+        instrument = columns.pop(INSTRUMENT_KEY, Series())
+        return FactorPanel(columns, instrument, [anomaly for _, anomaly in sorted(found, key=itemgetter(0))])
+
+
+def _joined(parts: list[np.ndarray], dtype: type) -> np.ndarray:
+    """The parts of a column joined, the parts released."""
+    joined = np.concatenate([np.empty(0, dtype), *parts])
+    parts.clear()
+    return joined
+
+
+def _factor_block(block: _PlainBlock, lineno: int, rows: _FactorRows) -> None:
+    """Read a block of factors.csv, starting at line ``lineno``, into
+    ``rows``: its rows of five fields as columns (``_FactorRows.read``), and
+    every other line through ``_FactorRows.add``, in line order."""
+    kept = rows.read(block.fields, np.flatnonzero(block.whole) + lineno)
+    for line, raw in block.others(kept):
+        rows.add(lineno + line, raw)
+    rows.keep_rows()
+
+
+FACTOR_BLOCK_BYTES = 1 << 18
+
+
+def _fast_factor_rows(path: Path) -> _FactorRows | None:
+    """The rows of a factors file read in blocks of whole lines on the fast
+    path (see ``_plain_blocks`` and ``_factor_block``), or None when the file
+    does not qualify for it; the CSV reader then reads it."""
+    rows = _FactorRows()
+    for lineno, block in _plain_blocks(path, FACTORS_HEADER, FACTOR_BLOCK_BYTES):
+        if block is None:
+            return None
+        _factor_block(block, lineno, rows)
+    return rows
+
+
+def _csv_factor_rows(path: str | Path) -> _FactorRows:
+    """The rows of a factors file as the CSV reader reads them, checked
+    ``FACTOR_ROWS_HELD`` at a time as ``_factor_block`` checks a block."""
+    rows, unreadable = _FactorRows(), []
+    lines: list[int] = []
+    fields: list[str] = []
+
+    def read() -> None:
+        kept = rows.read(fields, np.array(lines, dtype=np.int64)).tolist()
+        for at in (at for at, ok in enumerate(kept) if not ok):
+            rows.add(lines[at], fields[5 * at:5 * at + 5])
+        rows.keep_rows()
+        lines.clear()
+        fields.clear()
+
+    for lineno, raw in _read_rows(path, FACTORS_HEADER, "bad factor row", unreadable):
+        if unreadable:
+            rows.unreadable(unreadable, lineno)
+        lines.append(lineno)
+        fields += raw
+        if len(lines) == FACTOR_ROWS_HELD:
+            read()
+    rows.unreadable(unreadable, math.inf)
+    read()
+    return rows
 
 
 def load_factors(path: str | Path) -> FactorPanel:
     """Load the long-format factor export; duplicates last-win with anomaly.
 
-    Each distinct date text is parsed once per file. Each distinct raw
-    (token, category, factor) triple is stripped, checked against the
-    categories and the catalogue, and resolved to the series it lands in
-    once per file; every row still gets every check, in the same order."""
-    panel = FactorPanel()
-    days: dict[str, date | None] = {}
-    targets: dict[tuple[str, str, str], FactorTarget] = {}  # raw key fields -> _factor_target of them
-    rows = _read_rows(path, FACTORS_HEADER, "bad factor row", panel.anomalies)
-    for lineno, (date_text, token, category, factor, value_text) in rows:
-        if date_text not in days:
-            days[date_text] = _factor_date(date_text.strip())
-        day = days[date_text]
-        if day is None:
-            panel.anomalies.append(Anomaly("bad factor date", f"line {lineno}: {date_text!r}"))
-            continue
-        try:
-            value = float(value_text)
-        except ValueError:
-            panel.anomalies.append(Anomaly("bad factor value", f"line {lineno}: {value_text!r}"))
-            continue
-        if not math.isfinite(value):
-            panel.anomalies.append(Anomaly("bad factor value", f"line {lineno}: non-finite, skipped"))
-            continue
-        target = targets.get((token, category, factor))
-        if target is None:
-            target = _factor_target(panel, token.strip(), category.strip(), factor.strip())
-            targets[token, category, factor] = target
-        label, flag, series = target
-        if flag is not None:
-            panel.anomalies.append(Anomaly(flag[0], f"line {lineno}: {flag[1]}"))
-        if series is None:
-            continue
-        if day in series:
-            panel.anomalies.append(Anomaly(
-                "duplicate factor cell", f"{day.isoformat()}/{label}: last value wins"
-            ))
-        series[day] = value
-    return panel
+    A quote-free ASCII file is read on the fast path (see ``_plain_blocks``),
+    any other through the CSV reader; both give the same panel and
+    anomalies. A missing file or a header other than the schema's raises."""
+    rows = _fast_factor_rows(Path(path)) or _csv_factor_rows(path)
+    return rows.panel()
 
 
 def final_ballots(log: VoteLog, poll_id: int, rule: str = "last") -> np.ndarray:
@@ -1008,35 +1254,47 @@ def write_rows(write: Callable[[str], object], rows: Iterable[Iterable], end: st
     csv.writer(lines, lineterminator="\r\n").writerows(rows)
 
 
-def factor_rows(
-    series: dict[tuple[str, str, str], dict[date, float]], instrument: dict[date, float], lineterminator: str
-) -> Iterator[str]:
-    """The lines of the factors.csv schema, the header first, then the data
-    sorted by date, token, category and factor; the instrument is written
-    under ``INSTRUMENT_TOKEN``.
+# The dates of panel.csv and factors.csv rendered at a time: each key's
+# cells on them are gathered, ordered and rendered before the next dates.
+FACTOR_WRITE_DAYS = 32
+
+
+def factor_rows(series: Mapping[tuple[str, str, str], Series], instrument: Series, lineterminator: str) -> Iterator[str]:
+    """The lines of the factors.csv schema: the header, then the data sorted
+    by date, token, category and factor, ``FACTOR_WRITE_DAYS`` dates' lines
+    joined in one string at a time; the instrument is written under
+    ``INSTRUMENT_TOKEN``.
 
     Each line is the row ``[date, token, category, factor, repr(value)]`` as
     ``write_rows`` renders it, ending in ``lineterminator``. Each key's
     ``token,category,factor`` is rendered once, and each date's text once.
-    No row is built and no cell is sorted: the only state held is one
-    reference per cell, grouped by date."""
-    keyed = {**series, (INSTRUMENT_TOKEN, INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR): instrument}
+    One window's cells and lines are all that is held beside the panel."""
+    keyed = {**series, INSTRUMENT_KEY: instrument}
     keys = sorted(keyed)
     rendered: list[str] = []
     write_rows(rendered.append, [FACTORS_HEADER, *keys], "")
     header, *prefixes = rendered
     yield header + lineterminator
-    # date -> (prefix, series) of each key with a cell that day, in key order;
-    # grouping keeps a sparse panel's cost at its cells, not days x keys
-    by_day: defaultdict[date, list[tuple[str, dict[date, float]]]] = defaultdict(list)
-    for prefix, key in zip(prefixes, keys):
-        entry = (prefix, keyed[key])
-        for day in entry[1]:
-            by_day[day].append(entry)
-    for day in sorted(by_day):
-        text = day.isoformat()
-        for prefix, values in by_day[day]:
-            yield f"{text},{prefix},{values[day]!r}{lineterminator}"
+    columns = [keyed[key] for key in keys]
+    prefix = np.array(prefixes, dtype=object)
+    days = np.empty(0, np.int64)  # every date with a cell, ascending
+    for column in columns:
+        days = np.sort(np.concatenate([days, column.days]))
+        days = days[run_starts(days)]
+    # each window's last date; row w of cuts: where each key's cells before window w end
+    lasts = np.append(days[FACTOR_WRITE_DAYS - 1:-1:FACTOR_WRITE_DAYS], days[-1:])
+    cuts = np.array([np.searchsorted(column.days, lasts, side="right") for column in columns], np.int64)
+    cuts = np.vstack([np.zeros(len(columns), np.int64), cuts.T]).tolist()
+    for window, (starts, stops) in enumerate(zip(cuts, cuts[1:])):
+        on = days[window * FACTOR_WRITE_DAYS:(window + 1) * FACTOR_WRITE_DAYS]
+        spans = list(zip(columns, starts, stops))
+        day = np.concatenate([column.days[start:stop] for column, start, stop in spans])
+        value = np.concatenate([column.data[start:stop] for column, start, stop in spans])
+        key = np.repeat(np.arange(len(columns)), np.subtract(stops, starts))
+        order = np.argsort(day, kind="stable")  # keys ascending within a date
+        text = np.array([date.fromordinal(ordinal).isoformat() for ordinal in on.tolist()], dtype=object)
+        yield "".join([f"{date_text},{key_text},{number!r}{lineterminator}" for date_text, key_text, number in zip(
+            text[np.searchsorted(on, day[order])].tolist(), prefix[key[order]].tolist(), value[order].tolist())])
 
 
 def write_factors(panel: FactorPanel, path: str | Path) -> None:

@@ -13,13 +13,13 @@ the ISO date, the exact Decimal; a flag is written 1/0.
 
 from __future__ import annotations
 
-from datetime import date
+from collections.abc import Iterator
 from operator import attrgetter
 
 from govpulse.centrality import DailyMetrics, PollMetrics
 from govpulse.econ import GridCell, InstrumentScreen, IvFit, OlsFit, RegressionGrid
 from govpulse.factorlab import catalogue_for
-from govpulse.govdata import REGRESSION_CATEGORIES
+from govpulse.govdata import REGRESSION_CATEGORIES, Series
 from govpulse.profiles import SummaryStats, VoterProfile
 
 STAT_ROWS = ("Mean", "Median", "Maximum", "Minimum", "Std")  # lower-cased, SummaryStats fields
@@ -157,11 +157,11 @@ def gini_summary_table(poll_ginis: list[float], daily_ginis: list[float]) -> str
     )
 
 
-def measures_summary_table(measures: dict[str, dict[date, float]]) -> str:
+def measures_summary_table(measures: dict[str, Series]) -> str:
     """Descriptives of the daily measure series (see ``measures_from_daily``),
     Gini aside."""
     return _stats_table(
-        {name: SummaryStats.describe(list(series.values())) for name, series in measures.items() if name != "Gini"}
+        {name: SummaryStats.describe(series.data.tolist()) for name, series in measures.items() if name != "Gini"}
     )
 
 
@@ -177,10 +177,9 @@ def poll_metrics_csv(poll_metrics: list[PollMetrics]) -> list[list[str]]:
 
 def _layout(grid: RegressionGrid, token: str, category: str) -> tuple[tuple[str, ...], list[str], dict]:
     """The grid's measures, the token's factors of the category and their
-    cells by (factor, measure)."""
+    cells by (factor, measure), from the grid's index of its cells."""
     factors = [s.name for s in catalogue_for(token) if s.category == category]
-    index = {(c.factor, c.measure): c for c in grid.cells if c.token == token and c.category == category}
-    return grid.measures, factors, index
+    return grid.measures, factors, grid.tables.get((token, category), {})
 
 
 def _ok_fit(cell: GridCell | None) -> OlsFit | IvFit | None:
@@ -277,14 +276,14 @@ _GRID_COLUMNS = {
 }
 
 
-def grid_csv(grid: RegressionGrid, stars: tuple[float, float, float]) -> list[list[str]]:
-    """Full-precision grid dump, one row per cell; a cell without an ok fit
-    leaves the fit columns empty."""
+def grid_csv(grid: RegressionGrid, stars: tuple[float, float, float]) -> Iterator[list[str]]:
+    """Full-precision grid dump, the header and then one row per cell,
+    yielded one at a time; a cell without an ok fit leaves the fit columns
+    empty."""
     keys, columns = ["token", "category", "factor", "measure", "status"], _GRID_COLUMNS[grid.kind]
-    return [keys + [name for name, _ in columns]] + [
-        [getattr(c, key) for key in keys] + [value(c.fit, stars) if _ok_fit(c) else "" for _, value in columns]
-        for c in grid.cells
-    ]
+    yield keys + [name for name, _ in columns]
+    for c in grid.cells:
+        yield [getattr(c, key) for key in keys] + [value(c.fit, stars) if _ok_fit(c) else "" for _, value in columns]
 
 
 def significant_cells(grid: RegressionGrid, alpha: float = 0.10) -> list[GridCell]:

@@ -31,12 +31,10 @@ from govpulse.centrality import DailyMetrics
 from govpulse.econ import zscore
 from govpulse.factorlab import measures_from_daily
 from govpulse.govdata import (
-    INSTRUMENT_CATEGORY,
-    INSTRUMENT_FACTOR,
-    INSTRUMENT_TOKEN,
     MAX_TIMESTAMP,
     FactorPanel,
     PollRecord,
+    Series,
     ValidationReport,
     VoteColumns,
     VoteLog,
@@ -340,21 +338,22 @@ class FactorPlan:
 
 def gen_panel(
     metrics: list[DailyMetrics], factors: list[FactorPlan], seed: int, confound: float | None = None
-) -> tuple[FactorPanel, dict[date, float] | None]:
+) -> tuple[FactorPanel, Series | None]:
     """Plant ``factors`` over the daily measures and emit the instrument
     series; returns the panel and the proxy measure (None without a confound).
 
     With ``confound``, a shared standard normal confound enters the proxy of
     ``INSTRUMENT_MEASURE`` and every planted factor with that loading, while
     the instrument tracks only the clean measure: the proxy is what the 2SLS
-    tests regress against.
+    tests regress against. Each series is filled as columns on the days of
+    the measures; a later plan for the same key replaces an earlier one.
     """
     if not metrics:
         raise ValueError("metrics must be non-empty")
     rng = np.random.default_rng(seed)
     measures = measures_from_daily(metrics)
-    days = list(measures[INSTRUMENT_MEASURE])
-    standardized = {name: zscore(list(series.values())) for name, series in measures.items()}
+    days = measures[INSTRUMENT_MEASURE].days
+    standardized = {name: zscore(series.data) for name, series in measures.items()}
     n = len(days)
 
     shared = rng.standard_normal(n) if confound is not None else None
@@ -362,7 +361,7 @@ def gen_panel(
     instrument_values = INSTRUMENT_STRENGTH * base + INSTRUMENT_NOISE * rng.standard_normal(n)
     proxy = base + confound * shared if confound is not None else None
 
-    panel = FactorPanel()
+    series: dict[tuple[str, str, str], Series] = {}
     for fp in factors:
         values = np.full(n, fp.intercept, dtype=float)
         for name, loading in fp.loadings.items():
@@ -371,10 +370,7 @@ def gen_panel(
         if confound is not None:
             values = values + confound * shared
         values = values + fp.noise_std * rng.standard_normal(n)
-        for day, value in zip(days, values):
-            panel.put(day, fp.token, fp.category, fp.factor, float(value))
+        series[(fp.token, fp.category, fp.factor)] = Series(days, values)
 
-    for day, value in zip(days, instrument_values):
-        panel.put(day, INSTRUMENT_TOKEN, INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR, float(value))
-
-    return panel, (dict(zip(days, proxy)) if proxy is not None else None)
+    panel = FactorPanel(series, Series(days, instrument_values))
+    return panel, (Series(days, proxy) if proxy is not None else None)

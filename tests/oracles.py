@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass, field
 from datetime import date
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, localcontext
 
@@ -21,12 +22,10 @@ from govpulse.govdata import (
     MAX_WEIGHT_PLACES,
     VOTES_HEADER,
     Anomaly,
-    FactorPanel,
     PollRecord,
     ValidationReport,
     VoteEvent,
     VoteLog,
-    _factor_date,
     _read_rows,
     atomic_open,
     load_identities,
@@ -181,11 +180,45 @@ def final_ballots_oracle(log: VoteLog, poll_id: int, rule: str) -> list[VoteEven
     return sorted(counted.values(), key=lambda e: (e.weight.copy_negate(), e.timestamp, e.voter))
 
 
-def load_factors_oracle(path) -> FactorPanel:
+@dataclass
+class DictPanel:
+    """A factor panel held as dicts: one date-keyed dict per (token,
+    category, factor), in the order of its first kept row, and the one
+    instrument dict. Test oracle."""
+
+    series: dict[tuple[str, str, str], dict[date, float]] = field(default_factory=dict)
+    instrument: dict[date, float] = field(default_factory=dict)
+    anomalies: list[Anomaly] = field(default_factory=list)
+
+    def put(self, day: date, token: str, category: str, factor: str, value: float) -> None:
+        """Store one value; a second value for the same cell is flagged and
+        the last one wins. Every instrument row lands in ``instrument``."""
+        cells = self.instrument if category == INSTRUMENT_CATEGORY else self.series.setdefault(
+            (token, category, factor), {})
+        if day in cells:
+            self.anomalies.append(Anomaly(
+                "duplicate factor cell", f"{day.isoformat()}/{token}/{category}/{factor}: last value wins"
+            ))
+        cells[day] = value
+
+    def __len__(self) -> int:
+        return len(self.instrument) + sum(len(series) for series in self.series.values())
+
+
+def _factor_date(text: str) -> date | None:
+    """The date of a YYYY-MM-DD string; None for any other text."""
+    try:
+        day = date.fromisoformat(text)
+    except ValueError:
+        return None
+    return day if day.isoformat() == text else None
+
+
+def load_factors_oracle(path) -> DictPanel:
     """The per-row factor loader: every row strips its own key, checks its
     category and catalogue entry and stores its value through
-    ``FactorPanel.put``. Test oracle."""
-    panel = FactorPanel()
+    ``DictPanel.put``. Test oracle."""
+    panel = DictPanel()
     rows = _read_rows(path, FACTORS_HEADER, "bad factor row", panel.anomalies)
     for lineno, (date_text, token, category, factor, value_text) in rows:
         day = _factor_date(date_text.strip())
@@ -213,7 +246,7 @@ def load_factors_oracle(path) -> FactorPanel:
 
 
 def factor_rows_oracle(
-    series: dict[tuple[str, str, str], dict[date, float]], instrument: dict[date, float]
+    series: Mapping[tuple[str, str, str], Mapping[date, float]], instrument: Mapping[date, float]
 ) -> Iterator[list[str]]:
     """Rows of the factors.csv schema, every cell sorted at once by date,
     token, category and factor; the instrument under ``INSTRUMENT_TOKEN``.

@@ -31,7 +31,7 @@ import govpulse
 from govpulse import centrality, cli, factorlab, govdata, synthgov
 from govpulse.cli import exec_command
 from govpulse.econ import t_pvalue
-from govpulse.govdata import FACTORS_HEADER, FactorPanel, load_factors, load_vote_log, write_factors
+from govpulse.govdata import FACTORS_HEADER, FactorPanel, Series, load_factors, load_vote_log, write_factors
 from govpulse.report import significance_stars
 from oracles import factor_rows_oracle
 
@@ -542,6 +542,28 @@ def test_instrument_whose_squares_overflow(tmp_path):
     assert (stats["maximum"], stats["minimum"]) == (4e200, 1e200)
 
 
+def test_grid_commands_import_no_masked_arrays(tmp_path):
+    """np.unique and np.intersect1d import numpy.ma (about 12 ms and 1 MB);
+    the grids take their samples by searchsorted."""
+    data = tmp_path / "data"
+    inputs = [f"--{name}={data / name}.csv" for name in ("votes", "polls", "factors")]
+    commands = [
+        ["synth", "--seed", "5", "--config", _small_config(tmp_path), "--out-dir", str(data)],
+        ["report", *inputs, "--formats", "csv,markdown,svg", "--out-dir", str(tmp_path / "report")],
+    ]
+    script = (
+        "import json, sys\n"
+        "import govpulse.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert govpulse.cli.exec_command(argv) == 0, argv[0]\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(govpulse.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_no_command_needs_scipy(tmp_path):
     # the child refuses any scipy import, so a command that needed it would exit 1
     script = (
@@ -816,9 +838,7 @@ PANEL_VALUES = [1.0, 2.5, -1.0, 0.0, 0.1, 5e-324, 1e308, 1.7976931348623157e308]
 
 
 def _factor_panel(series: dict, instrument: dict) -> FactorPanel:
-    panel = FactorPanel()
-    panel.series, panel.instrument = series, instrument
-    return panel
+    return FactorPanel({key: Series.of(cells) for key, cells in series.items()}, Series.of(instrument))
 
 
 @st.composite
@@ -908,11 +928,9 @@ def test_report_panel_csv_is_the_sorted_rendering_of_the_built_panel(synth_dir, 
 
 def test_panel_csv_is_streamed_not_held(tmp_path, monkeypatch):
     days = [date(2021, 1, 1) + timedelta(days=k) for k in range(365)]
-    raw = FactorPanel()
-    for token in ("MKR", "DAI", "UNI"):
-        for k in range(100):
-            raw.series[(token, "network", f"F{k}")] = {day: 1.0 + k / 7 + i / 3 for i, day in enumerate(days)}
-    raw.instrument = {day: float(i) for i, day in enumerate(days)}
+    raw = _factor_panel({(token, "network", f"F{k}"): {day: 1.0 + k / 7 + i / 3 for i, day in enumerate(days)}
+                         for token in ("MKR", "DAI", "UNI") for k in range(100)},
+                        {day: float(i) for i, day in enumerate(days)})
     built = factorlab.build_panel(raw, {})
     monkeypatch.setattr(cli.factorlab, "build_panel", lambda *args, **kwargs: built)
     tracemalloc.start()
@@ -1042,19 +1060,13 @@ def test_stray_category_rows_never_feed_a_grid_cell(synth_dir, tmp_path):
 def test_failed_synth_write_leaves_files_intact(synth_dir, tmp_path, monkeypatch):
     before = {path.name: path.read_bytes() for path in synth_dir.iterdir() if path.name != "run_manifest.json"}
 
-    class Unprintable(float):
-        def __repr__(self) -> str:
-            raise OSError("disk full")
+    real = govdata.factor_rows
 
-    real = synthgov.gen_panel
+    def failing_rows(*args):
+        yield from real(*args)
+        raise OSError("disk full")  # once the last row has been written
 
-    def failing_gen_panel(metrics, factors, seed):
-        panel, proxy = real(metrics, factors, seed)
-        last = max(m.day for m in metrics if not m.missing)
-        panel.put(last, "ALL", "instrument", "offchain_voters", Unprintable(1.0))  # the last row written
-        return panel, proxy
-
-    monkeypatch.setattr(synthgov, "gen_panel", failing_gen_panel)
+    monkeypatch.setattr(govdata, "factor_rows", failing_rows)
     code = exec_command(["synth", "--out-dir", str(synth_dir), "--seed", "5", "--config", _small_config(tmp_path)])
     assert code == 1
     after = {path.name: path.read_bytes() for path in synth_dir.iterdir() if path.name != "run_manifest.json"}
@@ -1175,6 +1187,21 @@ def test_manifest_counts_the_anomalies_of_each_input(pinned_data, tmp_path):
     with open(tmp_path / "ingest" / "validation.csv", newline="") as handle:
         kinds = Counter(row["kind"] for row in csv.DictReader(handle))
     assert manifest["anomalies"] == kinds and kinds["bad vote row"] == 1
+
+
+def test_manifest_counts_the_cells_of_each_grid_status(pinned_data, tmp_path):
+    inputs = [f"--{name}={pinned_data / name}.csv" for name in ("votes", "polls", "factors")]
+    for command, kinds in (("ingest", []), ("regress", ["ols"]), ("iv", ["iv"]), ("report", ["ols", "iv"])):
+        out = tmp_path / command
+        argv = [command, *(inputs if kinds else inputs[:2]), "--formats", "csv", "--out-dir", str(out)]
+        assert exec_command(argv) == 0, command
+        tallies = {}
+        for kind in kinds:
+            with open(out / f"{kind}_grid.csv", newline="") as handle:
+                tallies[kind] = dict(Counter(row["status"] for row in csv.DictReader(handle)))
+        assert json.loads((out / "run_manifest.json").read_text())["grids"] == tallies, command
+    assert set(tallies["ols"]) == {"ok", "no data", "error: degenerate regressor"}
+    assert set(tallies["iv"]) == {"ok", "no data"}
 
 
 def test_an_infinite_return_is_fitted_without_a_warning(pinned_data, tmp_path):

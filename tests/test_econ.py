@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import grid_cell
 from oracles import ols_oracle
+from govpulse import econ
 from govpulse.econ import (
     IV_DEFAULT_MEASURES,
     chi2_pvalue,
@@ -27,6 +28,7 @@ from govpulse.econ import (
     zscore,
 )
 from govpulse.factorlab import BuiltPanel, align, catalogue_for
+from govpulse.govdata import Series
 from govpulse.report import significance_stars
 
 D0 = date(2021, 3, 1)
@@ -34,9 +36,9 @@ D0 = date(2021, 3, 1)
 
 def _panel(factors: dict, measures: dict, instrument: dict | None = None) -> BuiltPanel:
     return BuiltPanel(
-        factors=factors,
-        measures=measures,
-        instrument=instrument or {},
+        factors={key: Series.of(series) for key, series in factors.items()},
+        measures={name: Series.of(series) for name, series in measures.items()},
+        instrument=Series.of(instrument or {}),
         anomalies=[],
     )
 
@@ -552,6 +554,29 @@ def test_grid_cells_equal_direct_fits_on_gappy_panels(panel):
         _direct_statuses(grid, panel, ols, standardize, min_n=3)
         grid = run_iv_suite(panel, ["MKR", "DAI"], measures, standardize)
         _direct_statuses(grid, panel, two_sls, standardize, min_n=5)
+
+
+# row values: ties and flat rows, values whose squares overflow, and non-finite ones
+SCALED_VALUES = st.one_of(
+    st.integers(-8, 8).map(lambda k: k / 4),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.sampled_from([1e300, -1e300, 1.7976931348623157e308, 5e-324, math.inf, math.nan]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(3, 30)), data=st.data())
+def test_scaled_rows_have_the_bits_of_each_row_alone(shape, data):
+    rows = np.array(data.draw(st.lists(SCALED_VALUES, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])),
+                    dtype=float).reshape(shape)
+    for standardize, scale in ((True, zscore), (False, econ._as_array)):
+        for got, row in zip(econ._scaled_rows(rows, standardize), rows):
+            try:
+                want = scale(row.copy())
+            except ValueError as exc:
+                assert got == str(exc)
+            else:
+                assert got.tobytes() == want.tobytes()
 
 
 def test_iv_suite_requires_instrument():

@@ -20,7 +20,7 @@ from govpulse.factorlab import (
     measures_from_daily,
     rolling_vol,
 )
-from govpulse.govdata import REGRESSION_CATEGORIES, FactorPanel
+from govpulse.govdata import REGRESSION_CATEGORIES, FactorPanel, Series
 
 
 D0 = date(2021, 3, 1)
@@ -165,14 +165,19 @@ def _built(raw: FactorPanel, metrics: list[DailyMetrics]):
     return build_panel(raw, measures_from_daily(metrics))
 
 
+def _raw(series: dict, instrument: dict | None = None) -> FactorPanel:
+    """A loaded panel of date-keyed dicts."""
+    return FactorPanel({key: Series.of(cells) for key, cells in series.items()}, Series.of(instrument or {}))
+
+
 def test_build_panel_derives_returns_and_vols():
-    raw = FactorPanel()
     days = _days(70)
     rng = np.random.default_rng(0)
-    price = 100.0
+    prices, price = {}, 100.0
     for d in days:
-        raw.put(d, "MKR", "financial", "Price", price)
+        prices[d] = price
         price *= 1 + float(rng.normal(0, 0.01))
+    raw = _raw({("MKR", "financial", "Price"): prices})
     metrics = [_metric_row(d) for d in days]
     panel = _built(raw, metrics)
     assert len(panel.factors[("MKR", "financial", "r")]) == 69
@@ -181,11 +186,9 @@ def test_build_panel_derives_returns_and_vols():
 
 
 def test_build_panel_determinism_bit_identical():
-    raw = FactorPanel()
     days = _days(40)
     rng = np.random.default_rng(5)
-    for d in days:
-        raw.put(d, "MKR", "financial", "Price", float(100 + rng.normal()))
+    raw = _raw({("MKR", "financial", "Price"): {d: float(100 + rng.normal()) for d in days}})
     metrics = [_metric_row(d) for d in days]
     a = _built(raw, metrics)
     b = _built(raw, metrics)
@@ -208,22 +211,17 @@ def _varying_voters(d: date) -> DailyMetrics:
 
 
 def test_aligned_sample_from_panel_intersects_metric_dates():
-    raw = FactorPanel()
     days = _days(10)
-    for d in days:
-        raw.put(d, "MKR", "network", "Active", float(d.toordinal() % 3))
+    raw = _raw({("MKR", "network", "Active"): {d: float(d.toordinal() % 3) for d in days}})
     panel = _built(raw, [_varying_voters(d) for d in days[:6]])  # metrics cover fewer days
     grid = run_factor_matrix(panel, tokens=["MKR"], measures=("Voters",))
     assert grid_cell(grid, "MKR", "Active", "Voters").fit.n == 6
 
 
 def test_aligned_iv_alignment_n():
-    raw = FactorPanel()
     days = _days(200)
-    for d in days:
-        raw.put(d, "MKR", "network", "Active", float(d.toordinal() % 17))
-    for d in days[:127]:
-        raw.put(d, "ALL", "instrument", "offchain_voters", float(d.toordinal() % 5))
+    raw = _raw({("MKR", "network", "Active"): {d: float(d.toordinal() % 17) for d in days}},
+               {d: float(d.toordinal() % 5) for d in days[:127]})
     panel = _built(raw, [_varying_voters(d) for d in days])
     grid = run_iv_suite(panel, tokens=["MKR"], measures=("Voters",))
     cell = grid_cell(grid, "MKR", "Active", "Voters")
@@ -232,10 +230,8 @@ def test_aligned_iv_alignment_n():
 
 
 def test_missing_factor_gives_none():
-    raw = FactorPanel()
     days = _days(5)
-    for d in days:
-        raw.put(d, "MKR", "network", "Active", float(d.day))
+    raw = _raw({("MKR", "network", "Active"): {d: float(d.day) for d in days}})
     panel = _built(raw, [_varying_voters(d) for d in days])
     assert ("MKR", "transaction", "TxnCnt") not in panel.factors
     grid = run_factor_matrix(panel, tokens=["MKR", "DAI"], measures=("Voters",))

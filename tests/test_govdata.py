@@ -661,6 +661,112 @@ def test_keyed_factor_load_matches_the_per_row_loader(tmp_path_factory, rows):
     assert len(panel) == len(oracle)
 
 
+def _factor_panels_equal(panel, oracle) -> None:
+    """A loaded panel and the oracle's dict panel: the same series in the
+    same key order, the same instrument, length and anomalies in order."""
+    assert panel.series == oracle.series
+    assert list(panel.series) == list(oracle.series)
+    assert panel.instrument == oracle.instrument
+    assert panel.anomalies == oracle.anomalies
+    assert len(panel) == len(oracle)
+
+
+# texts of each factors.csv field, valid and not: keys that strip to one,
+# unknown categories and factors (an unknown instrument factor among them),
+# dates the fast path reads and ones it leaves to the per-row parse, and
+# values float() reads in several forms, non-finite ones included
+FACTOR_READER_FIELDS = (
+    ["2021-03-01", "2021-03-02", " 2021-03-01", "2021-03-02 ", "20210301", "2021-3-1", "", "x"],
+    ["MKR", " MKR", "DAI", "ALL", "FOO", ""],
+    ["financial", " network", "network", "instrument", "bogus", ""],
+    ["Price", "New", " New", "offchain_voters", "onchain_voters", "Nope"],
+    ["1.5", "1_0", "+7", " 7 ", "-3", "0", "nan", "inf", "-inf", "1e400", "1e308", "abc", ""],
+)
+FACTOR_READER_LINE = st.one_of(
+    st.lists(st.integers(0, 12), min_size=5, max_size=5).map(
+        lambda picks: ",".join(texts[i % len(texts)] for texts, i in zip(FACTOR_READER_FIELDS, picks))),
+    st.lists(st.sampled_from([t for texts in FACTOR_READER_FIELDS for t in texts]), max_size=7).map(",".join),
+    st.sampled_from(["", " ", ",,,,", " , ,", "\t", ",,,,,,"]),
+)
+
+
+def _factor_text(lines: list[str], ends: list[bool], final_newline: bool) -> bytes:
+    body = "".join(line + ("\r\n" if crlf else "\n") for line, crlf in zip(lines, ends))
+    if not final_newline and body.endswith("\n"):
+        body = body[:-2] if body.endswith("\r\n") else body[:-1]
+    return ("date,token,category,factor,value\n" + body).encode("ascii")
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(FACTOR_READER_LINE, max_size=40), ends=st.lists(st.booleans(), min_size=40, max_size=40),
+       final_newline=st.booleans(), block_bytes=st.sampled_from([48, 200, govdata.FACTOR_BLOCK_BYTES]))
+@example(lines=["2021-03-01,MKR,network,New,1", "2021-03-01, MKR,network,New ,2", "2021-03-01,MKR,network,New,3"],
+         ends=[False] * 40, final_newline=True, block_bytes=48)  # one cell three times, across blocks
+@example(lines=["2021-03-01,MKR,network,New,1,extra", "2021-03-01,MKR,network,New,2", "2021-03-01,MKR,network,New"],
+         ends=[False] * 40, final_newline=True, block_bytes=govdata.FACTOR_BLOCK_BYTES)  # a cut line, then a whole one
+def test_fast_factor_reader_matches_the_per_row_loader(tmp_path_factory, lines, ends, final_newline, block_bytes):
+    path = tmp_path_factory.mktemp("factor-reader") / "factors.csv"
+    path.write_bytes(_factor_text(lines, ends, final_newline))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(govdata, "FACTOR_BLOCK_BYTES", block_bytes)
+        assert govdata._fast_factor_rows(path) is not None
+        _factor_panels_equal(load_factors(path), load_factors_oracle(path))
+
+
+CLEAN_FACTOR_LINES = [f"2021-03-{day:02d},MKR,network,{name},{day + k}"
+                      for day in range(1, 29) for k, name in enumerate(["New", "Active"])]
+# name -> the lines after the header; each sends the whole file to the CSV reader
+NAMED_FACTOR_FALLBACKS = {
+    # 6000 lines, each cell read over twice: the rows kept one by one pass
+    # FACTOR_ROWS_HELD, and a repeated cell is flagged where it comes
+    "quote-in-the-last-line": CLEAN_FACTOR_LINES * 107 + ['2021-03-01,MKR,network,New,"5"'],
+    "not-utf-8": ["2021-03-01,MKR,network,New,1", "2021-03-02,MKR\udcff,network,New,2", *CLEAN_FACTOR_LINES],
+    "nul": ["2021-03-01,MKR,network,New\0,1", "2021-03-01,MKR,network,New,2", *CLEAN_FACTOR_LINES],
+    "lone-carriage-return": ["2021-03-01,MKR,network,New,1\r2021-03-02,MKR,network,New,2", *CLEAN_FACTOR_LINES],
+    # a repeated cell before and after a line the CSV reader cannot read
+    "field-over-limit": ["2021-03-01,MKR,network,New,1", "2021-03-01,MKR,network,New,2",
+                         f"2021-03-02,MKR,network,{'N' * 131073},3", "2021-03-01,MKR,network,New,4"],
+}
+
+
+@pytest.mark.parametrize("name", list(NAMED_FACTOR_FALLBACKS))
+def test_named_factor_files_load_as_the_per_row_loader(tmp_path, name):
+    path = tmp_path / "factors.csv"
+    path.write_bytes("\n".join(["date,token,category,factor,value", *NAMED_FACTOR_FALLBACKS[name]]).encode(
+        "utf-8", "surrogateescape") + b"\n")
+    assert govdata._fast_factor_rows(path) is None
+    panel, oracle = load_factors(path), load_factors_oracle(path)
+    _factor_panels_equal(panel, oracle)
+    assert any(a.kind == "duplicate factor cell" for a in panel.anomalies)
+
+
+def test_factor_panel_is_held_as_columns(tmp_path):
+    """54,020 cells of 148 catalogue series: the loaded panel holds about 20
+    traced bytes a cell (two 8-byte columns and each series' arrays), where
+    per-series dicts keyed by date held about 76; loading peaks at about a
+    quarter of the traced size of the file's per-field lists."""
+    from govpulse.factorlab import catalogue_for
+
+    keys = [(token, spec.category, spec.name) for token in ("MKR", "DAI", "UNI", "COMP") for spec in catalogue_for(token)]
+    write_factors_csv(tmp_path / "factors.csv", [
+        (date.fromordinal(date(2021, 1, 1).toordinal() + day).isoformat(), *key, repr(1.0 + k / 7 + day / 3))
+        for day in range(365) for k, key in enumerate(keys)
+    ])
+    tracemalloc.start()
+    try:
+        panel = load_factors(tmp_path / "factors.csv")
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with open(tmp_path / "factors.csv", newline="") as handle:
+            fields = [line.split(",") for line in handle]
+        _, lists = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(panel) == len(fields) - 1 == 54_020 and not panel.anomalies
+    assert held < 24 * len(panel), f"the panel holds {held} traced bytes for {len(panel)} cells"
+    assert peak < lists / 3, f"loading peaked at {peak} traced bytes; the per-field lists take {lists}"
+
+
 # input -> (header, a clean line, a line template whose {} takes the unreadable text,
 #           another clean line, the kind of a bad row)
 UNREADABLE_IN = {

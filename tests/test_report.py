@@ -71,6 +71,7 @@ def test_effects_summary_bijection_with_significant_cells():
     n_days = 120
     days = [date(2021, 1, 1) + timedelta(days=i) for i in range(n_days)]
     from govpulse.factorlab import BuiltPanel
+    from govpulse.govdata import Series
 
     voters = rng.normal(size=n_days)
     factors = {}
@@ -78,9 +79,9 @@ def test_effects_summary_bijection_with_significant_cells():
         noise = rng.normal(0, 0.5, n_days)
         factors[("MKR", "transaction", name)] = dict(zip(days, loading * voters + noise))
     panel = BuiltPanel(
-        factors=factors,
-        measures={"Voters": dict(zip(days, voters))},
-        instrument={},
+        factors={key: Series.of(series) for key, series in factors.items()},
+        measures={"Voters": Series.of(dict(zip(days, voters)))},
+        instrument=Series(),
         anomalies=[],
     )
     grid = run_factor_matrix(panel, tokens=["MKR"], measures=("Voters",))
@@ -97,7 +98,7 @@ def test_empty_grid_renders_headers():
     table = regression_table(_grid([]), "MKR", "transaction", STAR_THRESHOLDS)
     assert "AvgSizeMkr" in table  # factor rows always present
     assert table.count("|") > 10
-    rows = grid_csv(_grid([]), STAR_THRESHOLDS)
+    rows = list(grid_csv(_grid([]), STAR_THRESHOLDS))
     assert rows[0][0] == "token"
 
 
@@ -168,7 +169,7 @@ def test_grid_csv_full_precision_round_trip():
     y, x = rng.normal(size=50), rng.normal(size=50)
     fit = ols(y, x)
     cell = GridCell("MKR", "network", "New", "Voters", "ok", fit)
-    rows = grid_csv(_grid([cell]), STAR_THRESHOLDS)
+    rows = list(grid_csv(_grid([cell]), STAR_THRESHOLDS))
     header, data = rows[0], rows[1]
     beta1 = float(data[header.index("beta1")])
     assert beta1 == fit.beta1  # repr() round-trips exactly
