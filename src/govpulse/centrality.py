@@ -23,11 +23,12 @@ clipped to [0, 1). Alternative daily estimators (mean of poll Ginis, pooled
 sample Gini) are available for comparison.
 
 ``ballot_pass`` is the one road from a vote log to the measures: it derives
-every poll's final ballots (each voter's counted ``VoteEvent``) once per
-ballot rule, together with the per-poll metrics and the per-day poll counts;
-voting order is read from each poll's history. Daily rows, voter profiles,
-poll descriptives and Lorenz totals are all derived from that one result,
-and ``fill_calendar`` is the one way to add the days without polls.
+every poll's final ballots (the log's row index of each voter's counted
+record) once per ballot rule, together with the per-poll metrics and the
+per-day poll counts; voting order is read from each poll's history. Daily
+rows, voter profiles, poll descriptives and Lorenz totals are all derived
+from that one result, and ``fill_calendar`` is the one way to add the days
+without polls.
 """
 
 from __future__ import annotations

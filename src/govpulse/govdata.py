@@ -23,16 +23,18 @@ the statistics layer. A vote row whose poll id or option id does not fit in
 (``write_vote_log``), and ``ingest``'s scan (``validate_dataset``) reads
 them: neither builds a ``VoteEvent``.
 
-``votes.csv`` and ``factors.csv`` are read in blocks of 256 KiB of whole
-lines on a fast path when the whole file is ASCII and holds no ``"``, no
-NUL, no carriage return outside a CRLF line end and no line longer than
-``csv.field_size_limit()`` (``_plain_blocks``, shared by both readers):
-each line is then a row, and a row the fast path cannot judge (a wrong
-field count, a blank line, a votes int field or timestamp that is not plain
-digits, a factor date or value that fails its check, a flagged or skipped
-factor key, or any field that fails a check) goes through the same per-row
-parse as every row of any other file, which the CSV reader reads. Both
-paths give the same rows and anomalies, in the same order.
+``votes.csv`` and ``factors.csv`` are read by one pipeline (``_read_file``):
+a source splits the file into blocks of rows, each block's rows are checked
+as columns, and a row the check cannot judge (a wrong field count, a blank
+line, a votes int field or timestamp that is not plain digits, a factor
+date or value that fails its check, a flagged or skipped factor key, or any
+field that fails a check) goes through the input's one per-row parse
+(``add``). The fast source (``_plain_blocks``) splits 256 KiB of whole
+lines at a time when the whole file is ASCII and holds no ``"``, no NUL, no
+carriage return outside a CRLF line end and no line longer than
+``csv.field_size_limit()``: each line is then a row. Any other file is
+split by the other source, the CSV reader (``_csv_blocks``), 4096 rows at a
+time. Both give the same rows and anomalies, in the same order.
 
 A factor panel (``FactorPanel``) holds each (token, category, factor)
 series, and the instrument, as a ``Series``: a sorted int64 day-ordinal
@@ -58,7 +60,7 @@ from itertools import repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import IO, NamedTuple
+from typing import IO, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -335,9 +337,6 @@ class VoteLog:
     def poll_ids(self) -> list[int]:
         return sorted(self.registry)
 
-    def voters(self) -> set[str]:
-        return set(self.addresses)
-
 
 class Series(Mapping):
     """A date-keyed float series held as two columns: ``days``, the
@@ -560,25 +559,27 @@ def _parse_weight(text: str) -> Decimal | str:
 
 class _VoteRows:
     """The vote rows read so far: the kept rows, as blocks of columns in file
-    order, and the anomalies of the skipped ones. Each distinct voter field
-    is normalized once and each distinct weight text parsed and checked
-    once; every row still gets every check."""
+    order, and the anomalies of the skipped ones, each with its sort key (see
+    ``_Block``). Each distinct voter field is normalized once and each
+    distinct weight text parsed and checked once; every row still gets every
+    check."""
 
     def __init__(self, registry: dict[int, PollRecord]) -> None:
         self.registry = registry
-        self.anomalies: list[Anomaly] = []
+        self.anomalies: list[tuple[float, Anomaly]] = []
         self.addresses: dict[str, int] = {}  # address -> its index, in first-seen order
         self.voter_fields: dict[str, int] = {}  # raw voter field -> address index, -1 when empty
         self.decimals: list[Decimal] = []
         self.weight_texts: dict[str, int | str] = {}  # raw weight text -> index into decimals, or its error
-        # raw field -> its value on the fast path, -1 when the row must be parsed on its own
+        # raw field -> its value in the column check, -1 when the row must be parsed on its own
         self.poll_fields: dict[str, int] = {}
         self.option_fields: dict[str, int] = {}
         self.kept_weights: dict[str, int] = {}
         # kept rows in file order, as 5 x n int64 arrays of poll_id, voter,
         # option_id, weight and timestamp columns
         self.blocks: list[np.ndarray] = []
-        # (line, poll_id, voter, option_id, weight, timestamp) of each row kept one by one
+        # (line, poll_id, voter, option_id, weight, timestamp) of each row of
+        # the block being read that ``add`` kept
         self.rows: list[tuple[int, ...]] = []
 
     def voter_index(self, text: str) -> int:
@@ -622,33 +623,53 @@ class _VoteRows:
                 raise ValueError(weight)
             timestamp = parse_timestamp(stamp)
         except (ValueError, ArithmeticError) as exc:
-            self.anomalies.append(Anomaly("bad vote row", f"line {lineno}: {exc}"))
-            return
-        if voter < 0:
-            self.anomalies.append(Anomaly("bad vote row", f"line {lineno}: empty voter address"))
-        elif timestamp <= 0:
-            self.anomalies.append(Anomaly("bad vote row", f"line {lineno}: non-positive timestamp"))
-        elif self.decimals[weight] < 0:
-            address = voter_text.strip().lower()
-            self.anomalies.append(Anomaly("negative weight", f"line {lineno}: poll {poll_id}, voter {address}"))
-        elif poll_id not in self.registry:
-            self.anomalies.append(Anomaly("unknown poll", f"line {lineno}: poll {poll_id} not in registry"))
-        elif poll_id not in INT64_RANGE or option_id not in INT64_RANGE:
-            name, value = ("poll_id", poll_id) if poll_id not in INT64_RANGE else ("option_id", option_id)
-            self.anomalies.append(Anomaly("bad vote row", f"line {lineno}: {name} {value} does not fit in 64 bits"))
+            kind, detail = "bad vote row", str(exc)
         else:
-            self.rows.append((lineno, poll_id, voter, option_id, weight, timestamp))
+            if voter < 0:
+                kind, detail = "bad vote row", "empty voter address"
+            elif timestamp <= 0:
+                kind, detail = "bad vote row", "non-positive timestamp"
+            elif self.decimals[weight] < 0:
+                kind, detail = "negative weight", f"poll {poll_id}, voter {voter_text.strip().lower()}"
+            elif poll_id not in self.registry:
+                kind, detail = "unknown poll", f"poll {poll_id} not in registry"
+            elif poll_id not in INT64_RANGE or option_id not in INT64_RANGE:
+                name, value = ("poll_id", poll_id) if poll_id not in INT64_RANGE else ("option_id", option_id)
+                kind, detail = "bad vote row", f"{name} {value} does not fit in 64 bits"
+            else:
+                self.rows.append((lineno, poll_id, voter, option_id, weight, timestamp))
+                return
+        self.anomalies.append((lineno, Anomaly(kind, f"line {lineno}: {detail}")))
+
+    def read(self, block: _Block) -> None:
+        """Read a block of rows. A row of five fields whose poll, option and
+        timestamp are plain digits, with a registered poll, a timestamp with
+        a UTC date, an address and a non-negative weight is kept as a column
+        entry; every other row goes through ``add``, in line order."""
+        fields = block.fields
+        poll_id = _lookup(fields[0::5], self.poll_fields, self.registered_poll)
+        voter = _lookup(fields[1::5], self.voter_fields, self.voter_index)
+        option_id = _lookup(fields[2::5], self.option_fields, _plain_int)
+        weight = _lookup(fields[3::5], self.kept_weights, self.kept_weight)
+        timestamp = _plain_ints(fields[4::5])
+        kept = (poll_id >= 0) & (voter >= 0) & (option_id >= 0) & (weight >= 0)
+        kept &= (timestamp > 0) & (timestamp <= MAX_TIMESTAMP)
+        fast = np.stack([block.linenos[block.whole], poll_id, voter, option_id, weight, timestamp])[:, kept]
+        self.anomalies += block.unreadable
+        for lineno, raw in block.others(kept):
+            self.add(lineno, raw)
+        if self.rows:  # into the block, in line order
+            fast = np.concatenate([fast, np.array(self.rows, dtype=np.int64).T], axis=1)
+            fast = fast[:, np.argsort(fast[0], kind="stable")]
+            self.rows.clear()
+        self.blocks.append(fast[1:])
 
     def columns(self) -> VoteColumns:
         """The kept rows sorted by (timestamp, file order), their addresses
         sorted and their weights tabled; addresses and weights of skipped
         rows are dropped. The blocks are released as they are joined."""
-        parts = [np.empty((5, 0), np.int64), *self.blocks]
-        if self.rows:
-            parts.append(np.array(self.rows, dtype=np.int64).T[1:])
-        self.blocks, self.rows = [], []
-        table = np.concatenate(parts, axis=1)
-        del parts
+        table = np.concatenate([np.empty((5, 0), np.int64), *self.blocks], axis=1)
+        self.blocks = []
         table = table[:, np.argsort(table[4], kind="stable")]
         poll_id, voter, option_id, weight, timestamp = table
         rank, addresses = address_ranks(list(self.addresses), voter)
@@ -672,8 +693,8 @@ def address_ranks(names: Sequence[str], voter: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _plain_int(text: str) -> int:
-    """The value of a field of 1 to 18 digits, -1 for any other text."""
-    return int(text) if len(text) <= 18 and text.isdigit() else -1
+    """The value of a field of 1 to 18 decimal digits, -1 for any other text."""
+    return int(text) if len(text) <= 18 and text.isdecimal() else -1
 
 
 def _lookup(texts: list, known: dict, value: Callable[[object], int]) -> np.ndarray:
@@ -690,8 +711,8 @@ def _lookup(texts: list, known: dict, value: Callable[[object], int]) -> np.ndar
 
 def _plain_ints(texts: list[str]) -> np.ndarray:
     """The int64 column of ``_plain_int`` of each text, less the 18-digit
-    bound when every text is digits and fits in int64."""
-    if "".join(texts).isdigit():
+    bound when every text is decimal digits and fits in int64."""
+    if "".join(texts).isdecimal():
         try:
             return np.fromiter(map(int, texts), np.int64, len(texts))
         except (ValueError, OverflowError):  # an empty text, or one beyond int64
@@ -704,35 +725,41 @@ def _plain_text(data: bytes) -> bool:
     return data.isascii() and b'"' not in data and b"\0" not in data
 
 
-class _PlainBlock(NamedTuple):
-    """A block of whole lines read on the fast path: the fields of its
-    lines of exactly ``width`` fields (``whole``), in line order, and every
-    line when some are not whole."""
+class _Block(NamedTuple):
+    """A block of rows from either source (``_plain_blocks`` or
+    ``_csv_blocks``): the fields of its rows of exactly ``width`` fields
+    (``whole``), in row order, each row's line number, and the text of every
+    row when some are not whole. ``unreadable`` holds the anomalies of the
+    lines the CSV reader could not read, each keyed ``lineno - 0.5`` of the
+    row read after it, or ``inf`` at the end of the file, so that sorting
+    by line puts it where it was found."""
 
     fields: list[str]
-    whole: np.ndarray  # per line
-    lines: list[str] | None
+    whole: np.ndarray  # per row
+    linenos: np.ndarray  # per row
+    texts: list[str] | None
     width: int
+    unreadable: Sequence[tuple[float, Anomaly]] = ()
 
     def others(self, kept: np.ndarray) -> Iterator[tuple[int, list[str]]]:
-        """The offset and fields of each line but the whole ones ``kept``
-        marks, in line order, as the CSV path reads them: a blank line is
-        skipped, the others are padded or cut to ``width`` fields."""
+        """The line number and fields of each row but the whole ones
+        ``kept`` marks, in row order, as the CSV reader gives them: a blank
+        row is skipped, the others are padded or cut to ``width`` fields."""
         width, whole = self.width, self.whole
-        slow = sorted([*np.flatnonzero(whole)[~kept].tolist(), *np.flatnonzero(~whole).tolist()])
-        field_of = np.cumsum(whole) - 1
-        for line in slow:
-            raw = self.fields[width * field_of[line]:width * (field_of[line] + 1)] if whole[line] \
-                else self.lines[line].split(",")
+        rows = np.sort(np.concatenate([np.flatnonzero(whole)[~kept], np.flatnonzero(~whole)]))
+        field_of = (np.cumsum(whole) - 1)[rows].tolist()
+        for row, at, lineno in zip(rows.tolist(), field_of, self.linenos[rows].tolist()):
+            raw = self.fields[width * at:width * (at + 1)] if whole[row] else self.texts[row].split(",")
             if "".join(raw).strip():
-                yield line, (raw + [""] * width)[:width]
+                yield lineno, (raw + [""] * width)[:width]
 
 
-def _plain_block(data: bytes, width: int) -> _PlainBlock | None:
-    """The lines of ``data``, a block of whole lines; None when the block
-    does not qualify for the fast path: it is not ``_plain_text``, or holds
-    a carriage return outside a CRLF line end or a line longer than
-    ``csv.field_size_limit()``. Each line is then a row."""
+def _plain_block(data: bytes, width: int, lineno: int) -> _Block | None:
+    """The lines of ``data``, a block of whole lines whose first is line
+    ``lineno``; None when the block does not qualify for the fast source:
+    it is not ``_plain_text``, or holds a carriage return outside a CRLF
+    line end or a line longer than ``csv.field_size_limit()``. Each line is
+    then a row."""
     if not _plain_text(data):
         return None
     if not data.endswith(b"\n"):
@@ -753,91 +780,97 @@ def _plain_block(data: bytes, width: int) -> _PlainBlock | None:
     text = data.decode("ascii")
     lines = None if whole.all() else text.split(end)
     body = text if lines is None else "".join(line + end for line, ok in zip(lines, whole.tolist()) if ok)
-    return _PlainBlock(body.replace(end, ",").split(",")[:-1], whole, lines, width)
+    return _Block(body.replace(end, ",").split(",")[:-1], whole, np.arange(lineno, lineno + len(whole)), lines, width)
 
 
-def _plain_blocks(path: Path, header: list[str], block_bytes: int) -> Iterator[tuple[int, _PlainBlock | None]]:
-    """Each block of about ``block_bytes`` of whole lines after the header of
-    a file, with the number of its first line; None in place of a block
-    ends the reading when the file does not qualify for the fast path (see
-    ``_plain_block``), or cannot be opened, or its header is not
-    ``header``: the CSV reader then reads it."""
+# The bytes of whole lines the fast source splits at a time, and the rows
+# the CSV source reads at a time.
+BLOCK_BYTES = 1 << 18
+BLOCK_ROWS = 4096
+
+
+def _plain_blocks(path: Path, header: list[str]) -> Iterator[_Block | None]:
+    """The fast source: each block of about ``BLOCK_BYTES`` of whole lines
+    after the header of a file. None in place of a block ends the reading
+    when the file does not qualify (see ``_plain_block``), or cannot be
+    opened, or its header is not ``header``: ``_csv_blocks`` then reads
+    it."""
     try:
         handle = path.open("rb")
     except OSError:
-        yield 0, None
+        yield None
         return
     with handle:
         first = handle.readline()
         first = first[:-2] if first.endswith(b"\r\n") else first.removesuffix(b"\n")
         if not _plain_text(first) or b"\r" in first or [
                 h.strip() for h in first.decode("ascii").split(",")] != header:
-            yield 0, None
+            yield None
             return
         lineno, tail = 2, b""
         while True:
-            block = handle.read(block_bytes)
-            data = tail + block
-            cut = data.rfind(b"\n") + 1 if block else len(data)
+            chunk = handle.read(BLOCK_BYTES)
+            data = tail + chunk
+            cut = data.rfind(b"\n") + 1 if chunk else len(data)
             data, tail = data[:cut], data[cut:]
             if len(tail) > csv.field_size_limit() + 2:
-                yield lineno, None
+                yield None
                 return
             if data:
-                plain = _plain_block(data, len(header))
-                yield lineno, plain
-                if plain is None:
+                block = _plain_block(data, len(header), lineno)
+                yield block
+                if block is None:
                     return
-                lineno += len(plain.whole)
-            if not block:
+                lineno += len(block.whole)
+            if not chunk:
                 return
 
 
-def _vote_block(block: _PlainBlock, lineno: int, rows: _VoteRows) -> None:
-    """Read a block of votes.csv, starting at line ``lineno``, into ``rows``.
-    A row of five fields whose poll, option and timestamp are plain digits,
-    with a registered poll, a timestamp with a UTC date, an address and a
-    non-negative weight is kept as a column entry; any other line goes
-    through ``_VoteRows.add``, in line order."""
-    fields = block.fields
-    poll_id = _lookup(fields[0::5], rows.poll_fields, rows.registered_poll)
-    voter = _lookup(fields[1::5], rows.voter_fields, rows.voter_index)
-    option_id = _lookup(fields[2::5], rows.option_fields, _plain_int)
-    weight = _lookup(fields[3::5], rows.kept_weights, rows.kept_weight)
-    timestamp = _plain_ints(fields[4::5])
-    kept = (poll_id >= 0) & (voter >= 0) & (option_id >= 0) & (weight >= 0)
-    kept &= (timestamp > 0) & (timestamp <= MAX_TIMESTAMP)
-    numbers = np.flatnonzero(block.whole)
-    fast = np.stack([numbers + lineno, poll_id, voter, option_id, weight, timestamp])[:, kept]
-    for line, raw in block.others(kept):
-        rows.add(lineno + line, raw)
-    if rows.rows:  # into the block, in line order
-        fast = np.concatenate([fast, np.array(rows.rows, dtype=np.int64).T], axis=1)
-        fast = fast[:, np.argsort(fast[0], kind="stable")]
-        rows.rows.clear()
-    rows.blocks.append(fast[1:])
+def _csv_blocks(path: Path, header: list[str], bad_kind: str) -> Iterator[_Block]:
+    """The CSV source: the rows of a file as ``_read_rows`` reads them (each
+    padded or cut to the header's width, so whole), ``BLOCK_ROWS`` a block,
+    with the anomalies of the lines it could not read as ``bad_kind``. The
+    last block may be empty."""
+    found: list[Anomaly] = []
+    unreadable: list[tuple[float, Anomaly]] = []
+    linenos: list[int] = []
+    fields: list[str] = []
+
+    def block() -> _Block:
+        return _Block(fields, np.ones(len(linenos), bool), np.array(linenos, np.int64), None, len(header), unreadable)
+
+    for lineno, raw in _read_rows(path, header, bad_kind, found):
+        if found:
+            unreadable += [(lineno - 0.5, anomaly) for anomaly in found]
+            found.clear()
+        linenos.append(lineno)
+        fields += raw
+        if len(linenos) == BLOCK_ROWS:
+            yield block()
+            unreadable, linenos, fields = [], [], []
+    unreadable += [(math.inf, anomaly) for anomaly in found]
+    yield block()
 
 
-VOTE_BLOCK_BYTES = 1 << 18
+_Rows = TypeVar("_Rows", "_VoteRows", "_FactorRows")
 
 
-def _fast_vote_rows(path: Path, registry: dict[int, PollRecord]) -> _VoteRows | None:
-    """The rows of a votes file read in blocks of whole lines on the fast
-    path (see ``_plain_blocks`` and ``_vote_block``), or None when the file
-    does not qualify for it; the CSV reader then reads it."""
-    rows = _VoteRows(registry)
-    for lineno, block in _plain_blocks(path, VOTES_HEADER, VOTE_BLOCK_BYTES):
+def _read_file(path: Path, header: list[str], bad_kind: str, new_rows: Callable[[], _Rows]) -> _Rows:
+    """The rows of a votes or factors file, each block read into
+    ``new_rows()`` by its ``read``: from the fast source when the file
+    qualifies for it, else, started again with fresh rows, from the CSV
+    source. Both give the same rows and anomalies. A missing file or a
+    header other than ``header`` raises."""
+    rows = new_rows()
+    for block in _plain_blocks(path, header):
         if block is None:
-            return None
-        _vote_block(block, lineno, rows)
-    return rows
-
-
-def _csv_vote_rows(path: str | Path, registry: dict[int, PollRecord]) -> _VoteRows:
-    """The rows of a votes file as the CSV reader reads them."""
-    rows = _VoteRows(registry)
-    for lineno, fields in _read_rows(path, VOTES_HEADER, "bad vote row", rows.anomalies):
-        rows.add(lineno, fields)
+            break
+        rows.read(block)
+    else:
+        return rows
+    rows = new_rows()
+    for block in _csv_blocks(path, header, bad_kind):
+        rows.read(block)
     return rows
 
 
@@ -849,15 +882,14 @@ def load_vote_log(
     """Load the votes/polls/identities exports into a VoteLog.
 
     Malformed rows are skipped and recorded as anomalies attached to the
-    result; missing files and malformed headers raise. A quote-free ASCII
-    votes file is read on the fast path (see ``_plain_blocks``), any other
-    through the CSV reader; both give the same log and anomalies.
+    result; missing files and malformed headers raise. The votes file is
+    read in blocks (see ``_read_file``).
     """
     report = ValidationReport()
     registry = load_polls(polls_path, report)
     identities = load_identities(identities_path, report) if identities_path else {}
-    rows = _fast_vote_rows(Path(votes_path), registry) or _csv_vote_rows(votes_path, registry)
-    report.anomalies += rows.anomalies
+    rows = _read_file(Path(votes_path), VOTES_HEADER, "bad vote row", lambda: _VoteRows(registry))
+    report.anomalies += [anomaly for _, anomaly in sorted(rows.anomalies, key=itemgetter(0))]
     return VoteLog(rows.columns(), registry, identities, report)
 
 
@@ -889,8 +921,6 @@ def _floats(texts: list[str]) -> np.ndarray:
 
 
 INSTRUMENT_KEY = (INSTRUMENT_TOKEN, INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR)
-# The rows the CSV path reads before it checks them as columns.
-FACTOR_ROWS_HELD = 4096
 # The dtypes of the kept rows' line, target, day ordinal and value columns.
 _FACTOR_DTYPES = (np.int64, np.int32, np.int32, float)
 
@@ -898,7 +928,7 @@ _FACTOR_DTYPES = (np.int64, np.int32, np.int32, float)
 class _FactorRows:
     """The factors.csv rows read so far: the kept rows as blocks of columns
     (line, target, day ordinal, value), and the anomalies of the others,
-    each with its sort key, its line. Each distinct date text is parsed
+    each with its sort key (see ``_Block``). Each distinct date text is parsed
     once, and each distinct raw (token, category, factor) triple is
     stripped, checked against the categories and the catalogue and resolved
     to a target once; every row still gets every check, in the same order.
@@ -916,7 +946,7 @@ class _FactorRows:
         self.series: list[int] = []
         self.keys: dict[tuple[str, str, str], int] = {}  # series key -> series
         self.anomalies: list[tuple[float, Anomaly]] = []
-        self.rows: list[tuple[int, int, int, float]] = []  # kept one by one, not yet in the columns
+        self.rows: list[tuple[int, int, int, float]] = []  # kept by ``add``, not yet in the columns
         self.columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
 
     def target(self, raw: tuple[str, str, str]) -> int:
@@ -966,42 +996,35 @@ class _FactorRows:
         if self.series[target] >= 0:
             self.rows.append((lineno, target, day, value))
 
-    def read(self, fields: list[str], lines: np.ndarray) -> np.ndarray:
-        """Keep each row of ``fields`` (five a row) with a date, a finite
-        value and a key that is neither flagged nor skipped as a column
-        entry at its line; returns which rows were kept. The others are left
-        to ``add``."""
+    def read(self, block: _Block) -> None:
+        """Read a block of rows. A row of five fields with a date, a finite
+        value and a key that is neither flagged nor skipped is kept as a
+        column entry at its line; every other row goes through ``add``, in
+        line order."""
+        fields = block.fields
         day = _lookup(fields[0::5], self.days, _day_ordinal)
         target = _lookup(list(zip(fields[1::5], fields[2::5], fields[3::5])), self.targets, self.target)
         value = _floats(fields[4::5])
         clean = np.array([flag is None for flag in self.flags], dtype=bool)
         kept = (day >= 0) & np.isfinite(value) & clean[target]
-        self.keep(lines[kept], target[kept], day[kept], value[kept])
-        return kept
+        self.keep(block.linenos[block.whole][kept], target[kept], day[kept], value[kept])
+        self.anomalies += block.unreadable
+        for lineno, raw in block.others(kept):
+            self.add(lineno, raw)
+        if self.rows:
+            self.keep(*map(np.array, zip(*self.rows)))
+            self.rows.clear()
 
     def keep(self, *columns: np.ndarray) -> None:
         """Add kept rows given as line, target, day and value columns."""
         for held, column, dtype in zip(self.columns, columns, _FACTOR_DTYPES):
             held.append(column.astype(dtype, copy=False))
 
-    def keep_rows(self) -> None:
-        """Move the rows kept one by one into the columns."""
-        if self.rows:
-            self.keep(*map(np.array, zip(*self.rows)))
-            self.rows.clear()
-
-    def unreadable(self, found: list[Anomaly], lineno: float) -> None:
-        """Take the anomalies of lines the CSV reader could not read, all
-        before line ``lineno`` and after the row read before them."""
-        self.anomalies += [(lineno - 0.5, anomaly) for anomaly in found]
-        found.clear()
-
     def panel(self) -> FactorPanel:
         """The kept rows as series, each sorted by date; a repeated cell of a
         series is flagged where its row comes, and its last value wins. Each
         series comes in the order of its first kept row. The columns are
         joined and sorted one at a time, so that few copies are held."""
-        self.keep_rows()
         line, target, day, value = map(_joined, self.columns, _FACTOR_DTYPES)
         series = np.array(self.series, np.int32)[target]
         order = np.lexsort((line, day, series))  # by series, date and line
@@ -1038,66 +1061,12 @@ def _joined(parts: list[np.ndarray], dtype: type) -> np.ndarray:
     return joined
 
 
-def _factor_block(block: _PlainBlock, lineno: int, rows: _FactorRows) -> None:
-    """Read a block of factors.csv, starting at line ``lineno``, into
-    ``rows``: its rows of five fields as columns (``_FactorRows.read``), and
-    every other line through ``_FactorRows.add``, in line order."""
-    kept = rows.read(block.fields, np.flatnonzero(block.whole) + lineno)
-    for line, raw in block.others(kept):
-        rows.add(lineno + line, raw)
-    rows.keep_rows()
-
-
-FACTOR_BLOCK_BYTES = 1 << 18
-
-
-def _fast_factor_rows(path: Path) -> _FactorRows | None:
-    """The rows of a factors file read in blocks of whole lines on the fast
-    path (see ``_plain_blocks`` and ``_factor_block``), or None when the file
-    does not qualify for it; the CSV reader then reads it."""
-    rows = _FactorRows()
-    for lineno, block in _plain_blocks(path, FACTORS_HEADER, FACTOR_BLOCK_BYTES):
-        if block is None:
-            return None
-        _factor_block(block, lineno, rows)
-    return rows
-
-
-def _csv_factor_rows(path: str | Path) -> _FactorRows:
-    """The rows of a factors file as the CSV reader reads them, checked
-    ``FACTOR_ROWS_HELD`` at a time as ``_factor_block`` checks a block."""
-    rows, unreadable = _FactorRows(), []
-    lines: list[int] = []
-    fields: list[str] = []
-
-    def read() -> None:
-        kept = rows.read(fields, np.array(lines, dtype=np.int64)).tolist()
-        for at in (at for at, ok in enumerate(kept) if not ok):
-            rows.add(lines[at], fields[5 * at:5 * at + 5])
-        rows.keep_rows()
-        lines.clear()
-        fields.clear()
-
-    for lineno, raw in _read_rows(path, FACTORS_HEADER, "bad factor row", unreadable):
-        if unreadable:
-            rows.unreadable(unreadable, lineno)
-        lines.append(lineno)
-        fields += raw
-        if len(lines) == FACTOR_ROWS_HELD:
-            read()
-    rows.unreadable(unreadable, math.inf)
-    read()
-    return rows
-
-
 def load_factors(path: str | Path) -> FactorPanel:
     """Load the long-format factor export; duplicates last-win with anomaly.
 
-    A quote-free ASCII file is read on the fast path (see ``_plain_blocks``),
-    any other through the CSV reader; both give the same panel and
-    anomalies. A missing file or a header other than the schema's raises."""
-    rows = _fast_factor_rows(Path(path)) or _csv_factor_rows(path)
-    return rows.panel()
+    The file is read in blocks (see ``_read_file``). A missing file or a
+    header other than the schema's raises."""
+    return _read_file(Path(path), FACTORS_HEADER, "bad factor row", _FactorRows).panel()
 
 
 def final_ballots(log: VoteLog, poll_id: int, rule: str = "last") -> np.ndarray:

@@ -249,7 +249,7 @@ def gen_history(config: SynthConfig) -> VoteLog:
                     raise ValueError(f"poll {poll_id} would get a vote at {final_ts}, after {MAX_TIMESTAMP}")
                 if rng.random() < config.revision_rate:
                     other = [o for o in option_ids if o != option]
-                    early_option = int(rng.choice(other))
+                    early_option = other[int(rng.integers(0, len(other)))]
                     early_ts = deploy + max(1, int(final_offset * rng.random()))
                     if early_ts >= final_ts:
                         early_ts = final_ts - 1

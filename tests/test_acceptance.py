@@ -309,8 +309,8 @@ def test_criterion_9_conditional_replication_contract(tmp_path):
     real_ok = True
     if real_export:
         real = load_vote_log(Path(real_export) / "votes.csv", Path(real_export) / "polls.csv")
-        real_ok = len(real.registry) == 638 and len(real.voters()) == 1250
-        real_note = f"real export: {len(real.registry)} polls, {len(real.voters())} voters"
+        real_ok = len(real.registry) == 638 and len(real.addresses) == 1250
+        real_note = f"real export: {len(real.registry)} polls, {len(real.addresses)} voters"
     elapsed = time.perf_counter() - start
     _check(
         9,

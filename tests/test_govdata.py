@@ -280,7 +280,7 @@ def test_poll_without_votes_has_no_winner_row():
 def test_validate_clean_log(simple_log):
     report = validate_dataset(simple_log)
     assert report.anomalies == []
-    assert (len(simple_log.events), len(simple_log.registry), len(simple_log.voters())) == (6, 2, 3)
+    assert (len(simple_log.events), len(simple_log.registry), len(simple_log.addresses)) == (6, 2, 3)
 
 
 def test_validate_pre_deploy_warning():
@@ -699,17 +699,17 @@ def _factor_text(lines: list[str], ends: list[bool], final_newline: bool) -> byt
 
 @settings(max_examples=150, deadline=None)
 @given(lines=st.lists(FACTOR_READER_LINE, max_size=40), ends=st.lists(st.booleans(), min_size=40, max_size=40),
-       final_newline=st.booleans(), block_bytes=st.sampled_from([48, 200, govdata.FACTOR_BLOCK_BYTES]))
+       final_newline=st.booleans(), block_bytes=st.sampled_from([48, 200, govdata.BLOCK_BYTES]))
 @example(lines=["2021-03-01,MKR,network,New,1", "2021-03-01, MKR,network,New ,2", "2021-03-01,MKR,network,New,3"],
          ends=[False] * 40, final_newline=True, block_bytes=48)  # one cell three times, across blocks
 @example(lines=["2021-03-01,MKR,network,New,1,extra", "2021-03-01,MKR,network,New,2", "2021-03-01,MKR,network,New"],
-         ends=[False] * 40, final_newline=True, block_bytes=govdata.FACTOR_BLOCK_BYTES)  # a cut line, then a whole one
+         ends=[False] * 40, final_newline=True, block_bytes=govdata.BLOCK_BYTES)  # a cut line, then a whole one
 def test_fast_factor_reader_matches_the_per_row_loader(tmp_path_factory, lines, ends, final_newline, block_bytes):
     path = tmp_path_factory.mktemp("factor-reader") / "factors.csv"
     path.write_bytes(_factor_text(lines, ends, final_newline))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(govdata, "FACTOR_BLOCK_BYTES", block_bytes)
-        assert govdata._fast_factor_rows(path) is not None
+        patch.setattr(govdata, "BLOCK_BYTES", block_bytes)
+        assert _read_blocks(govdata._plain_blocks(path, FACTORS_HEADER), govdata._FactorRows()) is not None
         _factor_panels_equal(load_factors(path), load_factors_oracle(path))
 
 
@@ -717,8 +717,8 @@ CLEAN_FACTOR_LINES = [f"2021-03-{day:02d},MKR,network,{name},{day + k}"
                       for day in range(1, 29) for k, name in enumerate(["New", "Active"])]
 # name -> the lines after the header; each sends the whole file to the CSV reader
 NAMED_FACTOR_FALLBACKS = {
-    # 6000 lines, each cell read over twice: the rows kept one by one pass
-    # FACTOR_ROWS_HELD, and a repeated cell is flagged where it comes
+    # 6000 lines, each cell read over twice: the rows pass BLOCK_ROWS, and
+    # a repeated cell is flagged where it comes
     "quote-in-the-last-line": CLEAN_FACTOR_LINES * 107 + ['2021-03-01,MKR,network,New,"5"'],
     "not-utf-8": ["2021-03-01,MKR,network,New,1", "2021-03-02,MKR\udcff,network,New,2", *CLEAN_FACTOR_LINES],
     "nul": ["2021-03-01,MKR,network,New\0,1", "2021-03-01,MKR,network,New,2", *CLEAN_FACTOR_LINES],
@@ -734,7 +734,7 @@ def test_named_factor_files_load_as_the_per_row_loader(tmp_path, name):
     path = tmp_path / "factors.csv"
     path.write_bytes("\n".join(["date,token,category,factor,value", *NAMED_FACTOR_FALLBACKS[name]]).encode(
         "utf-8", "surrogateescape") + b"\n")
-    assert govdata._fast_factor_rows(path) is None
+    assert _read_blocks(govdata._plain_blocks(path, FACTORS_HEADER), govdata._FactorRows()) is None
     panel, oracle = load_factors(path), load_factors_oracle(path)
     _factor_panels_equal(panel, oracle)
     assert any(a.kind == "duplicate factor cell" for a in panel.anomalies)
@@ -784,23 +784,40 @@ UNREADABLE_IN = {
     (b"caf\xff", "a byte that is not UTF-8"),
 ], ids=["oversized_field", "undecodable_byte"])
 @pytest.mark.parametrize("source", list(UNREADABLE_IN))
-def test_unreadable_line_is_a_bad_row(tmp_path, source, junk, reason):
+def test_unreadable_line_is_a_bad_row(tmp_path, monkeypatch, source, junk, reason):
+    """Votes and factors are read in blocks of BLOCK_ROWS rows: with 1 or 2
+    the unreadable line falls on a block edge; last, it ends the file."""
     header, first, bad, last, kind = UNREADABLE_IN[source]
     paths = {name: tmp_path / f"{name}.csv" for name in UNREADABLE_IN}
-    for name, (head, clean, _, _, _) in UNREADABLE_IN.items():
-        lines = [",".join(head).encode(), clean.encode()]
-        if name == source:
-            lines += [bad.encode().replace(b"{}", junk), last.encode()]
-        paths[name].write_bytes(b"\n".join(lines) + b"\n")
-    if source == "factors":
-        panel = load_factors(paths["factors"])
-        anomalies, kept = panel.anomalies, len(panel)
-    else:
-        log = load_vote_log(paths["votes"], paths["polls"], paths["identities"])
-        anomalies = log.report.anomalies
-        kept = {"votes": len(log.events), "polls": len(log.registry), "identities": len(log.identities)}[source]
-    assert [(a.kind, a.detail) for a in anomalies] == [(kind, f"line 3: {reason}")]
-    assert kept == 2
+    for block_rows, at_end in [(rows, at_end) for rows in (1, 2, 4096) for at_end in (False, True)]:
+        monkeypatch.setattr(govdata, "BLOCK_ROWS", block_rows)
+        for name, (head, clean, _, _, _) in UNREADABLE_IN.items():
+            lines = [",".join(head).encode(), clean.encode()]
+            if name == source:
+                unreadable = bad.encode().replace(b"{}", junk)
+                lines += [last.encode(), unreadable] if at_end else [unreadable, last.encode()]
+            paths[name].write_bytes(b"\n".join(lines) + b"\n")
+        if source == "factors":
+            panel = load_factors(paths["factors"])
+            anomalies, kept = panel.anomalies, len(panel)
+        else:
+            log = load_vote_log(paths["votes"], paths["polls"], paths["identities"])
+            anomalies = log.report.anomalies
+            kept = {"votes": len(log.events), "polls": len(log.registry), "identities": len(log.identities)}[source]
+        assert [(a.kind, a.detail) for a in anomalies] == [(kind, f"line {4 if at_end else 3}: {reason}")]
+        assert kept == 2
+
+
+def _read_blocks(blocks, rows):
+    """``rows`` (``_VoteRows`` or ``_FactorRows``) with each of ``blocks``,
+    from ``_plain_blocks`` or ``_csv_blocks``, read into it as
+    ``_read_file`` reads them; None when the fast source refuses the
+    file."""
+    for block in blocks:
+        if block is None:
+            return None
+        rows.read(block)
+    return rows
 
 
 def _vote_rows_equal(got, want) -> None:
@@ -848,21 +865,23 @@ def test_fast_reader_matches_the_csv_reader(tmp_path_factory, lines, ends, final
     path = tmp_path_factory.mktemp("reader") / "votes.csv"
     path.write_bytes(_reader_text(lines, ends, final_newline))
     registry = {1: make_poll(1, DAY0), 2: make_poll(2, DAY0)}
-    fast = govdata._fast_vote_rows(path, registry)
+    fast = _read_blocks(govdata._plain_blocks(path, VOTES_HEADER), govdata._VoteRows(registry))
     assert fast is not None
-    _vote_rows_equal(fast, govdata._csv_vote_rows(path, registry))
+    _vote_rows_equal(fast, _read_blocks(govdata._csv_blocks(path, VOTES_HEADER, "bad vote row"),
+                                        govdata._VoteRows(registry)))
 
 
 def test_fast_reader_matches_the_csv_reader_across_blocks(tmp_path, monkeypatch):
-    monkeypatch.setattr(govdata, "VOTE_BLOCK_BYTES", 64)
+    monkeypatch.setattr(govdata, "BLOCK_BYTES", 64)
     lines = [f"{1 + i % 2},0x{i % 7:x},{1 + i % 3},{i % 5}.{i % 3},{DAY0 + i}" for i in range(200)]
     lines[17], lines[90], lines[151] = "1,0xa,1, 7,2021-03-01T00:00:20Z", "", "2,0xb,+2,7_0,1614556810,extra"
     path = tmp_path / "votes.csv"
     path.write_bytes(_reader_text(lines, [i % 3 == 0 for i in range(200)], False))
     registry = {1: make_poll(1, DAY0), 2: make_poll(2, DAY0)}
-    fast = govdata._fast_vote_rows(path, registry)
+    fast = _read_blocks(govdata._plain_blocks(path, VOTES_HEADER), govdata._VoteRows(registry))
     assert fast is not None
-    _vote_rows_equal(fast, govdata._csv_vote_rows(path, registry))
+    _vote_rows_equal(fast, _read_blocks(govdata._csv_blocks(path, VOTES_HEADER, "bad vote row"),
+                                        govdata._VoteRows(registry)))
 
 
 # name -> (the lines after the header, whether the fast path reads the file)
@@ -876,11 +895,18 @@ NAMED_READER_CASES = {
     "iso-timestamp": (["1,0xa,1,5,2021-03-01T00:00:20Z", "1,0xb,1,5,2021-03-01T00:00:20", "1,0xc,1,5,1614556810.9"],
                       True),
     "field-over-limit": ([f"1,0x{'9' * 131073},1,5,{DAY0 + 10}", f"1,0xb,1,3,{DAY0 + 20}"], False),
+    # the unreadable line's anomaly comes between those of the bad rows around it
+    "field-over-limit-among-bad-rows": ([f"1,0xa,1,x,{DAY0 + 10}", f"1,0x{'9' * 131073},1,5,{DAY0 + 10}",
+                                         f"1,0xb,1,y,{DAY0 + 20}", f"1,0xc,1,3,{DAY0 + 30}"], False),
     "quote": ([f'1,"0xa",1,5,{DAY0 + 10}', f"1,0xb,1,3,{DAY0 + 20}"], False),
     "quote-at-the-end": ([f"1,0xb,1,3,{DAY0 + 20}"] * 3000 + [f'1,0xa,1,5,{DAY0 + 10}"'], False),
     "not-utf-8": ([f"1,0xa\udcff,1,5,{DAY0 + 10}", f"1,0xb,1,3,{DAY0 + 20}"], False),
     "lone-carriage-return": ([f"1,0xa,1,5,{DAY0 + 10}\r1,0xc,1,2,{DAY0 + 15}", f"1,0xb,1,3,{DAY0 + 20}"], False),
     "nul": ([f"1,0xa\0,1,5,{DAY0 + 10}", f"1,0xb,1,3,{DAY0 + 20}"], False),
+    # digits int() reads (Arabic-Indic) and ones it refuses (superscript)
+    "non-ascii-digits": ([f"\u0661,0xa,\u0662,5,{DAY0 + 10}", f"1,0xb,1,3,\u0661{DAY0 + 20}",
+                          f"\u00b9,0xc,1,3,{DAY0 + 20}", f"1,0xd,\u00b2,3,{DAY0 + 20}", f"1,0xe,1,3,{DAY0}\u00b3",
+                          f"1,0xf,1,3,{DAY0 + 30}"], False),
 }
 
 
@@ -892,7 +918,7 @@ def test_named_vote_files_load_as_the_per_row_loader(tmp_path, name):
         "utf-8", "surrogateescape") + (b"" if name == "no-final-newline" else b"\n"))
     write_polls_csv(polls, [(1, DAY0, "p", "1:yes|2:no", ""), (2, DAY0, "q", "1:yes", "")])
     registry = load_vote_log(votes, polls).registry
-    assert (govdata._fast_vote_rows(votes, registry) is not None) == fast
+    assert (_read_blocks(govdata._plain_blocks(votes, VOTES_HEADER), govdata._VoteRows(registry)) is not None) == fast
     log = load_vote_log(votes, polls)
     events, anomalies = load_vote_events_oracle(votes, polls)
     assert list(log.events) == events
@@ -912,6 +938,45 @@ def test_quoted_load_matches_the_per_row_loader(tmp_path_factory, rows):
     assert list(log.events) == events
     assert [str(e.weight) for e in log.events] == [str(e.weight) for e in events]
     assert log.report.anomalies == anomalies
+
+
+def _quoted_copy(path, quoted) -> None:
+    """A QUOTE_ALL copy of a file the fast source reads: each line becomes
+    the row of its comma-split fields, on the same line."""
+    with path.open(newline="") as handle, quoted.open("w", newline="") as out:
+        csv.writer(out, quoting=csv.QUOTE_ALL).writerows(line.rstrip("\r\n").split(",") for line in handle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(READER_LINE, max_size=40), ends=st.lists(st.booleans(), min_size=40, max_size=40),
+       final_newline=st.booleans(), block_rows=st.sampled_from([1, 3, 4096]))
+def test_quoted_votes_load_as_the_plain_file(tmp_path_factory, lines, ends, final_newline, block_rows):
+    tmp = tmp_path_factory.mktemp("quoted-votes")
+    plain, quoted, polls = tmp / "votes.csv", tmp / "quoted.csv", tmp / "polls.csv"
+    plain.write_bytes(_reader_text(lines, ends, final_newline))
+    _quoted_copy(plain, quoted)
+    write_polls_csv(polls, [(1, DAY0, "p", "1:yes|2:no", ""), (2, DAY0, "q", "1:yes", "")])
+    assert _read_blocks(govdata._plain_blocks(quoted, VOTES_HEADER), govdata._VoteRows({})) is None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(govdata, "BLOCK_ROWS", block_rows)
+        got, want = load_vote_log(quoted, polls), load_vote_log(plain, polls)
+    assert list(got.events) == list(want.events)
+    assert [str(e.weight) for e in got.events] == [str(e.weight) for e in want.events]
+    assert got.report.anomalies == want.report.anomalies
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(FACTOR_READER_LINE, max_size=40), ends=st.lists(st.booleans(), min_size=40, max_size=40),
+       final_newline=st.booleans(), block_rows=st.sampled_from([1, 3, 4096]))
+def test_quoted_factors_load_as_the_plain_file(tmp_path_factory, lines, ends, final_newline, block_rows):
+    tmp = tmp_path_factory.mktemp("quoted-factors")
+    plain, quoted = tmp / "factors.csv", tmp / "quoted.csv"
+    plain.write_bytes(_factor_text(lines, ends, final_newline))
+    _quoted_copy(plain, quoted)
+    assert _read_blocks(govdata._plain_blocks(quoted, FACTORS_HEADER), govdata._FactorRows()) is None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(govdata, "BLOCK_ROWS", block_rows)
+        _factor_panels_equal(load_factors(quoted), load_factors(plain))
 
 
 def _write_wide_history(tmp_path) -> None:
@@ -974,7 +1039,7 @@ def test_loading_builds_no_vote_event(tmp_path, monkeypatch):
     built = []
     monkeypatch.setattr(govdata, "VoteEvent", lambda *fields: built.append(VoteEvent(*fields)) or built[-1])
     log = load_vote_log(tmp_path / "votes.csv", tmp_path / "polls.csv")
-    assert (len(log.events), len(log.voters())) == (8, 8)
+    assert (len(log.events), len(log.addresses)) == (8, 8)
     passed = ballot_pass(log)
     assert len(passed.polls) == 1
     assert built == []
