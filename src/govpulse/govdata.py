@@ -23,18 +23,18 @@ the statistics layer. A vote row whose poll id or option id does not fit in
 (``write_vote_log``), and ``ingest``'s scan (``validate_dataset``) reads
 them: neither builds a ``VoteEvent``.
 
-``votes.csv`` and ``factors.csv`` are read by one pipeline (``_read_file``):
-a source splits the file into blocks of rows, each block's rows are checked
-as columns, and a row the check cannot judge (a wrong field count, a blank
-line, a votes int field or timestamp that is not plain digits, a factor
-date or value that fails its check, a flagged or skipped factor key, or any
-field that fails a check) goes through the input's one per-row parse
-(``add``). The fast source (``_plain_blocks``) splits 256 KiB of whole
-lines at a time when the whole file is ASCII and holds no ``"``, no NUL, no
-carriage return outside a CRLF line end and no line longer than
-``csv.field_size_limit()``: each line is then a row. Any other file is
-split by the other source, the CSV reader (``_csv_blocks``), 4096 rows at a
-time. Both give the same rows and anomalies, in the same order.
+One CSV reader (``_csv_blocks``) reads all four files: each non-blank row
+with its line, padded or cut to the header's width. ``votes.csv`` and
+``factors.csv`` are read by one pipeline (``_read_file``): a source splits
+the file into blocks of rows, each block's rows are checked as columns, and
+a row the check cannot judge (a votes int field or timestamp that is not
+plain digits, a factor date or value that fails its check, a flagged or
+skipped factor key, or any field that fails a check) goes through the
+input's one per-row parse (``add``). The fast source (``_plain_blocks``)
+splits 256 KiB of whole lines at a time, into rows of the same shape, when
+the whole file is ASCII and holds no ``"``, no NUL, no carriage return
+outside a CRLF line end and no line longer than ``csv.field_size_limit()``.
+Any other file is split by the CSV reader, 4096 rows at a time.
 
 A factor panel (``FactorPanel``) holds each (token, category, factor)
 series, and the instrument, as a ``Series``: a sorted int64 day-ordinal
@@ -327,13 +327,6 @@ class VoteLog:
         span = dict(zip(self.poll_id[rows[starts]].tolist(), zip(starts, [*starts[1:], len(rows)])))
         return _PollRows(rows, span)
 
-    def poll_events(self, poll_id: int) -> tuple[VoteEvent, ...]:
-        """Chronological event history of one poll (empty when no votes)."""
-        index = self.poll_rows
-        start, stop = index.span.get(poll_id, (0, 0))
-        events = self._event_tuple()
-        return tuple(events[row] for row in index.rows[start:stop].tolist())
-
     def poll_ids(self) -> list[int]:
         return sorted(self.registry)
 
@@ -436,54 +429,6 @@ def parse_timestamp(raw: str) -> int:
     return seconds
 
 
-def _read_rows(
-    path: str | Path, expected_header: list[str], bad_kind: str, anomalies: list[Anomaly]
-) -> Iterator[tuple[int, list[str]]]:
-    """The non-blank data rows of a CSV file, each with the physical line it
-    starts on and its fields in header order, padded or cut to the header's
-    width (a short row's parse then fails downstream). A row the CSV reader
-    cannot read (such as a field over its size limit) or that holds a byte
-    that is not UTF-8 is appended to ``anomalies`` as ``bad_kind`` and
-    skipped. A missing file or a header other than ``expected_header``
-    raises."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"input file not found: {path}")
-    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected header {expected_header}")
-        except csv.Error as exc:
-            raise SchemaError(f"{path}: unreadable header: {exc}") from None
-        header = [h.strip() for h in header]
-        if header != expected_header:
-            raise SchemaError(f"{path}: header {header} does not match {expected_header}")
-        width = len(expected_header)
-        while True:
-            lineno = reader.line_num + 1
-            try:
-                raw = next(reader)
-            except StopIteration:
-                return
-            except csv.Error as exc:
-                anomalies.append(Anomaly(bad_kind, f"line {lineno}: {exc}"))
-                continue
-            text = "".join(raw)
-            if not text.strip():  # a blank row
-                continue
-            if not text.isascii():
-                try:
-                    text.encode("utf-8")  # an undecodable byte was read as a lone surrogate
-                except UnicodeEncodeError:
-                    anomalies.append(Anomaly(bad_kind, f"line {lineno}: a byte that is not UTF-8"))
-                    continue
-            if len(raw) != width:
-                raw = (raw + [""] * width)[:width]
-            yield lineno, raw
-
-
 def _parse_options(text: str) -> tuple[tuple[int, str], ...]:
     text = text.strip()
     if not text:
@@ -497,7 +442,8 @@ def _parse_options(text: str) -> tuple[tuple[int, str], ...]:
 
 def load_polls(path: str | Path, report: ValidationReport) -> dict[int, PollRecord]:
     registry: dict[int, PollRecord] = {}
-    rows = _read_rows(path, POLLS_HEADER, "bad poll row", report.anomalies)
+    found: list[tuple[int, Anomaly]] = []
+    rows = _csv_rows(path, POLLS_HEADER, "bad poll row", found)
     for lineno, (poll_text, deploy_text, title, options_text, abstain_text) in rows:
         try:
             poll_id = int(poll_text)
@@ -505,16 +451,16 @@ def load_polls(path: str | Path, report: ValidationReport) -> dict[int, PollReco
             options = _parse_options(options_text)
             abstain = frozenset(int(x) for x in abstain_text.strip().split("|") if x.strip())
         except (ValueError, InvalidOperation) as exc:
-            report.add("bad poll row", f"line {lineno}: {exc}")
+            found.append((lineno, Anomaly("bad poll row", f"line {lineno}: {exc}")))
             continue
         if poll_id <= 0 or deploy <= 0:
-            report.add("bad poll row", f"line {lineno}: non-positive poll_id or deploy timestamp")
+            found.append((lineno, Anomaly("bad poll row", f"line {lineno}: non-positive poll_id or deploy timestamp")))
             continue
         option_ids = [oid for oid, _ in options]
         if len(option_ids) != len(set(option_ids)):
-            report.add("duplicate option ids", f"poll {poll_id}")
+            found.append((lineno, Anomaly("duplicate option ids", f"poll {poll_id}")))
         if poll_id in registry:
-            report.add("duplicate poll id", f"poll {poll_id}: last row wins")
+            found.append((lineno, Anomaly("duplicate poll id", f"poll {poll_id}: last row wins")))
         registry[poll_id] = PollRecord(
             poll_id=poll_id,
             deploy_timestamp=deploy,
@@ -522,19 +468,22 @@ def load_polls(path: str | Path, report: ValidationReport) -> dict[int, PollReco
             abstain_option_ids=abstain,
             title=title,
         )
+    report.anomalies += _in_line_order(found)
     return registry
 
 
 def load_identities(path: str | Path, report: ValidationReport) -> dict[str, str]:
     identities: dict[str, str] = {}
-    for lineno, (address, name) in _read_rows(path, IDENTITIES_HEADER, "bad identity row", report.anomalies):
+    found: list[tuple[int, Anomaly]] = []
+    for lineno, (address, name) in _csv_rows(path, IDENTITIES_HEADER, "bad identity row", found):
         address = address.strip().lower()
         if not address:
-            report.add("bad identity row", f"line {lineno}: empty address")
+            found.append((lineno, Anomaly("bad identity row", f"line {lineno}: empty address")))
             continue
         if address in identities:
-            report.add("duplicate identity", f"{address}: last row wins")
+            found.append((lineno, Anomaly("duplicate identity", f"{address}: last row wins")))
         identities[address] = name.strip()
+    report.anomalies += _in_line_order(found)
     return identities
 
 
@@ -559,14 +508,13 @@ def _parse_weight(text: str) -> Decimal | str:
 
 class _VoteRows:
     """The vote rows read so far: the kept rows, as blocks of columns in file
-    order, and the anomalies of the skipped ones, each with its sort key (see
-    ``_Block``). Each distinct voter field is normalized once and each
-    distinct weight text parsed and checked once; every row still gets every
-    check."""
+    order, and the anomalies of the skipped ones, each with its line. Each
+    distinct voter field is normalized once and each distinct weight text
+    parsed and checked once; every row still gets every check."""
 
     def __init__(self, registry: dict[int, PollRecord]) -> None:
         self.registry = registry
-        self.anomalies: list[tuple[float, Anomaly]] = []
+        self.anomalies: list[tuple[int, Anomaly]] = []
         self.addresses: dict[str, int] = {}  # address -> its index, in first-seen order
         self.voter_fields: dict[str, int] = {}  # raw voter field -> address index, -1 when empty
         self.decimals: list[Decimal] = []
@@ -642,9 +590,9 @@ class _VoteRows:
         self.anomalies.append((lineno, Anomaly(kind, f"line {lineno}: {detail}")))
 
     def read(self, block: _Block) -> None:
-        """Read a block of rows. A row of five fields whose poll, option and
-        timestamp are plain digits, with a registered poll, a timestamp with
-        a UTC date, an address and a non-negative weight is kept as a column
+        """Read a block of rows. A row whose poll, option and timestamp
+        are plain digits, with a registered poll, a timestamp with a UTC
+        date, an address and a non-negative weight is kept as a column
         entry; every other row goes through ``add``, in line order."""
         fields = block.fields
         poll_id = _lookup(fields[0::5], self.poll_fields, self.registered_poll)
@@ -654,7 +602,7 @@ class _VoteRows:
         timestamp = _plain_ints(fields[4::5])
         kept = (poll_id >= 0) & (voter >= 0) & (option_id >= 0) & (weight >= 0)
         kept &= (timestamp > 0) & (timestamp <= MAX_TIMESTAMP)
-        fast = np.stack([block.linenos[block.whole], poll_id, voter, option_id, weight, timestamp])[:, kept]
+        fast = np.stack([block.linenos, poll_id, voter, option_id, weight, timestamp])[:, kept]
         self.anomalies += block.unreadable
         for lineno, raw in block.others(kept):
             self.add(lineno, raw)
@@ -726,40 +674,31 @@ def _plain_text(data: bytes) -> bool:
 
 
 class _Block(NamedTuple):
-    """A block of rows from either source (``_plain_blocks`` or
-    ``_csv_blocks``): the fields of its rows of exactly ``width`` fields
-    (``whole``), in row order, each row's line number, and the text of every
-    row when some are not whole. ``unreadable`` holds the anomalies of the
-    lines the CSV reader could not read, each keyed ``lineno - 0.5`` of the
-    row read after it, or ``inf`` at the end of the file, so that sorting
-    by line puts it where it was found."""
+    """The non-blank rows of either source, in one shape: their fields,
+    ``width`` a row (padded or cut), each row's line, and the (line,
+    anomaly) of each line the CSV reader could not read."""
 
     fields: list[str]
-    whole: np.ndarray  # per row
     linenos: np.ndarray  # per row
-    texts: list[str] | None
     width: int
-    unreadable: Sequence[tuple[float, Anomaly]] = ()
+    unreadable: Sequence[tuple[int, Anomaly]] = ()
 
     def others(self, kept: np.ndarray) -> Iterator[tuple[int, list[str]]]:
-        """The line number and fields of each row but the whole ones
-        ``kept`` marks, in row order, as the CSV reader gives them: a blank
-        row is skipped, the others are padded or cut to ``width`` fields."""
-        width, whole = self.width, self.whole
-        rows = np.sort(np.concatenate([np.flatnonzero(whole)[~kept], np.flatnonzero(~whole)]))
-        field_of = (np.cumsum(whole) - 1)[rows].tolist()
-        for row, at, lineno in zip(rows.tolist(), field_of, self.linenos[rows].tolist()):
-            raw = self.fields[width * at:width * (at + 1)] if whole[row] else self.texts[row].split(",")
-            if "".join(raw).strip():
-                yield lineno, (raw + [""] * width)[:width]
+        """The line number and fields of each row ``kept`` does not mark, in row order."""
+        starts = np.flatnonzero(~kept) * self.width
+        return zip(self.linenos[~kept].tolist(), map(self.fields.__getitem__, map(
+            slice, starts.tolist(), (starts + self.width).tolist())))
 
 
-def _plain_block(data: bytes, width: int, lineno: int) -> _Block | None:
-    """The lines of ``data``, a block of whole lines whose first is line
-    ``lineno``; None when the block does not qualify for the fast source:
-    it is not ``_plain_text``, or holds a carriage return outside a CRLF
-    line end or a line longer than ``csv.field_size_limit()``. Each line is
-    then a row."""
+def _plain_block(data: bytes, width: int, lineno: int) -> tuple[_Block, int] | None:
+    """The rows of ``data``, a block of whole lines whose first is line
+    ``lineno``, and the number of the line after it; None when the block
+    does not qualify for the fast source: it is not ``_plain_text``, or
+    holds a carriage return outside a CRLF line end or a line longer than
+    ``csv.field_size_limit()``. Each line is then a row. The block is split
+    at once when every line has ``width - 1`` commas and none can be blank;
+    otherwise, as the CSV reader does, a blank line is skipped and each
+    other line is padded or cut to ``width`` fields."""
     if not _plain_text(data):
         return None
     if not data.endswith(b"\n"):
@@ -776,11 +715,18 @@ def _plain_block(data: bytes, width: int, lineno: int) -> _Block | None:
     if np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():
         return None
     end = "\r\n" if crlf else "\n"
-    whole = np.diff(np.searchsorted(np.flatnonzero(codes == 44), ends), prepend=0) == width - 1
     text = data.decode("ascii")
-    lines = None if whole.all() else text.split(end)
-    body = text if lines is None else "".join(line + end for line, ok in zip(lines, whole.tolist()) if ok)
-    return _Block(body.replace(end, ",").split(",")[:-1], whole, np.arange(lineno, lineno + len(whole)), lines, width)
+    commas = np.diff(np.searchsorted(np.flatnonzero(codes == 44), ends), prepend=0)
+    # a blank line starts and ends with a comma, a space or a control byte
+    first, last = codes[np.append(0, ends[:-1] + 1)], codes[ends - len(end)]
+    blank = ((first <= 32) | (first == 44)) & ((last <= 32) | (last == 44))
+    after = lineno + len(ends)
+    if np.all(commas == width - 1) and not blank.any():
+        return _Block(text.replace(end, ",").split(",")[:-1], np.arange(lineno, after), width), after
+    rows = [(at, raw) for at, raw in enumerate(map(str.split, text.split(end)[:-1], repeat(",")), lineno)
+            if "".join(raw).strip()]
+    fields = [field for _, raw in rows for field in (raw + [""] * width)[:width]]
+    return _Block(fields, np.array([at for at, _ in rows], np.int64), width), after
 
 
 # The bytes of whole lines the fast source splits at a time, and the rows
@@ -817,39 +763,75 @@ def _plain_blocks(path: Path, header: list[str]) -> Iterator[_Block | None]:
                 yield None
                 return
             if data:
-                block = _plain_block(data, len(header), lineno)
+                block, lineno = _plain_block(data, len(header), lineno) or (None, 0)
                 yield block
                 if block is None:
                     return
-                lineno += len(block.whole)
             if not chunk:
                 return
 
 
-def _csv_blocks(path: Path, header: list[str], bad_kind: str) -> Iterator[_Block]:
-    """The CSV source: the rows of a file as ``_read_rows`` reads them (each
-    padded or cut to the header's width, so whole), ``BLOCK_ROWS`` a block,
-    with the anomalies of the lines it could not read as ``bad_kind``. The
-    last block may be empty."""
-    found: list[Anomaly] = []
-    unreadable: list[tuple[float, Anomaly]] = []
-    linenos: list[int] = []
-    fields: list[str] = []
+def _csv_blocks(path: str | Path, header: list[str], bad_kind: str) -> Iterator[_Block]:
+    """The CSV source: the non-blank rows of a file, each at the line it
+    starts on, padded or cut to the header's width, ``BLOCK_ROWS`` a block
+    (the last may be empty). A row the CSV reader cannot read (such as a
+    field over its size limit) or that holds a byte that is not UTF-8 is a
+    ``bad_kind`` anomaly. A missing file or a header other than ``header``
+    raises."""
+    path, width = Path(path), len(header)
+    if not path.exists():
+        raise FileNotFoundError(f"input file not found: {path}")
+    fields, linenos, unreadable = [], [], []
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, expected header {header}")
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: unreadable header: {exc}") from None
+        first = [h.strip() for h in first]
+        if first != header:
+            raise SchemaError(f"{path}: header {first} does not match {header}")
+        while True:
+            lineno = reader.line_num + 1
+            try:
+                raw = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                unreadable.append((lineno, Anomaly(bad_kind, f"line {lineno}: {exc}")))
+                continue
+            text = "".join(raw)
+            if not text.strip():  # a blank row
+                continue
+            if not text.isascii():
+                try:
+                    text.encode("utf-8")  # an undecodable byte was read as a lone surrogate
+                except UnicodeEncodeError:
+                    unreadable.append((lineno, Anomaly(bad_kind, f"line {lineno}: a byte that is not UTF-8")))
+                    continue
+            if len(raw) != width:
+                raw = (raw + [""] * width)[:width]
+            fields += raw
+            linenos.append(lineno)
+            if len(linenos) == BLOCK_ROWS:
+                yield _Block(fields, np.array(linenos, np.int64), width, unreadable)
+                fields, linenos, unreadable = [], [], []
+    yield _Block(fields, np.array(linenos, np.int64), width, unreadable)
 
-    def block() -> _Block:
-        return _Block(fields, np.ones(len(linenos), bool), np.array(linenos, np.int64), None, len(header), unreadable)
 
-    for lineno, raw in _read_rows(path, header, bad_kind, found):
-        if found:
-            unreadable += [(lineno - 0.5, anomaly) for anomaly in found]
-            found.clear()
-        linenos.append(lineno)
-        fields += raw
-        if len(linenos) == BLOCK_ROWS:
-            yield block()
-            unreadable, linenos, fields = [], [], []
-    unreadable += [(math.inf, anomaly) for anomaly in found]
-    yield block()
+def _csv_rows(path: str | Path, header: list[str], bad_kind: str, found: list[tuple[int, Anomaly]]) -> Iterator[tuple]:
+    """Each row of a small file as (line, fields); ``found`` takes the
+    (line, anomaly) of each unreadable line."""
+    for block in _csv_blocks(path, header, bad_kind):
+        found += block.unreadable
+        yield from zip(block.linenos.tolist(), zip(*[iter(block.fields)] * block.width))
+
+
+def _in_line_order(found: list[tuple[int, Anomaly]]) -> list[Anomaly]:
+    """The anomalies of (line, anomaly) pairs sorted by line, stably."""
+    return [anomaly for _, anomaly in sorted(found, key=itemgetter(0))]
 
 
 _Rows = TypeVar("_Rows", "_VoteRows", "_FactorRows")
@@ -889,7 +871,7 @@ def load_vote_log(
     registry = load_polls(polls_path, report)
     identities = load_identities(identities_path, report) if identities_path else {}
     rows = _read_file(Path(votes_path), VOTES_HEADER, "bad vote row", lambda: _VoteRows(registry))
-    report.anomalies += [anomaly for _, anomaly in sorted(rows.anomalies, key=itemgetter(0))]
+    report.anomalies += _in_line_order(rows.anomalies)
     return VoteLog(rows.columns(), registry, identities, report)
 
 
@@ -928,10 +910,10 @@ _FACTOR_DTYPES = (np.int64, np.int32, np.int32, float)
 class _FactorRows:
     """The factors.csv rows read so far: the kept rows as blocks of columns
     (line, target, day ordinal, value), and the anomalies of the others,
-    each with its sort key (see ``_Block``). Each distinct date text is parsed
-    once, and each distinct raw (token, category, factor) triple is
-    stripped, checked against the categories and the catalogue and resolved
-    to a target once; every row still gets every check, in the same order.
+    each with its line. Each distinct date text is parsed once, and each
+    distinct raw (token, category, factor) triple is stripped, checked
+    against the categories and the catalogue and resolved to a target
+    once; every row still gets every check, in the same order.
 
     A target is one raw triple: its "token/category/factor" label, the
     (kind, text) of the anomaly each of its rows gets or None, and the
@@ -945,7 +927,7 @@ class _FactorRows:
         self.flags: list[tuple[str, str] | None] = []
         self.series: list[int] = []
         self.keys: dict[tuple[str, str, str], int] = {}  # series key -> series
-        self.anomalies: list[tuple[float, Anomaly]] = []
+        self.anomalies: list[tuple[int, Anomaly]] = []
         self.rows: list[tuple[int, int, int, float]] = []  # kept by ``add``, not yet in the columns
         self.columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
 
@@ -997,17 +979,16 @@ class _FactorRows:
             self.rows.append((lineno, target, day, value))
 
     def read(self, block: _Block) -> None:
-        """Read a block of rows. A row of five fields with a date, a finite
-        value and a key that is neither flagged nor skipped is kept as a
-        column entry at its line; every other row goes through ``add``, in
-        line order."""
+        """Read a block of rows. A row with a date, a finite value and a
+        key that is neither flagged nor skipped is kept as a column entry at
+        its line; every other row goes through ``add``, in line order."""
         fields = block.fields
         day = _lookup(fields[0::5], self.days, _day_ordinal)
         target = _lookup(list(zip(fields[1::5], fields[2::5], fields[3::5])), self.targets, self.target)
         value = _floats(fields[4::5])
         clean = np.array([flag is None for flag in self.flags], dtype=bool)
         kept = (day >= 0) & np.isfinite(value) & clean[target]
-        self.keep(block.linenos[block.whole][kept], target[kept], day[kept], value[kept])
+        self.keep(block.linenos[kept], target[kept], day[kept], value[kept])
         self.anomalies += block.unreadable
         for lineno, raw in block.others(kept):
             self.add(lineno, raw)
@@ -1051,7 +1032,7 @@ class _FactorRows:
         keys, ids = list(self.keys), series[groups].tolist()
         columns = {keys[ids[i]]: Series(days[spans[i]], data[spans[i]]) for i in np.argsort(first).tolist()}
         instrument = columns.pop(INSTRUMENT_KEY, Series())
-        return FactorPanel(columns, instrument, [anomaly for _, anomaly in sorted(found, key=itemgetter(0))])
+        return FactorPanel(columns, instrument, _in_line_order(found))
 
 
 def _joined(parts: list[np.ndarray], dtype: type) -> np.ndarray:
@@ -1191,18 +1172,14 @@ def write_vote_log(
                 log.timestamp[block].tolist(),
             )))
     with atomic_open(polls_path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(POLLS_HEADER)
+        write_rows(handle.write, [POLLS_HEADER], "\r\n")
         for poll in sorted(log.registry.values(), key=lambda p: p.poll_id):
             options = "|".join(f"{oid}:{label}" for oid, label in poll.options)
             abstain = "|".join(str(oid) for oid in sorted(poll.abstain_option_ids))
-            writer.writerow([poll.poll_id, poll.deploy_timestamp, poll.title, options, abstain])
+            write_rows(handle.write, [[poll.poll_id, poll.deploy_timestamp, poll.title, options, abstain]], "\r\n")
     if identities_path is not None:
         with atomic_open(identities_path) as handle:
-            writer = csv.writer(handle)
-            writer.writerow(IDENTITIES_HEADER)
-            for address in sorted(log.identities):
-                writer.writerow([address, log.identities[address]])
+            write_rows(handle.write, [IDENTITIES_HEADER, *sorted(log.identities.items())], "\r\n")
 
 
 def _csv_fields(texts: Iterable[str]) -> list[str]:

@@ -8,6 +8,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from datetime import date
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, localcontext
+from pathlib import Path
 
 import numpy as np
 
@@ -16,20 +17,20 @@ from govpulse.factorlab import is_known_factor
 from govpulse.govdata import (
     FACTOR_CATEGORIES,
     FACTORS_HEADER,
+    IDENTITIES_HEADER,
     INSTRUMENT_CATEGORY,
     INSTRUMENT_FACTOR,
     INSTRUMENT_TOKEN,
     MAX_WEIGHT_PLACES,
+    POLLS_HEADER,
     VOTES_HEADER,
     Anomaly,
     PollRecord,
+    SchemaError,
     ValidationReport,
     VoteEvent,
     VoteLog,
-    _read_rows,
     atomic_open,
-    load_identities,
-    load_polls,
     parse_timestamp,
 )
 
@@ -72,14 +73,116 @@ def ols_oracle(y, x) -> tuple[float, float]:
     return beta0, beta1
 
 
+def _read_rows(
+    path: str | Path, expected_header: list[str], bad_kind: str, anomalies: list[Anomaly]
+) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank data rows of a CSV file, each with the physical line it
+    starts on and its fields in header order, padded or cut to the header's
+    width (a short row's parse then fails downstream). A row the CSV reader
+    cannot read (such as a field over its size limit) or that holds a byte
+    that is not UTF-8 is appended to ``anomalies`` as ``bad_kind`` and
+    skipped. A missing file or a header other than ``expected_header``
+    raises. The reference row reader of the oracles below. Test oracle."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"input file not found: {path}")
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, expected header {expected_header}")
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: unreadable header: {exc}") from None
+        header = [h.strip() for h in header]
+        if header != expected_header:
+            raise SchemaError(f"{path}: header {header} does not match {expected_header}")
+        width = len(expected_header)
+        while True:
+            lineno = reader.line_num + 1
+            try:
+                raw = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                anomalies.append(Anomaly(bad_kind, f"line {lineno}: {exc}"))
+                continue
+            text = "".join(raw)
+            if not text.strip():  # a blank row
+                continue
+            if not text.isascii():
+                try:
+                    text.encode("utf-8")  # an undecodable byte was read as a lone surrogate
+                except UnicodeEncodeError:
+                    anomalies.append(Anomaly(bad_kind, f"line {lineno}: a byte that is not UTF-8"))
+                    continue
+            if len(raw) != width:
+                raw = (raw + [""] * width)[:width]
+            yield lineno, raw
+
+
+def _poll_options(text: str) -> tuple[tuple[int, str], ...]:
+    """The (id, label) pairs of a polls.csv options field."""
+    chunks = text.strip().split("|") if text.strip() else []
+    return tuple((int(oid), label) for oid, _, label in (chunk.partition(":") for chunk in chunks))
+
+
+def load_polls_oracle(path, report: ValidationReport) -> dict[int, PollRecord]:
+    """The per-row poll loader over ``_read_rows``, each anomaly appended to
+    ``report`` as it is found. Test oracle."""
+    registry: dict[int, PollRecord] = {}
+    rows = _read_rows(path, POLLS_HEADER, "bad poll row", report.anomalies)
+    for lineno, (poll_text, deploy_text, title, options_text, abstain_text) in rows:
+        try:
+            poll_id = int(poll_text)
+            deploy = parse_timestamp(deploy_text)
+            options = _poll_options(options_text)
+            abstain = frozenset(int(x) for x in abstain_text.strip().split("|") if x.strip())
+        except (ValueError, InvalidOperation) as exc:
+            report.add("bad poll row", f"line {lineno}: {exc}")
+            continue
+        if poll_id <= 0 or deploy <= 0:
+            report.add("bad poll row", f"line {lineno}: non-positive poll_id or deploy timestamp")
+            continue
+        option_ids = [oid for oid, _ in options]
+        if len(option_ids) != len(set(option_ids)):
+            report.add("duplicate option ids", f"poll {poll_id}")
+        if poll_id in registry:
+            report.add("duplicate poll id", f"poll {poll_id}: last row wins")
+        registry[poll_id] = PollRecord(
+            poll_id=poll_id, deploy_timestamp=deploy, options=options, abstain_option_ids=abstain, title=title
+        )
+    return registry
+
+
+def load_identities_oracle(path, report: ValidationReport) -> dict[str, str]:
+    """The per-row identity loader over ``_read_rows``. Test oracle."""
+    identities: dict[str, str] = {}
+    for lineno, (address, name) in _read_rows(path, IDENTITIES_HEADER, "bad identity row", report.anomalies):
+        address = address.strip().lower()
+        if not address:
+            report.add("bad identity row", f"line {lineno}: empty address")
+            continue
+        if address in identities:
+            report.add("duplicate identity", f"{address}: last row wins")
+        identities[address] = name.strip()
+    return identities
+
+
+def poll_events(log: VoteLog, poll_id: int) -> tuple[VoteEvent, ...]:
+    """Chronological event history of one poll (empty when no votes)."""
+    start, stop = log.poll_rows.span.get(poll_id, (0, 0))
+    return tuple(log.events[row] for row in log.poll_rows.rows[start:stop].tolist())
+
+
 def load_vote_events_oracle(votes_path, polls_path, identities_path=None) -> tuple[list[VoteEvent], list[Anomaly]]:
     """The per-row vote loader: every row parses and checks its own weight
     and address. Returns the events in ``VoteLog`` order, sorted by
     (timestamp, input index), and the anomaly list. Test oracle."""
     report = ValidationReport()
-    registry = load_polls(polls_path, report)
+    registry = load_polls_oracle(polls_path, report)
     if identities_path:
-        load_identities(identities_path, report)
+        load_identities_oracle(identities_path, report)
     events: list[VoteEvent] = []
     rows = _read_rows(votes_path, VOTES_HEADER, "bad vote row", report.anomalies)
     for lineno, (poll_text, voter, option_text, weight_text, stamp) in rows:
@@ -174,7 +277,7 @@ def final_ballots_oracle(log: VoteLog, poll_id: int, rule: str) -> list[VoteEven
     """Each voter's counted record, sorted on one key per event: the weight
     negated exactly, then the timestamp, then the address. Test oracle."""
     counted: dict[str, VoteEvent] = {}
-    for event in log.poll_events(poll_id):
+    for event in poll_events(log, poll_id):
         if rule == "last" or event.voter not in counted:
             counted[event.voter] = event
     return sorted(counted.values(), key=lambda e: (e.weight.copy_negate(), e.timestamp, e.voter))

@@ -32,7 +32,7 @@ from govpulse.centrality import (
 )
 from govpulse.cli import exec_command
 from govpulse.profiles import VoterProfile, profiles_from_pass
-from oracles import EXACT, final_ballots_oracle, measure_poll_oracle, pooled_voter_totals_oracle
+from oracles import EXACT, final_ballots_oracle, measure_poll_oracle, poll_events, pooled_voter_totals_oracle
 
 RULES = ("last", "first")
 # "1", "1.0" and "1.00000000000000000001" are one float; the first two are
@@ -99,7 +99,7 @@ def oracle_winner(ballots):
 def oracle_poll(log, poll_id, ballot_rule, order_rule):
     """One poll's metrics from its own final ballots, with order and win
     taken from ``oracle_positions`` and ``oracle_winner``."""
-    history = log.poll_events(poll_id)
+    history = poll_events(log, poll_id)
     ballots = final_ballots_oracle(log, poll_id, ballot_rule)
     pm = measure_poll_oracle(log.registry[poll_id], ballots, history, order_rule)
     if pm is None:

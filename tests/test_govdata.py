@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from datetime import date
 from decimal import Decimal
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,16 +28,22 @@ from govpulse.govdata import (
     VoteEvent,
     final_ballots,
     load_factors,
+    load_identities,
+    load_polls,
     load_vote_log,
     parse_timestamp,
     validate_dataset,
     write_vote_log,
 )
 from oracles import (
+    _read_rows,
     exact_sum_oracle,
     final_ballots_oracle,
     load_factors_oracle,
+    load_identities_oracle,
+    load_polls_oracle,
     load_vote_events_oracle,
+    poll_events,
     validate_dataset_oracle,
     write_votes_oracle,
 )
@@ -240,7 +250,7 @@ def test_equal_timestamp_permutation_keeps_weights(simple_log):
 
 def test_revisions_never_add_weight(simple_log):
     for poll_id in simple_log.poll_ids():
-        raw = sum((e.weight for e in simple_log.poll_events(poll_id)), Decimal(0))
+        raw = sum((e.weight for e in poll_events(simple_log, poll_id)), Decimal(0))
         final = sum((b.weight for b in _ballots(simple_log, poll_id)), Decimal(0))
         assert final <= raw
 
@@ -899,6 +909,9 @@ NAMED_READER_CASES = {
     "field-over-limit-among-bad-rows": ([f"1,0xa,1,x,{DAY0 + 10}", f"1,0x{'9' * 131073},1,5,{DAY0 + 10}",
                                          f"1,0xb,1,y,{DAY0 + 20}", f"1,0xc,1,3,{DAY0 + 30}"], False),
     "quote": ([f'1,"0xa",1,5,{DAY0 + 10}', f"1,0xb,1,3,{DAY0 + 20}"], False),
+    # a long row is not blank though its first five fields are
+    "blank-front-of-a-long-row": ([",,,,,x", f"1,0xb,1,3,{DAY0 + 20}", " , , , , ,y"], True),
+    "quoted-blank-front-of-a-long-row": ([",,,,,x", f'1,"0xb",1,3,{DAY0 + 20}', '"",,,,,"y"'], False),
     "quote-at-the-end": ([f"1,0xb,1,3,{DAY0 + 20}"] * 3000 + [f'1,0xa,1,5,{DAY0 + 10}"'], False),
     "not-utf-8": ([f"1,0xa\udcff,1,5,{DAY0 + 10}", f"1,0xb,1,3,{DAY0 + 20}"], False),
     "lone-carriage-return": ([f"1,0xa,1,5,{DAY0 + 10}\r1,0xc,1,2,{DAY0 + 15}", f"1,0xb,1,3,{DAY0 + 20}"], False),
@@ -977,6 +990,116 @@ def test_quoted_factors_load_as_the_plain_file(tmp_path_factory, lines, ends, fi
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(govdata, "BLOCK_ROWS", block_rows)
         _factor_panels_equal(load_factors(quoted), load_factors(plain))
+
+
+# Bytes of one CSV field: plain, quoted (holding commas, quotes, CR and
+# LF), over the field limit ``_low_field_limit`` sets, not UTF-8, or NUL.
+CSV_FIELD = st.one_of(
+    st.sampled_from([b"", b" ", b"\t", b"1", b"0xa", b"a b", b'a"b', b"caf\xc3\xa9", b"\0"]),
+    st.text(alphabet=',\r\n" ab', max_size=6).map(lambda text: b'"' + text.replace('"', '""').encode() + b'"'),
+    st.just(b"x" * 40),
+    st.just(b"caf\xff"),
+)
+# One line's bytes: a row of 0 to 7 fields (short and long rows), or a
+# blank or whitespace-only one.
+CSV_LINE = st.one_of(
+    st.lists(CSV_FIELD, max_size=7).map(b",".join),
+    st.sampled_from([b"", b" ", b",,,,", b" , ,", b"\t", b",,,,,,"]),
+)
+
+
+def _csv_file(header: list[str], lines: list[bytes], ends: list[bytes]) -> bytes:
+    return ",".join(header).encode() + b"\n" + b"".join(line + end for line, end in zip(lines, ends))
+
+
+@contextmanager
+def _low_field_limit():
+    """``csv.field_size_limit`` lowered to 32 characters inside the block,
+    so that an over-limit field is a few bytes long."""
+    limit = csv.field_size_limit(32)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(limit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=st.sampled_from([VOTES_HEADER, IDENTITIES_HEADER]), lines=st.lists(CSV_LINE, max_size=12),
+       ends=st.lists(st.sampled_from([b"\n", b"\r\n", b"\r", b""]), min_size=12, max_size=12),
+       block_rows=st.sampled_from([1, 3, 4096]))
+@example(header=VOTES_HEADER, lines=[b",,,,,x", b"1" + b"," * 9, b""], ends=[b"\n"] * 12, block_rows=1)
+def test_csv_blocks_give_the_rows_of_the_reference_reader(tmp_path_factory, header, lines, ends, block_rows):
+    """Through ``others``, the CSV source gives the rows, lines and
+    anomalies of the reference reader, whatever the block size. Each
+    unreadable line's anomaly is keyed by its own line (an int), which no
+    row starts on, so sorting by line puts it between the rows around it."""
+    path = tmp_path_factory.mktemp("csv-blocks") / "input.csv"
+    path.write_bytes(_csv_file(header, lines, ends))
+    with _low_field_limit(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(govdata, "BLOCK_ROWS", block_rows)
+        rows, found = [], []
+        for block in govdata._csv_blocks(path, header, "bad row"):
+            assert len(block.linenos) <= block_rows
+            found += block.unreadable
+            rows += block.others(np.zeros(len(block.linenos), bool))
+        want: list = []
+        assert rows == list(_read_rows(path, header, "bad row", want))
+    assert [anomaly for _, anomaly in found] == want
+    assert all(type(line) is int and anomaly.detail.startswith(f"line {line}: ") for line, anomaly in found)
+    assert not {line for line, _ in found} & {line for line, _ in rows}
+
+
+POLL_FIELDS = (
+    [b"1", b"2", b"0", b"-1", b"x", b"", b" 3"],
+    [b"1614556800", b"0", b"2021-03-01T00:00:00Z", b"x", b""],
+    [b"t", b"", b'"a\nb"', b'"x,y"', b"x" * 40],
+    [b"1:yes|2:no", b"1:a|1:b", b"", b"x:y", b"1", b"caf\xff:y"],
+    [b"", b"1", b"1|3", b"x", b" "],
+)
+IDENTITY_FIELDS = ([b"0xa", b" 0xA ", b"", b"0xb", b'"0x\nc"', b"x" * 40], [b"alice", b" bob ", b"", b"caf\xff"])
+
+
+def _small_lines(fields):
+    """Lines of one field from each list, or 0 to 3 more fields or fewer."""
+    return st.one_of(
+        st.tuples(*(st.sampled_from(texts) for texts in fields)).map(b",".join),
+        st.lists(st.sampled_from([t for texts in fields for t in texts]), max_size=len(fields) + 3).map(b",".join),
+        st.sampled_from([b"", b" ", b",,"]),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(polls=st.lists(_small_lines(POLL_FIELDS), max_size=10), identities=st.lists(_small_lines(IDENTITY_FIELDS),
+       max_size=10), block_rows=st.sampled_from([1, 3, 4096]))
+def test_small_files_load_as_the_per_row_loaders(tmp_path_factory, polls, identities, block_rows):
+    """``load_polls`` and ``load_identities`` give the registry, the
+    identities and the anomalies, in line order across block edges, of
+    their per-row loops over the reference reader."""
+    tmp = tmp_path_factory.mktemp("small")
+    (tmp / "polls.csv").write_bytes(_csv_file(POLLS_HEADER, polls, [b"\n"] * len(polls)))
+    (tmp / "identities.csv").write_bytes(_csv_file(IDENTITIES_HEADER, identities, [b"\r\n"] * len(identities)))
+    with _low_field_limit(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(govdata, "BLOCK_ROWS", block_rows)
+        got, want = govdata.ValidationReport(), govdata.ValidationReport()
+        assert load_polls(tmp / "polls.csv", got) == load_polls_oracle(tmp / "polls.csv", want)
+        assert load_identities(tmp / "identities.csv", got) == load_identities_oracle(tmp / "identities.csv", want)
+    assert got.anomalies == want.anomalies
+
+
+def test_oracles_import_no_private_name_from_the_package():
+    """The oracles are references for the package: they import no private
+    name of it, nor read one as an attribute of a name they import from it."""
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "govpulse":
+            private += [f"{node.module}.{alias.name}" for alias in node.names if alias.name.startswith("_")]
+            modules |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name.split(".")[0] == "govpulse"}
+    private += [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and node.attr.startswith("_") and ast.unparse(node.value) in modules]
+    assert private == []
 
 
 def _write_wide_history(tmp_path) -> None:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_cell
-from oracles import gini_oracle, ols_oracle
+from oracles import gini_oracle, ols_oracle, poll_events
 from govpulse.centrality import DailyMetrics, ballot_pass
 from govpulse.econ import endogeneity_tests, ols, run_factor_matrix
 from govpulse.factorlab import build_panel, measures_from_daily
@@ -72,7 +72,7 @@ def test_full_participation_small_pool():
     config = _config(voter_pool=5, participation_rate=1.0, revision_rate=0.0)
     log = gen_history(config)
     for poll_id in log.poll_ids():
-        assert len({e.voter for e in log.poll_events(poll_id)}) == 5
+        assert len({e.voter for e in poll_events(log, poll_id)}) == 5
 
 
 def test_turnout_probabilities_mean_and_bounds():
@@ -273,7 +273,7 @@ def test_gen_history_revisions_precede_finals():
     log = gen_history(config)
     for poll_id in log.poll_ids():
         by_voter: dict[str, list[int]] = {}
-        for event in log.poll_events(poll_id):
+        for event in poll_events(log, poll_id):
             by_voter.setdefault(event.voter, []).append(event.timestamp)
         for stamps in by_voter.values():
             assert stamps == sorted(stamps)
