@@ -12,16 +12,18 @@ Timestamps are unix seconds or ISO-8601 UTC; a vote or poll row whose
 timestamp is at or before the epoch (<= 0) is skipped as malformed. A vote
 log is held as columns (``VoteColumns``): int64 poll, option and timestamp
 columns, and indices into a table of distinct addresses and a table of
-distinct weights (``Weights``). Each distinct weight text is parsed and
-checked once per load, and equal texts share one exact ``Decimal``. Weights
-are summed as Python ints in units of 10**e, where e is the smaller of 0 and
-the smallest exponent among the log's weights, so every total is exact and
-bit-stable across platforms; it is written as the ``Decimal`` an exact sum
-started at ``Decimal(0)`` gives, and converted to a binary float only inside
-the statistics layer. A vote row whose poll id or option id does not fit in
-64 bits is skipped as malformed. A log is written back from its columns
-(``write_vote_log``), and ``ingest``'s scan (``validate_dataset``) reads
-them: neither builds a ``VoteEvent``.
+weights (``Weights``). The five int columns are the rows of one (5, n)
+table, which ``VoteColumns.of_table`` sorts and ranks in place: it is the
+one way in, for the loader and the generator alike. Each distinct weight
+text is parsed and checked once per load, and equal texts share one exact
+``Decimal``. Weights are summed as Python ints in units of 10**e, where e
+is the smaller of 0 and the smallest exponent among the log's weights, so
+every total is exact and bit-stable across platforms; it is written as the
+``Decimal`` an exact sum started at ``Decimal(0)`` gives, and converted to
+a binary float only inside the statistics layer. A vote row whose poll id
+or option id does not fit in 64 bits is skipped as malformed. A log is
+written back from its columns (``write_vote_log``), and ``ingest``'s scan
+(``validate_dataset``) reads them: neither builds a ``VoteEvent``.
 
 One CSV reader (``_csv_blocks``) reads all four files: each non-blank row
 with its line, padded or cut to the header's width. ``votes.csv`` and
@@ -57,7 +59,7 @@ from datetime import date, datetime, timezone
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import IO, NamedTuple, TypeVar
@@ -144,8 +146,8 @@ def _digits(text: str) -> tuple[int, int]:
 
 
 class Weights:
-    """The distinct vote weights of a log, one entry per weight text (or per
-    weight object, for a log built from events).
+    """The vote weights that a log's rows use: the loader keeps one entry
+    per distinct weight text, the generator one per voter.
 
     ``exponent`` is the smaller of 0 and the smallest exponent among them.
     Each entry has its ``Decimal`` (for output), its exact int in units of
@@ -209,23 +211,28 @@ class VoteColumns(NamedTuple):
     weights: Weights
 
     @classmethod
-    def of_events(cls, events: Sequence[VoteEvent]) -> "VoteColumns":
-        """The columns of events sorted by (timestamp, input order)."""
-        n = len(events)
-        voter, weight = attrgetter("voter"), attrgetter("weight")
-        addresses = tuple(sorted(set(map(voter, events))))
-        rank = {address: i for i, address in enumerate(addresses)}
-        # one entry per weight object: equal texts share one Decimal when loaded
-        objects = {id(w): w for w in map(weight, events)}
-        slot = {key: i for i, key in enumerate(objects)}
+    def of_table(cls, table: np.ndarray, names: Sequence[str], decimals: Sequence[Decimal]) -> "VoteColumns":
+        """The columns of ``table``, a writable (5, n) int64 array of vote
+        rows in input order: poll id, voter (an index into ``names``),
+        option id, weight (an index into ``decimals``) and timestamp. The
+        table becomes the columns in place: each row is sorted by
+        (timestamp, input order), the voter row is overwritten with its
+        name's rank among the names rows use, and the weight row with its
+        slot among the weights rows use, kept in ``decimals`` order."""
+        order = np.argsort(table[4], kind="stable")
+        for row in table:
+            row[:] = row[order]
+        poll_id, voter, option_id, weight, timestamp = table
+        voters = np.flatnonzero(np.bincount(voter, minlength=len(names))).tolist()
+        voters.sort(key=names.__getitem__)
+        weights = np.flatnonzero(np.bincount(weight, minlength=len(decimals))).tolist()
+        for column, used, size in ((voter, voters, len(names)), (weight, weights, len(decimals))):
+            slot = np.zeros(size, dtype=np.int64)
+            slot[used] = np.arange(len(used))
+            column[:] = slot[column]
         return cls(
-            np.fromiter(map(attrgetter("poll_id"), events), np.int64, n),
-            np.fromiter(map(rank.__getitem__, map(voter, events)), np.int64, n),
-            np.fromiter(map(attrgetter("option_id"), events), np.int64, n),
-            np.fromiter(map(slot.__getitem__, map(id, map(weight, events))), np.int64, n),
-            np.fromiter(map(attrgetter("timestamp"), events), np.int64, n),
-            addresses,
-            Weights(list(objects.values())),
+            poll_id, voter, option_id, weight, timestamp,
+            tuple(map(names.__getitem__, voters)), Weights(list(map(decimals.__getitem__, weights))),
         )
 
 
@@ -276,26 +283,20 @@ class _PollRows(NamedTuple):
 class VoteLog:
     """Immutable container for a parsed voting history, held as columns.
 
-    Rows are sorted by (timestamp, input order); every row's poll_id
-    resolves in the registry (ValueError otherwise). A log is built from
-    ``VoteEvent``s, which it keeps, or from the ``VoteColumns`` of the
-    loader or the generator. ``events`` is the public ``VoteEvent`` view of
-    the rows; a log built from columns builds it only when an element is
-    read.
+    The loader and the generator build its ``VoteColumns`` with
+    ``VoteColumns.of_table``: rows sorted by (timestamp, input order).
+    Every row's poll_id resolves in the registry (ValueError otherwise).
+    ``events`` is the public ``VoteEvent`` view of the rows, built only
+    when an element is read.
     """
 
     def __init__(
         self,
-        events: Sequence[VoteEvent] | VoteColumns,
+        columns: VoteColumns,
         registry: dict[int, PollRecord],
         identities: dict[str, str] | None = None,
         report: ValidationReport | None = None,
     ) -> None:
-        if isinstance(events, VoteColumns):
-            columns, self._events = events, None
-        else:
-            self._events = tuple(sorted(events, key=attrgetter("timestamp")))
-            columns = VoteColumns.of_events(self._events)
         unknown = sorted(set(columns.poll_id.tolist()) - registry.keys())
         if unknown:
             raise ValueError(f"events reference polls not in the registry: {unknown}")
@@ -303,6 +304,7 @@ class VoteLog:
         self.registry: dict[int, PollRecord] = dict(registry)
         self.identities: dict[str, str] = dict(identities or {})
         self.report: ValidationReport = report or ValidationReport()
+        self._events: tuple[VoteEvent, ...] | None = None
 
     @property
     def events(self) -> Sequence[VoteEvent]:
@@ -613,31 +615,11 @@ class _VoteRows:
         self.blocks.append(fast[1:])
 
     def columns(self) -> VoteColumns:
-        """The kept rows sorted by (timestamp, file order), their addresses
-        sorted and their weights tabled; addresses and weights of skipped
-        rows are dropped. The blocks are released as they are joined."""
+        """The kept rows as ``VoteColumns``: the blocks are joined into one
+        table, released, and the table sorted and ranked in place."""
         table = np.concatenate([np.empty((5, 0), np.int64), *self.blocks], axis=1)
         self.blocks = []
-        table = table[:, np.argsort(table[4], kind="stable")]
-        poll_id, voter, option_id, weight, timestamp = table
-        rank, addresses = address_ranks(list(self.addresses), voter)
-        used_weights = np.flatnonzero(np.bincount(weight, minlength=len(self.decimals)))
-        slot = np.zeros(len(self.decimals), dtype=np.int64)
-        slot[used_weights] = np.arange(len(used_weights))
-        return VoteColumns(
-            poll_id, rank[voter], option_id, slot[weight], timestamp, addresses,
-            Weights([self.decimals[i] for i in used_weights.tolist()]),
-        )
-
-
-def address_ranks(names: Sequence[str], voter: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The names that ``voter`` indexes, sorted, and the rank among them of
-    each index into ``names`` (0 for a name no row holds)."""
-    used = np.flatnonzero(np.bincount(voter, minlength=len(names)))
-    kept = sorted((names[i], i) for i in used.tolist())
-    rank = np.zeros(len(names), dtype=np.int64)
-    rank[[i for _, i in kept]] = np.arange(len(kept))
-    return rank, tuple(name for name, _ in kept)
+        return VoteColumns.of_table(table, list(self.addresses), self.decimals)
 
 
 def _plain_int(text: str) -> int:

@@ -38,9 +38,6 @@ from govpulse.govdata import (
     ValidationReport,
     VoteColumns,
     VoteLog,
-    Weights,
-    address_ranks,
-    run_starts,
 )
 
 # The planted instrument is INSTRUMENT_STRENGTH times the z-scored
@@ -214,7 +211,8 @@ def gen_history(config: SynthConfig) -> VoteLog:
         ).timestamp()
     )
     report = ValidationReport()
-    # poll id, voter's pool index, option and timestamp of each vote, in draw order
+    # poll id, voter, option, weight and timestamp of each vote, in draw
+    # order; the voter's pool index indexes both its address and its weight
     votes = array("q")
     registry: dict[int, PollRecord] = {}
     poll_id = 0
@@ -254,29 +252,10 @@ def gen_history(config: SynthConfig) -> VoteLog:
                     if early_ts >= final_ts:
                         early_ts = final_ts - 1
                     if early_ts > deploy:
-                        votes.extend((poll_id, i, early_option, early_ts))
-                votes.extend((poll_id, i, option, final_ts))
-    return VoteLog(_vote_columns(votes, addresses, weights), registry, {}, report)
-
-
-def _vote_columns(votes: array, addresses: list[str], weights: list[Decimal]) -> VoteColumns:
-    """The columns of ``gen_history``'s votes (poll id, pool index, option
-    and timestamp, four entries a vote): sorted by (timestamp, draw order),
-    the voters' addresses sorted, and one weight entry per voter in the order
-    of its first row, the tables ``VoteColumns.of_events`` builds."""
-    table = np.frombuffer(votes, dtype=np.int64).reshape(-1, 4).T
-    table = table[:, np.argsort(table[3], kind="stable")]
-    poll_id, pool, option_id, timestamp = table
-    rank, voted = address_ranks(addresses, pool)
-    # the voters in the order of their first rows
-    by_voter = np.argsort(pool, kind="stable")
-    first_seen = pool[np.sort(by_voter[run_starts(pool[by_voter])])]
-    slot = np.zeros(len(addresses), dtype=np.int64)
-    slot[first_seen] = np.arange(len(first_seen))
-    return VoteColumns(
-        poll_id, rank[pool], option_id, slot[pool], timestamp, voted,
-        Weights([weights[i] for i in first_seen.tolist()]),
-    )
+                        votes.extend((poll_id, i, early_option, i, early_ts))
+                votes.extend((poll_id, i, option, i, final_ts))
+    table = np.frombuffer(votes, np.int64).reshape(-1, 5).T.copy()
+    return VoteLog(VoteColumns.of_table(table, addresses, weights), registry, {}, report)
 
 
 def _force_outcome(

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from govpulse.govdata import PollRecord, VoteEvent, VoteLog
+from oracles import columns_of
 
 DAY0 = int(datetime(2021, 3, 1, tzinfo=timezone.utc).timestamp())
 
@@ -36,7 +37,7 @@ def make_log(events: list[tuple], polls: list[PollRecord], identities: dict | No
         )
         for poll_id, voter, option_id, weight, timestamp in events
     ]
-    return VoteLog(parsed, {p.poll_id: p for p in polls}, identities or {})
+    return VoteLog(columns_of(parsed), {p.poll_id: p for p in polls}, identities or {})
 
 
 def addr(i: int) -> str:

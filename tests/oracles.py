@@ -28,6 +28,7 @@ from govpulse.govdata import (
     PollRecord,
     SchemaError,
     ValidationReport,
+    VoteColumns,
     VoteEvent,
     VoteLog,
     atomic_open,
@@ -167,6 +168,16 @@ def load_identities_oracle(path, report: ValidationReport) -> dict[str, str]:
             report.add("duplicate identity", f"{address}: last row wins")
         identities[address] = name.strip()
     return identities
+
+
+def columns_of(events) -> VoteColumns:
+    """The ``VoteColumns`` of ``VoteEvent``s in input order, with one weight
+    entry per event."""
+    names = sorted({event.voter for event in events})
+    index = {name: i for i, name in enumerate(names)}
+    rows = [(e.poll_id, index[e.voter], e.option_id, i, e.timestamp) for i, e in enumerate(events)]
+    table = np.array(rows, dtype=np.int64).reshape(-1, 5).T.copy()
+    return VoteColumns.of_table(table, names, [event.weight for event in events])
 
 
 def poll_events(log: VoteLog, poll_id: int) -> tuple[VoteEvent, ...]:

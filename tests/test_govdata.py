@@ -25,6 +25,7 @@ from govpulse.govdata import (
     POLLS_HEADER,
     VOTES_HEADER,
     SchemaError,
+    VoteColumns,
     VoteEvent,
     final_ballots,
     load_factors,
@@ -1125,6 +1126,46 @@ def test_vote_log_is_read_in_blocks_not_held(tmp_path):
         tracemalloc.stop()
     assert len(log.events) == len(fields) - 1 == 50_000
     assert peak < held / 3, f"loading peaked at {peak} traced bytes; the per-field lists take {held}"
+
+
+def test_loaded_columns_are_rows_of_one_table(tmp_path):
+    write_votes_csv(tmp_path / "votes.csv", [
+        (1, addr(2), 1, "5", DAY0 + 30), (1, addr(1), 2, "-1", DAY0 + 10), (2, addr(3), 1, "1.0", DAY0 + 20),
+        (1, addr(1), 1, "1", DAY0 + 20), (3, addr(4), 1, "2", DAY0 + 5),
+    ])
+    write_polls_csv(tmp_path / "polls.csv", [(1, DAY0, "p", "1:yes|2:no", ""), (2, DAY0, "q", "1:yes", "")])
+    log = load_vote_log(tmp_path / "votes.csv", tmp_path / "polls.csv")
+    columns = (log.poll_id, log.voter, log.option_id, log.weight, log.timestamp)
+    table = log.poll_id.base
+    assert table.shape == (5, 3)
+    assert all(column.base is table for column in columns)
+    assert table.tolist() == [[2, 1, 1], [2, 0, 1], [1, 1, 1], [1, 2, 0], [DAY0 + 20, DAY0 + 20, DAY0 + 30]]
+    assert log.addresses == (addr(1), addr(2), addr(3))
+    assert list(map(str, log.weights.decimals)) == ["5", "1.0", "1"]
+
+
+@given(
+    rows=st.lists(st.tuples(*[st.integers(0, 4)] * 4, st.integers(1, 4)), max_size=30),
+    names=st.lists(st.text(max_size=3), min_size=5, max_size=5, unique=True),
+    weights=st.lists(st.sampled_from(["1", "1.0", "1E+1", "10", "0.5", "0"]), min_size=5, max_size=5),
+)
+@example(rows=[(7, 1, 1, 1, 2), (8, 0, 2, 0, 2), (9, 1, 3, 2, 1)], names=["b", "a"], weights=["1.0", "2", "1"])
+def test_of_table_sorts_and_ranks_the_table_in_place(rows, names, weights):
+    decimals = list(map(Decimal, weights))
+    table = np.array(rows, dtype=np.int64).reshape(-1, 5).T.copy()
+    columns = VoteColumns.of_table(table, names, decimals)
+    rows = [rows[i] for i in sorted(range(len(rows)), key=lambda i: (rows[i][4], i))]
+    voted = sorted({names[voter] for _, voter, _, _, _ in rows})
+    used = sorted({weight for _, _, _, weight, _ in rows})
+    assert list(zip(*(column.tolist() for column in columns[:5]))) == [
+        (poll_id, voted.index(names[voter]), option_id, used.index(weight), timestamp)
+        for poll_id, voter, option_id, weight, timestamp in rows
+    ]
+    assert columns.addresses == tuple(voted)
+    assert list(map(str, columns.weights.decimals)) == [weights[i] for i in used]
+    values = sorted({decimals[i] for i in used})  # 1 and 1.0 are one value
+    assert columns.weights.ranks.tolist() == [values.index(decimals[i]) for i in used]
+    assert all(column.base is table for column in columns[:5])
 
 
 def test_vote_log_is_written_in_blocks_not_held(tmp_path):

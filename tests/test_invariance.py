@@ -23,7 +23,7 @@ from conftest import write_polls_csv, write_votes_csv
 from govpulse.centrality import utc_day
 from govpulse.cli import exec_command
 from govpulse.govdata import ValidationReport, VoteLog, load_polls
-from oracles import exact_sum_oracle, final_ballots_oracle, load_vote_events_oracle
+from oracles import columns_of, exact_sum_oracle, final_ballots_oracle, load_vote_events_oracle
 
 CONFIG = '{"days": 8, "voter_pool": 40, "polls_per_day": ["constant", 2], "participation_rate": 0.4, "seed": 11}'
 CALENDARS = ("drop-missing", "full-calendar")
@@ -151,7 +151,7 @@ def _exact_totals(votes: Path, polls: Path) -> dict[str, dict[str, dict[str, str
     exact sums started at ``Decimal(0)``, and each voter's first-seen
     largest ballot in poll-id and final-ballot order."""
     events, _ = load_vote_events_oracle(votes, polls)
-    log = VoteLog(events, load_polls(polls, ValidationReport()))
+    log = VoteLog(columns_of(events), load_polls(polls, ValidationReport()))
     per_poll, per_day, per_voter = {}, defaultdict(list), defaultdict(list)
     for poll_id in log.poll_ids():
         ballots = final_ballots_oracle(log, poll_id, "last")

@@ -11,11 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_cell
-from oracles import gini_oracle, ols_oracle, poll_events
+from oracles import columns_of, gini_oracle, ols_oracle, poll_events
 from govpulse.centrality import DailyMetrics, ballot_pass
 from govpulse.econ import endogeneity_tests, ols, run_factor_matrix
 from govpulse.factorlab import build_panel, measures_from_daily
-from govpulse.govdata import ValidationReport, VoteColumns
+from govpulse.govdata import ValidationReport
 from govpulse.report import significance_stars
 from govpulse.synthgov import (
     DistSpec,
@@ -257,15 +257,20 @@ def test_gen_history_columns_equal_those_of_its_events(voter_pool, seed):
     assert any(len(set(v)) == 1 for v in voters.values())
     assert set(log.registry) - set(voters)
     assert any(pm.ifwin == 0 for pm in ballot_pass(log).polls)
-    want = VoteColumns.of_events(tuple(log.events))
-    got = VoteColumns(log.poll_id, log.voter, log.option_id, log.weight, log.timestamp, log.addresses, log.weights)
+    want = columns_of(log.events)
     for name in ("poll_id", "voter", "option_id", "weight", "timestamp"):
-        assert getattr(got, name).dtype == np.int64
-        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
-    assert got.addresses == want.addresses
-    assert [str(d) for d in got.weights.decimals] == [str(d) for d in want.weights.decimals]
-    for name in ("units", "exponents", "floats", "ranks"):
-        assert getattr(got.weights, name).tolist() == getattr(want.weights, name).tolist(), name
+        assert getattr(log, name).dtype == np.int64, name
+    for name in ("poll_id", "voter", "option_id", "timestamp"):
+        assert getattr(log, name).tolist() == getattr(want, name).tolist(), name
+    assert log.addresses == want.addresses
+    assert [str(log.weights.decimals[w]) for w in log.weight.tolist()] == [
+        str(want.weights.decimals[w]) for w in want.weight.tolist()
+    ]
+    for name in ("units", "floats", "ranks"):
+        assert getattr(log.weights, name)[log.weight].tolist() == getattr(want.weights, name)[want.weight].tolist(), name
+    table = log.poll_id.base  # the columns are the rows of one table
+    assert table.shape == (5, len(log.events))
+    assert all(getattr(log, name).base is table for name in ("voter", "option_id", "weight", "timestamp"))
 
 
 def test_gen_history_revisions_precede_finals():
