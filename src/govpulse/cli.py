@@ -166,7 +166,7 @@ def cmd_ingest(args: argparse.Namespace, run: Run) -> None:
     run.found.anomalies += validate_dataset(log).anomalies  # after the rows skipped while loading
     run.emit_csv("validation.csv", report.validation_csv(run.found))
     summary = (
-        f"events: {len(log.events)}\npolls: {len(log.registry)}\nvoters: {len(log.addresses)}\n"
+        f"events: {len(log.timestamp)}\npolls: {len(log.registry)}\nvoters: {len(log.addresses)}\n"
         f"anomalies: {len(run.found.anomalies)}\n"
     )
     run.emit_text("ingest_summary.txt", summary)

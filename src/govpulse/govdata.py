@@ -14,16 +14,19 @@ log is held as columns (``VoteColumns``): int64 poll, option and timestamp
 columns, and indices into a table of distinct addresses and a table of
 weights (``Weights``). The five int columns are the rows of one (5, n)
 table, which ``VoteColumns.of_table`` sorts and ranks in place: it is the
-one way in, for the loader and the generator alike. Each distinct weight
-text is parsed and checked once per load, and equal texts share one exact
-``Decimal``. Weights are summed as Python ints in units of 10**e, where e
-is the smaller of 0 and the smallest exponent among the log's weights, so
-every total is exact and bit-stable across platforms; it is written as the
-``Decimal`` an exact sum started at ``Decimal(0)`` gives, and converted to
-a binary float only inside the statistics layer. A vote row whose poll id
-or option id does not fit in 64 bits is skipped as malformed. A log is
-written back from its columns (``write_vote_log``), and ``ingest``'s scan
-(``validate_dataset``) reads them: neither builds a ``VoteEvent``.
+one way in, for the loader and the generator alike. The loader writes each
+block's kept rows straight into that table, sized up front from the file's
+line ends (every row ends on its own), and a table already in time order
+is not permuted. Each distinct weight text is parsed and checked once per
+load, and equal texts share one exact ``Decimal``. Weights are summed as
+Python ints in units of 10**e, where e is the smaller of 0 and the smallest
+exponent among the log's weights, so every total is exact and bit-stable
+across platforms; it is written as the ``Decimal`` an exact sum started at
+``Decimal(0)`` gives, and converted to a binary float only inside the
+statistics layer. A vote row whose poll id or option id does not fit in 64
+bits is skipped as malformed. A log is written back from its columns
+(``write_vote_log``), and ``ingest``'s scan (``validate_dataset``) reads
+them: neither builds a ``VoteEvent``.
 
 One CSV reader (``_csv_blocks``) reads all four files: each non-blank row
 with its line, padded or cut to the header's width. ``votes.csv`` and
@@ -33,7 +36,7 @@ a row the check cannot judge (a votes int field or timestamp that is not
 plain digits, a factor date or value that fails its check, a flagged or
 skipped factor key, or any field that fails a check) goes through the
 input's one per-row parse (``add``). The fast source (``_plain_blocks``)
-splits 256 KiB of whole lines at a time, into rows of the same shape, when
+splits 64 KiB of whole lines at a time, into rows of the same shape, when
 the whole file is ASCII and holds no ``"``, no NUL, no carriage return
 outside a CRLF line end and no line longer than ``csv.field_size_limit()``.
 Any other file is split by the CSV reader, 4096 rows at a time.
@@ -216,12 +219,14 @@ class VoteColumns(NamedTuple):
         rows in input order: poll id, voter (an index into ``names``),
         option id, weight (an index into ``decimals``) and timestamp. The
         table becomes the columns in place: each row is sorted by
-        (timestamp, input order), the voter row is overwritten with its
-        name's rank among the names rows use, and the weight row with its
-        slot among the weights rows use, kept in ``decimals`` order."""
-        order = np.argsort(table[4], kind="stable")
-        for row in table:
-            row[:] = row[order]
+        (timestamp, input order), which leaves a table whose timestamps do
+        not decrease as it is, the voter row is overwritten with its name's
+        rank among the names rows use, and the weight row with its slot
+        among the weights rows use, kept in ``decimals`` order."""
+        if np.any(table[4, 1:] < table[4, :-1]):
+            order = np.argsort(table[4], kind="stable")
+            for row in table:
+                row[:] = row[order]
         poll_id, voter, option_id, weight, timestamp = table
         voters = np.flatnonzero(np.bincount(voter, minlength=len(names))).tolist()
         voters.sort(key=names.__getitem__)
@@ -285,7 +290,8 @@ class VoteLog:
 
     The loader and the generator build its ``VoteColumns`` with
     ``VoteColumns.of_table``: rows sorted by (timestamp, input order).
-    Every row's poll_id resolves in the registry (ValueError otherwise).
+    Every row's poll_id resolves in the registry (ValueError otherwise):
+    the check reads the polls of ``poll_rows``, which is built here, once.
     ``events`` is the public ``VoteEvent`` view of the rows, built only
     when an element is read.
     """
@@ -297,10 +303,10 @@ class VoteLog:
         identities: dict[str, str] | None = None,
         report: ValidationReport | None = None,
     ) -> None:
-        unknown = sorted(set(columns.poll_id.tolist()) - registry.keys())
+        self.poll_id, self.voter, self.option_id, self.weight, self.timestamp, self.addresses, self.weights = columns
+        unknown = sorted(self.poll_rows.span.keys() - registry.keys())
         if unknown:
             raise ValueError(f"events reference polls not in the registry: {unknown}")
-        self.poll_id, self.voter, self.option_id, self.weight, self.timestamp, self.addresses, self.weights = columns
         self.registry: dict[int, PollRecord] = dict(registry)
         self.identities: dict[str, str] = dict(identities or {})
         self.report: ValidationReport = report or ValidationReport()
@@ -509,12 +515,13 @@ def _parse_weight(text: str) -> Decimal | str:
 
 
 class _VoteRows:
-    """The vote rows read so far: the kept rows, as blocks of columns in file
-    order, and the anomalies of the skipped ones, each with its line. Each
-    distinct voter field is normalized once and each distinct weight text
-    parsed and checked once; every row still gets every check."""
+    """The vote rows read so far: the kept rows, in file order, written into
+    one (5, ``capacity``) int64 table, and the anomalies of the skipped ones,
+    each with its line. Each distinct voter field is normalized once and
+    each distinct weight text parsed and checked once; every row still gets
+    every check."""
 
-    def __init__(self, registry: dict[int, PollRecord]) -> None:
+    def __init__(self, registry: dict[int, PollRecord], capacity: int) -> None:
         self.registry = registry
         self.anomalies: list[tuple[int, Anomaly]] = []
         self.addresses: dict[str, int] = {}  # address -> its index, in first-seen order
@@ -525,9 +532,10 @@ class _VoteRows:
         self.poll_fields: dict[str, int] = {}
         self.option_fields: dict[str, int] = {}
         self.kept_weights: dict[str, int] = {}
-        # kept rows in file order, as 5 x n int64 arrays of poll_id, voter,
-        # option_id, weight and timestamp columns
-        self.blocks: list[np.ndarray] = []
+        # the poll_id, voter, option_id, weight and timestamp of the kept
+        # rows, in file order, are the first ``kept`` entries of each row
+        self.table = np.empty((5, capacity), np.int64)
+        self.kept = 0
         # (line, poll_id, voter, option_id, weight, timestamp) of each row of
         # the block being read that ``add`` kept
         self.rows: list[tuple[int, ...]] = []
@@ -604,21 +612,33 @@ class _VoteRows:
         timestamp = _plain_ints(fields[4::5])
         kept = (poll_id >= 0) & (voter >= 0) & (option_id >= 0) & (weight >= 0)
         kept &= (timestamp > 0) & (timestamp <= MAX_TIMESTAMP)
-        fast = np.stack([block.linenos, poll_id, voter, option_id, weight, timestamp])[:, kept]
         self.anomalies += block.unreadable
         for lineno, raw in block.others(kept):
             self.add(lineno, raw)
-        if self.rows:  # into the block, in line order
-            fast = np.concatenate([fast, np.array(self.rows, dtype=np.int64).T], axis=1)
-            fast = fast[:, np.argsort(fast[0], kind="stable")]
+        columns = [column[kept] for column in (poll_id, voter, option_id, weight, timestamp)]
+        if self.rows:  # among the block's rows, in line order
+            added = np.array(self.rows, dtype=np.int64).T
+            order = np.argsort(np.concatenate([block.linenos[kept], added[0]]), kind="stable")
+            columns = [np.concatenate([column, more])[order] for column, more in zip(columns, added[1:])]
             self.rows.clear()
-        self.blocks.append(fast[1:])
+        end = self.kept + len(columns[0])
+        for row, column in zip(self.table, columns):
+            row[self.kept:end] = column
+        self.kept = end
 
     def columns(self) -> VoteColumns:
-        """The kept rows as ``VoteColumns``: the blocks are joined into one
-        table, released, and the table sorted and ranked in place."""
-        table = np.concatenate([np.empty((5, 0), np.int64), *self.blocks], axis=1)
-        self.blocks = []
+        """The kept rows as ``VoteColumns``: the table is cut to them in
+        place, released, and sorted and ranked in place."""
+        table, self.table = self.table, None
+        kept, capacity = self.kept, table.shape[1]
+        if kept < capacity:  # move each row next to the one before it, then shrink the buffer
+            flat = table.reshape(-1)
+            for i in range(1, 5):
+                flat[i * kept:(i + 1) * kept] = flat[i * capacity:i * capacity + kept]
+            del flat
+            # no view of the table is left; refcheck would also count the
+            # references a tracer or debugger holds to this frame
+            table.resize((5, kept), refcheck=False)
         return VoteColumns.of_table(table, list(self.addresses), self.decimals)
 
 
@@ -713,8 +733,27 @@ def _plain_block(data: bytes, width: int, lineno: int) -> tuple[_Block, int] | N
 
 # The bytes of whole lines the fast source splits at a time, and the rows
 # the CSV source reads at a time.
-BLOCK_BYTES = 1 << 18
+BLOCK_BYTES = 1 << 16
 BLOCK_ROWS = 4096
+
+
+def _row_bound(path: Path) -> int:
+    """An upper bound on the rows after the header of a file: its line ends
+    (LF, CRLF or a lone CR, where the CSV reader may end a row), less the
+    header's, plus one for a last line without one. 0 when it cannot be
+    read."""
+    ends, last = 0, 10
+    try:
+        with path.open("rb") as handle:
+            while chunk := handle.read(BLOCK_BYTES):
+                codes = np.frombuffer(chunk, np.uint8)
+                # an LF ends a line, and so does a CR that no LF follows
+                ends += np.count_nonzero(codes == 10) + np.count_nonzero((codes[:-1] == 13) & (codes[1:] != 10))
+                ends += last == 13 and chunk[0] != 10
+                last = chunk[-1]
+    except OSError:
+        return 0
+    return max(0, ends - (last == 10))
 
 
 def _plain_blocks(path: Path, header: list[str]) -> Iterator[_Block | None]:
@@ -852,7 +891,9 @@ def load_vote_log(
     report = ValidationReport()
     registry = load_polls(polls_path, report)
     identities = load_identities(identities_path, report) if identities_path else {}
-    rows = _read_file(Path(votes_path), VOTES_HEADER, "bad vote row", lambda: _VoteRows(registry))
+    votes_path = Path(votes_path)
+    capacity = _row_bound(votes_path)
+    rows = _read_file(votes_path, VOTES_HEADER, "bad vote row", lambda: _VoteRows(registry, capacity))
     report.anomalies += _in_line_order(rows.anomalies)
     return VoteLog(rows.columns(), registry, identities, report)
 

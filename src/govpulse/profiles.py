@@ -98,14 +98,14 @@ def profiles_from_pass(passed: BallotPass, identities: dict[str, str]) -> list[V
     rows = np.concatenate([np.empty(0, np.intp), *passed.ballots.values()])  # ascending poll id
     if not len(rows):
         return []
-    voter, weight = log.voter[rows], log.weight[rows]
     # by voter, then weight descending; lexsort is stable, so ties keep the pass order
-    order = np.lexsort((-weights.ranks[weight], voter))
-    starts = run_starts(voter[order])
-    totals = np.add.reduceat(weights.units[weight[order]], starts).tolist()
-    exponents = np.minimum.reduceat(weights.exponents[weight[order]], starts).tolist()
-    first_poll = np.minimum.reduceat(log.poll_id[rows][order], starts).tolist()
-    first_ts = np.minimum.reduceat(log.timestamp[rows][order], starts).tolist()
+    rows = rows[np.lexsort((-weights.ranks[log.weight[rows]], log.voter[rows]))]
+    voter, weight = log.voter[rows], log.weight[rows]
+    starts = run_starts(voter)
+    totals = np.add.reduceat(weights.units[weight], starts).tolist()
+    exponents = np.minimum.reduceat(weights.exponents[weight], starts).tolist()
+    first_poll = np.minimum.reduceat(log.poll_id[rows], starts).tolist()
+    first_ts = np.minimum.reduceat(log.timestamp[rows], starts).tolist()
     involved = np.diff(np.append(starts, len(rows))).tolist()
     return [
         VoterProfile(
@@ -118,7 +118,7 @@ def profiles_from_pass(passed: BallotPass, identities: dict[str, str]) -> list[V
             first_date=utc_day(ts),
         )
         for v, w, n, total, exponent, poll_id, ts in zip(
-            voter[order][starts].tolist(), weight[order][starts].tolist(), involved, totals, exponents,
+            voter[starts].tolist(), weight[starts].tolist(), involved, totals, exponents,
             first_poll, first_ts,
         )
     ]
