@@ -21,18 +21,28 @@ Exogeneity is tested on the residual-augmented regression y ~ (x, vhat)
 where vhat are first-stage residuals: the Durbin statistic is the score form
 n * (RSS_r - RSS_u) / RSS_r against chi-squared(1), and the Wu-Hausman
 statistic is the F form (n - 3) * (RSS_r - RSS_u) / RSS_u against F(1, n-3).
+
+Fits are computed in batches: the k dependent rows fitted on one design
+(one sample and one measure of a grid) are solved by one call of the stacked
+least-squares gufunc that ``np.linalg.lstsq`` loops over, CHUNK_ROWS rows
+at a time, and their residuals, slope statistics and endogeneity statistics
+are array arithmetic. Each row gets the bits ``np.linalg.lstsq`` and the
+scalar formulas give it alone. Every F tail a grid needs (its cells and the
+IV first stages) goes through one ``f_pvalues`` pass. ``ols``, ``two_sls``
+and ``endogeneity_tests`` are batches of one row.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from govpulse.centrality import MEASURES
 from govpulse.factorlab import BuiltPanel, align, catalogue_for
@@ -40,6 +50,7 @@ from govpulse.govdata import Series
 from govpulse.profiles import SummaryStats
 
 IV_DEFAULT_MEASURES = ("Voters", "TotalVotes", "Speed")
+CHUNK_ROWS = 32  # dependent rows per stacked solve: bounds a batch's temporaries
 
 
 def t_pvalue(t: float, dof: int) -> float:
@@ -48,28 +59,41 @@ def t_pvalue(t: float, dof: int) -> float:
 
 
 def f_pvalue(f: float, d1: int, d2: int) -> float:
-    """Upper-tail p-value of an F(1, d2) statistic: I_x(a, 1/2) at a = d2/2
-    and x = d2 / (d2 + f), from its continued fraction below
-    x = (a + 1) / (a + 5/2) and as 1 - I_y(1/2, a) at y = 1 - x above it
-    (Numerical Recipes 6.4)."""
+    """Upper-tail p-value of one F(1, d2) statistic (see ``f_pvalues``)."""
     if d1 != 1:
         raise ValueError("only F(1, d) tails are computed")
-    if d2 < 1:
+    return f_pvalues(np.array([f]), d2).tolist()[0]
+
+
+@np.errstate(all="ignore")  # as with Python floats: an overflow is inf, not an error
+def f_pvalues(f: np.ndarray, dof: int | np.ndarray) -> np.ndarray:
+    """Upper-tail p-values of F(1, d) statistics, d from ``dof`` (an int or
+    one per statistic): I_x(a, 1/2) at a = d/2 and x = d / (d + f), from its
+    continued fraction below x = (a + 1) / (a + 5/2) and as 1 - I_y(1/2, a)
+    at y = 1 - x above it (Numerical Recipes 6.4). An infinite statistic has
+    p 0, a NaN p NaN and one at or below 0 p 1."""
+    f = np.asarray(f, dtype=float)
+    dof = np.broadcast_to(np.asarray(dof, dtype=np.int64), f.shape)
+    if (dof < 1).any():
         raise ValueError("degrees of freedom must be positive")
-    if math.isinf(f):
-        return 0.0
-    if f != f:
-        return float("nan")
-    if f <= 0.0:
-        return 1.0
-    a = d2 / 2.0
-    x = d2 / (d2 + f)
+    p = np.where(np.isinf(f), 0.0, np.where(np.isnan(f), np.nan, 1.0))
+    live = np.isfinite(f) & (f > 0.0)
+    if not live.any():
+        return p
+    d, f = dof[live], f[live]
+    a = d / 2.0
+    x = d / (d + f)
     y = 1.0 - x
-    # x^a y^(1/2) / B(a, 1/2), where B(a, 1/2) = sqrt(pi) / R(a)
-    front = x**a * math.sqrt(y) * _gamma_ratio(d2) / math.sqrt(math.pi)
-    if x < (a + 1.0) / (a + 2.5):
-        return front * _beta_fraction(a, 0.5, x) / a
-    return 1.0 - front * _beta_fraction(0.5, a, y) / 0.5
+    # x^a y^(1/2) / B(a, 1/2), where B(a, 1/2) = sqrt(pi) / R(a); x^a by
+    # Python's pow, which np.power does not match bit for bit
+    powers = np.array([u**v for u, v in zip(x.tolist(), a.tolist())])
+    ratios = np.array([_gamma_ratio(k) for k in d.tolist()])
+    front = powers * np.sqrt(y) * ratios / math.sqrt(math.pi)
+    lower = x < (a + 1.0) / (a + 2.5)
+    first = np.where(lower, a, 0.5)
+    tail = front * _beta_fractions(first, np.where(lower, 0.5, a), np.where(lower, x, y)) / first
+    p[live] = np.where(lower, tail, 1.0 - tail)
+    return p
 
 
 @lru_cache(maxsize=None)
@@ -92,34 +116,54 @@ def _gamma_ratio(d: int) -> float:
 _FLOOR = 1e-300  # keeps the Lentz denominators off zero
 
 
-def _beta_fraction(a: float, b: float, x: float) -> float:
-    """The continued fraction of I_x(a, b) by the modified Lentz method. For
-    x < (a + 1) / (a + b + 2), with one of a, b equal to 1/2 and the other
-    to half a degree of freedom from 1 to 1e8, it took under 70 terms."""
-    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > _FLOOR else _FLOOR)
+def _off_zero(v: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(v) > _FLOOR, v, _FLOOR)
+
+
+def _beta_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The continued fraction of I_x(a, b) of each entry, by the modified
+    Lentz method. For x < (a + 1) / (a + b + 2), with one of a, b equal to
+    1/2 and the other to half a degree of freedom from 1 to 1e8, it took
+    under 70 terms. Each entry leaves the recurrence at the term where it
+    converges: its later terms are within 1e-16 of 1 but would still move
+    its last bits."""
+    out = np.empty_like(x)
+    at = np.arange(x.size)  # where each live entry goes in ``out``
+    ab = a + b
+    c = np.ones_like(x)
+    d = 1.0 / _off_zero(1.0 - ab * x / (a + 1.0))
     fraction = d
     for m in range(1, 1000):
-        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
-        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        a2m = a + 2 * m
+        even = m * (b - m) * x / ((a2m - 1.0) * a2m)
+        odd = -(a + m) * (ab + m) * x / (a2m * (a2m + 1.0))
         for term in (even, odd):
-            d = 1.0 + term * d
-            d = 1.0 / (d if abs(d) > _FLOOR else _FLOOR)
-            c = 1.0 + term / c
-            c = c if abs(c) > _FLOOR else _FLOOR
-            fraction *= d * c
-        if abs(d * c - 1.0) < 1e-16:
-            return fraction
+            d = 1.0 / _off_zero(1.0 + term * d)
+            c = _off_zero(1.0 + term / c)
+            fraction = fraction * (d * c)
+        done = np.abs(d * c - 1.0) < 1e-16
+        if done.any():
+            out[at[done]] = fraction[done]
+            live = ~done
+            if not live.any():
+                return out
+            at, a, b, ab, x, c, d, fraction = (v[live] for v in (at, a, b, ab, x, c, d, fraction))
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 
 
 def chi2_pvalue(stat: float, dof: int) -> float:
-    """Upper-tail chi-squared(1) p-value, erfc(sqrt(stat / 2))."""
+    """Upper-tail chi-squared(1) p-value of one statistic (see ``chi2_pvalues``)."""
     if dof != 1:
         raise ValueError("only chi-squared(1) tails are computed")
-    if stat <= 0.0:
-        return 1.0
-    return math.erfc(math.sqrt(stat / 2.0))
+    return chi2_pvalues(np.array([stat])).tolist()[0]
+
+
+def chi2_pvalues(stats: np.ndarray) -> np.ndarray:
+    """Upper-tail chi-squared(1) p-values, erfc(sqrt(stat / 2)), and 1 at a
+    statistic at or below 0. numpy has no erfc, so ``math.erfc`` maps the array."""
+    with np.errstate(invalid="ignore"):
+        roots = np.sqrt(stats / 2.0).tolist()
+    return np.array([1.0 if s <= 0.0 else math.erfc(r) for s, r in zip(stats.tolist(), roots)])
 
 
 @dataclass(frozen=True)
@@ -168,6 +212,21 @@ def zscore(values: np.ndarray) -> np.ndarray:
     return (arr - arr.mean()) / sd
 
 
+def _css(rows: np.ndarray) -> np.ndarray:
+    """The centred sum of squares of each row of a C-contiguous 2-D array.
+    It is taken CHUNK_ROWS rows at a time: a temporary the size of a whole
+    wide sample raised report-panel's peak RSS, since glibc raises its mmap
+    threshold to the size of a freed block. A row reduction of a
+    C-contiguous array sums each row as the 1-D reduction of that row alone
+    does, so a row of a batch has the bits it has alone."""
+    css = np.empty(len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for at in range(0, len(rows), CHUNK_ROWS):
+            block = rows[at:at + CHUNK_ROWS]
+            css[at:at + CHUNK_ROWS] = ((block - block.mean(axis=1)[:, None]) ** 2).sum(axis=1)
+    return css
+
+
 @dataclass(frozen=True)
 class _Column:
     """A finite series on one sample, with what every fit reading it shares:
@@ -182,84 +241,153 @@ class _Column:
 def _column(arr: np.ndarray) -> _Column:
     """Raises ValueError("overflow") for finite values whose centred sum of
     squares is not finite: no fit on them would be."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        css = float(((arr - arr.mean()) ** 2).sum())
+    css = _css(arr[None]).tolist()[0]
     if not math.isfinite(css):
         raise ValueError("overflow")
     return _Column(arr, np.column_stack([np.ones(arr.size), arr]), css)
 
 
+def _flat(x: _Column) -> bool:
+    """Whether x carries no slope: all values equal, or values so close to 0
+    that their centred squares underflow (no standard error would be finite)."""
+    return float(x.values.max() - x.values.min()) == 0.0 or x.css == 0.0
+
+
 def _regressor(x: _Column) -> _Column:
-    """x, checked to carry a slope: at least 3 values, not all equal."""
+    """x, checked to carry a slope: at least 3 values, not flat."""
     if x.values.size < 3:
         raise ValueError("need at least 3 observations")
-    if float(x.values.max() - x.values.min()) == 0.0:
+    if _flat(x):
         raise ValueError("degenerate regressor")
     return x
 
 
-def _line(y: np.ndarray, design: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares intercept, slope and residual sum of squares of y on a
-    design (1, x)."""
-    coef = _solve(design, y)
-    resid = y - design @ coef
-    return float(coef[0]), float(coef[1]), float(resid @ resid)
+def _svd_failed(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def _solve(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of y on a design without an all-zero
-    column. lstsq's rank cutoff is relative to the largest singular value,
-    so a column far from 1 hides the intercept; when lstsq finds the design
-    rank-deficient, it is solved again with each column divided by its
-    largest magnitude."""
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+def _lstsq(design: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, int]:
+    """``np.linalg.lstsq(design, y, rcond=None)`` of each row y of ys (k, n)
+    on one design (n, p), as one call of the gufunc it wraps, with its rcond
+    and error state: the coefficients (k, p) and the design's rank. The
+    gufunc broadcasts the design over the batch, as ``np.broadcast_to``
+    would: every row reads the same (n, p) matrix."""
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        coef, _, rank, _ = _umath_linalg.lstsq(
+            design, ys[:, :, None], np.finfo(float).eps * max(design.shape), signature="ddd->ddid"
+        )
+    return coef[:, :, 0], int(rank[0])
+
+
+def _solve(design: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients (k, p) of each row of ys on a design
+    without an all-zero column. lstsq's rank cutoff is relative to the
+    largest singular value, so a column far from 1 hides the intercept; when
+    lstsq finds the design rank-deficient, the batch is solved again with
+    each column divided by its largest magnitude."""
+    coef, rank = _lstsq(design, ys)
     if rank < design.shape[1]:
         scale = np.abs(design).max(axis=0)
-        coef = np.linalg.lstsq(design / scale, y, rcond=None)[0] / scale
+        coef = _lstsq(design / scale, ys)[0] / scale
     return coef
 
 
-def _summary(
-    y: _Column,
-    beta0: float,
-    beta1: float,
-    rss: float,
-    sxx: float,
-    flat_r2: float,
-) -> OlsFit:
+def _dots(resid: np.ndarray) -> np.ndarray:
+    """The sum of squares of each row, as a stacked matmul: the 1-D dot of each row."""
+    return (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+
+
+def _rss(design: np.ndarray, ys: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Residual sum of squares of each row of ys on the design at its coefficients."""
+    return _dots(ys - (design @ coef[:, :, None])[:, :, 0])
+
+
+class _Tails:
+    """F(1, d) statistics entered by many fits, whose p-values come from one
+    ``f_pvalues`` call."""
+
+    def __init__(self) -> None:
+        self.stats: list[np.ndarray] = []
+        self.dofs: list[int] = []  # one for each array of statistics
+        self.size = 0
+
+    def add(self, stats: np.ndarray, dof: int) -> slice:
+        """Enters the statistics; their p-values will be ``pvalues()[slice]``."""
+        self.stats.append(stats)
+        self.dofs.append(dof)
+        self.size += stats.size
+        return slice(self.size - stats.size, self.size)
+
+    def pvalues(self) -> np.ndarray:
+        if not self.stats:
+            return np.empty(0)
+        return f_pvalues(np.concatenate(self.stats), np.repeat(self.dofs, [s.size for s in self.stats]))
+
+
+@dataclass(frozen=True)
+class _Slopes:
+    """Every ``OlsFit`` field but p1 of k lines fitted on one sample of n values, as arrays."""
+
+    beta0: np.ndarray
+    beta1: np.ndarray
+    se1: np.ndarray
+    t1: np.ndarray
+    r2: np.ndarray
+    adj_r2: np.ndarray
+    n: int
+
+    def fits(self, tails: _Tails) -> Callable[[np.ndarray], list[OlsFit]]:
+        """Enters t1 squared into the tails at n - 2 degrees of freedom; the
+        function returned builds the fits from the tails' p-values."""
+        n = self.n
+        where = tails.add(self.t1 * self.t1, n - 2)
+        fields = [v.tolist() for v in (self.beta0, self.beta1, self.se1, self.t1)]
+        quality = [self.r2.tolist(), self.adj_r2.tolist()]
+        return lambda p: [OlsFit(*row, n=n) for row in zip(*fields, p[where].tolist(), *quality)]
+
+
+def _slopes(tss: np.ndarray, coef: np.ndarray, rss: np.ndarray, sxx: float, flat_r2, n: int) -> _Slopes:
     """Slope inference and fit quality; ``flat_r2`` is the R-squared of a constant y."""
-    n = int(y.values.size)
-    se1 = math.sqrt(rss / (n - 2) / sxx)
-    t1 = beta1 / se1 if se1 > 0.0 else math.copysign(math.inf, beta1) if beta1 else 0.0
-    p1 = t_pvalue(t1, n - 2)
-    tss = y.css
-    r2 = 1.0 - rss / tss if tss > 0.0 else flat_r2
+    beta0, beta1 = coef[:, 0], coef[:, 1]
+    se1 = np.sqrt(rss / (n - 2) / sxx)
+    t1 = np.where(se1 > 0.0, beta1 / se1, np.where(beta1 != 0.0, np.copysign(np.inf, beta1), 0.0))
+    r2 = np.where(tss > 0.0, 1.0 - rss / tss, flat_r2)
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - 2)
-    return OlsFit(
-        beta0=beta0,
-        beta1=beta1,
-        se1=se1,
-        t1=t1,
-        p1=p1,
-        r2=r2,
-        adj_r2=adj_r2,
-        n=n,
-    )
+    return _Slopes(beta0, beta1, se1, t1, r2, adj_r2, n)
 
 
-def _ols_on(y: _Column, x: _Column) -> OlsFit:
-    """OLS of y on a regressor of the same length."""
-    beta0, beta1, rss = _line(y.values, x.design)
-    return _summary(y, beta0, beta1, rss, x.css, flat_r2=1.0 if rss == 0.0 else 0.0)
+@np.errstate(all="ignore")  # as with Python floats: an overflow is inf, not an error
+def _ols_slopes(ys: np.ndarray, tss: np.ndarray, x: _Column) -> _Slopes:
+    """OLS of each row of ys (centred sums of squares tss) on a regressor of their length."""
+    coef = _solve(x.design, ys)
+    rss = _rss(x.design, ys, coef)
+    return _slopes(tss, coef, rss, x.css, np.where(rss == 0.0, 1.0, 0.0), x.values.size)
 
 
-def ols(y, x) -> OlsFit:
-    """Univariate least squares with intercept and classical standard errors."""
+def _ols_cells(ys: np.ndarray, tss: np.ndarray, x: _Column, tails: _Tails) -> Callable[[np.ndarray], list[OlsFit]]:
+    return _ols_slopes(ys, tss, x).fits(tails)
+
+
+def _one(cells, ys: np.ndarray, tss: np.ndarray, side):
+    """The fit of a batch of one row, with its p-values."""
+    tails = _Tails()
+    (fit,) = cells(ys, tss, side, tails)(tails.pvalues())
+    return _ready(fit)
+
+
+def _ols_inputs(y, x) -> tuple[np.ndarray, np.ndarray, _Column]:
+    """y as a batch of one row with its centred sum of squares, and x as its regressor."""
     y = _as_array(y)
     x = _as_array(x)
     if y.size != x.size:
         raise ValueError("y and x must have equal length")
-    return _ols_on(_column(y), _regressor(_column(x)))
+    y = _column(y)
+    return y.values[None], np.array([y.css]), _regressor(_column(x))
+
+
+def ols(y, x) -> OlsFit:
+    """Univariate least squares with intercept and classical standard errors."""
+    return _one(_ols_cells, *_ols_inputs(y, x))
 
 
 @dataclass(frozen=True)
@@ -268,23 +396,25 @@ class _FirstStage:
     alone, computed once and shared by every y fitted on the same sample."""
 
     x: _Column
-    fit: OlsFit  # x on z
+    fit: _Slopes  # x on z
     fitted: _Column
     # Restricted (1, x) and residual-augmented (1, x, vhat) designs of the
     # exogeneity tests, or why the augmentation is degenerate.
     designs: tuple[np.ndarray, np.ndarray] | str
 
 
+@np.errstate(all="ignore")
 def _first_stage(x: _Column, z: _Column) -> _FirstStage:
     n = int(x.values.size)
     if n < 4:
         raise ValueError("need at least 4 observations")
-    if float(z.values.max() - z.values.min()) == 0.0:
+    if _flat(z):
         raise ValueError("degenerate instrument")
-    fit = _ols_on(x, z)
-    fitted = fit.beta0 + fit.beta1 * z.values
+    fit = _ols_slopes(x.values[None], np.array([x.css]), z)
+    line = np.array([fit.beta0[0], fit.beta1[0]])
+    fitted = line[0] + line[1] * z.values
     # vhat: the first-stage residuals, x less the first-stage line on (1, z).
-    vhat = x.values - z.design @ np.array([fit.beta0, fit.beta1])
+    vhat = x.values - z.design @ line
     if float(vhat @ vhat) <= 1e-14 * x.css:  # a first-stage R-squared of 1 to 14 digits
         designs: tuple[np.ndarray, np.ndarray] | str = "collinear augmentation: x is perfectly explained by z"
     else:
@@ -296,69 +426,67 @@ def _first_stage(x: _Column, z: _Column) -> _FirstStage:
     return _FirstStage(x, fit, _column(fitted), designs)
 
 
-def _second_stage(y: _Column, stage: _FirstStage, diagnostics: bool = True) -> IvFit:
-    """2SLS of y, of the stage's length, on the stage's x."""
-    first, fitted = stage.fit, stage.fitted
-    if float(fitted.values.max() - fitted.values.min()) == 0.0:
-        raise ValueError("degenerate regressor: first stage is flat")
-    beta0, beta1, _ = _line(y.values, fitted.design)
-
-    # 2SLS correction: variance from residuals against the actual regressor.
-    resid = y.values - beta0 - beta1 * stage.x.values
-    rss = float(resid @ resid)
-    second = _summary(y, beta0, beta1, rss, fitted.css, flat_r2=0.0)
-    if diagnostics:
-        durbin_stat, durbin_p, wh_stat, wh_p = _exogeneity(y.values, stage)
-    else:
-        durbin_stat = durbin_p = wh_stat = wh_p = float("nan")
-    return IvFit(
-        first_stage=first,
-        partial_f=first.t1 * first.t1,
-        second_stage=second,
-        durbin_stat=durbin_stat,
-        durbin_p=durbin_p,
-        wu_hausman_stat=wh_stat,
-        wu_hausman_p=wh_p,
-    )
-
-
-def _exogeneity(y: np.ndarray, stage: _FirstStage) -> tuple[float, float, float, float]:
-    """Durbin and Wu-Hausman statistics and p-values of y on the stage's designs."""
+@np.errstate(all="ignore")
+def _durbin_wu_hausman(ys: np.ndarray, stage: _FirstStage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Durbin and Wu-Hausman statistics of each row of ys on the stage's
+    designs, and whether the augmented regression fits it perfectly."""
     if isinstance(stage.designs, str):
         raise ValueError(stage.designs)
     restricted, augmented = stage.designs
-    n = int(y.size)
-    resid_r = y - restricted @ _solve(restricted, y)
-    resid_u = y - augmented @ _solve(augmented, y)
-    rss_r = float(resid_r @ resid_r)
-    rss_u = float(resid_u @ resid_u)
-    if rss_r <= 0.0 or rss_u <= 0.0:
-        raise ValueError("degenerate augmentation: perfect fit")
-    durbin_stat = n * (rss_r - rss_u) / rss_r
-    wh_stat = (n - 3) * (rss_r - rss_u) / rss_u
-    return (
-        durbin_stat,
-        chi2_pvalue(durbin_stat, 1),
-        wh_stat,
-        f_pvalue(wh_stat, 1, n - 3),
-    )
+    n = ys.shape[1]
+    rss_r = _rss(restricted, ys, _solve(restricted, ys))
+    rss_u = _rss(augmented, ys, _solve(augmented, ys))
+    durbin = n * (rss_r - rss_u) / rss_r
+    wu_hausman = (n - 3) * (rss_r - rss_u) / rss_u
+    return durbin, wu_hausman, (rss_r <= 0.0) | (rss_u <= 0.0)
 
 
-def two_sls(y, x, z, diagnostics: bool = True) -> IvFit:
+_PERFECT_FIT = "degenerate augmentation: perfect fit"
+
+
+@np.errstate(all="ignore")
+def _iv_cells(ys: np.ndarray, tss: np.ndarray, stage: _FirstStage, tails: _Tails) -> Callable[[np.ndarray], list[IvFit | str]]:
+    """2SLS of each row of ys, of the stage's length, on the stage's x: the
+    fit, or why the row's endogeneity tests are degenerate."""
+    fitted = stage.fitted
+    if _flat(fitted):
+        raise ValueError("degenerate regressor: first stage is flat")
+    durbin, wu_hausman, perfect = _durbin_wu_hausman(ys, stage)
+    coef = _solve(fitted.design, ys)
+    # 2SLS correction: variance from residuals against the actual regressor.
+    resid = ys - coef[:, :1] - coef[:, 1:] * stage.x.values
+    n = ys.shape[1]
+    second = _slopes(tss, coef, _dots(resid), fitted.css, 0.0, n).fits(tails)
+    first = stage.fit.fits(tails)
+    wu_hausman_at = tails.add(wu_hausman, n - 3)
+    columns = (durbin.tolist(), chi2_pvalues(durbin).tolist(), wu_hausman.tolist())
+
+    def fits(p: np.ndarray) -> list[IvFit | str]:
+        (first_fit,) = first(p)
+        partial_f = first_fit.t1 * first_fit.t1
+        return [
+            _PERFECT_FIT if bad else IvFit(first_fit, partial_f, fit, *tests)
+            for fit, bad, *tests in zip(second(p), perfect.tolist(), *columns, p[wu_hausman_at].tolist())
+        ]
+
+    return fits
+
+
+def two_sls(y, x, z) -> IvFit:
     """Two-stage least squares of y on x instrumented by z.
 
     A weak instrument does not raise; the partial F is reported and the
-    caller decides. A constant instrument does raise. With
-    ``diagnostics=False`` the Durbin/Wu-Hausman step is skipped (NaN); the
-    self-instrument case z = x is estimable but its augmentation is
-    degenerate.
+    caller decides. A constant instrument does raise, and so does the
+    self-instrument case z = x: it is estimable, but its endogeneity
+    augmentation is degenerate.
     """
     y = _as_array(y)
     x = _as_array(x)
     z = _as_array(z)
     if not (y.size == x.size == z.size):
         raise ValueError("y, x and z must have equal length")
-    return _second_stage(_column(y), _first_stage(_column(x), _column(z)), diagnostics)
+    y = _column(y)
+    return _one(_iv_cells, y.values[None], np.array([y.css]), _first_stage(_column(x), _column(z)))
 
 
 def endogeneity_tests(y, x, z) -> tuple[float, float, float, float]:
@@ -368,7 +496,15 @@ def endogeneity_tests(y, x, z) -> tuple[float, float, float, float]:
     z = _as_array(z)
     if y.size < 4:
         raise ValueError("need at least 4 observations for the augmented regression")
-    return _exogeneity(y, _first_stage(_column(x), _column(z)))
+    durbin, wu_hausman, perfect = _durbin_wu_hausman(y[None], _first_stage(_column(x), _column(z)))
+    if perfect[0]:
+        raise ValueError(_PERFECT_FIT)
+    return (
+        durbin.tolist()[0],
+        chi2_pvalues(durbin).tolist()[0],
+        wu_hausman.tolist()[0],
+        f_pvalues(wu_hausman, y.size - 3).tolist()[0],
+    )
 
 
 @dataclass(frozen=True)
@@ -412,30 +548,35 @@ def _ready(value):
     return value
 
 
-def _scaled_rows(rows: np.ndarray, standardize: bool) -> list[np.ndarray | str]:
-    """Each row of a C-contiguous 2-D array as ``zscore`` (``_as_array``
-    when not ``standardize``) returns it, or the message of the ValueError it
-    raises. A row reduction of a C-contiguous array sums each row as the 1-D
-    reduction of that row alone does, so every row has the bits of its 1-D
-    z-score; a row whose standard deviation overflows is z-scored alone."""
-    finite = np.isfinite(rows).all(axis=1).tolist()
+def _scaled_rows(rows: np.ndarray, standardize: bool) -> tuple[np.ndarray, list[str | None]]:
+    """The rows of a C-contiguous 2-D array as ``zscore`` (``_as_array``
+    when not ``standardize``) returns each, as one array, and for each row
+    the message of the ValueError it raises, or None. A row reduction of a
+    C-contiguous array sums each row as the 1-D reduction of that row alone
+    does, so every row has the bits of its 1-D z-score; a row whose standard
+    deviation overflows is z-scored alone."""
+    faults = [None if ok else "non-finite value" for ok in np.isfinite(rows).all(axis=1).tolist()]
     if not standardize:
-        return [row if ok else "non-finite value" for row, ok in zip(rows, finite)]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sd = rows.std(axis=1, ddof=1)
-        scaled = (rows - rows.mean(axis=1)[:, None]) / np.where(sd == 0.0, 1.0, sd)[:, None]
-    return [
-        "non-finite value" if not ok else z if math.isfinite(deviation) else zscore(row)
-        for row, z, ok, deviation in zip(rows, scaled, finite, sd.tolist())
-    ]
+        return rows, faults
+    scaled = np.empty_like(rows)
+    for at in range(0, len(rows), CHUNK_ROWS):  # temporaries of CHUNK_ROWS rows (see _css)
+        block = rows[at:at + CHUNK_ROWS]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            sd = block.std(axis=1, ddof=1)
+            scaled[at:at + CHUNK_ROWS] = (block - block.mean(axis=1)[:, None]) / np.where(sd == 0.0, 1.0, sd)[:, None]
+        for row, deviation in enumerate(sd.tolist(), start=at):
+            if faults[row] is None and not math.isfinite(deviation):
+                scaled[row] = zscore(rows[row])
+    return scaled, faults
 
 
 # grid kind -> (regressor side built from the prepared measure column, and
-# for IV the instrument column; fit of one cell from the prepared factor
-# column and that side; fewest aligned dates a cell needs)
+# for IV the instrument column; the fits of a batch of prepared factor rows
+# on that side, from the p-values of the F tails they enter; fewest aligned
+# dates a cell needs)
 _GRID_KINDS = {
-    "ols": (_regressor, _ols_on, 3),
-    "iv": (_first_stage, _second_stage, 5),
+    "ols": (_regressor, _ols_cells, 3),
+    "iv": (_first_stage, _iv_cells, 5),
 }
 
 
@@ -457,11 +598,13 @@ def _run_grid(
     Every fit equals the direct ``ols``/``two_sls`` on ``align(...)``, but
     no work is repeated: measures with one date set share each factor's
     sample, the factor columns of one sample are z-scored together as one
-    2-D array, and the measure side (its column, the instrument column and
-    the IV first stage) is built once per measure and sample. Samples are
-    the sorted day ordinals of the series, taken by ``searchsorted``.
+    2-D array, the measure side (its column, the instrument column and the
+    IV first stage) is built once per measure and sample, and the factor
+    rows fitted on one side are solved together, CHUNK_ROWS at a time. Every
+    p-value of the grid comes from one ``f_pvalues`` pass. Samples are the
+    sorted day ordinals of the series, taken by ``searchsorted``.
     """
-    side_of, fit_of, min_n = _GRID_KINDS[kind]
+    side_of, cells_of, min_n = _GRID_KINDS[kind]
     scale = zscore if standardize else _as_array
     extra = (panel.instrument,) if kind == "iv" else ()
     date_sets: dict[bytes, tuple[np.ndarray, list[str]]] = {}  # ascending day ordinals -> measures
@@ -470,7 +613,6 @@ def _run_grid(
         for series in extra:
             days = series.held(days)
         date_sets.setdefault(days.tobytes(), (days, []))[1].append(measure)
-
 
     def side(measure: str, days: np.ndarray, built: dict[str, object]):
         if measure not in built:
@@ -494,21 +636,33 @@ def _run_grid(
             else:
                 samples.setdefault(days.tobytes(), (days, []))[1].append((slot, series, names))
 
+    tails = _Tails()
+    pending = []  # (measure, the spec slot of each row of a batch, their fits from the p-values)
     for days, fitted in samples.values():
         built: dict[str, object] = {}  # measure -> its side on this sample
-        rows = np.stack([series.on(days) for _, series, _ in fitted])
-        for (slot, _, names), values in zip(fitted, _scaled_rows(rows, standardize)):
-            try:
-                y = _column(_ready(values))
-            except ValueError as exc:
-                y = str(exc)
+        values, faults = _scaled_rows(np.stack([series.on(days) for _, series, _ in fitted]), standardize)
+        tss = _css(values)
+        rows_of: dict[str, list[int]] = {}  # measure -> the rows fitted on it
+        for row, ((slot, _, names), fault, css) in enumerate(zip(fitted, faults, tss.tolist())):
+            fault = fault or (None if math.isfinite(css) else "overflow")
             for name in names:
-                try:
-                    fit = fit_of(_ready(y), side(name, days, built))
-                except ValueError as exc:
-                    outcomes[slot][name] = (f"error: {exc}", None)
+                if fault:
+                    outcomes[slot][name] = (f"error: {fault}", None)
                 else:
-                    outcomes[slot][name] = ("ok", fit)
+                    rows_of.setdefault(name, []).append(row)
+        for name, rows in rows_of.items():
+            for start in range(0, len(rows), CHUNK_ROWS):
+                chunk = rows[start:start + CHUNK_ROWS]
+                slots = [fitted[row][0] for row in chunk]
+                try:
+                    pending.append((name, slots, cells_of(values[chunk], tss[chunk], side(name, days, built), tails)))
+                except ValueError as exc:
+                    for slot in slots:
+                        outcomes[slot][name] = (f"error: {exc}", None)
+    pvalues = tails.pvalues()
+    for name, slots, fits in pending:
+        for slot, fit in zip(slots, fits(pvalues)):
+            outcomes[slot][name] = (f"error: {fit}", None) if isinstance(fit, str) else ("ok", fit)
     cells = [GridCell(token, spec.category, spec.name, m, *outcomes[slot][m])
              for slot, (token, spec) in enumerate(specs) for m in measures]
     return RegressionGrid(kind, cells, standardize, tuple(measures))
@@ -550,18 +704,25 @@ def instrument_screen(instrument: Mapping[date, float], measures: Mapping[str, M
     A perfect fit (instrument identical to the measure) reports an infinite
     F with p = 0. An empty instrument raises ValueError.
     """
-    rows = []
     instrument = Series.of(instrument)
+    tails = _Tails()
+    screened = []  # (measure, aligned dates, its fit from the p-values, or None)
     for name in MEASURES:
         days, m, z = align(measures.get(name, Series()), instrument)
-        if len(days) < 3:
-            rows.append((name, float("nan"), float("nan"), len(days)))
+        fits = None
+        if len(days) >= 3:
+            try:
+                fits = _ols_cells(*_ols_inputs(m, z), tails)
+            except ValueError:
+                pass
+        screened.append((name, len(days), fits))
+    pvalues = tails.pvalues()
+    rows = []
+    for name, n, fits in screened:
+        if fits is None:
+            rows.append((name, float("nan"), float("nan"), n))
             continue
-        try:
-            fit = ols(m, z)
-        except ValueError:
-            rows.append((name, float("nan"), float("nan"), len(days)))
-            continue
+        (fit,) = fits(pvalues)
         if fit.r2 >= 1.0 - 1e-12:  # instrument reproduces the measure exactly
             rows.append((name, float("inf"), 0.0, fit.n))
             continue

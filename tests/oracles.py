@@ -74,6 +74,33 @@ def ols_oracle(y, x) -> tuple[float, float]:
     return beta0, beta1
 
 
+def lstsq_oracle(design, y) -> np.ndarray:
+    """Least-squares coefficients of one y on a design by ``np.linalg.lstsq``,
+    solved again with each column divided by its largest magnitude when
+    lstsq finds the design rank-deficient: the one-row solve whose bits a
+    batched solve must give every row. Test oracle."""
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < design.shape[1]:
+        scale = np.abs(design).max(axis=0)
+        coef = np.linalg.lstsq(design / scale, y, rcond=None)[0] / scale
+    return coef
+
+
+def two_sls_oracle(y, x, z) -> tuple[float, float]:
+    """Closed-form univariate 2SLS with intercept: beta1 = S_zy / S_zx, and
+    se1 from the residuals against the actual regressor over the fitted
+    regressor's centred sum of squares S_zx^2 / S_zz. Test oracle."""
+    y, x, z = (np.asarray(v, dtype=float) for v in (y, x, z))
+    dz = z - z.mean()
+    s_zx = float((dz * (x - x.mean())).sum())
+    if s_zx == 0.0:
+        raise ValueError("instrument uncorrelated with the regressor")
+    beta1 = float((dz * (y - y.mean())).sum()) / s_zx
+    resid = y - (float(y.mean()) - beta1 * float(x.mean())) - beta1 * x
+    sigma2 = float((resid * resid).sum()) / (y.size - 2)
+    return beta1, math.sqrt(sigma2 * float((dz * dz).sum()) / (s_zx * s_zx))
+
+
 def _read_rows(
     path: str | Path, expected_header: list[str], bad_kind: str, anomalies: list[Anomaly]
 ) -> Iterator[tuple[int, list[str]]]:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from datetime import date, timedelta
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -12,13 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_cell
-from oracles import ols_oracle
+from oracles import lstsq_oracle, ols_oracle, two_sls_oracle
 from govpulse import econ
 from govpulse.econ import (
     IV_DEFAULT_MEASURES,
     chi2_pvalue,
     endogeneity_tests,
     f_pvalue,
+    f_pvalues,
     instrument_screen,
     ols,
     run_factor_matrix,
@@ -113,6 +116,8 @@ def test_ols_of_a_regressor_far_from_one():
 def test_ols_errors():
     with pytest.raises(ValueError, match="degenerate regressor"):
         ols([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
+    with pytest.raises(ValueError, match="degenerate regressor"):  # centred squares underflow to 0
+        ols([1.0, 2.0, 3.0, 5.0], [0.0, 5e-324, 0.0, 5e-324])
     with pytest.raises(ValueError):
         ols([1.0, 2.0], [1.0, 2.0])
 
@@ -186,6 +191,36 @@ def test_f_and_t_pvalues_match_mpmath(dof, log_f, negative):
             _meets_oracle(ours, mp.betainc(mp.mpf(dof) / 2, mp.mpf(1) / 2, 0, mp.mpf(x), regularized=True))
 
 
+F_STATS = st.one_of(
+    st.floats(-12.0, 7.0).map(lambda e: 10.0**e),
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, -2.5, -1e300]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@example(entries=[(10, 1e-3), (10, 100.0), (2000, 5.0), (1, 1e7), (235, 93717.91814752131),
+                  (7, math.inf), (7, math.nan), (7, 0.0), (7, -2.5)])
+@given(entries=st.lists(st.tuples(st.integers(1, 2000), F_STATS), min_size=1, max_size=40))
+def test_f_pvalues_of_a_mixed_array(entries):
+    """One array of F(1, d) statistics on both sides of the x < (a + 1) /
+    (a + 5/2) split, with inf, NaN and F <= 0 among them: every entry meets
+    mpmath, and has the bits it has alone, so no entry's fraction moves after
+    it converged while others still run."""
+    dof = np.array([d for d, _ in entries])
+    stats = np.array([f for _, f in entries])
+    pvalues = f_pvalues(stats, dof)
+    for at, (d, f) in enumerate(entries):
+        ours = pvalues[at]
+        assert ours.tobytes() == f_pvalues(stats[at:at + 1], d)[0].tobytes(), (d, f)
+        if f != f:
+            assert ours != ours
+        elif f <= 0.0 or math.isinf(f):
+            assert ours == (0.0 if math.isinf(f) else 1.0)
+        else:
+            with mp.workdps(40):
+                _meets_oracle(ours, mp.betainc(mp.mpf(d) / 2, mp.mpf(1) / 2, 0, mp.mpf(d / (d + f)), regularized=True))
+
+
 @settings(max_examples=200, deadline=None)
 @example(stat=1500.0)
 @example(stat=1e-12)
@@ -227,13 +262,20 @@ def test_two_sls_self_instrument_equals_ols():
     rng = np.random.default_rng(4)
     x = rng.normal(0, 2, 80)
     y = 3 * x + rng.normal(0, 1, 80)
-    with pytest.raises(ValueError):
-        two_sls(y, x, x)  # vhat is identically zero: collinear augmentation
-    fit = two_sls(y, x, x, diagnostics=False)
+    with pytest.raises(ValueError, match="collinear augmentation"):
+        two_sls(y, x, x)  # vhat is identically zero
+    # the closed form at z = x is OLS, and two_sls meets it wherever z != x
     direct = ols(y, x)
-    assert abs(fit.second_stage.beta1 - direct.beta1) <= 1e-9
-    assert abs(fit.second_stage.se1 - direct.se1) <= 1e-9
-    assert fit.durbin_stat != fit.durbin_stat  # NaN: augmentation degenerate
+    assert two_sls_oracle(y, x, x) == pytest.approx((direct.beta1, direct.se1), abs=1e-9)
+    for _ in range(200):
+        n = int(rng.integers(5, 150))
+        z = rng.normal(0, rng.uniform(0.1, 10), n)
+        x = rng.uniform(0.2, 2) * z + rng.normal(0, rng.uniform(0.1, 3), n)
+        y = rng.uniform(-3, 3) * x + rng.normal(0, 1, n)
+        fit = two_sls(y, x, z).second_stage
+        beta1, se1 = two_sls_oracle(y, x, z)
+        assert abs(fit.beta1 - beta1) <= 1e-9
+        assert abs(fit.se1 - se1) <= 1e-9
 
 
 def test_two_sls_near_self_instrument_matches_ols_beta():
@@ -260,6 +302,8 @@ def test_two_sls_constant_instrument_raises():
     y = rng.normal(size=20)
     with pytest.raises(ValueError, match="degenerate instrument"):
         two_sls(y, x, np.ones(20))
+    with pytest.raises(ValueError, match="degenerate instrument"):
+        two_sls(y, x, np.arange(20) % 2 * 5e-324)
 
 
 def test_two_sls_exogenous_dgp_recovers_beta():
@@ -565,18 +609,75 @@ SCALED_VALUES = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(shape=st.tuples(st.integers(1, 6), st.integers(3, 30)), data=st.data())
-def test_scaled_rows_have_the_bits_of_each_row_alone(shape, data):
+@given(shape=st.tuples(st.integers(1, 6), st.integers(3, 30)), chunk=st.sampled_from([1, 4, econ.CHUNK_ROWS]),
+       data=st.data())
+def test_scaled_rows_have_the_bits_of_each_row_alone(shape, chunk, data):
+    """Scaled rows and their centred sums of squares, taken in blocks of
+    ``chunk`` rows, have the bits of each row's 1-D z-score and sum."""
     rows = np.array(data.draw(st.lists(SCALED_VALUES, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])),
                     dtype=float).reshape(shape)
     for standardize, scale in ((True, zscore), (False, econ._as_array)):
-        for got, row in zip(econ._scaled_rows(rows, standardize), rows):
+        with mock.patch.object(econ, "CHUNK_ROWS", chunk):
+            scaled, faults = econ._scaled_rows(rows, standardize)
+            css = econ._css(scaled)
+        for got, fault, row, got_css in zip(scaled, faults, rows, css):
             try:
                 want = scale(row.copy())
             except ValueError as exc:
-                assert got == str(exc)
+                assert fault == str(exc)
             else:
-                assert got.tobytes() == want.tobytes()
+                assert fault is None and got.tobytes() == want.tobytes()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert got_css.tobytes() == ((want - want.mean()) ** 2).sum().tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@example(p=2, k=1, n=12, far=True, seed=0)
+@example(p=3, k=econ.CHUNK_ROWS + 5, n=365, far=True, seed=1)
+@given(p=st.sampled_from([2, 3]), k=st.integers(1, econ.CHUNK_ROWS + 8), n=st.integers(4, 120),
+       far=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_solve_equals_lstsq_row_by_row(p, k, n, far, seed):
+    """numpy's stacked least-squares gufunc, called once on a batch, gives
+    every row the bits of np.linalg.lstsq on that row alone, the residual
+    sums of squares too; so does the rescale branch (at x = 1e17 + 1e3 k
+    lstsq finds rank 1)."""
+    rng = np.random.default_rng(seed)
+    x = 1e17 + 1e3 * np.arange(n) if far else rng.normal(0, rng.uniform(0.1, 100), n)
+    design = np.column_stack([np.ones(n), x, rng.normal(size=n)][:p])
+    ys = rng.normal(0, rng.uniform(0.1, 100), (k, n))
+    assert np.linalg.lstsq(design, ys[0], rcond=None)[2] == (1 if far else p)
+    coef = econ._solve(design, ys)
+    rss = econ._rss(design, ys, coef)
+    for row, y in enumerate(ys):
+        want = lstsq_oracle(design, y)
+        resid = y - design @ want
+        assert coef[row].tobytes() == want.tobytes()
+        assert rss[row].tobytes() == np.float64(resid @ resid).tobytes()
+
+
+def test_grid_peak_is_bounded_by_its_rows():
+    """A wide sample, 216 factor rows over 365 days (report-panel's largest
+    IV batch), is z-scored and solved CHUNK_ROWS rows at a time. The traced
+    peak of each grid stays within 2.9 times the rows' bytes: 2.5 was
+    measured, 3.2 when the sample was z-scored as one array, and 4.2 (OLS)
+    to 4.4 (IV) when it was also solved as one batch."""
+    rng = np.random.default_rng(216)
+    tokens = ["MKR", "DAI", "UNI", "COMP", "AAVE", "SUSHI"]
+    factors = {(token, spec.category, spec.name): _series(rng.normal(size=365))
+               for token in tokens for spec in catalogue_for(token)[:36]}
+    z = rng.normal(size=365)
+    panel = _panel(factors, {"Voters": _series(z + rng.normal(size=365))}, instrument=_series(z))
+    rows_bytes = len(factors) * 365 * 8
+    for run in (run_factor_matrix, run_iv_suite):
+        run(panel, tokens, ("Voters",))  # caches filled outside the trace
+        tracemalloc.start()
+        try:
+            grid = run(panel, tokens, ("Voters",))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(grid.ok_cells()) == 216
+        assert peak <= 2.9 * rows_bytes, f"{run.__name__} peaked at {peak / rows_bytes:.2f} times its rows' bytes"
 
 
 def test_iv_suite_requires_instrument():
