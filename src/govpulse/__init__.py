@@ -26,7 +26,7 @@ from govpulse.centrality import (
     lorenz_points,
     poll_gini,
 )
-from govpulse.econ import IvFit, OlsFit, endogeneity_tests, ols, two_sls
+from govpulse.econ import IvFit, OlsFit, ols, two_sls
 
 __all__ = [
     "DailyMetrics",
@@ -38,7 +38,6 @@ __all__ = [
     "VoteEvent",
     "VoteLog",
     "daily_gini",
-    "endogeneity_tests",
     "final_ballots",
     "load_factors",
     "load_vote_log",

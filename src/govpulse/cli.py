@@ -328,7 +328,7 @@ def cmd_synth(args: argparse.Namespace, run: Run) -> None:
     write_factors(panel, out / "factors.csv")
     run.outputs.append("factors.csv")
     run.emit_text("synth_config.json", json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
-    print(f"synthesized {len(log.registry)} polls, {len(log.events)} events over {config.days} days")
+    print(f"synthesized {len(log.registry)} polls, {len(log.timestamp)} events over {config.days} days")
 
 
 def _default_panel_plan(tokens: list[str]) -> list[synthgov.FactorPlan]:
@@ -414,8 +414,8 @@ def _resolve_options(args: argparse.Namespace) -> None:
     """Check the option values of a run and replace each, in place, by its
     typed value; runs before any input is read. --formats and --tokens become
     lists of names, --measures a tuple of names (None: the grid's default)
-    and --alpha-stars three descending thresholds. ``report`` takes the grid
-    options only with --factors."""
+    and --alpha-stars three descending thresholds in (0, 1). ``report``
+    takes the grid options only with --factors."""
     given = vars(args)
     if args.command == "report" and args.factors is None:
         grid_only = [flag for flag, set_ in (("--tokens", args.tokens is not None),
@@ -446,8 +446,8 @@ def _resolve_options(args: argparse.Namespace) -> None:
         if args.alpha_stars is not None and not _names(args.alpha_stars):
             raise PipelineError(f"--alpha-stars names no threshold: {args.alpha_stars!r}")
         stars = report.STAR_THRESHOLDS if args.alpha_stars is None else tuple(map(float, args.alpha_stars.split(",")))
-        if len(stars) != 3 or not stars[0] > stars[1] > stars[2] > 0:
-            raise PipelineError("--alpha-stars needs three descending thresholds, e.g. 0.10,0.05,0.01")
+        if len(stars) != 3 or not 1 > stars[0] > stars[1] > stars[2] > 0:
+            raise PipelineError("--alpha-stars needs three descending thresholds below 1, e.g. 0.10,0.05,0.01")
         args.alpha_stars = stars
     if given.get("top", 1) < 1:
         raise PipelineError("n must be at least 1")

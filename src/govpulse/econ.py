@@ -28,8 +28,9 @@ least-squares gufunc that ``np.linalg.lstsq`` loops over, CHUNK_ROWS rows
 at a time, and their residuals, slope statistics and endogeneity statistics
 are array arithmetic. Each row gets the bits ``np.linalg.lstsq`` and the
 scalar formulas give it alone. Every F tail a grid needs (its cells and the
-IV first stages) goes through one ``f_pvalues`` pass. ``ols``, ``two_sls``
-and ``endogeneity_tests`` are batches of one row.
+IV first stages) goes through one ``f_pvalues`` pass. ``ols`` and
+``two_sls`` are batches of one row, and the endogeneity tests are fields of
+each ``IvFit``.
 """
 
 from __future__ import annotations
@@ -51,18 +52,6 @@ from govpulse.profiles import SummaryStats
 
 IV_DEFAULT_MEASURES = ("Voters", "TotalVotes", "Speed")
 CHUNK_ROWS = 32  # dependent rows per stacked solve: bounds a batch's temporaries
-
-
-def t_pvalue(t: float, dof: int) -> float:
-    """Two-sided p-value of a t statistic: the F(1, dof) p-value of t squared."""
-    return f_pvalue(t * t, 1, dof)
-
-
-def f_pvalue(f: float, d1: int, d2: int) -> float:
-    """Upper-tail p-value of one F(1, d2) statistic (see ``f_pvalues``)."""
-    if d1 != 1:
-        raise ValueError("only F(1, d) tails are computed")
-    return f_pvalues(np.array([f]), d2).tolist()[0]
 
 
 @np.errstate(all="ignore")  # as with Python floats: an overflow is inf, not an error
@@ -151,13 +140,6 @@ def _beta_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 
 
-def chi2_pvalue(stat: float, dof: int) -> float:
-    """Upper-tail chi-squared(1) p-value of one statistic (see ``chi2_pvalues``)."""
-    if dof != 1:
-        raise ValueError("only chi-squared(1) tails are computed")
-    return chi2_pvalues(np.array([stat])).tolist()[0]
-
-
 def chi2_pvalues(stats: np.ndarray) -> np.ndarray:
     """Upper-tail chi-squared(1) p-values, erfc(sqrt(stat / 2)), and 1 at a
     statistic at or below 0. numpy has no erfc, so ``math.erfc`` maps the array."""
@@ -199,17 +181,10 @@ def _as_array(values) -> np.ndarray:
 
 
 def zscore(values: np.ndarray) -> np.ndarray:
-    """Values less their mean over their sample standard deviation. Finite
-    values whose squares overflow are z-scored divided by their largest
-    magnitude first: the z-score does not depend on the scale."""
-    arr = _as_array(values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    if not math.isfinite(sd):
-        return zscore(arr / np.abs(arr).max())
-    if sd == 0.0:
-        return arr - arr.mean()
-    return (arr - arr.mean()) / sd
+    """Values less their mean over their sample standard deviation: one row
+    of ``_scaled_rows``."""
+    scaled, _ = _scaled_rows(np.ascontiguousarray(_as_array(values))[None], True)
+    return scaled[0]
 
 
 def _css(rows: np.ndarray) -> np.ndarray:
@@ -473,7 +448,8 @@ def _iv_cells(ys: np.ndarray, tss: np.ndarray, stage: _FirstStage, tails: _Tails
 
 
 def two_sls(y, x, z) -> IvFit:
-    """Two-stage least squares of y on x instrumented by z.
+    """Two-stage least squares of y on x instrumented by z, with the Durbin
+    and Wu-Hausman tests of x's exogeneity.
 
     A weak instrument does not raise; the partial F is reported and the
     caller decides. A constant instrument does raise, and so does the
@@ -487,24 +463,6 @@ def two_sls(y, x, z) -> IvFit:
         raise ValueError("y, x and z must have equal length")
     y = _column(y)
     return _one(_iv_cells, y.values[None], np.array([y.css]), _first_stage(_column(x), _column(z)))
-
-
-def endogeneity_tests(y, x, z) -> tuple[float, float, float, float]:
-    """Durbin (score) and Wu-Hausman (F) tests of regressor exogeneity."""
-    y = _as_array(y)
-    x = _as_array(x)
-    z = _as_array(z)
-    if y.size < 4:
-        raise ValueError("need at least 4 observations for the augmented regression")
-    durbin, wu_hausman, perfect = _durbin_wu_hausman(y[None], _first_stage(_column(x), _column(z)))
-    if perfect[0]:
-        raise ValueError(_PERFECT_FIT)
-    return (
-        durbin.tolist()[0],
-        chi2_pvalues(durbin).tolist()[0],
-        wu_hausman.tolist()[0],
-        f_pvalues(wu_hausman, y.size - 3).tolist()[0],
-    )
 
 
 @dataclass(frozen=True)
@@ -549,12 +507,14 @@ def _ready(value):
 
 
 def _scaled_rows(rows: np.ndarray, standardize: bool) -> tuple[np.ndarray, list[str | None]]:
-    """The rows of a C-contiguous 2-D array as ``zscore`` (``_as_array``
-    when not ``standardize``) returns each, as one array, and for each row
-    the message of the ValueError it raises, or None. A row reduction of a
-    C-contiguous array sums each row as the 1-D reduction of that row alone
-    does, so every row has the bits of its 1-D z-score; a row whose standard
-    deviation overflows is z-scored alone."""
+    """The rows of a C-contiguous 2-D array, z-scored when ``standardize``:
+    each row less its mean over its sample standard deviation (0 for a row
+    of one value), or less its mean alone where that deviation is 0. A row
+    of finite values whose squares overflow is divided by its largest
+    magnitude and z-scored again: the z-score does not depend on the scale.
+    Also returned, for each row, "non-finite value" where it holds one, or
+    None. A row reduction of a C-contiguous array sums each row as the 1-D
+    reduction of that row alone does, so every row has the bits it has alone."""
     faults = [None if ok else "non-finite value" for ok in np.isfinite(rows).all(axis=1).tolist()]
     if not standardize:
         return rows, faults
@@ -562,11 +522,11 @@ def _scaled_rows(rows: np.ndarray, standardize: bool) -> tuple[np.ndarray, list[
     for at in range(0, len(rows), CHUNK_ROWS):  # temporaries of CHUNK_ROWS rows (see _css)
         block = rows[at:at + CHUNK_ROWS]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            sd = block.std(axis=1, ddof=1)
+            sd = block.std(axis=1, ddof=1) if rows.shape[1] > 1 else np.zeros(len(block))
             scaled[at:at + CHUNK_ROWS] = (block - block.mean(axis=1)[:, None]) / np.where(sd == 0.0, 1.0, sd)[:, None]
         for row, deviation in enumerate(sd.tolist(), start=at):
             if faults[row] is None and not math.isfinite(deviation):
-                scaled[row] = zscore(rows[row])
+                scaled[row] = _scaled_rows(rows[row:row + 1] / np.abs(rows[row]).max(), True)[0][0]
     return scaled, faults
 
 

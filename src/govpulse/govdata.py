@@ -26,7 +26,8 @@ across platforms; it is written as the ``Decimal`` an exact sum started at
 statistics layer. A vote row whose poll id or option id does not fit in 64
 bits is skipped as malformed. A log is written back from its columns
 (``write_vote_log``), and ``ingest``'s scan (``validate_dataset``) reads
-them: neither builds a ``VoteEvent``.
+them: neither builds a ``VoteEvent``. ``VoteLog.events``, the rows as a
+tuple of ``VoteEvent``s, is built on its first read, and no command reads it.
 
 One CSV reader (``_csv_blocks``) reads all four files: each non-blank row
 with its line, padded or cut to the header's width. ``votes.csv`` and
@@ -241,30 +242,6 @@ class VoteColumns(NamedTuple):
         )
 
 
-class _EventView(Sequence):
-    """``VoteLog.events``: the rows as ``VoteEvent``s, built on the first
-    use of an element. Its length is the row count, which builds nothing."""
-
-    def __init__(self, log: "VoteLog") -> None:
-        self._log = log
-
-    def __len__(self) -> int:
-        return len(self._log.timestamp)
-
-    def __getitem__(self, index):
-        return self._log._event_tuple()[index]
-
-    def __iter__(self) -> Iterator[VoteEvent]:
-        return iter(self._log._event_tuple())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    __hash__ = None  # type: ignore[assignment]
-
-
 def run_starts(*columns: np.ndarray) -> np.ndarray:
     """Where each run of equal entries begins, the columns read together:
     an entry starts a run when it differs from the one before it in any
@@ -292,8 +269,8 @@ class VoteLog:
     ``VoteColumns.of_table``: rows sorted by (timestamp, input order).
     Every row's poll_id resolves in the registry (ValueError otherwise):
     the check reads the polls of ``poll_rows``, which is built here, once.
-    ``events`` is the public ``VoteEvent`` view of the rows, built only
-    when an element is read.
+    ``events`` is the rows as a tuple of ``VoteEvent``s, built on its first
+    read; no command reads it.
     """
 
     def __init__(
@@ -310,23 +287,17 @@ class VoteLog:
         self.registry: dict[int, PollRecord] = dict(registry)
         self.identities: dict[str, str] = dict(identities or {})
         self.report: ValidationReport = report or ValidationReport()
-        self._events: tuple[VoteEvent, ...] | None = None
 
-    @property
-    def events(self) -> Sequence[VoteEvent]:
-        return _EventView(self)
-
-    def _event_tuple(self) -> tuple[VoteEvent, ...]:
-        if self._events is None:
-            self._events = tuple(map(
-                VoteEvent,
-                self.poll_id.tolist(),
-                map(self.addresses.__getitem__, self.voter.tolist()),
-                self.option_id.tolist(),
-                map(self.weights.decimals.__getitem__, self.weight.tolist()),
-                self.timestamp.tolist(),
-            ))
-        return self._events
+    @cached_property
+    def events(self) -> tuple[VoteEvent, ...]:
+        return tuple(map(
+            VoteEvent,
+            self.poll_id.tolist(),
+            map(self.addresses.__getitem__, self.voter.tolist()),
+            self.option_id.tolist(),
+            map(self.weights.decimals.__getitem__, self.weight.tolist()),
+            self.timestamp.tolist(),
+        ))
 
     @cached_property
     def poll_rows(self) -> _PollRows:

@@ -305,7 +305,7 @@ def effects_summary(grid: RegressionGrid, token: str, alpha: float = 0.10) -> st
         ]
         for measure in grid.measures
     ]
-    title = f"Effects summary ({token}); factors significant at {int(round(alpha * 100))}%.\n\n"
+    title = f"Effects summary ({token}); factors significant at {alpha * 100:g}%.\n\n"
     return title + markdown_table(header, rows)
 
 

@@ -8,6 +8,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from datetime import date
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,50 @@ def two_sls_oracle(y, x, z) -> tuple[float, float]:
     resid = y - (float(y.mean()) - beta1 * float(x.mean())) - beta1 * x
     sigma2 = float((resid * resid).sum()) / (y.size - 2)
     return beta1, math.sqrt(sigma2 * float((dz * dz).sum()) / (s_zx * s_zx))
+
+
+def durbin_wu_hausman_oracle(y, x, z) -> tuple[float, float]:
+    """The Durbin and Wu-Hausman statistics of x's exogeneity, computed
+    exactly in ``Fraction``s from the float inputs: RSS_r of y on (1, x),
+    RSS_u of y on (1, x, vhat) with vhat the residuals of x on (1, z),
+    Durbin n (RSS_r - RSS_u) / RSS_r and Wu-Hausman (n - 3) (RSS_r -
+    RSS_u) / RSS_u, each rounded once to a float. Test oracle."""
+    y, x, z = ([Fraction(v) for v in np.asarray(col, dtype=float).tolist()] for col in (y, x, z))
+    n = len(y)
+
+    def centred(col):
+        mean = sum(col) / n
+        return [v - mean for v in col]
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    dy, dx, dz = centred(y), centred(x), centred(z)
+    slope = dot(dz, dx) / dot(dz, dz)
+    vhat = [a - slope * b for a, b in zip(dx, dz)]  # centred, as dx and dz are
+    sxx, sxv, svv = dot(dx, dx), dot(dx, vhat), dot(vhat, vhat)
+    sxy, svy, syy = dot(dx, dy), dot(vhat, dy), dot(dy, dy)
+    rss_r = syy - sxy * sxy / sxx
+    det = sxx * svv - sxv * sxv  # y on (x, vhat), centred: the 2x2 normal equations
+    rss_u = syy - (svv * sxy * sxy - 2 * sxv * sxy * svy + sxx * svy * svy) / det
+    return float(n * (rss_r - rss_u) / rss_r), float((n - 3) * (rss_r - rss_u) / rss_u)
+
+
+def zscore_oracle(values) -> np.ndarray:
+    """Values less their mean over their sample standard deviation (0 for
+    one value), or less their mean where that deviation is 0; values whose
+    squares overflow are divided by their largest magnitude first. The 1-D
+    z-score whose bits each row of a batch must have. Test oracle."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite value")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    if not math.isfinite(sd):
+        return zscore_oracle(arr / np.abs(arr).max())
+    if sd == 0.0:
+        return arr - arr.mean()
+    return (arr - arr.mean()) / sd
 
 
 def _read_rows(

@@ -194,8 +194,7 @@ def test_criterion_6_iv_correctness():
         zi = local.normal(size=n)
         xi = zi + local.normal(size=n)
         yi = 3 * xi + local.normal(size=n)
-        _, d_p, _, _ = econ.endogeneity_tests(yi, xi, zi)
-        size_rej += d_p < 0.05
+        size_rej += econ.two_sls(yi, xi, zi).durbin_p < 0.05
     size = size_rej / size_trials
     size_ok = 0.02 <= size <= 0.08
     elapsed = time.perf_counter() - start

@@ -22,6 +22,7 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,7 @@ from conftest import DAY0, write_factors_csv, write_polls_csv, write_votes_csv
 import govpulse
 from govpulse import centrality, cli, factorlab, govdata, synthgov
 from govpulse.cli import exec_command
-from govpulse.econ import t_pvalue
+from govpulse.econ import f_pvalues
 from govpulse.govdata import FACTORS_HEADER, FactorPanel, Series, load_factors, load_vote_log, write_factors
 from govpulse.report import significance_stars
 from oracles import factor_rows_oracle
@@ -1440,6 +1441,9 @@ def test_alpha_stars_flag(synth_dir, tmp_path):
     ]
     assert exec_command(base + ["--alpha-stars", "0.2,0.1,0.05", "--out-dir", str(tmp_path / "ok")]) == 0
     assert exec_command(base + ["--alpha-stars", "0.01,0.05,0.10", "--out-dir", str(tmp_path / "bad")]) == 1
+    assert exec_command(base + ["--alpha-stars", "0.125,0.05,0.01", "--out-dir", str(tmp_path / "exact")]) == 0
+    title = (tmp_path / "exact" / "effects_MKR.md").read_text().splitlines()[0]
+    assert title == "Effects summary (MKR); factors significant at 12.5%."  # not rounded to a whole percent
 
     loose = (0.2, 0.1, 0.05)
     out = tmp_path / "report"
@@ -1452,7 +1456,8 @@ def test_alpha_stars_flag(synth_dir, tmp_path):
         rows = [row for row in csv.DictReader(lines) if row["stars"] or row[p_column]]
         assert rows, name
         drawn += [(row["stars"], float(row[p_column])) for row in rows]
-        drawn += [(row["fs_stars"], t_pvalue(float(row["fs_t1"]), int(row["n"]) - 2)) for row in rows if "fs_stars" in row]
+        drawn += [(row["fs_stars"], f_pvalues(np.array([float(row["fs_t1"]) ** 2]), int(row["n"]) - 2)[0])
+                  for row in rows if "fs_stars" in row]
     for stars, p in drawn:
         assert stars == significance_stars(p, loose), (stars, p)
     assert any(stars != significance_stars(p) for stars, p in drawn)
@@ -1539,7 +1544,8 @@ _OPTION_TAKERS = {
 
 @pytest.mark.parametrize("command, option, value", [
     pytest.param(command, option, value, id=f"{command}{option}={value}")
-    for option, value in (("--formats", "pdf"), ("--alpha-stars", "0.01,0.05,0.10"), ("--measures", "NotAMeasure"),
+    for option, value in (("--formats", "pdf"), ("--alpha-stars", "0.01,0.05,0.10"), ("--alpha-stars", "inf,0.05,0.01"),
+                          ("--alpha-stars", "5,0.05,0.01"), ("--measures", "NotAMeasure"),
                           ("--top", "0"), ("--tokens", ","), ("--tokens", "FOO"), ("--tokens", "mkr"))
     for command in _OPTION_TAKERS[option]
     if not (command == "synth" and value != ",")  # synth plants factors for any token name

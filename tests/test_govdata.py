@@ -1299,7 +1299,7 @@ def test_loading_builds_no_vote_event(tmp_path, monkeypatch):
     built = []
     monkeypatch.setattr(govdata, "VoteEvent", lambda *fields: built.append(VoteEvent(*fields)) or built[-1])
     log = load_vote_log(tmp_path / "votes.csv", tmp_path / "polls.csv")
-    assert (len(log.events), len(log.addresses)) == (8, 8)
+    assert (len(log.timestamp), len(log.addresses)) == (8, 8)
     passed = ballot_pass(log)
     assert len(passed.polls) == 1
     assert built == []

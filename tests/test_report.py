@@ -11,9 +11,9 @@ from govpulse.econ import (
     GridCell,
     OlsFit,
     RegressionGrid,
+    f_pvalues,
     ols,
     run_factor_matrix,
-    t_pvalue,
 )
 from govpulse.report import (
     STAR_THRESHOLDS,
@@ -49,7 +49,7 @@ def test_fmt_cell_paper_style():
 
 
 def test_marginally_significant_cell_renders_one_star():
-    p = t_pvalue(1.86, 125)
+    p = f_pvalues(np.array([1.86 * 1.86]), 125)[0]
     assert 0.05 < p <= 0.10
     fit = _fit(2.13, 1.86, p)
     cell = GridCell("MKR", "network", "TotalWithBlc", "TotalVotes", "ok", fit)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import grid_cell
 from oracles import columns_of, gini_oracle, ols_oracle, poll_events
 from govpulse.centrality import DailyMetrics, ballot_pass
-from govpulse.econ import endogeneity_tests, ols, run_factor_matrix
+from govpulse.econ import ols, run_factor_matrix, two_sls
 from govpulse.factorlab import build_panel, measures_from_daily
 from govpulse.govdata import ValidationReport
 from govpulse.report import significance_stars
@@ -191,8 +191,7 @@ def test_gen_panel_endogenous_mode_durbin_power():
         y = np.array([factor_series[d] for d in days])
         x = np.array([proxy[d] for d in days])
         z = np.array([instrument[d] for d in days])
-        _, durbin_p, _, _ = endogeneity_tests(y, x, z)
-        rejects += durbin_p < 0.05
+        rejects += two_sls(y, x, z).durbin_p < 0.05
     assert rejects / trials >= 0.80
 
 
