@@ -6,8 +6,9 @@ the temp file, never rendered whole in memory) together with a
 ``run_manifest.json`` recording the configuration as given, sha256 digests of
 the inputs, the count of each kind of anomaly found in them, the count of
 each status among the cells of each regression grid fitted (``grids``) and
-the tool version. Option values are checked before any input is read. Exit
-codes: 0 success, 1 failed run (bad input file, bad option value, violated
+the tool version. The out-dir is created first, and option values are
+checked before any input is read. Exit codes: 0 success, 1 failed run (an
+out-dir that cannot be created, bad input file, bad option value, violated
 identity or any other error), 2 usage error.
 """
 
@@ -28,6 +29,7 @@ import numpy as np
 import govpulse
 from govpulse import centrality, econ, factorlab, profiles, report, synthgov
 from govpulse.govdata import (
+    DERIVED_FINANCIAL,
     REGRESSION_CATEGORIES,
     FactorPanel,
     SchemaError,
@@ -35,7 +37,9 @@ from govpulse.govdata import (
     ValidationReport,
     Weights,
     atomic_open,
+    catalogue_for,
     factor_rows,
+    is_token_name,
     load_factors,
     load_vote_log,
     validate_dataset,
@@ -77,11 +81,13 @@ def _sha256(path: str | Path) -> str:
 
 
 class Run:
-    """Collects outputs and writes the manifest at the end of a command."""
+    """Creates the out-dir, collects outputs and writes the manifest at the
+    end of a command."""
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.command = args.command
         self.out_dir = Path(args.out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.config = {
             key: (str(value) if isinstance(value, Path) else value)
             for key, value in sorted(vars(args).items())
@@ -335,8 +341,8 @@ def _default_panel_plan(tokens: list[str]) -> list[synthgov.FactorPlan]:
     """A plausible planted panel: every catalogue factor gets mild loadings."""
     factor_plans = []
     for token in tokens:
-        for i, spec in enumerate(factorlab.catalogue_for(token)):
-            if spec.name in factorlab.DERIVED_FINANCIAL:
+        for i, spec in enumerate(catalogue_for(token)):
+            if spec.name in DERIVED_FINANCIAL:
                 continue  # r and volatilities are derived from Price downstream
             loadings = {
                 "Voters": 0.3 if i % 3 == 0 else 0.0,
@@ -435,6 +441,9 @@ def _resolve_options(args: argparse.Namespace) -> None:
         raw, args.tokens = args.tokens, _names(args.tokens)
         if not args.tokens:
             raise PipelineError(f"--tokens names no token: {raw!r}")
+        bad = ", ".join(repr(token) for token in args.tokens if not is_token_name(token))
+        if bad:
+            raise PipelineError(f"--tokens names that hold '/', '\\' or a control character: {bad}")
     if given.get("measures") is not None:
         raw, args.measures = args.measures, tuple(_names(args.measures))
         if not args.measures:
@@ -519,14 +528,17 @@ def exec_command(argv: list[str]) -> int:
         args.func(args, run)
         run.finish("ok")
         return 0
-    except (PipelineError, SchemaError, FileNotFoundError, ValueError) as exc:
+    except (PipelineError, SchemaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         error = str(exc)
     except Exception as exc:
         traceback.print_exc(file=sys.stderr)
         error = f"{type(exc).__name__}: {exc}"
     if run is not None:
-        run.finish("failed", error=error)
+        try:
+            run.finish("failed", error=error)
+        except OSError as exc:
+            print(f"error: manifest not written: {exc}", file=sys.stderr)
     return 1
 
 

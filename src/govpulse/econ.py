@@ -46,8 +46,8 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from govpulse.centrality import MEASURES
-from govpulse.factorlab import BuiltPanel, align, catalogue_for
-from govpulse.govdata import Series
+from govpulse.factorlab import BuiltPanel, align
+from govpulse.govdata import Series, catalogue_for
 from govpulse.profiles import SummaryStats
 
 IV_DEFAULT_MEASURES = ("Voters", "TotalVotes", "Speed")

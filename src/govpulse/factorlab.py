@@ -1,16 +1,9 @@
-"""Factor catalogue and regression-ready panel construction.
+"""Regression-ready panel construction.
 
-The catalogue covers five categories per token: eleven financial factors
-(price, daily return, and 2/3/4/5/6/7/14/30/60-day rolling volatilities of
-the return), nine transaction factors, ten exchange factors, four network
-factors and three sentiment counts. Native-unit factor names carry the token
-symbol suffix (AvgSizeMkr, LargeVolDai, ...); the off-chain voter instrument
-is a tokenless series under category ``instrument``.
-
-Returns and volatilities are derived from the ingested Price series; all
-other factors pass through. Volatility is the rolling sample standard
-deviation of simple daily returns by default (``vol="log"`` switches to log
-returns); no annualization is applied.
+Returns and volatilities (``govdata.DERIVED_FINANCIAL``) are derived from
+the ingested Price series; all other factors pass through. Volatility is
+the rolling sample standard deviation of simple daily returns by default
+(``vol="log"`` switches to log returns); no annualization is applied.
 """
 
 from __future__ import annotations
@@ -19,79 +12,12 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import date
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from govpulse.centrality import MEASURE_FIELDS, DailyMetrics
-from govpulse.govdata import INSTRUMENT_CATEGORY, INSTRUMENT_FACTOR, Anomaly, FactorPanel, Series
-
-VOL_WINDOWS = (2, 3, 4, 5, 6, 7, 14, 30, 60)
-DERIVED_FINANCIAL = ("r",) + tuple(f"v{k}" for k in VOL_WINDOWS)
-
-
-@dataclass(frozen=True)
-class FactorSpec:
-    name: str
-    category: str
-
-
-def native_suffix(token: str) -> str:
-    return token[:1].upper() + token[1:].lower()
-
-
-def catalogue_for(token: str) -> list[FactorSpec]:
-    """The registered factor names for one token, in category order."""
-    sym = native_suffix(token)
-    financial = [FactorSpec("Price", "financial")]
-    financial += [FactorSpec(name, "financial") for name in DERIVED_FINANCIAL]
-    transaction = [
-        FactorSpec("AvgBlcUsd", "transaction"),
-        FactorSpec(f"AvgSize{sym}", "transaction"),
-        FactorSpec("AvgSizeUsd", "transaction"),
-        FactorSpec(f"LargeVol{sym}", "transaction"),
-        FactorSpec("LargeVolUsd", "transaction"),
-        FactorSpec("LargeCnt", "transaction"),
-        FactorSpec(f"Vol{sym}", "transaction"),
-        FactorSpec("VolUsd", "transaction"),
-        FactorSpec("TxnCnt", "transaction"),
-    ]
-    exchange = [
-        FactorSpec("InCnt", "exchange"),
-        FactorSpec(f"InVol{sym}", "exchange"),
-        FactorSpec("InVolUsd", "exchange"),
-        FactorSpec("OutCnt", "exchange"),
-        FactorSpec(f"OutVol{sym}", "exchange"),
-        FactorSpec("OutVolUsd", "exchange"),
-        FactorSpec(f"Net{sym}", "exchange"),
-        FactorSpec("NetUsd", "exchange"),
-        FactorSpec(f"Total{sym}", "exchange"),
-        FactorSpec("TotalUsd", "exchange"),
-    ]
-    network = [
-        FactorSpec("TotalWithBlc", "network"),
-        FactorSpec("New", "network"),
-        FactorSpec("Active", "network"),
-        FactorSpec("ActiveRatio", "network"),
-    ]
-    sentiment = [
-        FactorSpec("Positive", "sentiment"),
-        FactorSpec("Neutral", "sentiment"),
-        FactorSpec("Negative", "sentiment"),
-    ]
-    return financial + transaction + exchange + network + sentiment
-
-
-@lru_cache(maxsize=256)
-def _catalogue_keys(token: str) -> frozenset[tuple[str, str]]:
-    return frozenset((spec.category, spec.name) for spec in catalogue_for(token))
-
-
-def is_known_factor(token: str, category: str, factor: str) -> bool:
-    if category == INSTRUMENT_CATEGORY:
-        return factor == INSTRUMENT_FACTOR
-    return (category, factor) in _catalogue_keys(token)
+from govpulse.govdata import VOL_WINDOWS, Anomaly, FactorPanel, Series
 
 
 def daily_return(prices: Mapping[date, float], vol_mode: str = "simple") -> Series:

@@ -48,6 +48,12 @@ column and a float64 value column, about 16 bytes a cell, in the order of
 the series' first kept rows. A repeated cell is flagged where its row
 comes and the last value wins. The off-chain instrument is one date-keyed
 series, the rows of category ``instrument`` whatever their token.
+
+The factor catalogue (``CATALOGUE``) maps each regression category, in
+table order, to its factor names, ``{sym}`` read as the token's native-unit
+suffix (``AvgSize{sym}`` is AvgSizeMkr for MKR); ``DERIVED_FINANCIAL`` are
+derived from Price. A token names artifact files, so a row outside the
+instrument whose token is not a token name (``is_token_name``) is skipped.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import tempfile
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
@@ -80,18 +87,57 @@ POLLS_HEADER = ["poll_id", "deploy_timestamp", "title", "options", "abstain_opti
 IDENTITIES_HEADER = ["address", "name"]
 FACTORS_HEADER = ["date", "token", "category", "factor", "value"]
 
-REGRESSION_CATEGORIES = ("financial", "transaction", "exchange", "network", "sentiment")
-INSTRUMENT_CATEGORY = "instrument"
-INSTRUMENT_FACTOR = "offchain_voters"
-INSTRUMENT_TOKEN = "ALL"  # the token column written for instrument rows
-FACTOR_CATEGORIES = REGRESSION_CATEGORIES + (INSTRUMENT_CATEGORY,)
-
 # A weight's last digit may not lie further right than this, which bounds the
 # digits of every exact sum (a zero weight such as 0E-999999999 would
 # otherwise carry a billion zeros into it).
 MAX_WEIGHT_PLACES = 1000
 # The ids and option ids of a vote row are held in int64 columns.
 INT64_RANGE = range(-(2**63), 2**63)
+
+VOL_WINDOWS = (2, 3, 4, 5, 6, 7, 14, 30, 60)
+DERIVED_FINANCIAL = ("r",) + tuple(f"v{k}" for k in VOL_WINDOWS)
+# The factor catalogue: each regression category, in table order, and its
+# factor names, "{sym}" standing for the token's native-unit suffix.
+CATALOGUE = {
+    "financial": ("Price", *DERIVED_FINANCIAL),
+    "transaction": ("AvgBlcUsd", "AvgSize{sym}", "AvgSizeUsd", "LargeVol{sym}", "LargeVolUsd", "LargeCnt",
+                    "Vol{sym}", "VolUsd", "TxnCnt"),
+    "exchange": ("InCnt", "InVol{sym}", "InVolUsd", "OutCnt", "OutVol{sym}", "OutVolUsd", "Net{sym}", "NetUsd",
+                 "Total{sym}", "TotalUsd"),
+    "network": ("TotalWithBlc", "New", "Active", "ActiveRatio"),
+    "sentiment": ("Positive", "Neutral", "Negative"),
+}
+REGRESSION_CATEGORIES = tuple(CATALOGUE)
+INSTRUMENT_CATEGORY = "instrument"
+INSTRUMENT_FACTOR = "offchain_voters"
+INSTRUMENT_TOKEN = "ALL"  # the token column written for instrument rows
+FACTOR_CATEGORIES = REGRESSION_CATEGORIES + (INSTRUMENT_CATEGORY,)
+_NOT_IN_TOKEN = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
+
+
+@dataclass(frozen=True)
+class FactorSpec:
+    name: str
+    category: str
+
+
+def catalogue_for(token: str) -> list[FactorSpec]:
+    """The catalogue's factors for one token, in table order, ``{sym}``
+    read as its native-unit suffix (MKR: Mkr)."""
+    sym = token[:1].upper() + token[1:].lower()
+    return [FactorSpec(name.format(sym=sym), category) for category, names in CATALOGUE.items() for name in names]
+
+
+def is_known_factor(token: str, category: str, factor: str) -> bool:
+    if category == INSTRUMENT_CATEGORY:
+        return factor == INSTRUMENT_FACTOR
+    sym = token[:1].upper() + token[1:].lower()
+    return any(name.format(sym=sym) == factor for name in CATALOGUE.get(category, ()))
+
+
+def is_token_name(token: str) -> bool:
+    """Whether ``token`` is not empty and holds no ``/``, ``\\`` or control character."""
+    return bool(token) and _NOT_IN_TOKEN.search(token) is None
 
 
 @dataclass(frozen=True, slots=True)
@@ -926,15 +972,15 @@ class _FactorRows:
         self.columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
 
     def target(self, raw: tuple[str, str, str]) -> int:
-        """The target of a raw triple. A category outside
-        ``FACTOR_CATEGORIES`` or a factor the catalogue does not list is
-        flagged and kept, except an unknown instrument factor, which is
-        skipped: there is one instrument series."""
-        from govpulse.factorlab import is_known_factor
-
+        """The target of a raw triple. A bad token outside the instrument is
+        skipped. A category outside ``FACTOR_CATEGORIES`` or a factor the
+        catalogue does not list is flagged and kept, except an unknown
+        instrument factor, which is skipped: there is one instrument series."""
         token, category, factor = map(str.strip, raw)
         flag, kept = None, True
-        if category not in FACTOR_CATEGORIES:
+        if category != INSTRUMENT_CATEGORY and not is_token_name(token):
+            flag, kept = ("bad factor token", f"{token!r} skipped"), False
+        elif category not in FACTOR_CATEGORIES:
             flag = ("unknown category", repr(category))
         elif not is_known_factor(token, category, factor):
             kept = category != INSTRUMENT_CATEGORY
@@ -1119,9 +1165,8 @@ def validate_dataset(log: VoteLog) -> ValidationReport:
 def atomic_open(path: str | Path) -> Iterator[IO[str]]:
     """A text handle on a temp file beside ``path``, renamed over ``path``
     when the block ends; when the block raises, the temp file is removed and
-    ``path`` is left as it was."""
+    ``path`` is left as it was. The directory of ``path`` must exist."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     handle = tempfile.NamedTemporaryFile(
         "w", encoding="utf-8", newline="", dir=path.parent, prefix=f".{path.name}.", delete=False
     )

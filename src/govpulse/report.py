@@ -18,8 +18,7 @@ from operator import attrgetter
 
 from govpulse.centrality import DailyMetrics, PollMetrics
 from govpulse.econ import GridCell, InstrumentScreen, IvFit, OlsFit, RegressionGrid
-from govpulse.factorlab import catalogue_for
-from govpulse.govdata import REGRESSION_CATEGORIES, Series
+from govpulse.govdata import REGRESSION_CATEGORIES, Series, catalogue_for
 from govpulse.profiles import SummaryStats, VoterProfile
 
 STAT_ROWS = ("Mean", "Median", "Maximum", "Minimum", "Std")  # lower-cased, SummaryStats fields

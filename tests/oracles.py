@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import unicodedata
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from datetime import date
@@ -14,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from govpulse.centrality import PollMetrics, gini_mean_difference, utc_day
-from govpulse.factorlab import is_known_factor
 from govpulse.govdata import (
     FACTOR_CATEGORIES,
     FACTORS_HEADER,
@@ -33,6 +33,7 @@ from govpulse.govdata import (
     VoteEvent,
     VoteLog,
     atomic_open,
+    is_known_factor,
     parse_timestamp,
 )
 
@@ -400,10 +401,16 @@ def _factor_date(text: str) -> date | None:
     return day if day.isoformat() == text else None
 
 
+def is_token_name_oracle(token: str) -> bool:
+    """A token that can name a file: not empty, with no path separator of
+    either kind and no control character (Unicode category Cc)."""
+    return token != "" and not any(ch in "/\\" or unicodedata.category(ch) == "Cc" for ch in token)
+
+
 def load_factors_oracle(path) -> DictPanel:
     """The per-row factor loader: every row strips its own key, checks its
-    category and catalogue entry and stores its value through
-    ``DictPanel.put``. Test oracle."""
+    token (outside the instrument), its category and catalogue entry and
+    stores its value through ``DictPanel.put``. Test oracle."""
     panel = DictPanel()
     rows = _read_rows(path, FACTORS_HEADER, "bad factor row", panel.anomalies)
     for lineno, (date_text, token, category, factor, value_text) in rows:
@@ -420,6 +427,9 @@ def load_factors_oracle(path) -> DictPanel:
             panel.anomalies.append(Anomaly("bad factor value", f"line {lineno}: non-finite, skipped"))
             continue
         token, category, factor = token.strip(), category.strip(), factor.strip()
+        if category != INSTRUMENT_CATEGORY and not is_token_name_oracle(token):
+            panel.anomalies.append(Anomaly("bad factor token", f"line {lineno}: {token!r} skipped"))
+            continue
         if category not in FACTOR_CATEGORIES:
             panel.anomalies.append(Anomaly("unknown category", f"line {lineno}: {category!r}"))
         elif not is_known_factor(token, category, factor):

@@ -20,7 +20,7 @@ from oracles import gini_oracle, ols_oracle, two_sls_oracle
 from govpulse import centrality, econ, factorlab, profiles, synthgov
 from govpulse.centrality import gini_from_alpha, gini_mean_difference, pareto_alpha_mle
 from govpulse.cli import exec_command
-from govpulse.govdata import load_vote_log
+from govpulse.govdata import DERIVED_FINANCIAL, catalogue_for, load_vote_log
 
 
 def _check(criterion: int, description: str, passed: bool, elapsed: float | None = None) -> None:
@@ -351,8 +351,8 @@ def test_criterion_10_performance_envelope():
             noise_std=1.0,
         )
         for token in tokens
-        for spec in factorlab.catalogue_for(token)
-        if spec.name not in factorlab.DERIVED_FINANCIAL
+        for spec in catalogue_for(token)
+        if spec.name not in DERIVED_FINANCIAL
     ]
     start = time.perf_counter()
     log = synthgov.gen_history(config)

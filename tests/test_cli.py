@@ -1221,7 +1221,7 @@ def test_an_infinite_return_is_fitted_without_a_warning(pinned_data, tmp_path):
     day, next_day = prices[4][0], prices[5][0]
     assert (derived["r", day], derived["v2", day], derived["v2", next_day]) == ("inf", "nan", "nan")
     with open(out / "ols_grid.csv", newline="") as handle:
-        statuses = {row["status"] for row in csv.DictReader(handle) if row["factor"] in factorlab.DERIVED_FINANCIAL}
+        statuses = {row["status"] for row in csv.DictReader(handle) if row["factor"] in govdata.DERIVED_FINANCIAL}
     assert "error: non-finite value" in statuses
 
 
@@ -1542,13 +1542,19 @@ _OPTION_TAKERS = {
 }
 
 
+# --tokens values with a name that holds a path separator or a control
+# character, and the error's rendering of that name
+_PATH_TOKENS = {"MKR,x/../y": "'x/../y'", "a\\b": "'a\\\\b'", "t\tb,DAI": "'t\\tb'"}
+
+
 @pytest.mark.parametrize("command, option, value", [
     pytest.param(command, option, value, id=f"{command}{option}={value}")
     for option, value in (("--formats", "pdf"), ("--alpha-stars", "0.01,0.05,0.10"), ("--alpha-stars", "inf,0.05,0.01"),
                           ("--alpha-stars", "5,0.05,0.01"), ("--measures", "NotAMeasure"),
-                          ("--top", "0"), ("--tokens", ","), ("--tokens", "FOO"), ("--tokens", "mkr"))
+                          ("--top", "0"), ("--tokens", ","), ("--tokens", "FOO"), ("--tokens", "mkr"),
+                          *(("--tokens", value) for value in _PATH_TOKENS))
     for command in _OPTION_TAKERS[option]
-    if not (command == "synth" and value != ",")  # synth plants factors for any token name
+    if not (command == "synth" and value in ("FOO", "mkr"))  # synth reads no factors file to hold a name
 ])
 def test_rejected_option_leaves_only_the_manifest(synth_dir, tmp_path, command, option, value):
     out = tmp_path / "out"
@@ -1563,6 +1569,10 @@ def test_rejected_option_leaves_only_the_manifest(synth_dir, tmp_path, command, 
     assert (manifest["command"], manifest["status"], manifest["outputs"]) == (command, "failed", [])
     if value in ("FOO", "mkr"):
         assert manifest["error"] == f"--tokens names tokens the factors file does not hold: {value}"
+    if value in _PATH_TOKENS:  # refused before any input is read
+        error = f"--tokens names that hold '/', '\\' or a control character: {_PATH_TOKENS[value]}"
+        assert manifest["error"] == error
+        assert manifest["inputs"] == {}
 
 
 def _only_the_failed_manifest(out: Path, command: str) -> str:
@@ -1585,6 +1595,55 @@ def test_measures_naming_no_measure_leaves_only_the_manifest(synth_dir, tmp_path
     argv += [f"--{name}={synth_dir / name}.csv" for name in ("votes", "polls", "factors")]
     assert exec_command(argv) == 1
     assert _only_the_failed_manifest(out, command) == f"{error}: {value!r}"
+
+
+@pytest.mark.parametrize("token", ["x/../../../escaped", "a\\..\\escaped", " ", "t\tb"],
+                         ids=["slash", "backslash", "blank", "tab"])
+def test_factor_token_that_names_a_path_writes_no_file_outside_the_out_dir(synth_dir, tmp_path, token):
+    """The MKR rows renamed to ``token`` are skipped as ``bad factor token``,
+    each at its line; the instrument rows carry it too, and stay read."""
+    with open(synth_dir / "factors.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    renamed = [row[:1] + [token] + row[2:] if row[1] in ("MKR", "ALL") else row for row in rows]
+    factors = tmp_path / "factors.csv"
+    with open(factors, "w", newline="") as handle:
+        csv.writer(handle).writerows(renamed)
+    out = tmp_path / "trav" / "a" / "b" / "c" / "out"
+    argv = ["report", *(f"--{name}={synth_dir / name}.csv" for name in ("votes", "polls")),
+            f"--factors={factors}", "--out-dir", str(out)]
+    assert exec_command(argv) == 0
+    written = [path for path in (tmp_path / "trav").rglob("*") if not path.is_dir()]
+    assert written and all(path.parent == out for path in written)
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["anomalies"]["bad factor token"] == sum(row[1] == "MKR" for row in rows)
+    assert sorted(name for name in manifest["outputs"] if name.startswith("effects_")) == ["effects_DAI.md"]
+    assert "iv_grid.csv" in manifest["outputs"]
+    assert sorted(path.name for path in written) == sorted([*manifest["outputs"], "run_manifest.json"])
+
+
+def test_out_dir_that_is_a_file_fails_cleanly(tmp_path, capsys):
+    """The out-dir is created before any input is read (the inputs named do
+    not exist); the run exits 1 with one error line and writes nothing."""
+    out = tmp_path / "out"
+    out.write_text("a file\n")
+    argv = ["metrics", f"--votes={tmp_path / 'votes.csv'}", f"--polls={tmp_path / 'polls.csv'}", "--out-dir", str(out)]
+    assert exec_command(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "File exists" in err
+    assert "Traceback" not in err
+    assert out.read_text() == "a file\n"
+
+
+def test_manifest_that_cannot_be_written_fails_cleanly(synth_dir, tmp_path, capsys):
+    """A directory where the manifest goes: the run's outputs are written,
+    then the manifest fails, and so does the failed manifest after it."""
+    out = tmp_path / "out"
+    (out / "run_manifest.json").mkdir(parents=True)
+    argv = ["metrics", *(f"--{name}={synth_dir / name}.csv" for name in ("votes", "polls")), "--out-dir", str(out)]
+    assert exec_command(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+    assert err[1].startswith("error: manifest not written: ")
 
 
 @pytest.mark.parametrize("options, named", [

@@ -27,8 +27,8 @@ from govpulse.econ import (
     two_sls,
     zscore,
 )
-from govpulse.factorlab import BuiltPanel, align, catalogue_for
-from govpulse.govdata import Series
+from govpulse.factorlab import BuiltPanel, align
+from govpulse.govdata import Series, catalogue_for
 from govpulse.report import significance_stars
 
 D0 = date(2021, 3, 1)

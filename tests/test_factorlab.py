@@ -11,16 +11,8 @@ import pytest
 from conftest import grid_cell
 from govpulse.centrality import MEASURES, MEASURE_FIELDS, DailyMetrics
 from govpulse.econ import run_factor_matrix, run_iv_suite
-from govpulse.factorlab import (
-    align,
-    build_panel,
-    catalogue_for,
-    daily_return,
-    is_known_factor,
-    measures_from_daily,
-    rolling_vol,
-)
-from govpulse.govdata import REGRESSION_CATEGORIES, FactorPanel, Series
+from govpulse.factorlab import align, build_panel, daily_return, measures_from_daily, rolling_vol
+from govpulse.govdata import REGRESSION_CATEGORIES, FactorPanel, Series, catalogue_for, is_known_factor
 
 
 D0 = date(2021, 3, 1)

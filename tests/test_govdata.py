@@ -27,6 +27,7 @@ from govpulse.govdata import (
     SchemaError,
     VoteColumns,
     VoteEvent,
+    catalogue_for,
     final_ballots,
     load_factors,
     load_identities,
@@ -637,10 +638,11 @@ def test_interned_load_matches_the_per_row_loader(tmp_path_factory, rows):
 # the texts of each factors.csv field; each example draws a small pool of
 # them, so raw texts repeat: padded and unpadded keys that strip to one,
 # unknown categories, unknown factors under instrument (skipped) and
-# elsewhere (kept and flagged), bad dates and bad or non-finite values
+# elsewhere (kept and flagged), tokens that name a path (skipped outside the
+# instrument), bad dates and bad or non-finite values
 FACTOR_FIELD_TEXTS = (
     ["2021-03-01", "2021-03-02", " 2021-03-01 ", "2021-3-1", "20210301", "bad", ""],
-    ["MKR", " MKR", "MKR ", "DAI", "ALL", "FOO", ""],
+    ["MKR", " MKR", "MKR ", "DAI", "ALL", "FOO", "", "x/../y", "a\\b", "t\tb"],
     ["financial", " financial", "transaction", "network", "instrument", " instrument", "bogus", ""],
     ["Price", " Price", "TxnCnt", "VolMkr", "VolDai", "offchain_voters", "onchain_voters", "Nope"],
     ["1.5", " 2 ", "-3", "0", "1e308", "nan", "inf", "-inf", "1e400", "abc", ""],
@@ -683,12 +685,13 @@ def _factor_panels_equal(panel, oracle) -> None:
 
 
 # texts of each factors.csv field, valid and not: keys that strip to one,
-# unknown categories and factors (an unknown instrument factor among them),
-# dates the fast path reads and ones it leaves to the per-row parse, and
-# values float() reads in several forms, non-finite ones included
+# tokens that name a path, unknown categories and factors (an unknown
+# instrument factor among them), dates the fast path reads and ones it
+# leaves to the per-row parse, and values float() reads in several forms,
+# non-finite ones included
 FACTOR_READER_FIELDS = (
     ["2021-03-01", "2021-03-02", " 2021-03-01", "2021-03-02 ", "20210301", "2021-3-1", "", "x"],
-    ["MKR", " MKR", "DAI", "ALL", "FOO", ""],
+    ["MKR", " MKR", "DAI", "ALL", "FOO", "", "x/y", "a\\b"],
     ["financial", " network", "network", "instrument", "bogus", ""],
     ["Price", "New", " New", "offchain_voters", "onchain_voters", "Nope"],
     ["1.5", "1_0", "+7", " 7 ", "-3", "0", "nan", "inf", "-inf", "1e400", "1e308", "abc", ""],
@@ -756,8 +759,6 @@ def test_factor_panel_is_held_as_columns(tmp_path):
     traced bytes a cell (two 8-byte columns and each series' arrays), where
     per-series dicts keyed by date held about 76; loading peaks at about a
     quarter of the traced size of the file's per-field lists."""
-    from govpulse.factorlab import catalogue_for
-
     keys = [(token, spec.category, spec.name) for token in ("MKR", "DAI", "UNI", "COMP") for spec in catalogue_for(token)]
     write_factors_csv(tmp_path / "factors.csv", [
         (date.fromordinal(date(2021, 1, 1).toordinal() + day).isoformat(), *key, repr(1.0 + k / 7 + day / 3))
