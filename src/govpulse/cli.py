@@ -39,6 +39,7 @@ from govpulse.govdata import (
     atomic_open,
     catalogue_for,
     factor_rows,
+    is_known_factor,
     is_token_name,
     load_factors,
     load_vote_log,
@@ -227,10 +228,11 @@ def cmd_describe(args: argparse.Namespace, run: Run) -> None:
 
 def _load_factors(args: argparse.Namespace, run: Run) -> tuple[FactorPanel, list[str]]:
     """The factors file and the grid's tokens: the --tokens names, each of
-    which the file must hold, or else every token it holds."""
+    which the file must hold, or else every token it holds. A token is held
+    by a series of a catalogue factor; a flagged series names no token."""
     run.digest_input("factors", args.factors)
     raw = load_factors(args.factors)
-    held = sorted({token for token, _, _ in raw.series})
+    held = sorted({key[0] for key in raw.series if is_known_factor(*key)})
     missing = [token for token in args.tokens or () if token not in held]
     if missing:
         raise PipelineError(f"--tokens names tokens the factors file does not hold: {', '.join(missing)}")

@@ -32,11 +32,11 @@ tuple of ``VoteEvent``s, is built on its first read, and no command reads it.
 One CSV reader (``_csv_blocks``) reads all four files: each non-blank row
 with its line, padded or cut to the header's width. ``votes.csv`` and
 ``factors.csv`` are read by one pipeline (``_read_file``): a source splits
-the file into blocks of rows, each block's rows are checked as columns, and
-a row the check cannot judge (a votes int field or timestamp that is not
-plain digits, a factor date or value that fails its check, a flagged or
-skipped factor key, or any field that fails a check) goes through the
-input's one per-row parse (``add``). The fast source (``_plain_blocks``)
+the file into blocks of rows, and each block's rows are checked as columns.
+A factor row's verdict comes from its block's columns alone. A vote row the
+column check cannot judge (an int field or timestamp that is not plain
+digits, or any field that fails a check) goes through the vote reader's
+per-row parse (``_VoteRows.add``). The fast source (``_plain_blocks``)
 splits 64 KiB of whole lines at a time, into rows of the same shape, when
 the whole file is ASCII and holds no ``"``, no NUL, no carriage return
 outside a CRLF line end and no line longer than ``csv.field_size_limit()``.
@@ -950,10 +950,12 @@ _FACTOR_DTYPES = (np.int64, np.int32, np.int32, float)
 class _FactorRows:
     """The factors.csv rows read so far: the kept rows as blocks of columns
     (line, target, day ordinal, value), and the anomalies of the others,
-    each with its line. Each distinct date text is parsed once, and each
-    distinct raw (token, category, factor) triple is stripped, checked
-    against the categories and the catalogue and resolved to a target
-    once; every row still gets every check, in the same order.
+    each with its line. A block's columns are the only judge of its rows:
+    each distinct date text is parsed once, the values are read by
+    ``float``, and each distinct raw (token, category, factor) triple is
+    stripped, checked against the categories and the catalogue and resolved
+    to a target once. A row's anomaly is worded from those columns, its date
+    checked first, then its value, then its key.
 
     A target is one raw triple: its "token/category/factor" label, the
     (kind, text) of the anomaly each of its rows gets or None, and the
@@ -962,20 +964,20 @@ class _FactorRows:
 
     def __init__(self) -> None:
         self.days: dict[str, int] = {}  # raw date text -> day ordinal, -1 when not a date
-        self.targets: dict[tuple[str, str, str], int] = {}  # raw triple -> target
+        self.codes: dict[tuple[str, str, str], int] = {}  # raw triple -> its target's code
         self.labels: list[str] = []
         self.flags: list[tuple[str, str] | None] = []
         self.series: list[int] = []
         self.keys: dict[tuple[str, str, str], int] = {}  # series key -> series
         self.anomalies: list[tuple[int, Anomaly]] = []
-        self.rows: list[tuple[int, int, int, float]] = []  # kept by ``add``, not yet in the columns
         self.columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
 
     def target(self, raw: tuple[str, str, str]) -> int:
-        """The target of a raw triple. A bad token outside the instrument is
-        skipped. A category outside ``FACTOR_CATEGORIES`` or a factor the
-        catalogue does not list is flagged and kept, except an unknown
-        instrument factor, which is skipped: there is one instrument series."""
+        """The code of a raw triple's new target, ``index << 2 | flagged << 1
+        | skipped``. A bad token outside the instrument is skipped. A
+        category outside ``FACTOR_CATEGORIES`` or a factor the catalogue does
+        not list is flagged and kept, except an unknown instrument factor,
+        which is skipped: there is one instrument series."""
         token, category, factor = map(str.strip, raw)
         flag, kept = None, True
         if category != INSTRUMENT_CATEGORY and not is_token_name(token):
@@ -989,57 +991,34 @@ class _FactorRows:
         self.labels.append(f"{token}/{category}/{factor}")
         self.flags.append(flag)
         self.series.append(self.keys.setdefault(key, len(self.keys)) if kept else -1)
-        return len(self.flags) - 1
-
-    def add(self, lineno: int, fields: list[str]) -> None:
-        """The one per-row parse: keep the row of ``fields`` (date, token,
-        category, factor and value texts) or record why it is skipped."""
-        date_text, token, category, factor, value_text = fields
-        day = self.days.get(date_text)
-        if day is None:
-            day = self.days[date_text] = _day_ordinal(date_text)
-        if day < 0:
-            self.anomalies.append((lineno, Anomaly("bad factor date", f"line {lineno}: {date_text!r}")))
-            return
-        try:
-            value = float(value_text)
-        except ValueError:
-            self.anomalies.append((lineno, Anomaly("bad factor value", f"line {lineno}: {value_text!r}")))
-            return
-        if not math.isfinite(value):
-            self.anomalies.append((lineno, Anomaly("bad factor value", f"line {lineno}: non-finite, skipped")))
-            return
-        target = self.targets.get((token, category, factor))
-        if target is None:
-            target = self.targets[token, category, factor] = self.target((token, category, factor))
-        flag = self.flags[target]
-        if flag is not None:
-            self.anomalies.append((lineno, Anomaly(flag[0], f"line {lineno}: {flag[1]}")))
-        if self.series[target] >= 0:
-            self.rows.append((lineno, target, day, value))
+        return (len(self.flags) - 1) << 2 | (flag is not None) << 1 | (not kept)
 
     def read(self, block: _Block) -> None:
-        """Read a block of rows. A row with a date, a finite value and a
-        key that is neither flagged nor skipped is kept as a column entry at
-        its line; every other row goes through ``add``, in line order."""
+        """Read a block of rows. A row with a date, a finite value and a key
+        that is not skipped is kept as a column entry at its line; a row
+        that fails a check, or whose key is flagged, gets one anomaly."""
         fields = block.fields
         day = _lookup(fields[0::5], self.days, _day_ordinal)
-        target = _lookup(list(zip(fields[1::5], fields[2::5], fields[3::5])), self.targets, self.target)
+        code = _lookup(list(zip(fields[1::5], fields[2::5], fields[3::5])), self.codes, self.target)
         value = _floats(fields[4::5])
-        clean = np.array([flag is None for flag in self.flags], dtype=bool)
-        kept = (day >= 0) & np.isfinite(value) & clean[target]
-        self.keep(block.linenos[kept], target[kept], day[kept], value[kept])
+        valid = (day >= 0) & np.isfinite(value)
+        kept = valid & (code & 1 == 0)
+        for held, column, dtype in zip(self.columns, (block.linenos, code >> 2, day, value), _FACTOR_DTYPES):
+            held.append(column[kept].astype(dtype, copy=False))
         self.anomalies += block.unreadable
-        for lineno, raw in block.others(kept):
-            self.add(lineno, raw)
-        if self.rows:
-            self.keep(*map(np.array, zip(*self.rows)))
-            self.rows.clear()
-
-    def keep(self, *columns: np.ndarray) -> None:
-        """Add kept rows given as line, target, day and value columns."""
-        for held, column, dtype in zip(self.columns, columns, _FACTOR_DTYPES):
-            held.append(column.astype(dtype, copy=False))
+        for i in np.flatnonzero(~valid | (code & 2 != 0)).tolist():
+            lineno = int(block.linenos[i])
+            if day[i] < 0:
+                kind, detail = "bad factor date", repr(fields[5 * i])
+            elif not math.isfinite(value[i]):
+                kind, detail = "bad factor value", "non-finite, skipped"
+                try:
+                    float(fields[5 * i + 4])
+                except ValueError:
+                    detail = repr(fields[5 * i + 4])
+            else:
+                kind, detail = self.flags[code[i] >> 2]
+            self.anomalies.append((lineno, Anomaly(kind, f"line {lineno}: {detail}")))
 
     def panel(self) -> FactorPanel:
         """The kept rows as series, each sorted by date; a repeated cell of a

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date, datetime, timezone
 from decimal import Decimal
@@ -49,12 +50,30 @@ INSTRUMENT_NOISE = 0.5
 MAX_POLLS_PER_DAY = 10_000
 
 
+# The number of parameters each distribution kind takes.
+DIST_ARITY = {"constant": 1, "poisson": 1, "uniform": 2, "exponential": 1}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DistSpec:
-    """A tiny distribution spec: constant, poisson, uniform or exponential."""
+    """A tiny distribution spec: constant, poisson, uniform or exponential.
+    A spec the generator cannot draw from is refused when it is built."""
 
     kind: str
     params: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if self.kind not in DIST_ARITY:
+            raise ValueError(f"unknown distribution kind: {self.kind!r}")
+        arity = DIST_ARITY[self.kind]
+        if len(self.params) != arity:
+            raise ValueError(f"{self.kind} takes {arity} parameter{'s' * (arity > 1)}, got {len(self.params)}")
+        if self.kind in ("poisson", "exponential") and self.params[0] < 0:
+            raise ValueError(f"{self.kind} parameter must not be negative, got {self.params[0]}")
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.kind == "constant":
@@ -64,23 +83,25 @@ class DistSpec:
         if self.kind == "uniform":
             lo, hi = self.params
             return float(rng.uniform(lo, hi))
-        if self.kind == "exponential":
-            return float(rng.exponential(self.params[0]))
-        raise ValueError(f"unknown distribution kind: {self.kind!r}")
+        return float(rng.exponential(self.params[0]))
 
     @classmethod
     def parse(cls, raw) -> "DistSpec":
+        """A spec from a number (a constant) or a [kind, parameter, ...] list."""
         if isinstance(raw, DistSpec):
             return raw
-        if isinstance(raw, (int, float)):
+        if _is_number(raw):
             return cls("constant", (float(raw),))
+        if not (isinstance(raw, (list, tuple)) and raw and isinstance(raw[0], str) and all(map(_is_number, raw[1:]))):
+            raise ValueError(f"not a number or a [kind, parameter, ...] list: {raw!r}")
         kind, *params = raw
-        return cls(str(kind), tuple(float(p) for p in params))
+        return cls(kind, tuple(float(p) for p in params))
 
 
 @dataclass
 class SynthConfig:
-    """Parameters of the synthetic governance history."""
+    """Parameters of the synthetic governance history. A value of the wrong
+    type is refused by name, never converted."""
 
     days: int = 91
     polls_per_day: DistSpec = field(default_factory=lambda: DistSpec("poisson", (7.0,)))
@@ -97,14 +118,27 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.polls_per_day = DistSpec.parse(self.polls_per_day)
-        self.vote_delay = DistSpec.parse(self.vote_delay)
-        for name in (f.name for f in fields(self)):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
+            if f.type == "float" and not _is_number(value):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if isinstance(value, DistSpec) and not all(map(math.isfinite, value.params)):
-                raise ValueError(f"{name} parameters must be finite, got {list(value.params)}")
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.type == "DistSpec":
+                try:
+                    value = DistSpec.parse(value)
+                except ValueError as exc:
+                    raise ValueError(f"{f.name}: {exc}") from None
+                if not all(map(math.isfinite, value.params)):
+                    raise ValueError(f"{f.name} parameters must be finite, got {list(value.params)}")
+                setattr(self, f.name, value)
+        if isinstance(self.start_day, str):  # as JSON gives it
+            with suppress(ValueError):
+                self.start_day = date.fromisoformat(self.start_day)
+        if type(self.start_day) is not date:
+            raise ValueError(f"start_day must be an ISO date, got {self.start_day!r}")
         for name in ("participation_rate", "revision_rate", "largest_wins_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -130,10 +164,7 @@ class SynthConfig:
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown synth config fields: {', '.join(unknown)}")
-        kwargs = dict(raw)
-        if "start_day" in kwargs:
-            kwargs["start_day"] = date.fromisoformat(kwargs["start_day"])
-        return cls(**kwargs)
+        return cls(**raw)
 
     def to_dict(self) -> dict:
         return {

@@ -1374,6 +1374,30 @@ def test_synth_rejects_unknown_config_fields(tmp_path, capsys):
                  id="nan-polls-per-day"),
     pytest.param({"polls_per_day": ["constant", 1e12]}, "polls_per_day drew 1000000000000 polls for day 0, over 10000",
                  id="too-many-polls"),
+    # a value of the wrong type is refused by name, never converted
+    pytest.param({"days": 1.5}, "days must be an int, got 1.5", id="float-days"),
+    pytest.param({"days": True}, "days must be an int, got True", id="bool-days"),
+    pytest.param({"seed": "x"}, "seed must be an int, got 'x'", id="text-seed"),
+    pytest.param({"voter_pool": 2.5}, "voter_pool must be an int, got 2.5", id="float-pool"),
+    pytest.param({"options_per_poll": 2.0}, "options_per_poll must be an int, got 2.0", id="float-options"),
+    pytest.param({"start_day": 5}, "start_day must be an ISO date, got 5", id="int-start-day"),
+    pytest.param({"start_day": "2021-13-01"}, "start_day must be an ISO date, got '2021-13-01'", id="bad-start-day"),
+    pytest.param({"participation_rate": "0.3"}, "participation_rate must be a number, got '0.3'", id="text-rate"),
+    pytest.param({"turnout_tilt": False}, "turnout_tilt must be a number, got False", id="bool-tilt"),
+    pytest.param({"polls_per_day": "abc"}, "polls_per_day: not a number or a [kind, parameter, ...] list: 'abc'",
+                 id="text-polls-per-day"),
+    pytest.param({"polls_per_day": ["poisson", "3"]},
+                 "polls_per_day: not a number or a [kind, parameter, ...] list: ['poisson', '3']", id="text-parameter"),
+    pytest.param({"polls_per_day": ["poisson"]}, "polls_per_day: poisson takes 1 parameter, got 0", id="no-parameter"),
+    pytest.param({"polls_per_day": ["constant", 1, 2]}, "polls_per_day: constant takes 1 parameter, got 2",
+                 id="two-constants"),
+    pytest.param({"vote_delay": ["uniform", 5]}, "vote_delay: uniform takes 2 parameters, got 1", id="one-bound"),
+    pytest.param({"polls_per_day": ["poisson", -1]}, "polls_per_day: poisson parameter must not be negative, got -1.0",
+                 id="negative-poisson"),
+    pytest.param({"vote_delay": ["exponential", -2]},
+                 "vote_delay: exponential parameter must not be negative, got -2.0", id="negative-exponential"),
+    pytest.param({"vote_delay": ["weibull", 1], "participation_rate": 0},
+                 "vote_delay: unknown distribution kind: 'weibull'", id="unknown-kind-without-votes"),
 ])
 def test_synth_refuses_what_it_cannot_generate(tmp_path, config, error):
     out = tmp_path / "out"
@@ -1619,6 +1643,33 @@ def test_factor_token_that_names_a_path_writes_no_file_outside_the_out_dir(synth
     assert sorted(name for name in manifest["outputs"] if name.startswith("effects_")) == ["effects_DAI.md"]
     assert "iv_grid.csv" in manifest["outputs"]
     assert sorted(path.name for path in written) == sorted([*manifest["outputs"], "run_manifest.json"])
+
+
+def test_flagged_factor_rows_name_no_grid_token(synth_dir, tmp_path):
+    """A row of an unknown category and one of a catalogue category with a
+    factor the catalogue does not list are kept, flagged, but their tokens
+    name no artifact and add no grid cell, and --tokens cannot name them."""
+    factors = tmp_path / "factors.csv"
+    factors.write_text((synth_dir / "factors.csv").read_text()
+                       + "2021-01-05,FOO,bogus,X,1\r\n2021-01-05,BAR,financial,Nope,1\r\n")
+    runs = {}
+    for name, path in (("plain", synth_dir / "factors.csv"), ("flagged", factors)):
+        out = tmp_path / name
+        argv = ["report", *(f"--{kind}={synth_dir / kind}.csv" for kind in ("votes", "polls")),
+                f"--factors={path}", "--out-dir", str(out)]
+        assert exec_command(argv) == 0
+        runs[name] = json.loads((out / "run_manifest.json").read_text())
+    assert runs["flagged"]["outputs"] == runs["plain"]["outputs"]
+    assert runs["flagged"]["grids"] == runs["plain"]["grids"]
+    assert {kind: runs["flagged"]["anomalies"][kind] for kind in ("unknown category", "unknown factor")} == {
+        "unknown category": 1, "unknown factor": 1}
+    for token in ("FOO", "BAR"):
+        out = tmp_path / f"tokens-{token}"
+        argv = ["report", *(f"--{kind}={synth_dir / kind}.csv" for kind in ("votes", "polls")),
+                f"--factors={factors}", "--tokens", token, "--out-dir", str(out)]
+        assert exec_command(argv) == 1
+        error = f"--tokens names tokens the factors file does not hold: {token}"
+        assert _only_the_failed_manifest(out, "report") == error
 
 
 def test_out_dir_that_is_a_file_fails_cleanly(tmp_path, capsys):

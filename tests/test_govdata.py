@@ -663,6 +663,15 @@ def factor_rows_drawn(draw):
 @example(rows=[("2021-03-01", "FOO", "instrument", "onchain_voters", "1")] * 2
          + [("2021-03-01", token, " instrument", "offchain_voters", "2") for token in ("MKR", "ALL", "MKR")])
 @example(rows=[("2021-03-01", "MKR", category, "Nope", "1") for category in ("bogus", "network", "bogus", "network")])
+# the check order, date then value then key: a row that fails all three, a
+# bad value under an unknown category, nan under a bad token, a good row
+# under a bad token, an unknown instrument factor and a flagged key that
+# recurs
+@example(rows=[("bad", "x/../y", "bogus", "Nope", "abc"), ("2021-03-01", "MKR", "bogus", "Price", "abc"),
+               ("2021-03-01", "x/y", "financial", "Price", "nan"), ("2021-03-01", "a\\b", "financial", "Price", "1.5"),
+               ("2021-03-01", "FOO", "instrument", "Nope", "1")]
+         + [(day, "MKR", "bogus", "New", value) for day, value in (("2021-03-01", "1"), ("2021-03-02", "2"),
+                                                                    ("2021-03-01", "3"))])
 def test_keyed_factor_load_matches_the_per_row_loader(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("factors") / "factors.csv"
     write_factors_csv(path, rows)
@@ -686,9 +695,9 @@ def _factor_panels_equal(panel, oracle) -> None:
 
 # texts of each factors.csv field, valid and not: keys that strip to one,
 # tokens that name a path, unknown categories and factors (an unknown
-# instrument factor among them), dates the fast path reads and ones it
-# leaves to the per-row parse, and values float() reads in several forms,
-# non-finite ones included
+# instrument factor among them), dates the column check reads and ones it
+# rejects, and values float() reads in several forms, non-finite ones
+# included
 FACTOR_READER_FIELDS = (
     ["2021-03-01", "2021-03-02", " 2021-03-01", "2021-03-02 ", "20210301", "2021-3-1", "", "x"],
     ["MKR", " MKR", "DAI", "ALL", "FOO", "", "x/y", "a\\b"],
@@ -718,6 +727,11 @@ def _factor_text(lines: list[str], ends: list[bool], final_newline: bool) -> byt
          ends=[False] * 40, final_newline=True, block_bytes=48)  # one cell three times, across blocks
 @example(lines=["2021-03-01,MKR,network,New,1,extra", "2021-03-01,MKR,network,New,2", "2021-03-01,MKR,network,New"],
          ends=[False] * 40, final_newline=True, block_bytes=govdata.BLOCK_BYTES)  # a cut line, then a whole one
+@example(lines=["bad,x/../y,bogus,Nope,abc", "2021-03-01,MKR,bogus,Price,abc", "2021-03-01,x/y,financial,Price,nan",
+                "2021-03-01,a\\b,financial,Price,1.5", "2021-03-01,FOO,instrument,Nope,1"],
+         ends=[False] * 40, final_newline=True, block_bytes=govdata.BLOCK_BYTES)  # the check order: date, value, key
+@example(lines=[f"2021-03-0{day},MKR,bogus_category,NewAccounts,{value}" for day, value in ((1, 1), (2, 2), (1, 3))],
+         ends=[False] * 40, final_newline=True, block_bytes=48)  # one flagged key in three blocks
 def test_fast_factor_reader_matches_the_per_row_loader(tmp_path_factory, lines, ends, final_newline, block_bytes):
     path = tmp_path_factory.mktemp("factor-reader") / "factors.csv"
     path.write_bytes(_factor_text(lines, ends, final_newline))
