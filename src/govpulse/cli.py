@@ -456,7 +456,10 @@ def _resolve_options(args: argparse.Namespace) -> None:
     if "alpha_stars" in given:
         if args.alpha_stars is not None and not _names(args.alpha_stars):
             raise PipelineError(f"--alpha-stars names no threshold: {args.alpha_stars!r}")
-        stars = report.STAR_THRESHOLDS if args.alpha_stars is None else tuple(map(float, args.alpha_stars.split(",")))
+        try:
+            stars = tuple(map(float, args.alpha_stars.split(","))) if args.alpha_stars else report.STAR_THRESHOLDS
+        except ValueError:  # a threshold that is not a number
+            stars = ()
         if len(stars) != 3 or not 1 > stars[0] > stars[1] > stars[2] > 0:
             raise PipelineError("--alpha-stars needs three descending thresholds below 1, e.g. 0.10,0.05,0.01")
         args.alpha_stars = stars

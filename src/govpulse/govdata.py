@@ -36,11 +36,13 @@ the file into blocks of rows, and each block's rows are checked as columns.
 A factor row's verdict comes from its block's columns alone. A vote row the
 column check cannot judge (an int field or timestamp that is not plain
 digits, or any field that fails a check) goes through the vote reader's
-per-row parse (``_VoteRows.add``). The fast source (``_plain_blocks``)
-splits 64 KiB of whole lines at a time, into rows of the same shape, when
-the whole file is ASCII and holds no ``"``, no NUL, no carriage return
-outside a CRLF line end and no line longer than ``csv.field_size_limit()``.
-Any other file is split by the CSV reader, 4096 rows at a time.
+per-row parse (``_VoteRows.add``), which reads the column check's caches; a
+row it keeps takes its place among its block's rows. The fast source
+(``_plain_blocks``) splits 64 KiB of whole lines at a time, into rows of
+the same shape, when the whole file is ASCII and holds no ``"``, no NUL, no
+carriage return outside a CRLF line end and no line longer than
+``csv.field_size_limit()``. Any other file is split by the CSV reader, 4096
+rows at a time.
 
 A factor panel (``FactorPanel``) holds each (token, category, factor)
 series, and the instrument, as a ``Series``: a sorted int64 day-ordinal
@@ -63,6 +65,7 @@ import math
 import os
 import re
 import tempfile
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -178,10 +181,7 @@ class ValidationReport:
         self.anomalies.append(Anomaly(kind=kind, detail=detail))
 
     def counts_by_kind(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for a in self.anomalies:
-            out[a.kind] = out.get(a.kind, 0) + 1
-        return out
+        return dict(Counter(a.kind for a in self.anomalies))
 
 
 def _digits(text: str) -> tuple[int, int]:
@@ -217,10 +217,7 @@ class Weights:
         units = [coefficient * 10 ** (exponent - self.exponent) for coefficient, exponent in digits]
         self.units = np.array(units, dtype=object)
         self.floats = np.array(list(map(float, texts)), dtype=float)  # float(d) is float(str(d))
-        self.ranks = np.zeros(len(units), dtype=np.int64)
-        ordered = sorted(range(len(units)), key=units.__getitem__)
-        for before, index in zip(ordered, ordered[1:]):
-            self.ranks[index] = self.ranks[before] + (units[index] != units[before])
+        self.ranks = np.unique(self.units, return_inverse=True)[1]
 
     def total(self, units: int, exponent: int) -> Decimal:
         """The exact ``Decimal`` of a sum of ``units`` whose summands' smallest
@@ -534,77 +531,67 @@ def _parse_weight(text: str) -> Decimal | str:
 class _VoteRows:
     """The vote rows read so far: the kept rows, in file order, written into
     one (5, ``capacity``) int64 table, and the anomalies of the skipped ones,
-    each with its line. Each distinct voter field is normalized once and
-    each distinct weight text parsed and checked once; every row still gets
-    every check."""
+    each with its line. Each field has one cache, which the column check
+    fills and ``add`` reads: each distinct voter field is normalized once and
+    each distinct weight text parsed and checked once. Every row still gets
+    every check, and a row only ``add`` accepts takes its place among its
+    block's."""
 
     def __init__(self, registry: dict[int, PollRecord], capacity: int) -> None:
         self.registry = registry
         self.anomalies: list[tuple[int, Anomaly]] = []
         self.addresses: dict[str, int] = {}  # address -> its index, in first-seen order
-        self.voter_fields: dict[str, int] = {}  # raw voter field -> address index, -1 when empty
         self.decimals: list[Decimal] = []
-        self.weight_texts: dict[str, int | str] = {}  # raw weight text -> index into decimals, or its error
-        # raw field -> its value in the column check, -1 when the row must be parsed on its own
+        self.faults: list[Decimal | str] = []  # each refused weight: a negative Decimal or its error
+        # raw field -> its value in the column check, -1 (or below) when the
+        # row must be parsed on its own
         self.poll_fields: dict[str, int] = {}
+        self.voter_fields: dict[str, int] = {}  # -1 when empty
         self.option_fields: dict[str, int] = {}
-        self.kept_weights: dict[str, int] = {}
+        self.kept_weights: dict[str, int] = {}  # index into decimals, or -1 - index into faults
         # the poll_id, voter, option_id, weight and timestamp of the kept
         # rows, in file order, are the first ``kept`` entries of each row
         self.table = np.empty((5, capacity), np.int64)
         self.kept = 0
-        # (line, poll_id, voter, option_id, weight, timestamp) of each row of
-        # the block being read that ``add`` kept
-        self.rows: list[tuple[int, ...]] = []
 
     def voter_index(self, text: str) -> int:
-        index = self.voter_fields.get(text)
-        if index is None:
-            address = text.strip().lower()
-            index = self.addresses.setdefault(address, len(self.addresses)) if address else -1
-            self.voter_fields[text] = index
-        return index
-
-    def weight_index(self, text: str) -> int | str:
-        index = self.weight_texts.get(text)
-        if index is None:
-            weight = _parse_weight(text)
-            if isinstance(weight, str):
-                index = weight
-            else:
-                index = len(self.decimals)
-                self.decimals.append(weight)
-            self.weight_texts[text] = index
-        return index
+        address = text.strip().lower()
+        return self.addresses.setdefault(address, len(self.addresses)) if address else -1
 
     def registered_poll(self, text: str) -> int:
         value = _plain_int(text)
         return value if value in self.registry else -1
 
     def kept_weight(self, text: str) -> int:
-        index = self.weight_index(text)
-        return -1 if isinstance(index, str) or self.decimals[index] < 0 else index
+        weight = _parse_weight(text)
+        if isinstance(weight, str) or weight < 0:
+            self.faults.append(weight)
+            return -len(self.faults)
+        self.decimals.append(weight)
+        return len(self.decimals) - 1
 
-    def add(self, lineno: int, fields: list[str]) -> None:
-        """The one per-row parse: keep the row of ``fields`` (poll, voter,
-        option, weight and timestamp texts) or record why it is skipped."""
+    def add(self, lineno: int, fields: list[str]) -> tuple[int, int, int, int, int] | None:
+        """The one per-row parse of a row of ``fields`` (poll, voter, option,
+        weight and timestamp texts) that ``read`` has looked up: its (poll_id,
+        voter, option_id, weight, timestamp), or None, with why it is skipped."""
         poll_text, voter_text, option_text, weight_text, stamp = fields
+        weight = self.kept_weights[weight_text]
+        fault = self.faults[-1 - weight] if weight < 0 else None
         try:
             poll_id = int(poll_text)
-            voter = self.voter_index(voter_text)
             option_id = int(option_text)
-            weight = self.weight_index(weight_text)
-            if isinstance(weight, str):
-                raise ValueError(weight)
+            if isinstance(fault, str):
+                raise ValueError(fault)
             timestamp = parse_timestamp(stamp)
         except (ValueError, ArithmeticError) as exc:
             kind, detail = "bad vote row", str(exc)
         else:
+            voter = self.voter_fields[voter_text]
             if voter < 0:
                 kind, detail = "bad vote row", "empty voter address"
             elif timestamp <= 0:
                 kind, detail = "bad vote row", "non-positive timestamp"
-            elif self.decimals[weight] < 0:
+            elif fault is not None:
                 kind, detail = "negative weight", f"poll {poll_id}, voter {voter_text.strip().lower()}"
             elif poll_id not in self.registry:
                 kind, detail = "unknown poll", f"poll {poll_id} not in registry"
@@ -612,35 +599,35 @@ class _VoteRows:
                 name, value = ("poll_id", poll_id) if poll_id not in INT64_RANGE else ("option_id", option_id)
                 kind, detail = "bad vote row", f"{name} {value} does not fit in 64 bits"
             else:
-                self.rows.append((lineno, poll_id, voter, option_id, weight, timestamp))
-                return
+                return poll_id, voter, option_id, weight, timestamp
         self.anomalies.append((lineno, Anomaly(kind, f"line {lineno}: {detail}")))
+        return None
 
     def read(self, block: _Block) -> None:
         """Read a block of rows. A row whose poll, option and timestamp
         are plain digits, with a registered poll, a timestamp with a UTC
         date, an address and a non-negative weight is kept as a column
-        entry; every other row goes through ``add``, in line order."""
+        entry; every other row goes through ``add``, in line order, and a
+        row it keeps is written into the columns at its place."""
         fields = block.fields
         poll_id = _lookup(fields[0::5], self.poll_fields, self.registered_poll)
         voter = _lookup(fields[1::5], self.voter_fields, self.voter_index)
         option_id = _lookup(fields[2::5], self.option_fields, _plain_int)
         weight = _lookup(fields[3::5], self.kept_weights, self.kept_weight)
         timestamp = _plain_ints(fields[4::5])
+        columns = (poll_id, voter, option_id, weight, timestamp)
         kept = (poll_id >= 0) & (voter >= 0) & (option_id >= 0) & (weight >= 0)
         kept &= (timestamp > 0) & (timestamp <= MAX_TIMESTAMP)
         self.anomalies += block.unreadable
-        for lineno, raw in block.others(kept):
-            self.add(lineno, raw)
-        columns = [column[kept] for column in (poll_id, voter, option_id, weight, timestamp)]
-        if self.rows:  # among the block's rows, in line order
-            added = np.array(self.rows, dtype=np.int64).T
-            order = np.argsort(np.concatenate([block.linenos[kept], added[0]]), kind="stable")
-            columns = [np.concatenate([column, more])[order] for column, more in zip(columns, added[1:])]
-            self.rows.clear()
-        end = self.kept + len(columns[0])
+        for at in np.flatnonzero(~kept).tolist():
+            row = self.add(int(block.linenos[at]), fields[5 * at:5 * at + 5])
+            if row is not None:
+                for column, value in zip(columns, row):
+                    column[at] = value
+                kept[at] = True
+        end = self.kept + np.count_nonzero(kept)
         for row, column in zip(self.table, columns):
-            row[self.kept:end] = column
+            row[self.kept:end] = column[kept]
         self.kept = end
 
     def columns(self) -> VoteColumns:
@@ -701,12 +688,6 @@ class _Block(NamedTuple):
     linenos: np.ndarray  # per row
     width: int
     unreadable: Sequence[tuple[int, Anomaly]] = ()
-
-    def others(self, kept: np.ndarray) -> Iterator[tuple[int, list[str]]]:
-        """The line number and fields of each row ``kept`` does not mark, in row order."""
-        starts = np.flatnonzero(~kept) * self.width
-        return zip(self.linenos[~kept].tolist(), map(self.fields.__getitem__, map(
-            slice, starts.tolist(), (starts + self.width).tolist())))
 
 
 def _plain_block(data: bytes, width: int, lineno: int) -> tuple[_Block, int] | None:

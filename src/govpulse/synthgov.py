@@ -48,6 +48,12 @@ INSTRUMENT_STRENGTH = 1.0
 INSTRUMENT_NOISE = 0.5
 # The most polls one day may draw: every poll a day draws is held in memory.
 MAX_POLLS_PER_DAY = 10_000
+# The largest pool and the most options a poll may have. The generator holds
+# about 240 bytes per voter before any vote (a holding, an address and a
+# weight) and about 175 bytes per option of each poll, so a pool at the bound
+# takes about 240 MB, and 637 polls (the default 91 days) at the bound 110 MB.
+MAX_VOTER_POOL = 1_000_000
+MAX_OPTIONS_PER_POLL = 1_000
 
 
 # The number of parameters each distribution kind takes.
@@ -74,6 +80,8 @@ class DistSpec:
             raise ValueError(f"{self.kind} takes {arity} parameter{'s' * (arity > 1)}, got {len(self.params)}")
         if self.kind in ("poisson", "exponential") and self.params[0] < 0:
             raise ValueError(f"{self.kind} parameter must not be negative, got {self.params[0]}")
+        if self.kind == "uniform" and self.params[1] < self.params[0]:
+            raise ValueError(f"uniform high bound must not be below its low bound, got {list(self.params)}")
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.kind == "constant":
@@ -149,10 +157,19 @@ class SynthConfig:
             raise ValueError(f"holdings_scale must be positive, got {self.holdings_scale}")
         if self.days < 1:
             raise ValueError(f"days must be at least 1, got {self.days}")
+        last = date.max.toordinal() - self.start_day.toordinal() + 1
+        if self.days > last:
+            raise ValueError(f"days must be at most {last} to end by {date.max}, got {self.days}")
         if self.options_per_poll < 2:
             raise ValueError(f"options_per_poll must be at least 2, got {self.options_per_poll}")
+        if self.options_per_poll > MAX_OPTIONS_PER_POLL:
+            raise ValueError(f"options_per_poll must be at most {MAX_OPTIONS_PER_POLL}, got {self.options_per_poll}")
         if self.voter_pool < 1:
             raise ValueError("voter_pool must be at least 1")
+        if self.voter_pool > MAX_VOTER_POOL:
+            raise ValueError(f"voter_pool must be at most {MAX_VOTER_POOL}, got {self.voter_pool}")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SynthConfig":

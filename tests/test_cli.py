@@ -1398,6 +1398,21 @@ def test_synth_rejects_unknown_config_fields(tmp_path, capsys):
                  "vote_delay: exponential parameter must not be negative, got -2.0", id="negative-exponential"),
     pytest.param({"vote_delay": ["weibull", 1], "participation_rate": 0},
                  "vote_delay: unknown distribution kind: 'weibull'", id="unknown-kind-without-votes"),
+    # a value the generator could take but cannot honour
+    pytest.param({"seed": -1}, "seed must not be negative, got -1", id="negative-seed"),
+    pytest.param({"polls_per_day": ["uniform", 5, 1]},
+                 "polls_per_day: uniform high bound must not be below its low bound, got [5.0, 1.0]",
+                 id="reversed-uniform-polls"),
+    pytest.param({"vote_delay": ["uniform", 5, 1]},
+                 "vote_delay: uniform high bound must not be below its low bound, got [5.0, 1.0]",
+                 id="reversed-uniform-delay"),
+    pytest.param({"voter_pool": 100000000000}, "voter_pool must be at most 1000000, got 100000000000",
+                 id="huge-pool"),
+    pytest.param({"options_per_poll": 100000000000}, "options_per_poll must be at most 1000, got 100000000000",
+                 id="huge-options"),
+    pytest.param({"days": 100000000}, "days must be at most 2914269 to end by 9999-12-31, got 100000000",
+                 id="days-past-9999"),
+    pytest.param({"start_day": "9999-12-30"}, "days must be at most 2 to end by 9999-12-31, got 3", id="last-days"),
 ])
 def test_synth_refuses_what_it_cannot_generate(tmp_path, config, error):
     out = tmp_path / "out"
@@ -1410,7 +1425,7 @@ def test_synth_refuses_what_it_cannot_generate(tmp_path, config, error):
     pytest.param({"start_day": "9999-12-30", "days": 2}, "would get a vote at", id="votes-after-9999"),
     pytest.param({"vote_delay": ["constant", 1e30]}, "would get a vote at", id="far-vote-delay"),
     pytest.param({"start_day": "1969-12-31"}, "would deploy at -", id="deploys-before-1970"),
-    pytest.param({"start_day": "9999-12-31"}, "would get a vote at", id="last-day"),
+    pytest.param({"start_day": "9999-12-31", "days": 1}, "would get a vote at", id="last-day"),
     pytest.param({"participation_rate": 0}, "metrics must be non-empty", id="no-votes"),
 ])
 def test_synth_that_cannot_be_loaded_writes_only_the_manifest(tmp_path, config, error):
@@ -1574,7 +1589,8 @@ _PATH_TOKENS = {"MKR,x/../y": "'x/../y'", "a\\b": "'a\\\\b'", "t\tb,DAI": "'t\\t
 @pytest.mark.parametrize("command, option, value", [
     pytest.param(command, option, value, id=f"{command}{option}={value}")
     for option, value in (("--formats", "pdf"), ("--alpha-stars", "0.01,0.05,0.10"), ("--alpha-stars", "inf,0.05,0.01"),
-                          ("--alpha-stars", "5,0.05,0.01"), ("--measures", "NotAMeasure"),
+                          ("--alpha-stars", "5,0.05,0.01"), ("--alpha-stars", "abc,0.05,0.01"),
+                          ("--alpha-stars", "0.1,,0.01"), ("--measures", "NotAMeasure"),
                           ("--top", "0"), ("--tokens", ","), ("--tokens", "FOO"), ("--tokens", "mkr"),
                           *(("--tokens", value) for value in _PATH_TOKENS))
     for command in _OPTION_TAKERS[option]
@@ -1597,6 +1613,8 @@ def test_rejected_option_leaves_only_the_manifest(synth_dir, tmp_path, command, 
         error = f"--tokens names that hold '/', '\\' or a control character: {_PATH_TOKENS[value]}"
         assert manifest["error"] == error
         assert manifest["inputs"] == {}
+    if value in ("abc,0.05,0.01", "0.1,,0.01"):  # a threshold that is not a number
+        assert manifest["error"] == "--alpha-stars needs three descending thresholds below 1, e.g. 0.10,0.05,0.01"
 
 
 def _only_the_failed_manifest(out: Path, command: str) -> str:

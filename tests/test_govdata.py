@@ -556,23 +556,34 @@ def test_bad_weight_detail_quotes_the_weight(tmp_path):
     assert [a.detail for a in log.report.anomalies] == ["line 2: weight '12abc' is not a decimal number"]
 
 
-def test_repeated_bad_weight_gives_one_anomaly_per_line(tmp_path):
+def test_repeated_bad_weight_gives_one_anomaly_per_line(tmp_path, monkeypatch):
     write_votes_csv(tmp_path / "votes.csv", [
         (1, "0xa", 1, "12abc", DAY0 + 10),
         (1, "0xb", 1, "5", DAY0 + 20),
         (1, "0xc", 1, "12abc", DAY0 + 30),
         (1, "0xd", 1, "12abc", DAY0 + 40),
+        (1, "0xe", 1, "-3", DAY0 + 50),
+        (1, " 0xf", 1, "-3", "2021-03-01T00:01:00Z"),
+        (1, "0xa", 1, "5", DAY0 + 70),
     ])
     write_polls_csv(tmp_path / "polls.csv", [(1, DAY0, "p", "1:yes", "")])
+    parsed = []
+    parse_weight = govdata._parse_weight
+    monkeypatch.setattr(govdata, "_parse_weight", lambda text: parsed.append(text) or parse_weight(text))
+    monkeypatch.setattr(govdata, "BLOCK_BYTES", 64)  # a block or two of lines each
     log = load_vote_log(tmp_path / "votes.csv", tmp_path / "polls.csv")
-    # the weight text is parsed once, but every line that carries it is skipped
+    # each weight text is parsed once across the blocks, a refused one too,
+    # but every line that carries a refused text is skipped
+    assert sorted(parsed) == ["-3", "12abc", "5"]
     bad = "weight '12abc' is not a decimal number"
     assert [(a.kind, a.detail) for a in log.report.anomalies] == [
         ("bad vote row", f"line 2: {bad}"),
         ("bad vote row", f"line 4: {bad}"),
         ("bad vote row", f"line 5: {bad}"),
+        ("negative weight", "line 6: poll 1, voter 0xe"),
+        ("negative weight", "line 7: poll 1, voter 0xf"),
     ]
-    assert [e.voter for e in log.events] == ["0xb"]
+    assert [e.voter for e in log.events] == ["0xb", "0xa"]
 
 
 def test_equal_weight_texts_share_one_decimal(tmp_path):
@@ -912,6 +923,24 @@ def test_fast_reader_matches_the_csv_reader_across_blocks(tmp_path, monkeypatch)
                                         govdata._VoteRows(registry, capacity)))
 
 
+def test_rows_only_add_accepts_keep_their_place_across_blocks(tmp_path, monkeypatch):
+    """A row that only the per-row parse accepts (an ISO timestamp, a " 1"
+    poll id, a "+2" option) is kept at its line among the rows the column
+    check accepts, across block ends: every row has one timestamp, so the
+    log's order is the file's."""
+    monkeypatch.setattr(govdata, "BLOCK_BYTES", 64)
+    forms = ["1,{},1,5,{}", "1,{},2,7,2021-03-01T00:00:00Z", " 1,{},1,3,{}", "2,{},+2,5,{}"]  # each at DAY0
+    votes, polls = tmp_path / "votes.csv", tmp_path / "polls.csv"
+    lines = [forms[i % 4].format(f"0x{i + 1:x}", DAY0) for i in range(41)]
+    votes.write_text("".join(f"{line}\n" for line in ["poll_id,voter,option_id,weight,timestamp", *lines]))
+    write_polls_csv(polls, [(1, DAY0, "p", "1:yes|2:no", ""), (2, DAY0, "q", "1:yes|2:no", "")])
+    rows = govdata._VoteRows(load_vote_log(votes, polls).registry, govdata._row_bound(votes))
+    assert _read_blocks(govdata._plain_blocks(votes, VOTES_HEADER), rows) is not None
+    log = _load_as_the_per_row_loader(votes, polls)
+    assert [e.voter for e in log.events] == [f"0x{i + 1:x}" for i in range(41)]
+    assert not log.report.anomalies
+
+
 # name -> (the lines after the header, whether the fast path reads the file)
 NAMED_READER_CASES = {
     "lf-and-crlf": ([f"1,0xa,1,5,{DAY0 + 10}\r", f"2,0xb,1,3,{DAY0 + 20}", f"1,0xc,2,1,{DAY0 + 30}\r"], True),
@@ -1099,10 +1128,10 @@ def _low_field_limit():
        block_rows=st.sampled_from([1, 3, 4096]))
 @example(header=VOTES_HEADER, lines=[b",,,,,x", b"1" + b"," * 9, b""], ends=[b"\n"] * 12, block_rows=1)
 def test_csv_blocks_give_the_rows_of_the_reference_reader(tmp_path_factory, header, lines, ends, block_rows):
-    """Through ``others``, the CSV source gives the rows, lines and
-    anomalies of the reference reader, whatever the block size. Each
-    unreadable line's anomaly is keyed by its own line (an int), which no
-    row starts on, so sorting by line puts it between the rows around it."""
+    """The CSV source gives the rows, lines and anomalies of the reference
+    reader, whatever the block size. Each unreadable line's anomaly is keyed
+    by its own line (an int), which no row starts on, so sorting by line
+    puts it between the rows around it."""
     path = tmp_path_factory.mktemp("csv-blocks") / "input.csv"
     path.write_bytes(_csv_file(header, lines, ends))
     with _low_field_limit(), pytest.MonkeyPatch.context() as patch:
@@ -1111,7 +1140,9 @@ def test_csv_blocks_give_the_rows_of_the_reference_reader(tmp_path_factory, head
         for block in govdata._csv_blocks(path, header, "bad row"):
             assert len(block.linenos) <= block_rows
             found += block.unreadable
-            rows += block.others(np.zeros(len(block.linenos), bool))
+            width = block.width
+            rows += [(lineno, block.fields[width * at:width * at + width])
+                     for at, lineno in enumerate(block.linenos.tolist())]
         want: list = []
         assert rows == list(_read_rows(path, header, "bad row", want))
     assert [anomaly for _, anomaly in found] == want
